@@ -1,0 +1,146 @@
+"""Simplex-kernel microbench: pivots per second on recorded staged checks.
+
+Two staged synthesis runs -- ``gm_case_study(4)`` and a cross-wired
+variant of it (same Fig. 1 topology and Table I stability rows, sensor
+``i`` talking to controller ``i + 1``) -- are encoded and solved **once**
+with a recording ``Simplex`` in the theory's place.  That yields, per
+engine the run created, the exact sequence of ``new_var`` / ``add_row`` /
+``assert_lower`` / ``assert_upper`` / ``check`` / ``undo_to`` calls the
+staged checks made.  The timed part replays those sequences on fresh
+``Simplex`` objects: nothing but the kernel runs (no encoder, no SAT core,
+no difference logic, no propagation watches), so wall time moves only
+with the tableau code.  The replay must reproduce every recorded verdict,
+and the pivot count must be the same in every round.
+
+Reported per round and as median / IQR over the rounds: pivots, wall,
+pivots per second.  The numbers in docs/perf.md ("Fraction-free simplex
+rows") come from this script.
+
+Usage:
+    PYTHONPATH=src python benchmarks/simplex_pivots.py [rounds] [n_apps]
+"""
+
+import statistics
+import sys
+import time
+from dataclasses import replace
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from repro.core import SynthesisOptions, SynthesisProblem, solve  # noqa: E402
+from repro.eval.workloads import gm_case_study  # noqa: E402
+from repro.smt import theory  # noqa: E402
+from repro.smt.simplex import Simplex  # noqa: E402
+
+#: The mutating calls of the kernel's public surface, as LraTheory uses it
+#: (``watch_var`` is left out: it only feeds theory propagation).
+RECORDED = ("new_var", "add_row", "assert_lower", "assert_upper",
+            "check", "undo_to")
+#: Those of them that answer None or a conflict explanation.
+VERDICTS = ("assert_lower", "assert_upper", "check")
+
+
+def cross_wired(n_apps):
+    """The GM case study with sensor i talking to controller i + 1."""
+    base = gm_case_study(n_apps)
+    apps = [replace(app, controller=f"C{(i + 1) % n_apps}")
+            for i, app in enumerate(base.apps)]
+    return SynthesisProblem(base.network, apps, base.delays)
+
+
+def _recorded(name):
+    method = getattr(Simplex, name)
+
+    def call(self, *args):
+        if self.nested:         # add_row allocating its slack variable
+            return method(self, *args)
+        self.nested = True
+        try:
+            result = method(self, *args)
+        finally:
+            self.nested = False
+        self.trace.append((name, args,
+                           name in VERDICTS and result is not None))
+        return result
+    return call
+
+
+def record(problem, options):
+    """Solve once; return one call trace per Simplex the run created.
+
+    A trace entry is ``(method, args, conflicted)``.
+    """
+    traces = []
+
+    class RecordingSimplex(Simplex):
+        def __init__(self):
+            super().__init__()
+            self.trace = []
+            self.nested = False
+            traces.append(self.trace)
+
+    for name in RECORDED:
+        setattr(RecordingSimplex, name, _recorded(name))
+    theory.Simplex = RecordingSimplex
+    try:
+        result = solve(problem, options)
+    finally:
+        theory.Simplex = Simplex
+    return result.status, traces
+
+
+def replay(traces):
+    """Run every trace on a fresh Simplex; returns (pivots, wall seconds)."""
+    pivots = 0
+    start = time.perf_counter()
+    for trace in traces:
+        sx = Simplex()
+        for name, args, conflicted in trace:
+            result = getattr(sx, name)(*args)
+            if name in VERDICTS:
+                assert (result is not None) == conflicted, (
+                    "replay diverged from the recorded run")
+        pivots += sx.pivots
+    return pivots, time.perf_counter() - start
+
+
+def _median_iqr(values):
+    if len(values) < 2:
+        return values[0], 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return statistics.median(values), q3 - q1
+
+
+def main():
+    rounds = int(sys.argv[1]) if len(sys.argv) > 1 else 5
+    n_apps = int(sys.argv[2]) if len(sys.argv) > 2 else 4
+    options = SynthesisOptions(routes=2, stages=5)
+    traces = []
+    for name, problem in (("gm", gm_case_study(n_apps)),
+                          ("gm-cross", cross_wired(n_apps))):
+        status, recorded = record(problem, options)
+        calls = sum(len(trace) for trace in recorded)
+        checks = sum(1 for trace in recorded for call in trace
+                     if call[0] == "check")
+        print(f"recorded {name}({n_apps}): {status}, {len(recorded)} "
+              f"engine(s), {calls} kernel calls, {checks} checks")
+        traces.extend(recorded)
+    walls, rates, counts = [], [], set()
+    for r in range(rounds):
+        pivots, wall = replay(traces)
+        counts.add(pivots)
+        walls.append(wall)
+        rates.append(pivots / wall)
+        print(f"[round {r + 1}] {pivots} pivots  {wall:6.3f}s  "
+              f"{pivots / wall:>8,.0f} pivots/s")
+    assert len(counts) == 1, f"pivot count varies between rounds: {counts}"
+    wall_med, wall_iqr = _median_iqr(walls)
+    rate_med, rate_iqr = _median_iqr(rates)
+    print(f"pivots {counts.pop()}  wall median {wall_med:.3f}s "
+          f"(IQR {wall_iqr:.3f})  pivots/s median {rate_med:,.0f} "
+          f"(IQR {rate_iqr:,.0f})  over {rounds} round(s)")
+
+
+if __name__ == "__main__":
+    main()

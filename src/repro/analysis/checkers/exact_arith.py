@@ -5,8 +5,7 @@ Fraction-exact; both prove *theory lemmas* the SAT core then treats as
 ground truth, so a single rounding error becomes an unsound refutation.
 PR 9's syntactic rule flagged direct float expressions only — a float
 smuggled through a variable (``g = time.monotonic(); self._t = g``)
-passed unnoticed, and every harmless advisory comparison in the
-float-prefilter mirror needed its own pragma.
+passed unnoticed.
 
 v2 runs the :mod:`repro.analysis.dataflow` taint analysis per function
 and flags taint only where it *escapes* into exactness-critical places:
@@ -18,9 +17,9 @@ and flags taint only where it *escapes* into exactness-critical places:
 * module- and class-level constant bindings;
 * in-place true division on solver state.
 
-Booleans from comparisons are not floats, so advisory prefilter
-verdicts (ints/bools derived from the mirror) flow freely — the mirror
-itself sits inside one ``allow[exact-arith]:begin``/``:end`` region.
+Booleans from comparisons are not floats, so a verdict derived from a
+float comparison flows freely.  Neither exact core holds a float today,
+so the tree carries no ``allow[exact-arith]`` pragma.
 Parameters with float defaults start tainted; other parameters are
 assumed exact (the analysis is intraprocedural).
 """

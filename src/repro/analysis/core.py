@@ -13,8 +13,8 @@ the finding's line, or on a comment-only line directly above it,
 silences that rule there.  A *region* pragma pair —
 ``# repro: allow[rule-id]:begin <reason>`` ... ``# repro: allow[rule-id]:end``
 — silences the rule for every line in between, so a deliberately
-rule-breaking section (like the simplex float mirror) carries one
-justification instead of one pragma per line.  Suppressed findings are
+rule-breaking section carries one justification instead of one pragma
+per line.  Suppressed findings are
 kept in the report (JSON consumers see them with ``"suppressed":
 true``) but do not affect the exit status.  Every pragma records
 whether it actually suppressed something; ``analyze(...,

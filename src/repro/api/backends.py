@@ -85,7 +85,6 @@ class NativeBackend:
     name = "native"
 
     def __init__(self, theory_propagation: bool = True,
-                 float_prefilter: bool = False,
                  dl_propagation: bool = True,
                  dl_effort: Optional[int] = None,
                  on_restart: Optional[Callable[[SolverEngine], None]] = None,
@@ -93,7 +92,6 @@ class NativeBackend:
                  engine: Optional[SolverEngine] = None) -> None:
         self._engine = engine if engine is not None else SolverEngine(
             theory_propagation=theory_propagation,
-            float_prefilter=float_prefilter,
             dl_propagation=dl_propagation,
             dl_effort=dl_effort,
             on_restart=on_restart,

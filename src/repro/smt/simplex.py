@@ -21,16 +21,27 @@ lists) so the pivot/update loops do plain Fraction adds with **no
 DeltaRational allocation**, and delta-component work is skipped entirely
 when the delta part of an update is zero (the common case).  Candidate
 violated variables are kept in a lazy min-heap (Bland's rule pops the
-smallest index directly — no ``sorted()`` per pivot iteration), and a float
-mirror of ``beta``/bounds supports an opt-in pre-filter
-(``Simplex(float_prefilter=True)``) that answers clear-cut bound
-comparisons in float and falls back to exact arithmetic on near-ties.
+smallest index directly — no ``sorted()`` per pivot iteration).
+
+Tableau rows are fraction-free: a basic variable's row is a dict of
+``int`` numerators plus one positive ``int`` denominator for the whole
+row (``basic = sum(num[v] * x_v) / den``), so row substitution — the
+inner loop of a pivot — is machine-integer multiply/add with no
+``Fraction`` allocated per entry.  The paper's inputs make almost every
+coefficient ±1, so ``den`` is almost always 1 and nothing else happens;
+when it is not, the row is brought back to lowest terms with one
+``gcd(den, *numerators)`` after the substitution (:meth:`_reduce`).
+Lowest terms make the representation canonical: ``Fraction(num, den)``
+of every entry is exactly the coefficient a ``Fraction`` tableau would
+hold, entries vanish in the same places, and signs agree, so the pivot
+rule sees the same tableau and takes the same pivots.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import gcd, lcm
 from typing import Dict, List, Optional, Set, Tuple
 
 from .rationals import DeltaRational, materialize_delta
@@ -41,25 +52,24 @@ NO_LIT = -1
 class Simplex:
     """Incremental simplex over ``Q + Q*delta`` with conflict explanations."""
 
-    def __init__(self, float_prefilter: bool = False) -> None:
+    def __init__(self) -> None:
         self._n = 0
-        self._float_prefilter = float_prefilter
         # Bounds as DeltaRational (assertions are rare; comparisons on the
         # hot path read .real/.delta directly).
         self._lower: List[Optional[DeltaRational]] = []
         self._upper: List[Optional[DeltaRational]] = []
         self._lower_lit: List[int] = []
         self._upper_lit: List[int] = []
-        # beta split into parallel Fraction components + a float mirror.
+        # beta split into parallel Fraction components.
         self._beta_r: List[Fraction] = []
         self._beta_d: List[Fraction] = []
-        self._beta_f: List[float] = []
-        self._lower_f: List[float] = []
-        self._upper_f: List[float] = []
         self._is_basic: List[bool] = []
-        # For basic variables: row mapping nonbasic var -> coefficient
-        # (None for nonbasic variables).
-        self._rows: List[Optional[Dict[int, Fraction]]] = []
+        # For basic variables: row mapping nonbasic var -> integer
+        # numerator (None for nonbasic variables), over the row's one
+        # positive denominator in ``_dens`` (1 for nonbasic variables):
+        # basic = sum(num * x) / den, gcd(den, *nums) == 1.
+        self._rows: List[Optional[Dict[int, int]]] = []
+        self._dens: List[int] = []
         # For nonbasic variables: set of basic variables whose row uses them.
         self._cols: List[Set[int]] = []
         # Bound-change trail: (var, is_lower, old_bound, old_lit, touched)
@@ -87,6 +97,8 @@ class Simplex:
         # the hook's cost.
         self.touched_bounds: Set[int] = set()
         self._watched: List[bool] = []
+        #: Pivots performed so far (read by benchmarks/simplex_pivots.py).
+        self.pivots = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -102,9 +114,9 @@ class Simplex:
         self._upper_lit.append(NO_LIT)
         self._beta_r.append(_F0)
         self._beta_d.append(_F0)
-        self._mirror_new_var()
         self._is_basic.append(False)
         self._rows.append(None)
+        self._dens.append(1)
         self._cols.append(set())
         self._watched.append(False)
         return idx
@@ -119,35 +131,58 @@ class Simplex:
         Any *basic* variable appearing in ``coeffs`` is substituted by its
         defining row so the new row mentions only nonbasic variables.
         """
-        expanded: Dict[int, Fraction] = {}
+        is_basic, rows, dens = self._is_basic, self._rows, self._dens
+        # One denominator every term divides, so the expansion is all-int
+        # (``dens`` is 1 for a nonbasic variable).
+        den = 1
+        for var, coeff in coeffs.items():
+            den = lcm(den, coeff.denominator * dens[var])
+        expanded: Dict[int, int] = {}
         for var, coeff in coeffs.items():
             if coeff == 0:
                 continue
-            if self._is_basic[var]:
-                for v2, c2 in self._rows[var].items():
-                    expanded[v2] = expanded.get(v2, _F0) + coeff * c2
+            scale = coeff.numerator * (den // (coeff.denominator * dens[var]))
+            if is_basic[var]:
+                for v2, n2 in rows[var].items():
+                    expanded[v2] = expanded.get(v2, 0) + scale * n2
             else:
-                expanded[var] = expanded.get(var, _F0) + coeff
-        expanded = {v: c for v, c in expanded.items() if c != 0}
+                expanded[var] = expanded.get(var, 0) + scale
+        expanded = {v: n for v, n in expanded.items() if n}
         s = self.new_var()
-        self._is_basic[s] = True
-        self._rows[s] = expanded
+        is_basic[s] = True
+        rows[s] = expanded
+        dens[s] = den
+        self._reduce(s)
         for v in expanded:
             self._cols[v].add(s)
         r, d = self._row_value(s)
         self._beta_r[s] = r
         self._beta_d[s] = d
-        if self._float_prefilter:
-            self._resync_float(s)
         return s
+
+    def _reduce(self, basic: int) -> None:
+        """Bring ``basic``'s row back to lowest terms (no-op when den is 1)."""
+        den = self._dens[basic]
+        if den != 1:
+            row = self._rows[basic]
+            g = gcd(den, *row.values())
+            if g != 1:
+                self._dens[basic] = den // g
+                for v in row:
+                    row[v] //= g
 
     def _row_value(self, basic: int) -> Tuple[Fraction, Fraction]:
         total_r = _F0
         total_d = _F0
         beta_r, beta_d = self._beta_r, self._beta_d
-        for v, c in self._rows[basic].items():
-            total_r += beta_r[v] * c
-            total_d += beta_d[v] * c
+        for v, n in self._rows[basic].items():
+            total_r += beta_r[v] * n
+            total_d += beta_d[v] * n
+        den = self._dens[basic]
+        if den != 1:
+            inv = Fraction(1, den)
+            total_r *= inv
+            total_d *= inv
         return total_r, total_d
 
     # ------------------------------------------------------------------
@@ -158,7 +193,6 @@ class Simplex:
         return len(self._trail)
 
     def undo_to(self, mark: int) -> None:
-        mirror = self._float_prefilter
         while len(self._trail) > mark:
             var, is_lower, old_bound, old_lit, touched = self._trail.pop()
             if touched:
@@ -169,13 +203,9 @@ class Simplex:
             if is_lower:
                 self._lower[var] = old_bound
                 self._lower_lit[var] = old_lit
-                if mirror:
-                    self._mirror_set_lower(var, old_bound)
             else:
                 self._upper[var] = old_bound
                 self._upper_lit[var] = old_lit
-                if mirror:
-                    self._mirror_set_upper(var, old_bound)
 
     # ------------------------------------------------------------------
     # Bound assertion
@@ -196,8 +226,6 @@ class Simplex:
         if tightens:
             self._lower[var] = bound
             self._lower_lit[var] = lit
-            if self._float_prefilter:
-                self._mirror_set_lower(var, bound)
             if fresh_touch:
                 self.touched_bounds.add(var)
             if self._is_basic[var]:
@@ -221,8 +249,6 @@ class Simplex:
         if tightens:
             self._upper[var] = bound
             self._upper_lit[var] = lit
-            if self._float_prefilter:
-                self._mirror_set_upper(var, bound)
             if fresh_touch:
                 self.touched_bounds.add(var)
             if self._is_basic[var]:
@@ -240,87 +266,10 @@ class Simplex:
             self._suspects.add(var)
             heappush(self._suspects_heap, var)
 
-    # ------------------------------------------------------------------
-    # Float mirror (advisory prefilter)
-    # ------------------------------------------------------------------
-    # The mirror is the one deliberate float island in the exact core:
-    # every float value lives in the ``_mirror_*`` methods below (plus
-    # the two sentinels), verdicts leave as tri-state ints, and every
-    # near-tie answer falls back to exact arithmetic in the callers.
-    # repro: allow[exact-arith]:begin advisory float mirror — tri-state
-    # verdicts only; misses fall back to exact Fraction comparisons
-
-    #: Mirror sentinel for "no bound asserted".
-    _INF = float("inf")
-
-    #: Relative guard band: float comparisons whose operands differ by
-    #: less than this (relative) margin are re-done exactly.
-    _FLOAT_GUARD = 1e-6
-
-    def _mirror_new_var(self) -> None:
-        """Extend the mirror lists for a freshly allocated variable."""
-        self._beta_f.append(0.0)
-        self._lower_f.append(-self._INF)
-        self._upper_f.append(self._INF)
-
-    def _mirror_set_lower(self, var: int,
-                          bound: Optional[DeltaRational]) -> None:
-        self._lower_f[var] = (
-            float(bound.real) if bound is not None else -self._INF
-        )
-
-    def _mirror_set_upper(self, var: int,
-                          bound: Optional[DeltaRational]) -> None:
-        self._upper_f[var] = (
-            float(bound.real) if bound is not None else self._INF
-        )
-
-    def _resync_float(self, var: int) -> None:
-        """Refresh the float mirror of ``var`` from its exact value.
-
-        The mirror is *recomputed*, never incrementally updated: an
-        accumulated ``+=`` mirror can drift arbitrarily far from the exact
-        value through catastrophic cancellation, which would let the
-        pre-filter answer a comparison confidently and wrongly.  A fresh
-        conversion is within 1 ulp of the exact value, so the relative
-        guard band in :meth:`_mirror_below`/:meth:`_mirror_above` keeps
-        the filter sound.
-        """
-        r = self._beta_r[var]
-        try:
-            self._beta_f[var] = r.numerator / r.denominator
-        except OverflowError:
-            # Magnitude beyond float range: force the exact fallback.
-            self._beta_f[var] = float("nan")
-
-    def _mirror_below(self, var: int) -> int:
-        """1 if beta[var] is clearly below its lower bound, 0 if clearly
-        not, -1 on a near-tie (caller must decide exactly)."""
-        beta = self._beta_f[var]
-        diff = beta - self._lower_f[var]
-        if abs(diff) > self._FLOAT_GUARD * (1.0 + abs(beta)):
-            return 1 if diff < 0.0 else 0
-        return -1
-
-    def _mirror_above(self, var: int) -> int:
-        """1 if beta[var] is clearly above its upper bound, 0 if clearly
-        not, -1 on a near-tie (caller must decide exactly)."""
-        beta = self._beta_f[var]
-        diff = beta - self._upper_f[var]
-        if abs(diff) > self._FLOAT_GUARD * (1.0 + abs(beta)):
-            return 1 if diff > 0.0 else 0
-        return -1
-
-    # repro: allow[exact-arith]:end
-
     # -- beta/bound comparisons (no DeltaRational allocation) ----------
 
     def _below(self, var: int, bound: DeltaRational) -> bool:
         """beta[var] < bound?"""
-        if self._float_prefilter:
-            verdict = self._mirror_below(var)
-            if verdict >= 0:
-                return verdict == 1
         r = self._beta_r[var]
         br = bound.real
         lhs = r.numerator * br.denominator
@@ -333,10 +282,6 @@ class Simplex:
 
     def _above(self, var: int, bound: DeltaRational) -> bool:
         """beta[var] > bound?"""
-        if self._float_prefilter:
-            verdict = self._mirror_above(var)
-            if verdict >= 0:
-                return verdict == 1
         r = self._beta_r[var]
         br = bound.real
         lhs = r.numerator * br.denominator
@@ -353,19 +298,17 @@ class Simplex:
         delta_d = value.delta - beta_d[nonbasic]
         beta_r[nonbasic] = value.real
         beta_d[nonbasic] = value.delta
-        rows = self._rows
-        mirror = self._float_prefilter
+        rows, dens = self._rows, self._dens
         zero_d = not delta_d
         for basic in self._cols[nonbasic]:
+            den = dens[basic]
             coeff = rows[basic][nonbasic]
+            if den != 1:
+                coeff = Fraction(coeff, den)
             beta_r[basic] += delta_r * coeff
             if not zero_d:
                 beta_d[basic] += delta_d * coeff
-            if mirror:
-                self._resync_float(basic)
             self._add_suspect(basic)
-        if mirror:
-            self._resync_float(nonbasic)
 
     # ------------------------------------------------------------------
     # Check (Bland's rule)
@@ -444,34 +387,11 @@ class Simplex:
 
     def _can_increase(self, var: int) -> bool:
         up = self._upper[var]
-        return up is None or self._below_bound(var, up)
+        return up is None or self._below(var, up)
 
     def _can_decrease(self, var: int) -> bool:
         lo = self._lower[var]
-        return lo is None or self._above_bound(var, lo)
-
-    def _below_bound(self, var: int, bound: DeltaRational) -> bool:
-        """beta[var] < bound (no float shortcut: bound may be either side)."""
-        r = self._beta_r[var]
-        br = bound.real
-        lhs = r.numerator * br.denominator
-        rhs = br.numerator * r.denominator
-        if lhs != rhs:
-            return lhs < rhs
-        d = self._beta_d[var]
-        bd = bound.delta
-        return d.numerator * bd.denominator < bd.numerator * d.denominator
-
-    def _above_bound(self, var: int, bound: DeltaRational) -> bool:
-        r = self._beta_r[var]
-        br = bound.real
-        lhs = r.numerator * br.denominator
-        rhs = br.numerator * r.denominator
-        if lhs != rhs:
-            return lhs > rhs
-        d = self._beta_d[var]
-        bd = bound.delta
-        return d.numerator * bd.denominator > bd.numerator * d.denominator
+        return lo is None or self._above(var, lo)
 
     def _explain(self, basic: int, below: bool) -> List[int]:
         """Farkas conflict: the violated bound plus the blocking bounds."""
@@ -494,39 +414,45 @@ class Simplex:
 
     def _pivot_and_update(self, basic: int, nonbasic: int, value: DeltaRational) -> None:
         """Swap ``basic``/``nonbasic`` and set the old basic var to ``value``."""
+        self.pivots += 1
         beta_r, beta_d = self._beta_r, self._beta_d
-        rows, cols = self._rows, self._cols
+        rows, dens, cols = self._rows, self._dens, self._cols
         row = rows[basic]
+        den = dens[basic]
         rows[basic] = None
+        dens[basic] = 1
         a = row[nonbasic]
-        # Solve the row for `nonbasic`: nonbasic = basic/a - sum(others)/a.
-        inv_a = _F1 / a
-        new_row: Dict[int, Fraction] = {basic: inv_a}
+        # Solve the row for `nonbasic`:
+        #   nonbasic = (den*basic - sum(others)) / a,
+        # with the sign of `a` moved into the numerators so the new
+        # denominator stays positive.  gcd(den, *row) == 1 makes the new
+        # row lowest-terms as it stands.
+        sign = 1 if a > 0 else -1
+        new_den = sign * a
+        new_row: Dict[int, int] = {basic: sign * den}
         for v, c in row.items():
             if v != nonbasic:
-                new_row[v] = -c * inv_a
+                new_row[v] = -sign * c
         # Update beta before rewiring (theta = change of nonbasic).
+        inv_a = Fraction(den, a)
         theta_r = (value.real - beta_r[basic]) * inv_a
         theta_d = (value.delta - beta_d[basic]) * inv_a
         beta_r[basic] = value.real
         beta_d[basic] = value.delta
         beta_r[nonbasic] += theta_r
         beta_d[nonbasic] += theta_d
-        mirror = self._float_prefilter
-        if mirror:
-            self._resync_float(basic)
-            self._resync_float(nonbasic)
         # Incrementally adjust every other basic row that uses `nonbasic`
         # (cheaper than recomputing whole row values after substitution).
         zero_d = not theta_d
         for b in cols[nonbasic]:
             if b != basic:
+                bden = dens[b]
                 coeff = rows[b][nonbasic]
+                if bden != 1:
+                    coeff = Fraction(coeff, bden)
                 beta_r[b] += theta_r * coeff
                 if not zero_d:
                     beta_d[b] += theta_d * coeff
-                if mirror:
-                    self._resync_float(b)
                 self._add_suspect(b)
         # The entering variable may now violate its own bounds.
         self._add_suspect(nonbasic)
@@ -537,27 +463,29 @@ class Simplex:
         self._is_basic[nonbasic] = True
         cols[basic] = set()
         rows[nonbasic] = new_row
+        dens[nonbasic] = new_den
         for v in new_row:
             cols[v].add(nonbasic)
-        # Substitute `nonbasic` in every other row that used it.
+        # Substitute `nonbasic` in every other row that used it.  All-int:
+        # b = (new_den*sum(brow) + k*sum(new_row)) / (dens[b]*new_den).
         users = [b for b in cols[nonbasic] if b != nonbasic]
         cols[nonbasic] = set()
         for b in users:
             brow = rows[b]
             k = brow.pop(nonbasic)
+            if new_den != 1:
+                for v in brow:
+                    brow[v] *= new_den
+                dens[b] *= new_den
             for v, c in new_row.items():
-                nc = brow.get(v, _F0) + k * c
-                if nc == 0:
-                    brow.pop(v, None)
-                    cols[v].discard(b)
-                else:
+                nc = brow.get(v, 0) + k * c
+                if nc:
                     brow[v] = nc
                     cols[v].add(b)
-        # `basic` is now nonbasic: it appears in rows (at least new_row).
-        cols[basic].add(nonbasic)
-        for b in users:
-            if basic in rows[b]:
-                cols[basic].add(b)
+                else:
+                    brow.pop(v, None)
+                    cols[v].discard(b)
+            self._reduce(b)
 
     # ------------------------------------------------------------------
     # Model extraction
@@ -616,9 +544,9 @@ class Simplex:
         """Check that beta satisfies all bounds (true right after check())."""
         for var in range(self._n):
             lo, up = self._lower[var], self._upper[var]
-            if lo is not None and self._below_bound(var, lo):
+            if lo is not None and self._below(var, lo):
                 return False
-            if up is not None and self._above_bound(var, up):
+            if up is not None and self._above(var, up):
                 return False
         return True
 
@@ -628,8 +556,8 @@ class Simplex:
             if not self._is_basic[var]:
                 continue
             lo, up = self._lower[var], self._upper[var]
-            violated = (lo is not None and self._below_bound(var, lo)) or (
-                up is not None and self._above_bound(var, up)
+            violated = (lo is not None and self._below(var, lo)) or (
+                up is not None and self._above(var, up)
             )
             if violated and var not in self._suspects:
                 return False
@@ -641,8 +569,8 @@ class Simplex:
             if self._is_basic[var]:
                 continue
             lo, up = self._lower[var], self._upper[var]
-            violated = (lo is not None and self._below_bound(var, lo)) or (
-                up is not None and self._above_bound(var, up)
+            violated = (lo is not None and self._below(var, lo)) or (
+                up is not None and self._above(var, up)
             )
             if violated and var not in self._dirty:
                 return False
@@ -650,4 +578,3 @@ class Simplex:
 
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)

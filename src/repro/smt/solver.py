@@ -213,9 +213,7 @@ class SolverEngine:
     the difference-logic graph) with multi-literal path explanations —
     counted by ``dl_propagations`` / ``dl_explanation_lits``;
     ``dl_effort`` caps the per-edge shortest-path work (heap pops per
-    direction).  ``float_prefilter`` answers clear-cut simplex bound
-    comparisons in floating point, falling back to exact rational
-    arithmetic on near-ties (opt-in; exact is the default).
+    direction).
 
     ``backend_name`` tags this engine's entries in the global per-check
     statistics stream so benchmark trajectories can attribute work per
@@ -237,13 +235,11 @@ class SolverEngine:
     backend_name = "native"
 
     def __init__(self, theory_propagation: bool = True,
-                 float_prefilter: bool = False,
                  dl_propagation: bool = True,
                  dl_effort: Optional[int] = None,
                  on_restart=None,
                  max_conflicts: Optional[int] = None) -> None:
         self._theory = LraTheory(propagation=theory_propagation,
-                                 float_prefilter=float_prefilter,
                                  dl_propagation=dl_propagation,
                                  dl_effort=dl_effort)
         self._sat = SatSolver(self._theory)

@@ -96,7 +96,6 @@ class LraTheory(TheoryBackend):
     """Combined difference-logic + simplex theory with trail alignment."""
 
     def __init__(self, propagation: bool = True,
-                 float_prefilter: bool = False,
                  dl_propagation: bool = True,
                  dl_effort: Optional[int] = None) -> None:
         # Transitive difference-logic propagation rides on theory
@@ -108,7 +107,7 @@ class LraTheory(TheoryBackend):
         if dl_effort is not None:
             dl_kwargs["effort_cap"] = dl_effort
         self.dl = DifferenceLogic(**dl_kwargs)
-        self.simplex = Simplex(float_prefilter=float_prefilter)
+        self.simplex = Simplex()
         self._real_to_sx: Dict[RealVar, int] = {}
         self._real_to_dl: Dict[RealVar, int] = {}
         self._slack_cache: Dict[Tuple, int] = {}

@@ -37,7 +37,6 @@ def test_every_rule_is_exercised_by_a_suppression_or_scope():
     report = analyze([REPO_SRC], default_checkers())
     suppressed_rules = {f.rule for f in report.findings if f.suppressed}
     assert suppressed_rules == {
-        "exact-arith",       # the simplex float-mirror region
         "frame-drift",       # fault-injection frame forgery fixture
         "frame-protocol",    # worker error-result after a broken send
         "resource-hygiene",  # unstarted Process on the OSError path

@@ -28,6 +28,7 @@ from repro.portfolio import (
     synthesize_portfolio,
 )
 from repro.portfolio.engine import _result_from_payload
+from repro.portfolio.faults import HANG, FaultPlan, FaultSpec
 from repro.eval import workloads
 
 FAST = DelayModel(sd=microseconds(5), ld=Fraction(120, 1_000_000))
@@ -87,8 +88,11 @@ class TestNoWinnerMatrix:
             Strategy("slow-a", SynthesisOptions(routes=3, stages=4)),
             Strategy("slow-b", SynthesisOptions(routes=3)),
         ]
+        # Both workers hang before solving (stall detection is opt-in and
+        # off here), so the deadline, not the machine's speed, ends the race.
+        never_finishes = FaultPlan([FaultSpec(HANG, attempt=0)])
         res = synthesize_portfolio(problem, entries, backend="process",
-                                   timeout=0.05)
+                                   timeout=0.05, fault_plan=never_finishes)
         assert res.status == STATUS_TIMEOUT
         assert res.winner is None and res.verdict_by is None
 

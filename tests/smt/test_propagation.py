@@ -66,17 +66,6 @@ def test_propagation_preserves_answers(seed):
                 assert m.eval_bool(clause)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_propagation_with_float_prefilter(seed):
-    """Propagation + float pre-filter together stay equivalent too."""
-    clauses = _random_formula(seed)
-    fast = Solver(theory_propagation=True, float_prefilter=True)
-    ref = Solver(theory_propagation=False)
-    fast.add(*clauses)
-    ref.add(*clauses)
-    assert fast.check().name == ref.check().name
-
-
 def test_propagation_fires_and_is_counted():
     """An entailed atom is assigned by the theory, not decided."""
     x = Real("tp_fire_x")
