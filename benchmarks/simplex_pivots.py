@@ -105,7 +105,7 @@ def replay(traces):
     return pivots, time.perf_counter() - start
 
 
-def _median_iqr(values):
+def median_iqr(values):
     if len(values) < 2:
         return values[0], 0.0
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
@@ -135,8 +135,8 @@ def main():
         print(f"[round {r + 1}] {pivots} pivots  {wall:6.3f}s  "
               f"{pivots / wall:>8,.0f} pivots/s")
     assert len(counts) == 1, f"pivot count varies between rounds: {counts}"
-    wall_med, wall_iqr = _median_iqr(walls)
-    rate_med, rate_iqr = _median_iqr(rates)
+    wall_med, wall_iqr = median_iqr(walls)
+    rate_med, rate_iqr = median_iqr(rates)
     print(f"pivots {counts.pop()}  wall median {wall_med:.3f}s "
           f"(IQR {wall_iqr:.3f})  pivots/s median {rate_med:,.0f} "
           f"(IQR {rate_iqr:,.0f})  over {rounds} round(s)")

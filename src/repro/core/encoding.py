@@ -260,36 +260,50 @@ class Encoder:
         The method is incremental: calling it again after more
         ``encode_message`` calls only emits the pairs involving at least
         one usage recorded since the previous call.
+
+        Candidate routes of one message share link prefixes, so several
+        usages of a link carry the *same* start-time term: the
+        separation ``|t1 - t2| >= ld`` is built once per distinct pair of
+        start times within a link's pass and reused under every guard
+        combination.  ``Or`` flattens it, so each emitted clause is the
+        literal tuple the per-pair construction gave.
         """
         ld = self.problem.delays.ld
+        add = self.solver.add
         for link, usages in self._link_usage.items():
             done = self._contention_done.get(link, 0)
             if done >= len(usages):
                 continue
-            pairs = (
-                (usages[i], usages[j])
-                for j in range(done, len(usages))
-                for i in range(j)
-            )
             self._contention_done[link] = len(usages)
-            for (uid1, g1, t1), (uid2, g2, t2) in pairs:
-                if uid1 == uid2:
-                    # Two candidate routes of the same message share a
-                    # link prefix; selection is exclusive, no conflict.
-                    continue
-                both_const = not isinstance(t1, LinExpr) and not isinstance(t2, LinExpr)
-                if both_const:
-                    if abs(t1 - t2) >= ld:
+            unguarded = [Not(g) if g is not None else None
+                         for _, g, _ in usages]
+            # (id(t1), id(t2)) -> separation.  ``usages`` keeps every
+            # start time alive and the memo dies with this link's pass,
+            # so an id can not be recycled while it is a key.
+            separations: Dict[Tuple[int, int], BoolExpr] = {}
+            for j in range(done, len(usages)):
+                uid2, _, t2 = usages[j]
+                for i in range(j):
+                    uid1, _, t1 = usages[i]
+                    if uid1 == uid2:
+                        # Two candidate routes of the same message share a
+                        # link prefix; selection is exclusive, no conflict.
                         continue
-                    guards = [Not(g) for g in (g1, g2) if g is not None]
-                    self.solver.add(Or(guards) if guards else FALSE_EXPR)
-                    continue
-                separation = Or(
-                    LinExpr.coerce(t1) - LinExpr.coerce(t2) >= ld,
-                    LinExpr.coerce(t2) - LinExpr.coerce(t1) >= ld,
-                )
-                guards = [Not(g) for g in (g1, g2) if g is not None]
-                self.solver.add(Or(*guards, separation))
+                    if isinstance(t1, LinExpr) or isinstance(t2, LinExpr):
+                        key = (id(t1), id(t2))
+                        separation = separations.get(key)
+                        if separation is None:
+                            # Either side may be a constant.
+                            gap = LinExpr.coerce(t1) - t2
+                            separation = separations[key] = Or(
+                                gap >= ld, -gap >= ld)
+                    elif abs(t1 - t2) >= ld:
+                        continue
+                    else:
+                        separation = FALSE_EXPR
+                    guards = [n for n in (unguarded[i], unguarded[j])
+                              if n is not None]
+                    add(Or(*guards, separation))
 
     # ------------------------------------------------------------------
     # Stability constraints (Sec. V-B, Eqs. 9 + 10)

@@ -3,6 +3,12 @@
 Each distinct subformula gets one SAT variable; linear atoms are
 deduplicated by canonical key and registered with the theory backend so
 both phases of their SAT variable drive theory assertions.
+
+Keep-alive rule: the two identity-keyed caches (composite nodes, and the
+atom objects that own a SAT variable) are dicts keyed on the term
+*object*.  Terms hash by identity, so that is an ``id()`` lookup which
+also holds a strong reference -- a cached node can not be freed and have
+its address handed to a different formula while its entry is live.
 """
 
 from __future__ import annotations
@@ -32,7 +38,11 @@ class CnfConverter:
         self._theory = theory
         self._bool_vars: Dict[BoolVar, int] = {}
         self._atom_vars: Dict[Tuple, int] = {}
-        self._node_cache: Dict[int, int] = {}
+        # Identity-first shortcut past ``Atom.key``: the atom object that
+        # first claimed each SAT variable (exactly the atoms ``_origins``
+        # holds).  Equal atoms built separately fall back to the key.
+        self._atom_objects: Dict[Atom, int] = {}
+        self._node_cache: Dict[BoolExpr, int] = {}
         self._true_lit: int | None = None
         # SAT variable -> originating BoolVar/Atom, for the clause-sharing
         # export path (Tseitin and scope variables have no stable origin
@@ -86,7 +96,7 @@ class CnfConverter:
             return lit(self._var_for_atom(expr))
         if isinstance(expr, NotExpr):
             return neg(self.literal_for(expr.arg))
-        cached = self._node_cache.get(id(expr))
+        cached = self._node_cache.get(expr)
         if cached is not None:
             return cached
         if isinstance(expr, AndExpr):
@@ -95,7 +105,7 @@ class CnfConverter:
             out = self._tseitin_or([self.literal_for(a) for a in expr.args])
         else:
             raise SolverError(f"unsupported formula node: {expr!r}")
-        self._node_cache[id(expr)] = out
+        self._node_cache[expr] = out
         return out
 
     # ------------------------------------------------------------------
@@ -116,11 +126,15 @@ class CnfConverter:
         return v
 
     def _var_for_atom(self, atom: Atom) -> int:
+        v = self._atom_objects.get(atom)
+        if v is not None:
+            return v
         key = atom.key
         v = self._atom_vars.get(key)
         if v is None:
             v = self._sat.new_var()
             self._atom_vars[key] = v
+            self._atom_objects[atom] = v
             self._origins[v] = atom
             self._theory.register_atom(atom, v)
         return v

@@ -176,8 +176,13 @@ class Simplex:
         total_d = _F0
         beta_r, beta_d = self._beta_r, self._beta_d
         for v, n in self._rows[basic].items():
-            total_r += beta_r[v] * n
-            total_d += beta_d[v] * n
+            # A fresh slack row sits over mostly-zero betas: skip those
+            # instead of multiplying Fractions by them.
+            r, d = beta_r[v], beta_d[v]
+            if r:
+                total_r += r * n
+            if d:
+                total_d += d * n
         den = self._dens[basic]
         if den != 1:
             inv = Fraction(1, den)

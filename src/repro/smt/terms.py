@@ -38,6 +38,10 @@ def _to_fraction(value: Number) -> Fraction:
     raise SolverError(f"cannot interpret {value!r} as a rational constant")
 
 
+_F0 = Fraction(0)
+_F1 = Fraction(1)
+
+
 # ---------------------------------------------------------------------------
 # Arithmetic layer
 # ---------------------------------------------------------------------------
@@ -63,7 +67,12 @@ class RealVar:
 
 
 class LinExpr:
-    """An affine expression ``sum(coeff * var) + const`` over the reals."""
+    """An affine expression ``sum(coeff * var) + const`` over the reals.
+
+    Instances are immutable by convention: nothing writes to ``coeffs``
+    after construction, so arithmetic results may *share* an operand's
+    coefficient dict (adding a constant does).
+    """
 
     __slots__ = ("coeffs", "const")
 
@@ -74,15 +83,28 @@ class LinExpr:
         }
         self.const: Fraction = _to_fraction(const)
 
+    @classmethod
+    def _normal(cls, coeffs: Dict[RealVar, Fraction],
+                const: Fraction) -> "LinExpr":
+        """Wrap a dict of non-zero ``Fraction`` coefficients as it stands.
+
+        The arithmetic below only ever produces normalised parts, so it
+        skips the public constructor's re-wrapping and zero filtering.
+        """
+        self = object.__new__(cls)
+        self.coeffs = coeffs
+        self.const = const
+        return self
+
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
     def variable(var: RealVar) -> "LinExpr":
-        return LinExpr({var: Fraction(1)})
+        return LinExpr._normal({var: _F1}, _F0)
 
     @staticmethod
     def constant(value: Number) -> "LinExpr":
-        return LinExpr({}, value)
+        return LinExpr._normal({}, _to_fraction(value))
 
     @staticmethod
     def coerce(value: "LinExpr | RealVar | Number") -> "LinExpr":
@@ -100,39 +122,78 @@ class LinExpr:
         return tuple(self.coeffs)
 
     # -- arithmetic ------------------------------------------------------------
+    #
+    # Coefficient order: the left operand's variables first, then the
+    # right operand's new ones, cancelled entries dropped.
 
     def __add__(self, other) -> "LinExpr":
+        if not isinstance(other, (LinExpr, RealVar)):
+            return LinExpr._normal(self.coeffs,
+                                   self.const + _to_fraction(other))
         other = LinExpr.coerce(other)
+        const = self.const + other.const
+        if not other.coeffs:
+            return LinExpr._normal(self.coeffs, const)
+        if not self.coeffs:
+            return LinExpr._normal(other.coeffs, const)
         coeffs = dict(self.coeffs)
         for v, c in other.coeffs.items():
-            coeffs[v] = coeffs.get(v, Fraction(0)) + c
-        return LinExpr(coeffs, self.const + other.const)
+            mine = coeffs.get(v)
+            if mine is None:
+                coeffs[v] = c
+                continue
+            total = mine + c
+            if total:
+                coeffs[v] = total
+            else:
+                del coeffs[v]
+        return LinExpr._normal(coeffs, const)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LinExpr":
-        return LinExpr({v: -c for v, c in self.coeffs.items()}, -self.const)
+        return LinExpr._normal({v: -c for v, c in self.coeffs.items()},
+                               -self.const)
 
     def __sub__(self, other) -> "LinExpr":
-        return self + (-LinExpr.coerce(other))
+        if not isinstance(other, (LinExpr, RealVar)):
+            return LinExpr._normal(self.coeffs,
+                                   self.const - _to_fraction(other))
+        other = LinExpr.coerce(other)
+        const = self.const - other.const
+        if not other.coeffs:
+            return LinExpr._normal(self.coeffs, const)
+        coeffs = dict(self.coeffs)
+        for v, c in other.coeffs.items():
+            mine = coeffs.get(v)
+            if mine is None:
+                coeffs[v] = -c
+                continue
+            total = mine - c
+            if total:
+                coeffs[v] = total
+            else:
+                del coeffs[v]
+        return LinExpr._normal(coeffs, const)
 
     def __rsub__(self, other) -> "LinExpr":
-        return LinExpr.coerce(other) + (-self)
+        return LinExpr.coerce(other) - self
+
+    def _scaled(self, k: Fraction) -> "LinExpr":
+        if not k:
+            return LinExpr._normal({}, _F0)
+        return LinExpr._normal({v: c * k for v, c in self.coeffs.items()},
+                               self.const * k)
 
     def __mul__(self, other) -> "LinExpr":
         if isinstance(other, (LinExpr, RealVar)):
             other = LinExpr.coerce(other)
-            if not other.is_constant() and not self.is_constant():
-                raise SolverError("non-linear product of two variable expressions")
             if other.is_constant():
-                k = other.const
-                return LinExpr({v: c * k for v, c in self.coeffs.items()},
-                               self.const * k)
-            k = self.const
-            return LinExpr({v: c * k for v, c in other.coeffs.items()},
-                           other.const * k)
-        k = _to_fraction(other)
-        return LinExpr({v: c * k for v, c in self.coeffs.items()}, self.const * k)
+                return self._scaled(other.const)
+            if self.is_constant():
+                return other._scaled(self.const)
+            raise SolverError("non-linear product of two variable expressions")
+        return self._scaled(_to_fraction(other))
 
     __rmul__ = __mul__
 
@@ -140,21 +201,21 @@ class LinExpr:
         k = _to_fraction(other)
         if k == 0:
             raise ZeroDivisionError("division of linear expression by zero")
-        return self * Fraction(1, 1) * (Fraction(1) / k)
+        return self._scaled(1 / k)
 
     # -- comparisons build atoms/formulas ---------------------------------------
 
     def __le__(self, other) -> "BoolExpr":
-        return Atom.build(self - LinExpr.coerce(other), strict=False)
+        return Atom.build(self - other, strict=False)
 
     def __lt__(self, other) -> "BoolExpr":
-        return Atom.build(self - LinExpr.coerce(other), strict=True)
+        return Atom.build(self - other, strict=True)
 
     def __ge__(self, other) -> "BoolExpr":
-        return Atom.build(LinExpr.coerce(other) - self, strict=False)
+        return Atom.build(self.__rsub__(other), strict=False)
 
     def __gt__(self, other) -> "BoolExpr":
-        return Atom.build(LinExpr.coerce(other) - self, strict=True)
+        return Atom.build(self.__rsub__(other), strict=True)
 
     def __eq__(self, other):  # type: ignore[override]
         other = LinExpr.coerce(other)

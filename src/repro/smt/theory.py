@@ -156,12 +156,15 @@ class LraTheory(TheoryBackend):
     def register_atom(self, atom: Atom, sat_var: int) -> None:
         """Associate a SAT variable with a normalized linear atom."""
         coeffs = atom.coeffs
-        rhs = Fraction(atom.rhs)
+        rhs = atom.rhs
         strict = atom.strict
         if not coeffs:
             raise SolverError("constant atom should have been folded away")
         is_difference = False
 
+        # Each bound below is built once and shared between the phase's
+        # simplex bound, its DL edge and the propagation watch
+        # (DeltaRationals are immutable).
         if len(coeffs) == 1:
             (v, c), = coeffs
             b = rhs / c
@@ -170,47 +173,55 @@ class LraTheory(TheoryBackend):
             zero = self.dl.zero_node
             if c > 0:
                 # v <= b (strict?)   /   neg: v > b
-                pos = _PhaseAction(sx, True, _upper(b, strict), (node, zero, _upper(b, strict)))
-                neg = _PhaseAction(sx, False, _lower_of_neg_le(b, strict),
-                                   (zero, node, -_lower_of_neg_le(b, strict)))
+                up, lo = _upper(b, strict), _lower_of_neg_le(b, strict)
+                pos = _PhaseAction(sx, True, up, (node, zero, up))
+                neg = _PhaseAction(sx, False, lo, (zero, node, -lo))
             else:
                 # v >= b (strict?)   /   neg: v < b
-                pos = _PhaseAction(sx, False, _lower(b, strict), (zero, node, -_lower(b, strict)))
-                neg = _PhaseAction(sx, True, _upper_of_neg_ge(b, strict),
-                                   (node, zero, _upper_of_neg_ge(b, strict)))
+                lo, up = _lower(b, strict), _upper_of_neg_ge(b, strict)
+                pos = _PhaseAction(sx, False, lo, (zero, node, -lo))
+                neg = _PhaseAction(sx, True, up, (node, zero, up))
             is_difference = True
         elif len(coeffs) == 2 and coeffs[0][1] == -coeffs[1][1]:
             (v1, c1), (v2, c2) = coeffs
             # c1*v1 + c2*v2 <= rhs with c2 == -c1  =>  v1 - v2 <= rhs/c1 (c1>0)
             if c1 > 0:
-                x, y, b = v1, v2, rhs / c1
+                x, y, scale = v1, v2, c1
             else:
-                x, y, b = v2, v1, rhs / c2
+                x, y, scale = v2, v1, c2
             nx, ny = self.dl_node(x), self.dl_node(y)
             s, flip = self._slack_for(coeffs)
             # Atom <=> x - y <= b (strict?);  neg: x - y > b <=> y - x < -b.
             # The simplex slack is the canonical-orientation sum(coeffs), so
             # its bounds stay in the rhs scale (negated when this atom is
-            # the flipped orientation) while the DL edge uses the b scale.
-            pos_bound = _upper(b, strict)
-            neg_bound = _lower_of_neg_le(b, strict)
+            # the flipped orientation) while the DL edge uses the b scale
+            # -- one and the same for the unit coefficients of Eqs. 5-6.
             pos_sx = _upper(rhs, strict)
             neg_sx = _lower_of_neg_le(rhs, strict)
-            if flip:
-                pos = _PhaseAction(s, False, -pos_sx, (nx, ny, pos_bound))
-                neg = _PhaseAction(s, True, -neg_sx, (ny, nx, -neg_bound))
+            minus_neg_sx = -neg_sx
+            if scale == 1:
+                pos_edge, neg_edge = pos_sx, minus_neg_sx
             else:
-                pos = _PhaseAction(s, True, pos_sx, (nx, ny, pos_bound))
-                neg = _PhaseAction(s, False, neg_sx, (ny, nx, -neg_bound))
+                b = rhs / scale
+                pos_edge = _upper(b, strict)
+                neg_edge = -_lower_of_neg_le(b, strict)
+            if flip:
+                pos = _PhaseAction(s, False, -pos_sx, (nx, ny, pos_edge))
+                neg = _PhaseAction(s, True, minus_neg_sx, (ny, nx, neg_edge))
+            else:
+                pos = _PhaseAction(s, True, pos_sx, (nx, ny, pos_edge))
+                neg = _PhaseAction(s, False, neg_sx, (ny, nx, neg_edge))
             is_difference = True
         else:
             s, flip = self._slack_for(coeffs)
+            pos_sx = _upper(rhs, strict)
+            neg_sx = _lower_of_neg_le(rhs, strict)
             if flip:
-                pos = _PhaseAction(s, False, -_upper(rhs, strict), None)
-                neg = _PhaseAction(s, True, -_lower_of_neg_le(rhs, strict), None)
+                pos = _PhaseAction(s, False, -pos_sx, None)
+                neg = _PhaseAction(s, True, -neg_sx, None)
             else:
-                pos = _PhaseAction(s, True, _upper(rhs, strict), None)
-                neg = _PhaseAction(s, False, _lower_of_neg_le(rhs, strict), None)
+                pos = _PhaseAction(s, True, pos_sx, None)
+                neg = _PhaseAction(s, False, neg_sx, None)
 
         self._atoms[sat_var] = (pos, neg, not is_difference)
         self._watches.setdefault(pos.sx_var, []).append(
@@ -240,13 +251,11 @@ class LraTheory(TheoryBackend):
         flip = coeffs[0][1] < 0
         if flip:
             coeffs = tuple((v, -c) for v, c in coeffs)
-        key = tuple((v.name, c) for v, c in coeffs)
-        entry = self._slack_cache.get(key)
-        if entry is None:
+        # RealVars intern by name, so the (var, coeff) pairs are the key.
+        s = self._slack_cache.get(coeffs)
+        if s is None:
             s = self.simplex.add_row({self.sx_var(v): c for v, c in coeffs})
-            self._slack_cache[key] = s
-        else:
-            s = entry
+            self._slack_cache[coeffs] = s
         return s, flip
 
     # ------------------------------------------------------------------
@@ -405,14 +414,20 @@ class LraTheory(TheoryBackend):
         return self._model_reals
 
 
+# Delta components as ready Fractions (DeltaRational would wrap an int).
+_NO_DELTA = Fraction(0)
+_PLUS_DELTA = Fraction(1)
+_MINUS_DELTA = Fraction(-1)
+
+
 def _upper(b: Fraction, strict: bool) -> DeltaRational:
     """Upper bound for ``e <= b`` / ``e < b``."""
-    return DeltaRational(b, -1 if strict else 0)
+    return DeltaRational(b, _MINUS_DELTA if strict else _NO_DELTA)
 
 
 def _lower(b: Fraction, strict: bool) -> DeltaRational:
     """Lower bound for ``e >= b`` / ``e > b``."""
-    return DeltaRational(b, 1 if strict else 0)
+    return DeltaRational(b, _PLUS_DELTA if strict else _NO_DELTA)
 
 
 def _lower_of_neg_le(b: Fraction, strict: bool) -> DeltaRational:
@@ -421,7 +436,7 @@ def _lower_of_neg_le(b: Fraction, strict: bool) -> DeltaRational:
     not(e <= b)  ->  e > b   -> bound b + delta
     not(e <  b)  ->  e >= b  -> bound b
     """
-    return DeltaRational(b, 0 if strict else 1)
+    return DeltaRational(b, _NO_DELTA if strict else _PLUS_DELTA)
 
 
 def _upper_of_neg_ge(b: Fraction, strict: bool) -> DeltaRational:
@@ -430,4 +445,4 @@ def _upper_of_neg_ge(b: Fraction, strict: bool) -> DeltaRational:
     not(e >= b)  ->  e < b   -> bound b - delta
     not(e >  b)  ->  e <= b  -> bound b
     """
-    return DeltaRational(b, 0 if strict else -1)
+    return DeltaRational(b, _NO_DELTA if strict else _MINUS_DELTA)

@@ -1,0 +1,196 @@
+"""Golden formula identity: the encode path must emit the same formula.
+
+``Encoder`` -> ``smt/terms.py`` -> ``CnfConverter`` ->
+``LraTheory.register_atom`` -> ``Simplex.add_row`` may be made cheaper,
+but never different: the same clauses in the same order over the same
+SAT variable numbering, every atom on the same simplex variable with the
+same bounds and the same difference-logic edges.  That is what keeps
+every search trajectory (and every committed ``BENCH_*.json`` counter)
+byte-identical across a construction-cost change.
+
+For three staged runs this test drives ``core.solve`` on a session whose
+SAT core records every ``add_clause`` call, and at every
+``Session.check`` -- i.e. after each stage's encode, and after each
+freeze -- digests
+
+* the clause stream so far (integer literals, in emission order),
+* ``sat_var -> serialize_literal(origin)`` for every BoolVar/Atom,
+* ``sat_var -> (sx_var, is_upper, bound, dl_edge)`` for both phases of
+  every registered atom.
+
+Only the digests are committed (``GOLDEN`` below), recorded from commit
+7e63c5f (PR 12, before the build-once encode path).
+
+To re-record after a change that is *meant* to alter the formula::
+
+    PYTHONPATH=src python tests/core/test_encoding_identity.py
+
+prints a fresh ``GOLDEN`` table to paste here; say in CHANGES.md why the
+formula moved, and expect the ``BENCH_*.json`` trajectories to move too.
+"""
+
+import hashlib
+import random
+from fractions import Fraction
+
+import pytest
+
+from repro.api import NativeBackend, Session
+from repro.core import (
+    ControlApplication,
+    SynthesisOptions,
+    SynthesisProblem,
+    solve,
+)
+from repro.eval.workloads import TABLE1_ROWS, bottleneck_problem, gm_case_study
+from repro.network import DelayModel, gm_topology
+from repro.smt.solver import SolverEngine
+from repro.smt.terms import serialize_literal
+from repro.stability import StabilitySpec
+
+
+def gm_variant(seed):
+    """Fig. 1 topology, Table I rows, seeded sensor/controller pairs."""
+    rng = random.Random(seed)
+    spec = {period: (alpha, beta) for period, alpha, beta in TABLE1_ROWS}
+    periods_ms = (40, 50, 40)
+    sensors = rng.sample(range(8), len(periods_ms))
+    controllers = rng.sample(range(8), len(periods_ms))
+    apps = []
+    for i, period_ms in enumerate(periods_ms):
+        alpha, beta_ms = spec[period_ms]
+        apps.append(ControlApplication(
+            name=f"gv{i}", sensor=f"S{sensors[i]}",
+            controller=f"C{controllers[i]}", period=Fraction(period_ms, 1000),
+            stability=StabilitySpec.single_line(
+                alpha, str(Fraction(beta_ms) / 1000))))
+    return SynthesisProblem(gm_topology(8, 8), apps, DelayModel.table1())
+
+
+CASES = {
+    "gm_case_study(3) routes=3 stages=5": lambda: (
+        gm_case_study(3), SynthesisOptions(routes=3, stages=5)),
+    "gm_variant(seed 13) routes=3 stages=4": lambda: (
+        gm_variant(13), SynthesisOptions(routes=3, stages=4)),
+    "bottleneck_problem(3) routes=2": lambda: (
+        bottleneck_problem(3), SynthesisOptions(routes=2)),
+}
+
+#: case -> (status, clauses emitted, SAT variables, atoms registered,
+#: one 16-hex digest per distinct formula state seen by a check()).
+GOLDEN = {
+    'gm_case_study(3) routes=3 stages=5': (
+        'sat', 3461, 2248, 1861, (
+            '8b7e4e7ebc6b9f0c',
+            'c0253428c7410451',
+            'c1332f089e1dd350',
+            '66d4e856695fd261',
+            'a2f83354c2d2023b',
+        )),
+    'gm_variant(seed 13) routes=3 stages=4': (
+        'sat', 2142, 1520, 1250, (
+            '9189cf543a9e065d',
+            'da8acf8a57ead3ab',
+            '4a3fdd7543fe4948',
+            '2d9f30b58bd609d7',
+        )),
+    'bottleneck_problem(3) routes=2': (
+        'sat', 99, 66, 48, (
+            'b62f88f7330bc8d7',
+        )),
+}
+
+
+def _bound(value):
+    return (str(value.real), str(value.delta))
+
+
+def _phase(action):
+    edge = action.dl_edge
+    if edge is not None:
+        edge = (edge[0], edge[1], _bound(edge[2]))
+    return (action.sx_var, action.sx_is_upper, _bound(action.sx_bound), edge)
+
+
+class _RecordingSession(Session):
+    """A native session that digests its formula at every ``check()``."""
+
+    def __init__(self):
+        self.engine = SolverEngine()
+        super().__init__(backend=NativeBackend(engine=self.engine))
+        self.clauses = 0
+        self.digests = []
+        self._stream = hashlib.sha256()
+        sat_core = self.engine._sat
+        add_clause = sat_core.add_clause
+
+        def recording_add_clause(lits):
+            lits = list(lits)
+            self._stream.update((" ".join(map(str, lits)) + "\n").encode())
+            self.clauses += 1
+            return add_clause(lits)
+
+        sat_core.add_clause = recording_add_clause
+
+    def snapshot(self):
+        state = self._stream.copy()
+        origins = self.engine._cnf._origins
+        atoms = self.engine._theory._atoms
+        for var in sorted(origins):
+            state.update(repr(
+                (var, serialize_literal(origins[var], False))).encode())
+        for var in sorted(atoms):
+            pos, neg, general = atoms[var]
+            state.update(repr(
+                (var, _phase(pos), _phase(neg), general)).encode())
+        digest = state.hexdigest()[:16]
+        if not self.digests or self.digests[-1] != digest:
+            self.digests.append(digest)
+
+    def check(self, *assumptions):
+        self.snapshot()
+        return super().check(*assumptions)
+
+
+def record(case):
+    problem, options = CASES[case]()
+    session = _RecordingSession()
+    result = solve(problem, options, session=session)
+    session.snapshot()
+    engine = session.engine
+    return (result.status, session.clauses, engine._sat.num_vars,
+            len(engine._theory._atoms), tuple(session.digests))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_emitted_formula_matches_golden(case):
+    status, clauses, n_vars, n_atoms, digests = record(case)
+    want_status, want_clauses, want_vars, want_atoms, want = GOLDEN[case]
+    assert status == want_status
+    # Counts first: they say *how* the formula moved when it did.
+    assert (clauses, n_vars, n_atoms) == (want_clauses, want_vars, want_atoms)
+    assert len(digests) == len(want)
+    for state, (got, expected) in enumerate(zip(digests, want)):
+        assert got == expected, (
+            f"formula state {state} of {len(want)} differs from the "
+            "recorded one (see this module's docstring to re-record)")
+
+
+def test_recording_is_not_vacuous():
+    status, clauses, n_vars, n_atoms, digests = record(
+        "gm_case_study(3) routes=3 stages=5")
+    assert status == "sat"
+    assert clauses > 1000 and n_atoms > 500
+    assert len(digests) >= 5  # at least one formula state per stage
+
+
+if __name__ == "__main__":
+    print("GOLDEN = {")
+    for name in CASES:
+        status, clauses, n_vars, n_atoms, digests = record(name)
+        print(f"    {name!r}: (")
+        print(f"        {status!r}, {clauses}, {n_vars}, {n_atoms}, (")
+        for digest in digests:
+            print(f"            {digest!r},")
+        print("        )),")
+    print("}")

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.api import Session
 from repro.smt import (
     And,
     Bool,
@@ -170,3 +171,52 @@ class TestIncrementalPatterns:
             assert s.check() == sat
         s.add(x <= 18)
         assert s.check() == unsat
+
+
+class TestRecycledNodeAddresses:
+    """The CNF layer caches composite nodes by identity.
+
+    The cache used to be keyed on ``id(expr)`` with nothing keeping
+    ``expr`` alive: once a scope was popped (or a composite assumption
+    went out of use) CPython handed the freed address to the next
+    ``And`` node, and ``literal_for`` answered with the *stale* Tseitin
+    literal of a different formula -- a wrong ``sat``.  Each test frees a
+    batch of cached nodes and then builds 1,000 fresh ones, 25 to a
+    check that is unsat only if every one of them is read as itself; the
+    old code aliases in the first round, a cache that holds its keys
+    never can.
+    """
+
+    ROUNDS, BATCH = 40, 25
+
+    @staticmethod
+    def _bools(tag):
+        return [Bool(f"rz{tag}{k}") for k in "abcde"]
+
+    def _after_pop(self, s, tag):
+        a, b, c, d, e = self._bools(tag)
+        s.push()
+        s.add([Or(a, And(b, c)) for _ in range(64)])
+        assert s.check() == sat
+        s.pop()
+        for _ in range(self.ROUNDS):
+            s.push()
+            # Some (d and e) holds, but d does not.
+            s.add(Or([And(d, e) for _ in range(self.BATCH)]), Not(d))
+            assert s.check() == unsat
+            s.pop()
+
+    def test_nodes_freed_by_session_pop(self):
+        self._after_pop(Session(), "s")
+
+    def test_nodes_freed_by_legacy_solver_pop(self):
+        self._after_pop(Solver(), "l")
+
+    def test_composite_assumptions_freed_after_check(self):
+        a, b, c, d, e = self._bools("q")
+        s = Session()
+        s.add(Or(a, b))
+        assert s.check([And(b, c) for _ in range(64)]) == sat
+        for _ in range(self.ROUNDS):
+            some = Or([And(d, e) for _ in range(self.BATCH)])
+            assert s.check(some, Not(d)) == unsat

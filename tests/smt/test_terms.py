@@ -1,5 +1,6 @@
 """Tests for the term language (linear normal form, formula builders)."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,146 @@ class TestLinExpr:
         e = Sum(x, y, 1, [x, 2])
         assert e.coeffs[RealVar("x")] == 2
         assert e.const == 3
+
+
+# ---------------------------------------------------------------------------
+# Seeded property test: LinExpr arithmetic against a naive reference
+# ---------------------------------------------------------------------------
+
+_COEFFS = [Fraction(1), Fraction(-1), Fraction(7, 20), Fraction(13, 20),
+           Fraction(3, 8), Fraction(-5, 6)]
+#: Constant operands of every accepted kind (floats go through
+#: limit_denominator(10**12), so 0.35 means 7/20).
+_CONSTANTS = [2, -1, 3, "7/20", "-5/6", "13/20", 0.375, 0.35, -2.0,
+              Fraction(3, 8), Fraction(-5, 6), Fraction(13, 20)]
+
+
+def _ref_const(value):
+    if isinstance(value, float):
+        return Fraction(value).limit_denominator(10**12)
+    return Fraction(value)
+
+
+def _ref_strip(coeffs):
+    return {name: c for name, c in coeffs.items() if c != 0}
+
+
+def _ref_combine(a, b, sign):
+    coeffs = dict(a[0])
+    for name, c in b[0].items():
+        coeffs[name] = coeffs.get(name, Fraction(0)) + sign * c
+    return _ref_strip(coeffs), a[1] + sign * b[1]
+
+
+def _ref_scale(a, k):
+    return _ref_strip({n: c * k for n, c in a[0].items()}), a[1] * k
+
+
+def _snapshot(expr):
+    return dict(expr.coeffs), expr.const
+
+
+def _assert_matches(expr, ref):
+    assert isinstance(expr, LinExpr)
+    assert {v.name: c for v, c in expr.coeffs.items()} == ref[0]
+    assert expr.const == ref[1]
+    assert type(expr.const) is Fraction
+    for c in expr.coeffs.values():
+        assert type(c) is Fraction and c != 0
+
+
+class TestLinExprAgainstReference:
+    """Random operator chains, checked after every step.
+
+    The reference is a plain ``({name: Fraction}, Fraction)`` pair with
+    zero entries stripped.  Every expression the chain ever produced or
+    consumed is re-compared with its snapshot after every step, so an
+    operation that writes into a coefficient dict it shares with an
+    operand (adding a constant shares the dict) is caught.
+    """
+
+    STEPS = 40
+
+    def _operand(self, rng, names):
+        """``(operand, reference)`` of a random kind."""
+        kind = rng.choice(("const", "const", "var", "expr", "expr"))
+        if kind == "const":
+            value = rng.choice(_CONSTANTS)
+            return value, ({}, _ref_const(value))
+        if kind == "var":
+            name = rng.choice(names)
+            return RealVar(name), ({name: Fraction(1)}, Fraction(0))
+        picked = rng.sample(names, rng.randint(1, len(names)))
+        coeffs = {name: rng.choice(_COEFFS) for name in picked}
+        const = rng.choice(_COEFFS + [Fraction(0)])
+        expr = LinExpr({RealVar(n): c for n, c in coeffs.items()}, const)
+        return expr, (coeffs, const)
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_chain(self, seed):
+        rng = random.Random(seed)
+        names = [f"lp{seed}_{i}" for i in range(rng.randint(2, 6))]
+        expr, ref = Real(names[0]), ({names[0]: Fraction(1)}, Fraction(0))
+        history = [(expr, _snapshot(expr))]
+        for _ in range(self.STEPS):
+            op = rng.choice(("add", "radd", "sub", "rsub", "neg",
+                             "mul", "rmul", "div"))
+            if op == "neg":
+                expr, ref = -expr, _ref_scale(ref, -1)
+            elif op in ("mul", "rmul", "div"):
+                k = rng.choice(_CONSTANTS)
+                factor = _ref_const(k)
+                if rng.random() < 0.25 and op != "div":
+                    k = LinExpr.constant(k)     # constant as a LinExpr
+                    history.append((k, _snapshot(k)))
+                if op == "div":
+                    expr, ref = expr / k, _ref_scale(ref, 1 / factor)
+                else:
+                    expr = expr * k if op == "mul" else k * expr
+                    ref = _ref_scale(ref, factor)
+            else:
+                operand, operand_ref = self._operand(rng, names)
+                if isinstance(operand, LinExpr):
+                    history.append((operand, _snapshot(operand)))
+                if op == "add":
+                    expr, ref = expr + operand, _ref_combine(ref, operand_ref, 1)
+                elif op == "radd":
+                    expr, ref = operand + expr, _ref_combine(operand_ref, ref, 1)
+                elif op == "sub":
+                    expr, ref = expr - operand, _ref_combine(ref, operand_ref, -1)
+                else:
+                    expr, ref = operand - expr, _ref_combine(operand_ref, ref, -1)
+            _assert_matches(expr, ref)
+            history.append((expr, _snapshot(expr)))
+            for old, snap in history:
+                assert _snapshot(old) == snap, "an operand was modified"
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_cancelled_coefficients_fold_atoms(self, seed):
+        rng = random.Random(1000 + seed)
+        names = [f"lc{seed}_{i}" for i in range(rng.randint(2, 6))]
+        coeffs = {RealVar(n): rng.choice(_COEFFS) for n in names}
+        const = rng.choice(_COEFFS)
+        expr = LinExpr(coeffs, const)
+        # Remove one variable at a time, by + and by -: it must vanish.
+        partial = expr
+        for var, c in coeffs.items():
+            partial = (partial - c * LinExpr.variable(var)
+                       if rng.random() < 0.5
+                       else partial + (-c) * LinExpr.variable(var))
+            assert var not in partial.coeffs
+        assert partial.is_constant() and partial.const == const
+        # Two equal expressions built separately cancel to a constant, and
+        # comparing them folds to a Boolean constant instead of an atom.
+        twin = LinExpr(dict(coeffs), const)
+        for strict, verdict in ((False, True), (True, False)):
+            folded = Atom.build(expr - twin, strict)
+            assert isinstance(folded, BoolConst) and folded.value is verdict
+        assert (expr <= twin).value and (expr >= twin).value
+        assert not (expr < twin).value and not (expr > twin + 1).value
+        assert (expr - twin + 1 <= 0).value is False
+        # One surviving variable still builds an atom.
+        assert isinstance(expr <= twin + Real(names[0]), Atom)
 
 
 class TestAtoms:
