@@ -2,7 +2,7 @@
 
 PR 4's phantom-``unsat`` bug was protocol drift: a producer shipping a
 payload shape no consumer fully handled.  The wire vocabulary now lives
-in :mod:`repro.portfolio.frames`; this cross-file rule enforces it:
+in :mod:`repro.runtime.frames`; this cross-file rule enforces it:
 
 * construction sites (``{"kind": X, ...}`` dict literals and
   ``frame["kind"] = X`` stores) must use a registry constant, not a
@@ -33,7 +33,7 @@ _SET_NAMES = ("PIPE_KINDS", "ARTIFACT_KINDS", "EVENT_KINDS", "FRAME_KINDS")
 
 def _registry() -> Tuple[Dict[str, str], Dict[str, frozenset]]:
     """(constant name -> kind string, set name -> kind strings)."""
-    from repro.portfolio import frames
+    from repro.runtime import frames
     consts = {
         name: value for name, value in vars(frames).items()
         if isinstance(value, str) and not name.startswith("_")
@@ -54,13 +54,15 @@ class _Site:
 
 class FrameDriftChecker(Checker):
     rule = RULE
-    description = "frame kinds vs. the repro.portfolio.frames registry"
+    description = "frame kinds vs. the repro.runtime.frames registry"
     scope = (
         "repro.core.synthesizer",
         "repro.portfolio.engine",
         "repro.portfolio.faults",
         "repro.portfolio.sharing",
-        "repro.portfolio.supervision",
+        "repro.runtime.harness",
+        "repro.runtime.process",
+        "repro.runtime.supervision",
         "repro.service.cache",
         "repro.service.server",
         "repro.service.workers",
@@ -128,7 +130,7 @@ class FrameDriftChecker(Checker):
                     rule=RULE, path=unit.path, line=line,
                     message=f"frame kind constructed as bare literal "
                             f"{value.value!r}; use the "
-                            "repro.portfolio.frames constant")
+                            "repro.runtime.frames constant")
                 continue
             kind = self._resolve(value)
             if kind is None:

@@ -3,16 +3,17 @@
 ``frame-drift`` checks the *vocabulary* (every kind is registered and
 has both a producer and a consumer); this rule checks the *grammar*:
 the order of frames on one Connection, as
-:data:`repro.portfolio.frames.PIPE_PROTOCOL` specifies and the
+:data:`repro.runtime.frames.PIPE_PROTOCOL` specifies and the
 consumers implement — heartbeat/artifact frames may stream before
-exactly one result (``pump()`` stops reading at the result, so anything
-after it is never consumed), ``request`` opens an exchange that must be
-answered before the next one, ``shutdown``/``close()`` are terminal.
+exactly one result (readers of ``WorkerProcess.drain()`` stop at the
+result, so anything after it is never consumed), ``request`` opens an
+exchange that must be answered before the next one,
+``shutdown``/``close()`` are terminal.
 
 Per function, every connection expression (``conn``, ``self._conn``,
-``att.conn``) gets a may-set of protocol states propagated forward over
-the :mod:`repro.analysis.dataflow` CFG (union join, so a state that is
-possible on *some* path is checked).  A ``send`` whose frame kind
+``self._worker``) gets a may-set of protocol states propagated forward
+over the :mod:`repro.analysis.dataflow` CFG (union join, so a state that
+is possible on *some* path is checked).  A ``send`` whose frame kind
 resolves — a dict literal with a ``"kind"`` key, or a call to a frame
 constructor harvested cross-file (any in-scope function returning such
 a literal, e.g. ``heartbeat_frame``) — must be legal from every state
@@ -46,7 +47,7 @@ ProtoEnv = Dict[str, StateSet]
 
 
 def _registry():
-    from repro.portfolio import frames
+    from repro.runtime import frames
     consts = {
         name: value for name, value in vars(frames).items()
         if isinstance(value, str) and not name.startswith("_")
@@ -91,7 +92,9 @@ class FrameProtocolChecker(Checker):
     scope = (
         "repro.portfolio.engine",
         "repro.portfolio.sharing",
-        "repro.portfolio.supervision",
+        "repro.runtime.harness",
+        "repro.runtime.process",
+        "repro.runtime.supervision",
         "repro.service.cache",
         "repro.service.server",
         "repro.service.workers",

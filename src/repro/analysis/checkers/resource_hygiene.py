@@ -100,7 +100,7 @@ def _scan_roots(stmt: ast.stmt) -> List[ast.AST]:
 class ResourceHygieneChecker(Checker):
     rule = RULE
     description = "Pipe/Process cleanup must reach every exit path"
-    scope = ("repro.portfolio.", "repro.service.")
+    scope = ("repro.portfolio.", "repro.runtime.", "repro.service.")
 
     def __init__(self, scope: Optional[Tuple[str, ...]] = None) -> None:
         if scope is not None:

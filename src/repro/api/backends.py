@@ -109,7 +109,7 @@ class NativeBackend:
         The aborted check answers ``unknown``; the engine stays usable.
         This is the supervision layer's handle for bounding a
         non-preemptible in-process solve by wall clock (see
-        :class:`repro.portfolio.supervision.DeadlineWatchdog`).
+        :class:`repro.runtime.harness.InterruptPump`).
         """
         self._engine.interrupt()
 

@@ -54,6 +54,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..api import NativeBackend, Session
 from ..errors import EncodingError
 from ..network.frames import MessageInstance
+from ..runtime.frames import KIND_STAGE_FROZEN
 from ..smt.solver import SolverEngine as Solver  # patchable engine factory
 from ..smt.terms import Bool, BoolExpr
 from .encoding import Encoder, FixedMessage, MessagePlan
@@ -381,10 +382,6 @@ def solve(
         acct.end_stage()
         stages_done += 1
         if on_event is not None and has_later_work:
-            # Imported here, not at module level: repro.portfolio's
-            # package __init__ pulls in engine.py, which imports this
-            # module — a top-level import would be circular.
-            from ..portfolio.frames import KIND_STAGE_FROZEN
             on_event({"kind": KIND_STAGE_FROZEN, "stage": stage_idx,
                       "fixed": list(fixed.values())})
 

@@ -12,14 +12,15 @@ prefixes — through a parent-side knowledge pool.  See
 :mod:`repro.portfolio.sharing` for the artifact kinds and their
 soundness arguments.
 
-The race is supervised (``docs/robustness.md``): workers heartbeat,
-silent crashes and stalls are retried with capped backoff
-(:mod:`repro.portfolio.supervision`), malformed artifacts are
-quarantined at the pool boundary, and persistent failures degrade the
-race to the serial backend.  :mod:`repro.portfolio.faults` injects
+The race is supervised (``docs/robustness.md``) through the worker
+runtime it shares with the service (:mod:`repro.runtime`): workers
+heartbeat, silent crashes and stalls are retried with capped backoff,
+malformed artifacts are quarantined at the pool boundary, and
+persistent failures degrade the race to the serial backend.  :mod:`repro.portfolio.faults` injects
 deterministic failures to exercise all of it on demand.
 """
 
+from ..runtime.supervision import SupervisionPolicy, Supervisor
 from .engine import (
     PortfolioResult,
     STATUS_CANCELLED,
@@ -35,7 +36,6 @@ from .engine import (
 from .faults import FaultPlan, FaultSpec, InjectedCrash, WorkerFaults
 from .sharing import KnowledgePool, SeedKnowledge, validate_artifact
 from .strategies import Strategy, default_portfolio, with_backend, with_restart_schedule
-from .supervision import SupervisionPolicy, Supervisor
 
 __all__ = [
     "FaultPlan",

@@ -25,19 +25,22 @@ re-runs start warm instead of cold.  Artifacts are validated at the pool
 boundary: a frame that fails validation is quarantined (counted, never
 imported, never fatal).
 
-The race is *supervised* (see :mod:`repro.portfolio.supervision` and
-``docs/robustness.md``): workers heartbeat over the same pipe, a worker
-that dies without reporting (SIGKILL, OOM, a dropped result frame) or
-misses enough heartbeats is relaunched with capped exponential backoff
-up to ``Strategy.max_crash_retries`` times — re-seeded from the pool —
-and a strategy that exhausts that budget degrades the race to the serial
-backend for whatever remains undecided, recording
-``PortfolioResult.degraded_to_serial``.  Worker teardown always
-escalates ``terminate()`` → ``join(grace)`` → ``kill()`` and closes the
-parent's pipe end on every exit path, so a finished race leaks neither
-zombies nor file descriptors.  Deterministic failures can be injected
-with a :mod:`~repro.portfolio.faults` plan to exercise all of this on
-demand.
+The race is a *scheduler* over the shared worker runtime
+(:mod:`repro.runtime`; ``docs/robustness.md``, "Worker runtime"): N
+one-shot :class:`~repro.runtime.process.WorkerProcess` handles spawn,
+classify frames, detect death and reap; each worker solves through
+:func:`~repro.runtime.harness.supervised_solve`; and a dead or stalled
+attempt is retried or given up on by the one retry rule,
+:meth:`~repro.runtime.supervision.Supervisor.attempt_died`.  What this
+module adds is the scheduling: the launch queue with per-strategy budget
+schedules and crash-retry backoff, one ``wait_ready`` over every running
+worker's pipe, stall and deadline clocks, pool absorption of streamed
+artifacts, winner/prover bookkeeping, and degradation — a strategy that
+exhausts its crash budget (or cannot be spawned mid-race) hands whatever
+remains undecided to the serial loop, recording
+``PortfolioResult.degraded_to_serial``.  Deterministic failures can be
+injected with a :mod:`~repro.portfolio.faults` plan to exercise all of
+this on demand.
 
 Results always include one :class:`StrategyResult` per entered strategy,
 so experiment code can attribute wins, losses, and cancellations::
@@ -56,31 +59,31 @@ strategies in order in-process (deterministic, used on platforms without
 usable subprocesses and by the ``portfolio`` bench); a failed process
 launch degrades to it automatically.  Knowledge sharing and crash
 supervision work in both backends — serially, knowledge flows from each
-finished strategy into the next, and a :class:`DeadlineWatchdog` bounds
+finished strategy into the next, and the harness's interrupt pump bounds
 native attempts mid-check so the global deadline holds even inside one
 long strategy.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
 import os
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..api import NativeBackend, Session
 from ..core.solution import Solution
 from ..core.synthesizer import MODE_STABILITY, SynthesisResult
+from ..runtime.frames import (KIND_ARTIFACT, KIND_HEARTBEAT, KIND_RESULT,
+                              KIND_STAGE_FROZEN)
+from ..runtime.harness import pipe_sink, supervised_solve
+from ..runtime.process import DIED, WorkerProcess, wait_ready
+from ..runtime.supervision import (SupervisionPolicy, Supervisor,
+                                   heartbeat_frame)
 from . import sharing
 from .faults import FaultPlan, InjectedCrash, wrap_emit
-from .frames import (KIND_ARTIFACT, KIND_HEARTBEAT, KIND_RESULT,
-                     KIND_STAGE_FROZEN)
 from .sharing import KnowledgePool
 from .strategies import Strategy, default_portfolio
-from .supervision import (DeadlineWatchdog, SupervisionPolicy, Supervisor,
-                          heartbeat_frame)
 
 #: Terminal per-strategy statuses.
 STATUS_SAT = "sat"
@@ -131,7 +134,7 @@ class PortfolioResult:
     ``supervision_statistics`` totals the race's supervision events
     (crashes, stalls, retries, heartbeats, quarantined artifacts,
     degradations — zero-filled, see
-    :class:`~repro.portfolio.supervision.Supervisor`).
+    :class:`~repro.runtime.supervision.Supervisor`).
     """
 
     status: str
@@ -173,7 +176,7 @@ def synthesize_portfolio(
     cancelled.  ``timeout`` bounds the race in seconds: the process
     backend enforces it by terminating workers at the deadline, while
     the serial backend enforces it *mid-strategy* for native attempts
-    (a deadline watchdog interrupts the engine at its next conflict) and
+    (the interrupt pump stops the engine at its next conflict) and
     between strategies otherwise.
 
     Per-strategy budgets (``Strategy.timeout`` / ``Strategy.restarts``)
@@ -191,7 +194,7 @@ def synthesize_portfolio(
 
     ``supervision`` tunes the robustness layer (heartbeat cadence, stall
     timeout, crash-retry backoff, kill grace — see
-    :class:`~repro.portfolio.supervision.SupervisionPolicy`);
+    :class:`~repro.runtime.supervision.SupervisionPolicy`);
     ``fault_plan`` injects deterministic failures for chaos testing
     (:mod:`repro.portfolio.faults`).
     """
@@ -201,21 +204,19 @@ def synthesize_portfolio(
     names = [s.name for s in entries]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate strategy names in portfolio: {names}")
-    policy = supervision or SupervisionPolicy()
+    setup = (problem, entries, timeout, share_knowledge,
+             supervision or SupervisionPolicy(), fault_plan)
     if backend == "serial":
-        return _race_serial(problem, entries, timeout, share_knowledge,
-                            policy, fault_plan)
+        return _Race(*setup).run()
     if backend != "process":
         raise ValueError(f"unknown backend {backend!r} (use 'process' or 'serial')")
     try:
-        return _race_processes(problem, entries, max_workers, timeout,
-                               share_knowledge, policy, fault_plan)
+        return _ProcessRace(*setup, max_workers=max_workers).run()
     except OSError:
         # No subprocess could be launched at all (restricted sandbox):
         # degrade gracefully.  Launch failures *mid-race* are handled
-        # inside _race_processes and never reach this fallback.
-        return _race_serial(problem, entries, timeout, share_knowledge,
-                            policy, fault_plan, degraded=True)
+        # inside _ProcessRace and never reach this fallback.
+        return _Race(*setup).run(degraded=True)
 
 
 # ---------------------------------------------------------------------------
@@ -224,25 +225,22 @@ def synthesize_portfolio(
 
 
 def _execute_strategy(problem, strategy: Strategy, emit=None,
-                      heartbeat=None, deadline: Optional[float] = None) -> dict:
+                      heartbeat=None, heartbeat_interval: float = 0.0,
+                      deadline: Optional[float] = None) -> dict:
     """Run one strategy to completion; return its result payload.
 
     ``emit`` (optional) receives knowledge artifacts as they become
-    available: frozen stage prefixes while solving, learned clauses and
-    route vetoes on a provable unsat.  ``heartbeat`` (optional) is
-    called with the engine at every restart boundary — the worker wires
-    its throttled liveness frames through it.  ``deadline`` (absolute
-    ``perf_counter`` time) arms a :class:`DeadlineWatchdog` over native
-    attempts so an in-process solve is interrupted mid-check when the
-    race's global budget runs out.
-
-    Native-backend strategies solve on a locally built engine whose
-    statistics-stream tag carries the strategy name, so benchmark
+    available: frozen stage prefixes while solving, the exportable
+    knowledge at every SAT restart (and at the final flush of a
+    budget/interrupt abort, so a worker killed inside one long check
+    still contributes to the pool), learned clauses and route vetoes on
+    a provable unsat.  ``heartbeat`` / ``heartbeat_interval`` and
+    ``deadline`` (absolute ``perf_counter`` time) go to
+    :func:`~repro.runtime.harness.supervised_solve`, which tags the
+    engine's statistics stream with the strategy name so benchmark
     trajectories can attribute per-check work per strategy
     (``by_backend`` roll-up in ``BENCH_*.json``).
     """
-    from ..core import synthesizer as synth
-
     # One blanket guard around the whole attempt (engine construction,
     # solve, artifact export): any failure becomes this strategy's error
     # result instead of sinking the race — the serial backend runs this
@@ -252,43 +250,21 @@ def _execute_strategy(problem, strategy: Strategy, emit=None,
     try:
         opts = strategy.options
         emit = wrap_emit(emit, opts.faults)
-        session = engine = None
-        if opts.backend == "native":
-            # synth.Solver is the patchable engine factory (the
-            # one-engine-per-run contract tests rely on it).  The
-            # strategy's engine-level options must reach the worker's
-            # engine here exactly as core.solve would wire them.
-            engine = synth.Solver(dl_propagation=opts.dl_propagation,
-                                  max_conflicts=opts.max_conflicts)
-            session = Session(backend=NativeBackend(engine=engine))
-            engine.backend_name = f"native[{strategy.name}]"
-            hooks = []
-            if heartbeat is not None:
-                hooks.append(heartbeat)
-            if emit is not None:
-                # Mid-check flush: at every SAT restart (and the final
-                # flush of a budget/interrupt abort) stream the current
-                # exportable knowledge, so a worker killed inside one
-                # long check still contributes to the pool.
-                def flush_restart(eng) -> None:
-                    for artifact in sharing.restart_artifacts(opts, eng):
-                        emit(artifact)
-                hooks.append(flush_restart)
-            if hooks:
-                def on_restart(eng) -> None:
-                    for hook in hooks:
-                        hook(eng)
-                engine.on_restart = on_restart
-        on_event = None
+        restart_hooks, on_event = (), None
         if emit is not None:
+            def flush_restart(eng) -> None:
+                for artifact in sharing.restart_artifacts(opts, eng):
+                    emit(artifact)
+            restart_hooks = (flush_restart,)
+
             def on_event(event: dict) -> None:
                 if event.get("kind") == KIND_STAGE_FROZEN:
                     emit(sharing.prefix_artifact(opts, event["stage"],
                                                  event["fixed"]))
-        with DeadlineWatchdog(engine, deadline):
-            result: SynthesisResult = synth.solve(
-                problem, opts, session=session, on_event=on_event
-            )
+        result, engine = supervised_solve(
+            problem, opts, strategy.name, deadline=deadline,
+            heartbeat=heartbeat, heartbeat_interval=heartbeat_interval,
+            restart_hooks=restart_hooks, on_event=on_event)
         if emit is not None:
             for artifact in sharing.terminal_artifacts(opts, result, engine):
                 emit(artifact)
@@ -311,24 +287,12 @@ def _strategy_worker(conn, problem, strategy: Strategy, share: bool = False,
                 conn.send({"kind": KIND_ARTIFACT, "artifact": artifact})
 
         # Liveness: one frame at attempt start (before any injected
-        # slow-start/hang, so the stall clock starts from real signal),
-        # then throttled frames from every restart boundary carrying the
-        # engine's progress counters.
-        last_beat = [time.monotonic()]
+        # slow-start/hang, so the stall clock starts from real signal);
+        # the harness then beats from every restart boundary.
         conn.send(heartbeat_frame(strategy.name, {}, phase="start"))
-
-        def heartbeat(eng) -> None:
-            now = time.monotonic()
-            if now - last_beat[0] < policy.heartbeat_interval:
-                return
-            last_beat[0] = now
-            try:
-                conn.send(heartbeat_frame(strategy.name, eng.statistics))
-            except (OSError, ValueError):
-                pass    # parent went away; the solve result still matters
-
-        payload = _execute_strategy(problem, strategy, emit,
-                                    heartbeat=heartbeat)
+        payload = _execute_strategy(
+            problem, strategy, emit, heartbeat=pipe_sink(conn),
+            heartbeat_interval=policy.heartbeat_interval)
         faults = strategy.options.faults
         if faults is not None and faults.drop_result:
             # Injected polite death: full solve, no result frame.  Exit
@@ -430,23 +394,199 @@ def _final_verdict(
     return STATUS_UNKNOWN, None
 
 
-def _reap(proc, grace: float) -> None:
-    """Escalated worker teardown: terminate → join(grace) → kill → join.
+# ---------------------------------------------------------------------------
+# The race: what both backends share, and the serial loop
+# ---------------------------------------------------------------------------
 
-    Always leaves the process joined (no zombie): a worker that ignores
-    SIGTERM for ``grace`` seconds — e.g. one injected into a hang loop,
-    or wedged in native code — gets SIGKILL, which cannot be ignored.
+
+class _Race:
+    """One race's state and verdict bookkeeping, and the serial backend.
+
+    Everything the two backends decide the same way lives here: how an
+    attempt is prepared (pool seeding, fault injection), where streamed
+    artifacts go, what a finished attempt means for the race (first
+    ``sat`` wins, a complete strategy's ``unsat`` proves, ``timeout``
+    latches), the supervised in-process attempt, and the loop that runs
+    strategies one after another — the whole of the serial backend, and
+    the rescue phase of a degraded process race.
     """
-    if proc.is_alive():
-        proc.terminate()
-        proc.join(grace)
-        if proc.is_alive():
-            proc.kill()
-    proc.join()
+
+    def __init__(self, problem, entries: List[Strategy],
+                 timeout: Optional[float], share_knowledge: bool,
+                 policy: SupervisionPolicy,
+                 fault_plan: Optional[FaultPlan]) -> None:
+        self.problem = problem
+        self.entries = entries
+        self.policy = policy
+        self.fault_plan = fault_plan
+        self.t0 = time.perf_counter()
+        self.deadline = self.t0 + timeout if timeout is not None else None
+        self.pool = KnowledgePool() if share_knowledge else None
+        self.supervisor = Supervisor(policy)
+        self.results: Dict[int, StrategyResult] = {}
+        self.spent_wall: Dict[int, float] = {}  # wall time of dead attempts
+        self.winner: Optional[Tuple[int, dict]] = None  # (idx, payload)
+        self.proved = False     # a complete strategy answered unsat
+        self.timed_out = False
+
+    @property
+    def decided(self) -> bool:
+        return self.winner is not None or self.proved
+
+    def deadline_open(self, now: float) -> bool:
+        return self.deadline is None or now < self.deadline
+
+    def prepared(self, strategy: Strategy, attempt: int,
+                 harsh: bool) -> Strategy:
+        """``strategy`` as this attempt runs it: seeded with everything
+        the pool has gathered so far (restarts and late launches start
+        warm instead of cold) and carrying the plan's injected faults."""
+        options = strategy.options
+        if self.pool is not None:
+            options = self.pool.seeded_options(options)
+        if self.fault_plan is not None:
+            injected = self.fault_plan.for_attempt(strategy.name, attempt,
+                                                   harsh=harsh)
+            if injected is not None:
+                options = replace(options, faults=injected)
+        if options is strategy.options:
+            return strategy
+        return replace(strategy, options=options)
+
+    def absorb(self, source: str, artifact) -> None:
+        """Pool one streamed artifact; quarantine it if validation fails."""
+        if self.pool is not None and not self.pool.absorb(artifact,
+                                                          source=source):
+            self.supervisor.note_quarantined(source)
+
+    def settle(self, idx: int, result: StrategyResult,
+               payload: Optional[dict]) -> None:
+        """Record one finished attempt's report; track race deciders."""
+        self.results[idx] = result
+        if result.status == STATUS_SAT:
+            if self.winner is None:
+                self.winner = (idx, payload)
+        elif result.status == STATUS_UNSAT:
+            if self.entries[idx].is_complete:
+                self.proved = True  # a proof: nothing left to race for
+        elif result.status == STATUS_TIMEOUT:
+            self.timed_out = True
+
+    def unrun(self, idx: int, status: str, attempts: int) -> None:
+        """Account for a strategy the race ended without (re)running."""
+        self.results[idx] = StrategyResult(
+            name=self.entries[idx].name, status=status,
+            wall_time=self.spent_wall.get(idx, 0.0), attempts=attempts)
+
+    def run_in_process(self, idx: int, strategy: Strategy,
+                       first_attempt: int) -> None:
+        """One strategy's supervised in-process run (with crash retries).
+
+        The serial twin of a worker process plus its parent-side
+        supervision: an attempt that raises :class:`InjectedCrash` (or
+        drops its result) is retried by the same rule, re-seeded from
+        the pool.  The harness's interrupt pump enforces the global
+        deadline *mid-strategy*: an interrupted solve answers
+        ``unknown`` and is reported here as ``timeout``.
+        """
+        name = strategy.name
+        emit = partial(self.absorb, name) if self.pool is not None else None
+        attempt, retries = first_attempt, 0
+        wall = self.spent_wall.get(idx, 0.0)
+        while True:
+            run = self.prepared(strategy, attempt, harsh=False)
+            started = time.perf_counter()
+            try:
+                payload = _execute_strategy(self.problem, run, emit,
+                                            deadline=self.deadline)
+                faults = run.options.faults
+                # A dropped result frame never arrives: that is a crash.
+                crashed = faults is not None and faults.drop_result
+            except InjectedCrash:
+                crashed = True
+            wall += time.perf_counter() - started
+            if not crashed:
+                break
+            delay = self.supervisor.attempt_died(
+                name, retries, strategy.max_crash_retries,
+                deadline=self.deadline)
+            if delay is None:
+                payload = {
+                    "status": STATUS_ERROR,
+                    "error": (f"crashed on every attempt "
+                              f"({retries + 1} tried, "
+                              f"{strategy.max_crash_retries} retries allowed)"),
+                }
+                break
+            time.sleep(delay)
+            retries += 1
+            attempt += 1
+        result = _result_from_payload(name, payload, wall, attempts=attempt)
+        if (result.status == STATUS_UNKNOWN
+                and not self.deadline_open(time.perf_counter())):
+            # The pump interrupted this attempt mid-check: that unknown
+            # is really the race's deadline expiring.
+            result.status = STATUS_TIMEOUT
+        self.settle(idx, result, payload)
+
+    def run_serially(self, queue: Sequence[Tuple[int, Strategy, int]],
+                     lost_status: str) -> bool:
+        """Run ``(idx, strategy, next_attempt)`` entries one after
+        another while the race is undecided and the deadline open; the
+        rest are accounted ``timeout`` or ``lost_status``.  Returns
+        whether anything actually ran."""
+        ran = False
+        for idx, strategy, attempt in queue:
+            if idx in self.results:
+                continue
+            if not self.decided and not self.deadline_open(
+                    time.perf_counter()):
+                self.timed_out = True
+            if self.decided or self.timed_out:
+                self.unrun(idx, STATUS_TIMEOUT if self.timed_out
+                           else lost_status, max(1, attempt - 1))
+                continue
+            ran = True
+            self.run_in_process(idx, strategy, attempt)
+        return ran
+
+    def run(self, degraded: bool = False) -> PortfolioResult:
+        """The serial backend: every strategy in order, in this process."""
+        self.run_serially([(idx, strategy, 1)
+                           for idx, strategy in enumerate(self.entries)],
+                          STATUS_SKIPPED)
+        return self.finish(degraded)
+
+    def finish(self, degraded_to_serial: bool) -> PortfolioResult:
+        solution = winner_name = None
+        if self.winner is not None:
+            idx, payload = self.winner
+            winner_name = self.entries[idx].name
+            solution = _solution_from_payload(self.problem, payload,
+                                              self.results[idx].wall_time)
+        for idx, sr in self.results.items():
+            extra = self.supervisor.strategy_statistics(self.entries[idx].name)
+            if extra:
+                sr.statistics = {**sr.statistics, **extra}
+        ordered = [self.results[i] for i in sorted(self.results)]
+        status, verdict_by = _final_verdict(self.entries, ordered,
+                                            winner_name, self.timed_out)
+        return PortfolioResult(
+            status=status,
+            winner=winner_name,
+            solution=solution,
+            total_time=time.perf_counter() - self.t0,
+            strategy_results=ordered,
+            verdict_by=verdict_by,
+            pool_statistics=(self.pool.statistics
+                             if self.pool is not None else {}),
+            degraded_to_serial=degraded_to_serial,
+            supervision_statistics=self.supervisor.statistics,
+        )
 
 
 # ---------------------------------------------------------------------------
-# Process racing
+# Process racing: a scheduler over one-shot workers
 # ---------------------------------------------------------------------------
 
 
@@ -454,8 +594,7 @@ def _reap(proc, grace: float) -> None:
 class _Attempt:
     """Parent-side state of one running worker attempt."""
 
-    proc: multiprocessing.process.BaseProcess
-    conn: multiprocessing.connection.Connection
+    worker: WorkerProcess
     started: float
     sdeadline: Optional[float]   # per-strategy deadline (absolute), clamped
     attempt: int                 # 1-based launch attempt number
@@ -463,590 +602,291 @@ class _Attempt:
     last_signal: float           # last heartbeat/artifact time (stall clock)
 
 
-def _race_processes(
-    problem,
-    entries: List[Strategy],
-    max_workers: Optional[int],
-    timeout: Optional[float],
-    share_knowledge: bool,
-    policy: SupervisionPolicy,
-    fault_plan: Optional[FaultPlan],
-) -> PortfolioResult:
-    ctx = multiprocessing.get_context()
-    # Default to racing *every* strategy at once: a portfolio's value is the
-    # minimum of its entrants' runtimes, and even on few cores the OS
-    # timeshares far better than letting one slow strategy hog the lane.
-    # ``max_workers`` caps the fan-out for memory-constrained callers.
-    workers = max(1, min(len(entries), max_workers or len(entries)))
-    t0 = time.perf_counter()
-    deadline = t0 + timeout if timeout is not None else None
-    pool = KnowledgePool() if share_knowledge else None
-    supervisor = Supervisor(policy)
+def _attempt_budget(strategy: Strategy, sched: int) -> Optional[float]:
+    if strategy.timeout is None:
+        return None
+    if sched == 1 or not strategy.restarts:
+        return strategy.timeout
+    # Clamped defensively: a relaunch queued past the schedule keeps
+    # the last budget instead of indexing off the end.
+    return strategy.restarts[min(sched - 2, len(strategy.restarts) - 1)]
 
-    # Launch queue: (idx, strategy, attempt_no, sched_no, not_before).
-    # ``attempt_no`` counts every launch (accounting, fault targeting);
-    # ``sched_no`` is the position in the per-strategy budget schedule
-    # (1 = strategy.timeout, k>1 = restarts[k-2]) and only advances on
-    # budget expiry — a crash retry relaunches with the budget the dead
-    # attempt had, so crashes neither consume schedule entries nor run
-    # off the end of ``restarts``.  ``not_before`` delays crash-retry
-    # relaunches (exponential backoff).
-    pending: List[Tuple[int, Strategy, int, int, float]] = [
-        (idx, s, 1, 1, t0) for idx, s in enumerate(entries)
-    ]
-    running: Dict[int, _Attempt] = {}
-    results: Dict[int, StrategyResult] = {}
-    spent_wall: Dict[int, float] = {}  # accumulated wall time of dead attempts
-    crash_retries: Dict[int, int] = {}  # crash/stall relaunches granted
-    # Strategies the process backend gave up on: (idx, strategy,
-    # next_attempt).  Run serially after the process race settles.
-    serial_rescue: List[Tuple[int, Strategy, int]] = []
-    degraded = False
-    winner_idx: Optional[int] = None
-    winner_payload: Optional[dict] = None
-    winner_wall = 0.0
-    prover_idx: Optional[int] = None  # complete strategy that proved unsat
 
-    def attempt_budget(strategy: Strategy, sched: int) -> Optional[float]:
-        if strategy.timeout is None:
-            return None
-        if sched == 1 or not strategy.restarts:
-            return strategy.timeout
-        # Clamped defensively: a relaunch queued past the schedule keeps
-        # the last budget instead of indexing off the end.
-        return strategy.restarts[min(sched - 2, len(strategy.restarts) - 1)]
+class _ProcessRace(_Race):
+    """The process backend: launch queue, clocks, and who is running."""
 
-    def emits_heartbeats(idx: int) -> bool:
-        # Only the native backend wires the on_restart heartbeat hook;
-        # a worker on any other backend sends just its start frame, so
-        # silence there is not evidence of a stall.
-        return entries[idx].options.backend == "native"
+    def __init__(self, *setup, max_workers: Optional[int]) -> None:
+        super().__init__(*setup)
+        # Default to racing *every* strategy at once: a portfolio's value
+        # is the minimum of its entrants' runtimes, and even on few cores
+        # the OS timeshares far better than letting one slow strategy hog
+        # the lane.  ``max_workers`` caps the fan-out for
+        # memory-constrained callers.
+        entries = self.entries
+        self.workers = max(1, min(len(entries), max_workers or len(entries)))
+        # Launch queue: (idx, strategy, attempt_no, sched_no, not_before).
+        # ``attempt_no`` counts every launch (accounting, fault
+        # targeting); ``sched_no`` is the position in the per-strategy
+        # budget schedule (1 = strategy.timeout, k>1 = restarts[k-2]) and
+        # only advances on budget expiry — a crash retry relaunches with
+        # the budget the dead attempt had, so crashes neither consume
+        # schedule entries nor run off the end of ``restarts``.
+        # ``not_before`` delays crash-retry relaunches (backoff).
+        self.pending: List[Tuple[int, Strategy, int, int, float]] = [
+            (idx, s, 1, 1, self.t0) for idx, s in enumerate(entries)
+        ]
+        self.running: Dict[int, _Attempt] = {}
+        self.crash_retries: Dict[int, int] = {}  # relaunches granted
+        # Strategies the process backend gave up on: (idx, strategy,
+        # next_attempt).  Run serially after the process race settles.
+        self.serial_rescue: List[Tuple[int, Strategy, int]] = []
+        self.degraded = False
 
-    def launch_available() -> None:
-        nonlocal degraded
+    def emits_heartbeats(self, idx: int) -> bool:
+        # Only the native backend has the on_restart hook heartbeats
+        # ride on; a worker on any other backend sends just its start
+        # frame, so silence there is not evidence of a stall.
+        return self.entries[idx].options.backend == "native"
+
+    def degrade(self, idx: int, strategy: Strategy, attempt: int) -> None:
+        """Give up on spawning: this strategy — and, via
+        :meth:`launch_available`, everything still queued — goes to the
+        serial phase (a systemic fault like OOM pressure would only
+        grind every remaining launch through the same budget)."""
+        self.supervisor.note_degraded(strategy.name)
+        self.degraded = True
+        self.serial_rescue.append((idx, strategy, attempt))
+
+    def launch_available(self) -> None:
         now = time.perf_counter()
-        deferred: List[Tuple[int, Strategy, int, int, float]] = []
-        while pending and len(running) < workers and not degraded:
-            idx, strategy, attempt, sched, not_before = pending.pop(0)
+        deferred = []
+        while (self.pending and len(self.running) < self.workers
+               and not self.degraded):
+            idx, strategy, attempt, sched, not_before = self.pending.pop(0)
             if not_before > now:
                 deferred.append((idx, strategy, attempt, sched, not_before))
                 continue
-            launched = strategy
-            if pool is not None:
-                # Seed restarts and late launches with everything the
-                # pool has gathered so far (cold start -> warm start).
-                seeded = pool.seeded_options(strategy.options)
-                if seeded is not strategy.options:
-                    launched = replace(strategy, options=seeded)
-            if fault_plan is not None:
-                injected = fault_plan.for_attempt(strategy.name, attempt,
-                                                  harsh=True)
-                if injected is not None:
-                    launched = replace(
-                        launched,
-                        options=replace(launched.options, faults=injected))
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            # On the except-OSError path below start() failed, so no OS
-            # process exists and there is nothing to reap or terminate.
-            # repro: allow[resource-hygiene] unstarted Process needs no reap
-            proc = ctx.Process(
-                target=_strategy_worker,
-                args=(child_conn, problem, launched, pool is not None, policy),
-                name=f"portfolio-{strategy.name}",
-                daemon=True,
-            )
+            launched = self.prepared(strategy, attempt, harsh=True)
             try:
-                proc.start()
+                worker = WorkerProcess(
+                    _strategy_worker,
+                    (self.problem, launched, self.pool is not None,
+                     self.policy),
+                    name=f"portfolio-{strategy.name}", duplex=False,
+                    kill_grace=self.policy.kill_grace)
             except OSError:
-                parent_conn.close()
-                child_conn.close()
-                if not running and not results and not serial_rescue:
+                if not (self.running or self.results or self.serial_rescue):
                     # Nothing launched yet: let the caller fall back to
                     # the serial backend wholesale.
                     raise
                 # Mid-race launch failure (e.g. EAGAIN near the process
-                # limit): the process backend is no longer trustworthy —
-                # degrade this strategy (and everything still pending)
-                # to the serial phase instead of erroring it out.
-                degraded = True
-                supervisor.note_degraded(strategy.name)
-                serial_rescue.append((idx, strategy, attempt))
+                # limit): the process backend is no longer trustworthy.
+                self.degrade(idx, strategy, attempt)
                 continue
-            child_conn.close()
             started = time.perf_counter()
-            budget = attempt_budget(strategy, sched)
+            budget = _attempt_budget(strategy, sched)
             # Per-strategy deadline, clamped to the global one.
             sdeadline = started + budget if budget is not None else None
-            if deadline is not None:
-                sdeadline = deadline if sdeadline is None else min(sdeadline, deadline)
-            running[idx] = _Attempt(proc, parent_conn, started, sdeadline,
-                                    attempt, sched, last_signal=started)
-        pending.extend(deferred)
-        if degraded and pending:
-            # Once degraded, stop spawning: everything still queued is
-            # handed to the serial phase.
-            for idx, strategy, attempt, _sched, _nb in pending:
-                serial_rescue.append((idx, strategy, attempt))
-            pending.clear()
+            if self.deadline is not None:
+                sdeadline = (self.deadline if sdeadline is None
+                             else min(sdeadline, self.deadline))
+            self.running[idx] = _Attempt(worker, started, sdeadline,
+                                         attempt, sched, last_signal=started)
+        self.pending.extend(deferred)
+        if self.degraded:
+            self.serial_rescue.extend(
+                (idx, strategy, attempt)
+                for idx, strategy, attempt, _sched, _nb in self.pending)
+            self.pending.clear()
 
-    def pump(idx: int) -> Optional[Tuple[str, object]]:
-        """Drain a worker's queued frames; classify what ended them.
+    def drain(self, idx: int) -> Optional[Tuple[str, object]]:
+        """Act on a worker's queued frames; return what ended them.
 
-        Heartbeats refresh the stall clock and feed the supervisor;
-        knowledge artifacts are absorbed into the pool (quarantined when
-        they fail validation) — in both cases the worker keeps running.
-        Returns None while the worker is still going, ``("result",
-        payload)`` when it reported, or ``("died", exitcode)`` on a
-        broken pipe — a death without a result, whatever the exitcode.
+        Heartbeats refresh the stall clock and feed the supervisor,
+        artifacts are absorbed into the pool, garbage is quarantined —
+        and the worker keeps running.  Returns None while it is still
+        going, ``(KIND_RESULT, frame)`` when it reported, or
+        ``(DIED, None)`` on EOF.
         """
-        att = running[idx]
-        name = entries[idx].name
-        try:
-            while att.conn.poll():
-                msg = att.conn.recv()
-                if isinstance(msg, dict) and msg.get("kind") == KIND_HEARTBEAT:
-                    att.last_signal = time.perf_counter()
-                    supervisor.note_heartbeat(name, msg)
-                    continue
-                if isinstance(msg, dict) and msg.get("kind") == KIND_ARTIFACT:
-                    att.last_signal = time.perf_counter()
-                    if pool is not None and not pool.absorb(
-                            msg.get("artifact"), source=name):
-                        supervisor.note_quarantined(name)
-                    continue
-                if isinstance(msg, dict) and msg.get("kind") == KIND_RESULT:
-                    return ("result", msg.get("payload"))
-                # Unknown frame shape: quarantine it, keep listening —
-                # one garbled frame must not cost the whole attempt.
-                supervisor.note_quarantined(name)
-        except (EOFError, OSError):
-            return ("died", att.proc.exitcode)
+        att = self.running[idx]
+        name = self.entries[idx].name
+        for kind, frame in att.worker.drain():
+            if kind == KIND_RESULT or kind == DIED:
+                return kind, frame
+            if kind == KIND_HEARTBEAT:
+                att.last_signal = time.perf_counter()
+                self.supervisor.note_heartbeat(name, frame)
+            elif kind == KIND_ARTIFACT:
+                att.last_signal = time.perf_counter()
+                self.absorb(name, frame.get("artifact"))
+            else:
+                self.supervisor.note_quarantined(name)
         return None
 
-    def settle(idx: int, att: _Attempt, payload: dict) -> None:
-        """Record one finished attempt's report; track race deciders."""
-        nonlocal winner_idx, winner_payload, winner_wall, prover_idx
-        wall = spent_wall.get(idx, 0.0) + time.perf_counter() - att.started
-        att.conn.close()
-        att.proc.join()
-        result = _result_from_payload(entries[idx].name, payload, wall,
-                                      attempts=att.attempt)
-        results[idx] = result
-        if winner_idx is None and result.status == STATUS_SAT:
-            winner_idx, winner_payload, winner_wall = idx, payload, wall
-        if (prover_idx is None and result.status == STATUS_UNSAT
-                and entries[idx].is_complete):
-            prover_idx = idx
+    def report(self, idx: int, frame: dict) -> None:
+        """Settle a worker that sent its result frame."""
+        att = self.running.pop(idx)
+        wall = (self.spent_wall.get(idx, 0.0)
+                + time.perf_counter() - att.started)
+        att.worker.reap(linger=True)
+        payload = frame.get("payload")
+        self.settle(idx, _result_from_payload(
+            self.entries[idx].name, payload, wall, attempts=att.attempt),
+            payload)
 
-    def salvage_artifacts(conn, source: str) -> None:
-        """Absorb artifacts a worker streamed before it was terminated."""
-        try:
-            while conn.poll():
-                msg = conn.recv()
-                if isinstance(msg, dict) and msg.get("kind") == KIND_ARTIFACT:
-                    if pool is not None and not pool.absorb(
-                            msg.get("artifact"), source=source):
-                        supervisor.note_quarantined(source)
-        except (EOFError, OSError):
-            pass
-
-    def harvest(idx: int) -> bool:
+    def harvest(self, idx: int) -> bool:
         """Settle or bury a worker whose pipe has something; False = alive."""
-        outcome = pump(idx)
+        outcome = self.drain(idx)
         if outcome is None:
             return False
-        kind, value = outcome
-        att = running.pop(idx)
-        if kind == "result":
-            settle(idx, att, value)
+        kind, frame = outcome
+        if kind == KIND_RESULT:
+            self.report(idx, frame)
         else:
-            attempt_died(idx, att, stalled=False)
+            self.attempt_died(idx, stalled=False)
         return True
 
-    def attempt_died(idx: int, att: _Attempt, stalled: bool) -> None:
-        """Supervise a crash/stall: reap, then retry, or degrade."""
-        nonlocal degraded
-        strategy = entries[idx]
-        name = strategy.name
-        salvage_artifacts(att.conn, name)
-        _reap(att.proc, policy.kill_grace)
-        att.conn.close()
-        now = time.perf_counter()
-        spent_wall[idx] = spent_wall.get(idx, 0.0) + now - att.started
-        if stalled:
-            supervisor.note_stall(name)
-        else:
-            supervisor.note_crash(name)
-        used = crash_retries.get(idx, 0)
-        if used < strategy.max_crash_retries and (
-                deadline is None or now < deadline):
-            crash_retries[idx] = used + 1
-            supervisor.note_retry(name)
-            # Relaunch after capped exponential backoff; the launch path
-            # re-seeds the attempt from the knowledge pool.  The retry
-            # keeps the dead attempt's schedule position (``att.sched``):
-            # a crash is not a budget expiry, so it must neither consume
-            # a restart-schedule entry nor index past the schedule.
-            not_before = now + policy.backoff(used + 1)
-            if deadline is not None:
-                not_before = min(not_before, deadline)
-            pending.append((idx, strategy, att.attempt + 1, att.sched,
-                            not_before))
-            return
-        # Crash budget exhausted: the process backend is persistently
-        # failing this strategy — degrade to the serial fallback (which
-        # also stops further spawns; a systemic fault like OOM pressure
-        # would only grind every remaining launch through the same
-        # budget).
-        supervisor.note_exhausted(name)
-        supervisor.note_degraded(name)
-        degraded = True
-        serial_rescue.append((idx, strategy, att.attempt + 1))
+    def retire(self, idx: int) -> _Attempt:
+        """Stop a running attempt and book its wall time.  Its queued
+        artifacts are salvaged first — a terminated worker's mid-check
+        exports are still knowledge (and still validated)."""
+        self.drain(idx)
+        att = self.running.pop(idx)
+        att.worker.reap()
+        self.spent_wall[idx] = (self.spent_wall.get(idx, 0.0)
+                                + time.perf_counter() - att.started)
+        return att
 
-    def expire(idx: int, now: float) -> None:
+    def attempt_died(self, idx: int, stalled: bool) -> None:
+        """Supervise a crash/stall: retire, then retry or degrade."""
+        att = self.retire(idx)
+        strategy = self.entries[idx]
+        used = self.crash_retries.get(idx, 0)
+        delay = self.supervisor.attempt_died(
+            strategy.name, used, strategy.max_crash_retries,
+            stalled=stalled, deadline=self.deadline)
+        if delay is None:
+            # The process backend is persistently failing this strategy.
+            self.degrade(idx, strategy, att.attempt + 1)
+            return
+        # The launch path re-seeds the retry from the knowledge pool.  It
+        # keeps the dead attempt's schedule position: a crash is not a
+        # budget expiry, so it must neither consume a restart-schedule
+        # entry nor index past the schedule.
+        self.crash_retries[idx] = used + 1
+        self.pending.append((idx, strategy, att.attempt + 1, att.sched,
+                             time.perf_counter() + delay))
+
+    def expire(self, idx: int, now: float) -> None:
         """Kill an attempt at its per-strategy deadline; maybe re-queue."""
-        # A result may have landed after the last connection.wait(): honor
-        # it (it could be the winning sat) instead of discarding it.
-        if harvest(idx):
+        # A result may have landed after the last wait: honor it (it
+        # could be the winning sat) instead of discarding it.
+        if self.harvest(idx):
             return
-        att = running.pop(idx)
-        salvage_artifacts(att.conn, entries[idx].name)
-        _reap(att.proc, policy.kill_grace)
-        att.conn.close()
-        spent_wall[idx] = spent_wall.get(idx, 0.0) + now - att.started
-        strategy = entries[idx]
-        has_budget = att.sched - 1 < len(strategy.restarts)
-        global_open = deadline is None or now < deadline
-        if has_budget and global_open:
-            pending.append((idx, strategy, att.attempt + 1, att.sched + 1,
-                            now))
+        att = self.retire(idx)
+        strategy = self.entries[idx]
+        if (att.sched - 1 < len(strategy.restarts)
+                and self.deadline_open(now)):
+            self.pending.append((idx, strategy, att.attempt + 1,
+                                 att.sched + 1, now))
         else:
-            results[idx] = StrategyResult(
-                name=strategy.name,
-                status=STATUS_TIMEOUT,
-                wall_time=spent_wall[idx],
-                attempts=att.attempt,
-            )
+            self.unrun(idx, STATUS_TIMEOUT, att.attempt)
 
-    launch_available()
-    timed_out = False
-    while (running or pending) and winner_idx is None and prover_idx is None:
-        now = time.perf_counter()
-        if deadline is not None and now >= deadline:
-            timed_out = True
-            break
-        wait_for = 0.1
-        if deadline is not None:
-            wait_for = min(wait_for, max(0.0, deadline - now))
-        for idx, att in running.items():
+    def next_wake(self, now: float) -> float:
+        """Seconds until some clock needs the scheduler (capped at 0.1)."""
+        wakes = [now + 0.1]
+        if self.deadline is not None:
+            wakes.append(self.deadline)
+        for idx, att in self.running.items():
             if att.sdeadline is not None:
-                wait_for = min(wait_for, max(0.0, att.sdeadline - now))
-            if policy.stall_timeout is not None and emits_heartbeats(idx):
-                wait_for = min(wait_for, max(
-                    0.0, att.last_signal + policy.stall_timeout - now))
-        for _idx, _s, _a, _sc, not_before in pending:
-            wait_for = min(wait_for, max(0.0, not_before - now))
-        if running:
-            ready = multiprocessing.connection.wait(
-                [att.conn for att in running.values()], timeout=wait_for
-            )
-            ready_set = set(ready)
+                wakes.append(att.sdeadline)
+            if (self.policy.stall_timeout is not None
+                    and self.emits_heartbeats(idx)):
+                wakes.append(att.last_signal + self.policy.stall_timeout)
+        wakes.extend(entry[4] for entry in self.pending)
+        return max(0.0, min(wakes) - now)
+
+    def run(self) -> PortfolioResult:
+        policy = self.policy
+        running = self.running
+        self.launch_available()
+        while (running or self.pending) and not self.decided:
+            now = time.perf_counter()
+            if not self.deadline_open(now):
+                self.timed_out = True
+                break
+            ready = wait_ready([att.worker for att in running.values()],
+                               self.next_wake(now))
             # Harvest *every* ready worker before declaring the race
             # over, so strategies that finished in the same poll window
             # report their real status instead of being miscounted as
             # cancelled (the winner is still the first sat in launch
             # order).
             for idx in sorted(running):
-                if idx in running and running[idx].conn in ready_set:
-                    harvest(idx)
-        elif wait_for > 0:
-            # Nothing running — only backoff-delayed relaunches queued.
-            time.sleep(wait_for)
-        now = time.perf_counter()
-        if deadline is not None and now >= deadline:
-            timed_out = True
-            break
-        if winner_idx is not None or prover_idx is not None:
-            break
-        # Stall detection: a worker silent past the timeout is dead to
-        # us even if the process is technically alive (hung in native
-        # code, swapping, or fault-injected into a sleep loop).  Only
-        # heartbeat-capable (native-backend) workers are eligible — on
-        # any other backend silence is the norm, not a stall.
-        if policy.stall_timeout is not None:
-            for idx in sorted(running):
-                if idx not in running or not emits_heartbeats(idx):
-                    continue
-                att = running[idx]
-                if now - att.last_signal >= policy.stall_timeout:
-                    if not harvest(idx):
-                        attempt_died(idx, running.pop(idx), stalled=True)
-        # Enforce per-strategy deadlines (restart schedule re-queues).
-        for idx in sorted(running):
-            if idx not in running:
-                continue
-            att = running[idx]
-            if att.sdeadline is not None and now >= att.sdeadline:
-                expire(idx, now)
-        launch_available()
-
-    if timed_out:
-        # The deadline break above fires before draining ready pipes: a
-        # result a worker sent just before the deadline still decides
-        # the race (consistent with expire()), so give every running
-        # worker one final non-blocking pump before reaping the rest as
-        # timeouts.
-        for idx in sorted(running):
-            outcome = pump(idx)
-            if outcome is not None and outcome[0] == "result":
-                settle(idx, running.pop(idx), outcome[1])
-
-    # Race over: stop whoever is still working and account for everyone.
-    # Losers' queued artifacts are salvaged first — a cancelled worker's
-    # mid-check exports are still knowledge (and still validated).
-    loser_status = STATUS_TIMEOUT if timed_out else STATUS_CANCELLED
-    for idx, att in list(running.items()):
-        salvage_artifacts(att.conn, entries[idx].name)
-        _reap(att.proc, policy.kill_grace)
-        att.conn.close()
-        results[idx] = StrategyResult(
-            name=entries[idx].name,
-            status=loser_status,
-            wall_time=spent_wall.get(idx, 0.0) + time.perf_counter() - att.started,
-            attempts=att.attempt,
-        )
-    running.clear()
-    for idx, strategy, attempt, _sched, _nb in pending:
-        if idx in results:
-            continue
-        # A queued strategy only "timed out" if the race did; one parked
-        # on a crash-retry backoff when the race was decided lost it
-        # (cancelled), and one never launched at all was skipped.
-        if timed_out:
-            queued_status = STATUS_TIMEOUT
-        elif attempt > 1:
-            queued_status = STATUS_CANCELLED
-        else:
-            queued_status = STATUS_SKIPPED
-        results[idx] = StrategyResult(
-            name=strategy.name,
-            status=queued_status,
-            wall_time=spent_wall.get(idx, 0.0),
-            attempts=attempt - 1 if attempt > 1 else 1,
-        )
-
-    # Graceful degradation: strategies the process backend gave up on
-    # (crash budget exhausted, or spawn failures) get one supervised
-    # serial pass — but only while the race is still undecided and the
-    # global deadline open.
-    decided = winner_idx is not None or prover_idx is not None
-    used_serial = False
-    for idx, strategy, attempt in serial_rescue:
-        if idx in results:
-            continue
-        now = time.perf_counter()
-        if decided:
-            results[idx] = StrategyResult(
-                name=strategy.name,
-                status=STATUS_TIMEOUT if timed_out else STATUS_CANCELLED,
-                wall_time=spent_wall.get(idx, 0.0),
-                attempts=max(1, attempt - 1),
-            )
-            continue
-        if timed_out or (deadline is not None and now >= deadline):
-            timed_out = True
-            results[idx] = StrategyResult(
-                name=strategy.name,
-                status=STATUS_TIMEOUT,
-                wall_time=spent_wall.get(idx, 0.0),
-                attempts=max(1, attempt - 1),
-            )
-            continue
-        used_serial = True
-        result, payload = _run_serial_strategy(
-            problem, strategy, deadline, pool, supervisor, policy,
-            fault_plan, first_attempt=attempt,
-            prior_wall=spent_wall.get(idx, 0.0))
-        results[idx] = result
-        if result.status == STATUS_SAT and winner_idx is None:
-            winner_idx, winner_payload = idx, payload
-            winner_wall = result.wall_time
-            decided = True
-        elif result.status == STATUS_UNSAT and strategy.is_complete:
-            prover_idx = idx
-            decided = True
-        elif result.status == STATUS_TIMEOUT:
-            timed_out = True
-
-    total = time.perf_counter() - t0
-    solution = (
-        _solution_from_payload(problem, winner_payload, winner_wall)
-        if winner_payload is not None
-        else None
-    )
-    for idx, sr in results.items():
-        extra = supervisor.strategy_statistics(entries[idx].name)
-        if extra:
-            sr.statistics = {**sr.statistics, **extra}
-    ordered = [results[i] for i in sorted(results)]
-    winner_name = entries[winner_idx].name if winner_idx is not None else None
-    status, verdict_by = _final_verdict(entries, ordered, winner_name,
-                                        timed_out)
-    return PortfolioResult(
-        status=status,
-        winner=winner_name,
-        solution=solution,
-        total_time=total,
-        strategy_results=ordered,
-        verdict_by=verdict_by,
-        pool_statistics=pool.statistics if pool is not None else {},
-        degraded_to_serial=used_serial,
-        supervision_statistics=supervisor.statistics,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Serial racing (fallback backend and degradation target)
-# ---------------------------------------------------------------------------
-
-
-def _run_serial_strategy(
-    problem,
-    strategy: Strategy,
-    deadline: Optional[float],
-    pool: Optional[KnowledgePool],
-    supervisor: Supervisor,
-    policy: SupervisionPolicy,
-    fault_plan: Optional[FaultPlan],
-    first_attempt: int = 1,
-    prior_wall: float = 0.0,
-) -> Tuple[StrategyResult, Optional[dict]]:
-    """One strategy's supervised in-process run (with crash retries).
-
-    The serial twin of a worker process plus its parent-side supervisor:
-    an attempt that raises :class:`InjectedCrash` (or drops its result)
-    is retried with the same capped-backoff schedule, re-seeded from the
-    pool, up to ``strategy.max_crash_retries`` times.  Native attempts
-    run under a :class:`DeadlineWatchdog`, so the global deadline is
-    enforced *mid-strategy*: an interrupted solve answers ``unknown``
-    and is reported here as ``timeout``.
-    """
-    name = strategy.name
-    attempt = first_attempt
-    crashes_used = 0
-    wall = prior_wall
-    while True:
-        run = strategy
-        emit = None
-        if pool is not None:
-            seeded = pool.seeded_options(strategy.options)
-            if seeded is not strategy.options:
-                run = replace(strategy, options=seeded)
-
-            def emit(artifact: dict, _name=name) -> None:
-                if not pool.absorb(artifact, source=_name):
-                    supervisor.note_quarantined(_name)
-        if fault_plan is not None:
-            injected = fault_plan.for_attempt(name, attempt, harsh=False)
-            if injected is not None:
-                run = replace(run, options=replace(run.options,
-                                                   faults=injected))
-        started = time.perf_counter()
-        payload: Optional[dict] = None
-        crashed = False
-        try:
-            payload = _execute_strategy(problem, run, emit, deadline=deadline)
-        except InjectedCrash:
-            crashed = True
-        wall += time.perf_counter() - started
-        if not crashed and run.options.faults is not None \
-                and run.options.faults.drop_result:
-            payload = None  # the result frame never arrives
-            crashed = True
-        if crashed:
-            supervisor.note_crash(name)
+                if idx in running and running[idx].worker in ready:
+                    self.harvest(idx)
             now = time.perf_counter()
-            if crashes_used < strategy.max_crash_retries and (
-                    deadline is None or now < deadline):
-                crashes_used += 1
-                supervisor.note_retry(name)
-                delay = policy.backoff(crashes_used)
-                if deadline is not None:
-                    delay = min(delay, max(0.0, deadline - now))
-                if delay:
-                    time.sleep(delay)
-                attempt += 1
+            if not self.deadline_open(now):
+                self.timed_out = True
+                break
+            if self.decided:
+                break
+            # Stall detection: a worker silent past the timeout is dead
+            # to us even if the process is technically alive (hung in
+            # native code, swapping, or fault-injected into a sleep
+            # loop).  Only heartbeat-capable workers are eligible.
+            if policy.stall_timeout is not None:
+                for idx in sorted(running):
+                    if idx not in running or not self.emits_heartbeats(idx):
+                        continue
+                    if (now - running[idx].last_signal
+                            >= policy.stall_timeout
+                            and not self.harvest(idx)):
+                        self.attempt_died(idx, stalled=True)
+            # Enforce per-strategy deadlines (restart schedule re-queues).
+            for idx in sorted(running):
+                if idx not in running:
+                    continue
+                sdeadline = running[idx].sdeadline
+                if sdeadline is not None and now >= sdeadline:
+                    self.expire(idx, now)
+            self.launch_available()
+
+        if self.timed_out:
+            # The deadline break above fires before draining ready pipes:
+            # a result a worker sent just before the deadline still
+            # decides the race (consistent with expire()), so give every
+            # running worker one final look before reaping the rest as
+            # timeouts.
+            for idx in sorted(running):
+                outcome = self.drain(idx)
+                if outcome is not None and outcome[0] == KIND_RESULT:
+                    self.report(idx, outcome[1])
+
+        # Race over: stop whoever is still working and account for
+        # everyone.
+        for idx in sorted(running):
+            att = self.retire(idx)
+            self.unrun(idx, STATUS_TIMEOUT if self.timed_out
+                       else STATUS_CANCELLED, att.attempt)
+        for idx, _strategy, attempt, _sched, _nb in self.pending:
+            if idx in self.results:
                 continue
-            supervisor.note_exhausted(name)
-            payload = {
-                "status": STATUS_ERROR,
-                "error": (f"crashed on every attempt "
-                          f"({crashes_used + 1} tried, "
-                          f"{strategy.max_crash_retries} retries allowed)"),
-            }
-        result = _result_from_payload(name, payload, wall, attempts=attempt)
-        if (result.status == STATUS_UNKNOWN and deadline is not None
-                and time.perf_counter() >= deadline):
-            # The watchdog interrupted this attempt mid-check: that
-            # unknown is really the race's deadline expiring.
-            result.status = STATUS_TIMEOUT
-        return result, payload
+            # A queued strategy only "timed out" if the race did; one
+            # parked on a crash-retry backoff when the race was decided
+            # lost it (cancelled), and one never launched at all was
+            # skipped.
+            if self.timed_out:
+                status = STATUS_TIMEOUT
+            elif attempt > 1:
+                status = STATUS_CANCELLED
+            else:
+                status = STATUS_SKIPPED
+            self.unrun(idx, status, max(1, attempt - 1))
 
-
-def _race_serial(
-    problem,
-    entries: List[Strategy],
-    timeout: Optional[float],
-    share_knowledge: bool = True,
-    policy: Optional[SupervisionPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    degraded: bool = False,
-) -> PortfolioResult:
-    policy = policy or SupervisionPolicy()
-    supervisor = Supervisor(policy)
-    t0 = time.perf_counter()
-    deadline = t0 + timeout if timeout is not None else None
-    pool = KnowledgePool() if share_knowledge else None
-    results: List[StrategyResult] = []
-    winner: Optional[str] = None
-    solution: Optional[Solution] = None
-    decided = False
-    timed_out = False
-
-    for strategy in entries:
-        if decided:
-            results.append(StrategyResult(strategy.name, STATUS_SKIPPED, 0.0))
-            continue
-        if deadline is not None and time.perf_counter() >= deadline:
-            timed_out = True
-            results.append(StrategyResult(strategy.name, STATUS_TIMEOUT, 0.0))
-            continue
-        result, payload = _run_serial_strategy(
-            problem, strategy, deadline, pool, supervisor, policy, fault_plan)
-        results.append(result)
-        if result.status == STATUS_TIMEOUT:
-            timed_out = True
-        if result.status == STATUS_SAT and winner is None:
-            winner = strategy.name
-            solution = _solution_from_payload(problem, payload,
-                                              result.wall_time)
-            decided = True
-        elif result.status == STATUS_UNSAT and strategy.is_complete:
-            decided = True  # a proof: nothing left to race for
-
-    for sr in results:
-        extra = supervisor.strategy_statistics(sr.name)
-        if extra:
-            sr.statistics = {**sr.statistics, **extra}
-    status, verdict_by = _final_verdict(entries, results, winner, timed_out)
-    return PortfolioResult(
-        status=status,
-        winner=winner,
-        solution=solution,
-        total_time=time.perf_counter() - t0,
-        strategy_results=results,
-        verdict_by=verdict_by,
-        pool_statistics=pool.statistics if pool is not None else {},
-        degraded_to_serial=degraded,
-        supervision_statistics=supervisor.statistics,
-    )
+        # Graceful degradation: strategies the process backend gave up on
+        # (crash budget exhausted, or spawn failures) get one supervised
+        # serial pass — but only while the race is still undecided and
+        # the global deadline open.
+        return self.finish(
+            self.run_serially(self.serial_rescue, STATUS_CANCELLED))

@@ -60,9 +60,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..runtime.frames import (ARTIFACT_CLAUSES, ARTIFACT_KINDS,
+                              ARTIFACT_PREFIX, ARTIFACT_VETO)
 from ..smt.terms import Atom, BoolExpr, BoolVar, Or
-from .frames import (ARTIFACT_CLAUSES, ARTIFACT_KINDS, ARTIFACT_PREFIX,
-                     ARTIFACT_VETO)
 
 #: Export caps: clause literal count, learning-time LBD, clauses per
 #: exporting strategy.  Small on purpose — shared clauses are hints, and

@@ -1,0 +1,22 @@
+"""The supervised-worker runtime under the portfolio race and the service.
+
+One neutral layer (it imports neither :mod:`repro.portfolio` nor
+:mod:`repro.service`) holding what both schedulers need to run solver
+processes they can trust to die rudely:
+
+* :mod:`~repro.runtime.frames` — the frame-kind registry and the pipe
+  protocol state machine;
+* :mod:`~repro.runtime.supervision` — :class:`SupervisionPolicy`, the
+  heartbeat frame, and :class:`Supervisor` with the one retry rule;
+* :mod:`~repro.runtime.process` — :class:`WorkerProcess`, the one
+  process handle (spawn, send, classified ``drain()``, escalating
+  ``reap()``);
+* :mod:`~repro.runtime.harness` — :func:`supervised_solve` and the one
+  :class:`InterruptPump`, the solve side shared by worker processes and
+  their in-process twins.
+
+Import the submodules directly: this package imports nothing, so
+``core.synthesizer`` can take its event kind from ``frames`` while
+``harness`` imports ``core.synthesizer``.  See ``docs/robustness.md``,
+"Worker runtime".
+"""

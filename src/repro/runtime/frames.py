@@ -29,7 +29,7 @@ from __future__ import annotations
 
 # -- pipe frames -----------------------------------------------------------
 
-#: Worker liveness frame (see :mod:`repro.portfolio.supervision`).
+#: Worker liveness frame (see :mod:`repro.runtime.supervision`).
 KIND_HEARTBEAT = "heartbeat"
 #: A knowledge artifact streamed mid-race (payload under ``"artifact"``).
 KIND_ARTIFACT = "artifact"
@@ -83,7 +83,7 @@ FRAME_KINDS = PIPE_KINDS | ARTIFACT_KINDS | EVENT_KINDS
 #     any non-closed state --shutdown--> closed
 #
 # * heartbeat/artifact frames may stream before the result, never after:
-#   ``pump()``/``ServiceWorker.solve()`` stop reading on the result.
+#   the readers of ``WorkerProcess.drain()`` stop at the result.
 # * exactly one result: a second result frame is never consumed.
 # * shutdown is terminal — the worker loop exits on it.
 # * a ``recv()`` starts a fresh exchange (state back to ``start``);

@@ -1,39 +1,27 @@
-"""Supervision for portfolio workers: heartbeats, retry, degradation.
+"""Supervision policy and accounting shared by every worker scheduler.
 
-The process-backend race in :mod:`repro.portfolio.engine` historically
-only handled workers that died *politely* (an EOF on the result pipe
-became an ``error`` result).  This module supplies the machinery that
-survives rude deaths — see ``docs/robustness.md`` for the full protocol:
+Both schedulers over :class:`~repro.runtime.process.WorkerProcess` — the
+portfolio race (N one-shot workers) and the synthesis service (N
+persistent ones) — and their in-process twins read one policy and write
+one counter vocabulary (``docs/robustness.md``, "Worker runtime"):
 
-* **Heartbeats** — workers emit ``{"kind": "heartbeat"}`` frames from
-  the engine's ``on_restart`` hook (throttled to one per
-  ``heartbeat_interval``), carrying the conflict/propagation counters,
-  plus one frame at attempt start.  The parent timestamps them; a
-  worker silent for longer than ``stall_timeout`` (when set) is
-  declared stalled and killed.  Only native-backend strategies are
-  eligible — no other backend wires the ``on_restart`` hook, so their
-  workers heartbeat only once at start and the engine exempts them
-  from stall detection (deadlines still bound them).
-* **Crash retry with backoff** — a worker that dies without a result
-  (SIGKILL, OOM, a dropped result frame) or stalls is relaunched up to
-  ``Strategy.max_crash_retries`` times, with capped exponential backoff
-  between launches.  Respawns go through the race's knowledge-pool
-  seeding, so each retry starts warmer than the original.
-* **Degradation accounting** — the :class:`Supervisor` tracks, per
-  strategy and in total, crashes, stalls, retries, heartbeats, and
-  quarantined frames; the engine folds these into per-strategy
-  ``StrategyResult.statistics`` and the race-level
-  ``PortfolioResult.supervision_statistics``.
-* **Deadline watchdog** — :class:`DeadlineWatchdog` interrupts a native
-  engine from a daemon thread once a deadline passes, so a *serial*
-  (non-preemptible) attempt can be bounded mid-check: the engine checks
-  its interrupt flag at every conflict, answers ``unknown``, and the
-  serial race converts that to ``timeout``.
+* :class:`SupervisionPolicy` — heartbeat cadence, stall timeout, the
+  capped exponential crash-retry backoff, and the SIGTERM grace of
+  :meth:`WorkerProcess.reap`.
+* :func:`heartbeat_frame` / :func:`valid_heartbeat` — the liveness frame
+  a solve emits from the engine's ``on_restart`` hook (throttled by
+  :func:`~repro.runtime.harness.supervised_solve`) and its validation at
+  the parent boundary.  Only native-backend solves have that hook, so
+  schedulers exempt every other backend from stall detection.
+* :class:`Supervisor` — per-strategy and total counts of crashes,
+  stalls, retries, heartbeats, quarantined frames and degradations,
+  and the one retry rule, :meth:`Supervisor.attempt_died`: count the
+  death, then grant a backoff delay while retries and the deadline
+  allow, else count the budget as exhausted.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -115,11 +103,12 @@ def valid_heartbeat(frame) -> bool:
 
 
 class Supervisor:
-    """Parent-side accounting of one race's supervision events.
+    """Parent-side accounting of one scheduler's supervision events.
 
-    Purely observational bookkeeping — the engine makes the actual
-    kill/retry/degrade decisions and reports them here, so both race
-    backends (process and serial) share one counter vocabulary.
+    Schedulers report what they saw (heartbeats, quarantined frames,
+    degradations) and ask :meth:`attempt_died` what to do about a dead
+    attempt, so the race's two backends and the service share one
+    counter vocabulary and one retry rule.
     """
 
     def __init__(self, policy: Optional[SupervisionPolicy] = None) -> None:
@@ -152,17 +141,37 @@ class Supervisor:
     def note_stall(self, strategy: str) -> None:
         self._bump(strategy, "stalls_detected")
 
-    def note_retry(self, strategy: str) -> None:
-        self._bump(strategy, "crash_retries")
-
-    def note_exhausted(self, strategy: str) -> None:
-        self._bump(strategy, "crash_budget_exhausted")
-
     def note_quarantined(self, strategy: str) -> None:
         self._bump(strategy, "quarantined_artifacts")
 
     def note_degraded(self, strategy: str) -> None:
         self._bump(strategy, "degradations")
+
+    # -- the retry rule --------------------------------------------------
+
+    def attempt_died(self, strategy: str, retries_used: int,
+                     max_retries: int, *, stalled: bool = False,
+                     deadline: Optional[float] = None) -> Optional[float]:
+        """Count a dead attempt and decide whether it is retried.
+
+        Returns the backoff delay (seconds, clamped to ``deadline``, an
+        absolute ``perf_counter`` time) to wait before relaunching, or
+        None when the retry budget is spent or the deadline has passed
+        — counted as ``crash_budget_exhausted``; what exhaustion means
+        (degrade, error out) is the scheduler's call.
+        """
+        if stalled:
+            self.note_stall(strategy)
+        else:
+            self.note_crash(strategy)
+        now = time.perf_counter()
+        if retries_used < max_retries and (deadline is None
+                                           or now < deadline):
+            self._bump(strategy, "crash_retries")
+            delay = self.policy.backoff(retries_used + 1)
+            return delay if deadline is None else min(delay, deadline - now)
+        self._bump(strategy, "crash_budget_exhausted")
+        return None
 
     # -- reports ---------------------------------------------------------
 
@@ -183,45 +192,3 @@ class Supervisor:
     @property
     def statistics(self) -> Dict[str, int]:
         return dict(self.counters)
-
-
-class DeadlineWatchdog:
-    """Interrupt a native engine once a wall-clock deadline passes.
-
-    A daemon thread polls every ``interval`` seconds and calls
-    ``engine.interrupt()`` (documented thread-safe; the SAT core checks
-    the flag at every conflict) *repeatedly* once past the deadline —
-    the flag is cleared at each ``check()`` entry, so a multi-check
-    solve needs re-interrupting until the driver gives up.  Use as a
-    context manager around the solve being bounded.
-    """
-
-    def __init__(self, engine, deadline: Optional[float],
-                 interval: float = 0.05) -> None:
-        self._engine = engine
-        self._deadline = deadline
-        self._interval = interval
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def __enter__(self) -> "DeadlineWatchdog":
-        if self._deadline is not None and self._engine is not None:
-            self._thread = threading.Thread(target=self._run, daemon=True,
-                                            name="portfolio-deadline")
-            self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            remaining = self._deadline - time.perf_counter()
-            if remaining <= 0:
-                self._engine.interrupt()
-                self._stop.wait(self._interval)
-            else:
-                self._stop.wait(min(self._interval, remaining))

@@ -39,10 +39,10 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..portfolio import sharing
-from ..portfolio.frames import (ARTIFACT_CLAUSES, ARTIFACT_PREFIX,
-                                ARTIFACT_VETO)
 from ..portfolio.sharing import (ClauseBatch, RouteVeto, SeedKnowledge,
                                  StagePrefix, signature_of)
+from ..runtime.frames import (ARTIFACT_CLAUSES, ARTIFACT_PREFIX,
+                              ARTIFACT_VETO)
 from . import fingerprint as fp
 
 #: On-disk schema version; bump on incompatible layout changes (old

@@ -16,11 +16,11 @@ of persistent workers (process or inline — see
    compatible ancestor) and any seed rides in on
    ``SynthesisOptions.seed_knowledge``.
 3. **Solve** (executor thread, blocking): the worker solves under the
-   request deadline.  Worker death is supervised — crash retries with
-   the capped-backoff schedule of
-   :class:`~repro.portfolio.supervision.SupervisionPolicy`, stalls are
-   reaped, budgets exhaust to ``error`` — and every event lands in the
-   shared :class:`~repro.portfolio.supervision.Supervisor` counters.
+   request deadline.  Worker death is supervised — crashes are retried
+   by the one retry rule,
+   :meth:`~repro.runtime.supervision.Supervisor.attempt_died` (capped
+   backoff, budgets exhaust to ``error``), stalls are reaped — and
+   every event lands in that supervisor's counters.
 4. **Write-back**: completed ``sat``/``unsat`` solves store their
    exported knowledge back into the cache (LRU insert, atomic file).
 5. **Response**: exactly one typed frame per admitted request.
@@ -38,7 +38,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from ..portfolio.supervision import SupervisionPolicy, Supervisor
+from ..runtime.supervision import SupervisionPolicy, Supervisor
 from .cache import CacheHit, KnowledgeCache
 from .protocol import (ProtocolError, SynthesisRequest, decode_frame,
                        encode_frame, request_from_wire)
@@ -194,10 +194,10 @@ class SynthesisServer:
         counts as leaked.
         """
         import multiprocessing as mp
+        pool = {w.pid for w in self._workers}
         return sum(1 for p in mp.active_children()
                    if p.name.startswith("service-worker-")
-                   and p not in [getattr(w, "_proc", None)
-                                 for w in self._workers])
+                   and p.pid not in pool)
 
     # ------------------------------------------------------------------
     # Admission
@@ -360,28 +360,29 @@ class SynthesisServer:
                          "cancelled": pending.cancel_requested,
                          "deadline_exceeded": True}, attempt)
             except WorkerCrashed as exc:
-                self.supervisor.note_crash(_STRATEGY)
                 worker.restart()
                 if pending.cancel_requested:
+                    self.supervisor.note_crash(_STRATEGY)
                     return ({"status": "unknown", "cancelled": True,
                              "deadline_exceeded": False}, attempt)
-                if attempt > self.policy.max_crash_retries:
-                    self.supervisor.note_exhausted(_STRATEGY)
+                delay = self.supervisor.attempt_died(
+                    _STRATEGY, attempt - 1, self.policy.max_crash_retries)
+                if delay is None:
                     return ({"status": "error", "cancelled": False,
                              "deadline_exceeded": False,
                              "error": f"worker crashed, retries exhausted: "
                                       f"{exc}"}, attempt)
-                self.supervisor.note_retry(_STRATEGY)
                 # repro: allow[async-blocking] _solve_blocking only ever
-                # runs on the loop's default executor (see _solve:
-                # run_in_executor), so this backoff sleeps a worker
+                # runs on the loop's default executor (_handle hands it
+                # to run_in_executor), so this backoff sleeps a worker
                 # thread, never the event loop.
-                time.sleep(self.policy.supervision.backoff(attempt))
+                time.sleep(delay)
                 attempt += 1
 
-    def _note_heartbeat(self, frame: dict) -> None:
-        self.supervisor.note_heartbeat(frame.get("strategy", _STRATEGY),
-                                       frame)
+    def _note_heartbeat(self, frame) -> None:
+        # Every frame a worker streams besides its result lands here;
+        # what is not a well-formed heartbeat is quarantined.
+        self.supervisor.note_heartbeat(_STRATEGY, frame)
 
     # ------------------------------------------------------------------
     # Responses and write-back

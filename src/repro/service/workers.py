@@ -1,24 +1,27 @@
 """Persistent solver workers behind the synthesis service.
 
-A :class:`ServiceWorker` is one long-lived solver process that handles
-requests sequentially over a duplex pipe — the service analogue of the
-portfolio engine's per-strategy workers, but *reused* across requests
-so repeated solves pay the fork/import cost once.  The child runs
-``core.solve`` with the same wiring as a portfolio worker: a locally
-built native engine (so knowledge can be exported afterwards), an
-``on_restart`` heartbeat hook, and a :class:`DeadlineWatchdog` arming
-the request's deadline.  Cancellation is SIGUSR1: the child's handler
-calls ``interrupt()`` on the active session, the solve returns
-``unknown``, and the payload is flagged ``cancelled``.
+A :class:`ServiceWorker` is a request/response loop over one persistent
+:class:`~repro.runtime.process.WorkerProcess` — the same handle the
+portfolio race runs one-shot, here *reused* across requests (hence the
+duplex pipe) so repeated solves pay the fork/import cost once.  The
+child answers each request through
+:func:`~repro.runtime.harness.supervised_solve`, armed with the
+request's deadline and a cancel flag: cancellation is SIGUSR1, whose
+handler interrupts the active session and latches the flag, the solve
+returns ``unknown``, and the payload is flagged ``cancelled``.
 
-The parent side is deliberately *blocking* (the asyncio server runs it
-in an executor thread): it streams heartbeats, detects worker death as
-pipe EOF (raising :class:`WorkerCrashed` for the server's supervision
-retry loop), and reaps a worker that blows through its deadline plus
-grace (:class:`WorkerStalled`).
+What this scheduler adds to the shared runtime (``docs/robustness.md``,
+"Worker runtime") is how it waits: :meth:`ServiceWorker.solve` is
+deliberately *blocking* (the asyncio server runs it in an executor
+thread) on its single pipe, raising :class:`WorkerCrashed` when the
+worker dies mid-request — for the server's retry loop — and
+:class:`WorkerStalled`, after reaping it, when nothing came back by the
+deadline plus grace.  Frames that are neither this request's result nor
+a death go to ``on_heartbeat``, whose validator quarantines what is not
+a heartbeat.
 
 :class:`InlineWorker` implements the same interface with no subprocess
-— solves run in the calling thread, and ``cancel()`` fires
+— the harness runs in the calling thread, and ``cancel()`` fires
 ``Session.interrupt()`` directly.  It exists for deterministic tests,
 benchmarks, and sandboxes where forking is unavailable; injected
 crashes (:class:`~repro.portfolio.faults.InjectedCrash`) surface as
@@ -27,29 +30,26 @@ crashes (:class:`~repro.portfolio.faults.InjectedCrash`) surface as
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import signal
-import threading
 import time
 from typing import Callable, Dict, Optional
 
-from ..api import NativeBackend, Session
-from ..core import synthesizer as synth
+from ..api import Session
 from ..portfolio import sharing
 from ..portfolio.faults import InjectedCrash
-from ..portfolio.frames import (KIND_HEARTBEAT, KIND_REQUEST, KIND_RESULT,
-                                KIND_SHUTDOWN)
-from ..portfolio.supervision import (DeadlineWatchdog, SupervisionPolicy,
-                                     heartbeat_frame)
+from ..runtime.frames import KIND_REQUEST, KIND_RESULT, KIND_SHUTDOWN
+from ..runtime.harness import pipe_sink, supervised_solve
+from ..runtime.process import DIED, WorkerProcess
+from ..runtime.supervision import SupervisionPolicy
 from .protocol import schedules_to_wire
 
 #: Pipe poll interval on the parent side (seconds).
 _POLL = 0.05
 
 #: Extra parent-side slack past a request deadline before a silent
-#: worker is declared stalled and reaped: the child watchdog interrupts
-#: at the deadline, but the engine only honors it at a conflict
+#: worker is declared stalled and reaped: the child's interrupt pump
+#: fires at the deadline, but the engine only honors it at a conflict
 #: boundary, so give the solve a moment to unwind and ship its payload.
 _DEADLINE_SLACK = 1.5
 
@@ -109,59 +109,6 @@ def export_request_knowledge(options, result, engine) -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-def _build_session(options):
-    """A session built exactly as ``core.solve`` would, plus the engine
-    handle the worker needs for interrupts/watchdogs/knowledge export
-    (``synth.Solver`` is the patchable engine factory)."""
-    if options.backend == "native":
-        engine = synth.Solver(dl_propagation=options.dl_propagation,
-                              max_conflicts=options.max_conflicts)
-        engine.backend_name = "native[service]"
-        return Session(backend=NativeBackend(engine=engine)), engine
-    return Session(backend=options.backend), None
-
-
-class _CancelPump:
-    """Re-interrupt a session for as long as cancellation is requested.
-
-    One ``interrupt()`` only aborts the *current* check — the engine
-    clears its flag at every ``check()`` entry, and ``core.solve``'s
-    probe ladder runs several checks per request — so a single signal
-    could cancel a probe and leave the unrestricted solve running.
-    Mirroring :class:`~repro.portfolio.supervision.DeadlineWatchdog`,
-    a daemon thread keeps firing until the solve actually returns.
-    """
-
-    def __init__(self, session: Session, was_cancelled: Callable[[], bool],
-                 interval: float = 0.025) -> None:
-        self._session = session
-        self._was_cancelled = was_cancelled
-        self._interval = interval
-        self._stop = threading.Event()
-        self._thread = None
-
-    def __enter__(self) -> "_CancelPump":
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="service-cancel-pump")
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            if self._was_cancelled():
-                try:
-                    self._session.interrupt()
-                except Exception:
-                    pass
-            self._stop.wait(self._interval)
-
-
 def _solve_request(problem, options, deadline: Optional[float],
                    register: Callable[[Optional[Session]], None],
                    was_cancelled: Callable[[], bool],
@@ -171,30 +118,15 @@ def _solve_request(problem, options, deadline: Optional[float],
 
     ``deadline`` is relative seconds from now; ``register`` publishes
     the active session to whatever cancellation path the caller wires
-    (signal handler or ``InlineWorker.cancel``), and must be called
-    with None before returning.
+    (signal handler or ``InlineWorker.cancel``) and sees None again
+    once the solve is over.
     """
-    session, engine = _build_session(options)
-    if engine is not None and on_heartbeat is not None:
-        last = [0.0]
-
-        def _beat(eng) -> None:
-            now = time.perf_counter()
-            if now - last[0] >= heartbeat_interval:
-                last[0] = now
-                on_heartbeat(heartbeat_frame(
-                    "service", getattr(eng, "statistics", {}) or {}))
-
-        engine.on_restart = _beat
     abs_deadline = (time.perf_counter() + deadline
                     if deadline is not None else None)
-    register(session)
-    try:
-        with DeadlineWatchdog(engine, abs_deadline), \
-                _CancelPump(session, was_cancelled):
-            result = synth.solve(problem, options, session=session)
-    finally:
-        register(None)
+    result, engine = supervised_solve(
+        problem, options, "service", deadline=abs_deadline,
+        cancelled=was_cancelled, heartbeat=on_heartbeat,
+        heartbeat_interval=heartbeat_interval, on_session=register)
     cancelled = was_cancelled() and result.status == "unknown"
     deadline_exceeded = (not cancelled and result.status == "unknown"
                          and abs_deadline is not None
@@ -243,13 +175,7 @@ def _register_child(session: Optional[Session]) -> None:
 def service_worker_main(conn, heartbeat_interval: float) -> None:
     """Entry point of one persistent worker process."""
     signal.signal(signal.SIGUSR1, _child_sigusr1)
-
-    def beat(frame: dict) -> None:
-        try:
-            conn.send(frame)
-        except (BrokenPipeError, OSError):
-            pass
-
+    beat = pipe_sink(conn)
     while True:
         try:
             msg = conn.recv()
@@ -301,77 +227,40 @@ class ServiceWorker:
         self.policy = policy or SupervisionPolicy()
         self.name = name
         self.restarts = 0
-        self._proc: Optional[mp.Process] = None
-        self._conn = None
-        self._spawn()
+        self._worker = self._spawn()
 
     # -- lifecycle -------------------------------------------------------
 
-    def _spawn(self) -> None:
-        parent, child = mp.Pipe()
-        proc = mp.Process(
-            target=service_worker_main,
-            args=(child, self.policy.heartbeat_interval),
-            daemon=True, name=f"service-worker-{self.name}",
-        )
-        proc.start()
-        child.close()
-        self._proc, self._conn = proc, parent
+    def _spawn(self) -> WorkerProcess:
+        return WorkerProcess(
+            service_worker_main, (self.policy.heartbeat_interval,),
+            name=f"service-worker-{self.name}", duplex=True,
+            kill_grace=self.policy.kill_grace)
 
     @property
     def alive(self) -> bool:
-        return self._proc is not None and self._proc.is_alive()
+        return self._worker.alive
 
     @property
     def pid(self) -> Optional[int]:
-        return self._proc.pid if self._proc is not None else None
+        return self._worker.pid
 
     def restart(self) -> None:
         """Reap whatever is left and spawn a fresh process."""
-        self._reap()
-        self._spawn()
+        self._worker.reap()
+        self._worker = self._spawn()
         self.restarts += 1
-
-    def _reap(self) -> None:
-        proc, self._proc = self._proc, None
-        conn, self._conn = self._conn, None
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if proc is None:
-            return
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(self.policy.kill_grace)
-            if proc.is_alive():
-                proc.kill()
-                proc.join()
-        else:
-            proc.join()
 
     def close(self) -> None:
         """Graceful shutdown: ask nicely, then reap."""
-        if self._conn is not None and self.alive:
-            try:
-                self._conn.send({"kind": KIND_SHUTDOWN})
-                self._proc.join(self.policy.kill_grace)
-            except (BrokenPipeError, OSError):
-                pass
-        self._reap()
+        self._worker.send({"kind": KIND_SHUTDOWN})
+        self._worker.reap(linger=True)
 
     # -- requests --------------------------------------------------------
 
     def cancel(self) -> bool:
         """Interrupt the in-flight solve (SIGUSR1 -> session.interrupt)."""
-        if not self.alive:
-            return False
-        try:
-            os.kill(self._proc.pid, signal.SIGUSR1)
-            return True
-        except (ProcessLookupError, OSError):
-            return False
+        return self._worker.signal(signal.SIGUSR1)
 
     def solve(self, request_id: str, problem, options,
               deadline: Optional[float] = None,
@@ -379,50 +268,36 @@ class ServiceWorker:
               ) -> Dict[str, object]:
         """Dispatch one request and block for its payload.
 
-        Raises :class:`WorkerCrashed` on pipe EOF (the child died) and
-        :class:`WorkerStalled` — after reaping the child — when nothing
-        came back by the deadline plus grace.  The caller owns retries.
+        Raises :class:`WorkerCrashed` when the child died (pipe EOF)
+        and :class:`WorkerStalled` — after reaping the child — when
+        nothing came back by the deadline plus grace; the caller owns
+        retries.  Every frame that is not this request's result —
+        heartbeat, garbage, a stale result — goes to ``on_heartbeat``.
         """
-        if not self.alive:
+        if not self._worker.send({"kind": KIND_REQUEST, "id": request_id,
+                                  "problem": problem, "options": options,
+                                  "deadline": deadline}):
             raise WorkerCrashed(f"worker {self.name} is not running")
-        try:
-            self._conn.send({"kind": KIND_REQUEST, "id": request_id,
-                             "problem": problem, "options": options,
-                             "deadline": deadline})
-        except (BrokenPipeError, OSError) as exc:
-            raise WorkerCrashed(f"worker {self.name}: {exc}") from None
         hard = (time.perf_counter() + deadline
                 + self.policy.kill_grace + _DEADLINE_SLACK
                 if deadline is not None else None)
         while True:
-            try:
-                if self._conn.poll(_POLL):
-                    frame = self._conn.recv()
-                else:
-                    frame = None
-            except (EOFError, OSError):
-                raise WorkerCrashed(
-                    f"worker {self.name} died mid-request") from None
-            if frame is not None:
-                kind = frame.get("kind")
+            # Sampled before the read: whatever a dead child sent is
+            # queued by now, so one more drain sees all of it even when
+            # the EOF itself is held up (a sibling forked meanwhile may
+            # still hold the child's pipe end).
+            gone = not self._worker.alive
+            for kind, frame in self._worker.drain(_POLL):
                 if kind == KIND_RESULT and frame.get("id") == request_id:
                     return frame["payload"]
-                if kind == KIND_HEARTBEAT and on_heartbeat is not None:
+                if kind == DIED:
+                    gone = True
+                elif on_heartbeat is not None:
                     on_heartbeat(frame)
-                continue
-            if not self.alive:
-                # Drain any final frames racing the death notice.
-                try:
-                    while self._conn.poll(0):
-                        frame = self._conn.recv()
-                        if (frame.get("kind") == KIND_RESULT
-                                and frame.get("id") == request_id):
-                            return frame["payload"]
-                except (EOFError, OSError):
-                    pass
+            if gone:
                 raise WorkerCrashed(f"worker {self.name} died mid-request")
             if hard is not None and time.perf_counter() >= hard:
-                self._reap()
+                self._worker.reap()
                 raise WorkerStalled(
                     f"worker {self.name} stalled past its deadline")
 

@@ -147,7 +147,7 @@ class TestExactArith:
 class TestFrameDrift:
     def test_bare_literal_and_unknown_kind(self, tmp_path):
         report = run(tmp_path, FrameDriftChecker(scope=()), """\
-            from repro.portfolio.frames import KIND_RESULT
+            from repro.runtime.frames import KIND_RESULT
 
             def emit(conn):
                 conn.send({"kind": "result", "payload": 1})
@@ -160,13 +160,13 @@ class TestFrameDrift:
             """)
         messages = [f.message for f in report.unsuppressed]
         assert ("frame kind constructed as bare literal 'result'; use the "
-                "repro.portfolio.frames constant") in messages
+                "repro.runtime.frames constant") in messages
         assert ("frame kind constructed from an expression the registry "
                 "cannot resolve") in messages
 
     def test_constructed_without_consumer_is_drift(self, tmp_path):
         report = run(tmp_path, FrameDriftChecker(scope=()), """\
-            from repro.portfolio.frames import KIND_HEARTBEAT
+            from repro.runtime.frames import KIND_HEARTBEAT
 
             def emit(conn):
                 conn.send({"kind": KIND_HEARTBEAT})
@@ -177,7 +177,7 @@ class TestFrameDrift:
 
     def test_consumed_without_producer_is_drift(self, tmp_path):
         report = run(tmp_path, FrameDriftChecker(scope=()), """\
-            from repro.portfolio.frames import KIND_SHUTDOWN
+            from repro.runtime.frames import KIND_SHUTDOWN
 
             def pump(msg):
                 return msg.get("kind") == KIND_SHUTDOWN
@@ -197,7 +197,7 @@ class TestFrameDrift:
 
     def test_clean_pair_and_membership_dispatch(self, tmp_path):
         report = run(tmp_path, FrameDriftChecker(scope=()), """\
-            from repro.portfolio.frames import (ARTIFACT_CLAUSES,
+            from repro.runtime.frames import (ARTIFACT_CLAUSES,
                                                 ARTIFACT_KINDS,
                                                 ARTIFACT_PREFIX,
                                                 ARTIFACT_VETO)
@@ -223,7 +223,7 @@ class TestFrameDrift:
 
     def test_cross_file_pairing(self, tmp_path):
         (tmp_path / "producer.py").write_text(textwrap.dedent("""\
-            from repro.portfolio.frames import KIND_REQUEST
+            from repro.runtime.frames import KIND_REQUEST
 
             def ask(conn):
                 conn.send({"kind": KIND_REQUEST})
@@ -356,7 +356,7 @@ class TestResourceHygiene:
 class TestFrameProtocol:
     def test_send_after_result_golden(self, tmp_path):
         report = run(tmp_path, FrameProtocolChecker(scope=()), """\
-            from repro.portfolio.frames import KIND_HEARTBEAT, KIND_RESULT
+            from repro.runtime.frames import KIND_HEARTBEAT, KIND_RESULT
 
             def finish(conn):
                 conn.send({"kind": KIND_RESULT, "payload": 1})
@@ -370,7 +370,7 @@ class TestFrameProtocol:
 
     def test_send_after_close(self, tmp_path):
         report = run(tmp_path, FrameProtocolChecker(scope=()), """\
-            from repro.portfolio.frames import KIND_RESULT
+            from repro.runtime.frames import KIND_RESULT
 
             def reopen(conn):
                 conn.close()
@@ -386,7 +386,7 @@ class TestFrameProtocol:
         # Path-sensitive: only one branch sends the result, so the
         # trailing heartbeat is illegal on *some* path.
         report = run(tmp_path, FrameProtocolChecker(scope=()), """\
-            from repro.portfolio.frames import KIND_HEARTBEAT, KIND_RESULT
+            from repro.runtime.frames import KIND_HEARTBEAT, KIND_RESULT
 
             def maybe(conn, flag):
                 if flag:
@@ -401,7 +401,7 @@ class TestFrameProtocol:
 
     def test_double_request(self, tmp_path):
         report = run(tmp_path, FrameProtocolChecker(scope=()), """\
-            from repro.portfolio.frames import KIND_REQUEST
+            from repro.runtime.frames import KIND_REQUEST
 
             def ask_twice(conn):
                 conn.send({"kind": KIND_REQUEST})
@@ -415,7 +415,7 @@ class TestFrameProtocol:
 
     def test_constructor_and_variable_resolution(self, tmp_path):
         report = run(tmp_path, FrameProtocolChecker(scope=()), """\
-            from repro.portfolio.frames import KIND_HEARTBEAT, KIND_RESULT
+            from repro.runtime.frames import KIND_HEARTBEAT, KIND_RESULT
 
             def result_frame(payload):
                 return {"kind": KIND_RESULT, "payload": payload}
@@ -433,7 +433,7 @@ class TestFrameProtocol:
 
     def test_clean_stream_and_request_reply(self, tmp_path):
         report = run(tmp_path, FrameProtocolChecker(scope=()), """\
-            from repro.portfolio.frames import (KIND_ARTIFACT,
+            from repro.runtime.frames import (KIND_ARTIFACT,
                                                 KIND_HEARTBEAT,
                                                 KIND_RESULT,
                                                 KIND_SHUTDOWN)
@@ -463,7 +463,7 @@ class TestFrameProtocol:
 
     def test_suppressed(self, tmp_path):
         report = run(tmp_path, FrameProtocolChecker(scope=()), """\
-            from repro.portfolio.frames import KIND_RESULT
+            from repro.runtime.frames import KIND_RESULT
 
             def replay(conn):
                 conn.send({"kind": KIND_RESULT, "payload": 1})
@@ -478,7 +478,7 @@ class TestFrameProtocol:
         (tmp_path / "repro" / "__init__.py").write_text("")
         (pkg / "__init__.py").write_text("")
         (pkg / "cache.py").write_text(textwrap.dedent("""\
-            from repro.portfolio.frames import ARTIFACT_CLAUSES, KIND_RESULT
+            from repro.runtime.frames import ARTIFACT_CLAUSES, KIND_RESULT
 
             def entry(payload):
                 return {"kind": ARTIFACT_CLAUSES, "payload": payload}
