@@ -5,16 +5,25 @@ variant of it (same Fig. 1 topology and Table I stability rows, sensor
 ``i`` talking to controller ``i + 1``) -- are encoded and solved **once**
 with a recording ``Simplex`` in the theory's place.  That yields, per
 engine the run created, the exact sequence of ``new_var`` / ``add_row`` /
-``assert_lower`` / ``assert_upper`` / ``check`` / ``undo_to`` calls the
-staged checks made.  The timed part replays those sequences on fresh
-``Simplex`` objects: nothing but the kernel runs (no encoder, no SAT core,
-no difference logic, no propagation watches), so wall time moves only
-with the tableau code.  The replay must reproduce every recorded verdict,
-and the pivot count must be the same in every round.
+``scaled_bound`` / ``assert_lower`` / ``assert_upper`` / ``check`` /
+``undo_to`` calls the staged checks made.  The timed part replays those
+sequences on fresh ``Simplex`` objects: nothing but the kernel runs (no
+encoder, no SAT core, no difference logic, no propagation watches), so
+wall time moves only with the tableau code.  Bounds are asserted as the
+integer pairs the theory handed over, which are in the engine's scale of
+that moment; ``scaled_bound`` is replayed because it is one of the calls
+that grow the scale, so the fresh engine is in the same scale at the same
+step.  The replay must reproduce every recorded verdict, the pivot count
+must be the same in every round, and at the default size it must be the
+629 pivots every earlier representation of the tableau took (508 at the
+CI smoke size).
 
 Reported per round and as median / IQR over the rounds: pivots, wall,
-pivots per second.  The numbers in docs/perf.md ("Fraction-free simplex
-rows") come from this script.
+pivots per second; and once, the bit length of the largest final scale
+(a few dozen bits on the paper's timing constants -- a scale that kept
+growing is the one way integer betas could lose to ``Fraction`` ones).
+The numbers in docs/perf.md ("Fraction-free simplex rows", "Fractions
+leave the search loop") come from this script.
 
 Usage:
     PYTHONPATH=src python benchmarks/simplex_pivots.py [rounds] [n_apps]
@@ -35,10 +44,13 @@ from repro.smt.simplex import Simplex  # noqa: E402
 
 #: The mutating calls of the kernel's public surface, as LraTheory uses it
 #: (``watch_var`` is left out: it only feeds theory propagation).
-RECORDED = ("new_var", "add_row", "assert_lower", "assert_upper",
-            "check", "undo_to")
+RECORDED = ("new_var", "add_row", "scaled_bound", "assert_lower",
+            "assert_upper", "check", "undo_to")
 #: Those of them that answer None or a conflict explanation.
 VERDICTS = ("assert_lower", "assert_upper", "check")
+#: n_apps -> pivots of one replay, unchanged since PR 12 (4 is the
+#: default size, 3 the CI smoke).
+EXPECTED_PIVOTS = {3: 508, 4: 629}
 
 
 def cross_wired(n_apps):
@@ -49,8 +61,13 @@ def cross_wired(n_apps):
     return SynthesisProblem(base.network, apps, base.delays)
 
 
-def _recorded(name):
-    method = getattr(Simplex, name)
+def conflicted(name, result):
+    """What a replay must reproduce of a kernel call: did it conflict."""
+    return name in VERDICTS and result is not None
+
+
+def _recorded(base, name, observe):
+    method = getattr(base, name)
 
     def call(self, *args):
         if self.nested:         # add_row allocating its slack variable
@@ -60,49 +77,53 @@ def _recorded(name):
             result = method(self, *args)
         finally:
             self.nested = False
-        self.trace.append((name, args,
-                           name in VERDICTS and result is not None))
+        self.trace.append((name, args, observe(name, result)))
         return result
     return call
 
 
-def record(problem, options):
-    """Solve once; return one call trace per Simplex the run created.
+def record(problem, options, base=Simplex, recorded=RECORDED,
+           observe=conflicted):
+    """Solve once with a recording subclass of ``base`` in the theory's
+    place; return one call trace per engine the run created.
 
-    A trace entry is ``(method, args, conflicted)``.
+    A trace is ``(constructor kwargs, [(method, args, observed), ...])``.
+    (Also the recorder of ``difflogic_relax.py``.)
     """
     traces = []
 
-    class RecordingSimplex(Simplex):
-        def __init__(self):
-            super().__init__()
+    class Recording(base):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
             self.trace = []
             self.nested = False
-            traces.append(self.trace)
+            traces.append((kwargs, self.trace))
 
-    for name in RECORDED:
-        setattr(RecordingSimplex, name, _recorded(name))
-    theory.Simplex = RecordingSimplex
+    for name in recorded:
+        setattr(Recording, name, _recorded(base, name, observe))
+    setattr(theory, base.__name__, Recording)
     try:
         result = solve(problem, options)
     finally:
-        theory.Simplex = Simplex
+        setattr(theory, base.__name__, base)
     return result.status, traces
 
 
 def replay(traces):
-    """Run every trace on a fresh Simplex; returns (pivots, wall seconds)."""
-    pivots = 0
+    """Run every trace on a fresh Simplex; returns (pivots, wall seconds,
+    bit length of the largest final scale)."""
+    pivots = scale_bits = 0
     start = time.perf_counter()
-    for trace in traces:
-        sx = Simplex()
-        for name, args, conflicted in trace:
+    for kwargs, trace in traces:
+        sx = Simplex(**kwargs)
+        for name, args, seen in trace:
             result = getattr(sx, name)(*args)
             if name in VERDICTS:
-                assert (result is not None) == conflicted, (
+                assert (result is not None) == seen, (
                     "replay diverged from the recorded run")
         pivots += sx.pivots
-    return pivots, time.perf_counter() - start
+        scale_bits = max(scale_bits, sx.scale.bit_length())
+    return pivots, time.perf_counter() - start, scale_bits
 
 
 def median_iqr(values):
@@ -120,26 +141,29 @@ def main():
     for name, problem in (("gm", gm_case_study(n_apps)),
                           ("gm-cross", cross_wired(n_apps))):
         status, recorded = record(problem, options)
-        calls = sum(len(trace) for trace in recorded)
-        checks = sum(1 for trace in recorded for call in trace
+        calls = sum(len(trace) for _, trace in recorded)
+        checks = sum(1 for _, trace in recorded for call in trace
                      if call[0] == "check")
         print(f"recorded {name}({n_apps}): {status}, {len(recorded)} "
               f"engine(s), {calls} kernel calls, {checks} checks")
         traces.extend(recorded)
     walls, rates, counts = [], [], set()
     for r in range(rounds):
-        pivots, wall = replay(traces)
+        pivots, wall, scale_bits = replay(traces)
         counts.add(pivots)
         walls.append(wall)
         rates.append(pivots / wall)
         print(f"[round {r + 1}] {pivots} pivots  {wall:6.3f}s  "
               f"{pivots / wall:>8,.0f} pivots/s")
     assert len(counts) == 1, f"pivot count varies between rounds: {counts}"
+    if n_apps in EXPECTED_PIVOTS:
+        assert counts == {EXPECTED_PIVOTS[n_apps]}, f"the search moved: {counts}"
     wall_med, wall_iqr = median_iqr(walls)
     rate_med, rate_iqr = median_iqr(rates)
     print(f"pivots {counts.pop()}  wall median {wall_med:.3f}s "
           f"(IQR {wall_iqr:.3f})  pivots/s median {rate_med:,.0f} "
           f"(IQR {rate_iqr:,.0f})  over {rounds} round(s)")
+    print(f"largest final scale: {scale_bits} bits")
 
 
 if __name__ == "__main__":

@@ -1,11 +1,18 @@
 """``exact-arith`` v2: intraprocedural float-taint in the exact cores.
 
-The difference-logic engine is scaled-integer and the simplex core is
-Fraction-exact; both prove *theory lemmas* the SAT core then treats as
-ground truth, so a single rounding error becomes an unsound refutation.
-PR 9's syntactic rule flagged direct float expressions only — a float
-smuggled through a variable (``g = time.monotonic(); self._t = g``)
-passed unnoticed.
+The difference-logic engine and the simplex core both hold their state
+as integers over one scale per engine (``ScaledEngine``: a stored pair
+``(r, d)`` stands for ``(r + d*delta) / S``), and the theory glue hands
+them bounds in those units; all three prove *theory lemmas* the SAT core
+then treats as ground truth, so a single rounding error becomes an
+unsound refutation.  With integer state the two ways to round are a
+float and a ``//`` that leaves a remainder.  This rule sees the first;
+the second is kept out by construction — every ``//`` on solver state
+sits behind the scale step (or gcd) that makes it exact, and
+``tests/smt/test_simplex_scaled.py`` fails on a mutant that divides
+first.  PR 9's syntactic rule flagged direct float expressions only — a
+float smuggled through a variable (``g = time.monotonic(); self._t =
+g``) passed unnoticed.
 
 v2 runs the :mod:`repro.analysis.dataflow` taint analysis per function
 and flags taint only where it *escapes* into exactness-critical places:
@@ -18,8 +25,8 @@ and flags taint only where it *escapes* into exactness-critical places:
 * in-place true division on solver state.
 
 Booleans from comparisons are not floats, so a verdict derived from a
-float comparison flows freely.  Neither exact core holds a float today,
-so the tree carries no ``allow[exact-arith]`` pragma.
+float comparison flows freely.  None of the exact modules holds a float
+today, so the tree carries no ``allow[exact-arith]`` pragma.
 Parameters with float defaults start tainted; other parameters are
 assumed exact (the analysis is intraprocedural).
 """
@@ -109,7 +116,7 @@ class ExactArithChecker(Checker):
     rule = RULE
     description = ("float taint escaping into solver state, exact "
                    "constructors, or returns of exact modules")
-    scope = ("repro.smt.difflogic", "repro.smt.simplex")
+    scope = ("repro.smt.difflogic", "repro.smt.simplex", "repro.smt.theory")
 
     def __init__(self, scope: Optional[Tuple[str, ...]] = None) -> None:
         if scope is not None:
@@ -197,7 +204,8 @@ class ExactArithChecker(Checker):
                 yield Finding(
                     rule=RULE, path=unit.path, line=stmt.lineno,
                     message=f"in-place true division on solver state "
-                            f"`{state}` (use Fraction or `//`)")
+                            f"`{state}` (use `//`, behind the scale "
+                            "step or gcd that makes it exact)")
         elif isinstance(stmt, ast.Return) and stmt.value is not None:
             origin = eval_taint(stmt.value, dict(env), ctx)
             if origin is not None:

@@ -26,11 +26,16 @@ _MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear",
              "add", "discard", "update", "setdefault", "popitem"}
 
 #: module -> (trail-backed attribute names, methods allowed to mutate them)
+#: ``_rescale`` is each engine's change of units: it multiplies the live
+#: values in place and leaves the trail list alone (the DL engine scales
+#: the parked ``_Edge`` cells, the simplex parks each bound with its scale
+#: and ``undo_to`` brings it up to date).
 DEFAULT_CONTRACTS: Dict[str, Tuple[Set[str], Set[str]]] = {
     "repro.smt.simplex": (
         {"_lower", "_upper", "_lower_lit", "_upper_lit", "_trail",
          "touched_bounds"},
-        {"__init__", "new_var", "undo_to", "assert_lower", "assert_upper"},
+        {"__init__", "new_var", "undo_to", "assert_lower", "assert_upper",
+         "_rescale"},
     ),
     "repro.smt.difflogic": (
         {"_out", "_in", "_trail", "_fresh"},

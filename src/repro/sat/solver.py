@@ -960,12 +960,9 @@ class SatSolver:
             self._enqueue(2 * v if phase else 2 * v + 1, None)
 
     def _theory_head(self) -> int:
-        head = getattr(self, "_theory_qhead", 0)
+        head = self._theory_qhead
         self._theory_qhead = len(self._trail)
         return head
-
-    def cancel_theory_head(self, n_kept: int) -> None:
-        self._theory_qhead = min(getattr(self, "_theory_qhead", 0), n_kept)
 
     def _assumption_level(self, assumptions: Sequence[int]) -> int:
         return min(len(assumptions), self.decision_level)

@@ -36,22 +36,25 @@ inside ``Fraction``'s operator dispatch.  All quantities are therefore
 stored as *scaled integer pairs*: a delta-rational ``a + b*delta`` becomes
 ``(a*S, b*S)`` for one engine-wide positive integer scale ``S``.  Sums and
 comparisons are then plain (lexicographic) machine-integer operations with
-no allocation.  ``S`` grows lazily (by an LCM step that rescales all stored
-state) whenever an asserted bound needs a finer denominator; on the paper's
-workloads the denominators come from a small fixed set of timing constants,
-so rescaling happens a handful of times per run and the arithmetic is
-exact — this is a change of units, not an approximation.
+no allocation.  ``S`` grows (by an LCM step that rescales all stored
+state) whenever a bound with a finer denominator is converted
+(:meth:`~repro.smt.rationals.ScaledEngine.scaled_bound` — the theory
+converts each atom's bounds once, when it registers the atom, and asserts
+the ready pairs); on the paper's workloads the denominators come from a
+small fixed set of timing constants, so rescaling happens a handful of
+times per run and the arithmetic is exact — this is a change of units,
+not an approximation.  The simplex runs on the same representation with a
+scale of its own.
 """
 
 from __future__ import annotations
 
-import math
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
 from fractions import Fraction
 
-from .rationals import DeltaRational
+from .rationals import DeltaRational, Scaled, ScaledEngine
 
 #: Default cap on heap pops per SSSP direction (see ``implied_bounds``):
 #: bounds the incremental propagation pass so dense graphs or easy
@@ -75,7 +78,7 @@ class _Edge:
         self.lit = lit
 
 
-class DifferenceLogic:
+class DifferenceLogic(ScaledEngine):
     """Incremental feasibility of difference constraints with explanations.
 
     Nodes are dense integer ids allocated by :meth:`new_node`.  Node 0 is
@@ -85,8 +88,7 @@ class DifferenceLogic:
 
     def __init__(self, propagation: bool = True,
                  effort_cap: int = DEFAULT_EFFORT_CAP) -> None:
-        #: Engine-wide denominator: stored value (r, d) means (r + d*delta)/S.
-        self._scale = 1
+        super().__init__()
         self._pi_r: List[int] = [0]
         self._pi_d: List[int] = [0]
         # adjacency: u -> {v: _Edge} keeping only the tightest active edge.
@@ -102,7 +104,6 @@ class DifferenceLogic:
         self._propagation = propagation
         self._effort_cap = effort_cap
         self._watch_src: Dict[int, List[int]] = {}
-        self._watch_bound: Dict[Tuple[int, int], DeltaRational] = {}
         self._thresh: Dict[Tuple[int, int], Tuple[int, int]] = {}
         # Per-source loosest threshold: lets a pass skip a whole source
         # with one comparison when even its best conceivable path is
@@ -134,49 +135,25 @@ class DifferenceLogic:
         """Current undo-trail position (for backtracking)."""
         return len(self._trail)
 
-    def watch_pair(self, src: int, dst: int, bound: DeltaRational) -> None:
+    def watch_pair(self, src: int, dst: int, bound: Scaled) -> None:
         """Derive transitive bounds on ``val(dst) - val(src)`` (paths
         ``src -> ... -> dst``) in :meth:`implied_bounds`.
 
-        ``bound`` is the loosest derived bound the caller can still use
-        (e.g. the largest registered atom bound on this pair): stricter
-        derivations are reported, anything weaker is pruned inside the
-        pass.
+        ``bound`` (a :meth:`scaled_bound` pair in the current scale) is
+        the loosest derived bound the caller can still use (e.g. the
+        largest registered atom bound on this pair): stricter derivations
+        are reported, anything weaker is pruned inside the pass.
         """
         key = (src, dst)
-        # Fold the bound's denominators into the engine scale even when
-        # the pair's threshold does not change: every bound ever passed
-        # here must stay exactly representable, so that later
-        # scaled_bound() conversions (the theory's scaled watch mirror)
-        # can never trigger a rescale mid-rebuild and compare
-        # mixed-scale quantities.
-        scaled = self._scaled(bound)
-        prev = self._watch_bound.get(key)
+        prev = self._thresh.get(key)
         if prev is None:
             self._watch_src.setdefault(src, []).append(dst)
         elif bound <= prev:
             return
-        self._watch_bound[key] = bound
-        self._thresh[key] = scaled
+        self._thresh[key] = bound
         cur = self._src_max.get(src)
-        if cur is None or scaled[0] > cur[0] or (
-            scaled[0] == cur[0] and scaled[1] > cur[1]
-        ):
-            self._src_max[src] = scaled
-
-    @property
-    def scale(self) -> int:
-        """The engine-wide integer scale (changes only on rescaling)."""
-        return self._scale
-
-    def scaled_bound(self, bound: DeltaRational) -> Tuple[int, int]:
-        """``bound`` in the engine's current integer scale.
-
-        Consumers caching scaled comparisons (see
-        :meth:`repro.smt.theory.LraTheory.propagate`) key their cache by
-        :attr:`scale` and convert through this.
-        """
-        return self._scaled(bound)
+        if cur is None or bound > cur:
+            self._src_max[src] = bound
 
     def undo_to(self, mark: int) -> None:
         """Remove all edges asserted after ``mark``."""
@@ -232,22 +209,11 @@ class DifferenceLogic:
                 for src, (tr, td) in self._src_max.items()
             }
 
-    def _scaled(self, bound: DeltaRational) -> Tuple[int, int]:
-        """Convert a delta-rational to the engine's integer scale."""
-        real, delta = bound.real, bound.delta
-        scale = self._scale
-        rden, dden = real.denominator, delta.denominator
-        if scale % rden or scale % dden:
-            need = rden * dden // math.gcd(rden, dden)
-            self._rescale(need // math.gcd(need, scale))
-            scale = self._scale
-        return (real.numerator * (scale // rden),
-                delta.numerator * (scale // dden))
-
     def assert_constraint(
-        self, x: int, y: int, bound: DeltaRational, lit: int
+        self, x: int, y: int, bound: Scaled, lit: int
     ) -> Optional[List[int]]:
-        """Assert ``val(x) - val(y) <= bound`` (edge ``y -> x``).
+        """Assert ``val(x) - val(y) <= bound`` (edge ``y -> x``), with
+        ``bound`` a :meth:`scaled_bound` pair in the current scale.
 
         Returns None if still feasible, otherwise the list of literals of a
         negative cycle (including ``lit``), and leaves the engine state
@@ -261,7 +227,7 @@ class DifferenceLogic:
         cheaper than the search it saves.
         """
         u, v = y, x
-        wr, wd = self._scaled(bound)
+        wr, wd = bound
         existing = self._out[u].get(v)
         if existing is not None and (
             existing.wr < wr or (existing.wr == wr and existing.wd <= wd)
@@ -496,27 +462,49 @@ class DifferenceLogic:
         budget = self._effort_cap
         while heap and budget > 0:
             dr, dd, x = heappop(heap)
-            if x in settled or dist.get(x) != (dr, dd):
-                continue  # stale entry
+            if x in settled:
+                # Stale entry.  Keys of one node are pushed in strictly
+                # decreasing order and never after it settled, so its
+                # first pop carried its minimum.
+                continue
             settled[x] = (dr, dd)
             budget -= 1
-            for y, e in adj[x].items():
-                if y in settled:
-                    continue
-                if backward:
-                    # e is the edge y -> x; cost of prepending it.
-                    er = pi_r[y] + e.wr - pi_r[x]
-                    ed = pi_d[y] + e.wd - pi_d[x]
-                else:
-                    # e is the edge x -> y; cost of appending it.
-                    er = pi_r[x] + e.wr - pi_r[y]
-                    ed = pi_d[x] + e.wd - pi_d[y]
-                nr, nd = dr + er, dd + ed
-                cur = dist.get(y)
-                if cur is None or nr < cur[0] or (nr == cur[0] and nd < cur[1]):
-                    dist[y] = (nr, nd)
-                    parent[y] = (x, e.lit)
-                    heappush(heap, (nr, nd, y))
+            # The reduced cost of an edge between x and y has x's own
+            # potential in it: fold that into the distance once per pop.
+            # The delta component is needed only when the real one does
+            # not already lose.
+            if backward:
+                # e is the edge y -> x; cost of prepending it.
+                base_r = dr - pi_r[x]
+                base_d = dd - pi_d[x]
+                for y, e in adj[x].items():
+                    if y in settled:
+                        continue
+                    nr = base_r + e.wr + pi_r[y]
+                    cur = dist.get(y)
+                    if cur is not None and nr > cur[0]:
+                        continue
+                    nd = base_d + e.wd + pi_d[y]
+                    if cur is None or nr < cur[0] or nd < cur[1]:
+                        dist[y] = (nr, nd)
+                        parent[y] = (x, e.lit)
+                        heappush(heap, (nr, nd, y))
+            else:
+                # e is the edge x -> y; cost of appending it.
+                base_r = dr + pi_r[x]
+                base_d = dd + pi_d[x]
+                for y, e in adj[x].items():
+                    if y in settled:
+                        continue
+                    nr = base_r + e.wr - pi_r[y]
+                    cur = dist.get(y)
+                    if cur is not None and nr > cur[0]:
+                        continue
+                    nd = base_d + e.wd - pi_d[y]
+                    if cur is None or nr < cur[0] or nd < cur[1]:
+                        dist[y] = (nr, nd)
+                        parent[y] = (x, e.lit)
+                        heappush(heap, (nr, nd, y))
         return settled, parent
 
     def _path_lits(

@@ -5,14 +5,21 @@ positive infinitesimal.  Strict bounds like ``x > 3`` are represented as the
 non-strict bound ``x >= 3 + delta``; at model-extraction time ``delta`` is
 materialized as a concrete small positive rational (see
 :func:`materialize_delta`).
+
+Both theory engines keep their *state* not as ``DeltaRational`` objects
+but as integer pairs over one scale per engine (:class:`ScaledEngine`);
+``DeltaRational`` is what crosses their cold public API.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from math import gcd, lcm
+from typing import Iterable, Tuple, Union
 
 Number = Union[int, Fraction]
+#: A bound or value in an engine's scale: ``(real * S, delta * S)``.
+Scaled = Tuple[int, int]
 
 
 class DeltaRational:
@@ -119,16 +126,67 @@ def materialize_delta(pairs: Iterable[tuple[DeltaRational, DeltaRational]]) -> F
     the delta-rational order; the returned epsilon keeps
     ``lo.real + lo.delta*eps <= hi.real + hi.delta*eps`` for every pair.
     """
-    eps = Fraction(1)
-    for lo, hi in pairs:
-        dreal = hi.real - lo.real
-        ddelta = lo.delta - hi.delta
-        # Need dreal >= ddelta * eps; only binding when ddelta > 0.
+    return materialize_gaps(
+        (hi.real - lo.real, lo.delta - hi.delta) for lo, hi in pairs
+    )
+
+
+def materialize_gaps(gaps: Iterable[Tuple[Number, Number]]) -> Fraction:
+    """:func:`materialize_delta` over ``(dreal, ddelta)`` gaps.
+
+    A gap is ``(hi.real - lo.real, lo.delta - hi.delta)`` of an ordered
+    pair, in any one unit (epsilon is a ratio of the two, hence
+    scale-free): the result keeps ``dreal >= ddelta * eps`` for every
+    gap — half the tightest ``dreal / ddelta``, capped at 1.  All-integer
+    gaps cost integer compares only and one ``Fraction`` at the end.
+    """
+    num, den = 1, 1
+    for dreal, ddelta in gaps:
+        # Only binding when ddelta > 0.
         if ddelta > 0:
-            limit = dreal / ddelta
-            if limit <= 0:
+            if dreal <= 0:
                 raise ValueError("inconsistent delta-rational ordering")
-            eps = min(eps, limit / 2 if dreal > 0 else limit)
-    if eps <= 0:
-        raise ValueError("no feasible delta materialization")
-    return eps
+            if dreal * den < 2 * ddelta * num:
+                num, den = dreal, 2 * ddelta
+    return Fraction(num, den)
+
+
+class ScaledEngine:
+    """Exact state in integers over one positive scale ``S`` per engine.
+
+    A stored pair ``(r, d)`` stands for the delta-rational
+    ``(r + d*delta) / S``, so sums and (lexicographic) comparisons are
+    plain integer operations with no allocation.  ``S`` only ever grows,
+    by an integer factor that multiplies every stored value
+    (:meth:`_rescale`): a change of units, not an approximation.  Pairs
+    handed out earlier are brought to the current scale by multiplying
+    with ``S // scale_then``.
+    """
+
+    def __init__(self) -> None:
+        self._scale = 1
+
+    @property
+    def scale(self) -> int:
+        """The engine-wide integer scale (changes only on rescaling)."""
+        return self._scale
+
+    def scaled_bound(self, real: Number, delta: Number = 0) -> Scaled:
+        """``real + delta*d`` as an integer pair in the engine's scale.
+
+        Folds both denominators into the scale *first* (growing it when
+        one of them does not divide it yet), so the conversion is exact
+        and a value once converted stays representable for good.
+        """
+        scale = self._scale
+        rden, dden = real.denominator, delta.denominator
+        if scale % rden or scale % dden:
+            need = lcm(rden, dden)
+            self._rescale(need // gcd(need, scale))
+            scale = self._scale
+        return (real.numerator * (scale // rden),
+                delta.numerator * (scale // dden))
+
+    def _rescale(self, factor: int) -> None:
+        """Multiply the scale and every stored value by ``factor``."""
+        raise NotImplementedError

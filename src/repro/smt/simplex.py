@@ -1,9 +1,10 @@
 """General simplex for linear real arithmetic (Dutertre & de Moura, 2006).
 
 This is the *certifying* theory engine of the SMT substrate: it decides
-conjunctions of bounds over variables related by linear rows, with exact
-``Fraction`` arithmetic and :class:`~repro.smt.rationals.DeltaRational`
-bounds for strict inequalities.  The difference-logic engine
+conjunctions of bounds over variables related by linear rows, exactly,
+over ``Q + Q*delta`` (strict inequalities are bounds with a ``delta``
+part, see :class:`~repro.smt.rationals.DeltaRational`).  The
+difference-logic engine
 (:mod:`repro.smt.difflogic`) catches most scheduling conflicts eagerly; the
 simplex handles the paper's non-unit-coefficient *stability* atoms
 (``(1-a)*Lmin + a*Lmax <= b``) and certifies full assignments.
@@ -16,12 +17,35 @@ Hot-path layout
 ---------------
 
 All per-variable state lives in flat parallel lists indexed by variable:
-``beta`` is split into its rational and delta components (two ``Fraction``
-lists) so the pivot/update loops do plain Fraction adds with **no
-DeltaRational allocation**, and delta-component work is skipped entirely
-when the delta part of an update is zero (the common case).  Candidate
-violated variables are kept in a lazy min-heap (Bland's rule pops the
-smallest index directly — no ``sorted()`` per pivot iteration).
+``beta`` is split into its rational and delta components (two lists) so
+the pivot/update loops allocate nothing, and delta-component work is
+skipped entirely when the delta part of an update is zero (the common
+case).  Candidate violated variables are kept in a lazy min-heap (Bland's
+rule pops the smallest index directly — no ``sorted()`` per pivot
+iteration).
+
+Number representation
+---------------------
+
+Every value and bound is an **integer pair over one engine scale** ``S``
+(:class:`~repro.smt.rationals.ScaledEngine`, the same units the
+difference-logic engine runs on): ``beta`` holds ``(real*S, delta*S)``
+split over its two lists, a bound is one ``(real*S, delta*S)`` tuple, so
+the delta-rational order is the tuples' lexicographic order and a bound
+assertion, the Bland scan and a beta update are integer adds, multiplies
+and compares — no ``Fraction`` exists between ``assert_*`` and the return
+of ``check()``.  Bounds come in pre-scaled (:meth:`Simplex.scaled_bound`
+folds their denominators into ``S`` when they are registered, not when
+they are asserted).  Inside ``check()`` the scale grows only when a
+tableau step ``step * coeff / den`` would leave a remainder; the factor
+that removes the remainder is computed *before* the division
+(:meth:`Simplex._step_factor`), every stored value is multiplied by it
+(:meth:`Simplex._rescale`), and only then is ``//`` taken — so each
+``//`` on solver state is exact by construction and nothing is ever
+rounded.  A rescale multiplies both sides of every comparison by the same
+positive integer: Bland's rule sees the same signs and takes the same
+pivots as a ``Fraction`` engine.  ``model()``, ``value()`` and the bound
+getters convert back to ``Fraction`` / ``DeltaRational`` (cold API).
 
 Tableau rows are fraction-free: a basic variable's row is a dict of
 ``int`` numerators plus one positive ``int`` denominator for the whole
@@ -30,7 +54,7 @@ inner loop of a pivot — is machine-integer multiply/add with no
 ``Fraction`` allocated per entry.  The paper's inputs make almost every
 coefficient ±1, so ``den`` is almost always 1 and nothing else happens;
 when it is not, the row is brought back to lowest terms with one
-``gcd(den, *numerators)`` after the substitution (:meth:`_reduce`).
+``gcd(den, *numerators)`` after the substitution (:meth:`Simplex._reduce`).
 Lowest terms make the representation canonical: ``Fraction(num, den)``
 of every entry is exactly the coefficient a ``Fraction`` tableau would
 hold, entries vanish in the same places, and signs agree, so the pivot
@@ -42,27 +66,28 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from .rationals import DeltaRational, materialize_delta
+from .rationals import DeltaRational, Scaled, ScaledEngine, materialize_gaps
 
 NO_LIT = -1
 
 
-class Simplex:
+class Simplex(ScaledEngine):
     """Incremental simplex over ``Q + Q*delta`` with conflict explanations."""
 
     def __init__(self) -> None:
+        super().__init__()
         self._n = 0
-        # Bounds as DeltaRational (assertions are rare; comparisons on the
-        # hot path read .real/.delta directly).
-        self._lower: List[Optional[DeltaRational]] = []
-        self._upper: List[Optional[DeltaRational]] = []
+        # Bounds as (real*S, delta*S) tuples: their lexicographic order
+        # is the delta-rational order.
+        self._lower: List[Optional[Scaled]] = []
+        self._upper: List[Optional[Scaled]] = []
         self._lower_lit: List[int] = []
         self._upper_lit: List[int] = []
-        # beta split into parallel Fraction components.
-        self._beta_r: List[Fraction] = []
-        self._beta_d: List[Fraction] = []
+        # beta in the same scale, split into parallel components.
+        self._beta_r: List[int] = []
+        self._beta_d: List[int] = []
         self._is_basic: List[bool] = []
         # For basic variables: row mapping nonbasic var -> integer
         # numerator (None for nonbasic variables), over the row's one
@@ -72,12 +97,17 @@ class Simplex:
         self._dens: List[int] = []
         # For nonbasic variables: set of basic variables whose row uses them.
         self._cols: List[Set[int]] = []
-        # Bound-change trail: (var, is_lower, old_bound, old_lit, touched)
-        # where ``touched`` records that this assertion added ``var`` to
-        # ``touched_bounds`` — undo then removes it again, so a backjump
-        # never leaves stale entries for the propagation layer to rescan.
+        # Bound-change trail, one entry per assert: None when the assert
+        # tightened nothing, else
+        # (var, is_lower, old_bound, old_scale, old_lit, touched) where
+        # ``old_scale`` is the scale ``old_bound`` was parked in (undo
+        # brings it to the current one; the trail is never rewritten by a
+        # rescale) and ``touched`` records that this assertion added
+        # ``var`` to ``touched_bounds`` — undo then removes it again, so
+        # a backjump never leaves stale entries for the propagation layer
+        # to rescan.
         self._trail: List[
-            Tuple[int, bool, Optional[DeltaRational], int, bool]
+            Optional[Tuple[int, bool, Optional[Scaled], int, int, bool]]
         ] = []
         # Nonbasic variables whose beta may violate a freshly tightened
         # bound; repaired lazily at the start of check().
@@ -112,8 +142,8 @@ class Simplex:
         self._upper.append(None)
         self._lower_lit.append(NO_LIT)
         self._upper_lit.append(NO_LIT)
-        self._beta_r.append(_F0)
-        self._beta_d.append(_F0)
+        self._beta_r.append(0)
+        self._beta_d.append(0)
         self._is_basic.append(False)
         self._rows.append(None)
         self._dens.append(1)
@@ -155,7 +185,16 @@ class Simplex:
         self._reduce(s)
         for v in expanded:
             self._cols[v].add(s)
-        r, d = self._row_value(s)
+        r, d = self._row_sum(s)
+        den = dens[s]
+        if den != 1:
+            factor = _divisible_by(den, r, d)
+            if factor != 1:
+                self._rescale(factor)
+                r *= factor
+                d *= factor
+            r //= den
+            d //= den
         self._beta_r[s] = r
         self._beta_d[s] = d
         return s
@@ -171,24 +210,51 @@ class Simplex:
                 for v in row:
                     row[v] //= g
 
-    def _row_value(self, basic: int) -> Tuple[Fraction, Fraction]:
-        total_r = _F0
-        total_d = _F0
+    def _row_sum(self, basic: int) -> Scaled:
+        """``den * (value of basic's row)``: the numerators over beta."""
+        total_r = total_d = 0
         beta_r, beta_d = self._beta_r, self._beta_d
         for v, n in self._rows[basic].items():
-            # A fresh slack row sits over mostly-zero betas: skip those
-            # instead of multiplying Fractions by them.
-            r, d = beta_r[v], beta_d[v]
-            if r:
-                total_r += r * n
-            if d:
-                total_d += d * n
-        den = self._dens[basic]
-        if den != 1:
-            inv = Fraction(1, den)
-            total_r *= inv
-            total_d *= inv
+            total_r += beta_r[v] * n
+            total_d += beta_d[v] * n
         return total_r, total_d
+
+    # ------------------------------------------------------------------
+    # Scale growth
+    # ------------------------------------------------------------------
+
+    def _rescale(self, factor: int) -> None:
+        """Multiply the engine scale (and every stored value) by ``factor``.
+
+        In place, so list aliases held by a caller in mid-update stay
+        valid; *tuples* read before the call (a bound, a target value)
+        are in the old scale and must be multiplied or read again.
+        Parked trail bounds are brought up to date by ``undo_to``.
+        """
+        self._scale *= factor
+        self._beta_r[:] = [r * factor for r in self._beta_r]
+        self._beta_d[:] = [d * factor for d in self._beta_d]
+        self._lower[:] = [b and (b[0] * factor, b[1] * factor)
+                          for b in self._lower]
+        self._upper[:] = [b and (b[0] * factor, b[1] * factor)
+                          for b in self._upper]
+
+    def _step_factor(self, nonbasic: int, step_r: int, step_d: int) -> int:
+        """Scale factor under which moving ``nonbasic`` by the given step
+        moves every basic variable that uses it by an integer.
+
+        A row ``b = sum(num * x) / den`` moves by ``step * num / den``;
+        the lcm of what each user needs serves them all.  1 whenever
+        every ``den`` is 1.
+        """
+        factor = 1
+        rows, dens = self._rows, self._dens
+        for b in self._cols[nonbasic]:
+            den = dens[b]
+            if den != 1:
+                c = rows[b][nonbasic]
+                factor = lcm(factor, _divisible_by(den, step_r * c, step_d * c))
+        return factor
 
     # ------------------------------------------------------------------
     # Backtracking
@@ -198,13 +264,23 @@ class Simplex:
         return len(self._trail)
 
     def undo_to(self, mark: int) -> None:
-        while len(self._trail) > mark:
-            var, is_lower, old_bound, old_lit, touched = self._trail.pop()
+        scale = self._scale
+        trail = self._trail
+        while len(trail) > mark:
+            entry = trail.pop()
+            if entry is None:
+                continue  # an assert that tightened nothing
+            var, is_lower, old_bound, old_scale, old_lit, touched = entry
             if touched:
                 # This assertion was the one that marked ``var`` touched:
                 # un-mark it, so the next propagate() fixpoint does not
                 # rescan watches against the now-relaxed bound.
                 self.touched_bounds.discard(var)
+            if old_scale != scale and old_bound is not None:
+                # Parked before a rescale: the scale only grows by
+                # integer factors, so this division is exact.
+                k = scale // old_scale
+                old_bound = (old_bound[0] * k, old_bound[1] * k)
             if is_lower:
                 self._lower[var] = old_bound
                 self._lower_lit[var] = old_lit
@@ -216,50 +292,60 @@ class Simplex:
     # Bound assertion
     # ------------------------------------------------------------------
 
-    def assert_lower(self, var: int, bound: DeltaRational, lit: int) -> Optional[List[int]]:
-        """Assert ``var >= bound``; returns a conflict explanation or None."""
+    def assert_lower(self, var: int, bound: Scaled, lit: int) -> Optional[List[int]]:
+        """Assert ``var >= bound``; returns a conflict explanation or None.
+
+        ``bound`` is a :meth:`scaled_bound` pair *in the current scale*
+        (callers that keep pairs across a scale growth multiply them up,
+        see :class:`~repro.smt.rationals.ScaledEngine`).
+        """
         upper = self._upper[var]
         if upper is not None and bound > upper:
             return self._pair_conflict(lit, self._upper_lit[var])
         current = self._lower[var]
-        tightens = current is None or bound > current
-        fresh_touch = (tightens and self._watched[var]
-                       and var not in self.touched_bounds)
+        if current is not None and bound <= current:
+            # No tighter than the active bound: nothing changes and
+            # nothing is parked, but every assert leaves one entry, so
+            # the caller's marks stay aligned with its assertion counts.
+            self._trail.append(None)
+            return None
+        fresh_touch = self._watched[var] and var not in self.touched_bounds
         self._trail.append(
-            (var, True, current, self._lower_lit[var], fresh_touch)
+            (var, True, current, self._scale, self._lower_lit[var],
+             fresh_touch)
         )
-        if tightens:
-            self._lower[var] = bound
-            self._lower_lit[var] = lit
-            if fresh_touch:
-                self.touched_bounds.add(var)
-            if self._is_basic[var]:
-                self._add_suspect(var)
-            elif self._below(var, bound):
-                self._dirty.add(var)
+        self._lower[var] = bound
+        self._lower_lit[var] = lit
+        if fresh_touch:
+            self.touched_bounds.add(var)
+        if self._is_basic[var]:
+            self._add_suspect(var)
+        elif self._below(var, bound):
+            self._dirty.add(var)
         return None
 
-    def assert_upper(self, var: int, bound: DeltaRational, lit: int) -> Optional[List[int]]:
+    def assert_upper(self, var: int, bound: Scaled, lit: int) -> Optional[List[int]]:
         """Assert ``var <= bound``; returns a conflict explanation or None."""
         lower = self._lower[var]
         if lower is not None and bound < lower:
             return self._pair_conflict(lit, self._lower_lit[var])
         current = self._upper[var]
-        tightens = current is None or bound < current
-        fresh_touch = (tightens and self._watched[var]
-                       and var not in self.touched_bounds)
+        if current is not None and bound >= current:
+            self._trail.append(None)    # tightens nothing, see assert_lower
+            return None
+        fresh_touch = self._watched[var] and var not in self.touched_bounds
         self._trail.append(
-            (var, False, current, self._upper_lit[var], fresh_touch)
+            (var, False, current, self._scale, self._upper_lit[var],
+             fresh_touch)
         )
-        if tightens:
-            self._upper[var] = bound
-            self._upper_lit[var] = lit
-            if fresh_touch:
-                self.touched_bounds.add(var)
-            if self._is_basic[var]:
-                self._add_suspect(var)
-            elif self._above(var, bound):
-                self._dirty.add(var)
+        self._upper[var] = bound
+        self._upper_lit[var] = lit
+        if fresh_touch:
+            self.touched_bounds.add(var)
+        if self._is_basic[var]:
+            self._add_suspect(var)
+        elif self._above(var, bound):
+            self._dirty.add(var)
         return None
 
     @staticmethod
@@ -271,48 +357,44 @@ class Simplex:
             self._suspects.add(var)
             heappush(self._suspects_heap, var)
 
-    # -- beta/bound comparisons (no DeltaRational allocation) ----------
+    # -- beta/bound comparisons (same scale: lexicographic on ints) ----
 
-    def _below(self, var: int, bound: DeltaRational) -> bool:
+    def _below(self, var: int, bound: Scaled) -> bool:
         """beta[var] < bound?"""
         r = self._beta_r[var]
-        br = bound.real
-        lhs = r.numerator * br.denominator
-        rhs = br.numerator * r.denominator
-        if lhs != rhs:
-            return lhs < rhs
-        d = self._beta_d[var]
-        bd = bound.delta
-        return d.numerator * bd.denominator < bd.numerator * d.denominator
+        return r < bound[0] or (r == bound[0] and self._beta_d[var] < bound[1])
 
-    def _above(self, var: int, bound: DeltaRational) -> bool:
+    def _above(self, var: int, bound: Scaled) -> bool:
         """beta[var] > bound?"""
         r = self._beta_r[var]
-        br = bound.real
-        lhs = r.numerator * br.denominator
-        rhs = br.numerator * r.denominator
-        if lhs != rhs:
-            return lhs > rhs
-        d = self._beta_d[var]
-        bd = bound.delta
-        return d.numerator * bd.denominator > bd.numerator * d.denominator
+        return r > bound[0] or (r == bound[0] and self._beta_d[var] > bound[1])
 
-    def _update(self, nonbasic: int, value: DeltaRational) -> None:
+    def _update(self, nonbasic: int, value: Scaled) -> None:
         beta_r, beta_d = self._beta_r, self._beta_d
-        delta_r = value.real - beta_r[nonbasic]
-        delta_d = value.delta - beta_d[nonbasic]
-        beta_r[nonbasic] = value.real
-        beta_d[nonbasic] = value.delta
+        value_r, value_d = value
+        delta_r = value_r - beta_r[nonbasic]
+        delta_d = value_d - beta_d[nonbasic]
+        factor = self._step_factor(nonbasic, delta_r, delta_d)
+        if factor != 1:
+            self._rescale(factor)
+            value_r *= factor
+            value_d *= factor
+            delta_r *= factor
+            delta_d *= factor
+        beta_r[nonbasic] = value_r
+        beta_d[nonbasic] = value_d
         rows, dens = self._rows, self._dens
-        zero_d = not delta_d
         for basic in self._cols[nonbasic]:
+            # Exact: _step_factor made every den divide its product.
             den = dens[basic]
             coeff = rows[basic][nonbasic]
-            if den != 1:
-                coeff = Fraction(coeff, den)
-            beta_r[basic] += delta_r * coeff
-            if not zero_d:
-                beta_d[basic] += delta_d * coeff
+            if den == 1:
+                beta_r[basic] += delta_r * coeff
+                if delta_d:
+                    beta_d[basic] += delta_d * coeff
+            else:
+                beta_r[basic] += delta_r * coeff // den
+                beta_d[basic] += delta_d * coeff // den
             self._add_suspect(basic)
 
     # ------------------------------------------------------------------
@@ -417,15 +499,13 @@ class Simplex:
                 out.append(l)
         return out
 
-    def _pivot_and_update(self, basic: int, nonbasic: int, value: DeltaRational) -> None:
+    def _pivot_and_update(self, basic: int, nonbasic: int, value: Scaled) -> None:
         """Swap ``basic``/``nonbasic`` and set the old basic var to ``value``."""
         self.pivots += 1
         beta_r, beta_d = self._beta_r, self._beta_d
         rows, dens, cols = self._rows, self._dens, self._cols
         row = rows[basic]
         den = dens[basic]
-        rows[basic] = None
-        dens[basic] = 1
         a = row[nonbasic]
         # Solve the row for `nonbasic`:
         #   nonbasic = (den*basic - sum(others)) / a,
@@ -438,30 +518,47 @@ class Simplex:
         for v, c in row.items():
             if v != nonbasic:
                 new_row[v] = -sign * c
-        # Update beta before rewiring (theta = change of nonbasic).
-        inv_a = Fraction(den, a)
-        theta_r = (value.real - beta_r[basic]) * inv_a
-        theta_d = (value.delta - beta_d[basic]) * inv_a
-        beta_r[basic] = value.real
-        beta_d[basic] = value.delta
+        # Update beta before rewiring: theta, the change of nonbasic, is
+        # (value - beta[basic]) * den / a.  Grow the scale first, by what
+        # that division and then the users' `theta * coeff / den_b` need.
+        value_r, value_d = value
+        theta_r = (value_r - beta_r[basic]) * den
+        theta_d = (value_d - beta_d[basic]) * den
+        factor = 1 if new_den == 1 else _divisible_by(new_den, theta_r, theta_d)
+        theta_r = theta_r * factor // a
+        theta_d = theta_d * factor // a
+        users_factor = self._step_factor(nonbasic, theta_r, theta_d)
+        if users_factor != 1:
+            theta_r *= users_factor
+            theta_d *= users_factor
+            factor *= users_factor
+        if factor != 1:
+            self._rescale(factor)
+            value_r *= factor
+            value_d *= factor
+        beta_r[basic] = value_r
+        beta_d[basic] = value_d
         beta_r[nonbasic] += theta_r
         beta_d[nonbasic] += theta_d
         # Incrementally adjust every other basic row that uses `nonbasic`
         # (cheaper than recomputing whole row values after substitution).
-        zero_d = not theta_d
         for b in cols[nonbasic]:
             if b != basic:
                 bden = dens[b]
                 coeff = rows[b][nonbasic]
-                if bden != 1:
-                    coeff = Fraction(coeff, bden)
-                beta_r[b] += theta_r * coeff
-                if not zero_d:
-                    beta_d[b] += theta_d * coeff
+                if bden == 1:
+                    beta_r[b] += theta_r * coeff
+                    if theta_d:
+                        beta_d[b] += theta_d * coeff
+                else:
+                    beta_r[b] += theta_r * coeff // bden
+                    beta_d[b] += theta_d * coeff // bden
                 self._add_suspect(b)
         # The entering variable may now violate its own bounds.
         self._add_suspect(nonbasic)
         # Rewire column index for the departing/incoming variables.
+        rows[basic] = None
+        dens[basic] = 1
         for v in row:
             cols[v].discard(basic)
         self._is_basic[basic] = False
@@ -498,30 +595,44 @@ class Simplex:
 
     def model(self) -> List[Fraction]:
         """Concrete rational values for all variables (delta materialized)."""
-        pairs = []
+        beta_r, beta_d = self._beta_r, self._beta_d
+        eps = materialize_gaps(self._bound_gaps())
+        # beta/S at delta = num/den, one Fraction per variable.
+        num, den = eps.numerator, eps.denominator
+        unit = self._scale * den
+        return [Fraction(r * den + d * num, unit)
+                for r, d in zip(beta_r, beta_d)]
+
+    def _bound_gaps(self) -> Iterator[Scaled]:
+        """``(dreal, ddelta)`` of every (lower, beta) and (beta, upper)."""
+        beta_r, beta_d = self._beta_r, self._beta_d
         for var in range(self._n):
             lo, up = self._lower[var], self._upper[var]
-            beta = DeltaRational(self._beta_r[var], self._beta_d[var])
             if lo is not None:
-                pairs.append((lo, beta))
+                yield beta_r[var] - lo[0], lo[1] - beta_d[var]
             if up is not None:
-                pairs.append((beta, up))
-        eps = materialize_delta(pairs)
-        return [
-            self._beta_r[var] + self._beta_d[var] * eps
-            for var in range(self._n)
-        ]
+                yield up[0] - beta_r[var], beta_d[var] - up[1]
+
+    def _unscaled(self, pair: Scaled) -> DeltaRational:
+        return DeltaRational(Fraction(pair[0], self._scale),
+                             Fraction(pair[1], self._scale))
 
     def value(self, var: int) -> DeltaRational:
-        return DeltaRational(self._beta_r[var], self._beta_d[var])
+        return self._unscaled((self._beta_r[var], self._beta_d[var]))
 
     def lower_bound(self, var: int) -> Optional[DeltaRational]:
         """Currently asserted lower bound (None if unbounded below)."""
-        return self._lower[var]
+        lo = self._lower[var]
+        return None if lo is None else self._unscaled(lo)
 
     def upper_bound(self, var: int) -> Optional[DeltaRational]:
         """Currently asserted upper bound (None if unbounded above)."""
-        return self._upper[var]
+        up = self._upper[var]
+        return None if up is None else self._unscaled(up)
+
+    def scaled_bounds(self, var: int) -> Tuple[Optional[Scaled], Optional[Scaled]]:
+        """``(lower, upper)`` of ``var`` as pairs in the current scale."""
+        return self._lower[var], self._upper[var]
 
     def lower_literal(self, var: int) -> int:
         """Literal id that asserted the current lower bound (or NO_LIT)."""
@@ -540,8 +651,9 @@ class Simplex:
         for basic, row in enumerate(self._rows):
             if row is None:
                 continue
-            r, d = self._row_value(basic)
-            if r != self._beta_r[basic] or d != self._beta_d[basic]:
+            den = self._dens[basic]
+            if self._row_sum(basic) != (self._beta_r[basic] * den,
+                                        self._beta_d[basic] * den):
                 return False
         return True
 
@@ -582,4 +694,7 @@ class Simplex:
         return True
 
 
-_F0 = Fraction(0)
+def _divisible_by(den: int, r: int, d: int) -> int:
+    """The least factor ``f`` that makes ``f*r`` and ``f*d`` multiples of
+    ``den`` — what a scale must grow by before ``// den`` is exact."""
+    return lcm(den // gcd(den, r), den // gcd(den, d))

@@ -36,6 +36,25 @@ Atom lifecycle:
 4. At a full propositional assignment, :meth:`final_check` runs the exact
    simplex over everything, certifying the model; the concrete rational
    model is snapshotted there (before the SAT core backtracks).
+
+Number representation
+---------------------
+
+Both engines keep their state as integer pairs over one scale each
+(:class:`~repro.smt.rationals.ScaledEngine`), and this module speaks to
+them in those units only.  :meth:`LraTheory.register_atom` converts an
+atom's right-hand side **once per engine**, which folds its denominator
+into that engine's scale, and stores the ready pairs on the two
+:class:`_PhaseAction` objects: the simplex bound and the DL edge weight,
+which double as the propagation thresholds.  ``on_assert`` hands those
+pairs over and ``propagate`` compares them (tuple order is the
+delta-rational order) — no ``Fraction`` and no ``DeltaRational`` on
+either path.  A scale can grow at two moments only: when an atom with a
+finer denominator registers, and inside ``Simplex.check()`` when a
+tableau step needs it.  :meth:`LraTheory._sync_scales` runs right after
+both and multiplies every stored pair by the growth factor in one pass,
+so the pairs handed to an engine and the bounds read back from it are
+always in that engine's current scale.
 """
 
 from __future__ import annotations
@@ -48,48 +67,54 @@ from ..sat.literals import UNASSIGNED as _UNASSIGNED
 from ..sat.literals import is_positive, var_of
 from ..sat.solver import TheoryBackend, TheoryImplication
 from .difflogic import DifferenceLogic
-from .rationals import DeltaRational
+from .rationals import Scaled
 from .simplex import NO_LIT, Simplex
 from .terms import Atom, RealVar
 
 
 class _PhaseAction:
-    """Precomputed effect of asserting one phase of a theory atom."""
+    """Precomputed effect of asserting one phase of a theory atom.
 
-    __slots__ = ("sx_var", "sx_is_upper", "sx_bound", "dl_edge")
+    ``sx_bound`` is in the simplex's scale and ``dl_bound`` in the DL
+    engine's (see :meth:`LraTheory._sync_scales`).
+    """
+
+    __slots__ = ("sx_var", "sx_is_upper", "sx_bound", "dl_x", "dl_y",
+                 "dl_bound")
 
     def __init__(
         self,
         sx_var: int,
         sx_is_upper: bool,
-        sx_bound: DeltaRational,
-        dl_edge: Optional[Tuple[int, int, DeltaRational]],
+        sx_bound: Scaled,
+        dl_edge: Optional[Tuple[int, int, Scaled]],
     ):
         self.sx_var = sx_var
         self.sx_is_upper = sx_is_upper
         self.sx_bound = sx_bound
-        # dl_edge = (x, y, bound): assert  x - y <= bound  in the DL engine.
-        self.dl_edge = dl_edge
+        # dl_edge = (x, y, bound): assert  x - y <= bound  in the DL
+        # engine; dl_bound is None for a general atom.
+        self.dl_x, self.dl_y, self.dl_bound = dl_edge or (-1, -1, None)
 
 
 class _AtomWatch:
     """A registered atom, watched on its simplex variable for propagation.
 
     ``pos_lit``/``neg_lit`` are the internal SAT literals of the two
-    phases; the phase bounds describe when the current variable bounds
-    entail each phase (see :meth:`LraTheory.propagate`).
+    phases; the phase actions' bounds describe when the current variable
+    bounds entail each phase (see :meth:`LraTheory.propagate`).
     """
 
     __slots__ = ("sat_var", "pos_lit", "neg_lit", "pos_is_upper",
-                 "pos_bound", "neg_bound")
+                 "pos", "neg")
 
     def __init__(self, sat_var: int, pos: _PhaseAction, neg_action: _PhaseAction):
         self.sat_var = sat_var
         self.pos_lit = 2 * sat_var
         self.neg_lit = 2 * sat_var + 1
         self.pos_is_upper = pos.sx_is_upper
-        self.pos_bound = pos.sx_bound
-        self.neg_bound = neg_action.sx_bound
+        self.pos = pos
+        self.neg = neg_action
 
 
 class LraTheory(TheoryBackend):
@@ -118,15 +143,14 @@ class LraTheory(TheoryBackend):
         # Node-pair atom index for transitive DL propagation: a phase with
         # DL edge (x, y, B) means "val(x) - val(y) <= B", so a derived
         # path bound W on the pair (y, x) entails the phase iff W <= B.
-        # Key: (path source, path target) -> [(sat_var, phase_lit, B)].
+        # Key: (path source, path target) -> [(sat_var, phase_lit,
+        # phase action)], B being the action's dl_bound.
         self._dl_watches: Dict[Tuple[int, int],
-                               List[Tuple[int, int, DeltaRational]]] = {}
-        # Scaled mirror of _dl_watches (thresholds in the DL engine's
-        # integer scale, so the propagation loop compares machine ints);
-        # rebuilt lazily whenever the engine rescales or atoms register.
-        self._dl_scaled: Dict[Tuple[int, int],
-                              List[Tuple[int, int, int, int]]] = {}
-        self._dl_scaled_scale = 0
+                               List[Tuple[int, int, _PhaseAction]]] = {}
+        # The engine scales every stored _PhaseAction pair is expressed
+        # in (see _sync_scales).
+        self._sx_scale = self.simplex.scale
+        self._dl_scale = self.dl.scale
         # Undo marks, parallel to the SAT trail.
         self._marks: List[Tuple[int, int]] = []
         self._model_reals: Optional[Dict[RealVar, Fraction]] = None
@@ -162,25 +186,29 @@ class LraTheory(TheoryBackend):
             raise SolverError("constant atom should have been folded away")
         is_difference = False
 
-        # Each bound below is built once and shared between the phase's
-        # simplex bound, its DL edge and the propagation watch
-        # (DeltaRationals are immutable).
+        # Each right-hand side is converted once per engine (which folds
+        # its denominator into that engine's scale); the phases' bounds
+        # differ from it only in their delta part, one unit of which is
+        # the scale itself.
+        simplex, dl = self.simplex, self.dl
         if len(coeffs) == 1:
             (v, c), = coeffs
-            b = rhs / c
+            b = _quotient(rhs, c)
             sx = self.sx_var(v)
             node = self.dl_node(v)
-            zero = self.dl.zero_node
-            if c > 0:
-                # v <= b (strict?)   /   neg: v > b
-                up, lo = _upper(b, strict), _lower_of_neg_le(b, strict)
-                pos = _PhaseAction(sx, True, up, (node, zero, up))
-                neg = _PhaseAction(sx, False, lo, (zero, node, -lo))
-            else:
-                # v >= b (strict?)   /   neg: v < b
-                lo, up = _lower(b, strict), _upper_of_neg_ge(b, strict)
-                pos = _PhaseAction(sx, False, lo, (zero, node, -lo))
-                neg = _PhaseAction(sx, True, up, (node, zero, up))
+            zero = dl.zero_node
+            sx_b, sx_unit = simplex.scaled_bound(b)[0], simplex.scale
+            dl_b, dl_unit = dl.scaled_bound(b)[0], dl.scale
+            # c > 0: v <= b (strict?), neg: v > b.  c < 0: v >= b (strict?),
+            # neg: v < b.  Either way one phase bounds v from above and
+            # the other from below.
+            up, lo = ((_upper, _lower_of_neg_le) if c > 0
+                      else (_upper_of_neg_ge, _lower))
+            upper = _PhaseAction(sx, True, up(sx_b, sx_unit, strict),
+                                 (node, zero, up(dl_b, dl_unit, strict)))
+            lower = _PhaseAction(sx, False, lo(sx_b, sx_unit, strict),
+                                 (zero, node, _neg(lo(dl_b, dl_unit, strict))))
+            pos, neg = (upper, lower) if c > 0 else (lower, upper)
             is_difference = True
         elif len(coeffs) == 2 and coeffs[0][1] == -coeffs[1][1]:
             (v1, c1), (v2, c2) = coeffs
@@ -196,50 +224,74 @@ class LraTheory(TheoryBackend):
             # its bounds stay in the rhs scale (negated when this atom is
             # the flipped orientation) while the DL edge uses the b scale
             # -- one and the same for the unit coefficients of Eqs. 5-6.
-            pos_sx = _upper(rhs, strict)
-            neg_sx = _lower_of_neg_le(rhs, strict)
-            minus_neg_sx = -neg_sx
-            if scale == 1:
-                pos_edge, neg_edge = pos_sx, minus_neg_sx
-            else:
-                b = rhs / scale
-                pos_edge = _upper(b, strict)
-                neg_edge = -_lower_of_neg_le(b, strict)
+            sx_b, sx_unit = simplex.scaled_bound(rhs)[0], simplex.scale
+            b = rhs if scale == 1 else _quotient(rhs, scale)
+            dl_b, dl_unit = dl.scaled_bound(b)[0], dl.scale
+            pos_sx = _upper(sx_b, sx_unit, strict)
+            neg_sx = _lower_of_neg_le(sx_b, sx_unit, strict)
+            pos_edge = (nx, ny, _upper(dl_b, dl_unit, strict))
+            neg_edge = (ny, nx, _neg(_lower_of_neg_le(dl_b, dl_unit, strict)))
             if flip:
-                pos = _PhaseAction(s, False, -pos_sx, (nx, ny, pos_edge))
-                neg = _PhaseAction(s, True, minus_neg_sx, (ny, nx, neg_edge))
+                pos = _PhaseAction(s, False, _neg(pos_sx), pos_edge)
+                neg = _PhaseAction(s, True, _neg(neg_sx), neg_edge)
             else:
-                pos = _PhaseAction(s, True, pos_sx, (nx, ny, pos_edge))
-                neg = _PhaseAction(s, False, neg_sx, (ny, nx, neg_edge))
+                pos = _PhaseAction(s, True, pos_sx, pos_edge)
+                neg = _PhaseAction(s, False, neg_sx, neg_edge)
             is_difference = True
         else:
             s, flip = self._slack_for(coeffs)
-            pos_sx = _upper(rhs, strict)
-            neg_sx = _lower_of_neg_le(rhs, strict)
+            sx_b, sx_unit = simplex.scaled_bound(rhs)[0], simplex.scale
+            pos_sx = _upper(sx_b, sx_unit, strict)
+            neg_sx = _lower_of_neg_le(sx_b, sx_unit, strict)
             if flip:
-                pos = _PhaseAction(s, False, -pos_sx, None)
-                neg = _PhaseAction(s, True, -neg_sx, None)
+                pos = _PhaseAction(s, False, _neg(pos_sx), None)
+                neg = _PhaseAction(s, True, _neg(neg_sx), None)
             else:
                 pos = _PhaseAction(s, True, pos_sx, None)
                 neg = _PhaseAction(s, False, neg_sx, None)
 
+        # Registering this atom may have grown a scale (a new row, a finer
+        # right-hand side): bring the older atoms up before it joins them.
+        self._sync_scales()
         self._atoms[sat_var] = (pos, neg, not is_difference)
         self._watches.setdefault(pos.sx_var, []).append(
             _AtomWatch(sat_var, pos, neg)
         )
-        self.simplex.watch_var(pos.sx_var)
+        simplex.watch_var(pos.sx_var)
         if is_difference and self.dl_propagation:
             # Index both phases for transitive DL propagation: the phase
             # with DL edge (x, y, B) is entailed by any derived bound
             # W <= B on the path pair (y, x).  Skipped entirely when the
             # channel is off, so the A/B baseline pays nothing.
             for lit, action in ((2 * sat_var, pos), (2 * sat_var + 1, neg)):
-                x, y, bound = action.dl_edge
+                x, y = action.dl_x, action.dl_y
                 self._dl_watches.setdefault((y, x), []).append(
-                    (sat_var, lit, bound)
+                    (sat_var, lit, action)
                 )
-                self.dl.watch_pair(y, x, bound)
-            self._dl_scaled_scale = 0  # invalidate the scaled mirror
+                dl.watch_pair(y, x, action.dl_bound)
+
+    def _sync_scales(self) -> None:
+        """Bring every stored pair to the engines' current scales.
+
+        Called right after the only two things that can grow a scale —
+        an atom registering and ``Simplex.check()`` — so ``on_assert``
+        and ``propagate`` never meet a pair in stale units.  Almost
+        always two integer compares; after the rare growth, one pass
+        that multiplies by the (integer) growth factor.
+        """
+        sx_scale, dl_scale = self.simplex.scale, self.dl.scale
+        if sx_scale == self._sx_scale and dl_scale == self._dl_scale:
+            return
+        sx_k = sx_scale // self._sx_scale
+        dl_k = dl_scale // self._dl_scale
+        for pos, neg, _ in self._atoms.values():
+            for action in (pos, neg):
+                r, d = action.sx_bound
+                action.sx_bound = (r * sx_k, d * sx_k)
+                if action.dl_bound is not None:
+                    r, d = action.dl_bound
+                    action.dl_bound = (r * dl_k, d * dl_k)
+        self._sx_scale, self._dl_scale = sx_scale, dl_scale
 
     def _slack_for(self, coeffs: Tuple[Tuple[RealVar, Fraction], ...]) -> Tuple[int, bool]:
         """Canonical slack variable for a coefficient vector.
@@ -269,9 +321,9 @@ class LraTheory(TheoryBackend):
             return None
         pos, neg, is_general = entry
         action = pos if is_positive(literal) else neg
-        if action.dl_edge is not None:
-            x, y, bound = action.dl_edge
-            conflict = self.dl.assert_constraint(x, y, bound, literal)
+        if action.dl_bound is not None:
+            conflict = self.dl.assert_constraint(
+                action.dl_x, action.dl_y, action.dl_bound, literal)
             if conflict is not None:
                 return conflict
         if action.sx_is_upper:
@@ -281,8 +333,14 @@ class LraTheory(TheoryBackend):
         if conflict is not None:
             return conflict
         if is_general:
-            return self.simplex.check()
+            return self._simplex_check()
         return None
+
+    def _simplex_check(self) -> Optional[List[int]]:
+        """``Simplex.check()``, then the scale sync its pivots may need."""
+        conflict = self.simplex.check()
+        self._sync_scales()
+        return conflict
 
     def on_backjump(self, n_kept: int) -> None:
         if n_kept < len(self._marks):
@@ -321,16 +379,16 @@ class LraTheory(TheoryBackend):
         if self.dl_propagation:
             entries = self.dl.implied_bounds()
             if entries:
-                dl_watches = self._scaled_dl_watches()
+                dl_watches = self._dl_watches
                 for entry in entries:
                     watches = dl_watches.get((entry.src, entry.dst))
                     if not watches:
                         continue
-                    wr, wd = entry.wr, entry.wd
-                    for sat_var, lit, tr, td in watches:
+                    derived = (entry.wr, entry.wd)
+                    for sat_var, lit, action in watches:
                         if assigns[sat_var] != unassigned:
                             continue
-                        if wr < tr or (wr == tr and wd <= td):
+                        if derived <= action.dl_bound:
                             path_lits = entry.path_lits()
                             out.append((lit, path_lits))
                             self.dl_propagations += 1
@@ -345,56 +403,29 @@ class LraTheory(TheoryBackend):
             watches = self._watches.get(var)
             if not watches:
                 continue
-            lo = sx.lower_bound(var)
-            up = sx.upper_bound(var)
+            lo, up = sx.scaled_bounds(var)
             lo_lit = sx.lower_literal(var)
             up_lit = sx.upper_literal(var)
             for w in watches:
                 if assigns[w.sat_var] != unassigned:
                     continue
                 if w.pos_is_upper:
-                    # pos: var <= pos_bound; neg: var >= neg_bound.
-                    if up is not None and up_lit != NO_LIT and up <= w.pos_bound:
+                    # pos: var <= pos bound; neg: var >= neg bound.
+                    if up is not None and up_lit != NO_LIT and up <= w.pos.sx_bound:
                         out.append((w.pos_lit, (up_lit,)))
-                    elif lo is not None and lo_lit != NO_LIT and lo >= w.neg_bound:
+                    elif lo is not None and lo_lit != NO_LIT and lo >= w.neg.sx_bound:
                         out.append((w.neg_lit, (lo_lit,)))
                 else:
-                    # pos: var >= pos_bound; neg: var <= neg_bound.
-                    if lo is not None and lo_lit != NO_LIT and lo >= w.pos_bound:
+                    # pos: var >= pos bound; neg: var <= neg bound.
+                    if lo is not None and lo_lit != NO_LIT and lo >= w.pos.sx_bound:
                         out.append((w.pos_lit, (lo_lit,)))
-                    elif up is not None and up_lit != NO_LIT and up <= w.neg_bound:
+                    elif up is not None and up_lit != NO_LIT and up <= w.neg.sx_bound:
                         out.append((w.neg_lit, (up_lit,)))
         touched.clear()
         return out
 
-    def _scaled_dl_watches(self) -> Dict[Tuple[int, int],
-                                         List[Tuple[int, int, int, int]]]:
-        """The DL atom index with thresholds in the engine's scale.
-
-        Rebuilt only when the DL engine rescaled or new atoms registered
-        since the last build — both rare — so the propagation loop runs
-        on plain machine-integer comparisons.
-        """
-        scale = self.dl.scale
-        if self._dl_scaled_scale != scale:
-            self._dl_scaled = {
-                key: [
-                    (sat_var, lit) + self.dl.scaled_bound(bound)
-                    for sat_var, lit, bound in watches
-                ]
-                for key, watches in self._dl_watches.items()
-            }
-            # Every bound here was folded into the engine scale when it
-            # was registered (watch_pair), and rescaling only multiplies
-            # the scale, so the conversions above can never rescale
-            # mid-rebuild: all entries — and the ImpliedBound weights
-            # they are compared against — share one scale.
-            assert self.dl.scale == scale, "rescale during watch rebuild"
-            self._dl_scaled_scale = scale
-        return self._dl_scaled
-
     def final_check(self) -> Optional[List[int]]:
-        conflict = self.simplex.check()
+        conflict = self._simplex_check()
         if conflict is not None:
             return conflict
         values = self.simplex.model()
@@ -414,35 +445,42 @@ class LraTheory(TheoryBackend):
         return self._model_reals
 
 
-# Delta components as ready Fractions (DeltaRational would wrap an int).
-_NO_DELTA = Fraction(0)
-_PLUS_DELTA = Fraction(1)
-_MINUS_DELTA = Fraction(-1)
+# Bounds in engine scale: ``b`` is the scaled right-hand side and ``unit``
+# the scale itself, i.e. one delta.
 
 
-def _upper(b: Fraction, strict: bool) -> DeltaRational:
+def _upper(b: int, unit: int, strict: bool) -> Scaled:
     """Upper bound for ``e <= b`` / ``e < b``."""
-    return DeltaRational(b, _MINUS_DELTA if strict else _NO_DELTA)
+    return (b, -unit if strict else 0)
 
 
-def _lower(b: Fraction, strict: bool) -> DeltaRational:
+def _lower(b: int, unit: int, strict: bool) -> Scaled:
     """Lower bound for ``e >= b`` / ``e > b``."""
-    return DeltaRational(b, _PLUS_DELTA if strict else _NO_DELTA)
+    return (b, unit if strict else 0)
 
 
-def _lower_of_neg_le(b: Fraction, strict: bool) -> DeltaRational:
+def _lower_of_neg_le(b: int, unit: int, strict: bool) -> Scaled:
     """Lower bound for the negation of ``e <= b (strict?)``.
 
     not(e <= b)  ->  e > b   -> bound b + delta
     not(e <  b)  ->  e >= b  -> bound b
     """
-    return DeltaRational(b, _NO_DELTA if strict else _PLUS_DELTA)
+    return (b, 0 if strict else unit)
 
 
-def _upper_of_neg_ge(b: Fraction, strict: bool) -> DeltaRational:
+def _upper_of_neg_ge(b: int, unit: int, strict: bool) -> Scaled:
     """Upper bound for the negation of ``e >= b (strict?)``.
 
     not(e >= b)  ->  e < b   -> bound b - delta
     not(e >  b)  ->  e <= b  -> bound b
     """
-    return DeltaRational(b, _NO_DELTA if strict else _MINUS_DELTA)
+    return (b, 0 if strict else -unit)
+
+
+def _neg(bound: Scaled) -> Scaled:
+    return (-bound[0], -bound[1])
+
+
+def _quotient(a: Fraction, b: Fraction) -> Fraction:
+    """``a / b`` as a construction (``/`` is what exact-arith flags)."""
+    return Fraction(a.numerator * b.denominator, a.denominator * b.numerator)

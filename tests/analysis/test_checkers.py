@@ -53,7 +53,8 @@ class TestExactArith:
                 "`self._deadline`: time.monotonic() wall-clock value "
                 "(line 7)", False),
             (12, "in-place true division on solver state `self._bounds` "
-                 "(use Fraction or `//`)", False),
+                 "(use `//`, behind the scale step or gcd that makes it "
+                 "exact)", False),
             (15, "float-tainted value returned from exact module: "
                  "float() cast (line 15)", False),
         ]

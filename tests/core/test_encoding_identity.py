@@ -101,15 +101,19 @@ GOLDEN = {
 }
 
 
-def _bound(value):
-    return (str(value.real), str(value.delta))
+def _bound(pair, scale):
+    # The engines hold bounds as integer pairs over their scale; the
+    # digests were recorded from the Fractions those pairs stand for.
+    return (str(Fraction(pair[0], scale)), str(Fraction(pair[1], scale)))
 
 
-def _phase(action):
-    edge = action.dl_edge
-    if edge is not None:
-        edge = (edge[0], edge[1], _bound(edge[2]))
-    return (action.sx_var, action.sx_is_upper, _bound(action.sx_bound), edge)
+def _phase(action, theory):
+    edge = None
+    if action.dl_bound is not None:
+        edge = (action.dl_x, action.dl_y,
+                _bound(action.dl_bound, theory.dl.scale))
+    return (action.sx_var, action.sx_is_upper,
+            _bound(action.sx_bound, theory.simplex.scale), edge)
 
 
 class _RecordingSession(Session):
@@ -135,14 +139,16 @@ class _RecordingSession(Session):
     def snapshot(self):
         state = self._stream.copy()
         origins = self.engine._cnf._origins
-        atoms = self.engine._theory._atoms
+        theory = self.engine._theory
+        atoms = theory._atoms
         for var in sorted(origins):
             state.update(repr(
                 (var, serialize_literal(origins[var], False))).encode())
         for var in sorted(atoms):
             pos, neg, general = atoms[var]
             state.update(repr(
-                (var, _phase(pos), _phase(neg), general)).encode())
+                (var, _phase(pos, theory), _phase(neg, theory),
+                 general)).encode())
         digest = state.hexdigest()[:16]
         if not self.digests or self.digests[-1] != digest:
             self.digests.append(digest)

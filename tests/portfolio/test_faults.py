@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import validate_solution
 from repro.core.synthesizer import SynthesisOptions
 from repro.eval.workloads import gm_case_study, sharing_problem
 from repro.portfolio import (
@@ -291,20 +292,65 @@ class TestAcceptanceChaos:
         assert_no_leaked_workers()
         return chaos
 
-    def test_sharing_problem_survives_kill_hang_corrupt(self):
-        strategies = [
+    @staticmethod
+    def _sharing_strategies():
+        return [
             Strategy("monolithic", SynthesisOptions()),
             Strategy("routes-1", SynthesisOptions(routes=1)),
             Strategy("routes-2", SynthesisOptions(routes=2)),
             Strategy("stages-2", SynthesisOptions(routes=3, stages=2)),
         ]
+
+    def test_sharing_problem_survives_kill_hang_corrupt(self):
+        # This race is ~50 ms long: routes-1 (unsat; the one strategy
+        # that ships an artifact here, its route veto) is done at ~30 ms
+        # and any of the other three can answer sat soon after.  A
+        # verdict must not be able to land before the planned faults
+        # fire, so every sat-capable strategy starts slowly; which of
+        # them then wins, and whether the killed worker was relaunched
+        # before the verdict, is the scheduler's business and is pinned
+        # down by the deterministic test below instead.
+        strategies = self._sharing_strategies()
         plan = FaultPlan([
             FaultSpec(CRASH, strategy="routes-2", attempt=1),
             FaultSpec(HANG, strategy="stages-2", attempt=1),
             FaultSpec(CORRUPT, strategy="routes-1", attempt=0, frame=0),
+            *(FaultSpec(SLOW_START, strategy=name, attempt=0, delay=0.4)
+              for name in ("monolithic", "routes-2", "stages-2")),
         ], seed=11)
-        chaos = self._chaos(sharing_problem(), strategies, plan)
+        problem = sharing_problem()
+        base = synthesize_portfolio(problem, strategies, timeout=60,
+                                    supervision=FAST)
+        chaos = synthesize_portfolio(problem, strategies, timeout=60,
+                                     supervision=FAST, fault_plan=plan)
+        assert chaos.status == base.status == "sat"
+        assert chaos.result_for(chaos.winner).status == "sat"
+        validate_solution(chaos.solution)
         assert chaos.supervision_statistics["quarantined_artifacts"] >= 1
+        assert_no_leaked_workers()
+
+    def test_sharing_problem_retry_and_winner_without_a_timing_race(self):
+        # Every strategy is killed on its first launch, so whoever wins
+        # the process race was relaunched first ...
+        strategies = self._sharing_strategies()
+        plan = FaultPlan([FaultSpec(CRASH, attempt=1)], seed=11)
+        problem = sharing_problem()
+        raced = synthesize_portfolio(problem, strategies, timeout=60,
+                                     supervision=FAST, fault_plan=plan)
+        assert raced.status == "sat"
+        assert raced.result_for(raced.winner).attempts == 2
+        assert raced.supervision_statistics["crash_retries"] >= 1
+        assert_no_leaked_workers()
+        # ... and the serial backend runs the strategies in list order,
+        # so its winner is the same with and without the kills.
+        base = synthesize_portfolio(problem, strategies, backend="serial",
+                                    timeout=60, supervision=FAST)
+        chaos = synthesize_portfolio(problem, strategies, backend="serial",
+                                     timeout=60, supervision=FAST,
+                                     fault_plan=plan)
+        assert chaos.status == base.status
+        assert chaos.winner == base.winner == "monolithic"
+        assert chaos.supervision_statistics["crash_retries"] == 1
 
     def test_gm_case_study_survives_kill_hang_corrupt(self):
         strategies = [

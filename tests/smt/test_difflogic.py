@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from repro.smt import DeltaRational, DifferenceLogic
 from repro.smt.rationals import ZERO
 
+from .scaled import assert_constraint
+
 
 def dr(x, d=0):
     return DeltaRational(x, d)
@@ -20,52 +22,52 @@ class TestBasic:
     def test_single_constraint_feasible(self):
         dl = DifferenceLogic()
         a, b = dl.new_node(), dl.new_node()
-        assert dl.assert_constraint(a, b, dr(5), lit=2) is None
+        assert assert_constraint(dl, a, b, dr(5), lit=2) is None
 
     def test_two_cycle_feasible(self):
         dl = DifferenceLogic()
         a, b = dl.new_node(), dl.new_node()
-        assert dl.assert_constraint(a, b, dr(5), lit=2) is None
-        assert dl.assert_constraint(b, a, dr(-3), lit=4) is None
+        assert assert_constraint(dl, a, b, dr(5), lit=2) is None
+        assert assert_constraint(dl, b, a, dr(-3), lit=4) is None
 
     def test_two_cycle_infeasible(self):
         dl = DifferenceLogic()
         a, b = dl.new_node(), dl.new_node()
-        assert dl.assert_constraint(a, b, dr(5), lit=2) is None
-        conflict = dl.assert_constraint(b, a, dr(-6), lit=4)
+        assert assert_constraint(dl, a, b, dr(5), lit=2) is None
+        conflict = assert_constraint(dl, b, a, dr(-6), lit=4)
         assert conflict is not None
         assert set(conflict) == {2, 4}
 
     def test_zero_weight_cycle_feasible_nonstrict(self):
         dl = DifferenceLogic()
         a, b = dl.new_node(), dl.new_node()
-        assert dl.assert_constraint(a, b, dr(0), lit=2) is None
-        assert dl.assert_constraint(b, a, dr(0), lit=4) is None
+        assert assert_constraint(dl, a, b, dr(0), lit=2) is None
+        assert assert_constraint(dl, b, a, dr(0), lit=4) is None
 
     def test_zero_weight_cycle_infeasible_strict(self):
         dl = DifferenceLogic()
         a, b = dl.new_node(), dl.new_node()
         # a - b <= 0 and b - a < 0  =>  infeasible (b < a <= b)
-        assert dl.assert_constraint(a, b, dr(0), lit=2) is None
-        conflict = dl.assert_constraint(b, a, dr(0, -1), lit=4)
+        assert assert_constraint(dl, a, b, dr(0), lit=2) is None
+        conflict = assert_constraint(dl, b, a, dr(0, -1), lit=4)
         assert conflict is not None
 
     def test_three_cycle_conflict_literals(self):
         dl = DifferenceLogic()
         a, b, c = dl.new_node(), dl.new_node(), dl.new_node()
-        assert dl.assert_constraint(a, b, dr(1), lit=2) is None
-        assert dl.assert_constraint(b, c, dr(1), lit=4) is None
-        conflict = dl.assert_constraint(c, a, dr(-3), lit=6)
+        assert assert_constraint(dl, a, b, dr(1), lit=2) is None
+        assert assert_constraint(dl, b, c, dr(1), lit=4) is None
+        conflict = assert_constraint(dl, c, a, dr(-3), lit=6)
         assert conflict is not None
         assert set(conflict) == {2, 4, 6}
 
     def test_weaker_constraint_is_noop(self):
         dl = DifferenceLogic()
         a, b = dl.new_node(), dl.new_node()
-        assert dl.assert_constraint(a, b, dr(1), lit=2) is None
-        assert dl.assert_constraint(a, b, dr(100), lit=4) is None
+        assert assert_constraint(dl, a, b, dr(1), lit=2) is None
+        assert assert_constraint(dl, a, b, dr(100), lit=4) is None
         # The tight bound must still hold: adding the closing edge conflicts.
-        conflict = dl.assert_constraint(b, a, dr(-2), lit=6)
+        conflict = assert_constraint(dl, b, a, dr(-2), lit=6)
         assert conflict is not None
         assert 4 not in set(conflict)
 
@@ -79,7 +81,7 @@ class TestBasic:
             (nodes[3], nodes[0], dr(0)),
         ]
         for i, (x, y, b) in enumerate(constraints):
-            assert dl.assert_constraint(x, y, b, lit=2 * (i + 1)) is None
+            assert assert_constraint(dl, x, y, b, lit=2 * (i + 1)) is None
         sol = dl.solution()
         for x, y, b in constraints:
             assert sol[x] - sol[y] <= b
@@ -89,23 +91,23 @@ class TestBacktracking:
     def test_undo_restores_feasibility(self):
         dl = DifferenceLogic()
         a, b = dl.new_node(), dl.new_node()
-        assert dl.assert_constraint(a, b, dr(5), lit=2) is None
+        assert assert_constraint(dl, a, b, dr(5), lit=2) is None
         mark = dl.mark()
-        conflict = dl.assert_constraint(b, a, dr(-6), lit=4)
+        conflict = assert_constraint(dl, b, a, dr(-6), lit=4)
         assert conflict is not None
         dl.undo_to(mark)
         # Now a weaker closing edge is fine.
-        assert dl.assert_constraint(b, a, dr(-5), lit=4) is None
+        assert assert_constraint(dl, b, a, dr(-5), lit=4) is None
 
     def test_undo_tightened_edge(self):
         dl = DifferenceLogic()
         a, b = dl.new_node(), dl.new_node()
-        assert dl.assert_constraint(a, b, dr(10), lit=2) is None
+        assert assert_constraint(dl, a, b, dr(10), lit=2) is None
         mark = dl.mark()
-        assert dl.assert_constraint(a, b, dr(1), lit=4) is None
+        assert assert_constraint(dl, a, b, dr(1), lit=4) is None
         dl.undo_to(mark)
         # After undo the bound is 10 again, so -5 on the reverse is fine.
-        assert dl.assert_constraint(b, a, dr(-5), lit=6) is None
+        assert assert_constraint(dl, b, a, dr(-5), lit=6) is None
 
 
 def bellman_ford_feasible(n, constraints):
@@ -159,7 +161,7 @@ def test_matches_bellman_ford_oracle(case):
     feasible = True
     for i, (x, y, b, s) in enumerate(cons):
         bound = DeltaRational(b, -1 if s else 0)
-        if dl.assert_constraint(nodes[x], nodes[y], bound, lit=2 * (i + 1)) is not None:
+        if assert_constraint(dl, nodes[x], nodes[y], bound, lit=2 * (i + 1)) is not None:
             feasible = False
             break
     assert feasible == bellman_ford_feasible(n, cons)
@@ -224,7 +226,7 @@ def test_weaker_or_equal_reassert_roundtrips_exactly(case):
     nodes = [dl.new_node() for _ in range(n)]
     for i, (x, y, b, s) in enumerate(cons):
         bound = DeltaRational(b, -1 if s else 0)
-        if dl.assert_constraint(nodes[x], nodes[y], bound,
+        if assert_constraint(dl, nodes[x], nodes[y], bound,
                                 lit=2 * (i + 1)) is not None:
             return  # infeasible prefix: nothing to round-trip
     active = sorted(
@@ -241,7 +243,7 @@ def test_weaker_or_equal_reassert_roundtrips_exactly(case):
         wr = Fraction(e.wr, scale) + Fraction(num, den)
         wd = Fraction(e.wd, scale) + (1 if weaker_delta else 0)
         # Weaker than (or equal to) the active edge: must be a no-op.
-        assert dl.assert_constraint(
+        assert assert_constraint(dl, 
             v, u, DeltaRational(wr, wd), lit=1000 + 2 * k
         ) is None
         assert dl._out[u][v] is e, "weaker re-assert must not replace the edge"
@@ -257,14 +259,14 @@ def test_equal_reassert_across_rescale_roundtrips():
     rescaled exactly once."""
     dl = DifferenceLogic()
     a, b, c = dl.new_node(), dl.new_node(), dl.new_node()
-    assert dl.assert_constraint(a, b, DeltaRational(5), lit=2) is None
+    assert assert_constraint(dl, a, b, DeltaRational(5), lit=2) is None
     before = _semantic_state(dl)
     mark = dl.mark()
     # Equal re-assertion: parked on the trail, graph unchanged.
-    assert dl.assert_constraint(a, b, DeltaRational(5), lit=4) is None
+    assert assert_constraint(dl, a, b, DeltaRational(5), lit=4) is None
     # Unrelated third-denominator bound forces an engine-wide rescale
     # while the no-op entry sits on the trail.
-    assert dl.assert_constraint(
+    assert assert_constraint(dl, 
         b, c, DeltaRational(Fraction(1, 3)), lit=6
     ) is None
     dl.undo_to(mark)

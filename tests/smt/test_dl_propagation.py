@@ -38,6 +38,8 @@ from repro.smt import (
     unsat,
 )
 
+from .scaled import assert_constraint, watch_pair
+
 
 def dr(x, d=0):
     return DeltaRational(x, d)
@@ -53,11 +55,11 @@ class TestImpliedBounds:
         dl = DifferenceLogic()
         a, b, c = dl.new_node(), dl.new_node(), dl.new_node()
         # Watch the span (a, c): paths a ~> c bound val(c) - val(a).
-        dl.watch_pair(a, c, dr(100))
+        watch_pair(dl, a, c, dr(100))
         # Negative-weight chain (precedence style, so the potential
         # moves and passes are scheduled): c - b <= -1, b - a <= -2.
-        assert dl.assert_constraint(b, a, dr(-2), lit=2) is None
-        assert dl.assert_constraint(c, b, dr(-1), lit=4) is None
+        assert assert_constraint(dl, b, a, dr(-2), lit=2) is None
+        assert assert_constraint(dl, c, b, dr(-1), lit=4) is None
         entries = dl.implied_bounds()
         by_pair = {(e.src, e.dst): e for e in entries}
         assert (a, c) in by_pair
@@ -68,9 +70,9 @@ class TestImpliedBounds:
     def test_drain_clears_fresh_edges(self):
         dl = DifferenceLogic()
         a, b, c = dl.new_node(), dl.new_node(), dl.new_node()
-        dl.watch_pair(a, c, dr(100))
-        assert dl.assert_constraint(b, a, dr(-2), lit=2) is None
-        assert dl.assert_constraint(c, b, dr(-1), lit=4) is None
+        watch_pair(dl, a, c, dr(100))
+        assert assert_constraint(dl, b, a, dr(-2), lit=2) is None
+        assert assert_constraint(dl, c, b, dr(-1), lit=4) is None
         assert dl.implied_bounds() != []
         assert dl.implied_bounds() == []  # drained
 
@@ -78,19 +80,19 @@ class TestImpliedBounds:
         dl = DifferenceLogic()
         a, b, c = dl.new_node(), dl.new_node(), dl.new_node()
         # Only derivations at least as tight as -10 are interesting.
-        dl.watch_pair(a, c, dr(-10))
-        assert dl.assert_constraint(b, a, dr(-2), lit=2) is None
-        assert dl.assert_constraint(c, b, dr(-1), lit=4) is None
+        watch_pair(dl, a, c, dr(-10))
+        assert assert_constraint(dl, b, a, dr(-2), lit=2) is None
+        assert assert_constraint(dl, c, b, dr(-1), lit=4) is None
         # Derived bound is -3 > -10: pruned inside the pass.
         assert dl.implied_bounds() == []
 
     def test_undo_drops_pending_candidates(self):
         dl = DifferenceLogic()
         a, b, c = dl.new_node(), dl.new_node(), dl.new_node()
-        dl.watch_pair(a, c, dr(100))
-        assert dl.assert_constraint(b, a, dr(-2), lit=2) is None
+        watch_pair(dl, a, c, dr(100))
+        assert assert_constraint(dl, b, a, dr(-2), lit=2) is None
         mark = dl.mark()
-        assert dl.assert_constraint(c, b, dr(-1), lit=4) is None
+        assert assert_constraint(dl, c, b, dr(-1), lit=4) is None
         dl.undo_to(mark)
         # The candidate cites an undone edge: it must not surface.
         assert dl.implied_bounds() == []
@@ -98,12 +100,12 @@ class TestImpliedBounds:
     def test_longer_chain_explanation_collects_all_literals(self):
         dl = DifferenceLogic()
         nodes = [dl.new_node() for _ in range(5)]
-        dl.watch_pair(nodes[0], nodes[4], dr(100))
+        watch_pair(dl, nodes[0], nodes[4], dr(100))
         lits = []
         for i in range(4):
             lit = 2 * (i + 1)
             lits.append(lit)
-            assert dl.assert_constraint(
+            assert assert_constraint(dl, 
                 nodes[i + 1], nodes[i], dr(-1), lit=lit
             ) is None
         entries = {(e.src, e.dst): e for e in dl.implied_bounds()}
@@ -114,20 +116,20 @@ class TestImpliedBounds:
     def test_slack_edges_schedule_no_pass(self):
         dl = DifferenceLogic()
         a, b, c = dl.new_node(), dl.new_node(), dl.new_node()
-        dl.watch_pair(a, c, dr(100))
+        watch_pair(dl, a, c, dr(100))
         # Positive weights never move the all-zero potential: by design
         # no pass is scheduled (the canonical-slack bound channel still
         # covers the directly-asserted pairs).
-        assert dl.assert_constraint(b, a, dr(2), lit=2) is None
-        assert dl.assert_constraint(c, b, dr(1), lit=4) is None
+        assert assert_constraint(dl, b, a, dr(2), lit=2) is None
+        assert assert_constraint(dl, c, b, dr(1), lit=4) is None
         assert dl.implied_bounds() == []
 
     def test_propagation_disabled_engine_stays_quiet(self):
         dl = DifferenceLogic(propagation=False)
         a, b, c = dl.new_node(), dl.new_node(), dl.new_node()
-        dl.watch_pair(a, c, dr(100))
-        assert dl.assert_constraint(b, a, dr(-2), lit=2) is None
-        assert dl.assert_constraint(c, b, dr(-1), lit=4) is None
+        watch_pair(dl, a, c, dr(100))
+        assert assert_constraint(dl, b, a, dr(-2), lit=2) is None
+        assert assert_constraint(dl, c, b, dr(-1), lit=4) is None
         assert dl.implied_bounds() == []
 
     def test_non_extremal_fractional_threshold_stays_sound(self):
@@ -162,9 +164,9 @@ class TestImpliedBounds:
     def test_rescale_keeps_thresholds_consistent(self):
         dl = DifferenceLogic()
         a, b, c = dl.new_node(), dl.new_node(), dl.new_node()
-        dl.watch_pair(a, c, dr(100))
-        assert dl.assert_constraint(b, a, dr(Fraction(-5, 3)), lit=2) is None
-        assert dl.assert_constraint(c, b, dr(Fraction(-1, 7)), lit=4) is None
+        watch_pair(dl, a, c, dr(100))
+        assert assert_constraint(dl, b, a, dr(Fraction(-5, 3)), lit=2) is None
+        assert assert_constraint(dl, c, b, dr(Fraction(-1, 7)), lit=4) is None
         entries = {(e.src, e.dst): e for e in dl.implied_bounds()}
         assert entries[(a, c)].bound == dr(Fraction(-5, 3) + Fraction(-1, 7))
 

@@ -10,6 +10,8 @@ from scipy.optimize import linprog
 
 from repro.smt import DeltaRational, Simplex
 
+from .scaled import assert_lower, assert_upper
+
 
 def dr(x, d=0):
     return DeltaRational(x, d)
@@ -19,23 +21,23 @@ class TestBounds:
     def test_simple_feasible(self):
         sx = Simplex()
         x = sx.new_var()
-        assert sx.assert_lower(x, dr(1), 2) is None
-        assert sx.assert_upper(x, dr(3), 4) is None
+        assert assert_lower(sx, x, dr(1), 2) is None
+        assert assert_upper(sx, x, dr(3), 4) is None
         assert sx.check() is None
         assert dr(1) <= sx.value(x) <= dr(3)
 
     def test_contradicting_bounds(self):
         sx = Simplex()
         x = sx.new_var()
-        assert sx.assert_lower(x, dr(5), 2) is None
-        conflict = sx.assert_upper(x, dr(3), 4)
+        assert assert_lower(sx, x, dr(5), 2) is None
+        conflict = assert_upper(sx, x, dr(3), 4)
         assert set(conflict) == {2, 4}
 
     def test_strict_bounds_feasible(self):
         sx = Simplex()
         x = sx.new_var()
-        assert sx.assert_lower(x, dr(1, 1), 2) is None  # x > 1
-        assert sx.assert_upper(x, dr(1 + 2, -1), 4) is None  # x < 3
+        assert assert_lower(sx, x, dr(1, 1), 2) is None  # x > 1
+        assert assert_upper(sx, x, dr(1 + 2, -1), 4) is None  # x < 3
         assert sx.check() is None
         model = sx.model()
         assert 1 < model[x] < 3
@@ -43,8 +45,8 @@ class TestBounds:
     def test_strict_empty_interval(self):
         sx = Simplex()
         x = sx.new_var()
-        assert sx.assert_lower(x, dr(1, 1), 2) is None  # x > 1
-        conflict = sx.assert_upper(x, dr(1), 4)  # x <= 1
+        assert assert_lower(sx, x, dr(1, 1), 2) is None  # x > 1
+        conflict = assert_upper(sx, x, dr(1), 4)  # x <= 1
         assert conflict is not None
 
 
@@ -53,9 +55,9 @@ class TestRows:
         sx = Simplex()
         x, y = sx.new_var(), sx.new_var()
         s = sx.add_row({x: Fraction(1), y: Fraction(1)})  # s = x + y
-        assert sx.assert_lower(x, dr(1), 2) is None
-        assert sx.assert_lower(y, dr(2), 4) is None
-        assert sx.assert_upper(s, dr(2), 6) is not None or sx.check() is not None
+        assert assert_lower(sx, x, dr(1), 2) is None
+        assert assert_lower(sx, y, dr(2), 4) is None
+        assert assert_upper(sx, s, dr(2), 6) is not None or sx.check() is not None
 
     def test_difference_chain_conflict(self):
         sx = Simplex()
@@ -63,9 +65,9 @@ class TestRows:
         d1 = sx.add_row({x: Fraction(1), y: Fraction(-1)})  # x - y
         d2 = sx.add_row({y: Fraction(1), z: Fraction(-1)})  # y - z
         d3 = sx.add_row({x: Fraction(1), z: Fraction(-1)})  # x - z
-        assert sx.assert_lower(d1, dr(1), 2) is None  # x - y >= 1
-        assert sx.assert_lower(d2, dr(1), 4) is None  # y - z >= 1
-        res = sx.assert_upper(d3, dr(1), 6)  # x - z <= 1
+        assert assert_lower(sx, d1, dr(1), 2) is None  # x - y >= 1
+        assert assert_lower(sx, d2, dr(1), 4) is None  # y - z >= 1
+        res = assert_upper(sx, d3, dr(1), 6)  # x - z <= 1
         if res is None:
             res = sx.check()
         assert res is not None
@@ -79,11 +81,11 @@ class TestRows:
         combo = sx.add_row({lmin: 1 - alpha, lmax: alpha})
         # Pin lmin exactly (upper bound too): otherwise growing lmin would
         # relax the combination, which has a negative lmin coefficient.
-        assert sx.assert_lower(lmin, dr(10), 2) is None
-        assert sx.assert_upper(lmin, dr(10), 3) is None
-        assert sx.assert_lower(lmax, dr(12), 4) is None
+        assert assert_lower(sx, lmin, dr(10), 2) is None
+        assert assert_upper(sx, lmin, dr(10), 3) is None
+        assert assert_lower(sx, lmax, dr(12), 4) is None
         # (1-1.5)*10 + 1.5*12 = -5 + 18 = 13 > 12.9 -> conflict
-        res = sx.assert_upper(combo, dr(Fraction(129, 10)), 6)
+        res = assert_upper(sx, combo, dr(Fraction(129, 10)), 6)
         if res is None:
             res = sx.check()
         assert res is not None
@@ -94,8 +96,8 @@ class TestRows:
         s1 = sx.add_row({x: Fraction(1), y: Fraction(1)})
         # Second row mentions the (basic) slack s1 indirectly via x+y again.
         s2 = sx.add_row({x: Fraction(2), y: Fraction(2)})
-        assert sx.assert_upper(s1, dr(1), 2) is None
-        assert sx.assert_lower(s2, dr(4), 4) is None
+        assert assert_upper(sx, s1, dr(1), 2) is None
+        assert assert_lower(sx, s2, dr(4), 4) is None
         res = sx.check()
         assert res is not None
 
@@ -103,9 +105,9 @@ class TestRows:
         sx = Simplex()
         x, y = sx.new_var(), sx.new_var()
         s = sx.add_row({x: Fraction(1), y: Fraction(2)})
-        sx.assert_lower(x, dr(1), 2)
-        sx.assert_upper(y, dr(0), 4)
-        sx.assert_lower(s, dr(-3), 6)
+        assert_lower(sx, x, dr(1), 2)
+        assert_upper(sx, y, dr(0), 4)
+        assert_lower(sx, s, dr(-3), 6)
         assert sx.check() is None
         m = sx.model()
         assert m[s] == m[x] + 2 * m[y]
@@ -115,13 +117,13 @@ class TestBacktracking:
     def test_undo_bound(self):
         sx = Simplex()
         x = sx.new_var()
-        assert sx.assert_lower(x, dr(0), 2) is None
+        assert assert_lower(sx, x, dr(0), 2) is None
         mark = sx.mark()
-        assert sx.assert_lower(x, dr(10), 4) is None
-        conflict = sx.assert_upper(x, dr(5), 6)
+        assert assert_lower(sx, x, dr(10), 4) is None
+        conflict = assert_upper(sx, x, dr(5), 6)
         assert conflict is not None
         sx.undo_to(mark)
-        assert sx.assert_upper(x, dr(5), 6) is None
+        assert assert_upper(sx, x, dr(5), 6) is None
         assert sx.check() is None
 
     def test_pivots_survive_backtracking(self):
@@ -129,10 +131,10 @@ class TestBacktracking:
         x, y = sx.new_var(), sx.new_var()
         s = sx.add_row({x: Fraction(1), y: Fraction(1)})
         mark = sx.mark()
-        sx.assert_lower(s, dr(2), 2)
+        assert_lower(sx, s, dr(2), 2)
         assert sx.check() is None
         sx.undo_to(mark)
-        sx.assert_upper(s, dr(-2), 4)
+        assert_upper(sx, s, dr(-2), 4)
         assert sx.check() is None
         assert sx.assignment_consistent()
 
@@ -169,13 +171,13 @@ def test_feasibility_matches_scipy_linprog(problem):
             (var, c), = nonzero.items()
             bound = Fraction(rhs) / c
             res = (
-                sx.assert_upper(var, dr(bound), 2 * i + 2)
+                assert_upper(sx, var, dr(bound), 2 * i + 2)
                 if c > 0
-                else sx.assert_lower(var, dr(bound), 2 * i + 2)
+                else assert_lower(sx, var, dr(bound), 2 * i + 2)
             )
         else:
             s = sx.add_row(nonzero)
-            res = sx.assert_upper(s, dr(rhs), 2 * i + 2)
+            res = assert_upper(sx, s, dr(rhs), 2 * i + 2)
         if res is not None:
             conflict = res
             break
@@ -213,7 +215,7 @@ class TestTouchedBoundsHygiene:
         v = sx.new_var()
         sx.watch_var(v)
         mark = sx.mark()
-        assert sx.assert_upper(v, dr(5), lit=2) is None
+        assert assert_upper(sx, v, dr(5), lit=2) is None
         assert v in sx.touched_bounds
         sx.undo_to(mark)
         assert v not in sx.touched_bounds
@@ -222,9 +224,9 @@ class TestTouchedBoundsHygiene:
         sx = Simplex()
         v = sx.new_var()
         sx.watch_var(v)
-        assert sx.assert_upper(v, dr(5), lit=2) is None  # touches v
+        assert assert_upper(sx, v, dr(5), lit=2) is None  # touches v
         mark = sx.mark()
-        assert sx.assert_upper(v, dr(3), lit=4) is None  # v already touched
+        assert assert_upper(sx, v, dr(3), lit=4) is None  # v already touched
         sx.undo_to(mark)
         # The pre-mark tightening has not been drained yet: it must
         # still be visible to the propagation layer.
@@ -234,10 +236,10 @@ class TestTouchedBoundsHygiene:
         sx = Simplex()
         v = sx.new_var()
         sx.watch_var(v)
-        assert sx.assert_upper(v, dr(5), lit=2) is None
+        assert assert_upper(sx, v, dr(5), lit=2) is None
         sx.touched_bounds.clear()  # the propagate() drain
         mark = sx.mark()
-        assert sx.assert_upper(v, dr(3), lit=4) is None
+        assert assert_upper(sx, v, dr(3), lit=4) is None
         assert v in sx.touched_bounds
         sx.undo_to(mark)
         assert sx.touched_bounds == set()
@@ -246,12 +248,12 @@ class TestTouchedBoundsHygiene:
         sx = Simplex()
         v = sx.new_var()
         sx.watch_var(v)
-        assert sx.assert_upper(v, dr(3), lit=2) is None
+        assert assert_upper(sx, v, dr(3), lit=2) is None
         sx.touched_bounds.clear()
         mark = sx.mark()
         # Weaker than the active bound: recorded on the trail but not a
         # tightening — undo must not disturb the (empty) touched set.
-        assert sx.assert_upper(v, dr(10), lit=4) is None
+        assert assert_upper(sx, v, dr(10), lit=4) is None
         assert sx.touched_bounds == set()
         sx.undo_to(mark)
         assert sx.touched_bounds == set()

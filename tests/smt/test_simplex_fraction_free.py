@@ -29,6 +29,8 @@ import pytest
 from repro.smt import DeltaRational, Simplex
 from repro.smt.simplex import NO_LIT
 
+from .scaled import assert_lower, assert_upper
+
 F = Fraction
 
 #: Table I-style stability weights ((1-a), a) and a few awkward extras.
@@ -304,7 +306,8 @@ def _replay(seed):
         elif kind in ("lower", "upper"):
             _, var, bound, delta = op
             bound = DeltaRational(bound, delta)
-            got = getattr(sx, "assert_" + kind)(var, bound, lit)
+            got = (assert_lower if kind == "lower" else assert_upper)(
+                sx, var, bound, lit)
             want = getattr(ref, "assert_" + kind)(var, bound, lit)
             lit += 2
             assert got == want
@@ -359,8 +362,8 @@ def test_pivot_on_table1_weights_by_hand():
     lmin, lmax = sx.new_var(), sx.new_var()
     s = sx.add_row({lmin: F(13, 20), lmax: F(7, 20)})
     assert (sx._rows[s], sx._dens[s]) == ({lmin: 13, lmax: 7}, 20)
-    assert sx.assert_upper(lmin, DeltaRational(0), 2) is None
-    assert sx.assert_lower(s, DeltaRational(F(7, 2)), 4) is None
+    assert assert_upper(sx, lmin, DeltaRational(0), 2) is None
+    assert assert_lower(sx, s, DeltaRational(F(7, 2)), 4) is None
     assert sx.check() is None
     # lmin is pinned from above at 0, so lmax had to enter:
     # lmax = (20*s - 13*lmin) / 7.
@@ -372,7 +375,7 @@ def test_pivot_on_table1_weights_by_hand():
     assert (sx._rows[t], sx._dens[t]) == ({s: 15, lmin: -15}, 14)
     assert sx.value(t) == DeltaRational(F(15, 4))
     # Blocked: t <= 3 needs s < 7/2 or lmin > 0.
-    assert sx.assert_upper(t, DeltaRational(3), 6) is None
+    assert assert_upper(sx, t, DeltaRational(3), 6) is None
     assert sx.check() == [6, 4, 2]
 
 
@@ -384,8 +387,8 @@ def test_substitution_reduces_a_row_back_to_lowest_terms():
     d = sx.add_row({y: F(1, 2), x: F(-1, 2)})
     assert (sx._rows[s], sx._dens[s]) == ({x: 1, y: 1}, 2)
     # x cannot decrease, so d >= 1 brings y into the basis: y = 2d + x.
-    assert sx.assert_lower(x, DeltaRational(0), 2) is None
-    assert sx.assert_lower(d, DeltaRational(1), 4) is None
+    assert assert_lower(sx, x, DeltaRational(0), 2) is None
+    assert assert_lower(sx, d, DeltaRational(1), 4) is None
     assert sx.check() is None
     assert (sx._rows[y], sx._dens[y]) == ({d: 2, x: 1}, 1)
     assert (sx._rows[s], sx._dens[s]) == ({x: 1, d: 1}, 1)

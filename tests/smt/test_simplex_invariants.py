@@ -24,6 +24,8 @@ import pytest
 
 from repro.smt import DeltaRational, Simplex
 
+from .scaled import assert_lower, assert_upper
+
 
 def dr(x, d=0):
     return DeltaRational(Fraction(x), Fraction(d))
@@ -83,8 +85,8 @@ def _run_trace(sx, variables, ops):
         if op[0] in ("lower", "upper"):
             _, vi, bound, delta = op
             var = variables[vi % len(variables)]
-            fn = sx.assert_lower if op[0] == "lower" else sx.assert_upper
-            conflict = fn(var, dr(bound, delta), lit)
+            fn = assert_lower if op[0] == "lower" else assert_upper
+            conflict = fn(sx, var, dr(bound, delta), lit)
             lit += 2
             if conflict is not None and marks:
                 # A conflicting assertion is normally followed by a
@@ -142,10 +144,10 @@ def test_suspect_survives_conflict_then_relaxation():
     sx = Simplex()
     x, y = sx.new_var(), sx.new_var()
     s = sx.add_row({x: Fraction(1), y: Fraction(1)})
-    assert sx.assert_lower(s, dr(3), 2) is None
+    assert assert_lower(sx, s, dr(3), 2) is None
     m1 = sx.mark()
-    assert sx.assert_upper(x, dr(0), 4) is None
-    assert sx.assert_upper(y, dr(0), 6) is None
+    assert assert_upper(sx, x, dr(0), 4) is None
+    assert assert_upper(sx, y, dr(0), 6) is None
     assert sx.check() is not None          # 3 <= s = x + y <= 0
     sx.undo_to(m1)
     # x/y relaxed; s >= 3 survives and beta(s) still violates it.
