@@ -20,7 +20,7 @@ from repro.core import (
     minimize_jitter,
     render_switch_configs,
     solution_to_dict,
-    synthesize,
+    solve,
     validate_solution,
 )
 from repro.network import DelayModel, microseconds, simple_testbed
@@ -37,7 +37,7 @@ def main() -> None:
     ]
     problem = SynthesisProblem(net, apps, delays)
 
-    feasible = synthesize(problem, SynthesisOptions(routes=2))
+    feasible = solve(problem, SynthesisOptions(routes=2))
     assert feasible.ok
     refined = minimize_jitter(problem, routes=2, tolerance=Fraction(1, 10**6))
     assert refined.ok

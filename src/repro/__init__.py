@@ -15,7 +15,6 @@ from .core import (
     SynthesisProblem,
     SynthesisResult,
     solve,
-    synthesize,
     validate_solution,
 )
 from .errors import (
@@ -81,7 +80,6 @@ __all__ = [
     "simple_testbed",
     "simulate_solution",
     "solve",
-    "synthesize",
     "synthesize_portfolio",
     "validate_solution",
     "__version__",

@@ -58,9 +58,9 @@ class FrameDriftChecker(Checker):
     scope = (
         "repro.core.synthesizer",
         "repro.portfolio.engine",
-        "repro.portfolio.faults",
-        "repro.portfolio.sharing",
+        "repro.runtime.faults",
         "repro.runtime.harness",
+        "repro.runtime.knowledge",
         "repro.runtime.process",
         "repro.runtime.supervision",
         "repro.service.cache",

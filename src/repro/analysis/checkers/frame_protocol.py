@@ -40,7 +40,7 @@ _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
 
 #: Modules whose ``{"kind": ...}`` literals must all be artifact kinds.
-_ARTIFACT_ONLY_MODULES = ("repro.service.cache", "repro.portfolio.sharing")
+_ARTIFACT_ONLY_MODULES = ("repro.service.cache", "repro.runtime.knowledge")
 
 StateSet = FrozenSet[str]
 ProtoEnv = Dict[str, StateSet]
@@ -91,8 +91,8 @@ class FrameProtocolChecker(Checker):
     description = "frame send/recv order vs. the pipe protocol machine"
     scope = (
         "repro.portfolio.engine",
-        "repro.portfolio.sharing",
         "repro.runtime.harness",
+        "repro.runtime.knowledge",
         "repro.runtime.process",
         "repro.runtime.supervision",
         "repro.service.cache",

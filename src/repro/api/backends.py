@@ -86,14 +86,12 @@ class NativeBackend:
 
     def __init__(self, theory_propagation: bool = True,
                  dl_propagation: bool = True,
-                 dl_effort: Optional[int] = None,
                  on_restart: Optional[Callable[[SolverEngine], None]] = None,
                  max_conflicts: Optional[int] = None,
                  engine: Optional[SolverEngine] = None) -> None:
         self._engine = engine if engine is not None else SolverEngine(
             theory_propagation=theory_propagation,
             dl_propagation=dl_propagation,
-            dl_effort=dl_effort,
             on_restart=on_restart,
             max_conflicts=max_conflicts)
         self._engine.backend_name = self.name

@@ -3,8 +3,8 @@
 :class:`Session` is the public solving surface of the reproduction.  It
 owns the declarative state — terms, assertions, scopes — and per-session
 accounting, and fronts a :class:`~repro.api.backends.SolverBackend` that
-does the solving.  Compared to the legacy ``repro.smt.Solver`` surface it
-adds:
+does the solving.  Compared to driving the native engine
+(:class:`repro.smt.SolverEngine`) directly it adds:
 
 * **Pluggable backends** — ``Session(backend="native")`` solves with the
   in-process DPLL(T) engine; ``backend="serialization"`` renders each
@@ -28,8 +28,7 @@ Quickstart::
         if out == "unsat":
             print(out.unsat_core)    # e.g. (a, b)
 
-See ``docs/api.md`` for the full tour and the migration table from the
-legacy surface.
+See ``docs/api.md`` for the full tour.
 """
 
 from __future__ import annotations

@@ -6,10 +6,11 @@ plus the deadline-only baseline, the solution model, and an independent
 exact validator.
 """
 
-from .encoding import Encoder, FixedMessage, MessagePlan
+from .encoding import Encoder, MessagePlan
 from .export import render_switch_configs, solution_from_dict, solution_to_dict
 from .problem import ControlApplication, SynthesisProblem
 from .refine import RefinedResult, minimize_jitter
+from .seeding import SeedKnowledge, StrategySignature
 from .solution import AppReport, MessageSchedule, Solution
 from .synthesizer import (
     MODE_DEADLINE,
@@ -17,7 +18,6 @@ from .synthesizer import (
     SynthesisOptions,
     SynthesisResult,
     solve,
-    synthesize,
 )
 from .validator import collect_violations, validate_solution
 
@@ -25,22 +25,22 @@ __all__ = [
     "AppReport",
     "ControlApplication",
     "Encoder",
-    "FixedMessage",
     "MODE_DEADLINE",
     "MODE_STABILITY",
     "MessagePlan",
     "MessageSchedule",
     "RefinedResult",
+    "SeedKnowledge",
     "minimize_jitter",
     "render_switch_configs",
     "solution_from_dict",
     "solution_to_dict",
     "Solution",
+    "StrategySignature",
     "SynthesisOptions",
     "SynthesisProblem",
     "SynthesisResult",
     "collect_violations",
     "solve",
-    "synthesize",
     "validate_solution",
 ]

@@ -31,8 +31,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from ..api import Session
 from ..errors import EncodingError
 from ..network.frames import MessageInstance
 from ..network.paths import route_candidates
@@ -40,30 +41,25 @@ from ..smt import (
     And,
     Bool,
     BoolExpr,
-    BoolVal,
     FALSE_EXPR,
     Implies,
     LinExpr,
     Not,
     Or,
     Real,
-    Solver,
 )
 from .problem import ControlApplication, SynthesisProblem
+from .solution import MessageSchedule
 
 _NAMESPACE = itertools.count()
 
-
-@dataclass
-class FixedMessage:
-    """A message scheduled in an earlier incremental stage (now constant)."""
-
-    uid: str
-    app: str
-    route: List[str]
-    gammas: Dict[str, Fraction]
-    release: Fraction
-    e2e: Fraction
+#: The encoder namespace of every driver-built encoding: selector and
+#: release-time variable names must be identical across portfolio
+#: strategies, worker processes and cached runs for shared knowledge to
+#: connect (:mod:`repro.core.seeding`), so the service fingerprints
+#: carry it.  Reuse across runs is safe — terms intern globally but SAT
+#: mappings are per-engine.
+SHARED_NAMESPACE = "p"
 
 
 @dataclass
@@ -78,16 +74,16 @@ class MessagePlan:
 
 
 class Encoder:
-    """Builds the SMT formulation into a :class:`repro.smt.Solver`.
+    """Builds the SMT formulation into a :class:`repro.api.Session`.
 
-    One encoder instance corresponds to one solver invocation (one stage
-    of the incremental heuristic, or the whole problem when stages=1).
+    One encoder instance serves one synthesis run: every stage of the
+    incremental heuristic encodes into the same session.
     """
 
     def __init__(
         self,
         problem: SynthesisProblem,
-        solver: Solver,
+        solver: Session,
         route_limit: Optional[int] = None,
         path_cutoff: Optional[int] = None,
         namespace: Optional[str] = None,
@@ -96,18 +92,14 @@ class Encoder:
         self.solver = solver
         self.route_limit = route_limit
         self.path_cutoff = path_cutoff
-        # ``namespace`` pins the variable-name prefix.  The synthesis
-        # driver passes a fixed one so selector/gamma names are identical
-        # across portfolio strategies and worker processes (the shared
-        # vocabulary of repro.portfolio.sharing); the default stays a
-        # fresh counter for ad-hoc encoders.  Name reuse across solver
-        # instances is safe: terms intern globally, but each solver maps
-        # them to its own SAT variables.
+        # ``namespace`` pins the variable-name prefix (the synthesis
+        # driver passes SHARED_NAMESPACE); the default stays a fresh
+        # counter for ad-hoc encoders.
         self._ns = namespace if namespace is not None else f"q{next(_NAMESPACE)}"
         self._route_cache: Dict[str, List[List[str]]] = {}
         self.plans: Dict[str, MessagePlan] = {}
         # Directed-link usage: (u, v) -> list of
-        # (uid, guard BoolExpr or None, start-time LinExpr or Fraction)
+        # (uid, route selector, start-time LinExpr or Fraction)
         self._link_usage: Dict[Tuple[str, str], List] = {}
         # Per-link count of usages already covered by emitted contention
         # constraints, so incremental stages only pair *new* usages.
@@ -188,17 +180,8 @@ class Encoder:
         self.plans[uid] = plan
         return plan
 
-    def add_fixed_message(self, fixed: FixedMessage) -> None:
-        """Register an earlier stage's message as constant link usage."""
-        app = self.problem.app_by_name[fixed.app]
-        for u, v in zip(fixed.route, fixed.route[1:]):
-            start = fixed.release if u == app.sensor else fixed.gammas[u]
-            self._link_usage.setdefault((u, v), []).append(
-                (fixed.uid, None, start)
-            )
-
     def freeze_message(self, plan: MessagePlan, model, pin: bool = True,
-                       guard: Optional[BoolExpr] = None) -> FixedMessage:
+                       guard: Optional[BoolExpr] = None) -> MessageSchedule:
         """Extract ``plan``'s schedule from ``model`` and optionally pin it.
 
         This is the incremental-synthesis freeze: instead of re-encoding a
@@ -237,7 +220,7 @@ class Encoder:
                     self.solver.add(Implies(guard, constraint))
                 else:
                     self.solver.add(constraint)
-        return FixedMessage(
+        return MessageSchedule(
             uid=plan.message.uid,
             app=plan.message.flow.name,
             route=route,
@@ -275,8 +258,7 @@ class Encoder:
             if done >= len(usages):
                 continue
             self._contention_done[link] = len(usages)
-            unguarded = [Not(g) if g is not None else None
-                         for _, g, _ in usages]
+            unselected = [Not(sel) for _, sel, _ in usages]
             # (id(t1), id(t2)) -> separation.  ``usages`` keeps every
             # start time alive and the memo dies with this link's pass,
             # so an id can not be recycled while it is a key.
@@ -301,9 +283,7 @@ class Encoder:
                         continue
                     else:
                         separation = FALSE_EXPR
-                    guards = [n for n in (unguarded[i], unguarded[j])
-                              if n is not None]
-                    add(Or(*guards, separation))
+                    add(Or(unselected[i], unselected[j], separation))
 
     # ------------------------------------------------------------------
     # Stability constraints (Sec. V-B, Eqs. 9 + 10)
@@ -312,7 +292,6 @@ class Encoder:
     def add_stability_constraints(
         self,
         app: ControlApplication,
-        fixed_e2es: Sequence[Fraction] = (),
         tag: Optional[str] = None,
     ) -> Tuple[LinExpr, LinExpr]:
         """Encode ``delta_i >= 0`` for one application.
@@ -325,9 +304,7 @@ class Encoder:
 
             l_lo <= Lmin <= l_hi  and  Lmin + alpha (Lmax - Lmin) <= beta
 
-        ``fixed_e2es`` carries already-known constant delays (messages
-        frozen *outside* this encoder).  With a persistent encoder the
-        app's earlier-stage messages are instead covered by the plan loop
+        The app's earlier-stage messages are covered by the plan loop
         below: their selectors and gammas are pinned by
         :meth:`freeze_message`, so their terms evaluate to the frozen
         constants.  ``tag`` namespaces the ``Lmin``/``Lmax`` variables so
@@ -353,12 +330,6 @@ class Encoder:
                 self.solver.add(Implies(sel, lmax >= e2e))
                 attain_min.append(And(sel, lmin >= e2e))
                 attain_max.append(And(sel, lmax <= e2e))
-            n_bounded += 1
-        for e2e in fixed_e2es:
-            self.solver.add(lmin <= e2e)
-            self.solver.add(lmax >= e2e)
-            attain_min.append(lmin >= LinExpr.constant(e2e))
-            attain_max.append(lmax <= LinExpr.constant(e2e))
             n_bounded += 1
         if n_bounded == 0:
             raise EncodingError(

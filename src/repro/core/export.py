@@ -28,13 +28,7 @@ def solution_to_dict(solution: Solution) -> dict:
         "synthesis_time": solution.synthesis_time,
         "hyperperiod": str(solution.problem.hyperperiod),
         "messages": {
-            uid: {
-                "app": sched.app,
-                "route": list(sched.route),
-                "release": str(sched.release),
-                "e2e": str(sched.e2e),
-                "gammas": {node: str(g) for node, g in sched.gammas.items()},
-            }
+            uid: sched.to_dict()
             for uid, sched in sorted(solution.schedules.items())
         },
     }

@@ -14,15 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Optional
 
 from ..api import Session
-from ..errors import EncodingError
 from ..smt import Sum
 from ..smt.optimize import OptimizeResult, minimize
 from .encoding import Encoder
 from .problem import SynthesisProblem
-from .solution import MessageSchedule, Solution
+from .solution import Solution
 
 
 @dataclass
@@ -74,22 +73,10 @@ def minimize_jitter(
         return RefinedResult("unsat", None, None, result.probes)
     model = result.model
     assert model is not None
-    schedules: Dict[str, MessageSchedule] = {}
-    for plan in encoder.plans.values():
-        selected = [r for r, sel in enumerate(plan.selectors) if model[sel]]
-        if len(selected) != 1:
-            raise EncodingError(
-                f"{plan.message.uid}: route selection not one-hot in model"
-            )
-        route = plan.routes[selected[0]]
-        schedules[plan.message.uid] = MessageSchedule(
-            uid=plan.message.uid,
-            app=plan.message.flow.name,
-            route=route,
-            gammas={node: model[plan.gammas[node]] for node in route[1:-1]},
-            release=plan.message.release,
-            e2e=model[plan.e2e_by_route[selected[0]]],
-        )
+    schedules = {
+        uid: encoder.freeze_message(plan, model, pin=False)
+        for uid, plan in encoder.plans.items()
+    }
     solution = Solution(problem, schedules, mode="stability")
     return RefinedResult(result.status, solution, result.objective_bound,
                          result.probes)

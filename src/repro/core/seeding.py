@@ -1,0 +1,279 @@
+"""Which formula a run solves, and what another run may hand it.
+
+Two notions of the paper's Sec. V travel outside the solver: *which
+formula is solved* — :class:`StrategySignature`, the option fields that
+name it — and *one message's schedule*
+(:class:`~repro.core.solution.MessageSchedule`).  Everything a run can
+be seeded with is phrased over those two: the :class:`SeedKnowledge`
+bundle rides into :func:`~repro.core.synthesizer.solve` on
+``SynthesisOptions.seed_knowledge`` and the four functions at the bottom
+of this module apply it inside the stage loop.  Who *produces* seeds —
+the portfolio race's pool, the service's cache — lives above, in
+:mod:`repro.runtime.knowledge` and :mod:`repro.service.cache`.
+
+Why sharing across different formulas is sound
+----------------------------------------------
+
+Portfolio workers and cached runs solve *related but different*
+formulas (each strategy restricts routes and/or stages its own way), so
+naive clause exchange is unsound.  The key structural fact: route
+candidates are enumerated shortest-first and deterministically, so a
+``routes-K`` strategy's candidate list per message is a *prefix* of any
+``routes-K'`` (K' >= K) or monolithic list.  Writing ``F_K`` for the
+single-stage formula under route limit ``K`` and ``Restr_K`` for "every
+message selects within its first K candidates", the encodings satisfy
+``F_K  ==  F_K' /\\ Restr_K`` (for K <= K'): every constraint of ``F_K``
+is literally present in ``F_K'``, and the stronger attainment
+disjunctions of ``F_K`` follow from ``Restr_K`` plus the one-hot
+selection clauses.  Three consequences:
+
+* **Learned clauses** (from single-stage strategies only): a clause ``C``
+  learned under ``F_K`` satisfies ``F_K' |= C \\/ ~Restr_K``.  Import
+  into a *more* restricted sibling (K' <= K) is verbatim; import into a
+  *less* restricted single-stage sibling pads ``C`` with the relaxation
+  literals ``~Restr_K`` = the beyond-K selectors of every message.
+  Incremental (``stages > 1``) strategies never export clauses: their
+  databases contain consequences of stage freezes and per-stage
+  stability over message *subsets*, which sibling formulas do not entail.
+  Exported literals are further restricted to the *schedule vocabulary*
+  (route selectors and release-time atoms), whose interned names mean
+  the same thing in every worker.
+* **Route vetoes**: a single-stage strategy that proves ``unsat`` has
+  shown ``shared constraints /\\ Restr_K`` infeasible; every sibling may
+  therefore assert the blocking clause "some vetoed message selects a
+  route beyond its recorded candidate count".  In siblings with no such
+  route the clause loses disjuncts — down to the empty (false) clause
+  for strictly more restricted siblings, which are thereby proven unsat
+  without search.
+* **Stage prefixes**: schedules frozen by an incremental strategy's
+  completed stages.  These are replayed as *assumption probes* only
+  (complete fallback to the unrestricted solve), which is sound for any
+  recipient; the pool hands them to same-signature relaunches, where a
+  hit lets a restarted attempt fast-forward through already-solved
+  stages instead of re-searching them.
+
+Clauses imported into an incremental recipient deserve one more note:
+they are entailed properties of every *complete valid schedule*, so they
+only prune stage prefixes that could never extend to a full solution —
+but pruning can steer the (incomplete) heuristic to different freezes,
+so a heuristic's own sat/unsat outcome may shift.  That is safe because
+heuristic verdicts are never promoted to race verdicts (see
+``PortfolioResult.verdict_by``).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, fields
+from fractions import Fraction
+from typing import Dict, List, Optional, Set, Tuple
+
+from ..smt.terms import BoolExpr, Or
+
+_INF = float("inf")
+
+#: What each annotation of :class:`StrategySignature` accepts.
+_FIELD_TYPES = {"str": str, "int": int, "bool": bool,
+                "Optional[int]": (int, type(None))}
+
+
+@dataclass(frozen=True)
+class StrategySignature:
+    """The option fields that name the solved formula.
+
+    Everything else in :class:`~repro.core.synthesizer.SynthesisOptions`
+    steers the search, not the constraints.  This is the one place those
+    fields are listed: ``SynthesisOptions.signature``, the service's
+    fingerprints and wire keys, and the knowledge pool's buckets all
+    derive from it.  Signatures are also rebuilt from cache files, so the
+    constructor validates: a wrong type raises ``ValueError``.
+    """
+
+    mode: str
+    routes: Optional[int]
+    stages: int
+    path_cutoff: Optional[int]
+    repair: bool
+
+    def __post_init__(self) -> None:
+        # Any truthy ``repair`` names the same formula: one canonical form.
+        object.__setattr__(self, "repair", bool(self.repair))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ValueError(
+                    f"signature field {f.name}={value!r} is not {f.type}")
+
+    def compatibility(self) -> Dict[str, object]:
+        """The fields that must agree for *any* knowledge transfer: same
+        constraint semantics, same route enumeration."""
+        return {"mode": self.mode, "path_cutoff": self.path_cutoff}
+
+    def compatible(self, other: "StrategySignature") -> bool:
+        return self.compatibility() == other.compatibility()
+
+
+def _limit(routes: Optional[int]) -> float:
+    """Route limit as a comparable number (None = unrestricted)."""
+    return _INF if routes is None else routes
+
+
+# ---------------------------------------------------------------------------
+# Seed bundle (travels into workers inside SynthesisOptions)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ClauseBatch:
+    """Learned clauses from one exporting strategy."""
+
+    source_routes: Optional[int]            # exporter's route limit
+    clauses: Tuple[Tuple, ...]              # tuples of serialized literals
+
+
+@dataclass(frozen=True)
+class RouteVeto:
+    """A proven-doomed route-subset selection.
+
+    ``limits`` maps message uid -> number of candidate routes the proving
+    strategy allowed it; the conjunction "each listed message within its
+    first ``n`` candidates" is infeasible together with the shared
+    constraints.
+    """
+
+    limits: Tuple[Tuple[str, int], ...]
+    source: str                             # proving strategy, for reports
+
+
+@dataclass(frozen=True)
+class StagePrefix:
+    """Frozen schedules of an incremental strategy's completed stages.
+
+    ``messages`` entries are :meth:`MessageSchedule.as_hint
+    <repro.core.solution.MessageSchedule.as_hint>` tuples.
+    """
+
+    signature: StrategySignature
+    stages_completed: int
+    messages: Tuple[Tuple[str, Tuple[str, ...], Tuple[Tuple[str, str], ...]], ...]
+
+
+@dataclass(frozen=True)
+class SeedKnowledge:
+    """Everything a pool or cache hands a newly launched attempt."""
+
+    clause_batches: Tuple[ClauseBatch, ...] = ()
+    route_vetoes: Tuple[RouteVeto, ...] = ()
+    stage_prefix: Optional[StagePrefix] = None
+
+    def __bool__(self) -> bool:
+        return bool(self.clause_batches or self.route_vetoes
+                    or self.stage_prefix)
+
+
+# ---------------------------------------------------------------------------
+# Application (called from the stage loop of core.solve)
+# ---------------------------------------------------------------------------
+
+
+def _clause_importer(session):
+    """The session's native engine, or None when the backend has none
+    (other backends skip clause imports)."""
+    engine = getattr(session.backend, "engine", None)
+    return engine if hasattr(engine, "import_clauses") else None
+
+
+def import_presolve_clauses(session, options) -> int:
+    """Install clause batches that need no padding (before any encoding).
+
+    Verbatim import is sound exactly when this strategy is at most as
+    route-permissive as the exporter (``target K <= source K``); see the
+    module docstring.
+    """
+    engine = _clause_importer(session)
+    if engine is None:
+        return 0
+    return sum(
+        engine.import_clauses(batch.clauses)
+        for batch in options.seed_knowledge.clause_batches
+        if _limit(options.routes) <= _limit(batch.source_routes))
+
+
+def import_padded_clauses(session, encoder, options) -> int:
+    """Install batches from *stricter* exporters, padded for soundness.
+
+    Requires the full message set to be encoded (single-stage recipients
+    only — the caller guards), because the relaxation pad ranges over
+    every message's beyond-``source_routes`` selectors.
+    """
+    engine = _clause_importer(session)
+    if engine is None:
+        return 0
+    imported = 0
+    for batch in options.seed_knowledge.clause_batches:
+        src = _limit(batch.source_routes)
+        if _limit(options.routes) <= src:
+            continue  # already imported verbatim by import_presolve_clauses
+        pad = [
+            sel
+            for plan in encoder.plans.values()
+            for sel in plan.selectors[int(src):]
+        ]
+        imported += engine.import_clauses(batch.clauses, pad=pad)
+    return imported
+
+
+def apply_route_vetoes(session, encoder, options, applied: Set[Tuple]) -> int:
+    """Assert every veto whose messages are all encoded already.
+
+    The veto clause "some listed message beyond its recorded candidate
+    count" may only be asserted once all its disjunct sources exist;
+    ``applied`` tracks vetoes asserted in earlier stages.  An empty
+    clause (no listed message has extra routes here) is the entailed
+    *false* — this strategy is doomed and the solver reports unsat
+    without search.
+    """
+    count = 0
+    for veto in options.seed_knowledge.route_vetoes:
+        if veto.limits in applied:
+            continue
+        if not all(uid in encoder.plans for uid, _ in veto.limits):
+            continue
+        escape = [
+            sel
+            for uid, n in veto.limits
+            for sel in encoder.plans[uid].selectors[n:]
+        ]
+        session.add(Or(escape))
+        applied.add(veto.limits)
+        count += 1
+    return count
+
+
+def prefix_assumptions(options, new_plans) -> List[BoolExpr]:
+    """Assumption literals replaying a shared prefix onto this stage.
+
+    For each stage message recorded in the prefix: the selector of the
+    recorded route (located by node-list equality, so differing route
+    limits cannot misindex) and the recorded release-time equalities.
+    Unknown uids or vanished routes are skipped — the probe is a hint.
+    """
+    prefix = options.seed_knowledge.stage_prefix
+    if prefix is None:
+        return []
+    recorded = {uid: (route, gammas) for uid, route, gammas in prefix.messages}
+    assumptions: List[BoolExpr] = []
+    for plan in new_plans:
+        entry = recorded.get(plan.message.uid)
+        if entry is None:
+            continue
+        route, gammas = entry
+        try:
+            ridx = plan.routes.index(list(route))
+        except ValueError:
+            continue
+        assumptions.append(plan.selectors[ridx])
+        for node, value in gammas:
+            gamma = plan.gammas.get(node)
+            if gamma is not None:
+                assumptions.append(gamma == Fraction(value))
+    return assumptions

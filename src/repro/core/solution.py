@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ValidationError
 from ..network.switch import TsnSwitch
@@ -35,6 +35,26 @@ class MessageSchedule:
     def arrival(self) -> Fraction:
         """Arrival time at the controller."""
         return self.release + self.e2e
+
+    def as_hint(self) -> Tuple[str, Tuple[str, ...],
+                               Tuple[Tuple[str, str], ...]]:
+        """``(uid, route nodes, ((switch, gamma), ...))`` with exact
+        rationals as strings: the picklable, JSON-safe form a schedule
+        takes as an assumption-probe hint (a race's stage prefix, the
+        service cache's stored schedule)."""
+        return (self.uid, tuple(self.route),
+                tuple(sorted((node, str(g)) for node, g in self.gammas.items())))
+
+    def to_dict(self) -> Dict[str, object]:
+        """JSON form, exact rationals as strings (the uid is the
+        caller's key)."""
+        return {
+            "app": self.app,
+            "route": list(self.route),
+            "release": str(self.release),
+            "e2e": str(self.e2e),
+            "gammas": {node: str(g) for node, g in self.gammas.items()},
+        }
 
 
 @dataclass(frozen=True)

@@ -47,27 +47,35 @@ API's assumption machinery:
 from __future__ import annotations
 
 import time
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..api import NativeBackend, Session
 from ..errors import EncodingError
 from ..network.frames import MessageInstance
+from ..runtime.faults import WorkerFaults
 from ..runtime.frames import KIND_STAGE_FROZEN
-from ..smt.solver import SolverEngine as Solver  # patchable engine factory
+from ..smt.solver import SolverEngine
 from ..smt.terms import Bool, BoolExpr
-from .encoding import Encoder, FixedMessage, MessagePlan
+from .encoding import SHARED_NAMESPACE, Encoder, MessagePlan
 from .problem import SynthesisProblem
+from .seeding import (SeedKnowledge, StrategySignature, apply_route_vetoes,
+                      import_padded_clauses, import_presolve_clauses,
+                      prefix_assumptions)
 from .solution import MessageSchedule, Solution
 
 MODE_STABILITY = "stability"
 MODE_DEADLINE = "deadline"
 
+#: Solver-work counters that are deterministic for a given code state and
+#: input (the solver is single-threaded and seeded), so they compare
+#: cleanly across machines: what the benches gate on and the service
+#: cache records per entry.
+WORK_COUNTERS = ("conflicts", "decisions", "propagations")
+
 #: Solver search-effort counters aggregated into result statistics.
-_SOLVER_KEYS = ("conflicts", "decisions", "propagations",
-                "theory_propagations", "dl_propagations",
-                "dl_explanation_lits")
+_SOLVER_KEYS = WORK_COUNTERS + ("theory_propagations", "dl_propagations",
+                                "dl_explanation_lits")
 
 
 @dataclass(frozen=True)
@@ -98,18 +106,23 @@ class SynthesisOptions:
             exhausted check answers ``unknown`` deterministically (after
             a final mid-check export flush), which portfolio races use
             to bound a worker without losing its learned knowledge.
-        seed_knowledge: a :class:`repro.portfolio.sharing.SeedKnowledge`
-            bundle from a portfolio race's shared pool — learned clauses,
-            route vetoes and stage prefixes from sibling strategies are
-            applied before/alongside the run's own search (statistics:
-            ``clauses_imported``, ``route_vetoes_applied``,
-            ``prefix_probes``/``prefix_hits``).
-        faults: a :class:`repro.portfolio.faults.WorkerFaults` bundle —
+        seed_knowledge: a :class:`~repro.core.seeding.SeedKnowledge`
+            bundle from a portfolio race's shared pool or the service's
+            cache — learned clauses, route vetoes and stage prefixes
+            from related runs are applied before/alongside the run's own
+            search (statistics: ``clauses_imported``,
+            ``route_vetoes_applied``, ``prefix_probes``/``prefix_hits``).
+        faults: a :class:`~repro.runtime.faults.WorkerFaults` bundle —
             deterministic fault injection (crash-at-conflict, hang,
-            slow start) applied around this run's engine, used by the
-            portfolio fault-injection harness to rehearse worker
-            failures on demand (see ``docs/robustness.md``).  None (the
+            slow start) for the attempt these options travel to.
+            :func:`solve` never reads it: the worker harness
+            (:func:`repro.runtime.harness.supervised_solve`) injects
+            around the solve (see ``docs/robustness.md``).  None (the
             default) injects nothing.
+
+    The fields shared with :class:`~repro.core.seeding.StrategySignature`
+    name the solved formula (:attr:`signature`); the rest steer the
+    search.
     """
 
     mode: str = MODE_STABILITY
@@ -122,8 +135,8 @@ class SynthesisOptions:
     repair: bool = False
     max_repair_rounds: int = 3
     max_conflicts: Optional[int] = None
-    seed_knowledge: Optional["SeedKnowledge"] = None  # noqa: F821
-    faults: Optional["WorkerFaults"] = None  # noqa: F821
+    seed_knowledge: Optional[SeedKnowledge] = None
+    faults: Optional[WorkerFaults] = None
 
     def __post_init__(self) -> None:
         if self.mode not in (MODE_STABILITY, MODE_DEADLINE):
@@ -136,6 +149,12 @@ class SynthesisOptions:
             raise EncodingError("max_repair_rounds must be >= 0")
         if self.max_conflicts is not None and self.max_conflicts < 1:
             raise EncodingError("max_conflicts must be >= 1 (or None)")
+
+    @property
+    def signature(self) -> StrategySignature:
+        """Which formula these options solve (see the class docstring)."""
+        return StrategySignature(
+            *(getattr(self, f.name) for f in fields(StrategySignature)))
 
 
 @dataclass
@@ -245,12 +264,22 @@ class _FreezeLedger:
         return uids
 
 
-#: Fixed encoder namespace for driver-built encodings: selector and
-#: release-time variable names must be identical across portfolio
-#: strategies and worker processes for shared knowledge to connect (see
-#: :mod:`repro.portfolio.sharing`).  Reuse across runs is safe — terms
-#: intern globally but SAT mappings are per-engine.
-_SHARED_NAMESPACE = "p"
+def open_session(
+    options: SynthesisOptions,
+) -> Tuple[Session, Optional[SolverEngine]]:
+    """The solving session a run under ``options`` uses, and its native
+    engine (None on any other backend).
+
+    The one place ``backend``, ``dl_propagation`` and ``max_conflicts``
+    become a session: :func:`solve` calls it when no session is injected,
+    the worker harness calls it to hang heartbeats and export hooks on
+    the engine first.
+    """
+    if options.backend != "native":
+        return Session(backend=options.backend), None
+    engine = SolverEngine(dl_propagation=options.dl_propagation,
+                          max_conflicts=options.max_conflicts)
+    return Session(backend=NativeBackend(engine=engine)), engine
 
 
 def solve(
@@ -262,14 +291,13 @@ def solve(
 ) -> SynthesisResult:
     """Jointly route and schedule all messages of one hyper-period.
 
-    This is the canonical entry point (the legacy :func:`synthesize`
-    delegates here).  ``session`` injects a caller-owned
-    :class:`repro.api.Session`; by default one is created according to
-    ``options.backend`` and used for the entire run.  ``on_event``
-    observes solve progress — currently one event kind,
-    ``{"kind": "stage_frozen", "stage": i, "fixed": [...]}`` after each
-    non-final incremental stage — which portfolio workers use to stream
-    frozen prefixes to the race's shared knowledge pool.
+    ``session`` injects a caller-owned :class:`repro.api.Session`; by
+    default :func:`open_session` creates one according to ``options``
+    and it is used for the entire run.  ``on_event`` observes solve
+    progress — currently one event kind, ``{"kind": "stage_frozen",
+    "stage": i, "fixed": [MessageSchedule, ...]}`` after each non-final
+    incremental stage — which portfolio workers use to stream frozen
+    prefixes to the race's shared knowledge pool.
     """
     opts = options or SynthesisOptions()
     if opts.mode == MODE_STABILITY:
@@ -278,38 +306,20 @@ def solve(
     t0 = time.perf_counter()
     slices = _slice_messages(problem, opts.stages)
     if session is None:
-        if opts.backend == "native":
-            # The module-level ``Solver`` name is the engine factory the
-            # one-engine-per-run contract tests patch.
-            session = Session(backend=NativeBackend(
-                engine=Solver(dl_propagation=opts.dl_propagation,
-                              max_conflicts=opts.max_conflicts)))
-        else:
-            session = Session(backend=opts.backend)
-    if opts.faults:
-        # Deferred import: repro.portfolio imports this module.  The
-        # trigger wraps whatever on_restart hook the caller installed
-        # (portfolio workers chain heartbeats/knowledge flushes there).
-        from ..portfolio import faults as fault_injection
-        fault_injection.apply_presolve(opts.faults)
-        fault_engine = getattr(session.backend, "engine", None)
-        if fault_engine is not None:
-            fault_injection.install_engine_triggers(fault_engine, opts.faults)
+        session, _ = open_session(opts)
     encoder = Encoder(problem, session, opts.routes, opts.path_cutoff,
-                      namespace=_SHARED_NAMESPACE)
+                      namespace=SHARED_NAMESPACE)
 
     acct = _StageAccounting()
     ledger = _FreezeLedger(opts.repair)
-    fixed: Dict[str, FixedMessage] = {}
+    schedules: Dict[str, MessageSchedule] = {}
     stages_done = 0
 
     seed = opts.seed_knowledge
     vetoes_applied: set = set()
     if seed is not None:
-        # Deferred import: repro.portfolio imports this module.
-        from ..portfolio import sharing
         acct.count("clauses_imported",
-                   sharing.import_presolve_clauses(session, opts))
+                   import_presolve_clauses(session, opts))
 
     for stage_idx, stage_messages in enumerate(slices):
         if not stage_messages:
@@ -330,13 +340,12 @@ def solve(
 
         prefix_assumps: List[BoolExpr] = []
         if seed is not None:
-            from ..portfolio import sharing
-            acct.count("route_vetoes_applied", sharing.apply_route_vetoes(
+            acct.count("route_vetoes_applied", apply_route_vetoes(
                 session, encoder, opts, vetoes_applied))
             if opts.stages == 1:
-                acct.count("clauses_imported", sharing.import_padded_clauses(
+                acct.count("clauses_imported", import_padded_clauses(
                     session, encoder, opts))
-            prefix_assumps = sharing.prefix_assumptions(opts, new_plans)
+            prefix_assumps = prefix_assumptions(opts, new_plans)
 
         outcome = _check_stage(session, opts, acct, ledger, new_plans,
                                prefix_assumps)
@@ -372,31 +381,19 @@ def solve(
                     if uid not in ledger.guard_by_uid] if opts.repair else []
         for plan in refreeze + new_plans:
             uid = plan.message.uid
-            fm = encoder.freeze_message(
+            schedules[uid] = encoder.freeze_message(
                 plan, model, pin=has_later_work,
                 guard=ledger.new_guard(uid) if has_later_work else None,
             )
-            fixed[uid] = fm
             if opts.repair:
                 ledger.plans[uid] = plan
         acct.end_stage()
         stages_done += 1
         if on_event is not None and has_later_work:
             on_event({"kind": KIND_STAGE_FROZEN, "stage": stage_idx,
-                      "fixed": list(fixed.values())})
+                      "fixed": list(schedules.values())})
 
     elapsed = time.perf_counter() - t0
-    schedules = {
-        fm.uid: MessageSchedule(
-            uid=fm.uid,
-            app=fm.app,
-            route=fm.route,
-            gammas=fm.gammas,
-            release=fm.release,
-            e2e=fm.e2e,
-        )
-        for fm in fixed.values()
-    }
     solution = Solution(problem, schedules, synthesis_time=elapsed,
                         mode=opts.mode)
     return SynthesisResult(
@@ -492,22 +489,3 @@ def _explain_core(outcome, ledger: _FreezeLedger, encoder: Encoder):
         else:
             labels.append(selector_names.get(expr, repr(expr)))
     return labels
-
-
-#: One-shot deprecation latch for the legacy ``synthesize`` entry point.
-_SYNTHESIZE_DEPRECATION_WARNED = False
-
-
-def synthesize(
-    problem: SynthesisProblem, options: Optional[SynthesisOptions] = None
-) -> SynthesisResult:
-    """Deprecated alias of :func:`solve` (the session-based driver)."""
-    global _SYNTHESIZE_DEPRECATION_WARNED
-    if not _SYNTHESIZE_DEPRECATION_WARNED:
-        _SYNTHESIZE_DEPRECATION_WARNED = True
-        warnings.warn(
-            "repro.core.synthesize is deprecated; use repro.core.solve",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return solve(problem, options)

@@ -28,6 +28,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..core.synthesizer import WORK_COUNTERS
 from . import experiments
 
 #: Quick (CI-sized) scales: small enough for a laptop/CI smoke run while
@@ -412,7 +413,7 @@ def _bench_faults(scale: dict) -> dict:
     from ..core.synthesizer import SynthesisOptions
     from ..portfolio import (FaultPlan, FaultSpec, Strategy,
                              SupervisionPolicy, synthesize_portfolio)
-    from ..portfolio.faults import CORRUPT, CRASH, HANG
+    from ..runtime.faults import CORRUPT, CRASH, HANG
     from . import workloads
 
     timeout = scale.get("timeout", 60.0)
@@ -555,7 +556,7 @@ def _bench_service(scale: dict) -> dict:
 
     from ..core.synthesizer import SynthesisOptions
     from ..portfolio import FaultPlan, FaultSpec, SupervisionPolicy
-    from ..portfolio.faults import CRASH
+    from ..runtime.faults import CRASH
     from ..service import (KnowledgeCache, ServiceClient, ServicePolicy,
                            SynthesisRequest, SynthesisServer)
     from . import workloads
@@ -701,7 +702,7 @@ def run_bench(name: str, scale: Optional[dict] = None,
 
     Returns the record that was written.  Solver search statistics are
     collected through :func:`repro.smt.solver.drain_global_check_stats`,
-    which every ``Solver`` feeds: the record carries one entry per
+    which every ``SolverEngine`` feeds: the record carries one entry per
     ``check()`` (the *trajectory*) plus the aggregate.
     """
     from ..smt.solver import drain_global_check_stats
@@ -753,12 +754,6 @@ def run_bench(name: str, scale: Optional[dict] = None,
     return record
 
 
-#: Solver-work counters that are deterministic for a given code state and
-#: benchmark scale (the solver is single-threaded and seeded), so they
-#: regress-compare cleanly even across machines of different speeds.
-_WORK_COUNTERS = ("conflicts", "decisions", "propagations")
-
-
 def compare(current: dict, baseline: dict, threshold: float = 0.25,
             wall_gate: bool = True) -> List[str]:
     """Regressions of ``current`` vs ``baseline`` (empty list = clean).
@@ -782,7 +777,7 @@ def compare(current: dict, baseline: dict, threshold: float = 0.25,
             )
     base_stats = baseline.get("statistics", {})
     cur_stats = current.get("statistics", {})
-    for key in _WORK_COUNTERS:
+    for key in WORK_COUNTERS:
         base_val = base_stats.get(key, 0)
         cur_val = cur_stats.get(key, 0)
         if base_val and cur_val > base_val * (1.0 + threshold):
@@ -820,8 +815,7 @@ def run_suite(
                 f"{record['checks']} checks")
         stats = record.get("statistics", {})
         if stats:
-            keys = ("conflicts", "decisions", "propagations",
-                    "theory_propagations")
+            keys = WORK_COUNTERS + ("theory_propagations",)
             line += ", " + ", ".join(
                 f"{k}={stats[k]}" for k in keys if k in stats
             )

@@ -8,18 +8,22 @@ verdicts are sound (``unsat`` only from a complete strategy's proof) and
 workers share learned information — clauses, route vetoes, stage
 prefixes — through a parent-side knowledge pool.  See
 :mod:`repro.portfolio.strategies` for the default strategy mix,
-:mod:`repro.portfolio.engine` for the racing machinery and
-:mod:`repro.portfolio.sharing` for the artifact kinds and their
-soundness arguments.
+:mod:`repro.portfolio.engine` for the racing machinery,
+:mod:`repro.runtime.knowledge` for the pool and its artifacts and
+:mod:`repro.core.seeding` for their soundness arguments.
 
 The race is supervised (``docs/robustness.md``) through the worker
 runtime it shares with the service (:mod:`repro.runtime`): workers
 heartbeat, silent crashes and stalls are retried with capped backoff,
 malformed artifacts are quarantined at the pool boundary, and
-persistent failures degrade the race to the serial backend.  :mod:`repro.portfolio.faults` injects
-deterministic failures to exercise all of it on demand.
+persistent failures degrade the race to the serial backend.
+:mod:`repro.runtime.faults` injects deterministic failures to exercise
+all of it on demand.
 """
 
+from ..core.seeding import SeedKnowledge
+from ..runtime.faults import FaultPlan, FaultSpec, InjectedCrash, WorkerFaults
+from ..runtime.knowledge import KnowledgePool, validate_artifact
 from ..runtime.supervision import SupervisionPolicy, Supervisor
 from .engine import (
     PortfolioResult,
@@ -33,9 +37,7 @@ from .engine import (
     StrategyResult,
     synthesize_portfolio,
 )
-from .faults import FaultPlan, FaultSpec, InjectedCrash, WorkerFaults
-from .sharing import KnowledgePool, SeedKnowledge, validate_artifact
-from .strategies import Strategy, default_portfolio, with_backend, with_restart_schedule
+from .strategies import Strategy, default_portfolio
 
 __all__ = [
     "FaultPlan",
@@ -59,6 +61,4 @@ __all__ = [
     "default_portfolio",
     "synthesize_portfolio",
     "validate_artifact",
-    "with_backend",
-    "with_restart_schedule",
 ]

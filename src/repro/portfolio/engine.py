@@ -17,9 +17,9 @@ beat a proof).
 With ``share_knowledge`` (default on) workers stream compact artifacts
 back over their result pipes *while solving* — learned clauses, frozen
 stage prefixes, and route-subset vetoes (see
-:mod:`repro.portfolio.sharing` for the artifact kinds and their
+:mod:`repro.core.seeding` for the artifact kinds and their
 soundness) — and the parent aggregates them into a
-:class:`~repro.portfolio.sharing.KnowledgePool` that seeds every restart
+:class:`~repro.runtime.knowledge.KnowledgePool` that seeds every restart
 attempt and late launch through ``SynthesisOptions.seed_knowledge``, so
 re-runs start warm instead of cold.  Artifacts are validated at the pool
 boundary: a frame that fails validation is quarantined (counted, never
@@ -39,7 +39,7 @@ artifacts, winner/prover bookkeeping, and degradation — a strategy that
 exhausts its crash budget (or cannot be spawned mid-race) hands whatever
 remains undecided to the serial loop, recording
 ``PortfolioResult.degraded_to_serial``.  Deterministic failures can be
-injected with a :mod:`~repro.portfolio.faults` plan to exercise all of
+injected with a :mod:`~repro.runtime.faults` plan to exercise all of
 this on demand.
 
 Results always include one :class:`StrategyResult` per entered strategy,
@@ -74,15 +74,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.solution import Solution
 from ..core.synthesizer import MODE_STABILITY, SynthesisResult
+from ..runtime.faults import FaultPlan, InjectedCrash, wrap_emit
 from ..runtime.frames import (KIND_ARTIFACT, KIND_HEARTBEAT, KIND_RESULT,
                               KIND_STAGE_FROZEN)
 from ..runtime.harness import pipe_sink, supervised_solve
+from ..runtime.knowledge import (KnowledgePool, prefix_artifact,
+                                 restart_artifacts, terminal_artifacts)
 from ..runtime.process import DIED, WorkerProcess, wait_ready
 from ..runtime.supervision import (SupervisionPolicy, Supervisor,
                                    heartbeat_frame)
-from . import sharing
-from .faults import FaultPlan, InjectedCrash, wrap_emit
-from .sharing import KnowledgePool
 from .strategies import Strategy, default_portfolio
 
 #: Terminal per-strategy statuses.
@@ -189,14 +189,14 @@ def synthesize_portfolio(
 
     ``share_knowledge`` pools learned clauses, route vetoes and stage
     prefixes across workers and seeds restarts/late launches with them
-    (:mod:`repro.portfolio.sharing`); turn it off for strict isolation
+    (:mod:`repro.runtime.knowledge`); turn it off for strict isolation
     A/B runs.
 
     ``supervision`` tunes the robustness layer (heartbeat cadence, stall
     timeout, crash-retry backoff, kill grace — see
     :class:`~repro.runtime.supervision.SupervisionPolicy`);
     ``fault_plan`` injects deterministic failures for chaos testing
-    (:mod:`repro.portfolio.faults`).
+    (:mod:`repro.runtime.faults`).
     """
     entries = list(strategies) if strategies is not None else default_portfolio(mode=mode)
     if not entries:
@@ -253,20 +253,20 @@ def _execute_strategy(problem, strategy: Strategy, emit=None,
         restart_hooks, on_event = (), None
         if emit is not None:
             def flush_restart(eng) -> None:
-                for artifact in sharing.restart_artifacts(opts, eng):
+                for artifact in restart_artifacts(opts, eng):
                     emit(artifact)
             restart_hooks = (flush_restart,)
 
             def on_event(event: dict) -> None:
                 if event.get("kind") == KIND_STAGE_FROZEN:
-                    emit(sharing.prefix_artifact(opts, event["stage"],
-                                                 event["fixed"]))
+                    emit(prefix_artifact(opts, event["stage"],
+                                         event["fixed"]))
         result, engine = supervised_solve(
             problem, opts, strategy.name, deadline=deadline,
             heartbeat=heartbeat, heartbeat_interval=heartbeat_interval,
             restart_hooks=restart_hooks, on_event=on_event)
         if emit is not None:
-            for artifact in sharing.terminal_artifacts(opts, result, engine):
+            for artifact in terminal_artifacts(opts, result, engine):
                 emit(artifact)
         return _payload_of(result)
     except InjectedCrash:

@@ -18,8 +18,8 @@ configuration at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from ..core.synthesizer import MODE_STABILITY, SynthesisOptions
 
@@ -81,87 +81,11 @@ class Strategy:
         return self.options.routes is None and self.options.stages == 1
 
 
-def with_restart_schedule(
-    strategies: Sequence[Strategy],
-    base_timeout: float,
-    factor: float = 2.0,
-    rounds: int = 2,
-) -> List[Strategy]:
-    """Give every strategy a geometric per-attempt budget schedule.
-
-    Attempt ``i`` gets ``base_timeout * factor**i`` seconds, for
-    ``rounds`` restart rounds after the first attempt — the standard
-    restart-schedule racing setup for pools smaller than the portfolio.
-    """
-    if base_timeout <= 0:
-        raise ValueError("base_timeout must be positive")
-    if rounds < 0:
-        raise ValueError("rounds must be >= 0")
-    schedule = tuple(base_timeout * factor ** (i + 1) for i in range(rounds))
-    return [
-        replace(s, timeout=base_timeout, restarts=schedule)
-        for s in strategies
-    ]
-
-
-def with_backend(strategies: Sequence[Strategy], backend: str) -> List[Strategy]:
-    """Re-target every strategy at a different solving backend.
-
-    Strategies are :class:`repro.api.Session` clients through the
-    synthesis driver: each worker runs its whole synthesis on one
-    session whose backend is named by its options, and the per-check
-    statistics stream tags every entry with that backend — so portfolio
-    accounting and BENCH trajectories attribute work per backend.
-    """
-    return [
-        replace(s, options=replace(s.options, backend=backend))
-        for s in strategies
-    ]
-
-
-def default_portfolio(
-    mode: str = MODE_STABILITY,
-    route_subsets: Sequence[int] = (1, 2, 3),
-    stage_counts: Sequence[int] = (2, 4),
-    include_monolithic: bool = True,
-    incremental_routes: Optional[int] = 3,
-    path_cutoff: Optional[int] = None,
-    backend: str = "native",
-    repair: bool = False,
-) -> List[Strategy]:
-    """The paper-derived strategy mix described in the module docstring.
-
-    ``backend`` names the session backend every strategy solves on;
-    ``repair`` opts the incremental strategies into core-driven stage
-    repair (their sat-coverage grows beyond the paper's heuristic, so it
-    defaults off).
-    """
-    portfolio: List[Strategy] = []
-    if include_monolithic:
-        portfolio.append(
-            Strategy(
-                "monolithic",
-                SynthesisOptions(mode=mode, routes=None, stages=1,
-                                 path_cutoff=path_cutoff, backend=backend),
-            )
-        )
-    for k in route_subsets:
-        portfolio.append(
-            Strategy(
-                f"routes-{k}",
-                SynthesisOptions(mode=mode, routes=k, stages=1,
-                                 path_cutoff=path_cutoff, backend=backend),
-            )
-        )
-    for s in stage_counts:
-        portfolio.append(
-            Strategy(
-                f"stages-{s}",
-                SynthesisOptions(mode=mode, routes=incremental_routes,
-                                 stages=s, path_cutoff=path_cutoff,
-                                 backend=backend, repair=repair),
-            )
-        )
-    if not portfolio:
-        raise ValueError("portfolio is empty: enable at least one strategy")
-    return portfolio
+def default_portfolio(mode: str = MODE_STABILITY) -> List[Strategy]:
+    """The paper-derived strategy mix described in the module docstring."""
+    def strategy(name: str, routes: Optional[int], stages: int) -> Strategy:
+        return Strategy(name, SynthesisOptions(mode=mode, routes=routes,
+                                               stages=stages))
+    return ([strategy("monolithic", None, 1)]
+            + [strategy(f"routes-{k}", k, 1) for k in (1, 2, 3)]
+            + [strategy(f"stages-{s}", 3, s) for s in (2, 4)])

@@ -6,6 +6,10 @@ processes they can trust to die rudely:
 
 * :mod:`~repro.runtime.frames` — the frame-kind registry and the pipe
   protocol state machine;
+* :mod:`~repro.runtime.faults` — deterministic fault injection
+  (:class:`FaultPlan`), fired by the harness;
+* :mod:`~repro.runtime.knowledge` — what a solve exports for others
+  (artifacts), the gate that validates it, and :class:`KnowledgePool`;
 * :mod:`~repro.runtime.supervision` — :class:`SupervisionPolicy`, the
   heartbeat frame, and :class:`Supervisor` with the one retry rule;
 * :mod:`~repro.runtime.process` — :class:`WorkerProcess`, the one
@@ -16,7 +20,8 @@ processes they can trust to die rudely:
   their in-process twins.
 
 Import the submodules directly: this package imports nothing, so
-``core.synthesizer`` can take its event kind from ``frames`` while
-``harness`` imports ``core.synthesizer``.  See ``docs/robustness.md``,
-"Worker runtime".
+``core.synthesizer`` can take its event kind from ``frames`` and its
+fault-bundle type from ``faults`` (leaf modules: they import nothing
+from :mod:`repro.core`) while ``harness`` and ``knowledge`` import
+``core``.  See ``docs/robustness.md``, "Worker runtime".
 """

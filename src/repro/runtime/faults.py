@@ -1,15 +1,19 @@
-"""Deterministic fault injection for portfolio races.
+"""Deterministic fault injection for supervised workers.
 
-The supervision machinery of :mod:`repro.portfolio.engine` (heartbeats,
-crash retry with backoff, artifact quarantine, degradation to the serial
-backend — see ``docs/robustness.md``) guards against workers that die
-rudely: SIGKILL/OOM kills, hangs that never reach a restart boundary,
-corrupt artifact frames on the sharing pipe.  None of those paths can be
-reached on demand by well-behaved code, so this module makes them
-*injectable*: a :class:`FaultPlan` — a seeded, deterministic set of
-:class:`FaultSpec` entries — rides into each worker attempt via
-``SynthesisOptions.faults`` and triggers the requested failure at a
-reproducible point.
+The supervision machinery of the portfolio race and the service
+(heartbeats, crash retry with backoff, artifact quarantine, degradation
+to the serial backend — see ``docs/robustness.md``) guards against
+workers that die rudely: SIGKILL/OOM kills, hangs that never reach a
+restart boundary, corrupt artifact frames on the sharing pipe.  None of
+those paths can be reached on demand by well-behaved code, so this
+module makes them *injectable*: a :class:`FaultPlan` — a seeded,
+deterministic set of :class:`FaultSpec` entries — rides into each worker
+attempt via ``SynthesisOptions.faults``, and
+:func:`repro.runtime.harness.supervised_solve` triggers the requested
+failure at a reproducible point.
+
+A leaf module: ``core.synthesizer`` takes the field's type from here, so
+nothing in it may import :mod:`repro.core`.
 
 Fault kinds
 -----------
@@ -241,7 +245,7 @@ class FaultPlan:
 
 
 # ---------------------------------------------------------------------------
-# Application (called by the worker / the synthesis driver)
+# Application (called by the worker harness and the race's emit path)
 # ---------------------------------------------------------------------------
 
 

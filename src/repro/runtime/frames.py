@@ -19,7 +19,7 @@ Three sub-vocabularies share the ``"kind"`` key:
   the multiprocessing pipes: liveness, streamed knowledge, results, and
   the service workers' request/shutdown envelope.
 * **Artifact kinds** (:data:`ARTIFACT_KINDS`) — the knowledge payloads
-  of :mod:`repro.portfolio.sharing` (also persisted by the service
+  of :mod:`repro.runtime.knowledge` (also persisted by the service
   cache); validated at every pool boundary.
 * **Event kinds** (:data:`EVENT_KINDS`) — in-process synthesis progress
   events (``core.solve(on_event=)``).
@@ -40,7 +40,7 @@ KIND_REQUEST = "request"
 #: Service parent -> worker: exit the request loop cleanly.
 KIND_SHUTDOWN = "shutdown"
 
-# -- knowledge artifact kinds (see repro.portfolio.sharing) ----------------
+# -- knowledge artifact kinds (see repro.runtime.knowledge) ----------------
 
 #: Learned clauses over the shared schedule vocabulary.
 ARTIFACT_CLAUSES = "clauses"

@@ -3,10 +3,12 @@
 Whatever runs a solve on behalf of a scheduler — a portfolio worker
 process, a persistent service worker, or their in-process twins (the
 serial race backend, ``InlineWorker``) — runs it through
-:func:`supervised_solve`: the engine and session are built exactly as
-``core.solve`` would build them, tagged for the per-check statistics
-stream, given a throttled heartbeat plus the caller's restart hooks, and
-bounded by an :class:`InterruptPump`.
+:func:`supervised_solve`: the session is the one
+:func:`repro.core.synthesizer.open_session` builds for any run, its
+engine tagged for the per-check statistics stream and given a throttled
+heartbeat plus the caller's restart hooks; the attempt's injected faults
+(``options.faults``) fire around the solve; and an
+:class:`InterruptPump` bounds it.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ import threading
 import time
 from typing import Callable, Optional, Sequence, Tuple
 
-from ..api import NativeBackend, Session
+from ..api import Session
 from ..core import synthesizer as synth
+from .faults import apply_presolve, install_engine_triggers
 from .supervision import heartbeat_frame
 
 
@@ -103,15 +106,15 @@ def supervised_solve(
     restart boundary.  ``deadline`` / ``cancelled`` arm the
     :class:`InterruptPump`; ``on_session`` sees the session before the
     solve and None after it, for callers that interrupt it themselves.
+
+    ``options.faults`` is injected here and nowhere else: the pre-solve
+    faults fire just before the solve, and the conflict-threshold
+    trigger wraps the restart chain (heartbeat, then ``restart_hooks``)
+    — it runs *first*, so a crashing worker gets no final heartbeat or
+    knowledge flush.
     """
-    engine = None
-    if options.backend == "native":
-        # synth.Solver is the patchable engine factory (the
-        # one-engine-per-run contract tests rely on it); the engine-level
-        # options must reach it exactly as core.solve would wire them.
-        engine = synth.Solver(dl_propagation=options.dl_propagation,
-                              max_conflicts=options.max_conflicts)
-        session = Session(backend=NativeBackend(engine=engine))
+    session, engine = synth.open_session(options)
+    if engine is not None:
         engine.backend_name = f"native[{tag}]"
         hooks = list(restart_hooks)
         if heartbeat is not None:
@@ -129,12 +132,14 @@ def supervised_solve(
                 for hook in hooks:
                     hook(eng)
             engine.on_restart = on_restart
-    else:
-        session = Session(backend=options.backend)
     if on_session is not None:
         on_session(session)
     try:
         with InterruptPump(session, deadline, cancelled):
+            if options.faults:
+                apply_presolve(options.faults)
+                if engine is not None:
+                    install_engine_triggers(engine, options.faults)
             result = synth.solve(problem, options, session=session,
                                  on_event=on_event)
     finally:

@@ -2,7 +2,7 @@
 
 Everything the earlier PRs built — the declarative
 :class:`repro.api.Session`, the supervised portfolio machinery, and the
-cross-worker :class:`~repro.portfolio.sharing.KnowledgePool` — lives
+cross-worker :class:`~repro.runtime.knowledge.KnowledgePool` — lives
 inside one process solving one problem.  This package turns the stack
 into a *service*: an asyncio front-end (:class:`SynthesisServer`)
 accepts synthesis requests (single and batched) over a small JSON-line

@@ -13,9 +13,10 @@ hit seeds everything; a miss falls back to the best compatible ancestor
 in the same bucket — clauses and vetoes only from *subset* ancestors,
 schedule hints from either direction (see the fingerprint module for
 the soundness argument).  The returned
-:class:`~repro.portfolio.sharing.SeedKnowledge` plugs straight into
+:class:`~repro.core.seeding.SeedKnowledge` plugs straight into
 ``SynthesisOptions.seed_knowledge``, so the whole import machinery
-(route-limit padding, veto escapes, prefix probes) is PR 4's, untouched.
+(route-limit padding, veto escapes, prefix probes) is the race's,
+untouched.
 
 Persistence is crash-safe and hostile-input-safe: files are written
 atomically (tmp + rename), and a file that fails to parse or validate
@@ -38,11 +39,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..portfolio import sharing
-from ..portfolio.sharing import (ClauseBatch, RouteVeto, SeedKnowledge,
-                                 StagePrefix, signature_of)
+from ..core.seeding import (ClauseBatch, RouteVeto, SeedKnowledge,
+                            StagePrefix, StrategySignature)
+from ..core.synthesizer import SynthesisOptions
 from ..runtime.frames import (ARTIFACT_CLAUSES, ARTIFACT_PREFIX,
                               ARTIFACT_VETO)
+from ..runtime.knowledge import validate_artifact
 from . import fingerprint as fp
 
 #: On-disk schema version; bump on incompatible layout changes (old
@@ -51,7 +53,7 @@ CACHE_VERSION = 1
 
 
 def _tuplify(value):
-    """Recursively turn JSON lists back into the tuples sharing expects."""
+    """Recursively turn JSON lists back into the tuples seeds are made of."""
     if isinstance(value, list):
         return tuple(_tuplify(v) for v in value)
     return value
@@ -118,7 +120,7 @@ class CacheEntry:
         The disk is a pool boundary exactly like PR 7's worker pipes: an
         entry that fails here is quarantined by the loader, never
         imported.  Clause/veto payloads reuse the pipe-boundary
-        validator from :mod:`repro.portfolio.sharing`.
+        validator from :mod:`repro.runtime.knowledge`.
         """
         if not isinstance(self.fingerprint, str) or not self.fingerprint:
             raise ValueError("entry without a fingerprint")
@@ -130,44 +132,29 @@ class CacheEntry:
             raise ValueError("malformed app digest map")
         if self.status not in ("sat", "unsat", "unknown"):
             raise ValueError(f"unknown cached status {self.status!r}")
-        sig = signature_of(_OptionsView(self.options))
+        try:
+            sig = StrategySignature(**self.options)
+        except TypeError as exc:    # not a dict / missing or extra keys
+            raise ValueError(f"malformed cached options: {exc}") from None
         if self.clauses:
-            problem = sharing.validate_artifact(
+            problem = validate_artifact(
                 {"kind": ARTIFACT_CLAUSES, "signature": sig,
                  "clauses": self.clauses})
             if problem is not None:
                 raise ValueError(f"cached clauses invalid: {problem}")
         if self.route_veto is not None:
-            problem = sharing.validate_artifact(
+            problem = validate_artifact(
                 {"kind": ARTIFACT_VETO, "signature": sig,
                  "limits": self.route_veto})
             if problem is not None:
                 raise ValueError(f"cached veto invalid: {problem}")
         if self.schedule:
-            problem = sharing.validate_artifact(
+            problem = validate_artifact(
                 {"kind": ARTIFACT_PREFIX, "signature": sig,
                  "stages_completed": 1,
                  "messages": self.schedule})
             if problem is not None:
                 raise ValueError(f"cached schedule invalid: {problem}")
-
-    @property
-    def source_routes(self) -> Optional[int]:
-        routes = self.options.get("routes")
-        return int(routes) if routes is not None else None
-
-
-class _OptionsView:
-    """Duck-typed options over a canonical-options dict (for signatures)."""
-
-    def __init__(self, options: Dict[str, object]) -> None:
-        self.mode = options.get("mode", "stability")
-        routes = options.get("routes")
-        self.routes = int(routes) if routes is not None else None
-        self.stages = int(options.get("stages", 1))
-        cutoff = options.get("path_cutoff")
-        self.path_cutoff = int(cutoff) if cutoff is not None else None
-        self.repair = bool(options.get("repair", False))
 
 
 @dataclass(frozen=True)
@@ -333,14 +320,12 @@ class KnowledgeCache:
         in the hints are skipped by the probe builder, so a superset
         schedule needs no explicit restriction here.
         """
-        if options is None:
-            from ..core.synthesizer import SynthesisOptions
-            options = SynthesisOptions()
+        options = options or SynthesisOptions()
         batches: Tuple[ClauseBatch, ...] = ()
         vetoes: Tuple[RouteVeto, ...] = ()
         if relation in ("equal", "subset"):
             if entry.clauses:
-                batches = (ClauseBatch(source_routes=entry.source_routes,
+                batches = (ClauseBatch(source_routes=entry.options["routes"],
                                        clauses=entry.clauses),)
             if entry.route_veto is not None:
                 vetoes = (RouteVeto(limits=entry.route_veto,
@@ -352,7 +337,7 @@ class KnowledgeCache:
             # regardless, but keeping the target signature documents who
             # the hint is for (and keeps pool/seed invariants intact).
             prefix = StagePrefix(
-                signature=signature_of(options),
+                signature=options.signature,
                 stages_completed=int(options.stages),
                 messages=entry.schedule,
             )

@@ -31,7 +31,7 @@ route-limit pad-up/import-down argument, transposed to message sets:
   ``F_request == F_cached ∧ Extra``: learned clauses and route vetoes
   of the cached run are entailed by the request's formula and import
   soundly (clauses still subject to the route-limit pad rules of
-  :mod:`repro.portfolio.sharing`).
+  :mod:`repro.core.seeding`).
 * **Superset ancestor** (cached apps ⊇ request apps): the entailment
   runs the wrong way — the cached clauses may depend on contention with
   messages the request does not have, so **no clause or veto import**.
@@ -50,13 +50,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-#: Encoder namespace pinned by the synthesis driver (see
-#: ``core.synthesizer._SHARED_NAMESPACE``): part of the fingerprint
-#: because every cached literal is serialized over it.
-DEFAULT_NAMESPACE = "p"
+from ..core.encoding import SHARED_NAMESPACE
+from ..core.synthesizer import SynthesisOptions
+from .protocol import app_to_wire, problem_to_wire
 
 
 def _frac(value: Fraction) -> str:
@@ -64,45 +64,21 @@ def _frac(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def _app_descriptor(app) -> Dict[str, object]:
-    """Canonical form of one control application."""
-    stability = None
-    if app.stability is not None:
-        stability = [
-            [_frac(seg.alpha), _frac(seg.beta), _frac(seg.l_lo), _frac(seg.l_hi)]
-            for seg in app.stability.segments
-        ]
-    return {
-        "name": app.name,
-        "sensor": app.sensor,
-        "controller": app.controller,
-        "period": _frac(app.period),
-        "frame_bytes": app.frame_bytes,
-        "stability": stability,
-    }
-
-
 def canonical_problem(problem) -> Dict[str, object]:
-    """Order-independent canonical form of a :class:`SynthesisProblem`.
-
-    Nodes, links and applications are sorted, rationals rendered
-    exactly; two problems with the same canonical form encode the same
-    constraint system (given equal options).
+    """Order-independent canonical form of a :class:`SynthesisProblem`:
+    its wire form (nodes and links sorted, rationals rendered exactly)
+    with the applications sorted by name.  Two problems with the same
+    canonical form encode the same constraint system (given equal
+    options).
     """
-    net = problem.network
-    return {
-        "nodes": sorted((name, net.kind(name).value) for name in net.nodes),
-        "links": sorted(tuple(sorted(link)) for link in net.links),
-        "delays": {"sd": _frac(problem.delays.sd), "ld": _frac(problem.delays.ld)},
-        "apps": sorted(
-            (_app_descriptor(app) for app in problem.apps),
-            key=lambda d: d["name"],
-        ),
-    }
+    canon = problem_to_wire(problem)
+    canon["apps"].sort(key=lambda entry: entry["name"])
+    return canon
 
 
 def canonical_options(options) -> Dict[str, object]:
-    """The encoding-affecting subset of :class:`SynthesisOptions`.
+    """The encoding-affecting subset of :class:`SynthesisOptions`: the
+    fields of its :attr:`~repro.core.synthesizer.SynthesisOptions.signature`.
 
     Deliberately excluded: ``backend`` (the formula is identical either
     way), ``dl_propagation`` / ``probe_routes`` / ``max_conflicts``
@@ -112,13 +88,7 @@ def canonical_options(options) -> Dict[str, object]:
     it swaps permanent freezes for guarded ones, changing the asserted
     formula of every stage after the first.
     """
-    return {
-        "mode": options.mode,
-        "routes": options.routes,
-        "stages": options.stages,
-        "path_cutoff": options.path_cutoff,
-        "repair": bool(options.repair),
-    }
+    return asdict(options.signature)
 
 
 def _digest(payload: object) -> str:
@@ -127,44 +97,41 @@ def _digest(payload: object) -> str:
 
 
 def problem_fingerprint(problem, options=None,
-                        namespace: str = DEFAULT_NAMESPACE) -> str:
+                        namespace: str = SHARED_NAMESPACE) -> str:
     """The cache key: hash of canonical problem + encoding options.
 
     ``options=None`` fingerprints with the default
     :class:`~repro.core.SynthesisOptions` (monolithic, all routes).
+    ``namespace`` defaults to the one the synthesis driver encodes
+    under: every cached literal is serialized over it.
     """
-    if options is None:
-        from ..core.synthesizer import SynthesisOptions
-        options = SynthesisOptions()
     return _digest({
         "problem": canonical_problem(problem),
-        "options": canonical_options(options),
+        "options": canonical_options(options or SynthesisOptions()),
         "namespace": namespace,
         "horizon": _frac(problem.hyperperiod),
     })
 
 
 def compatibility_key(problem, options=None,
-                      namespace: str = DEFAULT_NAMESPACE) -> str:
+                      namespace: str = SHARED_NAMESPACE) -> str:
     """The ancestor-matching bucket (see the module docstring).
 
     Everything that must agree for *any* knowledge transfer: topology,
     delays, mode, path cutoff, namespace, and the hyper-period (equal
     horizons guarantee shared flows expand to identical message
     instances).  Route limit, stage count, and repair are deliberately
-    absent — transfers across those are governed by the sharing module's
-    pad/import rules and by how the seed is applied, not by the bucket.
+    absent — transfers across those are governed by the pad/import rules
+    of :mod:`repro.core.seeding` and by how the seed is applied, not by
+    the bucket.
     """
-    if options is None:
-        from ..core.synthesizer import SynthesisOptions
-        options = SynthesisOptions()
-    canon = canonical_problem(problem)
+    signature = (options or SynthesisOptions()).signature
+    canon = problem_to_wire(problem)
     return _digest({
         "nodes": canon["nodes"],
         "links": canon["links"],
         "delays": canon["delays"],
-        "mode": options.mode,
-        "path_cutoff": options.path_cutoff,
+        **signature.compatibility(),
         "namespace": namespace,
         "horizon": _frac(problem.hyperperiod),
     })
@@ -178,10 +145,7 @@ def app_set_key(problem) -> Dict[str, str]:
     stability spec) — the name alone is not enough, because the interned
     vocabulary carries the name while the constraints carry the rest.
     """
-    return {
-        app.name: _digest(_app_descriptor(app))
-        for app in problem.apps
-    }
+    return {app.name: _digest(app_to_wire(app)) for app in problem.apps}
 
 
 def ancestor_relation(request_apps: Dict[str, str],

@@ -29,11 +29,13 @@ the original.  Schedules in ``result`` frames use the same convention.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Dict, List, Optional
 
 from ..core.problem import ControlApplication, SynthesisProblem
+from ..core.seeding import StrategySignature
+from ..core.solution import MessageSchedule
 from ..core.synthesizer import SynthesisOptions
 from ..errors import EncodingError
 from ..network.graph import Network
@@ -45,12 +47,12 @@ RESPONSE_TYPES = frozenset({
     "result", "timeout", "cancelled", "overloaded", "rejected", "error",
 })
 
-#: Request option keys accepted from the wire (everything else is
-#: rejected so a typo'd knob cannot silently solve the wrong problem).
-_WIRE_OPTION_KEYS = frozenset({
-    "mode", "routes", "stages", "path_cutoff", "repair", "probe_routes",
-    "dl_propagation", "max_conflicts",
-})
+#: Request option keys accepted from the wire: what names the formula,
+#: plus the search knobs a client may set (everything else is rejected
+#: so a typo'd knob cannot silently solve the wrong problem).
+_WIRE_OPTION_KEYS = frozenset(f.name for f in fields(StrategySignature)) | {
+    "probe_routes", "dl_propagation", "max_conflicts",
+}
 
 
 class ProtocolError(ValueError):
@@ -74,33 +76,40 @@ def _frac_from_wire(value: object) -> Fraction:
     raise ProtocolError(f"expected an exact rational, got {value!r}")
 
 
+def app_to_wire(app: ControlApplication) -> dict:
+    """JSON-safe representation of one control application."""
+    stability = None
+    if app.stability is not None:
+        stability = [
+            [_frac_to_wire(s.alpha), _frac_to_wire(s.beta),
+             _frac_to_wire(s.l_lo), _frac_to_wire(s.l_hi)]
+            for s in app.stability.segments
+        ]
+    return {
+        "name": app.name,
+        "sensor": app.sensor,
+        "controller": app.controller,
+        "period": _frac_to_wire(app.period),
+        "frame_bytes": app.frame_bytes,
+        "stability": stability,
+    }
+
+
 def problem_to_wire(problem: SynthesisProblem) -> dict:
-    """JSON-safe representation of a problem (exact rationals)."""
+    """JSON-safe representation of a problem (exact rationals).
+
+    Also the problem's canonical form: nodes and links are sorted here,
+    and :mod:`repro.service.fingerprint` hashes this dict with the
+    applications sorted by name.
+    """
     net = problem.network
-    apps = []
-    for app in problem.apps:
-        stability = None
-        if app.stability is not None:
-            stability = [
-                [_frac_to_wire(s.alpha), _frac_to_wire(s.beta),
-                 _frac_to_wire(s.l_lo), _frac_to_wire(s.l_hi)]
-                for s in app.stability.segments
-            ]
-        apps.append({
-            "name": app.name,
-            "sensor": app.sensor,
-            "controller": app.controller,
-            "period": _frac_to_wire(app.period),
-            "frame_bytes": app.frame_bytes,
-            "stability": stability,
-        })
     return {
         "nodes": [[name, net.kind(name).value] for name in sorted(net.nodes)],
         "links": [sorted(link) for link in sorted(
             tuple(sorted(l)) for l in net.links)],
         "delays": {"sd": _frac_to_wire(problem.delays.sd),
                    "ld": _frac_to_wire(problem.delays.ld)},
-        "apps": apps,
+        "apps": [app_to_wire(app) for app in problem.apps],
     }
 
 
@@ -159,21 +168,10 @@ def options_from_wire(wire: Optional[dict]) -> SynthesisOptions:
         raise ProtocolError(f"invalid options: {exc}") from None
 
 
-def schedules_to_wire(schedules: Dict[str, object]) -> List[dict]:
+def schedules_to_wire(schedules: Dict[str, MessageSchedule]) -> List[dict]:
     """Winning schedules as JSON (uid, route, release table, e2e)."""
-    out = []
-    for uid in sorted(schedules):
-        sched = schedules[uid]
-        out.append({
-            "uid": sched.uid,
-            "app": sched.app,
-            "route": list(sched.route),
-            "gammas": {node: _frac_to_wire(g)
-                       for node, g in sorted(sched.gammas.items())},
-            "release": _frac_to_wire(sched.release),
-            "e2e": _frac_to_wire(sched.e2e),
-        })
-    return out
+    return [{"uid": uid, **schedules[uid].to_dict()}
+            for uid in sorted(schedules)]
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,12 @@ of persistent workers (process or inline — see
    compatible ancestor) and any seed rides in on
    ``SynthesisOptions.seed_knowledge``.
 3. **Solve** (executor thread, blocking): the worker solves under the
-   request deadline.  Worker death is supervised — crashes are retried
-   by the one retry rule,
-   :meth:`~repro.runtime.supervision.Supervisor.attempt_died` (capped
-   backoff, budgets exhaust to ``error``), stalls are reaped — and
+   request deadline.  Worker death is supervised — crashes, and stalls
+   detected while the deadline is still open
+   (``SupervisionPolicy.stall_timeout``), are retried by the one retry
+   rule, :meth:`~repro.runtime.supervision.Supervisor.attempt_died`
+   (capped backoff, budgets exhaust to ``error``); a worker silent
+   through deadline plus grace is reaped and answered ``timeout`` — and
    every event lands in that supervisor's counters.
 4. **Write-back**: completed ``sat``/``unsat`` solves store their
    exported knowledge back into the cache (LRU insert, atomic file).
@@ -38,6 +40,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
+from ..core.synthesizer import WORK_COUNTERS
 from ..runtime.supervision import SupervisionPolicy, Supervisor
 from .cache import CacheHit, KnowledgeCache
 from .protocol import (ProtocolError, SynthesisRequest, decode_frame,
@@ -110,8 +113,8 @@ class SynthesisServer:
                  fault_plan=None) -> None:
         self.policy = policy or ServicePolicy()
         self.cache = cache
-        #: A :class:`repro.portfolio.faults.FaultPlan` keyed by request
-        #: id and attempt number — the service reuses the portfolio's
+        #: A :class:`repro.runtime.faults.FaultPlan` keyed by request
+        #: id and attempt number — the service reuses the race's
         #: fault-injection harness verbatim for chaos tests.
         self.fault_plan = fault_plan
         self.supervisor = Supervisor(self.policy.supervision)
@@ -353,20 +356,27 @@ class SynthesisServer:
                     request.id, request.problem, attempt_opts,
                     deadline=remaining, on_heartbeat=self._note_heartbeat)
                 return payload, attempt
-            except WorkerStalled:
-                self.supervisor.note_stall(_STRATEGY)
-                worker.restart()
-                return ({"status": "unknown",
-                         "cancelled": pending.cancel_requested,
-                         "deadline_exceeded": True}, attempt)
             except WorkerCrashed as exc:
                 worker.restart()
+                stalled = isinstance(exc, WorkerStalled)
+                note = (self.supervisor.note_stall if stalled
+                        else self.supervisor.note_crash)
+                if stalled and exc.past_deadline:
+                    # Silent through deadline + grace: the request's
+                    # time is up, there is nothing left to retry into.
+                    note(_STRATEGY)
+                    return ({"status": "unknown",
+                             "cancelled": pending.cancel_requested,
+                             "deadline_exceeded": True}, attempt)
                 if pending.cancel_requested:
-                    self.supervisor.note_crash(_STRATEGY)
+                    note(_STRATEGY)
                     return ({"status": "unknown", "cancelled": True,
                              "deadline_exceeded": False}, attempt)
+                # A crash, or a stall with the deadline still open: the
+                # one retry rule decides.
                 delay = self.supervisor.attempt_died(
-                    _STRATEGY, attempt - 1, self.policy.max_crash_retries)
+                    _STRATEGY, attempt - 1, self.policy.max_crash_retries,
+                    stalled=stalled)
                 if delay is None:
                     return ({"status": "error", "cancelled": False,
                              "deadline_exceeded": False,
@@ -436,8 +446,7 @@ class SynthesisServer:
             clauses=knowledge.get("clauses", ()),
             route_veto=knowledge.get("route_veto"),
             schedule=knowledge.get("schedule", ()),
-            work={key: stats.get(key, 0)
-                  for key in ("conflicts", "decisions", "propagations")},
+            work={key: stats.get(key, 0) for key in WORK_COUNTERS},
         )
 
     def _respond(self, pending: _Pending, frame: dict) -> None:

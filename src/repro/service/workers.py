@@ -16,15 +16,16 @@ deliberately *blocking* (the asyncio server runs it in an executor
 thread) on its single pipe, raising :class:`WorkerCrashed` when the
 worker dies mid-request — for the server's retry loop — and
 :class:`WorkerStalled`, after reaping it, when nothing came back by the
-deadline plus grace.  Frames that are neither this request's result nor
-a death go to ``on_heartbeat``, whose validator quarantines what is not
-a heartbeat.
+deadline plus grace or (with ``SupervisionPolicy.stall_timeout`` set)
+the worker went silent for that long before the deadline.  Frames that
+are neither this request's result nor a death go to ``on_heartbeat``,
+whose validator quarantines what is not a heartbeat.
 
 :class:`InlineWorker` implements the same interface with no subprocess
 — the harness runs in the calling thread, and ``cancel()`` fires
 ``Session.interrupt()`` directly.  It exists for deterministic tests,
 benchmarks, and sandboxes where forking is unavailable; injected
-crashes (:class:`~repro.portfolio.faults.InjectedCrash`) surface as
+crashes (:class:`~repro.runtime.faults.InjectedCrash`) surface as
 :class:`WorkerCrashed` so the supervision path is identical.
 """
 
@@ -36,10 +37,10 @@ import time
 from typing import Callable, Dict, Optional
 
 from ..api import Session
-from ..portfolio import sharing
-from ..portfolio.faults import InjectedCrash
+from ..runtime.faults import InjectedCrash
 from ..runtime.frames import KIND_REQUEST, KIND_RESULT, KIND_SHUTDOWN
 from ..runtime.harness import pipe_sink, supervised_solve
+from ..runtime.knowledge import exportable_clauses
 from ..runtime.process import DIED, WorkerProcess
 from ..runtime.supervision import SupervisionPolicy
 from .protocol import schedules_to_wire
@@ -59,7 +60,13 @@ class WorkerCrashed(RuntimeError):
 
 
 class WorkerStalled(WorkerCrashed):
-    """The worker blew its deadline + grace without answering."""
+    """The worker was reaped for silence: no frame for the policy's
+    ``stall_timeout`` mid-request, or — ``past_deadline`` — no answer by
+    deadline + grace, when there is no time left to retry into."""
+
+    def __init__(self, message: str, past_deadline: bool) -> None:
+        super().__init__(message)
+        self.past_deadline = past_deadline
 
 
 # ---------------------------------------------------------------------------
@@ -72,31 +79,26 @@ def export_request_knowledge(options, result, engine) -> Dict[str, object]:
 
     * ``clauses`` — schedule-vocabulary units + ranked learned clauses,
       single-stage runs only (an incremental stage's database mixes in
-      freeze consequences; see :mod:`repro.portfolio.sharing`).  Unlike
+      freeze consequences; see :mod:`repro.core.seeding`).  Unlike
       the race's ``terminal_artifacts`` this exports on *any* verdict:
       learned clauses are entailed by the asserted formula regardless of
       how the check ended, and the cache — unlike a race — outlives sat
       results.
     * ``route_veto`` — the doomed route-subset selection of a provable
       unsat (``result.route_veto`` is only ever set for one).
-    * ``schedule`` — the winning schedule in stage-prefix message form,
-      replayed by recipients as an assumption probe.
+    * ``schedule`` — the winning schedule in stage-prefix message form
+      (:meth:`MessageSchedule.as_hint
+      <repro.core.solution.MessageSchedule.as_hint>`), replayed by
+      recipients as an assumption probe.
     """
     clauses = ()
-    if (options.stages == 1 and engine is not None
-            and hasattr(engine, "export_learned_clauses")):
-        clauses = sharing._exportable_clauses(engine)
+    if options.stages == 1 and engine is not None:
+        clauses = exportable_clauses(engine)
     schedule = ()
     if result.solution is not None:
         schedule = tuple(
-            (
-                sched.uid,
-                tuple(sched.route),
-                tuple(sorted((node, str(value))
-                             for node, value in sched.gammas.items())),
-            )
-            for _, sched in sorted(result.solution.schedules.items())
-        )
+            sched.as_hint()
+            for _, sched in sorted(result.solution.schedules.items()))
     return {
         "clauses": clauses,
         "route_veto": tuple(result.route_veto) if result.route_veto else None,
@@ -269,18 +271,26 @@ class ServiceWorker:
         """Dispatch one request and block for its payload.
 
         Raises :class:`WorkerCrashed` when the child died (pipe EOF)
-        and :class:`WorkerStalled` — after reaping the child — when
-        nothing came back by the deadline plus grace; the caller owns
-        retries.  Every frame that is not this request's result —
-        heartbeat, garbage, a stale result — goes to ``on_heartbeat``.
+        and :class:`WorkerStalled` — after reaping the child — when it
+        sent nothing for ``policy.stall_timeout`` seconds while the
+        deadline was still open, or nothing came back by the deadline
+        plus grace; the caller owns retries.  Every frame that is not
+        this request's result — heartbeat, garbage, a stale result —
+        goes to ``on_heartbeat``.
         """
         if not self._worker.send({"kind": KIND_REQUEST, "id": request_id,
                                   "problem": problem, "options": options,
                                   "deadline": deadline}):
             raise WorkerCrashed(f"worker {self.name} is not running")
-        hard = (time.perf_counter() + deadline
-                + self.policy.kill_grace + _DEADLINE_SLACK
-                if deadline is not None else None)
+        last_frame = time.perf_counter()
+        due = last_frame + deadline if deadline is not None else None
+        hard = (due + self.policy.kill_grace + _DEADLINE_SLACK
+                if due is not None else None)
+        stall_timeout = self.policy.stall_timeout
+        if stall_timeout is not None and options.backend != "native":
+            # Only the native backend has the restart hook heartbeats
+            # ride on; silence on any other is not evidence of a stall.
+            stall_timeout = None
         while True:
             # Sampled before the read: whatever a dead child sent is
             # queued by now, so one more drain sees all of it even when
@@ -292,14 +302,26 @@ class ServiceWorker:
                     return frame["payload"]
                 if kind == DIED:
                     gone = True
-                elif on_heartbeat is not None:
+                    continue
+                last_frame = time.perf_counter()
+                if on_heartbeat is not None:
                     on_heartbeat(frame)
             if gone:
                 raise WorkerCrashed(f"worker {self.name} died mid-request")
-            if hard is not None and time.perf_counter() >= hard:
+            now = time.perf_counter()
+            if hard is not None and now >= hard:
                 self._worker.reap()
                 raise WorkerStalled(
-                    f"worker {self.name} stalled past its deadline")
+                    f"worker {self.name} stalled past its deadline",
+                    past_deadline=True)
+            # Past the deadline the child is unwinding from the pump's
+            # interrupt; ``hard`` bounds that, not the stall clock.
+            if (stall_timeout is not None and (due is None or now < due)
+                    and now - last_frame >= stall_timeout):
+                self._worker.reap()
+                raise WorkerStalled(
+                    f"worker {self.name} sent nothing for "
+                    f"{stall_timeout:g}s mid-request", past_deadline=False)
 
 
 class InlineWorker:

@@ -1,7 +1,7 @@
 """From-scratch SMT solver for QF_LRA (DESIGN.md S1).
 
 A z3py-flavoured API (``Real``, ``Bool``, ``And``/``Or``/``Not``,
-``Solver``) over a DPLL(T) engine: CDCL SAT core (:mod:`repro.sat`), an
+``SolverEngine``) over a DPLL(T) engine: CDCL SAT core (:mod:`repro.sat`), an
 eager incremental difference-logic theory, and an exact rational simplex
 (Dutertre & de Moura) for general linear atoms and model certification.
 """
@@ -10,7 +10,7 @@ from .difflogic import DifferenceLogic
 from .rationals import DeltaRational, materialize_delta
 from .simplex import Simplex
 from .optimize import OptimizeResult, minimize
-from .solver import CheckResult, Model, Solver, SolverEngine, sat, unknown, unsat
+from .solver import CheckResult, Model, SolverEngine, sat, unknown, unsat
 from .terms import (
     And,
     Atom,
@@ -59,7 +59,6 @@ __all__ = [
     "RealVal",
     "RealVar",
     "Simplex",
-    "Solver",
     "SolverEngine",
     "Sum",
     "TRUE_EXPR",

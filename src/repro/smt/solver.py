@@ -2,19 +2,7 @@
 
 The *public* solving surface is :class:`repro.api.Session` (pluggable
 backends, rich outcomes, first-class unsat cores — see ``docs/api.md``);
-this module is the engine behind its native backend.  The legacy name
-``Solver`` remains as a warn-once deprecation shim.
-
-Usage::
-
-    from repro.smt import Solver, Real, Bool, Or, And, sat
-
-    x, y = Real("x"), Real("y")
-    s = Solver()
-    s.add(x - y >= 2, Or(Bool("a"), x + y <= 10))
-    if s.check() == sat:
-        m = s.model()
-        print(m[x], m[y])
+this module is the engine behind its native backend.
 
 The solver is *incremental*: constraints may be added between ``check()``
 calls (learned clauses and theory state carry over), ``push()``/``pop()``
@@ -37,11 +25,9 @@ while everything learned from them remains valid.
 from __future__ import annotations
 
 import itertools
-import warnings
-
 from collections import deque
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from ..errors import SolverError
 from ..sat.literals import is_positive, neg, var_of
@@ -64,7 +50,7 @@ from .terms import (
 )
 from .theory import LraTheory
 
-#: Fresh activation-variable names across all Solver instances (BoolVar
+#: Fresh activation-variable names across all engine instances (BoolVar
 #: interns by name globally, so scope selectors must never collide).
 _SCOPE_IDS = itertools.count()
 
@@ -80,7 +66,7 @@ _CHECK_STAT_KEYS = (
     "restarts",
 )
 
-#: Per-check statistics of every Solver in this process, in check() order.
+#: Per-check statistics of every engine in this process, in check() order.
 #: The benchmark harness (:mod:`repro.eval.bench`) drains this to build a
 #: solve trajectory without threading a recorder through the experiment
 #: runners.  A bounded ring buffer: processes that never drain (services,
@@ -201,8 +187,7 @@ class SolverEngine:
     """Incremental DPLL(T) solver for QF_LRA + Booleans.
 
     This is the *native engine* behind the public session API
-    (:class:`repro.api.Session` with the ``"native"`` backend); the
-    legacy entry point :class:`Solver` is a deprecated alias.
+    (:class:`repro.api.Session` with the ``"native"`` backend).
 
     ``theory_propagation`` (default on) lets the theory assign implied
     atoms instead of branching on them — the ``theory_propagations``
@@ -211,9 +196,7 @@ class SolverEngine:
     to ``theory_propagation``) additionally derives implications through
     *chains* of difference constraints (Cotton & Maler's SSSP pass over
     the difference-logic graph) with multi-literal path explanations —
-    counted by ``dl_propagations`` / ``dl_explanation_lits``;
-    ``dl_effort`` caps the per-edge shortest-path work (heap pops per
-    direction).
+    counted by ``dl_propagations`` / ``dl_explanation_lits``.
 
     ``backend_name`` tags this engine's entries in the global per-check
     statistics stream so benchmark trajectories can attribute work per
@@ -236,18 +219,16 @@ class SolverEngine:
 
     def __init__(self, theory_propagation: bool = True,
                  dl_propagation: bool = True,
-                 dl_effort: Optional[int] = None,
                  on_restart=None,
                  max_conflicts: Optional[int] = None) -> None:
         self._theory = LraTheory(propagation=theory_propagation,
-                                 dl_propagation=dl_propagation,
-                                 dl_effort=dl_effort)
+                                 dl_propagation=dl_propagation)
         self._sat = SatSolver(self._theory)
         self._cnf = CnfConverter(self._sat, self._theory)
-        self._assertions: list[BoolExpr] = []
         self._model: Optional[Model] = None
-        # Scope stack: (activation var, watermark into self._assertions).
-        self._scopes: List[Tuple[BoolVar, int]] = []
+        # Scope stack: one activation variable per open push().  (The
+        # assertion log itself lives in the Session that owns the engine.)
+        self._scopes: List[BoolVar] = []
         self._last_check_stats: Dict[str, int] = {}
         # Unsat-core state of the most recent check(), if it failed under
         # assumptions: the scope literals it ran under, the literal ->
@@ -277,10 +258,6 @@ class SolverEngine:
         self._sat.interrupt()
 
     @property
-    def assertions(self) -> list[BoolExpr]:
-        return list(self._assertions)
-
-    @property
     def statistics(self) -> dict:
         stats = self._sat.statistics
         stats["clauses_imported"] = self._clauses_imported
@@ -303,8 +280,7 @@ class SolverEngine:
 
     def push(self) -> None:
         """Open a retractable assertion scope."""
-        act = BoolVar(f"__scope!{next(_SCOPE_IDS)}")
-        self._scopes.append((act, len(self._assertions)))
+        self._scopes.append(BoolVar(f"__scope!{next(_SCOPE_IDS)}"))
 
     def pop(self, n: int = 1) -> None:
         """Retract the ``n`` innermost scopes and their assertions.
@@ -318,9 +294,7 @@ class SolverEngine:
                 f"cannot pop {n} scope(s); {len(self._scopes)} pushed"
             )
         for _ in range(n):
-            act, watermark = self._scopes.pop()
-            del self._assertions[watermark:]
-            self._cnf.assert_formula(Not(act))
+            self._cnf.assert_formula(Not(self._scopes.pop()))
         self._model = None
 
     def add(self, *exprs: BoolExpr | bool | Iterable) -> None:
@@ -337,10 +311,8 @@ class SolverEngine:
                 expr = BoolConst(expr)
             if not isinstance(expr, BoolExpr):
                 raise SolverError(f"cannot assert non-Boolean {expr!r}")
-            self._assertions.append(expr)
             if self._scopes:
-                act, _ = self._scopes[-1]
-                self._cnf.assert_formula(Or(Not(act), expr))
+                self._cnf.assert_formula(Or(Not(self._scopes[-1]), expr))
             else:
                 self._cnf.assert_formula(expr)
 
@@ -360,7 +332,7 @@ class SolverEngine:
         self._core_by_lit = {}
         self._raw_core_lits = []
         self._min_core_lits = None
-        scope_lits = [self._cnf.literal_for(act) for act, _ in self._scopes]
+        scope_lits = [self._cnf.literal_for(act) for act in self._scopes]
         by_lit: Dict[int, BoolExpr] = {}
         self._collect_assumptions(assumptions, by_lit)
         lits = scope_lits + list(by_lit)
@@ -571,27 +543,3 @@ class SolverEngine:
         if self._model is None:
             raise SolverError("model is only available after a sat check()")
         return self._model
-
-
-#: One-shot deprecation latch for the legacy ``Solver`` entry point.
-_SOLVER_DEPRECATION_WARNED = False
-
-
-class Solver(SolverEngine):
-    """Deprecated alias of :class:`SolverEngine`.
-
-    The public solving surface is :class:`repro.api.Session`; this name
-    stays importable for existing code and warns once per process.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        global _SOLVER_DEPRECATION_WARNED
-        if not _SOLVER_DEPRECATION_WARNED:
-            _SOLVER_DEPRECATION_WARNED = True
-            warnings.warn(
-                "repro.smt.Solver is deprecated; use repro.api.Session "
-                "(native backend) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        super().__init__(*args, **kwargs)

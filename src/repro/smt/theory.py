@@ -121,17 +121,13 @@ class LraTheory(TheoryBackend):
     """Combined difference-logic + simplex theory with trail alignment."""
 
     def __init__(self, propagation: bool = True,
-                 dl_propagation: bool = True,
-                 dl_effort: Optional[int] = None) -> None:
+                 dl_propagation: bool = True) -> None:
         # Transitive difference-logic propagation rides on theory
         # propagation (implications flow through the same hook), so it is
         # active only when both flags are on.
         self.propagation = propagation
         self.dl_propagation = propagation and dl_propagation
-        dl_kwargs = {"propagation": self.dl_propagation}
-        if dl_effort is not None:
-            dl_kwargs["effort_cap"] = dl_effort
-        self.dl = DifferenceLogic(**dl_kwargs)
+        self.dl = DifferenceLogic(propagation=self.dl_propagation)
         self.simplex = Simplex()
         self._real_to_sx: Dict[RealVar, int] = {}
         self._real_to_dl: Dict[RealVar, int] = {}

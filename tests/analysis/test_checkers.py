@@ -474,24 +474,29 @@ class TestFrameProtocol:
         assert report.findings and report.ok
 
     def test_artifact_only_module(self, tmp_path):
-        pkg = tmp_path / "repro" / "service"
-        pkg.mkdir(parents=True)
+        (tmp_path / "repro").mkdir()
         (tmp_path / "repro" / "__init__.py").write_text("")
-        (pkg / "__init__.py").write_text("")
-        (pkg / "cache.py").write_text(textwrap.dedent("""\
-            from repro.runtime.frames import ARTIFACT_CLAUSES, KIND_RESULT
+        # Both artifact-only modules, by dotted name: the service cache
+        # and the knowledge module both schedulers share.
+        for package, module in (("service", "cache"),
+                                ("runtime", "knowledge")):
+            pkg = tmp_path / "repro" / package
+            pkg.mkdir()
+            (pkg / "__init__.py").write_text("")
+            (pkg / f"{module}.py").write_text(textwrap.dedent("""\
+                from repro.runtime.frames import ARTIFACT_CLAUSES, KIND_RESULT
 
-            def entry(payload):
-                return {"kind": ARTIFACT_CLAUSES, "payload": payload}
+                def entry(payload):
+                    return {"kind": ARTIFACT_CLAUSES, "payload": payload}
 
-            def smuggle(payload):
-                return {"kind": KIND_RESULT, "payload": payload}
-            """))
+                def smuggle(payload):
+                    return {"kind": KIND_RESULT, "payload": payload}
+                """))
         report = analyze([tmp_path], [FrameProtocolChecker(scope=())])
         assert [f.message for f in report.findings] == [
             "'result' frame constructed in an artifact-only module — "
             "cache entries and sharing payloads carry ARTIFACT_* kinds "
-            "only"]
+            "only"] * 2
 
 
 class TestAsyncBlocking:

@@ -5,6 +5,7 @@ introduces a finding, it fails here first, with the rendered findings
 in the assertion message.
 """
 
+import ast
 from pathlib import Path
 
 from repro.analysis import analyze
@@ -42,3 +43,55 @@ def test_every_rule_is_exercised_by_a_suppression_or_scope():
         "resource-hygiene",  # unstarted Process on the OSError path
         "async-blocking",    # executor-bound sleep in the server
     }
+
+
+def _imported_modules(path: Path, package: str):
+    """Absolute dotted names of everything ``path`` imports, with the
+    line of each import and whether it sits below module level."""
+    tree = ast.parse(path.read_text())
+    top_level = set(map(id, tree.body))
+    parts = package.split(".")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = parts[:len(parts) - node.level + 1] if node.level else []
+            stem = ".".join(base + ([node.module] if node.module else []))
+            # ``from ..portfolio import sharing`` names a module too.
+            names = [stem] + [f"{stem}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            yield name, node.lineno, id(node) not in top_level
+
+
+def test_imports_point_one_way():
+    # core.solve is the paper's algorithm: nothing below the schedulers
+    # imports them.  repro.portfolio and repro.service sit on top; the
+    # solver stack (sat, smt, api, core) knows neither, and the shared
+    # runtime knows no scheduler.
+    forbidden = {
+        "repro.portfolio": ("sat", "smt", "api", "core", "runtime", "service"),
+        "repro.service": ("sat", "smt", "api", "core"),
+    }
+    offenders = []
+    for upper, lower_packages in forbidden.items():
+        for lower in lower_packages:
+            root = REPO_SRC / "repro" / lower
+            for path in sorted(root.rglob("*.py")):
+                relative = path.relative_to(REPO_SRC).with_suffix("")
+                package = ".".join(relative.parts[:-1])
+                for name, line, _nested in _imported_modules(path, package):
+                    if name == upper or name.startswith(upper + "."):
+                        offenders.append(f"{path}:{line} imports {name}")
+    assert not offenders, "\n".join(offenders)
+
+
+def test_synthesizer_imports_at_module_top_only():
+    # A function-scope import is how an upward dependency hides from
+    # the import graph (and from the check above, on a bad day).
+    path = REPO_SRC / "repro" / "core" / "synthesizer.py"
+    nested = [f"line {line}: {name}"
+              for name, line, below in _imported_modules(path, "repro.core")
+              if below]
+    assert not nested, "\n".join(nested)

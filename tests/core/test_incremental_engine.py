@@ -17,11 +17,11 @@ from repro.core import (
     SynthesisOptions,
     SynthesisProblem,
     collect_violations,
-    synthesize,
+    solve,
 )
 from repro.eval.workloads import gm_case_study
 from repro.network import DelayModel, microseconds, simple_testbed
-from repro.smt import Solver
+from repro.smt import SolverEngine
 from repro.stability import StabilitySpec
 
 FAST = DelayModel(sd=microseconds(5), ld=Fraction(120, 1_000_000))
@@ -43,7 +43,7 @@ def make_problem(n_apps=2, period_ms=5):
     return SynthesisProblem(net, apps, FAST)
 
 
-class CountingSolver(Solver):
+class CountingSolver(SolverEngine):
     instances = 0
 
     def __init__(self, *args, **kwargs):
@@ -54,14 +54,14 @@ class CountingSolver(Solver):
 @pytest.fixture
 def count_solvers(monkeypatch):
     CountingSolver.instances = 0
-    monkeypatch.setattr(synthesizer_mod, "Solver", CountingSolver)
+    monkeypatch.setattr(synthesizer_mod, "SolverEngine", CountingSolver)
     return CountingSolver
 
 
 class TestOneSolverPerRun:
     @pytest.mark.parametrize("stages", [1, 2, 4])
     def test_exactly_one_solver(self, count_solvers, stages):
-        res = synthesize(make_problem(), SynthesisOptions(routes=2, stages=stages))
+        res = solve(make_problem(), SynthesisOptions(routes=2, stages=stages))
         assert res.ok
         assert count_solvers.instances == 1
 
@@ -75,7 +75,7 @@ class TestOneSolverPerRun:
             )
         ]
         problem = SynthesisProblem(net, apps, FAST)
-        res = synthesize(problem, SynthesisOptions(routes=1, stages=2))
+        res = solve(problem, SynthesisOptions(routes=1, stages=2))
         assert not res.ok
         assert count_solvers.instances == 1
 
@@ -88,7 +88,7 @@ class TestStageAccounting:
         nonempty = len({
             min(int(m.release / width), stages - 1) for m in problem.messages
         })
-        res = synthesize(problem, SynthesisOptions(routes=2, stages=stages))
+        res = solve(problem, SynthesisOptions(routes=2, stages=stages))
         assert res.ok
         assert len(res.stage_statistics) == nonempty
         for delta in res.stage_statistics:
@@ -101,7 +101,7 @@ class TestStageAccounting:
     def test_frozen_stages_respected(self):
         """Later stages schedule around stage-0 messages: the combined
         schedule has no contention violations anywhere."""
-        res = synthesize(make_problem(2, period_ms=5),
+        res = solve(make_problem(2, period_ms=5),
                          SynthesisOptions(routes=2, stages=4))
         assert res.ok
         assert collect_violations(res.solution) == []
@@ -118,12 +118,12 @@ class TestAutomotiveEquivalence:
 
     @pytest.fixture(scope="class")
     def monolithic_status(self, automotive):
-        return synthesize(automotive, SynthesisOptions(routes=2, stages=1)).status
+        return solve(automotive, SynthesisOptions(routes=2, stages=1)).status
 
     @pytest.mark.parametrize("stages", [2, 4])
     def test_status_matches_monolithic(self, automotive, monolithic_status,
                                        stages):
-        res = synthesize(automotive, SynthesisOptions(routes=2, stages=stages))
+        res = solve(automotive, SynthesisOptions(routes=2, stages=stages))
         assert res.status == monolithic_status == "sat"
         assert collect_violations(res.solution) == []
         assert res.stages_completed == stages

@@ -14,7 +14,7 @@ from repro.core import (
     SynthesisOptions,
     SynthesisProblem,
     collect_violations,
-    synthesize,
+    solve,
 )
 from repro.network import DelayModel, microseconds, random_network
 from repro.sim import cross_check_e2e, simulate_solution
@@ -52,7 +52,7 @@ def test_sat_solutions_always_validate_and_simulate(case):
     ]
     problem = SynthesisProblem(net, apps, FAST)
     options = SynthesisOptions(mode=mode, routes=routes, stages=stages)
-    result = synthesize(problem, options)
+    result = solve(problem, options)
     if not result.ok:
         return  # UNSAT is legitimate (tight specs / few routes)
     solution = result.solution

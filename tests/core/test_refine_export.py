@@ -14,10 +14,11 @@ from repro.core import (
     render_switch_configs,
     solution_from_dict,
     solution_to_dict,
-    synthesize,
+    solve,
     validate_solution,
 )
 from repro.errors import ValidationError
+from repro.eval.workloads import bottleneck_problem
 from repro.network import DelayModel, microseconds, simple_testbed
 from repro.stability import StabilitySpec
 
@@ -41,10 +42,20 @@ def make_problem(n_apps=2, period_ms=5):
     return SynthesisProblem(net, apps, FAST)
 
 
+PINNED_EXPORT = (
+    '{"mode": "stability", "synthesis_time": 0.0, "hyperperiod": "9/2000", '
+    '"messages": {"app0#0": {"app": "app0", "route": ["S0", "A", "B", "C0"], '
+    '"release": "0", "e2e": "401/100000", "gammas": {"A": "401/200000", '
+    '"B": "301/100000"}}, "app1#0": {"app": "app1", "route": '
+    '["S1", "A", "B", "C1"], "release": "0", "e2e": "301/100000", '
+    '"gammas": {"A": "201/200000", "B": "201/100000"}}}}'
+)
+
+
 class TestMinimizeJitter:
     def test_produces_valid_low_jitter_solution(self):
         problem = make_problem(2)
-        baseline = synthesize(problem, SynthesisOptions(routes=2))
+        baseline = solve(problem, SynthesisOptions(routes=2))
         refined = minimize_jitter(problem, routes=2,
                                   tolerance=Fraction(1, 100000))
         assert refined.ok
@@ -78,7 +89,7 @@ class TestMinimizeJitter:
 class TestExport:
     @pytest.fixture(scope="class")
     def solution(self):
-        res = synthesize(make_problem(2), SynthesisOptions(routes=2))
+        res = solve(make_problem(2), SynthesisOptions(routes=2))
         return res.solution
 
     def test_json_round_trip(self, solution):
@@ -92,6 +103,18 @@ class TestExport:
             assert a.gammas == b.gammas
             assert a.e2e == b.e2e
         assert collect_violations(rebuilt) == []
+
+    def test_exported_bytes_are_pinned(self):
+        """The on-disk schedule format, recorded at b2a3628: key order,
+        route-ordered gammas and exact-rational strings are what stored
+        schedules are diffed by."""
+        result = solve(bottleneck_problem(2), SynthesisOptions(routes=2))
+        data = solution_to_dict(result.solution)
+        data["synthesis_time"] = 0.0     # the one wall-clock field
+        assert json.dumps(data) == PINNED_EXPORT
+        rebuilt = solution_from_dict(result.solution.problem,
+                                     json.loads(PINNED_EXPORT))
+        validate_solution(rebuilt)
 
     def test_malformed_dict_rejected(self, solution):
         with pytest.raises(ValidationError):

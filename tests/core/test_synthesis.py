@@ -10,7 +10,7 @@ from repro.core import (
     MODE_STABILITY,
     SynthesisOptions,
     SynthesisProblem,
-    synthesize,
+    solve,
     validate_solution,
 )
 from repro.errors import EncodingError
@@ -45,23 +45,23 @@ def make_problem(n_apps=2, period_ms=10, beta_ms=8, net=None):
 
 class TestBasicSynthesis:
     def test_single_app_sat_and_valid(self):
-        res = synthesize(make_problem(1), SynthesisOptions(routes=2))
+        res = solve(make_problem(1), SynthesisOptions(routes=2))
         assert res.ok
         validate_solution(res.solution)
 
     def test_all_routes_mode(self):
-        res = synthesize(make_problem(2), SynthesisOptions(routes=None))
+        res = solve(make_problem(2), SynthesisOptions(routes=None))
         assert res.ok
         validate_solution(res.solution)
 
     def test_all_messages_scheduled(self):
         prob = make_problem(2, period_ms=5)
-        res = synthesize(prob, SynthesisOptions(routes=2))
+        res = solve(prob, SynthesisOptions(routes=2))
         assert res.ok
         assert set(res.solution.schedules) == {m.uid for m in prob.messages}
 
     def test_eta_gamma_tables_consistent(self):
-        res = synthesize(make_problem(2), SynthesisOptions(routes=2))
+        res = solve(make_problem(2), SynthesisOptions(routes=2))
         sol = res.solution
         etas, gammas = sol.eta_tables(), sol.gamma_tables()
         for sw, table in etas.items():
@@ -69,11 +69,11 @@ class TestBasicSynthesis:
                 assert uid in gammas[sw]
 
     def test_statistics_accumulated(self):
-        res = synthesize(make_problem(2), SynthesisOptions(routes=2))
+        res = solve(make_problem(2), SynthesisOptions(routes=2))
         assert "conflicts" in res.statistics
 
     def test_gcl_export(self):
-        res = synthesize(make_problem(2, period_ms=5), SynthesisOptions(routes=2))
+        res = solve(make_problem(2, period_ms=5), SynthesisOptions(routes=2))
         gcls = res.solution.build_gcls()
         # At least one switch carries gate windows.
         assert any(entries for per_port in gcls.values()
@@ -83,7 +83,7 @@ class TestBasicSynthesis:
 class TestModes:
     def test_deadline_mode_ignores_stability(self):
         prob = make_problem(2)
-        res = synthesize(prob, SynthesisOptions(mode=MODE_DEADLINE, routes=2))
+        res = solve(prob, SynthesisOptions(mode=MODE_DEADLINE, routes=2))
         assert res.ok
         validate_solution(res.solution, check_stability=False)
 
@@ -91,7 +91,7 @@ class TestModes:
         net = simple_testbed(1)
         apps = [ControlApplication("a", "S0", "C0", ms(10), None)]
         prob = SynthesisProblem(net, apps, FAST)
-        res = synthesize(prob, SynthesisOptions(mode=MODE_DEADLINE, routes=2))
+        res = solve(prob, SynthesisOptions(mode=MODE_DEADLINE, routes=2))
         assert res.ok
 
     def test_stability_mode_requires_specs(self):
@@ -99,10 +99,10 @@ class TestModes:
         apps = [ControlApplication("a", "S0", "C0", ms(10), None)]
         prob = SynthesisProblem(net, apps, FAST)
         with pytest.raises(EncodingError):
-            synthesize(prob, SynthesisOptions(mode=MODE_STABILITY, routes=2))
+            solve(prob, SynthesisOptions(mode=MODE_STABILITY, routes=2))
 
     def test_stability_solution_all_stable(self):
-        res = synthesize(make_problem(3, net=simple_testbed(3)),
+        res = solve(make_problem(3, net=simple_testbed(3)),
                          SynthesisOptions(routes=2))
         assert res.ok
         assert res.solution.all_stable()
@@ -114,20 +114,20 @@ class TestIncrementalStages:
     @pytest.mark.parametrize("stages", [1, 2, 4])
     def test_stages_produce_valid_solutions(self, stages):
         prob = make_problem(2, period_ms=5)
-        res = synthesize(prob, SynthesisOptions(routes=2, stages=stages))
+        res = solve(prob, SynthesisOptions(routes=2, stages=stages))
         assert res.ok, f"stages={stages}"
         validate_solution(res.solution)
 
     def test_stage_count_recorded(self):
         prob = make_problem(2, period_ms=5)
-        res = synthesize(prob, SynthesisOptions(routes=2, stages=4))
+        res = solve(prob, SynthesisOptions(routes=2, stages=4))
         assert res.stages_completed == 4
 
     def test_incremental_respects_earlier_stages(self):
         """Messages fixed in stage 1 must not be rescheduled later."""
         prob = make_problem(2, period_ms=5)
-        r1 = synthesize(prob, SynthesisOptions(routes=2, stages=1))
-        r4 = synthesize(prob, SynthesisOptions(routes=2, stages=4))
+        r1 = solve(prob, SynthesisOptions(routes=2, stages=1))
+        r4 = solve(prob, SynthesisOptions(routes=2, stages=4))
         assert r1.ok and r4.ok
         validate_solution(r4.solution)
         # Same message set either way.
@@ -155,7 +155,7 @@ class TestUnsat:
             for i in range(2)
         ]
         prob = SynthesisProblem(net, apps, FAST)
-        res = synthesize(prob, SynthesisOptions(routes=1))
+        res = solve(prob, SynthesisOptions(routes=1))
         assert not res.ok
         assert res.failed_stage == 0
 
@@ -179,7 +179,7 @@ class TestUnsat:
             for i in range(n)
         ]
         prob = SynthesisProblem(net, apps, FAST)
-        res = synthesize(prob, SynthesisOptions(mode=MODE_DEADLINE, routes=1))
+        res = solve(prob, SynthesisOptions(mode=MODE_DEADLINE, routes=1))
         assert not res.ok
 
     def test_no_route_raises(self):
@@ -194,7 +194,7 @@ class TestUnsat:
                                    StabilitySpec.single_line("1", "0.008"))]
         prob = SynthesisProblem(net, apps, FAST)
         with pytest.raises(EncodingError):
-            synthesize(prob, SynthesisOptions(routes=2))
+            solve(prob, SynthesisOptions(routes=2))
 
 
 class TestHeadlineResult:
@@ -226,14 +226,14 @@ class TestHeadlineResult:
 
     def test_stability_aware_all_stable(self):
         prob = self.make_contended_problem()
-        res = synthesize(prob, SynthesisOptions(routes=1))
+        res = solve(prob, SynthesisOptions(routes=1))
         assert res.ok
         assert res.solution.all_stable()
         validate_solution(res.solution)
 
     def test_deadline_reports_use_same_spec(self):
         prob = self.make_contended_problem()
-        res = synthesize(prob, SynthesisOptions(mode=MODE_DEADLINE, routes=1))
+        res = solve(prob, SynthesisOptions(mode=MODE_DEADLINE, routes=1))
         assert res.ok
         reports = res.solution.reports()
         # The deadline solution is *valid* for deadlines but may or may not

@@ -11,7 +11,7 @@ from repro.core import (
     SynthesisProblem,
     Solution,
     collect_violations,
-    synthesize,
+    solve,
     validate_solution,
 )
 from repro.errors import ValidationError
@@ -37,7 +37,7 @@ def good_solution():
         for i in range(2)
     ]
     prob = SynthesisProblem(net, apps, FAST)
-    res = synthesize(prob, SynthesisOptions(routes=2))
+    res = solve(prob, SynthesisOptions(routes=2))
     assert res.ok
     return res.solution
 
@@ -113,7 +113,7 @@ class TestFailureInjection:
             for i in range(2)
         ]
         prob = SynthesisProblem(net, apps, FAST)
-        res = synthesize(prob, SynthesisOptions(routes=2))
+        res = solve(prob, SynthesisOptions(routes=2))
         sol = res.solution
         # Find two messages and rewrite them onto the same route/time.
         uids = sorted(sol.schedules)

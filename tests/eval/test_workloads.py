@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core import SynthesisOptions, synthesize, validate_solution
+from repro.core import SynthesisOptions, solve, validate_solution
 from repro.eval import workloads
 from repro.eval import (
     TABLE1_ROWS,
@@ -93,7 +93,7 @@ class TestGmCaseStudy:
 
     def test_small_case_synthesizes(self):
         prob = gm_case_study(n_apps=4)
-        res = synthesize(prob, SynthesisOptions(routes=3, stages=2))
+        res = solve(prob, SynthesisOptions(routes=3, stages=2))
         assert res.ok
         validate_solution(res.solution)
 

@@ -17,7 +17,7 @@ from repro.core import (
     SynthesisOptions,
     SynthesisProblem,
     collect_violations,
-    synthesize,
+    solve,
 )
 from repro.network import DelayModel, Network, microseconds
 from repro.portfolio import (
@@ -101,7 +101,7 @@ class TestPortfolioEndToEnd:
         winner_opts = next(
             s.options for s in entries if s.name == res.winner
         )
-        alone = synthesize(problem, winner_opts)
+        alone = solve(problem, winner_opts)
         assert alone.ok
         assert collect_violations(alone.solution) == []
 

@@ -1,6 +1,6 @@
 """Chaos matrix: the supervised race under deterministic fault injection.
 
-Every scenario here drives :mod:`repro.portfolio.faults` through the
+Every scenario here drives :mod:`repro.runtime.faults` through the
 real engine — process workers really get SIGKILLed, really hang, really
 ship corrupt frames — and checks the supervision contract of
 ``docs/robustness.md``: crashes are retried with backoff, stalls are
@@ -27,7 +27,7 @@ from repro.portfolio import (
     SupervisionPolicy,
     synthesize_portfolio,
 )
-from repro.portfolio.faults import (
+from repro.runtime.faults import (
     CORRUPT,
     CRASH,
     DROP_RESULT,
@@ -36,7 +36,7 @@ from repro.portfolio.faults import (
     WorkerFaults,
     corrupt_frame,
 )
-from repro.portfolio.sharing import KnowledgePool, validate_artifact
+from repro.runtime.knowledge import KnowledgePool, validate_artifact
 
 #: Fast supervision for tests: tight heartbeats, sub-second stall
 #: detection, near-instant backoff, short kill grace.

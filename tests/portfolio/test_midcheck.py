@@ -11,11 +11,10 @@ export cannot see because unit learnts live on the trail, not in the DB.
 from repro.core.synthesizer import SynthesisOptions
 from repro.eval import workloads
 from repro.portfolio import Strategy, synthesize_portfolio
-from repro.portfolio.sharing import (
+from repro.runtime.knowledge import (
     KnowledgePool,
     restart_artifacts,
     schedule_vocabulary,
-    signature_of,
 )
 from repro.smt import Bool, Or
 from repro.smt.solver import SolverEngine
@@ -87,7 +86,7 @@ class TestUnitExport:
         assert len(artifacts) == 1
         assert artifacts[0]["origin"] == "mid-check"
         assert artifacts[0]["kind"] == "clauses"
-        assert artifacts[0]["signature"] == signature_of(options)
+        assert artifacts[0]["signature"] == options.signature
 
 
 class TestMidCheckRace:

@@ -22,7 +22,8 @@ from repro.portfolio import (
     Strategy,
     synthesize_portfolio,
 )
-from repro.portfolio import sharing
+from repro.runtime import knowledge as sharing
+from repro.service.workers import export_request_knowledge
 from repro.smt.terms import Bool, Real, deserialize_literal, serialize_literal
 
 
@@ -164,11 +165,27 @@ class TestStagePrefixSeeding:
         opts = SynthesisOptions(routes=2, stages=2)
         pool = KnowledgePool()
         pool.absorb({"kind": "prefix",
-                     "signature": sharing.signature_of(opts),
+                     "signature": opts.signature,
                      "stages_completed": 1, "messages": ()})
         other = SynthesisOptions(routes=2, stages=4)
         seed = pool.seed_for(other)
         assert seed is None or seed.stage_prefix is None
+
+
+    def test_prefix_messages_are_the_cache_schedule_entries(self):
+        """One message's schedule has one hint form: what a staged run
+        pools as its prefix is, message for message, what the service
+        cache stores as the ``schedule`` of the same solution."""
+        problem = workloads.random_problem(0, n_apps=3)
+        opts = SynthesisOptions(routes=2, stages=2)
+        prefixes = []
+        result = synth.solve(problem, opts, on_event=lambda event: prefixes.append(
+            sharing.prefix_artifact(opts, event["stage"], event["fixed"])))
+        assert result.status == "sat"
+        stored = export_request_knowledge(opts, result, None)["schedule"]
+        assert prefixes and prefixes[-1]["messages"]
+        assert set(prefixes[-1]["messages"]) <= set(stored)
+        assert len(stored) == len(result.solution.schedules)
 
 
 class TestClauseExchange:
@@ -180,14 +197,14 @@ class TestClauseExchange:
             back, neg = deserialize_literal(ser)
             assert neg == negated
             # Interning: the round trip lands on the identical SAT var.
-            eng = synth.Solver()
+            eng = synth.SolverEngine()
             eng.add(expr if not isinstance(expr, bool) else expr)
             assert eng._cnf.literal_for(back) == eng._cnf.literal_for(expr)
 
     def test_import_constrains_the_solver(self):
         a, b = Bool("sh_imp_a"), Bool("sh_imp_b")
         clause = (serialize_literal(a, True), serialize_literal(b, True))
-        eng = synth.Solver()
+        eng = synth.SolverEngine()
         eng.add(a)
         assert eng.import_clauses([clause]) == 1
         assert eng.clauses_imported == 1
@@ -198,7 +215,7 @@ class TestClauseExchange:
     def test_import_pad_weakens_the_clause(self):
         a, b, c = Bool("sh_pad_a"), Bool("sh_pad_b"), Bool("sh_pad_c")
         clause = (serialize_literal(a, True), serialize_literal(b, True))
-        eng = synth.Solver()
+        eng = synth.SolverEngine()
         eng.add(a, b)                      # contradicts the bare clause
         eng.import_clauses([clause], pad=[c])
         out = eng.check()
@@ -207,7 +224,7 @@ class TestClauseExchange:
 
     def test_export_respects_vocabulary_and_caps(self):
         problem = workloads.sharing_unsat_problem()
-        eng = synth.Solver()
+        eng = synth.SolverEngine()
         session = Session(backend=NativeBackend(engine=eng))
         result = synth.solve(problem, SynthesisOptions(routes=2),
                              session=session)
@@ -227,7 +244,7 @@ class TestClauseExchange:
         """Heuristic-freeze consequences must stay private (soundness)."""
         problem = workloads.bottleneck_repair_problem()
         opts = SynthesisOptions(routes=2, stages=2)
-        eng = synth.Solver()
+        eng = synth.SolverEngine()
         session = Session(backend=NativeBackend(engine=eng))
         result = synth.solve(problem, opts, session=session)
         assert result.status == "unsat"  # the staged-heuristic trap

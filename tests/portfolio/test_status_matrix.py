@@ -28,7 +28,7 @@ from repro.portfolio import (
     synthesize_portfolio,
 )
 from repro.portfolio.engine import _result_from_payload
-from repro.portfolio.faults import HANG, FaultPlan, FaultSpec
+from repro.runtime.faults import HANG, FaultPlan, FaultSpec
 from repro.eval import workloads
 
 FAST = DelayModel(sd=microseconds(5), ld=Fraction(120, 1_000_000))

@@ -7,9 +7,7 @@ from repro.eval import workloads
 from repro.portfolio import (
     STATUS_SAT,
     Strategy,
-    default_portfolio,
     synthesize_portfolio,
-    with_restart_schedule,
 )
 
 
@@ -35,23 +33,6 @@ class TestStrategyFields:
         s = Strategy("s", SynthesisOptions(routes=1), timeout=1.0,
                      restarts=[2.0, 4.0])
         assert s.restarts == (2.0, 4.0)
-
-
-class TestRestartScheduleHelper:
-    def test_geometric_schedule(self):
-        scheduled = with_restart_schedule(
-            default_portfolio(), base_timeout=1.0, factor=2.0, rounds=2
-        )
-        for s in scheduled:
-            assert s.timeout == 1.0
-            assert s.restarts == (2.0, 4.0)
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            with_restart_schedule(default_portfolio(), base_timeout=0)
-        with pytest.raises(ValueError):
-            with_restart_schedule(default_portfolio(), base_timeout=1.0,
-                                  rounds=-1)
 
 
 class TestRacingWithBudgets:

@@ -16,7 +16,7 @@ from repro.core.synthesizer import SynthesisOptions
 from repro.eval.workloads import sharing_problem
 from repro.portfolio import (FaultPlan, FaultSpec, Strategy,
                              SupervisionPolicy, synthesize_portfolio)
-from repro.portfolio.faults import CRASH
+from repro.runtime.faults import CRASH
 from repro.runtime.process import WorkerProcess
 from repro.service import ServiceClient, ServicePolicy, SynthesisServer
 

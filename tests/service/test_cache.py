@@ -12,7 +12,7 @@ from repro.service.cache import CacheEntry
 from .helpers import family_problem
 
 #: Handcrafted knowledge in the exact shapes the sharing module accepts
-#: (see ``repro.portfolio.sharing._valid_literal`` and
+#: (see ``repro.runtime.knowledge._valid_literal`` and
 #: ``validate_artifact``): enough to exercise the cache without solving.
 CLAUSES = ((("b", "p!route[app0]=0", True),),
            (("b", "p!route[app0]=0", False), ("b", "p!route[app1]=0", True)))

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.problem import SynthesisProblem
 from repro.core.synthesizer import SynthesisOptions
+from repro.eval.workloads import bottleneck_problem, gm_case_study
 from repro.service import (
     ancestor_relation,
     compatibility_key,
@@ -99,6 +100,41 @@ class TestCanonicalization:
         b = SynthesisProblem(net, [family_app(0), family_app(1)], DELAYS)
         assert compatibility_key(a) != compatibility_key(b)
         assert problem_fingerprint(a) != problem_fingerprint(b)
+
+
+#: (problem, options) -> (problem_fingerprint, compatibility_key,
+#: app_set_key), recorded at b2a3628.  Every ledger expectation under
+#: ``benchmarks/ledger/expected/`` and every cache file on disk is keyed
+#: by these digests, so the payload under them (key names, nesting,
+#: ``str(Fraction)`` rendering, ``sort_keys``/separators) is frozen: a
+#: change here is a cache-format break, never a refactoring side effect.
+_GM3_APPS = {"gm0": "da248c03e57a04bd6be27e58a17550f7",
+             "gm1": "bf4b004d42e764fed101f465bffc195a",
+             "gm2": "13d33fb1e6aa905689b2e1228ceaa6e3"}
+PINNED_DIGESTS = [
+    (lambda: gm_case_study(3), SynthesisOptions(routes=2, stages=3),
+     "fbfeae7e4af944ae89f4f3873a1f1634", "35c3346dcb04c02566f16e590985701a",
+     _GM3_APPS),
+    (lambda: gm_case_study(3), None,
+     "bb2928df39655c1e863bbdfa0efefb54", "35c3346dcb04c02566f16e590985701a",
+     _GM3_APPS),
+    (lambda: bottleneck_problem(3), SynthesisOptions(routes=2),
+     "efb49de9735dc943a78667aea1eb996e", "63a5ea1cf416cbefac689f5e9a73b550",
+     {"app0": "55cb973b6c4ed087f66b3d44e27bdfd1",
+      "app1": "43627df1311392370504cc46ab51edcc",
+      "app2": "658e22f5a7c90c4a5903447366fe051b"}),
+]
+
+
+class TestPinnedDigests:
+    @pytest.mark.parametrize("build,opts,fingerprint,bucket,apps",
+                             PINNED_DIGESTS)
+    def test_digests_are_byte_stable(self, build, opts, fingerprint, bucket,
+                                     apps):
+        problem = build()
+        assert problem_fingerprint(problem, opts) == fingerprint
+        assert compatibility_key(problem, opts) == bucket
+        assert app_set_key(problem) == apps
 
 
 class TestAncestorRelation:

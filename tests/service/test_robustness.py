@@ -1,7 +1,7 @@
 """Service chaos: crashes, cancellation, corrupt caches, drain.
 
 These scenarios reuse the fault-injection harness of
-:mod:`repro.portfolio.faults` against the *service* stack: process
+:mod:`repro.runtime.faults` against the *service* stack: process
 workers really get SIGKILLed mid-request and the supervision retry
 still produces a valid response; cancellation releases the worker and
 fires ``Session.interrupt``; a corrupted cache directory never crashes
@@ -12,13 +12,15 @@ work; and no scenario leaks a worker process.
 import asyncio
 import json
 import multiprocessing
+import time
+from dataclasses import replace
 from pathlib import Path
 
 from repro.api import Session
 from repro.core.synthesizer import SynthesisOptions
 from repro.eval.workloads import gm_case_study
 from repro.portfolio import FaultPlan, FaultSpec, SupervisionPolicy
-from repro.portfolio.faults import CRASH
+from repro.runtime.faults import CRASH, HANG
 from repro.service import (
     KnowledgeCache,
     ServiceClient,
@@ -64,6 +66,34 @@ class TestCrashSupervision:
                 assert sup["crashes"] == 1
                 assert sup["crash_retries"] == 1
                 assert sup["crash_budget_exhausted"] == 0
+            assert_no_leaked_workers()
+        run(body())
+
+    def test_stalled_worker_is_reaped_and_retried_before_the_deadline(self):
+        async def body():
+            # The worker hangs (sleeps forever, no heartbeats) at the
+            # start of attempt 1.  With a stall timeout the service must
+            # not wait out the 30 s deadline: reap, retry, answer.
+            plan = FaultPlan([FaultSpec(HANG, strategy="sleeper",
+                                        attempt=1)])
+            policy = ServicePolicy(
+                workers=1, worker_mode="process",
+                supervision=replace(FAST, stall_timeout=0.3))
+            async with SynthesisServer(policy=policy,
+                                       fault_plan=plan) as server:
+                client = ServiceClient(server)
+                asked = time.perf_counter()
+                reply = await client.solve(family_problem([0, 1]),
+                                           deadline=30.0,
+                                           request_id="sleeper")
+                assert time.perf_counter() - asked < 5.0
+                assert reply["type"] == "result"
+                assert reply["status"] == "sat"
+                assert reply["attempts"] == 2
+                sup = server.supervisor.statistics
+                assert sup["stalls_detected"] == 1
+                assert sup["crashes"] == 0
+                assert sup["crash_retries"] == 1
             assert_no_leaked_workers()
         run(body())
 

@@ -2,17 +2,20 @@
 
 import asyncio
 
+from repro.core import solve
 from repro.core.synthesizer import SynthesisOptions
-from repro.eval.workloads import gm_case_study
+from repro.eval.workloads import bottleneck_problem, gm_case_study
 from repro.service import (
     KnowledgeCache,
     ServiceClient,
     ServicePolicy,
     SynthesisRequest,
     SynthesisServer,
+    encode_frame,
     problem_to_wire,
     request_over_tcp,
 )
+from repro.service.protocol import schedules_to_wire
 
 from .helpers import family_problem, run
 
@@ -101,7 +104,11 @@ class TestSolve:
                 first = await server.submit(SynthesisRequest(
                     id="slow", problem=moderate_problem(),
                     options=MODERATE_OPTS))
-                await asyncio.sleep(0.1)
+                # One yield hands "slow" to the only dispatcher, which then
+                # solves for ~0.15 s — far past the 10 ms budget below.  (A
+                # longer sleep here can oversleep the whole solve when the
+                # solver thread holds the GIL.)
+                await asyncio.sleep(0)
                 starved = await server.submit(SynthesisRequest(
                     id="starved", problem=family_problem([0]),
                     deadline=0.01))
@@ -185,7 +192,25 @@ class TestCacheIntegration:
         run(body())
 
 
+#: ``schedules_to_wire`` of the solved two-app funnel as it leaves the
+#: server in a ``result`` frame, recorded at b2a3628.  Clients parse
+#: these bytes; the codec under them may be shared or moved, not changed.
+PINNED_SCHEDULES_FRAME = (
+    b'{"schedules":[{"app":"app0","e2e":"401/100000","gammas":'
+    b'{"A":"401/200000","B":"301/100000"},"release":"0","route":'
+    b'["S0","A","B","C0"],"uid":"app0#0"},{"app":"app1","e2e":'
+    b'"301/100000","gammas":{"A":"201/200000","B":"201/100000"},'
+    b'"release":"0","route":["S1","A","B","C1"],"uid":"app1#0"}]}\n'
+)
+
+
 class TestTcp:
+    def test_schedule_frame_bytes_are_pinned(self):
+        result = solve(bottleneck_problem(2), SynthesisOptions(routes=2))
+        assert result.status == "sat"
+        wire = schedules_to_wire(result.solution.schedules)
+        assert encode_frame({"schedules": wire}) == PINNED_SCHEDULES_FRAME
+
     def test_solve_and_stats_over_the_wire(self):
         async def body():
             async with SynthesisServer(policy=INLINE) as server:

@@ -13,12 +13,12 @@ from fractions import Fraction
 import pytest
 
 from repro.errors import SolverError
-from repro.smt import And, Bool, Implies, Not, Or, Real, Solver, sat, unsat
+from repro.smt import And, Bool, Implies, Not, Or, Real, SolverEngine, sat, unsat
 
 
 class TestScopes:
     def test_push_pop_restores_sat(self):
-        s = Solver()
+        s = SolverEngine()
         x = Real("inc_a")
         s.add(x >= 0, x <= 10)
         assert s.check() == sat
@@ -30,7 +30,7 @@ class TestScopes:
         assert 0 <= s.model()[x] <= 10
 
     def test_nested_scopes(self):
-        s = Solver()
+        s = SolverEngine()
         x = Real("inc_b")
         s.add(x >= 0)
         s.push()
@@ -47,7 +47,7 @@ class TestScopes:
         assert s.check() == sat
 
     def test_pop_multiple(self):
-        s = Solver()
+        s = SolverEngine()
         x = Real("inc_c")
         s.add(x >= 0)
         s.push()
@@ -59,22 +59,24 @@ class TestScopes:
         assert s.check() == sat
 
     def test_pop_too_many_raises(self):
-        s = Solver()
+        s = SolverEngine()
         with pytest.raises(SolverError):
             s.pop()
 
     def test_assertions_tracks_scopes(self):
-        s = Solver()
+        s = SolverEngine()
         x = Real("inc_d")
         s.add(x >= 0)
         s.push()
         s.add(x <= 3)
-        assert len(s.assertions) == 2
+        assert s.num_scopes == 1
+        assert s.check(x >= 4) == unsat
         s.pop()
-        assert len(s.assertions) == 1
+        assert s.num_scopes == 0
+        assert s.check(x >= 4) == sat
 
     def test_booleans_in_scopes(self):
-        s = Solver()
+        s = SolverEngine()
         a, b = Bool("inc_p"), Bool("inc_q")
         s.add(Or(a, b))
         s.push()
@@ -86,7 +88,7 @@ class TestScopes:
 
 class TestAssumptions:
     def test_assumption_literal(self):
-        s = Solver()
+        s = SolverEngine()
         a = Bool("as_a")
         x = Real("as_x")
         s.add(Implies(a, x >= 8), x <= 10)
@@ -96,7 +98,7 @@ class TestAssumptions:
         assert s.check() == sat
 
     def test_assumption_atom(self):
-        s = Solver()
+        s = SolverEngine()
         x = Real("as_y")
         s.add(x >= 0, x <= 10)
         assert s.check(x >= 11) == unsat
@@ -104,14 +106,14 @@ class TestAssumptions:
         assert s.model()[x] >= 9
 
     def test_conflicting_assumptions(self):
-        s = Solver()
+        s = SolverEngine()
         a = Bool("as_b")
         s.add(Or(a, Not(a)))  # mention the var
         assert s.check(a, Not(a)) == unsat
         assert s.check(a) == sat
 
     def test_unsat_under_assumptions_is_not_sticky(self):
-        s = Solver()
+        s = SolverEngine()
         x = Real("as_z")
         s.add(x >= 0)
         for _ in range(3):
@@ -119,7 +121,7 @@ class TestAssumptions:
             assert s.check() == sat
 
     def test_last_check_statistics_resets(self):
-        s = Solver()
+        s = SolverEngine()
         x = Real("as_s")
         s.add(Or(x <= -1, x >= 1), x >= 0)
         assert s.check() == sat
@@ -163,15 +165,15 @@ class TestIncrementalAgreesWithFresh:
         base = _random_difflogic(rng, prefix, 5, 8)
         extra = _random_difflogic(rng, prefix, 5, 6)
 
-        fresh_base = Solver()
+        fresh_base = SolverEngine()
         fresh_base.add(base)
         expect_base = fresh_base.check()
 
-        fresh_both = Solver()
+        fresh_both = SolverEngine()
         fresh_both.add(base, extra)
         expect_both = fresh_both.check()
 
-        s = Solver()
+        s = SolverEngine()
         s.add(base)
         assert s.check().name == expect_base.name
         s.push()
@@ -193,12 +195,12 @@ class TestIncrementalAgreesWithFresh:
         assumed = [v if rng.random() < 0.5 else Not(v)
                    for v in rng.sample(vs, 3)]
 
-        fresh = Solver()
+        fresh = SolverEngine()
         fresh.add(clauses)
         fresh.add(assumed)  # assumptions as hard constraints
         expected = fresh.check()
 
-        s = Solver()
+        s = SolverEngine()
         s.add(clauses)
         plain = s.check()
         assert s.check(assumed).name == expected.name
@@ -212,13 +214,13 @@ class TestIncrementalAgreesWithFresh:
         prefix = f"mx{seed}"
         base = _random_difflogic(rng, prefix, 4, 5)
         _, base_cnf = _random_cnf(rng, prefix, 4, 6)
-        s = Solver()
+        s = SolverEngine()
         s.add(base, base_cnf)
         baseline = s.check()
 
         for round_idx in range(4):
             extra = _random_difflogic(rng, f"{prefix}r{round_idx}", 4, 4)
-            fresh = Solver()
+            fresh = SolverEngine()
             fresh.add(base, base_cnf, extra)
             expected = fresh.check()
             s.push()
@@ -234,7 +236,7 @@ class TestIncrementalAgreesWithFresh:
         prefix = f"md{seed}"
         base = _random_difflogic(rng, prefix, 4, 4)
         extra = _random_difflogic(rng, prefix, 4, 3)
-        s = Solver()
+        s = SolverEngine()
         s.add(base)
         s.push()
         s.add(extra)

@@ -3,7 +3,7 @@
 Theory propagation is a *search* optimization — it assigns entailed atoms
 instead of branching on them — so it must never change a sat/unsat answer
 or produce a non-certifying model.  These tests race a propagating solver
-against ``Solver(theory_propagation=False)`` on seeded random QF_LRA
+against ``SolverEngine(theory_propagation=False)`` on seeded random QF_LRA
 formulas and on directed scenarios where propagation provably fires.
 """
 
@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.smt import And, Bool, Not, Or, Real, Solver, sat, unsat
+from repro.smt import And, Bool, Not, Or, Real, SolverEngine, sat, unsat
 
 
 def _random_formula(seed: int):
@@ -51,8 +51,8 @@ def _random_formula(seed: int):
 @pytest.mark.parametrize("seed", range(15))
 def test_propagation_preserves_answers(seed):
     clauses = _random_formula(seed)
-    s_on = Solver(theory_propagation=True)
-    s_off = Solver(theory_propagation=False)
+    s_on = SolverEngine(theory_propagation=True)
+    s_off = SolverEngine(theory_propagation=False)
     s_on.add(*clauses)
     s_off.add(*clauses)
     r_on = s_on.check()
@@ -70,7 +70,7 @@ def test_propagation_fires_and_is_counted():
     """An entailed atom is assigned by the theory, not decided."""
     x = Real("tp_fire_x")
     b = Bool("tp_fire_b")
-    s = Solver()
+    s = SolverEngine()
     # x <= 5 is forced; the clause atom (x <= 7) is then entailed, so the
     # solver should never branch on it.
     s.add(x <= 5, Or(b, x <= 7), Or(Not(b), x <= 7))
@@ -81,7 +81,7 @@ def test_propagation_fires_and_is_counted():
 
 def test_propagation_disabled_reports_zero():
     x = Real("tp_off_x")
-    s = Solver(theory_propagation=False)
+    s = SolverEngine(theory_propagation=False)
     s.add(x <= 5, Or(Bool("tp_off_b"), x <= 7))
     assert s.check() == sat
     assert s.statistics["theory_propagations"] == 0
@@ -91,7 +91,7 @@ def test_propagated_literal_in_conflict_analysis():
     """Conflicts that resolve on propagated literals still learn/answer."""
     x, y = Real("tp_ca_x"), Real("tp_ca_y")
     b = Bool("tp_ca_b")
-    s = Solver()
+    s = SolverEngine()
     # x - y <= 2 entails x - y <= 5; forcing its negation via b makes the
     # reason clause of the propagated literal participate in analysis.
     s.add(x - y <= 2)
@@ -101,7 +101,7 @@ def test_propagated_literal_in_conflict_analysis():
     m = s.model()
     assert m[b] is True
 
-    s2 = Solver()
+    s2 = SolverEngine()
     s2.add(x - y <= 2, Not(x - y <= 5))
     assert s2.check() == unsat
 
@@ -109,13 +109,13 @@ def test_propagated_literal_in_conflict_analysis():
 def test_shared_canonical_slack_between_orientations():
     """Opposite-orientation difference atoms interact through one var."""
     x, y = Real("tp_cs_x"), Real("tp_cs_y")
-    s = Solver()
+    s = SolverEngine()
     # x - y <= 3   and   y - x <= -5  (i.e. x - y >= 5): unsat, and the
     # conflict is visible at bound-assertion time on the shared slack.
     s.add(x - y <= 3, y - x <= -5)
     assert s.check() == unsat
 
-    s2 = Solver()
+    s2 = SolverEngine()
     s2.add(x - y <= 3, y - x <= -2)   # x - y in [2, 3]: sat
     assert s2.check() == sat
     assert m_diff(s2) <= 3

@@ -14,14 +14,14 @@ from repro.smt import (
     Not,
     Or,
     Real,
-    Solver,
+    SolverEngine,
     sat,
     unsat,
 )
 
 
 def check(formulas):
-    s = Solver()
+    s = SolverEngine()
     s.add(list(formulas))
     return s
 
@@ -140,7 +140,7 @@ class TestBooleanArithmeticInterplay:
 class TestIncrementalPatterns:
     def test_alternating_sat_unsat(self):
         x = Real("rl")
-        s = Solver()
+        s = SolverEngine()
         s.add(x >= 0)
         assert s.check() == sat
         s.add(x <= 10)
@@ -152,7 +152,7 @@ class TestIncrementalPatterns:
 
     def test_model_stability_across_checks(self):
         x, y = Real("rm1"), Real("rm2")
-        s = Solver()
+        s = SolverEngine()
         s.add(x + y == 10, x >= 0, y >= 0)
         assert s.check() == sat
         m1 = s.model()
@@ -163,7 +163,7 @@ class TestIncrementalPatterns:
         assert m2[x] >= 6 and m2[x] + m2[y] == 10
 
     def test_many_small_checks(self):
-        s = Solver()
+        s = SolverEngine()
         x = Real("rn")
         s.add(x >= 0, x <= 100)
         for k in range(20):
@@ -210,7 +210,7 @@ class TestRecycledNodeAddresses:
         self._after_pop(Session(), "s")
 
     def test_nodes_freed_by_legacy_solver_pop(self):
-        self._after_pop(Solver(), "l")
+        self._after_pop(SolverEngine(), "l")
 
     def test_composite_assumptions_freed_after_check(self):
         a, b, c, d, e = self._bools("q")
