@@ -15,8 +15,11 @@ that moment; ``scaled_bound`` is replayed because it is one of the calls
 that grow the scale, so the fresh engine is in the same scale at the same
 step.  The replay must reproduce every recorded verdict, the pivot count
 must be the same in every round, and at the default size it must be the
-629 pivots every earlier representation of the tableau took (508 at the
-CI smoke size).
+246 pivots the recorded search takes (184 at the CI smoke size).  The
+count is a property of the search, not of the tableau: it was 629 / 508
+under every representation of the tableau while the SAT core still
+decided don't-care atoms, and moved once, with the relevancy filter
+(docs/perf.md, "Relevancy-filtered decisions").
 
 Reported per round and as median / IQR over the rounds: pivots, wall,
 pivots per second; and once, the bit length of the largest final scale
@@ -48,9 +51,9 @@ RECORDED = ("new_var", "add_row", "scaled_bound", "assert_lower",
             "assert_upper", "check", "undo_to")
 #: Those of them that answer None or a conflict explanation.
 VERDICTS = ("assert_lower", "assert_upper", "check")
-#: n_apps -> pivots of one replay, unchanged since PR 12 (4 is the
-#: default size, 3 the CI smoke).
-EXPECTED_PIVOTS = {3: 508, 4: 629}
+#: n_apps -> pivots of one replay (4 is the default size, 3 the CI
+#: smoke); re-recorded when the search changes, never for a kernel change.
+EXPECTED_PIVOTS = {3: 184, 4: 246}
 
 
 def cross_wired(n_apps):

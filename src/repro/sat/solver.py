@@ -30,9 +30,10 @@ The theory backend protocol (all methods optional, see
   jointly theory-inconsistent).
 * ``on_backjump(n_kept)`` — trail was truncated to its first ``n_kept``
   literals; the theory must undo newer assertions.
-* ``final_check()`` — called on a full propositional assignment; may return
-  a conflict explanation.  Returning ``None`` means the assignment is
-  theory-consistent and the solver answers SAT.
+* ``final_check()`` — called when nothing is left to decide (see
+  *Relevancy* below); may return a conflict explanation.  Returning
+  ``None`` means the assignment is theory-consistent and the solver
+  answers SAT.
 * ``propagate(assigns)`` — called when Boolean and theory propagation are
   at fixpoint with no conflict; returns *implied literals* — unassigned
   atoms entailed by the current theory state — each paired with the
@@ -44,6 +45,28 @@ The theory backend protocol (all methods optional, see
   theory-propagation step of DPLL(T)); the explanation is materialized
   into a reason clause only if conflict analysis ever resolves on the
   implication.
+
+Relevancy.  A variable declared through :meth:`SatSolver.mark_atom` is a
+*don't-care candidate*: the solver keeps the list of problem clauses it
+occurs in, and when the order heap offers it for branching while every
+one of those clauses already has a true literal, it is *parked* instead
+of decided — no value for it can falsify a problem clause, and asserting
+a made-up one into the theory only buys conflicts.  Parking invariant:
+``_parked`` holds ``(var, level)`` with levels non-decreasing, and every
+problem clause containing ``var`` has a true literal assigned at or
+below ``level``; so the entry stays valid exactly until a backjump goes
+below ``level`` (:meth:`SatSolver.cancel_until` returns it to the heap)
+or a clause is added (:meth:`SatSolver.solve` returns all of them at its
+start).  The search answers SAT when the heap is exhausted: every
+variable is then assigned or parked, BCP is at fixpoint, hence every
+problem clause has a true literal among the *assigned* ones and the
+model may be partial over marked variables.  Propagation, theory
+implications, conflict analysis and learnt clauses treat marked
+variables like any other, so UNSAT answers and cores keep their
+derivations.  A solver with no marked variable is plain CDCL: nothing is
+ever parked and the full-trail test ends the search before the heap is
+consulted (``tests/sat/test_differential.py`` pins its trajectories to
+the frozen reference solver).
 """
 
 from __future__ import annotations
@@ -175,6 +198,14 @@ class SatSolver:
         self._cla_decay = 0.999
         self._order_heap: List[int] = []
         self._heap_pos: List[int] = [-1]
+        # Relevancy filter (module docstring): per variable, None or --
+        # for a variable declared by mark_atom() -- the handles of the
+        # problem clauses containing it; and the stack of parked
+        # variables with the decision level each was parked at (a
+        # variable implied and backjumped in between may sit on it twice;
+        # returning it to the heap is idempotent).
+        self._occurs: List[Optional[List[int]]] = [None]
+        self._parked: List[Tuple[int, int]] = []
         self._ok = True
         self._conflicts = 0
         self._decisions = 0
@@ -233,8 +264,24 @@ class SatSolver:
         self._watches.append([])
         self._watches.append([])
         self._heap_pos.append(-1)
+        self._occurs.append(None)
         self._heap_insert(v)
         return v
+
+    def mark_atom(self, var: int) -> None:
+        """Declare ``var`` a theory atom the search may leave undecided.
+
+        From here on the solver records which problem clauses contain
+        ``var`` and stops branching on it while each of them has a true
+        literal (module docstring, *Relevancy*); :meth:`model_value`
+        refuses to answer for a variable a SAT answer left open.  Must
+        be called before ``var`` appears in any clause.
+        """
+        if (self._assigns[var] != UNASSIGNED
+                or self._watches[2 * var] or self._watches[2 * var + 1]):
+            raise SolverError(
+                f"variable {var} must be marked before it occurs in a clause")
+        self._occurs[var] = []
 
     def add_clause(self, lits: Iterable[int]) -> bool:
         """Add a clause of internal literals.
@@ -280,6 +327,11 @@ class SatSolver:
         handle = self._arena.new_clause(out, learnt=False)
         self._clauses.append(handle)
         self._attach(handle)
+        occurs = self._occurs
+        for l in out:
+            occ = occurs[l >> 1]
+            if occ is not None:
+                occ.append(handle)
         return True
 
     def clause_literals(self) -> Iterable[List[int]]:
@@ -303,10 +355,20 @@ class SatSolver:
         return self._assigns[var]
 
     def model_value(self, var: int) -> bool:
-        """Value of ``var`` in the model of the last successful solve."""
+        """Value of ``var`` in the model of the last successful solve.
+
+        A marked variable (:meth:`mark_atom`) that the solve left
+        undecided has no value: its truth is whatever the theory model
+        makes of it, so asking for one is an error, not ``False``.
+        """
         if not self._model:
             raise SolverError("no model available; call solve() first")
-        return self._model[var] == TRUE
+        value = self._model[var]
+        if value == UNASSIGNED:
+            raise SolverError(
+                f"variable {var} is a don't-care atom the last solve left "
+                "undecided; evaluate it from the theory model")
+        return value == TRUE
 
     def learned_clauses(self) -> List[LearnedClause]:
         """The live learned-clause database (read-only view for export).
@@ -672,11 +734,45 @@ class SatSolver:
         return top
 
     def _pick_branch_var(self) -> int:
+        """Most active unassigned variable worth deciding, or 0 if none.
+
+        A marked variable none of whose problem clauses is still open is
+        parked at the current decision level instead of returned.
+        """
+        assigns = self._assigns
+        occurs = self._occurs
         while self._order_heap:
             v = self._heap_pop()
-            if self._assigns[v] == UNASSIGNED:
+            if assigns[v] != UNASSIGNED:
+                continue
+            occ = occurs[v]
+            if occ is None or self._any_open(occ):
                 return v
+            self._parked.append((v, len(self._trail_lim)))
         return 0
+
+    def _any_open(self, handles: List[int]) -> bool:
+        """True if one of these clauses has no true literal yet."""
+        arena = self._arena
+        lits = arena.lits
+        off = arena.off
+        size = arena.size
+        assigns = self._assigns
+        for c in handles:
+            o = off[c]
+            for k in range(o, o + size[c]):
+                l = lits[k]
+                if assigns[l >> 1] ^ (l & 1) == 1:
+                    break
+            else:
+                return True
+        return False
+
+    def _unpark(self, level: int) -> None:
+        """Return the variables parked above ``level`` to the order heap."""
+        parked = self._parked
+        while parked and parked[-1][1] > level:
+            self._heap_insert(parked.pop()[0])
 
     # ------------------------------------------------------------------
     # Backjumping
@@ -696,6 +792,7 @@ class SatSolver:
             self._heap_insert(v)
         del self._trail[keep:]
         del self._trail_lim[level:]
+        self._unpark(level)
         self._qhead = len(self._trail)
         self._theory_qhead = min(self._theory_qhead, keep)
         self.theory.on_backjump(keep)
@@ -822,6 +919,9 @@ class SatSolver:
         if not self._ok:
             return False
         self.cancel_until(0)
+        # Clauses may have been added since a variable was parked at
+        # level 0: every parked variable is looked at again.
+        self._unpark(-1)
         conflict = self._propagate()
         if conflict is not None:
             self._ok = False
@@ -905,7 +1005,27 @@ class SatSolver:
                 self._reduce_db()
 
             next_lit = self._next_assumption(assumptions)
-            if next_lit is None and len(self._trail) == self._nvars:
+            if next_lit is not None:
+                val = self._lit_value(next_lit)
+                if val == FALSE:
+                    # Assumptions are inconsistent: ``next_lit`` plus the
+                    # assumptions its negation was derived from.
+                    self._failed_assumptions = [next_lit] + self._analyze_final(
+                        [next_lit], assumptions
+                    )
+                    self.cancel_until(0)
+                    return False
+                self._trail_lim.append(len(self._trail))
+                if val == UNASSIGNED:
+                    self._decisions += 1
+                    self._enqueue(next_lit, None)
+                continue
+            # The full-trail test comes first so that a solver with no
+            # marked variable never drains the heap to learn it is done.
+            v = 0 if len(self._trail) == self._nvars else self._pick_branch_var()
+            if v == 0:
+                # Nothing left to decide: every variable is assigned or a
+                # parked don't-care (module docstring, *Relevancy*).
                 final = self.theory.final_check()
                 if final is not None:
                     clause = [neg(l) for l in final]
@@ -930,27 +1050,6 @@ class SatSolver:
                     self.cancel_until(back_level)
                     self._record_learnt(learnt, lbd)
                     continue
-                self._model = list(self._assigns)
-                self.cancel_until(0)
-                return True
-            if next_lit is not None:
-                val = self._lit_value(next_lit)
-                if val == FALSE:
-                    # Assumptions are inconsistent: ``next_lit`` plus the
-                    # assumptions its negation was derived from.
-                    self._failed_assumptions = [next_lit] + self._analyze_final(
-                        [next_lit], assumptions
-                    )
-                    self.cancel_until(0)
-                    return False
-                self._trail_lim.append(len(self._trail))
-                if val == UNASSIGNED:
-                    self._decisions += 1
-                    self._enqueue(next_lit, None)
-                continue
-            v = self._pick_branch_var()
-            if v == 0:
-                # All vars assigned (handled above), defensive fallback.
                 self._model = list(self._assigns)
                 self.cancel_until(0)
                 return True

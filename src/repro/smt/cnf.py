@@ -133,6 +133,9 @@ class CnfConverter:
         v = self._atom_vars.get(key)
         if v is None:
             v = self._sat.new_var()
+            # An atom no unsatisfied clause mentions stays undecided: the
+            # SAT model is partial over atoms, the theory model is not.
+            self._sat.mark_atom(v)
             self._atom_vars[key] = v
             self._atom_objects[atom] = v
             self._origins[v] = atom

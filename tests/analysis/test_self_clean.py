@@ -95,3 +95,35 @@ def test_synthesizer_imports_at_module_top_only():
               for name, line, below in _imported_modules(path, "repro.core")
               if below]
     assert not nested, "\n".join(nested)
+
+
+def test_no_atom_value_is_read_from_the_sat_model():
+    # A sat answer may leave theory atoms undecided (relevancy-filtered
+    # decisions), so the SAT model has no value for them: atoms are
+    # evaluated from the theory's reals (``Model.eval_bool``).  The only
+    # readers of ``SatSolver.model_value`` are the pure-SAT DIMACS layer
+    # (no atoms exist there) and the engine's one comprehension over the
+    # converter's ``bool_vars``; nothing else reaches into ``_model``.
+    readers = {}
+    for path in sorted((REPO_SRC / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            relative = str(path.relative_to(REPO_SRC / "repro"))
+            if node.attr == "model_value" and isinstance(node.ctx, ast.Load):
+                readers.setdefault(relative, []).append(node.lineno)
+            owner = node.value
+            if (node.attr == "_model" and isinstance(owner, ast.Attribute)
+                    and owner.attr == "_sat"):
+                readers.setdefault(relative, []).append(node.lineno)
+    assert sorted(readers) == ["sat/dimacs.py", "smt/solver.py"], readers
+    assert len(readers["smt/solver.py"]) == 1, readers
+
+    engine = ast.parse((REPO_SRC / "repro" / "smt" / "solver.py").read_text())
+    sources = [ast.unparse(generator.iter)
+               for node in ast.walk(engine)
+               if isinstance(node, ast.DictComp)
+               and "model_value" in ast.unparse(node.value)
+               for generator in node.generators]
+    assert sources == ["self._cnf.bool_vars.items()"], sources

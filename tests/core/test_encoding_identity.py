@@ -18,8 +18,16 @@ freeze -- digests
 * ``sat_var -> (sx_var, is_upper, bound, dl_edge)`` for both phases of
   every registered atom.
 
-Only the digests are committed (``GOLDEN`` below), recorded from commit
-7e63c5f (PR 12, before the build-once encode path).
+Only the digests are committed (``GOLDEN`` below).  The first state of
+every case -- stage 1's formula, emitted before any search -- and the
+single-stage case are still the digests recorded from commit 7e63c5f
+(PR 12, before the build-once encode path).  The later states of the two
+staged cases depend on the search as well: each stage freezes the
+previous stages' *model values* into the formula, so when the SAT core
+stopped deciding don't-care atoms (relevancy-filtered decisions, see
+``docs/perf.md``) the models, hence the freeze atoms, moved -- those
+states were re-recorded with that change (gm_case_study(3): 2,248 ->
+2,251 variables, 1,861 -> 1,864 atoms, the 3,461 clauses stayed).
 
 To re-record after a change that is *meant* to alter the formula::
 
@@ -80,19 +88,19 @@ CASES = {
 #: one 16-hex digest per distinct formula state seen by a check()).
 GOLDEN = {
     'gm_case_study(3) routes=3 stages=5': (
-        'sat', 3461, 2248, 1861, (
+        'sat', 3461, 2251, 1864, (
             '8b7e4e7ebc6b9f0c',
-            'c0253428c7410451',
-            'c1332f089e1dd350',
-            '66d4e856695fd261',
-            'a2f83354c2d2023b',
+            '2ee7b1c28e00338c',
+            '39210e7d0bed5cc9',
+            'b948d74b51d5eaf3',
+            'be6949318f7ec96a',
         )),
     'gm_variant(seed 13) routes=3 stages=4': (
         'sat', 2142, 1520, 1250, (
             '9189cf543a9e065d',
-            'da8acf8a57ead3ab',
-            '4a3fdd7543fe4948',
-            '2d9f30b58bd609d7',
+            '70ace7780ef06938',
+            '8911cc4ea99177d5',
+            'b9355e360b86ab62',
         )),
     'bottleneck_problem(3) routes=2': (
         'sat', 99, 66, 48, (

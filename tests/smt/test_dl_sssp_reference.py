@@ -85,8 +85,11 @@ def test_tidied_sssp_equals_the_old_loop_on_the_staged_runs(make, monkeypatch):
     result = solve(make(4), SynthesisOptions(routes=2, stages=5))
     assert result.status == "sat"
     # Both directions, passes that ran into the effort cap and passes
-    # that settled more than their start node all occurred.
-    assert seen["calls"] >= 500
+    # that settled more than their start node all occurred.  (Floors sit
+    # under what the relevancy-filtered search gives: 302 / 460 calls,
+    # 187 / 346 capped, 301 / 459 multi; it was 952 / 560 calls while
+    # every don't-care atom was still decided and asserted.)
+    assert seen["calls"] >= 250
     assert 0 < seen["backward"] < seen["calls"]
     assert seen["capped"] >= 10
     assert seen["multi"] >= 100
