@@ -2,9 +2,13 @@
 applications in Ethernet networks (Mahfouzi et al., DATE 2018).
 
 Public API re-exports: the most common entry points from each subpackage.
-See README.md for the architecture and DESIGN.md for the system inventory.
+The stability-curve names need numpy and are imported on first access
+(see :mod:`repro.stability`), so ``import repro`` does not load numpy.
 """
 
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
 from .api import CheckOutcome, Session
 from .core import (
     ControlApplication,
@@ -36,13 +40,16 @@ from .portfolio import (
     synthesize_portfolio,
 )
 from .sim import simulate_solution
-from .stability import (
-    StabilityCurve,
-    StabilitySpec,
-    compute_stability_curve,
-    fit_lower_bound,
-    jitter_margin,
-)
+from .stability import StabilitySpec, fit_lower_bound
+
+if TYPE_CHECKING:
+    from .stability import StabilityCurve, compute_stability_curve, jitter_margin
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "StabilityCurve": ".stability",
+    "compute_stability_curve": ".stability",
+    "jitter_margin": ".stability",
+})
 
 __version__ = "1.0.0"
 

@@ -11,6 +11,9 @@
 Stability specs for generated apps come from the *real* analysis pipeline
 (LQG design -> jitter-margin curve -> piecewise bound), cached per
 (plant, period) pair since the curve computation is the expensive step.
+That pipeline needs numpy, so it is imported inside
+:func:`stability_spec_for`; the GM and bottleneck generators use
+published or hand-set (alpha, beta) rows and never load it.
 """
 
 from __future__ import annotations
@@ -19,13 +22,10 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..control.plants import PLANT_FACTORIES, paper_controller
 from ..core.problem import ControlApplication, SynthesisProblem
 from ..network.graph import Network
 from ..network.timing import DelayModel, microseconds
 from ..network.topology import attach_endpoints, erdos_renyi_topology, gm_topology
-from ..stability.curve import compute_stability_curve
-from ..stability.jitter_margin import JitterMarginOptions
 from ..stability.piecewise import StabilitySpec, fit_lower_bound
 
 #: The paper's period set for the evaluation (ms -> Fraction seconds).
@@ -62,6 +62,10 @@ def stability_spec_for(
     key = (plant_name, period)
     spec = _SPEC_CACHE.get(key)
     if spec is None:
+        from ..control.plants import PLANT_FACTORIES, paper_controller
+        from ..stability.curve import compute_stability_curve
+        from ..stability.margin import JitterMarginOptions
+
         plant = PLANT_FACTORIES[plant_name]()
         h = float(period)
         ctrl = paper_controller(plant, h)

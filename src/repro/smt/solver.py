@@ -245,12 +245,23 @@ class SolverEngine:
         self.on_restart = on_restart
         #: Conflict budget per check(); None = unbounded.
         self.max_conflicts = max_conflicts
-        self._sat.on_restart = self._fire_restart
 
     def _fire_restart(self, _sat: SatSolver) -> None:
         callback = self.on_restart
         if callback is not None:
             callback(self)
+
+    def _sat_solve(self, lits: List[int],
+                   max_conflicts: Optional[int] = None) -> Optional[bool]:
+        # The SAT core holds the restart hook only while it runs: a bound
+        # method left on it would close the loop engine -> SatSolver ->
+        # engine, and a finished engine could then be freed only by the
+        # cycle collector instead of by reference counting.
+        self._sat.on_restart = self._fire_restart
+        try:
+            return self._sat.solve(lits, max_conflicts=max_conflicts)
+        finally:
+            self._sat.on_restart = None
 
     def interrupt(self) -> None:
         """Abort a running :meth:`check` at its next restart-safe point
@@ -337,7 +348,7 @@ class SolverEngine:
         self._collect_assumptions(assumptions, by_lit)
         lits = scope_lits + list(by_lit)
         before = self.statistics
-        solved = self._sat.solve(lits, max_conflicts=self.max_conflicts)
+        solved = self._sat_solve(lits, self.max_conflicts)
         after = self.statistics
         self._last_check_stats = {
             key: after.get(key, 0) - before.get(key, 0)
@@ -426,7 +437,7 @@ class SolverEngine:
         while i < len(core):
             trial = core[:i] + core[i + 1:]
             self._core_checks += 1
-            if self._sat.solve(scope_lits + trial):
+            if self._sat_solve(scope_lits + trial):
                 i += 1  # core[i] is necessary
             else:
                 kept = set(trial)

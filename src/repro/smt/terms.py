@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
+from weakref import WeakValueDictionary
 
 from ..errors import SolverError
 
@@ -48,10 +49,14 @@ _F1 = Fraction(1)
 
 
 class RealVar:
-    """A real-valued SMT variable, identified by name."""
+    """A real-valued SMT variable, identified by name.
 
-    __slots__ = ("name",)
-    _registry: Dict[str, "RealVar"] = {}
+    Interned weakly: a variable lives as long as something uses it, and
+    while it lives every ``RealVar(name)`` returns that same object.
+    """
+
+    __slots__ = ("name", "__weakref__")
+    _registry: WeakValueDictionary[str, RealVar] = WeakValueDictionary()
 
     def __new__(cls, name: str) -> "RealVar":
         existing = cls._registry.get(name)
@@ -293,10 +298,10 @@ def BoolVal(value: bool) -> BoolConst:
 
 
 class BoolVar(BoolExpr):
-    """A named propositional variable."""
+    """A named propositional variable, interned weakly like :class:`RealVar`."""
 
-    __slots__ = ("name",)
-    _registry: Dict[str, "BoolVar"] = {}
+    __slots__ = ("name", "__weakref__")
+    _registry: WeakValueDictionary[str, BoolVar] = WeakValueDictionary()
 
     def __new__(cls, name: str) -> "BoolVar":
         existing = cls._registry.get(name)

@@ -1,4 +1,4 @@
-"""Stability analysis substrate (DESIGN.md S6; paper Sec. IV).
+"""Stability analysis substrate (paper Sec. IV).
 
 Replaces the MATLAB Jitter Margin toolbox: a sufficient frequency-domain
 small-gain criterion gives the maximum tolerable response-time jitter
@@ -6,16 +6,35 @@ small-gain criterion gives the maximum tolerable response-time jitter
 stability boundary (Fig. 3) and :func:`fit_lower_bound` extracts the
 verified piecewise-linear (alpha, beta, L) segments of Eq. (2)/(3) that
 the synthesizer turns into SMT constraints.
+
+Synthesis needs only :mod:`~repro.stability.piecewise`.  The curve and
+jitter-margin names (:mod:`~repro.stability.curve`,
+:mod:`~repro.stability.margin`) need numpy and are imported on first
+access.
 """
 
-from .curve import StabilityCurve, compute_stability_curve
-from .jitter_margin import (
-    JitterMarginOptions,
-    delay_margin,
-    jitter_margin,
-    nominal_loop_stable,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 from .piecewise import Segment, StabilitySpec, fit_lower_bound
+
+if TYPE_CHECKING:
+    from .curve import StabilityCurve, compute_stability_curve
+    from .margin import (
+        JitterMarginOptions,
+        delay_margin,
+        jitter_margin,
+        nominal_loop_stable,
+    )
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "StabilityCurve": ".curve",
+    "compute_stability_curve": ".curve",
+    "JitterMarginOptions": ".margin",
+    "delay_margin": ".margin",
+    "jitter_margin": ".margin",
+    "nominal_loop_stable": ".margin",
+})
 
 __all__ = [
     "JitterMarginOptions",

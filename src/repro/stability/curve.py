@@ -15,7 +15,7 @@ import numpy as np
 from ..errors import StabilityAnalysisError
 from ..control.lqg import design_lqg
 from ..control.lti import StateSpace
-from .jitter_margin import (
+from .margin import (
     JitterMarginOptions,
     delay_margin,
     jitter_margin,

@@ -20,10 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple, Union
+from typing import TYPE_CHECKING, List, Tuple, Union
 
 from ..errors import StabilityAnalysisError
-from .curve import StabilityCurve
+
+if TYPE_CHECKING:
+    from .curve import StabilityCurve
 
 Number = Union[int, float, Fraction]
 

@@ -1,24 +1,40 @@
-"""Neither zombies nor file descriptors — counted, not just claimed.
+"""Neither zombies, nor file descriptors, nor cyclic garbage — counted,
+not just claimed.
 
 ``docs/robustness.md`` promises that reaped workers leave nothing
-behind; the fault suites only check ``active_children()``.  This test
-counts the process's open descriptors around every way a worker ends.
+behind; the fault suites only check ``active_children()``.  The first
+test counts the process's open descriptors around every way a worker
+ends.  The rest hold the in-process half of the promise
+(``docs/perf.md``, "Memory lifecycle and cold start"): with the cycle
+collector off, every solver engine a solve builds is freed by reference
+counting the moment its last reference goes, and interned variables do
+not outlive the sessions that used them.
 """
 
+import collections
+import gc
 import multiprocessing
 import os
 import signal
 import time
+import weakref
 
 import pytest
 
-from repro.core.synthesizer import SynthesisOptions
-from repro.eval.workloads import sharing_problem
+from repro.api import Session
+from repro.core.refine import minimize_jitter
+from repro.core.synthesizer import SynthesisOptions, solve
+from repro.eval.workloads import (bottleneck_problem, bottleneck_repair_problem,
+                                  gm_case_study, sharing_problem)
 from repro.portfolio import (FaultPlan, FaultSpec, Strategy,
                              SupervisionPolicy, synthesize_portfolio)
 from repro.runtime.faults import CRASH
 from repro.runtime.process import WorkerProcess
 from repro.service import ServiceClient, ServicePolicy, SynthesisServer
+from repro.service.workers import InlineWorker
+from repro.smt import Bool, Not, Or, Real
+from repro.smt.solver import SolverEngine
+from repro.smt.terms import BoolVar, RealVar
 
 from ..service.helpers import family_problem, run
 
@@ -98,3 +114,121 @@ def test_every_way_a_worker_ends_gives_its_descriptors_back():
     sigkilled_service_request()
     assert open_fds() == before
     assert multiprocessing.active_children() == []
+
+
+# ---------------------------------------------------------------------------
+# Memory: a finished solve is freed by reference counting
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def engines(monkeypatch):
+    """Weak references to every :class:`SolverEngine` built meanwhile."""
+    refs = []
+    init = SolverEngine.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(SolverEngine, "__init__", recording_init)
+    return refs
+
+
+def cyclic_repro_garbage() -> collections.Counter:
+    """Instances of ``repro`` types that only the cycle collector frees."""
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        return collections.Counter(
+            f"{type(o).__module__}.{type(o).__qualname__}"
+            for o in gc.garbage if type(o).__module__.startswith("repro."))
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def staged_solve() -> None:
+    result = solve(gm_case_study(3), SynthesisOptions(routes=3, stages=5))
+    assert result.status == "sat"
+
+
+def repaired_solve() -> None:
+    result = solve(bottleneck_repair_problem(),
+                   SynthesisOptions(routes=2, stages=2, repair=True))
+    assert result.status == "sat"
+    assert result.statistics["stage_repairs"] >= 1
+
+
+def session_episode(backend: str):
+    def episode() -> None:
+        session = Session(backend)
+        x, y = Real("leak_x"), Real("leak_y")
+        a, b = Bool("leak_a"), Bool("leak_b")
+        session.add(Or(a, x - y >= 3))
+        session.push()
+        session.add(y - x >= 1, Or(Not(a), b))
+        outcome = session.check(Not(b), a)
+        assert outcome == "unsat" and outcome.unsat_core
+        session.pop()
+        assert session.check(a) == "sat"
+    return episode
+
+
+def inline_request() -> None:
+    worker = InlineWorker()
+    payload = worker.solve("leak-1", gm_case_study(2),
+                           SynthesisOptions(routes=2, stages=2))
+    assert payload["status"] == "sat"
+
+
+def shared_serial_race() -> None:
+    strategies = [Strategy("routes-1", SynthesisOptions(routes=1)),
+                  Strategy("routes-2", SynthesisOptions(routes=2))]
+    result = synthesize_portfolio(sharing_problem(), strategies,
+                                  backend="serial", share_knowledge=True)
+    assert result.status == "sat"
+
+
+LIFECYCLES = {
+    "staged-solve": staged_solve,
+    "repair": repaired_solve,
+    "native-session": session_episode("native"),
+    "serialization-session": session_episode("serialization"),
+    "inline-worker": inline_request,
+    "serial-race-sharing": shared_serial_race,
+}
+
+
+@pytest.mark.parametrize("lifecycle", sorted(LIFECYCLES))
+def test_a_finished_solve_is_freed_by_reference_counting(lifecycle, engines):
+    """Each lifecycle drops its last reference on return; with the cycle
+    collector off, every engine it built must already be gone then."""
+    gc.collect()
+    gc.disable()
+    try:
+        LIFECYCLES[lifecycle]()
+        assert engines, "the scenario built no engine"
+        assert [ref() for ref in engines] == [None] * len(engines)
+        assert cyclic_repro_garbage() == {}
+    finally:
+        gc.enable()
+
+
+def test_interned_variables_live_only_as_long_as_their_users():
+    bools, reals = len(BoolVar._registry), len(RealVar._registry)
+    for _ in range(5000):
+        session = Session()
+        session.push()
+        session.pop()
+    del session
+    assert len(BoolVar._registry) <= bools
+    problem = bottleneck_problem(2)
+    for _ in range(50):   # each call encodes under a fresh namespace
+        assert minimize_jitter(problem, routes=1, max_probes=2).ok
+    assert len(BoolVar._registry) <= bools
+    assert len(RealVar._registry) <= reals
+    # Identity while alive is unchanged.
+    kept = Bool("leak_kept")
+    assert Bool("leak_kept") is kept and BoolVar._registry["leak_kept"] is kept
