@@ -12,17 +12,24 @@ path: ``Encoder`` -> ``smt/terms.py`` -> ``CnfConverter`` ->
 
 One untimed pass counts the ``Atom`` objects the term layer builds; the
 timed rounds run the code as it ships.  Every count must be the same in
-every round.
+every round, and at the default size and the CI smoke size it must be
+the pinned ``EXPECTED`` tuple: the counts describe the formula's shape,
+so a drift there is a formula change, never a speed-up.
 
 Reported per round and as median / IQR over the rounds: messages,
 assertions, atoms built vs atoms registered, slack rows, wall,
-assertions per second.  The numbers in docs/perf.md ("Build-once encode
-path") come from this script.
+assertions per second; and the encode layer's own unit costs, wall
+microseconds per registered atom and GC-tracked objects per registered
+atom (the ``gc.get_objects()`` growth of one untimed pass, measured
+after a full collection with every session still alive).  The numbers
+in docs/perf.md ("The encode path builds each thing once") come from
+this script.
 
 Usage:
     PYTHONPATH=src python benchmarks/encoder_build.py [rounds] [n_apps]
 """
 
+import gc
 import sys
 import time
 from pathlib import Path
@@ -38,10 +45,14 @@ from simplex_pivots import cross_wired, median_iqr  # noqa: E402
 
 ROUTES = 3
 STAGES = 5
+#: n_apps -> (messages, assertions, atoms built, atoms registered, slack
+#: rows) of one pass; re-recorded only with a change to the formula.
+EXPECTED = {3: (38, 4716, 5613, 3810, 1986), 4: (48, 6189, 7524, 5245, 2726)}
 
 
 def encode(problem):
-    """Encode every stage slice of ``problem``; returns the counts."""
+    """Encode every stage slice of ``problem``; returns the counts and
+    the session, which holds the formula."""
     session = Session()
     encoder = Encoder(problem, session, ROUTES, namespace="p")
     for stage, messages in enumerate(_slice_messages(problem, STAGES)):
@@ -55,12 +66,24 @@ def encode(problem):
                 problem.app_by_name[name], tag=f"s{stage}")
     theory = session.backend.engine._theory
     return (len(encoder.plans), len(session.assertions),
-            len(theory._atoms), len(theory._slack_cache))
+            len(theory._atoms), len(theory._slack_cache)), session
 
 
 def encode_all(problems):
     """``(messages, assertions, atoms registered, slack rows)`` summed."""
-    return tuple(map(sum, zip(*(encode(problem) for problem in problems))))
+    return tuple(map(sum, zip(*(encode(problem)[0] for problem in problems))))
+
+
+def tracked_objects(problems):
+    """GC-tracked objects one untimed pass leaves alive."""
+    gc.collect()
+    before = len(gc.get_objects())
+    # The sessions hold the formula: they are alive when it is counted.
+    sessions = [encode(problem)[1] for problem in problems]
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    del sessions
+    return grown
 
 
 def count_atoms_built(problems):
@@ -86,6 +109,7 @@ def main():
     n_apps = int(sys.argv[2]) if len(sys.argv) > 2 else 4
     problems = [gm_case_study(n_apps), cross_wired(n_apps)]
     built = count_atoms_built(problems)
+    objects = tracked_objects(problems)
     walls, rates, counts = [], [], set()
     for r in range(rounds):
         start = time.perf_counter()
@@ -98,6 +122,9 @@ def main():
               f"{result[1] / wall:>8,.0f} assertions/s")
     assert len(counts) == 1, f"counts vary between rounds: {counts}"
     messages, assertions, registered, rows = counts.pop()
+    if n_apps in EXPECTED:
+        assert (messages, assertions, built, registered, rows) == (
+            EXPECTED[n_apps]), "the formula moved"
     wall_med, wall_iqr = median_iqr(walls)
     rate_med, rate_iqr = median_iqr(rates)
     print(f"gm({n_apps}) + gm-cross({n_apps}), routes={ROUTES}, "
@@ -107,6 +134,9 @@ def main():
     print(f"wall median {wall_med:.3f}s (IQR {wall_iqr:.3f})  "
           f"assertions/s median {rate_med:,.0f} (IQR {rate_iqr:,.0f})  "
           f"over {rounds} round(s)")
+    print(f"per registered atom: {wall_med / registered * 1e6:.1f} us "
+          f"(IQR {wall_iqr / registered * 1e6:.1f}), "
+          f"{objects / registered:.1f} GC-tracked objects")
 
 
 if __name__ == "__main__":

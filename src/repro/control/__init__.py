@@ -1,4 +1,4 @@
-"""Control-theory substrate (DESIGN.md S5): plants, discretization, LQG.
+"""Control-theory substrate: plants, discretization, LQG.
 
 Implements the paper's control model (Sec. II-C): continuous LTI plants
 sampled periodically, discrete LQG controllers, and the benchmark plant

@@ -1,4 +1,4 @@
-"""Core synthesis: the paper's contribution (DESIGN.md S7-S9).
+"""Core synthesis: the paper's contribution (Secs. IV-V).
 
 Stability-aware joint routing and scheduling of time-triggered Ethernet
 messages via SMT, with the route-subset and incremental-stage heuristics,

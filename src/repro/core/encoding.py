@@ -22,7 +22,7 @@ Stability (9)+(10)      exact ``Lmin/Lmax`` min/max encoding plus the
                         piecewise segments of Eq. (2) -- see
                         :func:`Encoder.add_stability_constraints`
 Implicit deadline       ``e2e <= h_i`` (both modes; makes one-hyper-period
-                        contention analysis exact, DESIGN.md §4)
+                        contention analysis exact)
 =====================  =====================================================
 """
 

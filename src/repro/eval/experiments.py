@@ -1,11 +1,10 @@
 """Experiment runners: one per table/figure of the paper's evaluation.
 
 Each ``run_figN``/``run_table1`` function regenerates the corresponding
-plot's data (see DESIGN.md §2 for the experiment index).  All runners are
-parameterized by a scale so the laptop-default benchmarks stay fast while
-``--full``-style invocations approach the paper's sizes; the *shape*
-claims hold at either scale (EXPERIMENTS.md records both the paper's
-numbers and ours).
+plot's data.  All runners are parameterized by a scale so the
+laptop-default benchmarks stay fast while ``--full``-style invocations
+approach the paper's sizes; the *shape* claims hold at either scale (the
+paper's numbers are quoted in the docstrings of ``benchmarks/test_*.py``).
 """
 
 from __future__ import annotations

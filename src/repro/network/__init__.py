@@ -1,7 +1,7 @@
 """Network substrate: graph, paths, topologies, TSN switches, flows, delays.
 
-Implements DESIGN.md systems S2-S4: the paper's network model (Sec. II-A),
-traffic model (Sec. II-C), and delay model (Sec. II-B).
+Implements the paper's network model (Sec. II-A), traffic model
+(Sec. II-C), and delay model (Sec. II-B).
 """
 
 from .frames import (

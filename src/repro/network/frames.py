@@ -48,7 +48,7 @@ class MessageInstance:
     """The j-th message ``m_{i,j}`` of a flow inside the hyper-period.
 
     ``release`` is the sensor sampling instant ``j * h_i`` at which the
-    message enters the network (time-driven sampling; DESIGN.md §4).
+    message enters the network (time-driven sampling).
     """
 
     flow: Flow

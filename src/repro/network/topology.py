@@ -5,7 +5,7 @@ The paper's Fig. 7 experiment generates switch topologies "randomly based
 on the Erdős–Rényi graph model" and attaches 10 sensors and 10 controllers
 at random; :func:`erdos_renyi_topology` + :func:`attach_endpoints`
 reproduce that.  :func:`gm_topology` reconstructs the 8-switch automotive
-network of Fig. 1 (see DESIGN.md §3 — substitution 3).
+network of Fig. 1.
 """
 
 from __future__ import annotations

@@ -66,6 +66,7 @@ long strategy.
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -279,6 +280,9 @@ def _execute_strategy(problem, strategy: Strategy, emit=None,
 def _strategy_worker(conn, problem, strategy: Strategy, share: bool = False,
                      policy: Optional[SupervisionPolicy] = None) -> None:
     """Run one strategy; stream heartbeats, artifacts and the result back."""
+    # The forked worker inherits the coordinator's heap; frozen, it stays
+    # out of every collection the one-shot solve triggers.
+    gc.freeze()
     policy = policy or SupervisionPolicy()
     try:
         emit = None

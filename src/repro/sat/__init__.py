@@ -1,7 +1,6 @@
 """From-scratch CDCL SAT solver (propositional core of the SMT substrate).
 
-See DESIGN.md S1: this package replaces the propositional engine of Z3 used
-by the paper.  :class:`~repro.sat.solver.SatSolver` exposes a theory hook
+This package replaces the propositional engine of Z3 used by the paper.  :class:`~repro.sat.solver.SatSolver` exposes a theory hook
 that :mod:`repro.smt` uses to implement DPLL(T).
 """
 

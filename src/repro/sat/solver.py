@@ -1,7 +1,7 @@
 """Conflict-driven clause-learning (CDCL) SAT solver.
 
 This is the propositional core of the from-scratch SMT solver used to
-reproduce the paper's Z3-based synthesis (substitution S1 in DESIGN.md).
+reproduce the paper's Z3-based synthesis.
 Features: two-watched-literal propagation, first-UIP conflict analysis,
 exponential VSIDS decision heuristic, phase saving, Luby restarts, learned
 clause-database reduction, incremental clause addition, solving under
@@ -297,14 +297,15 @@ class SatSolver:
             return False
         seen = {}
         out: List[int] = []
+        assigns, nvars = self._assigns, self._nvars
         for l in lits:
-            v = var_of(l)
-            if v < 1 or v > self._nvars:
+            v = l >> 1
+            if v < 1 or v > nvars:
                 raise SolverError(f"literal {l} references unknown variable {v}")
-            val = self._lit_value(l)
-            if val == TRUE:
-                return True  # clause already satisfied at root
-            if val == FALSE:
+            a = assigns[v]
+            if a != UNASSIGNED:
+                if a ^ (l & 1) == TRUE:
+                    return True  # clause already satisfied at root
                 continue  # root-level falsified literal: drop it
             prev = seen.get(v)
             if prev is None:

@@ -1,5 +1,5 @@
-"""Discrete-event TSN network simulator (DESIGN.md S10): an independent
-executable semantics used to validate synthesized schedules."""
+"""Discrete-event TSN network simulator: an independent executable
+semantics used to validate synthesized schedules."""
 
 from .events import Event, EventQueue
 from .netsim import SimTrace, cross_check_e2e, simulate_solution

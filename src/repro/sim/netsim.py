@@ -1,4 +1,4 @@
-"""Discrete-event simulation of a synthesized TSN schedule (DESIGN.md S10).
+"""Discrete-event simulation of a synthesized TSN schedule.
 
 Runs every frame of one hyper-period through the behavioural switch model
 of :mod:`repro.network.switch`:

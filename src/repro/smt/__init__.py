@@ -1,4 +1,4 @@
-"""From-scratch SMT solver for QF_LRA (DESIGN.md S1).
+"""From-scratch SMT solver for QF_LRA, in place of the paper's Z3.
 
 A z3py-flavoured API (``Real``, ``Bool``, ``And``/``Or``/``Not``,
 ``SolverEngine``) over a DPLL(T) engine: CDCL SAT core (:mod:`repro.sat`), an

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from ..errors import SolverError
-from ..sat.literals import lit, neg
 from ..sat.solver import SatSolver
 from .terms import (
     AndExpr,
@@ -66,42 +65,50 @@ class CnfConverter:
 
     def assert_formula(self, expr: BoolExpr) -> None:
         """Assert ``expr`` at the root level."""
-        if isinstance(expr, BoolConst):
-            if not expr.value:
-                # Assert false: add an empty clause via two contradicting units.
-                v = self._sat.new_var()
-                self._sat.add_clause([lit(v)])
-                self._sat.add_clause([lit(v, False)])
-            return
-        if isinstance(expr, AndExpr):
+        kind = type(expr)
+        if kind is OrExpr:
+            # Top-level disjunction: one clause over the children literals.
+            literal_for = self.literal_for
+            self._sat.add_clause([literal_for(a) for a in expr.args])
+        elif kind is AndExpr:
             # Top-level conjunctions do not need Tseitin variables.
             for arg in expr.args:
                 self.assert_formula(arg)
-            return
-        if isinstance(expr, OrExpr):
-            # Top-level disjunction: one clause over the children literals.
-            self._sat.add_clause([self.literal_for(a) for a in expr.args])
-            return
-        self._sat.add_clause([self.literal_for(expr)])
+        elif kind is BoolConst:
+            if not expr.value:
+                # Assert false: add an empty clause via two contradicting units.
+                v = self._sat.new_var()
+                self._sat.add_clause([2 * v])
+                self._sat.add_clause([2 * v + 1])
+        else:
+            self._sat.add_clause([self.literal_for(expr)])
 
     # ------------------------------------------------------------------
 
     def literal_for(self, expr: BoolExpr) -> int:
-        """Return a SAT literal equisatisfiably representing ``expr``."""
-        if isinstance(expr, BoolConst):
+        """Return a SAT literal equisatisfiably representing ``expr``.
+
+        Dispatches on the exact node type, most frequent first; a
+        positive literal is ``2 * var`` and negation is ``^ 1``
+        (:mod:`repro.sat.literals`).
+        """
+        kind = type(expr)
+        if kind is Atom:
+            v = self._atom_objects.get(expr)
+            return 2 * (v if v is not None else self._var_for_atom(expr))
+        if kind is NotExpr:
+            return self.literal_for(expr.arg) ^ 1
+        if kind is BoolVar:
+            v = self._bool_vars.get(expr)
+            return 2 * (v if v is not None else self._var_for_bool(expr))
+        if kind is BoolConst:
             return self._const_literal(expr.value)
-        if isinstance(expr, BoolVar):
-            return lit(self._var_for_bool(expr))
-        if isinstance(expr, Atom):
-            return lit(self._var_for_atom(expr))
-        if isinstance(expr, NotExpr):
-            return neg(self.literal_for(expr.arg))
         cached = self._node_cache.get(expr)
         if cached is not None:
             return cached
-        if isinstance(expr, AndExpr):
+        if kind is AndExpr:
             out = self._tseitin_and([self.literal_for(a) for a in expr.args])
-        elif isinstance(expr, OrExpr):
+        elif kind is OrExpr:
             out = self._tseitin_or([self.literal_for(a) for a in expr.args])
         else:
             raise SolverError(f"unsupported formula node: {expr!r}")
@@ -113,22 +120,20 @@ class CnfConverter:
     def _const_literal(self, value: bool) -> int:
         if self._true_lit is None:
             v = self._sat.new_var()
-            self._true_lit = lit(v)
+            self._true_lit = 2 * v
             self._sat.add_clause([self._true_lit])
-        return self._true_lit if value else neg(self._true_lit)
+        return self._true_lit if value else self._true_lit ^ 1
 
     def _var_for_bool(self, var: BoolVar) -> int:
-        v = self._bool_vars.get(var)
-        if v is None:
-            v = self._sat.new_var()
-            self._bool_vars[var] = v
-            self._origins[v] = var
+        """Allocate the SAT variable of a BoolVar seen for the first time."""
+        v = self._sat.new_var()
+        self._bool_vars[var] = v
+        self._origins[v] = var
         return v
 
     def _var_for_atom(self, atom: Atom) -> int:
-        v = self._atom_objects.get(atom)
-        if v is not None:
-            return v
+        """The SAT variable of an atom object not in the identity map:
+        an equal atom's by key, else a fresh registered one."""
         key = atom.key
         v = self._atom_vars.get(key)
         if v is None:
@@ -143,17 +148,17 @@ class CnfConverter:
         return v
 
     def _tseitin_and(self, lits: list[int]) -> int:
-        v = self._sat.new_var()
-        p = lit(v)
+        p = 2 * self._sat.new_var()
+        add_clause = self._sat.add_clause
         for l in lits:
-            self._sat.add_clause([neg(p), l])
-        self._sat.add_clause([p] + [neg(l) for l in lits])
+            add_clause([p ^ 1, l])
+        add_clause([p] + [l ^ 1 for l in lits])
         return p
 
     def _tseitin_or(self, lits: list[int]) -> int:
-        v = self._sat.new_var()
-        p = lit(v)
-        self._sat.add_clause([neg(p)] + lits)
+        p = 2 * self._sat.new_var()
+        add_clause = self._sat.add_clause
+        add_clause([p ^ 1] + lits)
         for l in lits:
-            self._sat.add_clause([p, neg(l)])
+            add_clause([p, l ^ 1])
         return p

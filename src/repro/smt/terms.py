@@ -7,10 +7,19 @@ This module provides a z3py-flavoured expression API::
     f = Or(a, And(b, x - y >= 2), x + 3 * y <= Fraction(7, 2))
 
 Arithmetic terms are kept in *linear normal form* at construction time: a
-:class:`LinExpr` is a mapping ``variable -> Fraction coefficient`` plus a
+:class:`LinExpr` is a mapping ``variable -> coefficient`` plus a
 constant.  Comparisons build :class:`Atom` leaves normalized to
 ``sum(coeffs) <= rhs`` or ``< rhs`` (negations of atoms are handled by the
 theory layer, not by separate atom objects).
+
+Every coefficient, constant and right-hand side is an exact rational in
+one representation (:func:`_exact`): a plain ``int`` when the value is
+integral, a ``Fraction`` otherwise.  The paper's constraints are
+difference constraints with coefficients of ±1 almost everywhere, so
+most of them never touch ``Fraction`` arithmetic or hashing.  An ``int``
+and a ``Fraction`` of one value compare equal, hash alike and print
+alike, so atom keys and :func:`serialize_literal` bytes do not depend on
+how a value was spelled.
 
 Following z3py, ``==`` on arithmetic expressions builds a formula (an
 ``And`` of two inequalities); term objects hash by identity.
@@ -25,22 +34,29 @@ from weakref import WeakValueDictionary
 from ..errors import SolverError
 
 Number = Union[int, Fraction, float, str]
+#: What :func:`_exact` returns: ``int`` if integral, else ``Fraction``.
+Rational = Union[int, Fraction]
 
 
-def _to_fraction(value: Number) -> Fraction:
-    if isinstance(value, Fraction):
+def _exact(value: Number) -> Rational:
+    """``value`` as an exact rational: an ``int`` when it is integral, a
+    ``Fraction`` otherwise.
+
+    Floats go through ``limit_denominator(10**12)``, so ``0.35`` means
+    ``7/20``; strings are parsed by ``Fraction``.
+    """
+    cls = type(value)
+    if cls is int:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value).limit_denominator(10**12)
-    raise SolverError(f"cannot interpret {value!r} as a rational constant")
-
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+    if cls is not Fraction:
+        if isinstance(value, (int, Fraction, str)):
+            value = Fraction(value)
+        elif isinstance(value, float):
+            value = Fraction(value).limit_denominator(10**12)
+        else:
+            raise SolverError(
+                f"cannot interpret {value!r} as a rational constant")
+    return value.numerator if value.denominator == 1 else value
 
 
 # ---------------------------------------------------------------------------
@@ -81,20 +97,21 @@ class LinExpr:
 
     __slots__ = ("coeffs", "const")
 
-    def __init__(self, coeffs: Mapping[RealVar, Fraction] | None = None,
+    def __init__(self, coeffs: Mapping[RealVar, Number] | None = None,
                  const: Number = 0):
-        self.coeffs: Dict[RealVar, Fraction] = {
-            v: Fraction(c) for v, c in (coeffs or {}).items() if c != 0
+        exact = {v: _exact(c) for v, c in (coeffs or {}).items()}
+        self.coeffs: Dict[RealVar, Rational] = {
+            v: c for v, c in exact.items() if c
         }
-        self.const: Fraction = _to_fraction(const)
+        self.const: Rational = _exact(const)
 
     @classmethod
-    def _normal(cls, coeffs: Dict[RealVar, Fraction],
-                const: Fraction) -> "LinExpr":
-        """Wrap a dict of non-zero ``Fraction`` coefficients as it stands.
+    def _normal(cls, coeffs: Dict[RealVar, Rational],
+                const: Rational) -> "LinExpr":
+        """Wrap non-zero :func:`_exact` coefficients as they stand.
 
         The arithmetic below only ever produces normalised parts, so it
-        skips the public constructor's re-wrapping and zero filtering.
+        skips the public constructor's conversion and zero filtering.
         """
         self = object.__new__(cls)
         self.coeffs = coeffs
@@ -105,11 +122,11 @@ class LinExpr:
 
     @staticmethod
     def variable(var: RealVar) -> "LinExpr":
-        return LinExpr._normal({var: _F1}, _F0)
+        return LinExpr._normal({var: 1}, 0)
 
     @staticmethod
     def constant(value: Number) -> "LinExpr":
-        return LinExpr._normal({}, _to_fraction(value))
+        return LinExpr._normal({}, _exact(value))
 
     @staticmethod
     def coerce(value: "LinExpr | RealVar | Number") -> "LinExpr":
@@ -129,14 +146,16 @@ class LinExpr:
     # -- arithmetic ------------------------------------------------------------
     #
     # Coefficient order: the left operand's variables first, then the
-    # right operand's new ones, cancelled entries dropped.
+    # right operand's new ones, cancelled entries dropped.  Negation keeps
+    # a value normalised; a sum or product of two Fractions can be an
+    # integer, so those go through _exact.
 
     def __add__(self, other) -> "LinExpr":
         if not isinstance(other, (LinExpr, RealVar)):
             return LinExpr._normal(self.coeffs,
-                                   self.const + _to_fraction(other))
+                                   _exact(self.const + _exact(other)))
         other = LinExpr.coerce(other)
-        const = self.const + other.const
+        const = _exact(self.const + other.const)
         if not other.coeffs:
             return LinExpr._normal(self.coeffs, const)
         if not self.coeffs:
@@ -147,7 +166,7 @@ class LinExpr:
             if mine is None:
                 coeffs[v] = c
                 continue
-            total = mine + c
+            total = _exact(mine + c)
             if total:
                 coeffs[v] = total
             else:
@@ -163,9 +182,9 @@ class LinExpr:
     def __sub__(self, other) -> "LinExpr":
         if not isinstance(other, (LinExpr, RealVar)):
             return LinExpr._normal(self.coeffs,
-                                   self.const - _to_fraction(other))
+                                   _exact(self.const - _exact(other)))
         other = LinExpr.coerce(other)
-        const = self.const - other.const
+        const = _exact(self.const - other.const)
         if not other.coeffs:
             return LinExpr._normal(self.coeffs, const)
         coeffs = dict(self.coeffs)
@@ -174,7 +193,7 @@ class LinExpr:
             if mine is None:
                 coeffs[v] = -c
                 continue
-            total = mine - c
+            total = _exact(mine - c)
             if total:
                 coeffs[v] = total
             else:
@@ -184,11 +203,12 @@ class LinExpr:
     def __rsub__(self, other) -> "LinExpr":
         return LinExpr.coerce(other) - self
 
-    def _scaled(self, k: Fraction) -> "LinExpr":
+    def _scaled(self, k: Rational) -> "LinExpr":
         if not k:
-            return LinExpr._normal({}, _F0)
-        return LinExpr._normal({v: c * k for v, c in self.coeffs.items()},
-                               self.const * k)
+            return LinExpr._normal({}, 0)
+        return LinExpr._normal(
+            {v: _exact(c * k) for v, c in self.coeffs.items()},
+            _exact(self.const * k))
 
     def __mul__(self, other) -> "LinExpr":
         if isinstance(other, (LinExpr, RealVar)):
@@ -198,36 +218,50 @@ class LinExpr:
             if self.is_constant():
                 return other._scaled(self.const)
             raise SolverError("non-linear product of two variable expressions")
-        return self._scaled(_to_fraction(other))
+        return self._scaled(_exact(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "LinExpr":
-        k = _to_fraction(other)
+        k = _exact(other)
         if k == 0:
             raise ZeroDivisionError("division of linear expression by zero")
-        return self._scaled(1 / k)
+        return self._scaled(_exact(Fraction(k.denominator, k.numerator)))
 
     # -- comparisons build atoms/formulas ---------------------------------------
+    #
+    # Against a constant ``k`` the atom's parts are read off this
+    # expression: ``self <= k`` is ``sum(coeffs) <= k - const`` and
+    # ``self >= k`` is ``sum(-coeffs) <= const - k``.
+
+    def _at_most(self, other, strict: bool) -> "BoolExpr":
+        if isinstance(other, (LinExpr, RealVar)):
+            return Atom.build(self - other, strict)
+        return Atom.of(self.coeffs, _exact(_exact(other) - self.const),
+                       strict)
+
+    def _at_least(self, other, strict: bool) -> "BoolExpr":
+        if isinstance(other, (LinExpr, RealVar)):
+            return Atom.build(LinExpr.coerce(other) - self, strict)
+        return Atom.of({v: -c for v, c in self.coeffs.items()},
+                       _exact(self.const - _exact(other)), strict)
 
     def __le__(self, other) -> "BoolExpr":
-        return Atom.build(self - other, strict=False)
+        return self._at_most(other, strict=False)
 
     def __lt__(self, other) -> "BoolExpr":
-        return Atom.build(self - other, strict=True)
+        return self._at_most(other, strict=True)
 
     def __ge__(self, other) -> "BoolExpr":
-        return Atom.build(self.__rsub__(other), strict=False)
+        return self._at_least(other, strict=False)
 
     def __gt__(self, other) -> "BoolExpr":
-        return Atom.build(self.__rsub__(other), strict=True)
+        return self._at_least(other, strict=True)
 
     def __eq__(self, other):  # type: ignore[override]
-        other = LinExpr.coerce(other)
         return And(self <= other, self >= other)
 
     def __ne__(self, other):  # type: ignore[override]
-        other = LinExpr.coerce(other)
         return Or(self < other, self > other)
 
     __hash__ = None  # type: ignore[assignment]
@@ -360,8 +394,8 @@ class Atom(BoolExpr):
 
     __slots__ = ("coeffs", "rhs", "strict")
 
-    def __init__(self, coeffs: Tuple[Tuple[RealVar, Fraction], ...],
-                 rhs: Fraction, strict: bool):
+    def __init__(self, coeffs: Tuple[Tuple[RealVar, Rational], ...],
+                 rhs: Rational, strict: bool):
         self.coeffs = coeffs
         self.rhs = rhs
         self.strict = strict
@@ -369,17 +403,40 @@ class Atom(BoolExpr):
     @staticmethod
     def build(diff: LinExpr, strict: bool) -> BoolExpr:
         """Build the atom ``diff <= 0`` (or ``< 0``), folding constants."""
-        if diff.is_constant():
-            if strict:
-                return BoolVal(diff.const < 0)
-            return BoolVal(diff.const <= 0)
-        coeffs = tuple(sorted(diff.coeffs.items(), key=lambda it: it[0].name))
-        return Atom(coeffs, -diff.const, strict)
+        return Atom.of(diff.coeffs, -diff.const, strict)
+
+    @staticmethod
+    def of(coeffs: Mapping[RealVar, Rational], rhs: Rational,
+           strict: bool) -> BoolExpr:
+        """The atom ``sum(coeffs) <= rhs`` (or ``< rhs``), a constant
+        when there is no coefficient.
+
+        Coefficients are ordered by variable name (names are unique).
+        """
+        items = coeffs.items()
+        n = len(items)
+        if n == 2:
+            first, second = items
+            ordered = ((first, second) if first[0].name < second[0].name
+                       else (second, first))
+        elif n == 1:
+            ordered = tuple(items)
+        elif n:
+            ordered = tuple(sorted(items, key=lambda it: it[0].name))
+        else:
+            return BoolVal(0 < rhs if strict else 0 <= rhs)
+        return Atom(ordered, rhs, strict)
 
     @property
     def key(self) -> Tuple:
-        """Canonical identity for atom deduplication."""
-        return (self.coeffs, self.rhs, self.strict)
+        """Canonical identity for atom deduplication.
+
+        The right-hand side enters as its lowest-terms integer pair,
+        which identifies the value as well as the number does but hashes
+        without ``Fraction.__hash__``'s modular inverse.
+        """
+        rhs = self.rhs
+        return (self.coeffs, rhs.numerator, rhs.denominator, self.strict)
 
     def evaluate(self, assignment: Mapping[RealVar, Fraction]) -> bool:
         total = Fraction(0)
@@ -429,8 +486,8 @@ def deserialize_literal(ser: Tuple) -> Tuple["BoolExpr", bool]:
     if kind == "a":
         _, coeffs, rhs, strict, negated = ser
         atom = Atom(
-            tuple((RealVar(name), Fraction(c)) for name, c in coeffs),
-            Fraction(rhs),
+            tuple((RealVar(name), _exact(c)) for name, c in coeffs),
+            _exact(rhs),
             strict,
         )
         return atom, negated
@@ -456,45 +513,53 @@ def _flatten(args: Sequence, cls) -> Iterable[BoolExpr]:
             raise SolverError(f"expected a Boolean expression, got {a!r}")
 
 
+#: Node types a junction takes as they stand (its own type is spliced).
+_OPERANDS = frozenset((Atom, BoolVar, NotExpr, AndExpr, OrExpr))
+
+
+def _junction(args: Sequence, cls, absorbing: BoolConst) -> BoolExpr:
+    """``cls`` over ``args``, flattened, with constants folded.
+
+    Direct arguments are dispatched on their exact type; only lists,
+    tuples, bools and constants take the recursive :func:`_flatten`.
+    """
+    flat: list = []
+    for a in args:
+        kind = type(a)
+        if kind is cls:
+            flat.extend(a.args)
+        elif kind in _OPERANDS:
+            flat.append(a)
+        else:
+            for b in _flatten((a,), cls):
+                if type(b) is BoolConst:
+                    if b.value == absorbing.value:
+                        return absorbing
+                else:
+                    flat.append(b)
+    if len(flat) > 1:
+        return cls(tuple(flat))
+    return flat[0] if flat else BoolVal(not absorbing.value)
+
+
 def And(*args) -> BoolExpr:
     """N-ary conjunction with constant folding and flattening."""
-    flat = []
-    for a in _flatten(args, AndExpr):
-        if isinstance(a, BoolConst):
-            if not a.value:
-                return FALSE_EXPR
-            continue
-        flat.append(a)
-    if not flat:
-        return TRUE_EXPR
-    if len(flat) == 1:
-        return flat[0]
-    return AndExpr(tuple(flat))
+    return _junction(args, AndExpr, FALSE_EXPR)
 
 
 def Or(*args) -> BoolExpr:
     """N-ary disjunction with constant folding and flattening."""
-    flat = []
-    for a in _flatten(args, OrExpr):
-        if isinstance(a, BoolConst):
-            if a.value:
-                return TRUE_EXPR
-            continue
-        flat.append(a)
-    if not flat:
-        return FALSE_EXPR
-    if len(flat) == 1:
-        return flat[0]
-    return OrExpr(tuple(flat))
+    return _junction(args, OrExpr, TRUE_EXPR)
 
 
 def Not(arg: BoolExpr) -> BoolExpr:
-    if isinstance(arg, bool):
-        arg = BoolVal(arg)
-    if isinstance(arg, BoolConst):
-        return BoolVal(not arg.value)
-    if isinstance(arg, NotExpr):
+    kind = type(arg)
+    if kind is NotExpr:
         return arg.arg
+    if kind is BoolConst:
+        return BoolVal(not arg.value)
+    if kind is bool:
+        return BoolVal(not arg)
     return NotExpr(arg)
 
 

@@ -69,7 +69,7 @@ from ..sat.solver import TheoryBackend, TheoryImplication
 from .difflogic import DifferenceLogic
 from .rationals import Scaled
 from .simplex import NO_LIT, Simplex
-from .terms import Atom, RealVar
+from .terms import Atom, Rational, RealVar
 
 
 class _PhaseAction:
@@ -82,39 +82,41 @@ class _PhaseAction:
     __slots__ = ("sx_var", "sx_is_upper", "sx_bound", "dl_x", "dl_y",
                  "dl_bound")
 
-    def __init__(
-        self,
-        sx_var: int,
-        sx_is_upper: bool,
-        sx_bound: Scaled,
-        dl_edge: Optional[Tuple[int, int, Scaled]],
-    ):
+    def __init__(self, sx_var: int, sx_is_upper: bool, sx_bound: Scaled,
+                 dl_x: int = -1, dl_y: int = -1,
+                 dl_bound: Optional[Scaled] = None):
         self.sx_var = sx_var
         self.sx_is_upper = sx_is_upper
         self.sx_bound = sx_bound
-        # dl_edge = (x, y, bound): assert  x - y <= bound  in the DL
-        # engine; dl_bound is None for a general atom.
-        self.dl_x, self.dl_y, self.dl_bound = dl_edge or (-1, -1, None)
+        # Assert  dl_x - dl_y <= dl_bound  in the DL engine; dl_bound is
+        # None for a general atom.
+        self.dl_x = dl_x
+        self.dl_y = dl_y
+        self.dl_bound = dl_bound
 
 
 class _AtomWatch:
-    """A registered atom, watched on its simplex variable for propagation.
+    """A registered atom: its two phases, and its watch on their simplex
+    variable for propagation.
 
     ``pos_lit``/``neg_lit`` are the internal SAT literals of the two
     phases; the phase actions' bounds describe when the current variable
     bounds entail each phase (see :meth:`LraTheory.propagate`).
+    ``general`` marks an atom that is not a difference constraint.
     """
 
     __slots__ = ("sat_var", "pos_lit", "neg_lit", "pos_is_upper",
-                 "pos", "neg")
+                 "pos", "neg", "general")
 
-    def __init__(self, sat_var: int, pos: _PhaseAction, neg_action: _PhaseAction):
+    def __init__(self, sat_var: int, pos: _PhaseAction,
+                 neg_action: _PhaseAction, general: bool):
         self.sat_var = sat_var
         self.pos_lit = 2 * sat_var
         self.neg_lit = 2 * sat_var + 1
         self.pos_is_upper = pos.sx_is_upper
         self.pos = pos
         self.neg = neg_action
+        self.general = general
 
 
 class LraTheory(TheoryBackend):
@@ -132,8 +134,8 @@ class LraTheory(TheoryBackend):
         self._real_to_sx: Dict[RealVar, int] = {}
         self._real_to_dl: Dict[RealVar, int] = {}
         self._slack_cache: Dict[Tuple, int] = {}
-        # SAT var -> (positive-phase action, negative-phase action, general?)
-        self._atoms: Dict[int, Tuple[_PhaseAction, _PhaseAction, bool]] = {}
+        # SAT var -> the registered atom (both phases, general?).
+        self._atoms: Dict[int, _AtomWatch] = {}
         # Simplex var -> atoms whose phases are bounds on that var.
         self._watches: Dict[int, List[_AtomWatch]] = {}
         # Node-pair atom index for transitive DL propagation: a phase with
@@ -178,92 +180,96 @@ class LraTheory(TheoryBackend):
         coeffs = atom.coeffs
         rhs = atom.rhs
         strict = atom.strict
-        if not coeffs:
+        n = len(coeffs)
+        if not n:
             raise SolverError("constant atom should have been folded away")
-        is_difference = False
 
         # Each right-hand side is converted once per engine (which folds
         # its denominator into that engine's scale); the phases' bounds
         # differ from it only in their delta part, one unit of which is
-        # the scale itself.
+        # the scale itself.  Coefficients are ints unless fractional
+        # (terms._exact), so the unit coefficients of Eqs. 5-6 cost int
+        # compares and no division.
         simplex, dl = self.simplex, self.dl
-        if len(coeffs) == 1:
+        if n == 1:
             (v, c), = coeffs
-            b = _quotient(rhs, c)
+            b = rhs if c == 1 else -rhs if c == -1 else _quotient(rhs, c)
             sx = self.sx_var(v)
             node = self.dl_node(v)
             zero = dl.zero_node
-            sx_b, sx_unit = simplex.scaled_bound(b)[0], simplex.scale
-            dl_b, dl_unit = dl.scaled_bound(b)[0], dl.scale
+            sx_b, su = simplex.scaled_bound(b)[0], simplex.scale
+            dl_b, du = dl.scaled_bound(b)[0], dl.scale
             # c > 0: v <= b (strict?), neg: v > b.  c < 0: v >= b (strict?),
             # neg: v < b.  Either way one phase bounds v from above and
-            # the other from below.
-            up, lo = ((_upper, _lower_of_neg_le) if c > 0
-                      else (_upper_of_neg_ge, _lower))
-            upper = _PhaseAction(sx, True, up(sx_b, sx_unit, strict),
-                                 (node, zero, up(dl_b, dl_unit, strict)))
-            lower = _PhaseAction(sx, False, lo(sx_b, sx_unit, strict),
-                                 (zero, node, _neg(lo(dl_b, dl_unit, strict))))
+            # the other from below, and the one that excludes b is a
+            # delta inside it.
+            if strict == (c > 0):
+                up_d, lo_d, dl_up_d, dl_lo_d = -su, 0, -du, 0
+            else:
+                up_d, lo_d, dl_up_d, dl_lo_d = 0, su, 0, du
+            upper = _PhaseAction(sx, True, (sx_b, up_d),
+                                 node, zero, (dl_b, dl_up_d))
+            lower = _PhaseAction(sx, False, (sx_b, lo_d),
+                                 zero, node, (-dl_b, -dl_lo_d))
             pos, neg = (upper, lower) if c > 0 else (lower, upper)
-            is_difference = True
-        elif len(coeffs) == 2 and coeffs[0][1] == -coeffs[1][1]:
-            (v1, c1), (v2, c2) = coeffs
-            # c1*v1 + c2*v2 <= rhs with c2 == -c1  =>  v1 - v2 <= rhs/c1 (c1>0)
-            if c1 > 0:
-                x, y, scale = v1, v2, c1
-            else:
-                x, y, scale = v2, v1, c2
-            nx, ny = self.dl_node(x), self.dl_node(y)
-            s, flip = self._slack_for(coeffs)
-            # Atom <=> x - y <= b (strict?);  neg: x - y > b <=> y - x < -b.
-            # The simplex slack is the canonical-orientation sum(coeffs), so
-            # its bounds stay in the rhs scale (negated when this atom is
-            # the flipped orientation) while the DL edge uses the b scale
-            # -- one and the same for the unit coefficients of Eqs. 5-6.
-            sx_b, sx_unit = simplex.scaled_bound(rhs)[0], simplex.scale
-            b = rhs if scale == 1 else _quotient(rhs, scale)
-            dl_b, dl_unit = dl.scaled_bound(b)[0], dl.scale
-            pos_sx = _upper(sx_b, sx_unit, strict)
-            neg_sx = _lower_of_neg_le(sx_b, sx_unit, strict)
-            pos_edge = (nx, ny, _upper(dl_b, dl_unit, strict))
-            neg_edge = (ny, nx, _neg(_lower_of_neg_le(dl_b, dl_unit, strict)))
-            if flip:
-                pos = _PhaseAction(s, False, _neg(pos_sx), pos_edge)
-                neg = _PhaseAction(s, True, _neg(neg_sx), neg_edge)
-            else:
-                pos = _PhaseAction(s, True, pos_sx, pos_edge)
-                neg = _PhaseAction(s, False, neg_sx, neg_edge)
-            is_difference = True
+            general = False
+            moved = su != self._sx_scale or du != self._dl_scale
         else:
+            # The simplex slack is the canonical-orientation sum(coeffs),
+            # so its bounds stay in the rhs scale, negated (senses
+            # swapped) when this atom is the flipped orientation.
             s, flip = self._slack_for(coeffs)
-            sx_b, sx_unit = simplex.scaled_bound(rhs)[0], simplex.scale
-            pos_sx = _upper(sx_b, sx_unit, strict)
-            neg_sx = _lower_of_neg_le(sx_b, sx_unit, strict)
+            sx_b, su = simplex.scaled_bound(rhs)[0], simplex.scale
+            pos_d, neg_d = (-su, 0) if strict else (0, su)
             if flip:
-                pos = _PhaseAction(s, False, _neg(pos_sx), None)
-                neg = _PhaseAction(s, True, _neg(neg_sx), None)
+                sx_b, pos_d, neg_d = -sx_b, -pos_d, -neg_d
+            general = n != 2 or coeffs[0][1] != -coeffs[1][1]
+            if general:
+                pos = _PhaseAction(s, not flip, (sx_b, pos_d))
+                neg = _PhaseAction(s, flip, (sx_b, neg_d))
+                moved = su != self._sx_scale
             else:
-                pos = _PhaseAction(s, True, pos_sx, None)
-                neg = _PhaseAction(s, False, neg_sx, None)
+                # c1*v1 + c2*v2 <= rhs with c2 == -c1: x - y <= b for
+                # b = rhs/|c1|, x the variable with the positive
+                # coefficient; neg: x - y > b <=> y - x < -b.
+                (v1, c1), (v2, c2) = coeffs
+                x, y, scale = (v2, v1, c2) if flip else (v1, v2, c1)
+                nx, ny = self.dl_node(x), self.dl_node(y)
+                b = rhs if scale == 1 else _quotient(rhs, scale)
+                dl_b, du = dl.scaled_bound(b)[0], dl.scale
+                dl_pos_d, dl_neg_d = (-du, 0) if strict else (0, du)
+                pos = _PhaseAction(s, not flip, (sx_b, pos_d),
+                                   nx, ny, (dl_b, dl_pos_d))
+                neg = _PhaseAction(s, flip, (sx_b, neg_d),
+                                   ny, nx, (-dl_b, -dl_neg_d))
+                moved = su != self._sx_scale or du != self._dl_scale
 
         # Registering this atom may have grown a scale (a new row, a finer
         # right-hand side): bring the older atoms up before it joins them.
-        self._sync_scales()
-        self._atoms[sat_var] = (pos, neg, not is_difference)
-        self._watches.setdefault(pos.sx_var, []).append(
-            _AtomWatch(sat_var, pos, neg)
-        )
+        if moved:
+            self._sync_scales()
+        watch = _AtomWatch(sat_var, pos, neg, general)
+        self._atoms[sat_var] = watch
+        watches = self._watches.get(pos.sx_var)
+        if watches is None:
+            self._watches[pos.sx_var] = [watch]
+        else:
+            watches.append(watch)
         simplex.watch_var(pos.sx_var)
-        if is_difference and self.dl_propagation:
+        if not general and self.dl_propagation:
             # Index both phases for transitive DL propagation: the phase
             # with DL edge (x, y, B) is entailed by any derived bound
             # W <= B on the path pair (y, x).  Skipped entirely when the
             # channel is off, so the A/B baseline pays nothing.
+            dl_watches = self._dl_watches
             for lit, action in ((2 * sat_var, pos), (2 * sat_var + 1, neg)):
                 x, y = action.dl_x, action.dl_y
-                self._dl_watches.setdefault((y, x), []).append(
-                    (sat_var, lit, action)
-                )
+                entry = (sat_var, lit, action)
+                pair = dl_watches.get((y, x))
+                if pair is None:
+                    dl_watches[(y, x)] = [entry]
+                else:
+                    pair.append(entry)
                 dl.watch_pair(y, x, action.dl_bound)
 
     def _sync_scales(self) -> None:
@@ -280,8 +286,8 @@ class LraTheory(TheoryBackend):
             return
         sx_k = sx_scale // self._sx_scale
         dl_k = dl_scale // self._dl_scale
-        for pos, neg, _ in self._atoms.values():
-            for action in (pos, neg):
+        for watch in self._atoms.values():
+            for action in (watch.pos, watch.neg):
                 r, d = action.sx_bound
                 action.sx_bound = (r * sx_k, d * sx_k)
                 if action.dl_bound is not None:
@@ -289,7 +295,7 @@ class LraTheory(TheoryBackend):
                     action.dl_bound = (r * dl_k, d * dl_k)
         self._sx_scale, self._dl_scale = sx_scale, dl_scale
 
-    def _slack_for(self, coeffs: Tuple[Tuple[RealVar, Fraction], ...]) -> Tuple[int, bool]:
+    def _slack_for(self, coeffs: Tuple[Tuple[RealVar, Rational], ...]) -> Tuple[int, bool]:
         """Canonical slack variable for a coefficient vector.
 
         Returns ``(simplex_var, flipped)``: vectors that differ only by an
@@ -298,7 +304,7 @@ class LraTheory(TheoryBackend):
         """
         flip = coeffs[0][1] < 0
         if flip:
-            coeffs = tuple((v, -c) for v, c in coeffs)
+            coeffs = tuple([(v, -c) for v, c in coeffs])
         # RealVars intern by name, so the (var, coeff) pairs are the key.
         s = self._slack_cache.get(coeffs)
         if s is None:
@@ -312,11 +318,10 @@ class LraTheory(TheoryBackend):
 
     def on_assert(self, literal: int) -> Optional[List[int]]:
         self._marks.append((self.dl.mark(), self.simplex.mark()))
-        entry = self._atoms.get(var_of(literal))
-        if entry is None:
+        watch = self._atoms.get(var_of(literal))
+        if watch is None:
             return None
-        pos, neg, is_general = entry
-        action = pos if is_positive(literal) else neg
+        action = watch.pos if is_positive(literal) else watch.neg
         if action.dl_bound is not None:
             conflict = self.dl.assert_constraint(
                 action.dl_x, action.dl_y, action.dl_bound, literal)
@@ -328,7 +333,7 @@ class LraTheory(TheoryBackend):
             conflict = self.simplex.assert_lower(action.sx_var, action.sx_bound, literal)
         if conflict is not None:
             return conflict
-        if is_general:
+        if watch.general:
             return self._simplex_check()
         return None
 
@@ -441,42 +446,6 @@ class LraTheory(TheoryBackend):
         return self._model_reals
 
 
-# Bounds in engine scale: ``b`` is the scaled right-hand side and ``unit``
-# the scale itself, i.e. one delta.
-
-
-def _upper(b: int, unit: int, strict: bool) -> Scaled:
-    """Upper bound for ``e <= b`` / ``e < b``."""
-    return (b, -unit if strict else 0)
-
-
-def _lower(b: int, unit: int, strict: bool) -> Scaled:
-    """Lower bound for ``e >= b`` / ``e > b``."""
-    return (b, unit if strict else 0)
-
-
-def _lower_of_neg_le(b: int, unit: int, strict: bool) -> Scaled:
-    """Lower bound for the negation of ``e <= b (strict?)``.
-
-    not(e <= b)  ->  e > b   -> bound b + delta
-    not(e <  b)  ->  e >= b  -> bound b
-    """
-    return (b, 0 if strict else unit)
-
-
-def _upper_of_neg_ge(b: int, unit: int, strict: bool) -> Scaled:
-    """Upper bound for the negation of ``e >= b (strict?)``.
-
-    not(e >= b)  ->  e < b   -> bound b - delta
-    not(e >  b)  ->  e <= b  -> bound b
-    """
-    return (b, 0 if strict else -unit)
-
-
-def _neg(bound: Scaled) -> Scaled:
-    return (-bound[0], -bound[1])
-
-
-def _quotient(a: Fraction, b: Fraction) -> Fraction:
+def _quotient(a: Rational, b: Rational) -> Fraction:
     """``a / b`` as a construction (``/`` is what exact-arith flags)."""
     return Fraction(a.numerator * b.denominator, a.denominator * b.numerator)

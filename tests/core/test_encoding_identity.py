@@ -153,10 +153,10 @@ class _RecordingSession(Session):
             state.update(repr(
                 (var, serialize_literal(origins[var], False))).encode())
         for var in sorted(atoms):
-            pos, neg, general = atoms[var]
+            watch = atoms[var]
             state.update(repr(
-                (var, _phase(pos, theory), _phase(neg, theory),
-                 general)).encode())
+                (var, _phase(watch.pos, theory), _phase(watch.neg, theory),
+                 watch.general)).encode())
         digest = state.hexdigest()[:16]
         if not self.digests or self.digests[-1] != digest:
             self.digests.append(digest)

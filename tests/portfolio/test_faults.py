@@ -129,8 +129,13 @@ class TestQuarantine:
         assert pool.counters["quarantined_artifacts"] == 5
 
     def test_corrupt_frame_in_race_is_quarantined_not_fatal(self):
+        # routes-1 (unsat here) sends its artifacts as it finishes; the
+        # winner starts late so that its sat can not end the race before
+        # the corrupt frame is on the pipe.
         plan = FaultPlan([FaultSpec(CORRUPT, strategy="routes-1",
-                                    attempt=0, frame=0)])
+                                    attempt=0, frame=0),
+                          FaultSpec(SLOW_START, strategy="monolithic",
+                                    attempt=0, delay=0.3)])
         res = synthesize_portfolio(
             sharing_problem(),
             [Strategy("monolithic", SynthesisOptions()),

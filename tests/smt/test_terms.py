@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from repro.api import NativeBackend, Session
+from repro.core import SynthesisOptions, solve
 from repro.errors import SolverError
+from repro.eval.workloads import gm_case_study
 from repro.smt import (
     And,
     Atom,
@@ -20,7 +23,17 @@ from repro.smt import (
     RealVal,
     Sum,
 )
-from repro.smt.terms import AndExpr, BoolConst, LinExpr, NotExpr, OrExpr, RealVar
+from repro.smt.solver import SolverEngine
+from repro.smt.terms import (
+    AndExpr,
+    BoolConst,
+    LinExpr,
+    NotExpr,
+    OrExpr,
+    RealVar,
+    deserialize_literal,
+    serialize_literal,
+)
 
 
 class TestLinExpr:
@@ -111,13 +124,22 @@ def _snapshot(expr):
     return dict(expr.coeffs), expr.const
 
 
+def _assert_exact(value):
+    """The representation rule: an integral value is an ``int``, any
+    other one a ``Fraction``."""
+    if type(value) is int:
+        return
+    assert type(value) is Fraction and value.denominator != 1, repr(value)
+
+
 def _assert_matches(expr, ref):
     assert isinstance(expr, LinExpr)
     assert {v.name: c for v, c in expr.coeffs.items()} == ref[0]
     assert expr.const == ref[1]
-    assert type(expr.const) is Fraction
+    _assert_exact(expr.const)
     for c in expr.coeffs.values():
-        assert type(c) is Fraction and c != 0
+        _assert_exact(c)
+        assert c != 0
 
 
 class TestLinExprAgainstReference:
@@ -212,6 +234,93 @@ class TestLinExprAgainstReference:
         assert (expr - twin + 1 <= 0).value is False
         # One surviving variable still builds an atom.
         assert isinstance(expr <= twin + Real(names[0]), Atom)
+
+
+def _fraction_spelling(rng, k, x):
+    """``k * x`` for an integer ``k``, written through Fraction arithmetic."""
+    half = Fraction(k, 2)
+    return rng.choice((
+        lambda: Fraction(k) * x,
+        lambda: x * Fraction(3 * k, 3),
+        lambda: (Fraction(k, 3) * x) * 3,          # integral product
+        lambda: (x * (2 * k)) / 2,
+        lambda: half * x + x * half,               # integral sum
+        lambda: x * str(k),
+        lambda: LinExpr({v: Fraction(k) for v in x.coeffs}),
+    ))()
+
+
+class TestExactRepresentation:
+    """Integral coefficients and constants are ``int``s, whatever the
+    spelling; the others are ``Fraction``s."""
+
+    def test_float_coefficients_read_like_float_constants(self):
+        # The public constructor used to wrap coefficients with a bare
+        # Fraction(0.35) -- 3152519739159347/9007199254740992 -- while a
+        # constant 0.35 and 0.35 * x both read 7/20: two spellings of
+        # one constraint were two atoms, hence two SAT variables.
+        x = Real("ex_x")
+        var = RealVar("ex_x")
+        spelled = LinExpr({var: 0.35})
+        assert spelled.coeffs[var] == Fraction(7, 20)
+        assert spelled.coeffs == (0.35 * x).coeffs
+        assert LinExpr({var: 1}, 0.35).const == Fraction(7, 20)
+        assert (spelled <= 1).key == (0.35 * x <= 1).key
+        engine = SolverEngine()
+        engine.add(Or(spelled <= 1, Bool("ex_b")))
+        engine.add(Or(0.35 * x <= 1, Bool("ex_c")))
+        assert len(engine._theory._atoms) == 1
+
+    def test_integral_values_are_ints(self):
+        x, y = Real("ex_x"), Real("ex_y")
+        e = (Fraction(1, 2) * x + Fraction(1, 2) * x - y * "2") / 2 + 0.5
+        assert [type(c) for c in e.coeffs.values()] == [Fraction, int]
+        assert type(e.const) is Fraction
+        e = e * 2
+        assert [type(c) for c in e.coeffs.values()] == [int, int]
+        assert type(e.const) is int
+        atom = e + Fraction(3, 3) <= Fraction(4, 2)
+        assert all(type(c) is int for _, c in atom.coeffs)
+        assert type(atom.rhs) is int and atom.rhs == 0
+        assert type(Real("ex_z").coeffs[RealVar("ex_z")]) is int
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_int_and_fraction_spellings_build_one_atom(self, seed):
+        rng = random.Random(2600 + seed)
+        names = [f"ex{seed}_{i}" for i in range(rng.randint(1, 4))]
+        by_int, by_fraction = LinExpr.constant(0), LinExpr.constant(0)
+        for name in names:
+            k = rng.choice((-3, -2, -1, 1, 2, 3))
+            by_int = by_int + k * Real(name)
+            by_fraction = by_fraction + _fraction_spelling(rng, k, Real(name))
+        const = rng.randint(-5, 5)
+        strict = rng.random() < 0.5
+        a = Atom.build(by_int - const, strict)
+        b = Atom.build(by_fraction - Fraction(2 * const, 2), strict)
+        assert isinstance(a, Atom) and isinstance(b, Atom)
+        assert a.key == b.key and hash(a.key) == hash(b.key)
+        assert serialize_literal(a, False) == serialize_literal(b, False)
+        assert ([type(c) for _, c in b.coeffs] + [type(b.rhs)]
+                == [int] * (len(names) + 1))
+
+    def test_imported_atoms_look_like_local_ones(self):
+        engine = SolverEngine()
+        session = Session(backend=NativeBackend(engine=engine))
+        result = solve(gm_case_study(3), SynthesisOptions(routes=3, stages=5),
+                       session=session)
+        assert result.status == "sat"
+        atoms = [o for o in engine._cnf._origins.values()
+                 if isinstance(o, Atom)]
+        assert len(atoms) > 500
+        for atom in atoms:
+            wire = serialize_literal(atom, False)
+            imported, negated = deserialize_literal(wire)
+            assert not negated
+            assert serialize_literal(imported, False) == wire
+            assert imported.key == atom.key
+            assert ([type(c) for _, c in imported.coeffs]
+                    == [type(c) for _, c in atom.coeffs])
+            assert type(imported.rhs) is type(atom.rhs)
 
 
 class TestAtoms:
