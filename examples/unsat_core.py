@@ -52,7 +52,7 @@ def session_basics() -> None:
 def serialization_backend() -> None:
     m1, m2 = Real("m1"), Real("m2")
     hi1, hi2 = Bool("hi1"), Bool("hi2")
-    s = Session(backend="serialization", engine="native")
+    s = Session(backend="serialization")
     s.add(m1 >= 0, m2 >= 0, m1 + m2 <= 10)
     s.add(Or(Not(hi1), m1 >= 6), Or(Not(hi2), m2 >= 6))
     out = s.check(hi1, hi2)

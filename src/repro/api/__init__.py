@@ -16,7 +16,7 @@ from .backends import (
 )
 from .outcome import CheckOutcome
 from .session import Session
-from .smtlib import to_dimacs, to_smt2
+from .smtlib import to_smt2
 
 __all__ = [
     "BACKENDS",
@@ -27,6 +27,5 @@ __all__ = [
     "Session",
     "SolverBackend",
     "make_backend",
-    "to_dimacs",
     "to_smt2",
 ]

@@ -9,14 +9,10 @@ applies them, and answers ``check(assumptions)`` with a
   (:class:`repro.smt.SolverEngine`): fully incremental, produces models,
   per-check statistics, and deletion-minimized unsat cores.
 * :class:`SerializationBackend` — renders every check as a standalone
-  SMT-LIB2 script (or DIMACS CNF for propositional sessions).  The
-  script can be written to a directory for offline solving; the status
-  it reports comes from a configurable *engine*: ``"z3"`` passes the
-  session through the z3 Python bindings when installed, ``"native"``
-  (the fallback of ``"auto"``) replays the serialized assertion set on a
+  SMT-LIB2 script, which can be written to a directory for offline
+  solving, and answers by replaying the serialized assertion set on a
   fresh native engine per check — deliberately stateless, which
-  cross-checks that the declarative session log is complete — and
-  ``"none"`` just serializes and answers ``unknown``.
+  cross-checks that the declarative session log is complete.
 
 Backends are looked up by name through :func:`make_backend`, the seam a
 third-party engine would register through.
@@ -26,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Any, Callable, Dict, List, Optional, Protocol,
-                    Sequence, runtime_checkable)
+from typing import (Callable, Dict, List, Optional, Protocol, Sequence,
+                    runtime_checkable)
 
 from ..errors import SolverError
-from ..smt.solver import CheckResult, Model, SolverEngine, sat, unknown, unsat
+from ..smt.solver import CheckResult, Model, SolverEngine, sat, unsat
 from ..smt.terms import BoolExpr
 from . import smtlib
 
@@ -148,35 +144,16 @@ class NativeBackend:
 
 
 class SerializationBackend:
-    """Serialize every check; delegate the verdict to a pluggable engine.
+    """Serialize every check; replay it on a fresh native engine.
 
     Args:
-        engine: ``"auto"`` (z3 when importable, else native replay),
-            ``"z3"``, ``"native"``, or ``"none"``.
         dump_dir: when set, each check's script is written there as
-            ``check_<n>.smt2`` (or ``.cnf``).
-        fmt: ``"smt2"`` (default) or ``"dimacs"`` (propositional
-            sessions only).
+            ``check_<n>.smt2`` for offline solving.
     """
 
     name = "serialization"
 
-    def __init__(self, engine: str = "auto",
-                 dump_dir: Optional[str | Path] = None,
-                 fmt: str = "smt2") -> None:
-        if fmt not in ("smt2", "dimacs"):
-            raise SolverError(f"unknown serialization format {fmt!r}")
-        if engine == "auto":
-            engine = "z3" if _z3_module() is not None else "native"
-        if engine not in ("z3", "native", "none"):
-            raise SolverError(
-                f"unknown serialization engine {engine!r} "
-                "(use 'auto', 'z3', 'native', or 'none')"
-            )
-        if engine == "z3" and _z3_module() is None:
-            raise SolverError("z3 engine requested but z3 is not installed")
-        self.engine = engine
-        self.fmt = fmt
+    def __init__(self, dump_dir: Optional[str | Path] = None) -> None:
         self.dump_dir = Path(dump_dir) if dump_dir is not None else None
         self._frames: List[List[BoolExpr]] = [[]]
         self._checks = 0
@@ -212,38 +189,17 @@ class SerializationBackend:
         minimize_core: bool = True,
     ) -> BackendAnswer:
         assertions = self.assertions
-        if self.fmt == "dimacs" and not assumptions:
-            script = smtlib.to_dimacs(assertions)
-            suffix = "cnf"
-        else:
-            script, _terms = smtlib.to_smt2(assertions, assumptions)
-            suffix = "smt2"
+        script, _terms = smtlib.to_smt2(assertions, assumptions)
         self.last_script = script
         self._checks += 1
         self._serialized_bytes += len(script)
-        artifacts = {"format": suffix}
+        artifacts = {"format": "smt2"}
         if self.dump_dir is not None:
             self.dump_dir.mkdir(parents=True, exist_ok=True)
-            path = self.dump_dir / f"check_{self._checks:04d}.{suffix}"
+            path = self.dump_dir / f"check_{self._checks:04d}.smt2"
             path.write_text(script)
             artifacts["path"] = str(path)
-
-        if self.engine == "none":
-            return BackendAnswer(unknown, artifacts=artifacts)
-        if self.engine == "z3":
-            answer = self._check_z3(assertions, assumptions)
-        else:
-            answer = self._check_replay(assertions, assumptions, minimize_core)
-        answer.artifacts.update(artifacts)
-        return answer
-
-    def _check_replay(
-        self,
-        assertions: Sequence[BoolExpr],
-        assumptions: Sequence[BoolExpr],
-        minimize_core: bool,
-    ) -> BackendAnswer:
-        """Fresh native engine over the recorded assertion log."""
+        # Replay the recorded assertion log on a fresh native engine.
         engine = SolverEngine()
         engine.backend_name = self.name
         for expr in assertions:
@@ -253,97 +209,17 @@ class SerializationBackend:
         for key, value in stats.items():
             self._replay_totals[key] = self._replay_totals.get(key, 0) + value
         if status == sat:
-            return BackendAnswer(status, engine.model(), stats)
+            return BackendAnswer(status, engine.model(), stats,
+                                 artifacts=artifacts)
         core = engine.unsat_core(minimize=minimize_core) if assumptions else None
-        return BackendAnswer(status, None, stats, unsat_core=core)
-
-    def _check_z3(
-        self,
-        assertions: Sequence[BoolExpr],
-        assumptions: Sequence[BoolExpr],
-    ) -> BackendAnswer:
-        """Pass the serialized script through the z3 Python bindings."""
-        z3 = _z3_module()
-        assert z3 is not None  # guarded in __init__
-        script, terms = smtlib.to_smt2(
-            assertions, assumptions, produce_unsat_assumptions=False
-        )
-        # Strip the check command: z3's from_string only takes assertions.
-        body = "\n".join(
-            line for line in script.splitlines()
-            if not line.startswith("(check-sat")
-            and not line.startswith("(set-option")
-        )
-        solver = z3.Solver()
-        solver.from_string(body)
-        guards = []
-        for term in terms:
-            name = term[1:-1] if term.startswith("|") else term
-            if term.startswith("(not "):
-                inner = term[len("(not "):-1]
-                inner = inner[1:-1] if inner.startswith("|") else inner
-                guards.append(z3.Not(z3.Bool(inner)))
-            else:
-                guards.append(z3.Bool(name))
-        res = solver.check(*guards)
-        if res == z3.sat:
-            model = _model_from_z3(z3, solver.model(), assertions, assumptions)
-            return BackendAnswer(sat, model)
-        if res == z3.unsat:
-            # Match core members against the exact guard ASTs we passed
-            # to check() — string matching would miss negated literals
-            # (z3 prints ``Not(a)`` where the script says ``(not a)``).
-            core_refs = list(solver.unsat_core())
-            core = [
-                expr for guard, expr in zip(guards, assumptions)
-                if any(guard.eq(ref) for ref in core_refs)
-            ]
-            return BackendAnswer(unsat, unsat_core=core)
-        return BackendAnswer(unknown)
+        return BackendAnswer(status, None, stats, unsat_core=core,
+                             artifacts=artifacts)
 
     def statistics(self) -> Dict[str, int]:
         stats = dict(self._replay_totals)
         stats["serialized_checks"] = self._checks
         stats["serialized_bytes"] = self._serialized_bytes
         return stats
-
-
-def _model_from_z3(z3: Any, z3_model: Any,
-                   assertions: Sequence[BoolExpr],
-                   assumptions: Sequence[BoolExpr]) -> Model:
-    """Convert a z3 model into the native :class:`Model`.
-
-    Only the session's own variables are read back (with model
-    completion, so unconstrained ones get defaults); values come out as
-    exact rationals.
-    """
-    from fractions import Fraction
-
-    from ..smt.terms import BoolVar, RealVar
-
-    bools: Dict[str, BoolVar] = {}
-    reals: Dict[str, RealVar] = {}
-    for expr in list(assertions) + list(assumptions):
-        smtlib._collect_vars(expr, bools, reals)
-    bool_values = {}
-    for name, var in bools.items():
-        value = z3_model.eval(z3.Bool(name), model_completion=True)
-        bool_values[var] = z3.is_true(value)
-    real_values = {}
-    for name, var in reals.items():
-        value = z3_model.eval(z3.Real(name), model_completion=True)
-        real_values[var] = Fraction(
-            value.numerator_as_long(), value.denominator_as_long()
-        )
-    return Model(bool_values, real_values)
-
-
-def _z3_module() -> Any:
-    try:
-        import z3  # type: ignore
-    except ImportError:
-        return None
-    return z3
 
 
 #: Backend registry: name -> factory taking keyword options.

@@ -1,12 +1,11 @@
-"""Serialization of the term language: SMT-LIB2 scripts and DIMACS CNF.
+"""Serialization of the term language: SMT-LIB2 scripts.
 
 This is the exchange half of the :class:`~repro.api.backends.SerializationBackend`:
 a session's assertion set (plus per-check assumptions) is rendered to a
-standard-format script that any external solver — z3, cvc5, a DIMACS SAT
-solver for purely propositional sessions — can consume.  The renderer is
-total over the term language of :mod:`repro.smt.terms`: Boolean
-constants/variables, ``not``/``and``/``or`` nodes, and normalized linear
-atoms ``sum(c_i * x_i) (<= | <) rhs``.
+standard-format script that any external SMT solver — z3, cvc5 — can
+consume.  The renderer is total over the term language of
+:mod:`repro.smt.terms`: Boolean constants/variables, ``not``/``and``/
+``or`` nodes, and normalized linear atoms ``sum(c_i * x_i) (<= | <) rhs``.
 
 Assumptions in SMT-LIB2 must be literals, so non-literal assumption
 formulas are bridged with fresh guard symbols::
@@ -118,8 +117,6 @@ def _is_literal(expr: BoolExpr) -> bool:
 def to_smt2(
     assertions: Sequence[BoolExpr],
     assumptions: Sequence[BoolExpr] = (),
-    logic: str = "QF_LRA",
-    produce_unsat_assumptions: bool = True,
 ) -> Tuple[str, List[str]]:
     """Render a full SMT-LIB2 script for one ``check``.
 
@@ -135,11 +132,10 @@ def to_smt2(
     for expr in assumptions:
         _collect_vars(expr, bools, reals)
 
-    lines: List[str] = [
-        "(set-logic %s)" % logic,
-    ]
-    if produce_unsat_assumptions and assumptions:
-        lines.insert(0, "(set-option :produce-unsat-assumptions true)")
+    lines: List[str] = []
+    if assumptions:
+        lines.append("(set-option :produce-unsat-assumptions true)")
+    lines.append("(set-logic QF_LRA)")
     guard_lines: List[str] = []
     assumption_terms: List[str] = []
     for i, expr in enumerate(assumptions):
@@ -164,56 +160,7 @@ def to_smt2(
         lines.append(
             "(check-sat-assuming (" + " ".join(assumption_terms) + "))"
         )
-        if produce_unsat_assumptions:
-            lines.append("(get-unsat-assumptions)")
+        lines.append("(get-unsat-assumptions)")
     else:
         lines.append("(check-sat)")
     return "\n".join(lines) + "\n", assumption_terms
-
-
-def to_dimacs(assertions: Sequence[BoolExpr]) -> str:
-    """Render a *purely propositional* assertion set as DIMACS CNF.
-
-    Raises :class:`SolverError` when the assertions contain arithmetic
-    atoms (use the SMT-LIB2 format for those).  The encoding reuses the
-    solver's own Tseitin converter on a throwaway SAT core, so the dump
-    is exactly the clause set a native check would search.
-    """
-    from ..sat.literals import to_dimacs as lit_to_dimacs
-    from ..sat.solver import SatSolver
-    from ..smt.cnf import CnfConverter
-    from ..smt.theory import LraTheory
-
-    bools: Dict[str, BoolVar] = {}
-    reals: Dict[str, RealVar] = {}
-    for expr in assertions:
-        _collect_vars(expr, bools, reals)
-    if reals:
-        names = ", ".join(sorted(reals))
-        raise SolverError(
-            f"DIMACS output requires a propositional formula; real "
-            f"variables present: {names}"
-        )
-    sat_core = SatSolver()
-    cnf = CnfConverter(sat_core, LraTheory())
-    for expr in assertions:
-        cnf.assert_formula(expr)
-    clauses: List[List[int]] = [
-        [lit_to_dimacs(l) for l in clause_lits]
-        for clause_lits in sat_core.clause_literals()
-    ]
-    # Root-level units (asserted directly) live on the trail, not in the
-    # clause arena; a root conflict is an empty clause.
-    for l in sat_core.root_literals():
-        clauses.append([lit_to_dimacs(l)])
-    if not sat_core._ok:
-        clauses.append([])
-    lines = [f"p cnf {sat_core.num_vars} {len(clauses)}"]
-    comment = [
-        f"c {v} = {name}" for name, bv in sorted(bools.items())
-        for v in [cnf.bool_vars.get(bv)] if v is not None
-    ]
-    lines = comment + lines
-    for clause in clauses:
-        lines.append(" ".join(str(l) for l in clause) + " 0")
-    return "\n".join(lines) + "\n"

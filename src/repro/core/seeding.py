@@ -16,11 +16,15 @@ Why sharing across different formulas is sound
 
 Portfolio workers and cached runs solve *related but different*
 formulas (each strategy restricts routes and/or stages its own way), so
-naive clause exchange is unsound.  The key structural fact: route
-candidates are enumerated shortest-first and deterministically, so a
+naive clause exchange is unsound.  The key structural fact, owned by
+:func:`repro.network.paths.route_candidates`: every candidate list is
+ordered by ``(hop count, node names)`` whatever the route limit, so a
 ``routes-K`` strategy's candidate list per message is a *prefix* of any
-``routes-K'`` (K' >= K) or monolithic list.  Writing ``F_K`` for the
-single-stage formula under route limit ``K`` and ``Restr_K`` for "every
+``routes-K'`` (K' >= K) or monolithic list, and a route index names the
+same route in every worker.  Every index-based use below — the pad
+``selectors[K:]``, the veto escape ``selectors[n:]`` — and the driver's
+shortest-route probe (``selectors[0]``) rest on it.  Writing ``F_K`` for
+the single-stage formula under route limit ``K`` and ``Restr_K`` for "every
 message selects within its first K candidates", the encodings satisfy
 ``F_K  ==  F_K' /\\ Restr_K`` (for K <= K'): every constraint of ``F_K``
 is literally present in ``F_K'``, and the stronger attainment

@@ -4,7 +4,9 @@
   (``stages=1``), with ``routes=None`` meaning *all* simple routes are
   candidates (the paper's complete formulation).
 * **Route subset** (Sec. V-C-1): ``routes=K`` restricts each application
-  to its first K shortest routes.
+  to its first K shortest routes — a prefix of the all-routes list,
+  which is ordered shortest first too
+  (:func:`~repro.network.paths.route_candidates`).
 * **Incremental synthesis** (Sec. V-C-2): ``stages=S`` divides the
   hyper-period into S time slices; each stage solves only the messages
   released in its slice, with all earlier stages' routes and release
@@ -26,22 +28,22 @@ keep pruning later ones instead of being rebuilt from scratch per stage.
 On top of the plain per-stage solve the driver leans on the session
 API's assumption machinery:
 
-* **Route probing** (``probe_routes``, on by default): before the full
-  stage solve, the stage's messages are *assumed* onto their first
-  (shortest) candidate routes — a plain assumption check, nothing
-  asserted.  If the probe is sat its model is used directly; if not,
-  the probe's minimized unsat core names exactly the conflicting
-  shortest-route choices, those are released, and the remainder is
-  re-probed before falling back to the unrestricted stage solve
-  (statistics: ``assumption_probes``, ``cores_extracted``).
+* **Route probing**: before the full stage solve, the stage's messages
+  are *assumed* onto their first (shortest) candidate routes — a plain
+  assumption check, nothing asserted.  If the probe is sat its model is
+  used directly; if not, the probe's minimized unsat core names exactly
+  the conflicting shortest-route choices, those are released, and the
+  remainder is re-probed before falling back to the unrestricted stage
+  solve (statistics: ``assumption_probes``, ``cores_extracted``).
 * **Core-driven stage repair** (``repair``, opt-in): stage freezes are
   guarded by per-message assumption literals instead of permanent
   equalities.  When a later stage is infeasible, the failing check's
   unsat core names the frozen messages responsible; the driver unfreezes
   exactly those and re-solves the stage jointly with them
   (``stage_repairs``), recovering instances the plain incremental
-  heuristic loses.  Off by default so the paper's Fig. 5/6 heuristic-
-  failure rates stay reproducible.
+  heuristic loses, in at most :data:`MAX_REPAIR_ROUNDS` rounds per
+  stage.  Off by default so the paper's Fig. 5/6 heuristic-failure rates
+  stay reproducible.
 """
 
 from __future__ import annotations
@@ -73,6 +75,9 @@ MODE_DEADLINE = "deadline"
 #: cache records per entry.
 WORK_COUNTERS = ("conflicts", "decisions", "propagations")
 
+#: Unfreeze/re-solve iterations core-driven repair may take per stage.
+MAX_REPAIR_ROUNDS = 3
+
 #: Solver search-effort counters aggregated into result statistics.
 _SOLVER_KEYS = WORK_COUNTERS + ("theory_propagations", "dl_propagations",
                                 "dl_explanation_lits")
@@ -95,13 +100,9 @@ class SynthesisOptions:
             native engine (Cotton & Maler SSSP pass; on by default —
             A/B knob for the ``dl_propagation`` benchmark, counted by
             the ``dl_propagations`` statistic).
-        probe_routes: probe shortest-route selections with assumptions
-            before each full stage solve (complete: falls back on the
-            unrestricted solve, so statuses never change).
         repair: guard stage freezes with assumption literals and use
             unsat cores to unfreeze/re-solve when a stage fails (may
             solve instances the plain heuristic cannot).
-        max_repair_rounds: cap on unfreeze/re-solve iterations per stage.
         max_conflicts: conflict budget per native-engine check; an
             exhausted check answers ``unknown`` deterministically (after
             a final mid-check export flush), which portfolio races use
@@ -131,9 +132,7 @@ class SynthesisOptions:
     path_cutoff: Optional[int] = None
     backend: str = "native"
     dl_propagation: bool = True
-    probe_routes: bool = True
     repair: bool = False
-    max_repair_rounds: int = 3
     max_conflicts: Optional[int] = None
     seed_knowledge: Optional[SeedKnowledge] = None
     faults: Optional[WorkerFaults] = None
@@ -145,8 +144,6 @@ class SynthesisOptions:
             raise EncodingError("routes must be >= 1 (or None for all)")
         if self.stages < 1:
             raise EncodingError("stages must be >= 1")
-        if self.max_repair_rounds < 0:
-            raise EncodingError("max_repair_rounds must be >= 0")
         if self.max_conflicts is not None and self.max_conflicts < 1:
             raise EncodingError("max_conflicts must be >= 1 (or None)")
 
@@ -351,8 +348,8 @@ def solve(
                                prefix_assumps)
 
         if outcome != "sat":
-            # An undecided backend (e.g. serialization with engine="none")
-            # must not be reported as proven infeasibility.
+            # An undecided check (conflict budget, interrupt) must not
+            # be reported as proven infeasibility.
             status_name = outcome.status.name
             veto: Optional[Tuple[Tuple[str, int], ...]] = None
             if status_name == "unsat" and opts.stages == 1:
@@ -430,35 +427,34 @@ def _check_stage(
             acct.count("prefix_hits")
             return probe
 
-    if opts.probe_routes:
-        greedy = [p.selectors[0] for p in new_plans if len(p.selectors) > 1]
-        if greedy:
+    greedy = [p.selectors[0] for p in new_plans if len(p.selectors) > 1]
+    if greedy:
+        acct.count("assumption_probes")
+        probe = session.check(freezes + greedy)
+        acct.absorb(probe)
+        if probe == "sat":
+            return probe
+        core = set(probe.unsat_core or ())
+        if core:
+            acct.count("cores_extracted")
+        # Release exactly the conflicting shortest-route choices and
+        # try once more — unless the core blames frozen messages
+        # (repair territory) or dissolves the whole probe.
+        relaxed = [g for g in greedy if g not in core]
+        if (core and relaxed and len(relaxed) < len(greedy)
+                and not core.intersection(freezes)):
             acct.count("assumption_probes")
-            probe = session.check(freezes + greedy)
+            probe = session.check(freezes + relaxed)
             acct.absorb(probe)
             if probe == "sat":
                 return probe
-            core = set(probe.unsat_core or ())
-            if core:
-                acct.count("cores_extracted")
-            # Release exactly the conflicting shortest-route choices and
-            # try once more — unless the core blames frozen messages
-            # (repair territory) or dissolves the whole probe.
-            relaxed = [g for g in greedy if g not in core]
-            if (core and relaxed and len(relaxed) < len(greedy)
-                    and not core.intersection(freezes)):
-                acct.count("assumption_probes")
-                probe = session.check(freezes + relaxed)
-                acct.absorb(probe)
-                if probe == "sat":
-                    return probe
 
     outcome = session.check(freezes)
     acct.absorb(outcome)
 
     if outcome != "sat" and opts.repair and freezes:
         rounds = 0
-        while outcome != "sat" and rounds < opts.max_repair_rounds:
+        while outcome != "sat" and rounds < MAX_REPAIR_ROUNDS:
             core = outcome.unsat_core or ()
             blamed = [g for g in core if g in ledger.uid_by_guard]
             if not blamed:

@@ -187,10 +187,11 @@ def _bench_portfolio(scale: dict) -> dict:
     per *strategy* (closing the per-strategy attribution item).
 
     A third race exercises the *mid-check* export path: a monolithic
-    worker on the hard mesh case study, budgeted to ``max_conflicts=150``,
-    aborts ``unknown`` inside its first long check — but its ``on_restart``
-    hook has already streamed learned clauses (tagged ``origin:
-    mid-check``) into the pool at each restart and at the abort itself.
+    worker on the mesh case study, budgeted to ``max_conflicts=50``
+    (fewer than its unbudgeted solve takes), aborts ``unknown`` inside
+    its first long check — but its ``on_restart`` hook has already
+    streamed learned clauses (tagged ``origin: mid-check``) into the
+    pool at each restart and at the abort itself.
     ``routes-1`` then races to ``sat`` seeded with them.  The regression
     surface adds: the monolithic worker's ``unknown`` (never a race
     verdict), a nonzero ``midcheck_clauses_pooled`` pool counter, and at
@@ -266,6 +267,12 @@ def _bench_portfolio(scale: dict) -> dict:
             "yes" if work[True] < work[False]
             and conflicts[True] <= conflicts[False] else "NO"
         )
+    # Each funnel ships knowledge over its own channel: the unsat race
+    # imports clauses, the sat race applies routes-1's veto.
+    statuses["unsat/clauses_imported"] = (
+        "yes" if sharing["unsat_clauses_imported"] > 0 else "NO")
+    statuses["sat/vetoes_applied"] = (
+        "yes" if sharing["sat_vetoes_applied"] > 0 else "NO")
 
     # Mid-check export race: the monolithic worker is budget-killed
     # inside one check; its restart-boundary exports must still reach
@@ -274,7 +281,7 @@ def _bench_portfolio(scale: dict) -> dict:
         n_apps=scale.get("midcheck_apps", 4))
     midcheck_strategies = [
         Strategy("monolithic", SynthesisOptions(
-            routes=None, dl_propagation=False, max_conflicts=150)),
+            routes=None, dl_propagation=False, max_conflicts=50)),
         Strategy("routes-1", SynthesisOptions(routes=1, dl_propagation=False)),
     ]
     res = synthesize_portfolio(midcheck_problem, midcheck_strategies,
@@ -315,9 +322,8 @@ def _bench_dl_propagation(scale: dict) -> dict:
       through the full synthesis driver.
 
     The regression surface: identical statuses per instance, a strict
-    reduction of summed decisions with propagation on, and nonzero
-    ``dl_propagations`` counters (asserted again by CI on the uploaded
-    trajectory).
+    reduction of summed decisions with propagation on, nonzero
+    ``dl_propagations`` counters, and every sat model certified.
     """
     from fractions import Fraction
 
@@ -375,6 +381,7 @@ def _bench_dl_propagation(scale: dict) -> dict:
     statuses["dl_propagations_nonzero"] = (
         "yes" if counters["dl_propagations"] > 0 else "NO"
     )
+    statuses["certified"] = "yes" if certified else "NO"
     return {
         "statuses": statuses,
         "dl_counters": counters,
@@ -400,13 +407,14 @@ def _bench_faults(scale: dict) -> dict:
       heartbeat detector must kill and relaunch it (``stalls_detected``
       and a sat verdict from attempt 2).
     * ``degrade`` — the only strategy is crashed on its first three
-      process attempts, exhausting ``max_crash_retries=2``; the race
+      process attempts, exhausting ``MAX_CRASH_RETRIES=2``; the race
       must degrade to the serial backend and still solve
       (``degraded_to_serial`` plus ``crash_budget_exhausted``).
 
     The record's ``supervision`` block carries the summed supervision
-    counters (CI asserts the key ones nonzero) and ``no_leaked_workers``
-    certifies that every spawned process was reaped.
+    counters (the ``supervision/*`` statuses gate the key ones nonzero)
+    and ``no_leaked_workers`` certifies that every spawned process was
+    reaped.
     """
     import multiprocessing as mp
 
@@ -454,9 +462,10 @@ def _bench_faults(scale: dict) -> dict:
         "gm": (
             lambda: workloads.gm_case_study(n_apps=scale.get("gm_apps", 4)),
             lambda: [
-                # The budgeted monolithic aborts unknown at 150 conflicts
-                # but flushes learned clauses mid-check — the corrupt
-                # target on a sat instance (winners export nothing).
+                # The corrupt target: a budgeted worker would flush
+                # learned clauses mid-check (winners export nothing), but
+                # routes-1 wins first, so the sharing case is the one
+                # whose corrupt frame reaches the pool.
                 Strategy("monolithic", SynthesisOptions(max_conflicts=150)),
                 Strategy("routes-1", SynthesisOptions(routes=1)),
                 Strategy("stages-2", SynthesisOptions(routes=3, stages=2)),
@@ -510,6 +519,9 @@ def _bench_faults(scale: dict) -> dict:
     )
     statuses["supervision/quarantine_nonzero"] = (
         "yes" if supervision.get("quarantined_artifacts", 0) >= 1 else "NO"
+    )
+    statuses["supervision/budget_exhausted_nonzero"] = (
+        "yes" if supervision.get("crash_budget_exhausted", 0) >= 1 else "NO"
     )
     for proc in mp.active_children():
         proc.join(timeout=2.0)
@@ -615,9 +627,10 @@ def _bench_service(scale: dict) -> dict:
             chaos = await client.solve(uniques[0][0], uniques[0][1],
                                        deadline=deadline,
                                        request_id="chaos")
-            # Chaos 2: cancel a long solve mid-flight.
+            # Chaos 2: cancel a long solve mid-flight (seconds of
+            # monolithic search at ten apps).
             _, pending = await client.submit(
-                workloads.gm_case_study(5), deadline=deadline,
+                workloads.gm_case_study(10), deadline=deadline,
                 request_id="cancelme")
             for _ in range(100):
                 await asyncio.sleep(0.05)
@@ -735,6 +748,12 @@ def run_bench(name: str, scale: Optional[dict] = None,
                 continue
             totals[key] = totals.get(key, 0) + value
             bucket[key] = bucket.get(key, 0) + value
+    if per_check:
+        # Every bench that searches must move propagations and attribute
+        # its checks (a race tags them per strategy, ``native[<name>]``).
+        payload["statuses"]["props_per_sec_nonzero"] = (
+            "yes" if totals.get("propagations", 0) > 0 else "NO")
+        payload["statuses"]["check_backends"] = ",".join(sorted(by_backend))
     record = {
         "name": name,
         "scale": {k: list(v) if isinstance(v, tuple) else v

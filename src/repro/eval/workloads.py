@@ -370,6 +370,47 @@ def sharing_unsat_problem(n_apps: int = 3, islands: int = 1) -> SynthesisProblem
                               islands=islands)
 
 
+def detour_problem() -> SynthesisProblem:
+    """A flow whose shortest route is not its first in depth-first order.
+
+    App ``m`` reaches ``C0`` either over ``M``-``N`` (two switches) or
+    along the detour ``A1``-``A2``-``A3`` (three).  Two blockers cross
+    ``M``-``N`` too, and their bounds take its first two transmission
+    slots, while ``m``'s bound admits the detour only at its exact
+    minimum.  So ``routes=1`` (``m`` on ``M``-``N``) is a genuine unsat
+    while the complete formulation is sat.  Depth-first enumeration
+    from ``S0`` reaches the detour first (``A1`` sorts before ``M``),
+    which makes this the case that catches a route index naming
+    different routes under different route limits.
+    """
+    net = Network()
+    for sw in ("M", "N", "A1", "A2", "A3"):
+        net.add_switch(sw)
+    for u, v in (("M", "N"), ("A1", "A2"), ("A2", "A3")):
+        net.add_link(u, v)
+    net.add_sensor("S0")
+    net.add_controller("C0")
+    for u, v in (("S0", "M"), ("S0", "A1"), ("N", "C0"), ("A3", "C0")):
+        net.add_link(u, v)
+    for i in range(2):
+        net.add_sensor(f"SB{i}")
+        net.add_controller(f"CB{i}")
+        net.add_link(f"SB{i}", "M")
+        net.add_link("N", f"CB{i}")
+    sd, ld = BOTTLENECK_DELAYS.sd, BOTTLENECK_DELAYS.ld
+    hop = sd + ld
+    period = Fraction(9, 1000)
+    bounds = [("m", "S0", "C0", 3 * hop + ld),
+              ("b0", "SB0", "CB0", 2 * hop + ld),
+              ("b1", "SB1", "CB1", 2 * hop + 2 * ld)]
+    apps = [
+        ControlApplication(name, sensor, controller, period,
+                           StabilitySpec.single_line("1", str(beta)))
+        for name, sensor, controller, beta in bounds
+    ]
+    return SynthesisProblem(net, apps, BOTTLENECK_DELAYS)
+
+
 # ---------------------------------------------------------------------------
 # Difference-chain workloads (transitive DL propagation)
 # ---------------------------------------------------------------------------

@@ -170,8 +170,13 @@ def route_candidates(
     """Candidate route set for a flow (the paper's route subset, Eq. 8).
 
     ``k=None`` enumerates *all* simple routes (the basic formulation);
-    otherwise the first ``k`` shortest routes are returned.
+    otherwise the first ``k`` shortest routes are returned.  Either way
+    the list is ordered by ``(hop count, node names)`` — Yen's own heap
+    key — so every ``k`` list is a prefix of the ``k=None`` one: a route's
+    index names the same route under every route limit, which
+    :mod:`repro.core.seeding` relies on to share knowledge between them.
     """
     if k is None:
-        return list(all_simple_paths(net, src, dst, cutoff=cutoff))
+        return sorted(all_simple_paths(net, src, dst, cutoff=cutoff),
+                      key=lambda path: (len(path), path))
     return k_shortest_paths(net, src, dst, k)

@@ -7,9 +7,9 @@ scheme (each strategy explores a different slice of the search space, so
 the *minimum* of their runtimes is usually far below any fixed choice).
 
 Race verdicts are sound: ``unsat`` is reported only when a *complete*
-strategy (all routes, single stage) actually proved it — the heuristics
-may fail on solvable instances, so an all-timeout or all-heuristic-unsat
-race reports ``timeout`` / ``unknown`` instead, and
+strategy (all routes, no path cutoff, single stage) actually proved it
+— the heuristics may fail on solvable instances, so an all-timeout or
+all-heuristic-unsat race reports ``timeout`` / ``unknown`` instead, and
 ``PortfolioResult.verdict_by`` names the strategy that supplied the
 verdict.  A complete strategy's unsat ends the race early (nothing can
 beat a proof).
@@ -32,9 +32,9 @@ classify frames, detect death and reap; each worker solves through
 :func:`~repro.runtime.harness.supervised_solve`; and a dead or stalled
 attempt is retried or given up on by the one retry rule,
 :meth:`~repro.runtime.supervision.Supervisor.attempt_died`.  What this
-module adds is the scheduling: the launch queue with per-strategy budget
-schedules and crash-retry backoff, one ``wait_ready`` over every running
-worker's pipe, stall and deadline clocks, pool absorption of streamed
+module adds is the scheduling: the launch queue with crash-retry
+backoff, one ``wait_ready`` over every running worker's pipe, the stall
+clock and the race's one deadline, pool absorption of streamed
 artifacts, winner/prover bookkeeping, and degradation — a strategy that
 exhausts its crash budget (or cannot be spawned mid-race) hands whatever
 remains undecided to the serial loop, recording
@@ -74,7 +74,7 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.solution import Solution
-from ..core.synthesizer import MODE_STABILITY, SynthesisResult
+from ..core.synthesizer import SynthesisResult
 from ..runtime.faults import FaultPlan, InjectedCrash, wrap_emit
 from ..runtime.frames import (KIND_ARTIFACT, KIND_HEARTBEAT, KIND_RESULT,
                               KIND_STAGE_FROZEN)
@@ -82,8 +82,8 @@ from ..runtime.harness import pipe_sink, supervised_solve
 from ..runtime.knowledge import (KnowledgePool, prefix_artifact,
                                  restart_artifacts, terminal_artifacts)
 from ..runtime.process import DIED, WorkerProcess, wait_ready
-from ..runtime.supervision import (SupervisionPolicy, Supervisor,
-                                   heartbeat_frame)
+from ..runtime.supervision import (MAX_CRASH_RETRIES, SupervisionPolicy,
+                                   Supervisor, heartbeat_frame)
 from .strategies import Strategy, default_portfolio
 
 #: Terminal per-strategy statuses.
@@ -116,7 +116,7 @@ class StrategyResult:
     failed_stage: Optional[int] = None
     statistics: Dict[str, int] = field(default_factory=dict)
     error: Optional[str] = None
-    attempts: int = 1                    # launches incl. restart-schedule reruns
+    attempts: int = 1                    # launches incl. crash retries
 
 
 @dataclass
@@ -163,7 +163,6 @@ class PortfolioResult:
 def synthesize_portfolio(
     problem,
     strategies: Optional[Sequence[Strategy]] = None,
-    mode: str = MODE_STABILITY,
     max_workers: Optional[int] = None,
     timeout: Optional[float] = None,
     backend: str = "process",
@@ -180,14 +179,6 @@ def synthesize_portfolio(
     (the interrupt pump stops the engine at its next conflict) and
     between strategies otherwise.
 
-    Per-strategy budgets (``Strategy.timeout`` / ``Strategy.restarts``)
-    are enforced by the process backend: an attempt is terminated at its
-    own deadline and — while the global deadline is still open — re-queued
-    with the next budget from its restart schedule, so a small worker pool
-    probes every strategy quickly before giving the slow ones more time.
-    The serial backend ignores per-strategy budgets (one non-preemptible
-    attempt each).
-
     ``share_knowledge`` pools learned clauses, route vetoes and stage
     prefixes across workers and seeds restarts/late launches with them
     (:mod:`repro.runtime.knowledge`); turn it off for strict isolation
@@ -199,7 +190,7 @@ def synthesize_portfolio(
     ``fault_plan`` injects deterministic failures for chaos testing
     (:mod:`repro.runtime.faults`).
     """
-    entries = list(strategies) if strategies is not None else default_portfolio(mode=mode)
+    entries = list(strategies) if strategies is not None else default_portfolio()
     if not entries:
         raise ValueError("portfolio is empty: provide at least one strategy")
     names = [s.name for s in entries]
@@ -511,15 +502,14 @@ class _Race:
             wall += time.perf_counter() - started
             if not crashed:
                 break
-            delay = self.supervisor.attempt_died(
-                name, retries, strategy.max_crash_retries,
-                deadline=self.deadline)
+            delay = self.supervisor.attempt_died(name, retries,
+                                                 deadline=self.deadline)
             if delay is None:
                 payload = {
                     "status": STATUS_ERROR,
                     "error": (f"crashed on every attempt "
                               f"({retries + 1} tried, "
-                              f"{strategy.max_crash_retries} retries allowed)"),
+                              f"{MAX_CRASH_RETRIES} retries allowed)"),
                 }
                 break
             time.sleep(delay)
@@ -600,20 +590,8 @@ class _Attempt:
 
     worker: WorkerProcess
     started: float
-    sdeadline: Optional[float]   # per-strategy deadline (absolute), clamped
     attempt: int                 # 1-based launch attempt number
-    sched: int                   # 1-based restart-schedule position
     last_signal: float           # last heartbeat/artifact time (stall clock)
-
-
-def _attempt_budget(strategy: Strategy, sched: int) -> Optional[float]:
-    if strategy.timeout is None:
-        return None
-    if sched == 1 or not strategy.restarts:
-        return strategy.timeout
-    # Clamped defensively: a relaunch queued past the schedule keeps
-    # the last budget instead of indexing off the end.
-    return strategy.restarts[min(sched - 2, len(strategy.restarts) - 1)]
 
 
 class _ProcessRace(_Race):
@@ -628,16 +606,12 @@ class _ProcessRace(_Race):
         # memory-constrained callers.
         entries = self.entries
         self.workers = max(1, min(len(entries), max_workers or len(entries)))
-        # Launch queue: (idx, strategy, attempt_no, sched_no, not_before).
+        # Launch queue: (idx, strategy, attempt_no, not_before).
         # ``attempt_no`` counts every launch (accounting, fault
-        # targeting); ``sched_no`` is the position in the per-strategy
-        # budget schedule (1 = strategy.timeout, k>1 = restarts[k-2]) and
-        # only advances on budget expiry — a crash retry relaunches with
-        # the budget the dead attempt had, so crashes neither consume
-        # schedule entries nor run off the end of ``restarts``.
-        # ``not_before`` delays crash-retry relaunches (backoff).
-        self.pending: List[Tuple[int, Strategy, int, int, float]] = [
-            (idx, s, 1, 1, self.t0) for idx, s in enumerate(entries)
+        # targeting); ``not_before`` delays crash-retry relaunches
+        # (backoff).
+        self.pending: List[Tuple[int, Strategy, int, float]] = [
+            (idx, s, 1, self.t0) for idx, s in enumerate(entries)
         ]
         self.running: Dict[int, _Attempt] = {}
         self.crash_retries: Dict[int, int] = {}  # relaunches granted
@@ -666,9 +640,9 @@ class _ProcessRace(_Race):
         deferred = []
         while (self.pending and len(self.running) < self.workers
                and not self.degraded):
-            idx, strategy, attempt, sched, not_before = self.pending.pop(0)
+            idx, strategy, attempt, not_before = self.pending.pop(0)
             if not_before > now:
-                deferred.append((idx, strategy, attempt, sched, not_before))
+                deferred.append((idx, strategy, attempt, not_before))
                 continue
             launched = self.prepared(strategy, attempt, harsh=True)
             try:
@@ -688,19 +662,13 @@ class _ProcessRace(_Race):
                 self.degrade(idx, strategy, attempt)
                 continue
             started = time.perf_counter()
-            budget = _attempt_budget(strategy, sched)
-            # Per-strategy deadline, clamped to the global one.
-            sdeadline = started + budget if budget is not None else None
-            if self.deadline is not None:
-                sdeadline = (self.deadline if sdeadline is None
-                             else min(sdeadline, self.deadline))
-            self.running[idx] = _Attempt(worker, started, sdeadline,
-                                         attempt, sched, last_signal=started)
+            self.running[idx] = _Attempt(worker, started, attempt,
+                                         last_signal=started)
         self.pending.extend(deferred)
         if self.degraded:
             self.serial_rescue.extend(
                 (idx, strategy, attempt)
-                for idx, strategy, attempt, _sched, _nb in self.pending)
+                for idx, strategy, attempt, _nb in self.pending)
             self.pending.clear()
 
     def drain(self, idx: int) -> Optional[Tuple[str, object]]:
@@ -767,34 +735,15 @@ class _ProcessRace(_Race):
         strategy = self.entries[idx]
         used = self.crash_retries.get(idx, 0)
         delay = self.supervisor.attempt_died(
-            strategy.name, used, strategy.max_crash_retries,
-            stalled=stalled, deadline=self.deadline)
+            strategy.name, used, stalled=stalled, deadline=self.deadline)
         if delay is None:
             # The process backend is persistently failing this strategy.
             self.degrade(idx, strategy, att.attempt + 1)
             return
-        # The launch path re-seeds the retry from the knowledge pool.  It
-        # keeps the dead attempt's schedule position: a crash is not a
-        # budget expiry, so it must neither consume a restart-schedule
-        # entry nor index past the schedule.
+        # The launch path re-seeds the retry from the knowledge pool.
         self.crash_retries[idx] = used + 1
-        self.pending.append((idx, strategy, att.attempt + 1, att.sched,
+        self.pending.append((idx, strategy, att.attempt + 1,
                              time.perf_counter() + delay))
-
-    def expire(self, idx: int, now: float) -> None:
-        """Kill an attempt at its per-strategy deadline; maybe re-queue."""
-        # A result may have landed after the last wait: honor it (it
-        # could be the winning sat) instead of discarding it.
-        if self.harvest(idx):
-            return
-        att = self.retire(idx)
-        strategy = self.entries[idx]
-        if (att.sched - 1 < len(strategy.restarts)
-                and self.deadline_open(now)):
-            self.pending.append((idx, strategy, att.attempt + 1,
-                                 att.sched + 1, now))
-        else:
-            self.unrun(idx, STATUS_TIMEOUT, att.attempt)
 
     def next_wake(self, now: float) -> float:
         """Seconds until some clock needs the scheduler (capped at 0.1)."""
@@ -802,12 +751,10 @@ class _ProcessRace(_Race):
         if self.deadline is not None:
             wakes.append(self.deadline)
         for idx, att in self.running.items():
-            if att.sdeadline is not None:
-                wakes.append(att.sdeadline)
             if (self.policy.stall_timeout is not None
                     and self.emits_heartbeats(idx)):
                 wakes.append(att.last_signal + self.policy.stall_timeout)
-        wakes.extend(entry[4] for entry in self.pending)
+        wakes.extend(entry[3] for entry in self.pending)
         return max(0.0, min(wakes) - now)
 
     def run(self) -> PortfolioResult:
@@ -847,21 +794,13 @@ class _ProcessRace(_Race):
                             >= policy.stall_timeout
                             and not self.harvest(idx)):
                         self.attempt_died(idx, stalled=True)
-            # Enforce per-strategy deadlines (restart schedule re-queues).
-            for idx in sorted(running):
-                if idx not in running:
-                    continue
-                sdeadline = running[idx].sdeadline
-                if sdeadline is not None and now >= sdeadline:
-                    self.expire(idx, now)
             self.launch_available()
 
         if self.timed_out:
             # The deadline break above fires before draining ready pipes:
             # a result a worker sent just before the deadline still
-            # decides the race (consistent with expire()), so give every
-            # running worker one final look before reaping the rest as
-            # timeouts.
+            # decides the race, so give every running worker one final
+            # look before reaping the rest as timeouts.
             for idx in sorted(running):
                 outcome = self.drain(idx)
                 if outcome is not None and outcome[0] == KIND_RESULT:
@@ -873,7 +812,7 @@ class _ProcessRace(_Race):
             att = self.retire(idx)
             self.unrun(idx, STATUS_TIMEOUT if self.timed_out
                        else STATUS_CANCELLED, att.attempt)
-        for idx, _strategy, attempt, _sched, _nb in self.pending:
+        for idx, _strategy, attempt, _nb in self.pending:
             if idx in self.results:
                 continue
             # A queued strategy only "timed out" if the race did; one

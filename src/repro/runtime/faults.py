@@ -206,11 +206,11 @@ class FaultPlan:
         """A seeded random plan that workers can always recover from.
 
         Every generated kill-type spec (crash/hang/drop) targets attempt
-        1 or 2 of a pseudo-randomly chosen strategy, never both attempts
-        of the same strategy with fewer than the default retry budget —
-        so races under a chaos plan keep their fault-free verdict (the
-        property the fault-matrix tests check) as long as strategies
-        keep ``max_crash_retries >= 2``.
+        1 or 2 of a pseudo-randomly chosen strategy, so two crashes of
+        one strategy stay within
+        :data:`~repro.runtime.supervision.MAX_CRASH_RETRIES` and races
+        under a chaos plan keep their fault-free verdict (the property
+        the fault-matrix tests check).
         """
         if not strategy_names:
             raise ValueError("chaos plan needs at least one strategy name")

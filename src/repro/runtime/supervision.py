@@ -6,8 +6,8 @@ persistent ones) — and their in-process twins read one policy and write
 one counter vocabulary (``docs/robustness.md``, "Worker runtime"):
 
 * :class:`SupervisionPolicy` — heartbeat cadence, stall timeout, the
-  capped exponential crash-retry backoff, and the SIGTERM grace of
-  :meth:`WorkerProcess.reap`.
+  capped crash-retry backoff (doubling from ``backoff_base``), and the
+  SIGTERM grace of :meth:`WorkerProcess.reap`.
 * :func:`heartbeat_frame` / :func:`valid_heartbeat` — the liveness frame
   a solve emits from the engine's ``on_restart`` hook (throttled by
   :func:`~repro.runtime.harness.supervised_solve`) and its validation at
@@ -16,8 +16,8 @@ one counter vocabulary (``docs/robustness.md``, "Worker runtime"):
 * :class:`Supervisor` — per-strategy and total counts of crashes,
   stalls, retries, heartbeats, quarantined frames and degradations,
   and the one retry rule, :meth:`Supervisor.attempt_died`: count the
-  death, then grant a backoff delay while retries and the deadline
-  allow, else count the budget as exhausted.
+  death, then grant a backoff delay while :data:`MAX_CRASH_RETRIES` and
+  the deadline allow, else count the budget as exhausted.
 """
 
 from __future__ import annotations
@@ -39,6 +39,10 @@ _COUNTERS = (
     "degradations",         # strategies re-routed to the serial backend
 )
 
+#: Relaunches one attempt may be granted after it crashes or stalls,
+#: in the race and in the service alike.
+MAX_CRASH_RETRIES = 2
+
 #: Heartbeat counters forwarded into per-strategy statistics (the last
 #: value seen wins — it is a progress gauge, not an accumulator).
 _HEARTBEAT_STATS = ("conflicts", "propagations")
@@ -58,7 +62,6 @@ class SupervisionPolicy:
     heartbeat_interval: float = 0.2     # min seconds between heartbeats
     stall_timeout: Optional[float] = None   # None = stall detection off
     backoff_base: float = 0.05          # first retry delay (seconds)
-    backoff_factor: float = 2.0
     backoff_cap: float = 2.0            # ceiling on any single delay
     kill_grace: float = 1.0             # terminate -> join(grace) -> kill
 
@@ -69,17 +72,14 @@ class SupervisionPolicy:
             raise ValueError("stall_timeout must be positive (or None)")
         if self.backoff_base < 0 or self.backoff_cap < 0:
             raise ValueError("backoff delays must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
         if self.kill_grace < 0:
             raise ValueError("kill_grace must be >= 0")
 
     def backoff(self, retry_no: int) -> float:
-        """Delay before retry ``retry_no`` (1-based), capped exponential."""
+        """Delay before retry ``retry_no`` (1-based): doubling, capped."""
         if retry_no < 1:
             raise ValueError("retry_no is 1-based")
-        return min(self.backoff_cap,
-                   self.backoff_base * self.backoff_factor ** (retry_no - 1))
+        return min(self.backoff_cap, self.backoff_base * 2 ** (retry_no - 1))
 
     def backoff_schedule(self, retries: int) -> List[float]:
         """The full deterministic delay schedule for ``retries`` retries."""
@@ -149,8 +149,8 @@ class Supervisor:
 
     # -- the retry rule --------------------------------------------------
 
-    def attempt_died(self, strategy: str, retries_used: int,
-                     max_retries: int, *, stalled: bool = False,
+    def attempt_died(self, strategy: str, retries_used: int, *,
+                     stalled: bool = False,
                      deadline: Optional[float] = None) -> Optional[float]:
         """Count a dead attempt and decide whether it is retried.
 
@@ -165,8 +165,8 @@ class Supervisor:
         else:
             self.note_crash(strategy)
         now = time.perf_counter()
-        if retries_used < max_retries and (deadline is None
-                                           or now < deadline):
+        if retries_used < MAX_CRASH_RETRIES and (deadline is None
+                                                 or now < deadline):
             self._bump(strategy, "crash_retries")
             delay = self.policy.backoff(retries_used + 1)
             return delay if deadline is None else min(delay, deadline - now)

@@ -335,12 +335,6 @@ class SatSolver:
                 occ.append(handle)
         return True
 
-    def clause_literals(self) -> Iterable[List[int]]:
-        """The problem clauses as literal lists (export view, in add order)."""
-        arena = self._arena
-        for handle in self._clauses:
-            yield arena.literals(handle)
-
     # ------------------------------------------------------------------
     # Assignment helpers
     # ------------------------------------------------------------------

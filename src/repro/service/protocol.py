@@ -51,7 +51,7 @@ RESPONSE_TYPES = frozenset({
 #: plus the search knobs a client may set (everything else is rejected
 #: so a typo'd knob cannot silently solve the wrong problem).
 _WIRE_OPTION_KEYS = frozenset(f.name for f in fields(StrategySignature)) | {
-    "probe_routes", "dl_propagation", "max_conflicts",
+    "dl_propagation", "max_conflicts",
 }
 
 

@@ -63,7 +63,6 @@ class ServicePolicy:
     workers: int = 2                 # worker pool size == max in-flight
     max_queue: int = 16              # queued (not yet dispatched) requests
     worker_mode: str = "process"     # "process" | "inline"
-    max_crash_retries: int = 2       # per request, after the first attempt
     default_deadline: Optional[float] = None   # seconds; None = unbounded
     supervision: SupervisionPolicy = field(default_factory=SupervisionPolicy)
 
@@ -74,8 +73,6 @@ class ServicePolicy:
             raise ValueError("max_queue must be >= 1")
         if self.worker_mode not in ("process", "inline"):
             raise ValueError(f"unknown worker_mode {self.worker_mode!r}")
-        if self.max_crash_retries < 0:
-            raise ValueError("max_crash_retries must be >= 0")
         if self.default_deadline is not None and self.default_deadline <= 0:
             raise ValueError("default_deadline must be positive")
 
@@ -375,8 +372,7 @@ class SynthesisServer:
                 # A crash, or a stall with the deadline still open: the
                 # one retry rule decides.
                 delay = self.supervisor.attempt_died(
-                    _STRATEGY, attempt - 1, self.policy.max_crash_retries,
-                    stalled=stalled)
+                    _STRATEGY, attempt - 1, stalled=stalled)
                 if delay is None:
                     return ({"status": "error", "cancelled": False,
                              "deadline_exceeded": False,

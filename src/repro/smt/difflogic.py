@@ -56,11 +56,11 @@ from fractions import Fraction
 
 from .rationals import DeltaRational, Scaled, ScaledEngine
 
-#: Default cap on heap pops per SSSP direction (see ``implied_bounds``):
+#: Cap on heap pops per SSSP direction (see ``implied_bounds``):
 #: bounds the incremental propagation pass so dense graphs or easy
 #: instances never pay more than a constant amount of work per asserted
 #: edge.  Aborting a pass early is sound — propagation is an optimization
-#: and every settled label is already a valid derived bound.  The default
+#: and every settled label is already a valid derived bound.  The cap
 #: covers difference chains of ~10 hops per side, which profiling on the
 #: scheduling workloads showed captures nearly all useful implications at
 #: a fraction of an unbounded pass's cost.
@@ -86,8 +86,7 @@ class DifferenceLogic(ScaledEngine):
     can express single-variable bounds as differences against it.
     """
 
-    def __init__(self, propagation: bool = True,
-                 effort_cap: int = DEFAULT_EFFORT_CAP) -> None:
+    def __init__(self, propagation: bool = True) -> None:
         super().__init__()
         self._pi_r: List[int] = [0]
         self._pi_d: List[int] = [0]
@@ -102,7 +101,6 @@ class DifferenceLogic(ScaledEngine):
         # are pruned before any allocation), and the edges tightened since
         # the last implied_bounds() drain.
         self._propagation = propagation
-        self._effort_cap = effort_cap
         self._watch_src: Dict[int, List[int]] = {}
         self._thresh: Dict[Tuple[int, int], Tuple[int, int]] = {}
         # Per-source loosest threshold: lets a pass skip a whole source
@@ -342,9 +340,9 @@ class DifferenceLogic(ScaledEngine):
         Coverage is deliberately best-effort: a pass is scheduled only
         for edges that *moved the potential* (see
         :meth:`assert_constraint`), and each Dijkstra direction stops
-        after ``effort_cap`` pops — so an implication whose path is
-        completed by a slack edge, or lies beyond the cap, may be
-        missed (the atom is simply decided later; propagation is an
+        after :data:`DEFAULT_EFFORT_CAP` pops — so an implication whose
+        path is completed by a slack edge, or lies beyond the cap, may
+        be missed (the atom is simply decided later; propagation is an
         optimization).  Partial passes are sound because any settled
         label is a genuine path weight.  Drains the fresh-edge list.
         """
@@ -446,7 +444,7 @@ class DifferenceLogic(ScaledEngine):
         self, start: int, adj: List[Dict[int, _Edge]], backward: bool
     ) -> Tuple[Dict[int, Tuple[int, int]], Dict[int, Tuple[int, int]]]:
         """Dijkstra over reduced costs from ``start``, capped at
-        ``effort_cap`` pops.
+        :data:`DEFAULT_EFFORT_CAP` pops.
 
         Returns ``(settled, parent)``: exact reduced distances for the
         settled nodes, and for each settled node (except ``start``) the
@@ -459,7 +457,7 @@ class DifferenceLogic(ScaledEngine):
         parent: Dict[int, Tuple[int, int]] = {}
         settled: Dict[int, Tuple[int, int]] = {}
         heap: List[Tuple[int, int, int]] = [(0, 0, start)]
-        budget = self._effort_cap
+        budget = DEFAULT_EFFORT_CAP
         while heap and budget > 0:
             dr, dd, x = heappop(heap)
             if x in settled:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.api import CheckOutcome, NativeBackend, Session, make_backend
+from repro.api import (BackendAnswer, CheckOutcome, NativeBackend, Session,
+                       make_backend)
 from repro.errors import SolverError
 from repro.smt import Bool, Not, Or, Real, sat, unknown, unsat
 
@@ -137,9 +138,8 @@ class TestSerializationBackend:
     def test_native_replay_matches_native(self):
         x, y, a, b = fresh("sz1")
         results = {}
-        for backend, kwargs in (("native", {}),
-                                ("serialization", {"engine": "native"})):
-            s = Session(backend=backend, **kwargs)
+        for backend in ("native", "serialization"):
+            s = Session(backend=backend)
             s.add(x >= 3, Or(Not(a), x <= 1))
             results[backend] = (
                 s.check().status.name,
@@ -149,8 +149,7 @@ class TestSerializationBackend:
 
     def test_scripts_are_emitted_and_dumped(self, tmp_path):
         x, y, a, b = fresh("sz2")
-        s = Session(backend="serialization", engine="native",
-                    dump_dir=tmp_path)
+        s = Session(backend="serialization", dump_dir=tmp_path)
         s.add(x + y <= 4, a)
         out = s.check(b)
         script = s.backend.last_script
@@ -161,27 +160,15 @@ class TestSerializationBackend:
         assert dumps[0].read_text() == script
         assert out.status in (sat, unsat, unknown)
 
-    def test_engine_none_serializes_only(self):
-        x, y, a, b = fresh("sz3")
-        s = Session(backend="serialization", engine="none")
-        s.add(x >= 0)
-        out = s.check()
-        assert out == unknown and out.model is None
-        assert s.backend.last_script is not None
-
     def test_push_pop_in_replay(self):
         x, y, a, b = fresh("sz4")
-        s = Session(backend="serialization", engine="native")
+        s = Session(backend="serialization")
         s.add(x >= 0)
         s.push()
         s.add(x <= -1)
         assert s.check() == "unsat"
         s.pop()
         assert s.check() == "sat"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(SolverError, match="unknown serialization engine"):
-            Session(backend="serialization", engine="cvc9")
 
 
 def _pigeonhole_session(n_pigeons=7, n_holes=6, prefix="php", **options):
@@ -243,26 +230,45 @@ class TestCheckBudgetAndRestartHook:
         assert s.check() == unsat
 
 
+class UndecidedBackend:
+    """A backend that takes every assertion and decides nothing."""
+
+    name = "undecided"
+
+    def add(self, expr):
+        pass
+
+    def push(self):
+        pass
+
+    def pop(self, n=1):
+        pass
+
+    def check(self, assumptions, minimize_core=True):
+        return BackendAnswer(unknown)
+
+    def statistics(self):
+        return {}
+
+
 class TestUndecidedBackendPropagation:
     """Review regressions: an 'unknown' answer must never be upgraded to
     a definite verdict by downstream consumers."""
 
     def test_solve_reports_unknown_not_unsat(self):
-        from repro.api import SerializationBackend
         from repro.core import SynthesisOptions, solve
         from repro.eval.workloads import bottleneck_problem
 
-        session = Session(backend=SerializationBackend(engine="none"))
+        session = Session(backend=UndecidedBackend())
         result = solve(bottleneck_problem(2), SynthesisOptions(routes=2),
                        session=session)
         assert result.status == "unknown"
         assert not result.ok
 
     def test_minimize_refuses_undecided_backend(self):
-        from repro.api import SerializationBackend
         from repro.smt.optimize import minimize
 
         x = Real("undecided_x")
-        session = Session(backend=SerializationBackend(engine="none"))
+        session = Session(backend=UndecidedBackend())
         with pytest.raises(SolverError, match="answered unknown"):
             minimize([x >= 3], x, session=session)

@@ -1,12 +1,11 @@
-"""SMT-LIB2 / DIMACS serialization of the term language."""
+"""SMT-LIB2 serialization of the term language."""
 
 from fractions import Fraction
 
 import pytest
 
-from repro.api.smtlib import rational, render, symbol, to_dimacs, to_smt2
+from repro.api.smtlib import rational, render, symbol, to_smt2
 from repro.errors import SolverError
-from repro.sat.dimacs import DimacsSolver, parse_dimacs
 from repro.smt import And, Bool, BoolVal, Not, Or, Real
 
 
@@ -75,37 +74,3 @@ class TestScript:
         assert script.rstrip().endswith("(check-sat)")
         assert terms == []
 
-
-class TestDimacs:
-    def test_round_trips_through_sat_core(self):
-        a, b, c = Bool("sd_a"), Bool("sd_b"), Bool("sd_c")
-        text = to_dimacs([Or(a, b), Or(Not(a), c), Not(c)])
-        n_vars, clauses = parse_dimacs(text)
-        solver = DimacsSolver()
-        solver.ensure_vars(n_vars)
-        ok = True
-        for clause in clauses:
-            ok = solver.add_clause(clause) and ok
-        assert ok and solver.solve()
-        # the formula forces not-c, hence not-a, hence b
-        model = set(solver.model())
-        assert len(model) == n_vars
-
-    def test_unsat_formula_round_trips(self):
-        a = Bool("sd2_a")
-        text = to_dimacs([a, Not(a)])
-        n_vars, clauses = parse_dimacs(text)
-        solver = DimacsSolver()
-        solver.ensure_vars(max(n_vars, 1))
-        ok = True
-        for clause in clauses:
-            if not clause:
-                ok = False
-                continue
-            ok = solver.add_clause(clause) and ok
-        assert not (ok and solver.solve())
-
-    def test_arithmetic_rejected(self):
-        x = Real("sd3_x")
-        with pytest.raises(SolverError, match="propositional"):
-            to_dimacs([x >= 0])

@@ -15,6 +15,7 @@ from repro.core import (
     SynthesisOptions,
     collect_violations,
     solve,
+    synthesizer,
 )
 from repro.eval.workloads import (
     bottleneck_problem,
@@ -44,13 +45,6 @@ class TestRouteProbing:
         island = next(s for s in result.solution.schedules.values()
                       if s.app == "island0")
         assert island.route == ["I0.S", "I0.A", "I0.B", "I0.C"]
-
-    def test_probing_off_matches_status(self):
-        on = solve(bottleneck_problem(3), SynthesisOptions(routes=2))
-        off = solve(bottleneck_problem(3),
-                    SynthesisOptions(routes=2, probe_routes=False))
-        assert on.status == off.status == "sat"
-        assert off.statistics["assumption_probes"] == 0
 
     def test_infeasible_instance_stays_unsat(self):
         result = solve(
@@ -105,9 +99,10 @@ class TestStageRepair:
                        SynthesisOptions(routes=2, stages=2, backend=backend))
         assert result.status == "unsat"
 
-    def test_max_repair_rounds_bounds_work(self):
+    def test_max_repair_rounds_bounds_work(self, monkeypatch):
+        monkeypatch.setattr(synthesizer, "MAX_REPAIR_ROUNDS", 0)
         result = solve(bottleneck_repair_problem(),
-                       SynthesisOptions(routes=2, stages=2, repair=True,
-                                        max_repair_rounds=0))
+                       SynthesisOptions(routes=2, stages=2, repair=True))
         # zero rounds = repair disabled in effect
         assert not result.ok
+        assert result.statistics["stage_repairs"] == 0

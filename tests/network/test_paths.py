@@ -183,3 +183,21 @@ def test_k_shortest_agrees_with_exhaustive(case, k):
     assert len({tuple(p) for p in ours}) == len(ours)
     for p in ours:
         assert tuple(p) in {tuple(q) for q in everything}
+
+
+@given(switch_graphs(), st.integers(min_value=1, max_value=8),
+       st.sets(st.integers(min_value=0, max_value=6), max_size=2),
+       st.sets(st.integers(min_value=0, max_value=6), max_size=2))
+@settings(max_examples=200, deadline=None)
+def test_k_routes_are_a_prefix_of_all_routes(case, k, s_extra, c_extra):
+    # Route index r must name the same route under every route limit
+    # (repro.core.seeding shares knowledge by index).  Extra endpoint
+    # attachments give flows several ways into and out of the fabric.
+    n, edges = case
+    net, _ = build_pair(n, edges)
+    for endpoint, extra, home in (("S0", s_extra, 0), ("C0", c_extra, n - 1)):
+        for sw in sorted(extra - {home}):
+            if sw < n:
+                net.add_link(endpoint, f"SW{sw}")
+    every = route_candidates(net, "S0", "C0", None)
+    assert route_candidates(net, "S0", "C0", k) == every[:k]

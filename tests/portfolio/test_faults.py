@@ -41,8 +41,7 @@ from repro.runtime.knowledge import KnowledgePool, validate_artifact
 #: Fast supervision for tests: tight heartbeats, sub-second stall
 #: detection, near-instant backoff, short kill grace.
 FAST = SupervisionPolicy(heartbeat_interval=0.02, stall_timeout=0.6,
-                         backoff_base=0.01, backoff_factor=2.0,
-                         backoff_cap=0.05, kill_grace=0.3)
+                         backoff_base=0.01, backoff_cap=0.05, kill_grace=0.3)
 
 
 def mono() -> list:
@@ -82,7 +81,7 @@ class TestFaultPlan:
                               crashes=2, hangs=1, corruptions=2)
         assert one.specs == two.specs
         # Kill-type specs never target more than attempts {1, 2} of one
-        # strategy, so the default max_crash_retries=2 always recovers.
+        # strategy, so MAX_CRASH_RETRIES=2 always recovers.
         per_strategy = {}
         for spec in one.specs:
             if spec.kind in (CRASH, HANG, DROP_RESULT):
@@ -91,8 +90,7 @@ class TestFaultPlan:
         assert all(len(hits) <= 2 for hits in per_strategy.values())
 
     def test_backoff_schedule_is_deterministic_and_capped(self):
-        policy = SupervisionPolicy(backoff_base=0.05, backoff_factor=2.0,
-                                   backoff_cap=0.3)
+        policy = SupervisionPolicy(backoff_base=0.05, backoff_cap=0.3)
         assert policy.backoff_schedule(5) == [0.05, 0.1, 0.2, 0.3, 0.3]
         assert policy.backoff_schedule(5) == policy.backoff_schedule(5)
 
@@ -203,35 +201,6 @@ class TestCrashSupervision:
         assert res.result_for("monolithic").status == "error"
         assert res.degraded_to_serial
         assert res.supervision_statistics["crash_budget_exhausted"] >= 2
-        assert_no_leaked_workers()
-
-    def test_crash_with_empty_restart_schedule_is_retried(self):
-        # Regression: crash retries must not advance the restart-schedule
-        # position — a crash with ``timeout`` set and ``restarts=()``
-        # used to index past the schedule and crash the whole race.
-        plan = FaultPlan([FaultSpec(CRASH, strategy="monolithic", attempt=1)])
-        strategies = [Strategy("monolithic", SynthesisOptions(),
-                               timeout=60.0)]
-        res = synthesize_portfolio(sharing_problem(), strategies, timeout=60,
-                                   supervision=FAST, fault_plan=plan)
-        assert res.status == "sat"
-        assert res.result_for("monolithic").attempts == 2
-        assert res.supervision_statistics["crash_retries"] == 1
-        assert not res.degraded_to_serial
-        assert_no_leaked_workers()
-
-    def test_crash_retry_keeps_budget_after_schedule_rerun(self):
-        # timeout=0 expires attempt 1 instantly; the schedule grants one
-        # more budget; a crash on that rerun is relaunched with the same
-        # (last) budget instead of consuming a nonexistent third entry.
-        plan = FaultPlan([FaultSpec(CRASH, strategy="monolithic", attempt=2)])
-        strategies = [Strategy("monolithic", SynthesisOptions(),
-                               timeout=0.0, restarts=(120.0,))]
-        res = synthesize_portfolio(sharing_problem(), strategies, timeout=60,
-                                   supervision=FAST, fault_plan=plan)
-        assert res.status == "sat"
-        assert res.result_for("monolithic").attempts == 3
-        assert res.supervision_statistics["crash_retries"] == 1
         assert_no_leaked_workers()
 
     def test_crash_backoff_loser_is_cancelled_not_timeout(self):
@@ -405,7 +374,7 @@ class TestSerialSupervision:
         # time: the watchdog must interrupt the engine mid-check instead
         # of letting the attempt run to completion.
         t0 = time.perf_counter()
-        res = synthesize_portfolio(gm_case_study(6), mono(),
+        res = synthesize_portfolio(gm_case_study(10), mono(),
                                    backend="serial", timeout=0.3)
         wall = time.perf_counter() - t0
         assert res.status == "timeout"

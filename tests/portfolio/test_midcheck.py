@@ -101,7 +101,7 @@ class TestMidCheckRace:
         problem = workloads.gm_case_study(n_apps=4)
         strategies = [
             Strategy("monolithic", SynthesisOptions(
-                routes=None, dl_propagation=False, max_conflicts=150)),
+                routes=None, dl_propagation=False, max_conflicts=50)),
             Strategy("routes-1", SynthesisOptions(
                 routes=1, dl_propagation=False)),
         ]
@@ -119,7 +119,7 @@ class TestMidCheckRace:
         problem = workloads.gm_case_study(n_apps=4)
         strategies = [
             Strategy("monolithic", SynthesisOptions(
-                routes=None, dl_propagation=False, max_conflicts=150)),
+                routes=None, dl_propagation=False, max_conflicts=50)),
         ]
         res = synthesize_portfolio(problem, strategies, backend="serial",
                                    share_knowledge=True)

@@ -16,6 +16,7 @@ from repro.core import (
     MODE_DEADLINE,
     SynthesisOptions,
     SynthesisProblem,
+    validate_solution,
 )
 from repro.network import DelayModel, Network, microseconds
 from repro.portfolio import (
@@ -28,8 +29,9 @@ from repro.portfolio import (
     synthesize_portfolio,
 )
 from repro.portfolio.engine import _result_from_payload
-from repro.runtime.faults import HANG, FaultPlan, FaultSpec
+from repro.runtime.faults import CRASH, HANG, FaultPlan, FaultSpec
 from repro.eval import workloads
+from repro.eval.workloads import detour_problem
 
 FAST = DelayModel(sd=microseconds(5), ld=Fraction(120, 1_000_000))
 
@@ -70,13 +72,14 @@ def nospec_problem() -> SynthesisProblem:
 
 class TestNoWinnerMatrix:
     def test_all_timeout_is_not_unsat(self):
-        """Every attempt killed at a zero budget: the race is undecided."""
+        """Every attempt killed at a zero deadline: the race is undecided."""
         problem = workloads.random_problem(0, n_apps=3)
         entries = [
-            Strategy("t1", SynthesisOptions(routes=1), timeout=0.0),
-            Strategy("t2", SynthesisOptions(routes=2), timeout=0.0),
+            Strategy("t1", SynthesisOptions(routes=1)),
+            Strategy("t2", SynthesisOptions(routes=2)),
         ]
-        res = synthesize_portfolio(problem, entries, backend="process")
+        res = synthesize_portfolio(problem, entries, backend="process",
+                                   timeout=0.0)
         assert res.status == STATUS_TIMEOUT
         assert res.status != STATUS_UNSAT and not res.ok
         assert res.winner is None and res.verdict_by is None
@@ -135,34 +138,40 @@ class TestNoWinnerMatrix:
         assert res.winner is None and res.solution is None
         assert res.result_for("monolithic").status == STATUS_UNSAT
 
+    @pytest.mark.parametrize("backend", ["process", "serial"])
+    def test_shared_knowledge_names_routes_by_the_same_index(self, backend):
+        """Regression: routes-1's veto and clauses name route *indices*.
+        While the all-routes list was in depth-first order, index 0 was
+        the detour there, and the seeded monolithic "proved" unsat."""
+        strategies = [Strategy("routes-1", SynthesisOptions(routes=1)),
+                      Strategy("monolithic", SynthesisOptions())]
+        # One worker at a time: the monolithic starts seeded with what
+        # routes-1 pooled, on both backends.
+        res = synthesize_portfolio(detour_problem(), strategies,
+                                   backend=backend, max_workers=1,
+                                   timeout=120)
+        assert res.result_for("routes-1").status == STATUS_UNSAT
+        assert res.pool_statistics["vetoes_pooled"] >= 1
+        assert res.status == STATUS_SAT and res.winner == "monolithic"
+        validate_solution(res.solution)
+
+    def test_path_cutoff_unsat_is_not_a_proof(self):
+        """A cutoff drops the detour, so its unsat proves nothing."""
+        cut = [Strategy("cut3", SynthesisOptions(path_cutoff=3))]
+        res = synthesize_portfolio(detour_problem(), cut, backend="serial",
+                                   timeout=120)
+        assert res.result_for("cut3").status == STATUS_UNSAT
+        assert res.status == STATUS_UNKNOWN and res.verdict_by is None
+
     def test_sat_after_restart_names_the_winner(self):
         problem = workloads.random_problem(0, n_apps=3)
-        entries = [
-            Strategy("retrying", SynthesisOptions(routes=1),
-                     timeout=0.0, restarts=(120.0,)),
-        ]
-        res = synthesize_portfolio(problem, entries)
+        entries = [Strategy("retrying", SynthesisOptions(routes=1))]
+        killed_once = FaultPlan([FaultSpec(CRASH, attempt=1)])
+        res = synthesize_portfolio(problem, entries, fault_plan=killed_once)
         assert res.status == STATUS_SAT and res.ok
         assert res.winner == "retrying"
         assert res.verdict_by == "retrying"
         assert res.result_for("retrying").attempts == 2
-
-
-class TestRestartBudgetValidation:
-    def test_zero_restart_budget_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            Strategy("s", SynthesisOptions(routes=1), timeout=1.0,
-                     restarts=(0.0,))
-
-    def test_negative_restart_budget_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            Strategy("s", SynthesisOptions(routes=1), timeout=1.0,
-                     restarts=(2.0, -1.0))
-
-    def test_positive_budgets_accepted(self):
-        s = Strategy("s", SynthesisOptions(routes=1), timeout=1.0,
-                     restarts=[2.0, 4.0])
-        assert s.restarts == (2.0, 4.0)
 
 
 class TestPayloadValidation:

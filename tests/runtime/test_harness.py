@@ -7,7 +7,7 @@ import pytest
 
 from repro.api import Session
 from repro.core.synthesizer import SynthesisOptions
-from repro.eval.workloads import sharing_problem
+from repro.eval.workloads import random_problem, sharing_problem
 from repro.runtime.frames import KIND_HEARTBEAT
 from repro.runtime.harness import InterruptPump, supervised_solve
 from repro.smt import Bool, Not, Or
@@ -100,16 +100,18 @@ class TestInterruptPump:
         assert pump_threads() == []
 
 
-#: A conflict budget this small aborts the first check, and a budget
-#: abort flushes through ``on_restart`` — a restart boundary on demand.
-BUDGETED = SynthesisOptions(max_conflicts=2, probe_routes=False)
+#: A conflict budget this small aborts the first check of
+#: ``random_problem(0, n_apps=3)`` (one route per app, so no probe check
+#: runs first), and a budget abort flushes through ``on_restart`` — a
+#: restart boundary on demand.
+BUDGETED = SynthesisOptions(max_conflicts=2, routes=1)
 
 
 class TestSupervisedSolve:
     def test_native_solve_is_tagged_hooked_and_published(self):
         beats, restarts, sessions = [], [], []
         result, engine = supervised_solve(
-            sharing_problem(6), BUDGETED, "tagged",
+            random_problem(0, n_apps=3), BUDGETED, "tagged",
             heartbeat=beats.append, heartbeat_interval=0.0,
             restart_hooks=(restarts.append,), on_session=sessions.append)
         assert engine is not None
@@ -124,7 +126,7 @@ class TestSupervisedSolve:
 
     def test_heartbeats_are_throttled_from_the_start_of_the_solve(self):
         beats, restarts = [], []
-        supervised_solve(sharing_problem(6), BUDGETED, "quiet",
+        supervised_solve(random_problem(0, n_apps=3), BUDGETED, "quiet",
                          heartbeat=beats.append, heartbeat_interval=3600.0,
                          restart_hooks=(restarts.append,))
         assert restarts and beats == []

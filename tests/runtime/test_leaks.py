@@ -41,8 +41,8 @@ from ..service.helpers import family_problem, run
 FD_DIR = "/proc/self/fd"
 
 FAST = SupervisionPolicy(heartbeat_interval=0.02, stall_timeout=0.6,
-                         backoff_base=0.01, backoff_factor=2.0,
-                         backoff_cap=0.05, kill_grace=0.2)
+                         backoff_base=0.01, backoff_cap=0.05,
+                         kill_grace=0.2)
 
 
 def open_fds() -> int:

@@ -5,11 +5,11 @@ import time
 
 import pytest
 
-from repro.runtime.supervision import SupervisionPolicy, Supervisor
+from repro.runtime import supervision
+from repro.runtime.supervision import (MAX_CRASH_RETRIES, SupervisionPolicy,
+                                       Supervisor)
 
-POLICY = SupervisionPolicy(backoff_base=0.05, backoff_factor=2.0,
-                           backoff_cap=0.3)
-MAX_RETRIES = 2
+POLICY = SupervisionPolicy(backoff_base=0.05, backoff_cap=0.3)
 FAR = 3600.0
 
 
@@ -17,7 +17,7 @@ def expected_counters(retries_used, deadline_open, stalled):
     """What each replaced block counted for one dead attempt."""
     counters = dict.fromkeys(Supervisor(POLICY).counters, 0)
     counters["stalls_detected" if stalled else "crashes"] = 1
-    if retries_used < MAX_RETRIES and deadline_open:
+    if retries_used < MAX_CRASH_RETRIES and deadline_open:
         counters["crash_retries"] = 1
     else:
         counters["crash_budget_exhausted"] = 1
@@ -31,9 +31,9 @@ def test_decision_table(retries_used, deadline, stalled):
     supervisor = Supervisor(POLICY)
     now = time.perf_counter()
     absolute = {None: None, "open": now + FAR, "closed": now - 1.0}[deadline]
-    delay = supervisor.attempt_died("s", retries_used, MAX_RETRIES,
+    delay = supervisor.attempt_died("s", retries_used,
                                     stalled=stalled, deadline=absolute)
-    retried = retries_used < MAX_RETRIES and deadline != "closed"
+    retried = retries_used < MAX_CRASH_RETRIES and deadline != "closed"
     if retried:
         assert delay == POLICY.backoff(retries_used + 1)
     else:
@@ -49,28 +49,29 @@ def test_dying_until_exhausted_walks_the_backoff_schedule():
     supervisor = Supervisor(POLICY)
     delays, retries = [], 0
     while True:
-        delay = supervisor.attempt_died("s", retries, 5)
+        delay = supervisor.attempt_died("s", retries)
         if delay is None:
             break
         delays.append(delay)
         retries += 1
-    assert delays == POLICY.backoff_schedule(5) == [0.05, 0.1, 0.2, 0.3, 0.3]
+    assert delays == POLICY.backoff_schedule(2) == [0.05, 0.1]
     stats = supervisor.statistics
     assert (stats["crashes"], stats["crash_retries"],
-            stats["crash_budget_exhausted"]) == (6, 5, 1)
+            stats["crash_budget_exhausted"]) == (3, 2, 1)
 
 
 def test_delay_never_outlasts_the_deadline():
     supervisor = Supervisor(SupervisionPolicy(backoff_base=30.0,
                                               backoff_cap=30.0))
-    delay = supervisor.attempt_died("s", 0, 1,
+    delay = supervisor.attempt_died("s", 0,
                                     deadline=time.perf_counter() + 0.5)
     assert 0.0 < delay <= 0.5
 
 
-def test_a_zero_budget_is_exhausted_by_the_first_death():
+def test_a_zero_budget_is_exhausted_by_the_first_death(monkeypatch):
+    monkeypatch.setattr(supervision, "MAX_CRASH_RETRIES", 0)
     supervisor = Supervisor(POLICY)
-    assert supervisor.attempt_died("s", 0, 0, stalled=True) is None
+    assert supervisor.attempt_died("s", 0, stalled=True) is None
     assert supervisor.statistics["stalls_detected"] == 1
     assert supervisor.statistics["crash_budget_exhausted"] == 1
     assert supervisor.statistics["crash_retries"] == 0

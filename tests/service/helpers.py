@@ -11,6 +11,7 @@ import asyncio
 from fractions import Fraction
 
 from repro.core.problem import ControlApplication, SynthesisProblem
+from repro.eval.workloads import gm_case_study
 from repro.network.graph import Network
 from repro.network.timing import DelayModel
 from repro.stability.piecewise import StabilitySpec
@@ -52,3 +53,9 @@ def family_problem(indices, period: Fraction = PERIOD) -> SynthesisProblem:
 def run(coro):
     """Drive one async test body to completion."""
     return asyncio.run(coro)
+
+
+def slow_problem() -> SynthesisProblem:
+    """Seconds of monolithic search (hundreds of conflicts): a solve that
+    is still running when a deadline or a cancel arrives."""
+    return gm_case_study(10)

@@ -61,9 +61,7 @@ class TestCanonicalization:
         base = problem_fingerprint(problem, SynthesisOptions())
         for opts in (
             SynthesisOptions(dl_propagation=False),
-            SynthesisOptions(probe_routes=False),
             SynthesisOptions(max_conflicts=123),
-            SynthesisOptions(max_repair_rounds=7),
         ):
             assert problem_fingerprint(problem, opts) == base
 

@@ -21,6 +21,7 @@ from repro.core.synthesizer import SynthesisOptions
 from repro.eval.workloads import gm_case_study
 from repro.portfolio import FaultPlan, FaultSpec, SupervisionPolicy
 from repro.runtime.faults import CRASH, HANG
+from repro.runtime.supervision import MAX_CRASH_RETRIES
 from repro.service import (
     KnowledgeCache,
     ServiceClient,
@@ -29,12 +30,11 @@ from repro.service import (
     SynthesisServer,
 )
 
-from .helpers import family_problem, run
+from .helpers import family_problem, run, slow_problem
 
 #: Near-instant backoff so retries do not slow the suite down.
 FAST = SupervisionPolicy(heartbeat_interval=0.02, backoff_base=0.01,
-                         backoff_factor=2.0, backoff_cap=0.05,
-                         kill_grace=0.3)
+                         backoff_cap=0.05, kill_grace=0.3)
 
 MODERATE_OPTS = SynthesisOptions(routes=2)
 
@@ -103,7 +103,7 @@ class TestCrashSupervision:
             plan = FaultPlan([FaultSpec(CRASH, strategy="doomed",
                                         attempt=0)])
             policy = ServicePolicy(workers=1, worker_mode="process",
-                                   max_crash_retries=1, supervision=FAST)
+                                   supervision=FAST)
             async with SynthesisServer(policy=policy,
                                        fault_plan=plan) as server:
                 client = ServiceClient(server)
@@ -113,7 +113,7 @@ class TestCrashSupervision:
                 assert reply["type"] == "error"
                 assert "retries exhausted" in reply["error"]
                 sup = server.supervisor.statistics
-                assert sup["crashes"] == 2
+                assert sup["crashes"] == MAX_CRASH_RETRIES + 1
                 assert sup["crash_budget_exhausted"] == 1
                 # The restarted worker is healthy for the next request.
                 ok = await client.solve(family_problem([0, 1]))
@@ -137,7 +137,7 @@ class TestCancellation:
             policy = ServicePolicy(workers=1, worker_mode="inline")
             async with SynthesisServer(policy=policy) as server:
                 client = ServiceClient(server)
-                rid, future = await client.submit(gm_case_study(5),
+                rid, future = await client.submit(slow_problem(),
                                                   deadline=120.0)
                 await asyncio.sleep(1.0)
                 assert await client.cancel(rid)
@@ -155,7 +155,7 @@ class TestCancellation:
                                    supervision=FAST)
             async with SynthesisServer(policy=policy) as server:
                 client = ServiceClient(server)
-                rid, future = await client.submit(gm_case_study(5),
+                rid, future = await client.submit(slow_problem(),
                                                   deadline=120.0)
                 await asyncio.sleep(1.5)
                 assert await client.cancel(rid)

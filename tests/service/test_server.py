@@ -2,9 +2,12 @@
 
 import asyncio
 
+import pytest
+
 from repro.core import solve
 from repro.core.synthesizer import SynthesisOptions
-from repro.eval.workloads import bottleneck_problem, gm_case_study
+from repro.eval.workloads import (bottleneck_problem, detour_problem,
+                                  gm_case_study)
 from repro.service import (
     KnowledgeCache,
     ServiceClient,
@@ -15,9 +18,10 @@ from repro.service import (
     problem_to_wire,
     request_over_tcp,
 )
-from repro.service.protocol import schedules_to_wire
+from repro.service.protocol import (ProtocolError, options_from_wire,
+                                    schedules_to_wire)
 
-from .helpers import family_problem, run
+from .helpers import family_problem, run, slow_problem
 
 #: Inline workers: deterministic, no forking, fast enough for admission
 #: tests (process-mode behavior is covered by test_robustness).
@@ -123,7 +127,7 @@ class TestSolve:
         async def body():
             async with SynthesisServer(policy=INLINE) as server:
                 client = ServiceClient(server)
-                reply = await client.solve(gm_case_study(5), deadline=0.4)
+                reply = await client.solve(slow_problem(), deadline=0.4)
                 assert reply["type"] == "timeout"
                 assert reply["solve_wall"] < 10.0
         run(body())
@@ -134,7 +138,7 @@ class TestSolve:
                                    default_deadline=0.4)
             async with SynthesisServer(policy=policy) as server:
                 client = ServiceClient(server)
-                reply = await client.solve(gm_case_study(5))
+                reply = await client.solve(slow_problem())
                 assert reply["type"] == "timeout"
         run(body())
 
@@ -174,6 +178,22 @@ class TestCacheIntegration:
                 assert grown["statistics"]["prefix_probes"] >= 1
                 # The grown problem's own knowledge is stored too.
                 assert cache.counters["stores"] == 2
+        run(body())
+
+    def test_route_limited_entry_never_refutes_all_routes(self, tmp_path):
+        # Regression: the routes=1 entry's veto names route indices, and
+        # index 0 of the all-routes list was the detour, so this warm
+        # solve used to answer unsat.
+        async def body():
+            cache = KnowledgeCache(tmp_path)
+            async with SynthesisServer(policy=INLINE, cache=cache) as server:
+                client = ServiceClient(server)
+                limited = await client.solve(detour_problem(),
+                                             SynthesisOptions(routes=1))
+                assert limited["status"] == "unsat"
+                complete = await client.solve(detour_problem())
+                assert complete["cache"]["hit"] == "equal"
+                assert complete["status"] == "sat"
         run(body())
 
     def test_stats_shape(self, tmp_path):
@@ -244,6 +264,12 @@ class TestTcp:
                 assert sorted(r["id"] for r in replies) == ["m1", "m2", "m3"]
                 assert all(r["type"] == "result" for r in replies)
         run(body())
+
+    def test_retired_option_key_is_rejected(self):
+        # The route probe always runs; a client still sending the old
+        # switch must hear so instead of being silently ignored.
+        with pytest.raises(ProtocolError, match="probe_routes"):
+            options_from_wire({"probe_routes": False})
 
     def test_malformed_frames_get_error_replies(self):
         async def body():

@@ -13,7 +13,7 @@ from repro.core import (
     solve,
 )
 from repro.errors import SimulationError
-from repro.network import DelayModel, microseconds, simple_testbed
+from repro.network import DelayModel, microseconds, ring_topology
 from repro.sim import EventQueue, cross_check_e2e, simulate_solution
 from repro.stability import StabilitySpec
 
@@ -27,7 +27,12 @@ FAST = DelayModel(sd=microseconds(5), ld=Fraction(120, 1_000_000))
 
 @pytest.fixture(scope="module")
 def solution():
-    net = simple_testbed(2)
+    # Both sensors hang off SW0 and both shortest routes leave it toward
+    # SW1: the collision tests below need two apps sharing an egress link.
+    net = ring_topology(4)
+    for i in range(2):
+        net.add_link(net.add_sensor(f"S{i}"), "SW0")
+        net.add_link(net.add_controller(f"C{i}"), f"SW{i + 1}")
     apps = [
         ControlApplication(
             f"app{i}", f"S{i}", f"C{i}", ms(5),
@@ -36,10 +41,7 @@ def solution():
         for i in range(2)
     ]
     prob = SynthesisProblem(net, apps, FAST)
-    # probe_routes=False keeps the solver's own route picks (the collision
-    # tests below depend on the apps sharing an egress link, which the
-    # shortest-route probe happily avoids).
-    res = solve(prob, SynthesisOptions(routes=2, probe_routes=False))
+    res = solve(prob, SynthesisOptions(routes=1))
     assert res.ok
     return res.solution
 

@@ -19,7 +19,7 @@ import pytest
 from repro.core import SynthesisOptions, SynthesisProblem, solve
 from repro.eval.workloads import gm_case_study
 from repro.smt import theory
-from repro.smt.difflogic import DifferenceLogic
+from repro.smt.difflogic import DEFAULT_EFFORT_CAP, DifferenceLogic
 
 
 def _reference_sssp(dl, start, adj, backward):
@@ -28,7 +28,7 @@ def _reference_sssp(dl, start, adj, backward):
     parent = {}
     settled = {}
     heap = [(0, 0, start)]
-    budget = dl._effort_cap
+    budget = DEFAULT_EFFORT_CAP
     while heap and budget > 0:
         dr, dd, x = heappop(heap)
         if x in settled or dist.get(x) != (dr, dd):
@@ -77,7 +77,7 @@ def test_tidied_sssp_equals_the_old_loop_on_the_staged_runs(make, monkeypatch):
             assert list(parent.items()) == list(want_parent.items())
             seen["calls"] += 1
             seen["backward"] += backward
-            seen["capped"] += len(settled) == self._effort_cap
+            seen["capped"] += len(settled) == DEFAULT_EFFORT_CAP
             seen["multi"] += len(settled) > 1
             return settled, parent
 
