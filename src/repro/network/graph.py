@@ -165,11 +165,15 @@ class Network:
         return len(seen) == len(allowed)
 
     def components(self) -> List[Set[str]]:
-        """Connected components over all nodes."""
-        remaining = set(self._kinds)
+        """Connected components over all nodes, in insertion order of
+        their first node (never in set order: that follows the hash seed,
+        and random topology repair links ``components()[0]`` to ``[1]``).
+        """
+        seen: Set[str] = set()
         out = []
-        while remaining:
-            start = next(iter(remaining))
+        for start in self._kinds:
+            if start in seen:
+                continue
             comp = {start}
             stack = [start]
             while stack:
@@ -178,7 +182,7 @@ class Network:
                     if nxt not in comp:
                         comp.add(nxt)
                         stack.append(nxt)
-            remaining -= comp
+            seen |= comp
             out.append(comp)
         return out
 

@@ -300,8 +300,8 @@ def _strategy_worker(conn, problem, strategy: Strategy, share: bool = False,
             # Reached only when the exchange broke mid-flight (including
             # a result send that itself raised); a best-effort error
             # result beats silence, and a dead pipe just re-raises into
-            # the inner pass.
-            # repro: allow[frame-protocol] error result after broken send
+            # the inner pass.  The result send that broke never left, so
+            # this error result is the exchange's only one.
             conn.send({"kind": KIND_RESULT,
                        "payload": {"status": STATUS_ERROR,
                                    "error": f"{type(exc).__name__}: {exc}"}})

@@ -321,8 +321,8 @@ def corrupt_frame(artifact: dict, frame_index: int) -> dict:
     elif kind == "prefix":
         bad["messages"] = "corrupt"
     else:
-        # repro: allow[frame-drift] deliberately off-registry: this forged
-        # kind exists to prove the pool quarantines unknown frames.
+        # Deliberately not a registered kind: this forged kind exists to
+        # prove the pool quarantines unknown frames.
         bad["kind"] = "corrupt-frame"
     return bad
 

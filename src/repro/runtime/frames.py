@@ -1,28 +1,22 @@
-"""The frame-kind registry: every ``{"kind": ...}`` wire vocabulary.
+"""The frame-kind vocabulary: every ``{"kind": ...}`` string on the wire.
 
 Workers, the portfolio parent, the service workers and the knowledge
-cache all exchange dict frames discriminated by a ``"kind"`` key.  Those
-kind strings used to be scattered string literals across five modules —
-exactly the drift class the ``frame-drift`` static checker
-(:mod:`repro.analysis`) now gates: a frame kind constructed somewhere
-that no consumer dispatches on (or consumed but never constructed) is a
-protocol bug waiting for a quiet pipe.
-
-This module is the single source of truth.  Construction sites must use
-these constants (the checker flags bare literals at construction sites),
-and the checker cross-references every constructed and consumed kind
-against :data:`FRAME_KINDS`.
+cache all exchange dict frames discriminated by a ``"kind"`` key.  A
+kind constructed somewhere that no consumer dispatches on (or consumed
+but never constructed) is a protocol bug waiting for a quiet pipe, so
+every producer and consumer names its kinds through these constants.
 
 Three sub-vocabularies share the ``"kind"`` key:
 
-* **Pipe frames** (:data:`PIPE_KINDS`) — parent <-> worker traffic on
-  the multiprocessing pipes: liveness, streamed knowledge, results, and
-  the service workers' request/shutdown envelope.
+* **Pipe frames** — parent <-> worker traffic on the multiprocessing
+  pipes: liveness, streamed knowledge, results, and the service
+  workers' request/shutdown envelope.  :data:`PIPE_PROTOCOL` says in
+  which order a sender may put them on one pipe.
 * **Artifact kinds** (:data:`ARTIFACT_KINDS`) — the knowledge payloads
   of :mod:`repro.runtime.knowledge` (also persisted by the service
   cache); validated at every pool boundary.
-* **Event kinds** (:data:`EVENT_KINDS`) — in-process synthesis progress
-  events (``core.solve(on_event=)``).
+* **Event kinds** — in-process synthesis progress events
+  (``core.solve(on_event=)``).
 """
 
 from __future__ import annotations
@@ -48,26 +42,15 @@ ARTIFACT_CLAUSES = "clauses"
 ARTIFACT_VETO = "veto"
 #: Frozen schedules of an incremental strategy's completed stages.
 ARTIFACT_PREFIX = "prefix"
+#: Every artifact kind; a knowledge pool quarantines any other.
+ARTIFACT_KINDS = frozenset({
+    ARTIFACT_CLAUSES, ARTIFACT_VETO, ARTIFACT_PREFIX,
+})
 
 # -- synthesis progress events (core.solve on_event hook) ------------------
 
 #: An incremental stage froze its schedules (payload: stage, fixed).
 KIND_STAGE_FROZEN = "stage_frozen"
-
-# -- registry --------------------------------------------------------------
-
-PIPE_KINDS = frozenset({
-    KIND_HEARTBEAT, KIND_ARTIFACT, KIND_RESULT, KIND_REQUEST, KIND_SHUTDOWN,
-})
-ARTIFACT_KINDS = frozenset({
-    ARTIFACT_CLAUSES, ARTIFACT_VETO, ARTIFACT_PREFIX,
-})
-EVENT_KINDS = frozenset({
-    KIND_STAGE_FROZEN,
-})
-
-#: Every frame kind any producer may construct or consumer dispatch on.
-FRAME_KINDS = PIPE_KINDS | ARTIFACT_KINDS | EVENT_KINDS
 
 # -- pipe protocol state machine -------------------------------------------
 #
@@ -89,19 +72,15 @@ FRAME_KINDS = PIPE_KINDS | ARTIFACT_KINDS | EVENT_KINDS
 # * a ``recv()`` starts a fresh exchange (state back to ``start``);
 #   ``close()`` is terminal like shutdown.
 #
-# ``repro.analysis``'s ``frame-protocol`` rule walks every send/recv
-# site against this table; keep it in lockstep with the consumers.
+# ``tests/runtime/test_pipe_protocol.py`` runs both child entry points
+# on a recording pipe end and folds every send through this table; keep
+# it in lockstep with the consumers.
 
 PROTOCOL_START = "start"
 PROTOCOL_STREAMING = "streaming"
 PROTOCOL_DONE = "done"
 PROTOCOL_AWAIT = "await"
 PROTOCOL_CLOSED = "closed"
-
-PROTOCOL_STATES = frozenset({
-    PROTOCOL_START, PROTOCOL_STREAMING, PROTOCOL_DONE, PROTOCOL_AWAIT,
-    PROTOCOL_CLOSED,
-})
 
 #: kind -> (states a send is legal from, state after the send).
 PIPE_PROTOCOL = {

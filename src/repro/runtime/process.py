@@ -47,7 +47,6 @@ class WorkerProcess:
         try:
             # start() failed on the except path, so no OS process exists
             # and there is nothing to reap.
-            # repro: allow[resource-hygiene] unstarted Process needs no reap
             proc = ctx.Process(target=target, args=(child_conn, *args),
                                name=name, daemon=True)
             proc.start()

@@ -378,7 +378,7 @@ class SynthesisServer:
                              "deadline_exceeded": False,
                              "error": f"worker crashed, retries exhausted: "
                                       f"{exc}"}, attempt)
-                # repro: allow[async-blocking] _solve_blocking only ever
+                # A blocking sleep is fine here: _solve_blocking only ever
                 # runs on the loop's default executor (_handle hands it
                 # to run_in_executor), so this backoff sleeps a worker
                 # thread, never the event loop.

@@ -447,5 +447,6 @@ class LraTheory(TheoryBackend):
 
 
 def _quotient(a: Rational, b: Rational) -> Fraction:
-    """``a / b`` as a construction (``/`` is what exact-arith flags)."""
+    """``a / b`` exactly: an integral coefficient is a plain ``int``, and
+    ``/`` on two ``int`` values gives a ``float``."""
     return Fraction(a.numerator * b.denominator, a.denominator * b.numerator)

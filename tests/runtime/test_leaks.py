@@ -116,6 +116,23 @@ def test_every_way_a_worker_ends_gives_its_descriptors_back():
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.skipif(not os.path.isdir(FD_DIR),
+                    reason="needs /proc/self/fd to count descriptors")
+def test_a_worker_that_fails_to_spawn_gives_its_descriptors_back(monkeypatch):
+    def refuse(self):
+        raise OSError("no process slot left")
+    monkeypatch.setattr(multiprocessing.get_context().Process, "start", refuse)
+    before = open_fds()
+    with pytest.raises(OSError) as excinfo:
+        WorkerProcess(_exits, name="unborn", duplex=True,
+                      kill_grace=FAST.kill_grace)
+    # Counted while the traceback still holds the constructor's frame: a
+    # pipe end it forgot to close would otherwise be closed by
+    # ``Connection.__del__`` the moment that frame is freed.
+    assert open_fds() == before, excinfo.value
+    assert multiprocessing.active_children() == []
+
+
 # ---------------------------------------------------------------------------
 # Memory: a finished solve is freed by reference counting
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.control.plants import paper_controller, plant_database
 from repro.errors import StabilityAnalysisError
@@ -91,6 +93,47 @@ class TestFitLowerBound:
     def test_invalid_segment_count(self, servo_curve):
         with pytest.raises(StabilityAnalysisError):
             fit_lower_bound(servo_curve, 0)
+
+
+@st.composite
+def synthetic_curves(draw):
+    """Any sampled curve the fitter may meet: 2-40 samples at increasing
+    latencies (not necessarily from 0), margins >= 0 in any shape —
+    non-monotone, with zeros inside the stable range — and no sweep."""
+    steps = draw(st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=40))
+    start = draw(st.sampled_from([0.0, steps[0]]))
+    latencies = np.cumsum([start] + steps[1:])
+    margins = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                            min_size=len(latencies), max_size=len(latencies)))
+    curve = StabilityCurve(latencies, np.array(margins), 0.01)
+    assume(curve.max_latency > 0)
+    return curve
+
+
+class TestFitLowerBoundProperty:
+    """The encoding trusts the fitted segments never to promise more
+    jitter than the curve allows (paper Eq. 2-3): a wrong "stable" here
+    would come from the maths, not from the solver."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(curve=synthetic_curves(), n_segments=st.integers(1, 6))
+    def test_bound_stays_below_any_curve(self, curve, n_segments):
+        spec = fit_lower_bound(curve, n_segments)
+        segments = spec.segments
+        assert len(segments) == n_segments
+        assert segments[0].l_lo == 0
+        assert segments[-1].l_hi == Fraction(curve.max_latency)
+        for a, b in zip(segments, segments[1:]):
+            assert a.l_hi == b.l_lo
+        for seg in segments:
+            assert seg.alpha >= 0 and seg.beta >= 0
+        grid = np.linspace(0.0, curve.max_latency, 200)
+        for latency in np.concatenate([curve.latencies, grid]):
+            exact = Fraction(float(latency))
+            for seg in segments:
+                if seg.l_lo <= exact <= seg.l_hi:
+                    assert (float(seg.jitter_bound(exact))
+                            <= curve.margin_at(float(latency)) + 1e-9)
 
 
 class TestStabilitySpec:

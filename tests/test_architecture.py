@@ -1,48 +1,15 @@
-"""The toolkit's own gate: the shipped tree has zero unsuppressed findings.
+"""Layering rules that no behavioural test would notice breaking.
 
-This is the test-shaped twin of CI's ``analysis`` job — if a PR
-introduces a finding, it fails here first, with the rendered findings
-in the assertion message.
+Each check reads the source tree, not a run: an import pointing the
+wrong way, a function-scope import hiding one, an atom value read from
+the SAT model, or a blocking call on the service's event loop works on
+every test input until the day it does not.
 """
 
 import ast
 from pathlib import Path
 
-from repro.analysis import analyze
-from repro.analysis.checkers import default_checkers
-
-REPO_SRC = Path(__file__).resolve().parents[2] / "src"
-
-
-def test_src_tree_is_clean():
-    report = analyze([REPO_SRC], default_checkers())
-    rendered = "\n".join(f.render() for f in report.unsuppressed)
-    assert report.ok, f"unsuppressed findings:\n{rendered}"
-    assert report.files_checked > 70
-
-
-def test_no_stale_pragmas():
-    # Every suppression pragma in the tree must still suppress at least
-    # one finding — the dataflow rewrite deleted the pragmas it
-    # obsoleted, and this keeps the remainder honest.
-    report = analyze([REPO_SRC], default_checkers(), check_pragmas=True)
-    stale = [f.render() for f in report.findings
-             if f.rule == "unused-pragma"]
-    assert not stale, "stale pragmas:\n" + "\n".join(stale)
-
-
-def test_every_rule_is_exercised_by_a_suppression_or_scope():
-    # The tree's suppression inventory should stay tracked: if a rule's
-    # annotated sites disappear, this inventory check prompts a doc and
-    # baseline update rather than silent drift.
-    report = analyze([REPO_SRC], default_checkers())
-    suppressed_rules = {f.rule for f in report.findings if f.suppressed}
-    assert suppressed_rules == {
-        "frame-drift",       # fault-injection frame forgery fixture
-        "frame-protocol",    # worker error-result after a broken send
-        "resource-hygiene",  # unstarted Process on the OSError path
-        "async-blocking",    # executor-bound sleep in the server
-    }
+REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _imported_modules(path: Path, package: str):
@@ -72,7 +39,7 @@ def test_imports_point_one_way():
     # runtime knows no scheduler.
     forbidden = {
         "repro.portfolio": ("sat", "smt", "api", "core", "runtime", "service"),
-        "repro.service": ("sat", "smt", "api", "core"),
+        "repro.service": ("sat", "smt", "api", "core", "runtime"),
     }
     offenders = []
     for upper, lower_packages in forbidden.items():
@@ -127,3 +94,42 @@ def test_no_atom_value_is_read_from_the_sat_model():
                and "model_value" in ast.unparse(node.value)
                for generator in node.generators]
     assert sources == ["self._cnf.bool_vars.items()"], sources
+
+
+def _blocking_call(call: ast.Call):
+    """The name of a call that blocks its thread, or None."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        return "open()"
+    if isinstance(func, ast.Attribute):
+        if (func.attr == "sleep" and isinstance(func.value, ast.Name)
+                and func.value.id == "time"):
+            return "time.sleep()"
+        if func.attr in ("recv", "poll"):
+            return f".{func.attr}()"
+    return None
+
+
+def test_no_blocking_call_on_the_event_loop():
+    # The server is one asyncio loop in front of every client: a blocking
+    # call in a coroutine stalls every request, heartbeat and deadline at
+    # once.  Sleeps, pipe reads and file I/O belong on an executor.  A
+    # plain ``def`` nested in a coroutine runs wherever it is called
+    # (here: the executor), so its body is not the loop's.
+    offenders = []
+    for path in sorted((REPO_SRC / "repro" / "service").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for coroutine in ast.walk(tree):
+            if not isinstance(coroutine, ast.AsyncFunctionDef):
+                continue
+            stack = list(ast.iter_child_nodes(coroutine))
+            while stack:
+                node = stack.pop()
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                stack.extend(ast.iter_child_nodes(node))
+                if isinstance(node, ast.Call) and _blocking_call(node):
+                    offenders.append(f"{path}:{node.lineno}: "
+                                     f"{_blocking_call(node)} in async def "
+                                     f"{coroutine.name}")
+    assert not offenders, "\n".join(offenders)
