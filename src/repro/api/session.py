@@ -8,8 +8,9 @@ does the solving.  Compared to driving the native engine
 
 * **Pluggable backends** — ``Session(backend="native")`` solves with the
   in-process DPLL(T) engine; ``backend="serialization"`` renders each
-  check as SMT-LIB2/DIMACS (optionally solving via z3 or a native
-  replay).  Any object satisfying the backend protocol plugs in.
+  check as SMT-LIB2 (optionally dumped to disk) and replays it on a
+  fresh native engine.  Any object satisfying the backend protocol
+  plugs in.
 * **Rich outcomes** — ``check()`` returns a :class:`CheckOutcome`
   carrying status, model, per-check statistics, wall time, and (on
   unsat under assumptions) the failed-assumption core.

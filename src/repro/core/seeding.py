@@ -49,12 +49,14 @@ selection clauses.  Three consequences:
   route the clause loses disjuncts — down to the empty (false) clause
   for strictly more restricted siblings, which are thereby proven unsat
   without search.
-* **Stage prefixes**: schedules frozen by an incremental strategy's
-  completed stages.  These are replayed as *assumption probes* only
-  (complete fallback to the unrestricted solve), which is sound for any
-  recipient; the pool hands them to same-signature relaunches, where a
-  hit lets a restarted attempt fast-forward through already-solved
-  stages instead of re-searching them.
+* **Schedule hints** (cache only): the stored schedule of a related
+  request, as :meth:`MessageSchedule.as_hint
+  <repro.core.solution.MessageSchedule.as_hint>` tuples.  These are
+  replayed as *assumption probes* only (complete fallback to the
+  unrestricted solve), which is sound for any recipient; a hit settles
+  a stage with one check instead of the probe ladder.  No race worker
+  exports one: a staged run's frozen prefix is a heuristic commitment,
+  not a consequence of the formula.
 
 Clauses imported into an incremental recipient deserve one more note:
 they are entailed properties of every *complete valid schedule*, so they
@@ -145,33 +147,25 @@ class RouteVeto:
     """
 
     limits: Tuple[Tuple[str, int], ...]
-    source: str                             # proving strategy, for reports
-
-
-@dataclass(frozen=True)
-class StagePrefix:
-    """Frozen schedules of an incremental strategy's completed stages.
-
-    ``messages`` entries are :meth:`MessageSchedule.as_hint
-    <repro.core.solution.MessageSchedule.as_hint>` tuples.
-    """
-
-    signature: StrategySignature
-    stages_completed: int
-    messages: Tuple[Tuple[str, Tuple[str, ...], Tuple[Tuple[str, str], ...]], ...]
 
 
 @dataclass(frozen=True)
 class SeedKnowledge:
-    """Everything a pool or cache hands a newly launched attempt."""
+    """Everything a pool or cache hands a newly launched attempt.
+
+    ``schedule`` entries are :meth:`MessageSchedule.as_hint
+    <repro.core.solution.MessageSchedule.as_hint>` tuples; only the
+    service cache supplies them.
+    """
 
     clause_batches: Tuple[ClauseBatch, ...] = ()
     route_vetoes: Tuple[RouteVeto, ...] = ()
-    stage_prefix: Optional[StagePrefix] = None
+    schedule: Tuple[Tuple[str, Tuple[str, ...],
+                          Tuple[Tuple[str, str], ...]], ...] = ()
 
     def __bool__(self) -> bool:
         return bool(self.clause_batches or self.route_vetoes
-                    or self.stage_prefix)
+                    or self.schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -254,17 +248,17 @@ def apply_route_vetoes(session, encoder, options, applied: Set[Tuple]) -> int:
 
 
 def prefix_assumptions(options, new_plans) -> List[BoolExpr]:
-    """Assumption literals replaying a shared prefix onto this stage.
+    """Assumption literals replaying the schedule hint onto this stage.
 
-    For each stage message recorded in the prefix: the selector of the
+    For each stage message recorded in the hint: the selector of the
     recorded route (located by node-list equality, so differing route
     limits cannot misindex) and the recorded release-time equalities.
     Unknown uids or vanished routes are skipped — the probe is a hint.
     """
-    prefix = options.seed_knowledge.stage_prefix
-    if prefix is None:
+    schedule = options.seed_knowledge.schedule
+    if not schedule:
         return []
-    recorded = {uid: (route, gammas) for uid, route, gammas in prefix.messages}
+    recorded = {uid: (route, gammas) for uid, route, gammas in schedule}
     assumptions: List[BoolExpr] = []
     for plan in new_plans:
         entry = recorded.get(plan.message.uid)

@@ -39,9 +39,9 @@ class MessageSchedule:
     def as_hint(self) -> Tuple[str, Tuple[str, ...],
                                Tuple[Tuple[str, str], ...]]:
         """``(uid, route nodes, ((switch, gamma), ...))`` with exact
-        rationals as strings: the picklable, JSON-safe form a schedule
-        takes as an assumption-probe hint (a race's stage prefix, the
-        service cache's stored schedule)."""
+        rationals as strings: the picklable, JSON-safe form the service
+        cache stores a schedule in and replays as an assumption-probe
+        hint (``SeedKnowledge.schedule``)."""
         return (self.uid, tuple(self.route),
                 tuple(sorted((node, str(g)) for node, g in self.gammas.items())))
 

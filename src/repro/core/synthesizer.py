@@ -50,14 +50,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..api import NativeBackend, Session
 from ..errors import EncodingError
 from ..network.frames import MessageInstance
 from ..runtime.faults import WorkerFaults
-from ..runtime.frames import KIND_STAGE_FROZEN
-from ..smt.solver import SolverEngine
+from ..smt.solver import CHECK_COUNTERS, SolverEngine
 from ..smt.terms import Bool, BoolExpr
 from .encoding import SHARED_NAMESPACE, Encoder, MessagePlan
 from .problem import SynthesisProblem
@@ -77,10 +76,6 @@ WORK_COUNTERS = ("conflicts", "decisions", "propagations")
 
 #: Unfreeze/re-solve iterations core-driven repair may take per stage.
 MAX_REPAIR_ROUNDS = 3
-
-#: Solver search-effort counters aggregated into result statistics.
-_SOLVER_KEYS = WORK_COUNTERS + ("theory_propagations", "dl_propagations",
-                                "dl_explanation_lits")
 
 
 @dataclass(frozen=True)
@@ -109,10 +104,11 @@ class SynthesisOptions:
             to bound a worker without losing its learned knowledge.
         seed_knowledge: a :class:`~repro.core.seeding.SeedKnowledge`
             bundle from a portfolio race's shared pool or the service's
-            cache — learned clauses, route vetoes and stage prefixes
-            from related runs are applied before/alongside the run's own
-            search (statistics: ``clauses_imported``,
-            ``route_vetoes_applied``, ``prefix_probes``/``prefix_hits``).
+            cache — learned clauses and route vetoes from related runs,
+            and (from the cache only) a schedule hint, are applied
+            before/alongside the run's own search (statistics:
+            ``clauses_imported``, ``route_vetoes_applied``,
+            ``prefix_probes``/``prefix_hits``).
         faults: a :class:`~repro.runtime.faults.WorkerFaults` bundle —
             deterministic fault injection (crash-at-conflict, hang,
             slow start) for the attempt these options travel to.
@@ -198,7 +194,7 @@ class _StageAccounting:
     """Accumulates per-stage and per-run solver statistics."""
 
     def __init__(self) -> None:
-        self.totals: Dict[str, int] = {key: 0 for key in _SOLVER_KEYS}
+        self.totals: Dict[str, int] = {key: 0 for key in CHECK_COUNTERS}
         self.totals.update(assumption_probes=0, cores_extracted=0,
                            stage_repairs=0, clauses_imported=0,
                            route_vetoes_applied=0, prefix_probes=0,
@@ -207,10 +203,10 @@ class _StageAccounting:
         self.per_stage: List[Dict[str, int]] = []
 
     def begin_stage(self) -> None:
-        self.stage = {key: 0 for key in _SOLVER_KEYS}
+        self.stage = {key: 0 for key in CHECK_COUNTERS}
 
     def absorb(self, outcome) -> None:
-        for key in _SOLVER_KEYS:
+        for key in CHECK_COUNTERS:
             delta = outcome.statistics.get(key, 0)
             self.stage[key] += delta
             self.totals[key] += delta
@@ -284,17 +280,12 @@ def solve(
     options: Optional[SynthesisOptions] = None,
     *,
     session: Optional[Session] = None,
-    on_event: Optional[Callable[[dict], None]] = None,
 ) -> SynthesisResult:
     """Jointly route and schedule all messages of one hyper-period.
 
     ``session`` injects a caller-owned :class:`repro.api.Session`; by
     default :func:`open_session` creates one according to ``options``
-    and it is used for the entire run.  ``on_event`` observes solve
-    progress — currently one event kind, ``{"kind": "stage_frozen",
-    "stage": i, "fixed": [MessageSchedule, ...]}`` after each non-final
-    incremental stage — which portfolio workers use to stream frozen
-    prefixes to the race's shared knowledge pool.
+    and it is used for the entire run.
     """
     opts = options or SynthesisOptions()
     if opts.mode == MODE_STABILITY:
@@ -386,9 +377,6 @@ def solve(
                 ledger.plans[uid] = plan
         acct.end_stage()
         stages_done += 1
-        if on_event is not None and has_later_work:
-            on_event({"kind": KIND_STAGE_FROZEN, "stage": stage_idx,
-                      "fixed": list(schedules.values())})
 
     elapsed = time.perf_counter() - t0
     solution = Solution(problem, schedules, synthesis_time=elapsed,
@@ -411,15 +399,15 @@ def _check_stage(
     new_plans: List[MessagePlan],
     prefix_assumps: Sequence[BoolExpr] = (),
 ):
-    """One stage's probe ladder: shared-prefix probe -> greedy route
+    """One stage's probe ladder: schedule-hint probe -> greedy route
     probe -> core-relaxed re-probe -> unrestricted solve -> (repair mode)
     core-driven unfreezing.  Returns the final :class:`CheckOutcome`."""
     freezes = ledger.assumptions()
 
     if prefix_assumps:
-        # Replay a sibling attempt's frozen prefix (portfolio knowledge
-        # sharing).  Pure assumption probe: a miss costs one check and
-        # falls through to the regular ladder, so statuses never change.
+        # Replay the cached schedule hint.  Pure assumption probe: a
+        # miss costs one check and falls through to the regular ladder,
+        # so statuses never change.
         acct.count("prefix_probes")
         probe = session.check(freezes + list(prefix_assumps))
         acct.absorb(probe)

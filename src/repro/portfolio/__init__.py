@@ -5,8 +5,8 @@ incremental stages) one configuration at a time; this subsystem runs a
 configurable set of them concurrently against the same problem and
 returns the first satisfiable schedule, cancelling the rest.  Race
 verdicts are sound (``unsat`` only from a complete strategy's proof) and
-workers share learned information — clauses, route vetoes, stage
-prefixes — through a parent-side knowledge pool.  See
+workers share what their formulas entail — learned clauses and route
+vetoes — through a parent-side knowledge pool.  See
 :mod:`repro.portfolio.strategies` for the default strategy mix,
 :mod:`repro.portfolio.engine` for the racing machinery,
 :mod:`repro.runtime.knowledge` for the pool and its artifacts and

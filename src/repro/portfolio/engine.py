@@ -15,10 +15,10 @@ verdict.  A complete strategy's unsat ends the race early (nothing can
 beat a proof).
 
 With ``share_knowledge`` (default on) workers stream compact artifacts
-back over their result pipes *while solving* — learned clauses, frozen
-stage prefixes, and route-subset vetoes (see
-:mod:`repro.core.seeding` for the artifact kinds and their
-soundness) — and the parent aggregates them into a
+back over their result pipes *while solving* — learned clauses and
+route-subset vetoes, both entailed by the formula that produced them
+(see :mod:`repro.core.seeding` for their soundness) — and the parent
+aggregates them into a
 :class:`~repro.runtime.knowledge.KnowledgePool` that seeds every restart
 attempt and late launch through ``SynthesisOptions.seed_knowledge``, so
 re-runs start warm instead of cold.  Artifacts are validated at the pool
@@ -76,11 +76,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.solution import Solution
 from ..core.synthesizer import SynthesisResult
 from ..runtime.faults import FaultPlan, InjectedCrash, wrap_emit
-from ..runtime.frames import (KIND_ARTIFACT, KIND_HEARTBEAT, KIND_RESULT,
-                              KIND_STAGE_FROZEN)
+from ..runtime.frames import KIND_ARTIFACT, KIND_HEARTBEAT, KIND_RESULT
 from ..runtime.harness import pipe_sink, supervised_solve
-from ..runtime.knowledge import (KnowledgePool, prefix_artifact,
-                                 restart_artifacts, terminal_artifacts)
+from ..runtime.knowledge import (KnowledgePool, restart_artifacts,
+                                 terminal_artifacts)
 from ..runtime.process import DIED, WorkerProcess, wait_ready
 from ..runtime.supervision import (MAX_CRASH_RETRIES, SupervisionPolicy,
                                    Supervisor, heartbeat_frame)
@@ -179,8 +178,8 @@ def synthesize_portfolio(
     (the interrupt pump stops the engine at its next conflict) and
     between strategies otherwise.
 
-    ``share_knowledge`` pools learned clauses, route vetoes and stage
-    prefixes across workers and seeds restarts/late launches with them
+    ``share_knowledge`` pools learned clauses and route vetoes across
+    workers and seeds restarts/late launches with them
     (:mod:`repro.runtime.knowledge`); turn it off for strict isolation
     A/B runs.
 
@@ -222,8 +221,8 @@ def _execute_strategy(problem, strategy: Strategy, emit=None,
     """Run one strategy to completion; return its result payload.
 
     ``emit`` (optional) receives knowledge artifacts as they become
-    available: frozen stage prefixes while solving, the exportable
-    knowledge at every SAT restart (and at the final flush of a
+    available: the exportable knowledge at every SAT restart of a
+    single-stage strategy (and at the final flush of a
     budget/interrupt abort, so a worker killed inside one long check
     still contributes to the pool), learned clauses and route vetoes on
     a provable unsat.  ``heartbeat`` / ``heartbeat_interval`` and
@@ -242,21 +241,16 @@ def _execute_strategy(problem, strategy: Strategy, emit=None,
     try:
         opts = strategy.options
         emit = wrap_emit(emit, opts.faults)
-        restart_hooks, on_event = (), None
+        restart_hooks = ()
         if emit is not None:
             def flush_restart(eng) -> None:
                 for artifact in restart_artifacts(opts, eng):
                     emit(artifact)
             restart_hooks = (flush_restart,)
-
-            def on_event(event: dict) -> None:
-                if event.get("kind") == KIND_STAGE_FROZEN:
-                    emit(prefix_artifact(opts, event["stage"],
-                                         event["fixed"]))
         result, engine = supervised_solve(
             problem, opts, strategy.name, deadline=deadline,
             heartbeat=heartbeat, heartbeat_interval=heartbeat_interval,
-            restart_hooks=restart_hooks, on_event=on_event)
+            restart_hooks=restart_hooks)
         if emit is not None:
             for artifact in terminal_artifacts(opts, result, engine):
                 emit(artifact)
@@ -450,8 +444,7 @@ class _Race:
 
     def absorb(self, source: str, artifact) -> None:
         """Pool one streamed artifact; quarantine it if validation fails."""
-        if self.pool is not None and not self.pool.absorb(artifact,
-                                                          source=source):
+        if self.pool is not None and not self.pool.absorb(artifact):
             self.supervisor.note_quarantined(source)
 
     def settle(self, idx: int, result: StrategyResult,

@@ -307,8 +307,8 @@ def corrupt_frame(artifact: dict, frame_index: int) -> dict:
 
     The copy still pickles and still claims a plausible ``kind``, but
     its payload fails pool-boundary validation: clause literals become
-    bare strings, veto limits lose their counts, prefixes their message
-    tuples, and anything else gets an unknown kind — exactly the shapes
+    bare strings, veto limits lose their counts, and anything else gets
+    an unknown kind — exactly the shapes
     :meth:`KnowledgePool.absorb` must quarantine rather than import.
     """
     bad = dict(artifact)
@@ -318,8 +318,6 @@ def corrupt_frame(artifact: dict, frame_index: int) -> dict:
         bad["clauses"] = ("corrupt-literal-stream",)
     elif kind == "veto":
         bad["limits"] = (("corrupt-uid",),)
-    elif kind == "prefix":
-        bad["messages"] = "corrupt"
     else:
         # Deliberately not a registered kind: this forged kind exists to
         # prove the pool quarantines unknown frames.

@@ -6,7 +6,7 @@ kind constructed somewhere that no consumer dispatches on (or consumed
 but never constructed) is a protocol bug waiting for a quiet pipe, so
 every producer and consumer names its kinds through these constants.
 
-Three sub-vocabularies share the ``"kind"`` key:
+Two sub-vocabularies share the ``"kind"`` key:
 
 * **Pipe frames** — parent <-> worker traffic on the multiprocessing
   pipes: liveness, streamed knowledge, results, and the service
@@ -14,9 +14,8 @@ Three sub-vocabularies share the ``"kind"`` key:
   which order a sender may put them on one pipe.
 * **Artifact kinds** (:data:`ARTIFACT_KINDS`) — the knowledge payloads
   of :mod:`repro.runtime.knowledge` (also persisted by the service
-  cache); validated at every pool boundary.
-* **Event kinds** — in-process synthesis progress events
-  (``core.solve(on_event=)``).
+  cache): only what the solved formula entails; validated at every pool
+  boundary.
 """
 
 from __future__ import annotations
@@ -40,17 +39,8 @@ KIND_SHUTDOWN = "shutdown"
 ARTIFACT_CLAUSES = "clauses"
 #: A proven-doomed route-subset selection.
 ARTIFACT_VETO = "veto"
-#: Frozen schedules of an incremental strategy's completed stages.
-ARTIFACT_PREFIX = "prefix"
 #: Every artifact kind; a knowledge pool quarantines any other.
-ARTIFACT_KINDS = frozenset({
-    ARTIFACT_CLAUSES, ARTIFACT_VETO, ARTIFACT_PREFIX,
-})
-
-# -- synthesis progress events (core.solve on_event hook) ------------------
-
-#: An incremental stage froze its schedules (payload: stage, fixed).
-KIND_STAGE_FROZEN = "stage_frozen"
+ARTIFACT_KINDS = frozenset({ARTIFACT_CLAUSES, ARTIFACT_VETO})
 
 # -- pipe protocol state machine -------------------------------------------
 #

@@ -92,7 +92,6 @@ def supervised_solve(
     heartbeat: Optional[Callable[[dict], None]] = None,
     heartbeat_interval: float = 0.0,
     restart_hooks: Sequence[Callable] = (),
-    on_event: Optional[Callable[[dict], None]] = None,
     on_session: Optional[Callable[[Optional[Session]], None]] = None,
 ) -> Tuple["synth.SynthesisResult", object]:
     """Run ``core.solve`` under supervision; return ``(result, engine)``.
@@ -140,8 +139,7 @@ def supervised_solve(
                 apply_presolve(options.faults)
                 if engine is not None:
                     install_engine_triggers(engine, options.faults)
-            result = synth.solve(problem, options, session=session,
-                                 on_event=on_event)
+            result = synth.solve(problem, options, session=session)
     finally:
         if on_session is not None:
             on_session(None)

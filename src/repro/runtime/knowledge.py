@@ -5,11 +5,11 @@ portfolio race (through the parent-side :class:`KnowledgePool`) and
 across requests of the service (through
 :class:`repro.service.cache.KnowledgeCache`).  This module is the
 producing side both schedulers share: the artifact builders a worker
-runs at restart boundaries, stage freezes and verdicts
-(:func:`restart_artifacts`, :func:`prefix_artifact`,
-:func:`terminal_artifacts`), the export caps, :func:`validate_artifact`
-— the gate every pipe frame and cache file passes before anything is
-imported — and the pool itself.  The consuming side (the
+runs at restart boundaries and verdicts (:func:`restart_artifacts`,
+:func:`terminal_artifacts`), the export caps, the gate every pipe frame
+and cache file passes before anything is imported
+(:func:`validate_artifact`, :func:`validate_schedule_hint`) — and the
+pool itself.  The consuming side (the
 :class:`~repro.core.seeding.SeedKnowledge` bundle and how ``core.solve``
 applies it) and the soundness argument for each artifact kind live in
 :mod:`repro.core.seeding`.
@@ -17,14 +17,14 @@ applies it) and the soundness argument for each artifact kind live in
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.seeding import (ClauseBatch, RouteVeto, SeedKnowledge,
-                            StagePrefix, StrategySignature)
+                            StrategySignature)
 from ..smt.terms import Atom, BoolExpr, BoolVar
-from .frames import (ARTIFACT_CLAUSES, ARTIFACT_KINDS, ARTIFACT_PREFIX,
-                     ARTIFACT_VETO)
+from .frames import ARTIFACT_CLAUSES, ARTIFACT_KINDS, ARTIFACT_VETO
 
 #: Export caps: clause literal count, learning-time LBD, clauses per
 #: exporting strategy (and per pool bucket).  Small on purpose — shared
@@ -52,16 +52,6 @@ def schedule_vocabulary(expr: BoolExpr) -> bool:
 # ---------------------------------------------------------------------------
 # Worker-side export
 # ---------------------------------------------------------------------------
-
-
-def prefix_artifact(options, stage_idx: int, fixed: Sequence) -> dict:
-    """Serialize the cumulative frozen prefix after ``stage_idx``."""
-    return {
-        "kind": ARTIFACT_PREFIX,
-        "signature": options.signature,
-        "stages_completed": stage_idx + 1,
-        "messages": tuple(schedule.as_hint() for schedule in fixed),
-    }
 
 
 def exportable_clauses(engine) -> Tuple[Tuple, ...]:
@@ -147,6 +137,16 @@ def restart_artifacts(options, engine) -> List[dict]:
 # ---------------------------------------------------------------------------
 
 
+#: What ``str(Fraction)`` emits.  Every rational string a seeded run
+#: parses is matched against it, so a value no ``Fraction`` accepts is
+#: quarantined here instead of raising inside the solve it seeds.
+_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+
+
+def _rational(value) -> bool:
+    return isinstance(value, str) and _RATIONAL.fullmatch(value) is not None
+
+
 def _valid_literal(lit) -> bool:
     if not isinstance(lit, tuple) or not lit:
         return False
@@ -156,9 +156,9 @@ def _valid_literal(lit) -> bool:
         return (len(lit) == 5
                 and isinstance(lit[1], tuple)
                 and all(isinstance(pair, tuple) and len(pair) == 2
-                        and isinstance(pair[0], str) and isinstance(pair[1], str)
+                        and isinstance(pair[0], str) and _rational(pair[1])
                         for pair in lit[1])
-                and isinstance(lit[2], str))
+                and _rational(lit[2]))
     return False
 
 
@@ -168,7 +168,8 @@ def validate_artifact(artifact) -> Optional[str]:
     This is the pool-boundary gate: artifacts arrive over a pipe from
     workers that may be fault-injected, dying mid-``send``, or running
     a different code revision, so *everything* a seeded worker would
-    later deserialize is shape-checked here.  A rejected frame is
+    later deserialize is checked here — shapes, and every rational
+    string against what ``str(Fraction)`` emits.  A rejected frame is
     counted and dropped — it never reaches the race.
     """
     if not isinstance(artifact, dict):
@@ -196,23 +197,30 @@ def validate_artifact(artifact) -> Optional[str]:
                     or not isinstance(entry[0], str)
                     or not isinstance(entry[1], int) or entry[1] < 0):
                 return f"malformed veto limit {entry!r:.60}"
-    elif kind == ARTIFACT_PREFIX:
-        if not isinstance(artifact.get("stages_completed"), int):
-            return "prefix without a stage count"
-        messages = artifact.get("messages")
-        if not isinstance(messages, tuple):
-            return "prefix messages payload is not a tuple"
-        for msg in messages:
-            if (not isinstance(msg, tuple) or len(msg) != 3
-                    or not isinstance(msg[0], str)
-                    or not isinstance(msg[1], tuple)
-                    or not all(isinstance(node, str) for node in msg[1])
-                    or not isinstance(msg[2], tuple)
-                    or not all(isinstance(g, tuple) and len(g) == 2
-                               and isinstance(g[0], str)
-                               and isinstance(g[1], str)
-                               for g in msg[2])):
-                return f"malformed prefix message {msg!r:.60}"
+    return None
+
+
+def validate_schedule_hint(schedule) -> Optional[str]:
+    """Why a stored schedule hint must be quarantined, or None.
+
+    The service cache's twin of :func:`validate_artifact`: a hint read
+    from disk is checked entry by entry against the
+    :meth:`MessageSchedule.as_hint
+    <repro.core.solution.MessageSchedule.as_hint>` form before any
+    seeded run replays it.
+    """
+    if not isinstance(schedule, tuple):
+        return "schedule payload is not a tuple"
+    for msg in schedule:
+        if (not isinstance(msg, tuple) or len(msg) != 3
+                or not isinstance(msg[0], str)
+                or not isinstance(msg[1], tuple)
+                or not all(isinstance(node, str) for node in msg[1])
+                or not isinstance(msg[2], tuple)
+                or not all(isinstance(g, tuple) and len(g) == 2
+                           and isinstance(g[0], str) and _rational(g[1])
+                           for g in msg[2])):
+            return f"malformed schedule message {msg!r:.60}"
     return None
 
 
@@ -232,17 +240,15 @@ class KnowledgePool:
         self._clauses: Dict[StrategySignature, Dict[Tuple, None]] = {}
         self._vetoes: Dict[Tuple, RouteVeto] = {}
         self._veto_sigs: Dict[Tuple, StrategySignature] = {}
-        self._prefixes: Dict[StrategySignature, StagePrefix] = {}
         self.counters: Dict[str, int] = {
             "clauses_pooled": 0,
             "midcheck_clauses_pooled": 0,
             "vetoes_pooled": 0,
-            "prefixes_pooled": 0,
             "seeds_served": 0,
             "quarantined_artifacts": 0,
         }
 
-    def absorb(self, artifact: Optional[dict], source: str = "") -> bool:
+    def absorb(self, artifact: Optional[dict]) -> bool:
         """Fold one worker artifact into the pool.
 
         Every frame passes :func:`validate_artifact` first; a malformed
@@ -270,19 +276,9 @@ class KnowledgePool:
         elif kind == ARTIFACT_VETO:
             limits = tuple(artifact.get("limits", ()))
             if limits and limits not in self._vetoes:
-                self._vetoes[limits] = RouteVeto(limits=limits, source=source)
+                self._vetoes[limits] = RouteVeto(limits=limits)
                 self._veto_sigs[limits] = sig
                 self.counters["vetoes_pooled"] += 1
-        elif kind == ARTIFACT_PREFIX:
-            best = self._prefixes.get(sig)
-            stages = artifact.get("stages_completed", 0)
-            if best is None or stages > best.stages_completed:
-                self._prefixes[sig] = StagePrefix(
-                    signature=sig,
-                    stages_completed=stages,
-                    messages=tuple(artifact.get("messages", ())),
-                )
-                self.counters["prefixes_pooled"] += 1
         return True
 
     def seed_for(self, options) -> Optional[SeedKnowledge]:
@@ -297,9 +293,7 @@ class KnowledgePool:
             veto for limits, veto in self._vetoes.items()
             if self._veto_sigs[limits].compatible(target)
         )
-        prefix = self._prefixes.get(target)
-        seed = SeedKnowledge(clause_batches=batches, route_vetoes=vetoes,
-                             stage_prefix=prefix)
+        seed = SeedKnowledge(clause_batches=batches, route_vetoes=vetoes)
         if not seed:
             return None
         self.counters["seeds_served"] += 1

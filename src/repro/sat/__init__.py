@@ -4,7 +4,6 @@ This package replaces the propositional engine of Z3 used by the paper.  :class:
 that :mod:`repro.smt` uses to implement DPLL(T).
 """
 
-from .dimacs import DimacsSolver, load_dimacs, parse_dimacs, write_dimacs
 from .literals import (
     FALSE,
     TRUE,
@@ -19,7 +18,6 @@ from .literals import (
 from .solver import SatSolver, TheoryBackend, luby
 
 __all__ = [
-    "DimacsSolver",
     "FALSE",
     "SatSolver",
     "TheoryBackend",
@@ -28,11 +26,8 @@ __all__ = [
     "from_dimacs",
     "is_positive",
     "lit",
-    "load_dimacs",
     "luby",
     "neg",
-    "parse_dimacs",
     "to_dimacs",
     "var_of",
-    "write_dimacs",
 ]

@@ -171,8 +171,7 @@ class SatSolver:
     """Incremental CDCL SAT solver over internal literals.
 
     Public entry points use the *internal* literal encoding of
-    :mod:`repro.sat.literals`; the DIMACS convenience layer lives in
-    :mod:`repro.sat.dimacs`.
+    :mod:`repro.sat.literals` (``from_dimacs`` / ``to_dimacs`` convert).
     """
 
     def __init__(self, theory: Optional[TheoryBackend] = None):

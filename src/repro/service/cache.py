@@ -15,8 +15,8 @@ schedule hints from either direction (see the fingerprint module for
 the soundness argument).  The returned
 :class:`~repro.core.seeding.SeedKnowledge` plugs straight into
 ``SynthesisOptions.seed_knowledge``, so the whole import machinery
-(route-limit padding, veto escapes, prefix probes) is the race's,
-untouched.
+(route-limit padding, veto escapes) is the race's, untouched, and
+``core.solve`` replays the schedule hint as an assumption probe.
 
 Persistence is crash-safe and hostile-input-safe: files are written
 atomically (tmp + rename), and a file that fails to parse or validate
@@ -40,11 +40,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..core.seeding import (ClauseBatch, RouteVeto, SeedKnowledge,
-                            StagePrefix, StrategySignature)
-from ..core.synthesizer import SynthesisOptions
-from ..runtime.frames import (ARTIFACT_CLAUSES, ARTIFACT_PREFIX,
-                              ARTIFACT_VETO)
-from ..runtime.knowledge import validate_artifact
+                            StrategySignature)
+from ..runtime.frames import ARTIFACT_CLAUSES, ARTIFACT_VETO
+from ..runtime.knowledge import validate_artifact, validate_schedule_hint
 from . import fingerprint as fp
 
 #: On-disk schema version; bump on incompatible layout changes (old
@@ -120,7 +118,8 @@ class CacheEntry:
         The disk is a pool boundary exactly like PR 7's worker pipes: an
         entry that fails here is quarantined by the loader, never
         imported.  Clause/veto payloads reuse the pipe-boundary
-        validator from :mod:`repro.runtime.knowledge`.
+        validator from :mod:`repro.runtime.knowledge`, the schedule its
+        hint check.
         """
         if not isinstance(self.fingerprint, str) or not self.fingerprint:
             raise ValueError("entry without a fingerprint")
@@ -148,13 +147,9 @@ class CacheEntry:
                  "limits": self.route_veto})
             if problem is not None:
                 raise ValueError(f"cached veto invalid: {problem}")
-        if self.schedule:
-            problem = validate_artifact(
-                {"kind": ARTIFACT_PREFIX, "signature": sig,
-                 "stages_completed": 1,
-                 "messages": self.schedule})
-            if problem is not None:
-                raise ValueError(f"cached schedule invalid: {problem}")
+        problem = validate_schedule_hint(self.schedule)
+        if problem is not None:
+            raise ValueError(f"cached schedule invalid: {problem}")
 
 
 @dataclass(frozen=True)
@@ -281,8 +276,7 @@ class KnowledgeCache:
         if entry is not None:
             self._touch(key)
             self.counters["exact_hits"] += 1
-            return CacheHit("exact", entry,
-                            self._seed_from(entry, options, "equal"))
+            return CacheHit("exact", entry, self._seed_from(entry, "equal"))
         bucket = fp.compatibility_key(problem, options)
         request_apps = fp.app_set_key(problem)
         best: Optional[Tuple[Tuple[int, int], str, CacheEntry, str]] = None
@@ -300,7 +294,7 @@ class KnowledgeCache:
             self.counters["misses"] += 1
             return None
         _, relation, entry, fprint = best
-        seed = self._seed_from(entry, options, relation)
+        seed = self._seed_from(entry, relation)
         if not seed:
             self.counters["misses"] += 1
             return None
@@ -308,8 +302,8 @@ class KnowledgeCache:
         self.counters["ancestor_hits"] += 1
         return CacheHit(relation, entry, seed)
 
-    def _seed_from(self, entry: CacheEntry, options,
-                   relation: str) -> SeedKnowledge:
+    @staticmethod
+    def _seed_from(entry: CacheEntry, relation: str) -> SeedKnowledge:
         """Assemble the seed a hit contributes (soundness-gated).
 
         ``equal``/``subset``: clauses + veto + schedule hints.
@@ -320,7 +314,6 @@ class KnowledgeCache:
         in the hints are skipped by the probe builder, so a superset
         schedule needs no explicit restriction here.
         """
-        options = options or SynthesisOptions()
         batches: Tuple[ClauseBatch, ...] = ()
         vetoes: Tuple[RouteVeto, ...] = ()
         if relation in ("equal", "subset"):
@@ -328,21 +321,9 @@ class KnowledgeCache:
                 batches = (ClauseBatch(source_routes=entry.options["routes"],
                                        clauses=entry.clauses),)
             if entry.route_veto is not None:
-                vetoes = (RouteVeto(limits=entry.route_veto,
-                                    source=f"cache:{entry.fingerprint[:8]}"),)
-        prefix = None
-        if entry.schedule:
-            # The prefix signature must equal the *request's* signature:
-            # core.solve replays it in every stage via prefix_assumptions
-            # regardless, but keeping the target signature documents who
-            # the hint is for (and keeps pool/seed invariants intact).
-            prefix = StagePrefix(
-                signature=options.signature,
-                stages_completed=int(options.stages),
-                messages=entry.schedule,
-            )
+                vetoes = (RouteVeto(limits=entry.route_veto),)
         return SeedKnowledge(clause_batches=batches, route_vetoes=vetoes,
-                             stage_prefix=prefix)
+                             schedule=entry.schedule)
 
     def store(self, problem, options, status: str,
               clauses: Tuple[Tuple, ...] = (),

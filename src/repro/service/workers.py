@@ -87,9 +87,9 @@ def export_request_knowledge(options, result, engine) -> Dict[str, object]:
       results.
     * ``route_veto`` — the doomed route-subset selection of a provable
       unsat (``result.route_veto`` is only ever set for one).
-    * ``schedule`` — the winning schedule in stage-prefix message form
+    * ``schedule`` — the winning schedule as a schedule hint
       (:meth:`MessageSchedule.as_hint
-      <repro.core.solution.MessageSchedule.as_hint>`), replayed by
+      <repro.core.solution.MessageSchedule.as_hint>` tuples), replayed by
       recipients as an assumption probe.
     """
     clauses = ()

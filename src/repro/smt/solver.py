@@ -55,8 +55,9 @@ from .theory import LraTheory
 _SCOPE_IDS = itertools.count()
 
 #: Statistics keys reported per ``check()`` (monotone counters of the SAT
-#: core whose per-call delta is meaningful).
-_CHECK_STAT_KEYS = (
+#: core whose per-call delta is meaningful); ``core.solve`` sums the same
+#: keys per stage and per run.
+CHECK_COUNTERS = (
     "conflicts",
     "decisions",
     "propagations",
@@ -352,7 +353,7 @@ class SolverEngine:
         after = self.statistics
         self._last_check_stats = {
             key: after.get(key, 0) - before.get(key, 0)
-            for key in _CHECK_STAT_KEYS
+            for key in CHECK_COUNTERS
         }
         entry: Dict[str, object] = dict(self._last_check_stats)
         entry["backend"] = self.backend_name

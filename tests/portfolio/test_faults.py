@@ -120,11 +120,16 @@ class TestQuarantine:
     def test_pool_quarantines_instead_of_raising(self):
         artifact = self._clean_artifact()
         pool = KnowledgePool()
-        assert pool.absorb(artifact, source="clean")
+        assert pool.absorb(artifact)
+        bad_coefficient = dict(artifact, kind="clauses", clauses=(
+            (("a", (("p/g[m0][s0]", "abc"),), "3", False, True),),))
+        # A frozen stage prefix is not an artifact kind.
+        prefix = dict(artifact, kind="prefix", messages=())
         for junk in (corrupt_frame(artifact, 0), None, 42,
-                     {"kind": "clauses"}, {"no": "kind"}):
-            assert not pool.absorb(junk, source="junk")
-        assert pool.counters["quarantined_artifacts"] == 5
+                     {"kind": "clauses"}, {"no": "kind"}, bad_coefficient,
+                     prefix):
+            assert not pool.absorb(junk)
+        assert pool.counters["quarantined_artifacts"] == 7
 
     def test_corrupt_frame_in_race_is_quarantined_not_fatal(self):
         # routes-1 (unsat here) sends its artifacts as it finishes; the

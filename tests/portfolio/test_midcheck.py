@@ -53,7 +53,7 @@ class TestUnitExport:
         options = SynthesisOptions(routes=1)
         pool = KnowledgePool()
         for artifact in restart_artifacts(options, exporter):
-            pool.absorb(artifact, source="exporter")
+            pool.absorb(artifact)
         assert pool.statistics["midcheck_clauses_pooled"] >= 1
 
         seed = pool.seed_for(options)

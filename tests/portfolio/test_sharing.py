@@ -7,6 +7,7 @@ and off, strictly fewer summed conflicts with it on, and the sharing
 counters visible in per-strategy statistics.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from repro.api import NativeBackend, Session
 from repro.core import SynthesisOptions, collect_violations
 from repro.core import synthesizer as synth
+from repro.core.seeding import SeedKnowledge
 from repro.eval import workloads
 from repro.portfolio import (
     STATUS_SAT,
@@ -132,60 +134,23 @@ class TestSharingDeterminism:
         assert collect_violations(res.solution) == []
 
 
-class TestStagePrefixSeeding:
-    def test_prefix_fast_forwards_a_same_signature_rerun(self):
-        """A relaunch seeded with a frozen prefix probes instead of
-        re-searching the already-solved stages."""
+class TestScheduleHintSeeding:
+    def test_schedule_hint_fast_forwards_staged_rerun(self):
+        """A staged re-solve seeded with a solution's schedule hint (what
+        the service cache stores) settles its stages by probe."""
         problem = workloads.random_problem(0, n_apps=3)
         opts = SynthesisOptions(routes=2, stages=2)
-        pool = KnowledgePool()
-        events = []
-
-        def on_event(event):
-            events.append(event)
-            pool.absorb(sharing.prefix_artifact(opts, event["stage"],
-                                                event["fixed"]),
-                        source="stages-2")
-
-        first = synth.solve(problem, opts, on_event=on_event)
+        first = synth.solve(problem, opts)
         assert first.status == "sat"
-        assert events, "incremental solve should emit stage_frozen events"
-        assert pool.statistics["prefixes_pooled"] > 0
+        hint = export_request_knowledge(opts, first, None)["schedule"]
+        assert len(hint) == len(first.solution.schedules)
 
-        seeded_opts = pool.seeded_options(opts)
-        assert seeded_opts.seed_knowledge is not None
-        assert seeded_opts.seed_knowledge.stage_prefix is not None
-        rerun = synth.solve(problem, seeded_opts)
-        assert rerun.status == "sat"
+        seeded = replace(opts, seed_knowledge=SeedKnowledge(schedule=hint))
+        rerun = synth.solve(problem, seeded)
+        assert rerun.status == first.status
         assert rerun.statistics["prefix_probes"] > 0
         assert rerun.statistics["prefix_hits"] > 0
         assert collect_violations(rerun.solution) == []
-
-    def test_prefix_only_seeds_matching_signature(self):
-        opts = SynthesisOptions(routes=2, stages=2)
-        pool = KnowledgePool()
-        pool.absorb({"kind": "prefix",
-                     "signature": opts.signature,
-                     "stages_completed": 1, "messages": ()})
-        other = SynthesisOptions(routes=2, stages=4)
-        seed = pool.seed_for(other)
-        assert seed is None or seed.stage_prefix is None
-
-
-    def test_prefix_messages_are_the_cache_schedule_entries(self):
-        """One message's schedule has one hint form: what a staged run
-        pools as its prefix is, message for message, what the service
-        cache stores as the ``schedule`` of the same solution."""
-        problem = workloads.random_problem(0, n_apps=3)
-        opts = SynthesisOptions(routes=2, stages=2)
-        prefixes = []
-        result = synth.solve(problem, opts, on_event=lambda event: prefixes.append(
-            sharing.prefix_artifact(opts, event["stage"], event["fixed"])))
-        assert result.status == "sat"
-        stored = export_request_knowledge(opts, result, None)["schedule"]
-        assert prefixes and prefixes[-1]["messages"]
-        assert set(prefixes[-1]["messages"]) <= set(stored)
-        assert len(stored) == len(result.solution.schedules)
 
 
 class TestClauseExchange:

@@ -118,8 +118,8 @@ def run_strategy_worker(problem, strategy, conn):
 
 
 @pytest.mark.parametrize("problem, options, streams", [
-    # sat, staged: a frozen-prefix artifact per completed stage.
-    (lambda: gm_case_study(2), SynthesisOptions(routes=2, stages=2), True),
+    # sat, staged: an incremental strategy exports nothing.
+    (lambda: gm_case_study(2), SynthesisOptions(routes=2, stages=2), False),
     # unsat: learned clauses and the route veto after the verdict.
     (lambda: bottleneck_problem(3), SynthesisOptions(routes=1), True),
     # Not a problem at all: the solve raises inside the worker.

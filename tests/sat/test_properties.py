@@ -5,7 +5,24 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sat import DimacsSolver
+from repro.sat import SatSolver, from_dimacs, lit, to_dimacs
+
+
+def signed_solver(num_vars):
+    """A solver over variables ``1..num_vars``."""
+    solver = SatSolver()
+    for _ in range(num_vars):
+        solver.new_var()
+    return solver
+
+
+def add_signed(solver, clause):
+    return solver.add_clause([from_dimacs(l) for l in clause])
+
+
+def signed_model(solver):
+    return {to_dimacs(lit(v, solver.model_value(v)))
+            for v in range(1, solver.num_vars + 1)}
 
 
 def brute_force_sat(num_vars, clauses):
@@ -41,11 +58,10 @@ def cnf_formulas(draw, max_vars=6, max_clauses=14, max_len=4):
 @settings(max_examples=200, deadline=None)
 def test_cdcl_matches_brute_force(formula):
     num_vars, clauses = formula
-    solver = DimacsSolver()
-    solver.ensure_vars(num_vars)
+    solver = signed_solver(num_vars)
     trivially_unsat = False
     for clause in clauses:
-        if not solver.add_clause(clause):
+        if not add_signed(solver, clause):
             trivially_unsat = True
     expected = brute_force_sat(num_vars, clauses)
     got = solver.solve() and not trivially_unsat
@@ -56,13 +72,12 @@ def test_cdcl_matches_brute_force(formula):
 @settings(max_examples=100, deadline=None)
 def test_model_satisfies_formula(formula):
     num_vars, clauses = formula
-    solver = DimacsSolver()
-    solver.ensure_vars(num_vars)
+    solver = signed_solver(num_vars)
     ok = True
     for clause in clauses:
-        ok = solver.add_clause(clause) and ok
+        ok = add_signed(solver, clause) and ok
     if ok and solver.solve():
-        model = set(solver.model())
+        model = signed_model(solver)
         for clause in clauses:
             assert any(l in model for l in clause)
 
@@ -74,14 +89,12 @@ def test_assumptions_consistent_with_added_units(formula, assume_var):
     num_vars, clauses = formula
     if assume_var > num_vars:
         assume_var = num_vars
-    s1 = DimacsSolver()
-    s1.ensure_vars(num_vars)
-    ok1 = all(s1.add_clause(c) for c in clauses)
-    res_assume = ok1 and s1.solve([assume_var])
+    s1 = signed_solver(num_vars)
+    ok1 = all(add_signed(s1, c) for c in clauses)
+    res_assume = ok1 and s1.solve([from_dimacs(assume_var)])
 
-    s2 = DimacsSolver()
-    s2.ensure_vars(num_vars)
-    ok2 = all(s2.add_clause(c) for c in clauses)
-    ok2 = s2.add_clause([assume_var]) and ok2
+    s2 = signed_solver(num_vars)
+    ok2 = all(add_signed(s2, c) for c in clauses)
+    ok2 = add_signed(s2, [assume_var]) and ok2
     res_unit = ok2 and s2.solve()
     assert res_assume == res_unit

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SolverError
-from repro.sat import DimacsSolver, SatSolver, lit, luby, neg
+from repro.sat import SatSolver, from_dimacs, lit, luby, neg, to_dimacs
 
 
 def make_solver(n):
@@ -170,18 +170,26 @@ class TestLuby:
 
 
 class TestDimacsSolver:
+    """The core driven in signed DIMACS literals via ``from_dimacs`` /
+    ``to_dimacs``."""
+
+    @staticmethod
+    def signed_model(s):
+        return {to_dimacs(lit(v, s.model_value(v)))
+                for v in range(1, s.num_vars + 1)}
+
     def test_signed_interface(self):
-        s = DimacsSolver()
-        s.add_clause([1, -2])
-        s.add_clause([2, 3])
-        s.add_clause([-1, -3])
+        s = make_solver(3)
+        clauses = ([1, -2], [2, 3], [-1, -3])
+        for clause in clauses:
+            s.add_clause([from_dimacs(l) for l in clause])
         assert s.solve()
-        model = set(s.model())
-        for clause in ([1, -2], [2, 3], [-1, -3]):
+        model = self.signed_model(s)
+        for clause in clauses:
             assert any(l in model for l in clause)
 
     def test_solve_under_signed_assumptions(self):
-        s = DimacsSolver()
-        s.add_clause([1, 2])
-        assert s.solve([-1])
-        assert 2 in s.model()
+        s = make_solver(2)
+        s.add_clause([from_dimacs(1), from_dimacs(2)])
+        assert s.solve([from_dimacs(-1)])
+        assert 2 in self.signed_model(s)

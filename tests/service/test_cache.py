@@ -21,6 +21,19 @@ SCHEDULE = (("app0@0", ("S0", "A", "B", "C0"),
              (("A", "1/4000"), ("B", "1/2000"))),)
 
 
+def entry_blob(**fields) -> bytes:
+    """A cache file for fingerprint ``f * 32`` that passes every check
+    except what ``fields`` breaks."""
+    payload = {"version": 1, "fingerprint": "f" * 32, "compat_key": "c",
+               "apps": {"a": "d"}, "status": "sat",
+               "options": {"mode": "stability", "routes": 2, "stages": 1,
+                           "path_cutoff": None, "repair": False},
+               "clauses": [[["a", [["p/g[m0][s0]", "1"]], "3", False, True]]],
+               "schedule": [["m0", ["S0", "s0"], [["s0", "1/4000"]]]]}
+    payload.update(fields)
+    return json.dumps(payload).encode()
+
+
 def store_family(cache, indices, status="sat", **kwargs):
     problem = family_problem(indices)
     kwargs.setdefault("clauses", CLAUSES)
@@ -38,7 +51,7 @@ class TestLookup:
         store_family(cache, [0, 1])
         hit = cache.lookup(problem)
         assert hit is not None and hit.kind == "exact"
-        assert hit.seed.clause_batches and hit.seed.stage_prefix
+        assert hit.seed.clause_batches and hit.seed.schedule == SCHEDULE
         assert cache.counters["exact_hits"] == 1
         assert cache.counters["misses"] == 1
 
@@ -49,7 +62,7 @@ class TestLookup:
         assert hit is not None and hit.kind == "subset"
         assert hit.seed.clause_batches
         assert hit.seed.route_vetoes
-        assert hit.seed.stage_prefix is not None
+        assert hit.seed.schedule == SCHEDULE
         assert cache.counters["ancestor_hits"] == 1
 
     def test_superset_ancestor_seeds_schedule_only(self, tmp_path):
@@ -61,7 +74,7 @@ class TestLookup:
         # so clauses and vetoes must NOT transfer — schedule hints only.
         assert not hit.seed.clause_batches
         assert not hit.seed.route_vetoes
-        assert hit.seed.stage_prefix is not None
+        assert hit.seed.schedule == SCHEDULE
 
     def test_incomparable_sets_miss(self, tmp_path):
         cache = KnowledgeCache(tmp_path)
@@ -124,6 +137,14 @@ class TestPersistence:
                     "compat_key": "c", "apps": {"a": "d"},
                     "options": {}, "status": "sat",
                     "clauses": [["nonsense"]]}).encode(),
+        # Well-shaped, but a rational no ``Fraction`` parses: seeding
+        # would raise on every repeat of the request.
+        pytest.param(entry_blob(schedule=[["m0", ["S0", "s0"],
+                                           [["s0", "1/0"]]]]),
+                     id="bad-gamma"),
+        pytest.param(entry_blob(clauses=[[["a", [["p/g[m0][s0]", "abc"]],
+                                           "3", False, True]]]),
+                     id="bad-coefficient"),
     ])
     def test_corrupt_files_are_quarantined_not_fatal(self, tmp_path, blob):
         (Path(tmp_path) / ("f" * 32 + ".json")).write_bytes(blob)

@@ -68,9 +68,9 @@ def test_no_atom_value_is_read_from_the_sat_model():
     # A sat answer may leave theory atoms undecided (relevancy-filtered
     # decisions), so the SAT model has no value for them: atoms are
     # evaluated from the theory's reals (``Model.eval_bool``).  The only
-    # readers of ``SatSolver.model_value`` are the pure-SAT DIMACS layer
-    # (no atoms exist there) and the engine's one comprehension over the
-    # converter's ``bool_vars``; nothing else reaches into ``_model``.
+    # reader of ``SatSolver.model_value`` is the engine's one
+    # comprehension over the converter's ``bool_vars``; nothing else
+    # reaches into ``_model``.
     readers = {}
     for path in sorted((REPO_SRC / "repro").rglob("*.py")):
         tree = ast.parse(path.read_text())
@@ -84,7 +84,7 @@ def test_no_atom_value_is_read_from_the_sat_model():
             if (node.attr == "_model" and isinstance(owner, ast.Attribute)
                     and owner.attr == "_sat"):
                 readers.setdefault(relative, []).append(node.lineno)
-    assert sorted(readers) == ["sat/dimacs.py", "smt/solver.py"], readers
+    assert sorted(readers) == ["smt/solver.py"], readers
     assert len(readers["smt/solver.py"]) == 1, readers
 
     engine = ast.parse((REPO_SRC / "repro" / "smt" / "solver.py").read_text())
