@@ -11,6 +11,14 @@ Claims reproduced:
 * deadline-only synthesis (the state of the art) satisfies every deadline
   but leaves a subset of applications **unstable** (paper: only 14/20
   stable, with 3 of the 5 published rows unstable).
+
+Claim 2 is checked on the problem, not on the one schedule the search
+happens to return: per app, is "unstable while every deadline holds"
+satisfiable?  The five published rows match the paper exactly -- gm0,
+gm1 and gm3 can be unstable, gm2 and gm4 cannot (alpha = 1.07 and
+beta = 80.71 ms, while a 50 ms period caps L + 1.07 J at 53.5 ms).  At
+20 apps, 11 apps admit an unstable deadline-feasible schedule; the
+paper's 6 are the ones its solver's schedule happened to leave unstable.
 """
 
 from repro.eval import run_table1
@@ -27,9 +35,15 @@ def test_table1_automotive(benchmark, is_paper_scale):
     assert result.stability_status == "sat"
     # Claim 1: stability-aware keeps every application stable.
     assert result.stability_stable_count == result.n_apps
-    # Claim 2: the deadline baseline leaves some applications unstable.
+    # Claim 2: deadlines alone can leave applications unstable -- the
+    # published rows, each "can" with a witness schedule (run_table1
+    # certifies them), each "cannot" an unsat.
     assert result.deadline_status == "sat"
-    assert result.deadline_stable_count < result.n_apps
+    assert {app: result.unstable_verdicts[app]
+            for app in ("gm0", "gm1", "gm2", "gm3", "gm4")} == {
+        "gm0": "sat", "gm1": "sat", "gm2": "unsat", "gm3": "sat",
+        "gm4": "unsat"}
+    assert set(result.unstable_witnesses) == set(result.can_be_unstable)
 
 
 def test_table1_message_count():

@@ -9,7 +9,6 @@ exact validator.
 from .encoding import Encoder, MessagePlan
 from .export import render_switch_configs, solution_from_dict, solution_to_dict
 from .problem import ControlApplication, SynthesisProblem
-from .refine import RefinedResult, minimize_jitter
 from .seeding import SeedKnowledge, StrategySignature
 from .solution import AppReport, MessageSchedule, Solution
 from .synthesizer import (
@@ -29,9 +28,7 @@ __all__ = [
     "MODE_STABILITY",
     "MessagePlan",
     "MessageSchedule",
-    "RefinedResult",
     "SeedKnowledge",
-    "minimize_jitter",
     "render_switch_configs",
     "solution_from_dict",
     "solution_to_dict",

@@ -11,8 +11,10 @@ fixes every ``eta`` along the route; the ``gamma`` variables are reals per
 Paper constraint        Encoding
 =====================  =====================================================
 Topology (Eq. 4)        by construction of candidate simple paths
-Contention-free (5)     per directed link, for each pair of (message,
-                        route) usages: ``sel1 & sel2 -> |g1 - g2| >= ld``
+Contention-free (5)     emitted on violation: per directed link, a pair of
+                        (message, route) usages gets ``sel1 & sel2 ->
+                        |g1 - g2| >= ld`` once a model overlaps it -- see
+                        :func:`Encoder.add_contention_constraints`
 Transposition (6)       along each candidate route: ``sel -> gamma_next >=
                         gamma_prev + sd + ld`` (sensor release anchored at
                         the sampling instant ``j h_i``)
@@ -31,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..api import Session
 from ..errors import EncodingError
@@ -41,7 +43,7 @@ from ..smt import (
     And,
     Bool,
     BoolExpr,
-    FALSE_EXPR,
+    BoolVal,
     Implies,
     LinExpr,
     Not,
@@ -50,6 +52,7 @@ from ..smt import (
 )
 from .problem import ControlApplication, SynthesisProblem
 from .solution import MessageSchedule
+from .validator import overlapping_pairs
 
 _NAMESPACE = itertools.count()
 
@@ -100,10 +103,9 @@ class Encoder:
         self.plans: Dict[str, MessagePlan] = {}
         # Directed-link usage: (u, v) -> list of
         # (uid, route selector, start-time LinExpr or Fraction)
-        self._link_usage: Dict[Tuple[str, str], List] = {}
-        # Per-link count of usages already covered by emitted contention
-        # constraints, so incremental stages only pair *new* usages.
-        self._contention_done: Dict[Tuple[str, str], int] = {}
+        self.link_usage: Dict[Tuple[str, str], List] = {}
+        # (link, i, j) of every usage pair whose Eq. 5 clause is asserted.
+        self._contended: Set[Tuple[Tuple[str, str], int, int]] = set()
 
     # ------------------------------------------------------------------
     # Route candidates (Eq. 8 / route-subset heuristic)
@@ -173,7 +175,7 @@ class Encoder:
             # Record link usages for the contention constraints.
             for u, v in zip(route, route[1:]):
                 start = release if u == app.sensor else gammas[u]
-                self._link_usage.setdefault((u, v), []).append(
+                self.link_usage.setdefault((u, v), []).append(
                     (uid, sel, start)
                 )
         plan = MessagePlan(message, routes, selectors, gammas, e2e_by_route)
@@ -233,57 +235,64 @@ class Encoder:
     # Contention-free constraints (Eq. 5)
     # ------------------------------------------------------------------
 
-    def add_contention_constraints(self) -> None:
-        """Pairwise link-exclusive transmission windows.
+    def add_contention_constraints(self, model) -> int:
+        """Assert Eq. 5 for every pair of link usages ``model`` overlaps.
 
-        For each directed link and each pair of usages by *different*
-        messages: if both routes are selected, their start times must be
-        at least ``ld`` apart (the paper's Eq. 5 with uniform ``ld``).
+        Contention is lazy: no pair clause exists up front.  For each
+        directed link, the usages whose route selector is true in
+        ``model`` go through the validator's detector
+        (:func:`~repro.core.validator.overlapping_pairs`), and each pair
+        whose starts are less than ``ld`` apart gets the clause the
+        paper's Eq. 5 asks for (:meth:`contention_clause`).  Returns the
+        number of clauses added; 0 means ``model`` satisfies every Eq. 5
+        clause, asserted or not.
 
-        The method is incremental: calling it again after more
-        ``encode_message`` calls only emits the pairs involving at least
-        one usage recorded since the previous call.
+        Every added clause is one of the eager formula's, so a formula
+        refined this way is a subset of it: an ``unsat`` stays an
+        ``unsat`` of the full formula, and whatever the solver learns
+        from it is entailed by the full formula too.
 
-        Candidate routes of one message share link prefixes, so several
-        usages of a link carry the *same* start-time term: the
-        separation ``|t1 - t2| >= ld`` is built once per distinct pair of
-        start times within a link's pass and reused under every guard
-        combination.  ``Or`` flattens it, so each emitted clause is the
-        literal tuple the per-pair construction gave.
+        Raises :class:`EncodingError` when ``model`` violates a pair
+        asserted before: a model must satisfy the asserted clauses, so
+        that is a solver bug, never a reason to add the clause twice.
         """
         ld = self.problem.delays.ld
-        add = self.solver.add
-        for link, usages in self._link_usage.items():
-            done = self._contention_done.get(link, 0)
-            if done >= len(usages):
-                continue
-            self._contention_done[link] = len(usages)
-            unselected = [Not(sel) for _, sel, _ in usages]
-            # (id(t1), id(t2)) -> separation.  ``usages`` keeps every
-            # start time alive and the memo dies with this link's pass,
-            # so an id can not be recycled while it is a key.
-            separations: Dict[Tuple[int, int], BoolExpr] = {}
-            for j in range(done, len(usages)):
-                uid2, _, t2 = usages[j]
-                for i in range(j):
-                    uid1, _, t1 = usages[i]
-                    if uid1 == uid2:
-                        # Two candidate routes of the same message share a
-                        # link prefix; selection is exclusive, no conflict.
-                        continue
-                    if isinstance(t1, LinExpr) or isinstance(t2, LinExpr):
-                        key = (id(t1), id(t2))
-                        separation = separations.get(key)
-                        if separation is None:
-                            # Either side may be a constant.
-                            gap = LinExpr.coerce(t1) - t2
-                            separation = separations[key] = Or(
-                                gap >= ld, -gap >= ld)
-                    elif abs(t1 - t2) >= ld:
-                        continue
-                    else:
-                        separation = FALSE_EXPR
-                    add(Or(unselected[i], unselected[j], separation))
+        added = 0
+        for link, usages in self.link_usage.items():
+            windows = [
+                (model[start] if isinstance(start, LinExpr) else start, i)
+                for i, (_, sel, start) in enumerate(usages) if model[sel]
+            ]
+            for (_, a), (_, b) in overlapping_pairs(windows, ld):
+                key = (link, min(a, b), max(a, b))
+                if key in self._contended:
+                    raise EncodingError(
+                        f"link {link[0]}->{link[1]}: the model overlaps "
+                        f"{usages[a][0]} and {usages[b][0]}, whose Eq. 5 "
+                        "clause is already asserted"
+                    )
+                self._contended.add(key)
+                self.solver.add(self.contention_clause(*key))
+                added += 1
+        return added
+
+    def contention_clause(self, link: Tuple[str, str], i: int,
+                          j: int) -> BoolExpr:
+        """Eq. 5 for usages ``i < j`` of ``link`` by different messages:
+        ``not sel_i or not sel_j or |t_i - t_j| >= ld``.
+
+        A usage leaving the sensor starts at the constant release time;
+        between two constant starts the separation folds to a constant.
+        """
+        ld = self.problem.delays.ld
+        _, sel1, t1 = self.link_usage[link][i]
+        _, sel2, t2 = self.link_usage[link][j]
+        if isinstance(t1, LinExpr) or isinstance(t2, LinExpr):
+            gap = LinExpr.coerce(t1) - t2
+            separation = Or(gap >= ld, -gap >= ld)
+        else:
+            separation = BoolVal(abs(t1 - t2) >= ld)
+        return Or(Not(sel1), Not(sel2), separation)
 
     # ------------------------------------------------------------------
     # Stability constraints (Sec. V-B, Eqs. 9 + 10)
@@ -293,6 +302,7 @@ class Encoder:
         self,
         app: ControlApplication,
         tag: Optional[str] = None,
+        unstable: Optional[BoolExpr] = None,
     ) -> Tuple[LinExpr, LinExpr]:
         """Encode ``delta_i >= 0`` for one application.
 
@@ -309,6 +319,11 @@ class Encoder:
         :meth:`freeze_message`, so their terms evaluate to the frozen
         constants.  ``tag`` namespaces the ``Lmin``/``Lmax`` variables so
         each incremental stage gets a fresh, tighter pair.
+
+        With ``unstable`` the segments are negated under that literal
+        instead (``unstable -> not Or(segments)``): assuming it asks for
+        a schedule in which the app violates Eq. (2), and leaving it out
+        leaves the app unconstrained.  ``Lmin``/``Lmax`` stay exact.
 
         Returns the ``(Lmin, Lmax)`` terms for model extraction.
         """
@@ -347,5 +362,8 @@ class Encoder:
                 lmin + seg.alpha * jitter_term <= seg.beta,
             )
             segments.append(condition)
-        self.solver.add(Or(segments))
+        if unstable is None:
+            self.solver.add(Or(segments))
+        else:
+            self.solver.add(Implies(unstable, Not(Or(segments))))
         return lmin, lmax

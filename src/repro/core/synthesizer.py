@@ -25,6 +25,12 @@ the new messages by asserting their model values as equalities
 (:meth:`Encoder.freeze_message`), so clauses learned in earlier stages
 keep pruning later ones instead of being rebuilt from scratch per stage.
 
+Contention (Eq. 5) is lazy: every ``sat`` check of a stage goes through
+:func:`check_refined`, which asserts the pair clauses the model violates
+(:meth:`Encoder.add_contention_constraints`) and re-checks until a model
+overlaps no pair (statistics: ``contention_pairs``,
+``contention_rounds``).
+
 On top of the plain per-stage solve the driver leans on the session
 API's assumption machinery:
 
@@ -52,7 +58,7 @@ import time
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..api import NativeBackend, Session
+from ..api import CheckOutcome, NativeBackend, Session
 from ..errors import EncodingError
 from ..network.frames import MessageInstance
 from ..runtime.faults import WorkerFaults
@@ -190,11 +196,16 @@ def _slice_messages(
     return slices
 
 
+#: Per-stage counters beyond the per-check ones: the clauses lazy
+#: contention added, and the re-checks it took to add them.
+_STAGE_COUNTERS = CHECK_COUNTERS + ("contention_pairs", "contention_rounds")
+
+
 class _StageAccounting:
     """Accumulates per-stage and per-run solver statistics."""
 
     def __init__(self) -> None:
-        self.totals: Dict[str, int] = {key: 0 for key in CHECK_COUNTERS}
+        self.totals: Dict[str, int] = {key: 0 for key in _STAGE_COUNTERS}
         self.totals.update(assumption_probes=0, cores_extracted=0,
                            stage_repairs=0, clauses_imported=0,
                            route_vetoes_applied=0, prefix_probes=0,
@@ -203,7 +214,7 @@ class _StageAccounting:
         self.per_stage: List[Dict[str, int]] = []
 
     def begin_stage(self) -> None:
-        self.stage = {key: 0 for key in CHECK_COUNTERS}
+        self.stage = {key: 0 for key in _STAGE_COUNTERS}
 
     def absorb(self, outcome) -> None:
         for key in CHECK_COUNTERS:
@@ -213,6 +224,8 @@ class _StageAccounting:
 
     def count(self, key: str, n: int = 1) -> None:
         self.totals[key] = self.totals.get(key, 0) + n
+        if key in self.stage:
+            self.stage[key] += n
 
     def end_stage(self) -> None:
         self.per_stage.append(self.stage)
@@ -315,7 +328,6 @@ def solve(
             continue
         acct.begin_stage()
         new_plans = [encoder.encode_message(m) for m in stage_messages]
-        encoder.add_contention_constraints()
 
         if opts.mode == MODE_STABILITY:
             stage_apps = {m.flow.name for m in stage_messages}
@@ -335,8 +347,8 @@ def solve(
                     session, encoder, opts))
             prefix_assumps = prefix_assumptions(opts, new_plans)
 
-        outcome = _check_stage(session, opts, acct, ledger, new_plans,
-                               prefix_assumps)
+        outcome = _check_stage(session, encoder, opts, acct, ledger,
+                               new_plans, prefix_assumps)
 
         if outcome != "sat":
             # An undecided check (conflict budget, interrupt) must not
@@ -391,8 +403,37 @@ def solve(
     )
 
 
+def check_refined(
+    session: Session,
+    encoder: Encoder,
+    assumptions: Sequence[BoolExpr],
+    acct: Optional[_StageAccounting] = None,
+) -> CheckOutcome:
+    """``session.check(assumptions)``, refined until the model is
+    contention-free.
+
+    After each ``sat`` answer the encoder asserts the Eq. 5 clauses the
+    model violates, and the same assumptions are checked again; a model
+    that overlaps no pair ends the loop, and so does an ``unsat`` or
+    ``unknown`` answer, exactly as it ends a single check.
+    """
+    while True:
+        outcome = session.check(assumptions)
+        if acct is not None:
+            acct.absorb(outcome)
+        if outcome != "sat":
+            return outcome
+        added = encoder.add_contention_constraints(outcome.require_model())
+        if not added:
+            return outcome
+        if acct is not None:
+            acct.count("contention_pairs", added)
+            acct.count("contention_rounds")
+
+
 def _check_stage(
     session: Session,
+    encoder: Encoder,
     opts: SynthesisOptions,
     acct: _StageAccounting,
     ledger: _FreezeLedger,
@@ -401,16 +442,19 @@ def _check_stage(
 ):
     """One stage's probe ladder: schedule-hint probe -> greedy route
     probe -> core-relaxed re-probe -> unrestricted solve -> (repair mode)
-    core-driven unfreezing.  Returns the final :class:`CheckOutcome`."""
+    core-driven unfreezing, every check refined by
+    :func:`check_refined`.  Returns the final :class:`CheckOutcome`."""
     freezes = ledger.assumptions()
+
+    def check(assumptions: Sequence[BoolExpr]) -> CheckOutcome:
+        return check_refined(session, encoder, assumptions, acct)
 
     if prefix_assumps:
         # Replay the cached schedule hint.  Pure assumption probe: a
         # miss costs one check and falls through to the regular ladder,
         # so statuses never change.
         acct.count("prefix_probes")
-        probe = session.check(freezes + list(prefix_assumps))
-        acct.absorb(probe)
+        probe = check(freezes + list(prefix_assumps))
         if probe == "sat":
             acct.count("prefix_hits")
             return probe
@@ -418,8 +462,7 @@ def _check_stage(
     greedy = [p.selectors[0] for p in new_plans if len(p.selectors) > 1]
     if greedy:
         acct.count("assumption_probes")
-        probe = session.check(freezes + greedy)
-        acct.absorb(probe)
+        probe = check(freezes + greedy)
         if probe == "sat":
             return probe
         core = set(probe.unsat_core or ())
@@ -432,13 +475,11 @@ def _check_stage(
         if (core and relaxed and len(relaxed) < len(greedy)
                 and not core.intersection(freezes)):
             acct.count("assumption_probes")
-            probe = session.check(freezes + relaxed)
-            acct.absorb(probe)
+            probe = check(freezes + relaxed)
             if probe == "sat":
                 return probe
 
-    outcome = session.check(freezes)
-    acct.absorb(outcome)
+    outcome = check(freezes)
 
     if outcome != "sat" and opts.repair and freezes:
         rounds = 0
@@ -451,8 +492,7 @@ def _check_stage(
             acct.count("stage_repairs")
             ledger.release(blamed)
             rounds += 1
-            outcome = session.check(ledger.assumptions())
-            acct.absorb(outcome)
+            outcome = check(ledger.assumptions())
     return outcome
 
 

@@ -10,11 +10,32 @@ schedule.
 
 from __future__ import annotations
 
-from typing import List
+from fractions import Fraction
+from typing import List, Sequence, Tuple
 
 from ..errors import ValidationError
 from ..network.graph import NodeKind
 from .solution import Solution
+
+
+def overlapping_pairs(windows: Sequence[Tuple], ld: Fraction
+                      ) -> List[Tuple[Tuple, Tuple]]:
+    """Every pair of one link's transmission windows that violates Eq. 5.
+
+    ``windows`` holds ``(start, key)`` entries of one directed link; a
+    pair whose starts are less than ``ld`` apart comes back as its two
+    entries in start order.  The one Eq. 5 detector: the validator
+    reports these pairs, and :meth:`Encoder.add_contention_constraints`
+    asserts a clause for each of them.
+    """
+    entries = sorted(windows)
+    pairs = []
+    for i, first in enumerate(entries):
+        for j in range(i + 1, len(entries)):
+            if entries[j][0] - first[0] >= ld:
+                break
+            pairs.append((first, entries[j]))
+    return pairs
 
 
 def validate_solution(solution: Solution, check_stability: bool = True) -> None:
@@ -93,14 +114,12 @@ def collect_violations(solution: Solution, check_stability: bool = True) -> List
     by_link = {}
     for u, v, start, uid in link_windows:
         by_link.setdefault((u, v), []).append((start, uid))
-    for (u, v), entries in sorted(by_link.items()):
-        entries.sort()
-        for (t1, u1), (t2, u2) in zip(entries, entries[1:]):
-            if t2 - t1 < ld:
-                out.append(
-                    f"link {u}->{v}: {u1} and {u2} overlap "
-                    f"({t1} vs {t2}, ld={ld}) (Eq. 5)"
-                )
+    for (u, v), windows in sorted(by_link.items()):
+        for (t1, u1), (t2, u2) in overlapping_pairs(windows, ld):
+            out.append(
+                f"link {u}->{v}: {u1} and {u2} overlap "
+                f"({t1} vs {t2}, ld={ld}) (Eq. 5)"
+            )
 
     # Stability (Eqs. 3 + 10).
     if check_stability:

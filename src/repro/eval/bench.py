@@ -39,7 +39,7 @@ QUICK_SCALES: Dict[str, dict] = {
     "fig4": {"n_problems": 2, "stages_list": (3, 5), "routes": 3, "n_apps": 5},
     "backends": {"n_apps": 3, "routes": 2, "stages": 3},
     "unsat_core": {"routes": 2},
-    "portfolio": {"n_apps": 4, "islands": 2, "midcheck_apps": 4},
+    "portfolio": {"n_apps": 3, "islands": 2},
     "dl_propagation": {"n_systems": 3, "n_apps": 4, "n_switches": 5},
     "faults": {"n_apps": 4, "gm_apps": 4, "timeout": 60.0},
     "service": {"workers": 2, "deadline": 120.0},
@@ -53,11 +53,17 @@ def _digest(text: str) -> str:
 
 def _bench_table1(scale: dict) -> dict:
     result = experiments.run_table1(**scale)
+    statuses = {
+        "stability": result.stability_status,
+        "deadline": result.deadline_status,
+    }
+    # Claim 2, search-independent: can the app be unstable while every
+    # deadline holds?  The sampled deadline schedule's stable count
+    # below is informative only.
+    for app, verdict in result.unstable_verdicts.items():
+        statuses[f"unstable/{app}"] = verdict
     return {
-        "statuses": {
-            "stability": result.stability_status,
-            "deadline": result.deadline_status,
-        },
+        "statuses": statuses,
         "stable_counts": {
             "stability": result.stability_stable_count,
             "deadline": result.deadline_stable_count,
@@ -67,7 +73,8 @@ def _bench_table1(scale: dict) -> dict:
             "deadline": result.deadline_time,
         },
         # run_table1 asserts collect_violations() == [] on every sat
-        # result, so reaching this point certifies the models.
+        # result and every witness, so reaching this point certifies
+        # the models.
         "certified": result.stability_status == "sat",
         "render_digest": _digest(result.render()),
     }
@@ -186,22 +193,25 @@ def _bench_portfolio(scale: dict) -> dict:
     so the record's ``by_backend`` roll-up attributes time and conflicts
     per *strategy* (closing the per-strategy attribution item).
 
-    A third race exercises the *mid-check* export path: a monolithic
-    worker on the mesh case study, budgeted to ``max_conflicts=50``
-    (fewer than its unbudgeted solve takes), aborts ``unknown`` inside
-    its first long check — but its ``on_restart`` hook has already
-    streamed learned clauses (tagged ``origin: mid-check``) into the
-    pool at each restart and at the abort itself.
-    ``routes-1`` then races to ``sat`` seeded with them.  The regression
-    surface adds: the monolithic worker's ``unknown`` (never a race
-    verdict), a nonzero ``midcheck_clauses_pooled`` pool counter, and at
-    least one clause actually *imported* by the seeded winner.
+    A third race exercises the *mid-check* export path: a ``routes-1``
+    worker on a seven-app funnel whose direct link holds five messages,
+    budgeted to ``max_conflicts=50`` (far fewer than its pigeonhole
+    refutation takes), aborts ``unknown`` inside its first long check —
+    but its ``on_restart`` hook has already streamed learned clauses
+    (tagged ``origin: mid-check``) into the pool at each restart and at
+    the abort itself.  The monolithic strategy then races to ``sat``
+    seeded with them.  The regression surface adds: the budgeted
+    worker's ``unknown`` (never a race verdict), a nonzero
+    ``midcheck_clauses_pooled`` pool counter, and at least one clause
+    actually *imported* by the seeded winner.
     """
+    from fractions import Fraction
+
     from ..core.synthesizer import SynthesisOptions
     from ..portfolio import Strategy, synthesize_portfolio
     from . import workloads
 
-    n_apps = scale.get("n_apps", 4)
+    n_apps = scale.get("n_apps", 3)
     islands = scale.get("islands", 2)
     sat_problem = workloads.sharing_problem(n_apps=n_apps, islands=islands)
     unsat_problem = workloads.sharing_unsat_problem()
@@ -277,12 +287,13 @@ def _bench_portfolio(scale: dict) -> dict:
     # Mid-check export race: the monolithic worker is budget-killed
     # inside one check; its restart-boundary exports must still reach
     # (and measurably seed) the routes-1 winner.
-    midcheck_problem = workloads.gm_case_study(
-        n_apps=scale.get("midcheck_apps", 4))
+    midcheck_problem = workloads.bottleneck_problem(
+        7, period=Fraction(8, 1000))
     midcheck_strategies = [
-        Strategy("monolithic", SynthesisOptions(
-            routes=None, dl_propagation=False, max_conflicts=50)),
-        Strategy("routes-1", SynthesisOptions(routes=1, dl_propagation=False)),
+        Strategy("routes-1", SynthesisOptions(
+            routes=1, dl_propagation=False, max_conflicts=50)),
+        Strategy("monolithic",
+                 SynthesisOptions(routes=None, dl_propagation=False)),
     ]
     res = synthesize_portfolio(midcheck_problem, midcheck_strategies,
                                backend="serial", share_knowledge=True)
@@ -333,7 +344,7 @@ def _bench_dl_propagation(scale: dict) -> dict:
     from . import workloads
 
     n_systems = scale.get("n_systems", 3)
-    n_apps = scale.get("n_apps", 4)
+    n_apps = scale.get("n_apps", 3)
     n_switches = scale.get("n_switches", 5)
     statuses: Dict[str, str] = {}
     decisions = {False: 0, True: 0}
@@ -424,7 +435,7 @@ def _bench_faults(scale: dict) -> dict:
     from ..core.synthesizer import SynthesisOptions
     from ..portfolio import (FaultPlan, FaultSpec, Strategy,
                              SupervisionPolicy, synthesize_portfolio)
-    from ..runtime.faults import CORRUPT, CRASH, HANG
+    from ..runtime.faults import CORRUPT, CRASH, HANG, SLOW_START
     from . import workloads
 
     timeout = scale.get("timeout", 60.0)
@@ -454,12 +465,16 @@ def _bench_faults(scale: dict) -> dict:
                 Strategy("stages-2", SynthesisOptions(routes=3, stages=2)),
             ],
             FaultPlan([
-                # routes-1 solves (unsat) fastest and exports its proof
-                # artifacts: corrupting its first frame tests quarantine
-                # on a frame that reliably reaches the pool boundary.
+                # routes-1 solves (unsat) and exports its proof artifacts:
+                # corrupting its first frame tests quarantine on a frame
+                # that reaches the pool boundary.  The sat-capable
+                # strategies start slowly, or monolithic's sat (as fast
+                # as routes-1's unsat) may end the race first.
                 FaultSpec(CRASH, strategy="routes-2", attempt=1),
                 FaultSpec(HANG, strategy="stages-2", attempt=1),
                 FaultSpec(CORRUPT, strategy="routes-1", attempt=0, frame=0),
+                *(FaultSpec(SLOW_START, strategy=name, attempt=0, delay=0.4)
+                  for name in ("monolithic", "routes-2", "stages-2")),
             ], seed=11),
         ),
         "gm": (
@@ -477,6 +492,10 @@ def _bench_faults(scale: dict) -> dict:
                 FaultSpec(CRASH, strategy="routes-1", attempt=1),
                 FaultSpec(HANG, strategy="stages-2", attempt=1),
                 FaultSpec(CORRUPT, strategy="monolithic", attempt=0, frame=0),
+                # Monolithic solves this case as fast as routes-1: held
+                # back, it cannot beat routes-1's relaunch to the verdict.
+                FaultSpec(SLOW_START, strategy="monolithic", attempt=0,
+                          delay=2.0),
             ], seed=13),
         ),
     }
@@ -631,10 +650,10 @@ def _bench_service(scale: dict) -> dict:
             chaos = await client.solve(uniques[0][0], uniques[0][1],
                                        deadline=deadline,
                                        request_id="chaos")
-            # Chaos 2: cancel a long solve mid-flight (seconds of
-            # monolithic search at ten apps).
+            # Chaos 2: cancel a long solve mid-flight (seconds inside
+            # one monolithic check).
             _, pending = await client.submit(
-                workloads.gm_case_study(10), deadline=deadline,
+                workloads.slow_funnel_problem(), deadline=deadline,
                 request_id="cancelme")
             for _ in range(100):
                 await asyncio.sleep(0.05)

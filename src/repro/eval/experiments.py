@@ -15,15 +15,21 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..control.plants import paper_controller, plant_database
+from ..core.encoding import Encoder
+from ..core.problem import SynthesisProblem
+from ..core.solution import Solution
 from ..core.synthesizer import (
     MODE_DEADLINE,
     MODE_STABILITY,
     SynthesisOptions,
     SynthesisResult,
+    check_refined,
+    open_session,
     solve,
 )
 from ..core.validator import collect_violations
 from ..portfolio import PortfolioResult, Strategy, default_portfolio, synthesize_portfolio
+from ..smt import Bool
 from ..stability.curve import StabilityCurve, compute_stability_curve
 from ..stability.piecewise import StabilitySpec, fit_lower_bound
 from . import workloads
@@ -395,6 +401,15 @@ class Table1Result:
     n_messages: int
     stability_status: str
     deadline_status: str
+    #: app -> answer to "can this app be unstable while every deadline
+    #: holds?" ("sat": yes, with a witness below; "unsat": never).
+    unstable_verdicts: Dict[str, str]
+    unstable_witnesses: Dict[str, Solution]
+
+    @property
+    def can_be_unstable(self) -> List[str]:
+        return [app for app, verdict in self.unstable_verdicts.items()
+                if verdict == "sat"]
 
     def render(self) -> str:
         def table(rows: List[Table1Row]) -> str:
@@ -419,10 +434,51 @@ class Table1Result:
             "",
             f"[Deadline]  status={self.deadline_status}  "
             f"time={self.deadline_time:.1f}s  "
-            f"stable: {self.deadline_stable_count}/{self.n_apps}",
+            f"stable in the sampled schedule: "
+            f"{self.deadline_stable_count}/{self.n_apps}",
             table(self.deadline_rows),
+            "",
+            f"[Deadline, any schedule]  can be unstable: "
+            f"{len(self.can_be_unstable)}/{self.n_apps} "
+            f"({', '.join(self.can_be_unstable) or '-'})",
         ]
         return "\n".join(parts)
+
+
+def unstable_verdicts(
+    problem: SynthesisProblem, routes: Optional[int],
+) -> Tuple[Dict[str, str], Dict[str, Solution]]:
+    """Table I's claim 2 as a property of the problem, not of a model:
+    per app, can it be unstable in a schedule that meets every deadline?
+
+    One deadline-mode session (``routes`` as given, one stage) holds
+    every message and, per app, the exact ``Lmin``/``Lmax`` with Eq. (2)
+    negated under one guard literal
+    (:meth:`Encoder.add_stability_constraints` with ``unstable``).  App
+    i's question is one :func:`check_refined` assuming its guard: ``sat``
+    answers carry the witness schedule, ``unsat`` means every
+    deadline-feasible schedule keeps the app stable.
+    """
+    session, _ = open_session(SynthesisOptions(mode=MODE_DEADLINE,
+                                               routes=routes))
+    encoder = Encoder(problem, session, routes)
+    for message in problem.messages:
+        encoder.encode_message(message)
+    guards = {app.name: Bool(f"unstable[{app.name}]") for app in problem.apps}
+    for app in problem.apps:
+        encoder.add_stability_constraints(app, unstable=guards[app.name])
+    verdicts: Dict[str, str] = {}
+    witnesses: Dict[str, Solution] = {}
+    for app in problem.apps:
+        outcome = check_refined(session, encoder, [guards[app.name]])
+        verdicts[app.name] = outcome.status.name
+        if outcome == "sat":
+            model = outcome.require_model()
+            witnesses[app.name] = Solution(problem, {
+                uid: encoder.freeze_message(plan, model, pin=False)
+                for uid, plan in encoder.plans.items()
+            }, mode=MODE_DEADLINE)
+    return verdicts, witnesses
 
 
 def run_table1(
@@ -431,7 +487,10 @@ def run_table1(
     stages: int = 5,
     show_rows: int = 5,
 ) -> Table1Result:
-    """Both columns of Table I: stability-aware vs deadline synthesis."""
+    """Both columns of Table I: stability-aware vs deadline synthesis,
+    and per app whether deadlines alone can leave it unstable
+    (:func:`unstable_verdicts`; the deadline column's stable count is
+    one sampled schedule's)."""
     problem = workloads.gm_case_study(n_apps=n_apps)
 
     def rows_of(result: SynthesisResult) -> Tuple[List[Table1Row], int]:
@@ -469,6 +528,11 @@ def run_table1(
     if res_dead.ok:
         assert collect_violations(res_dead.solution, check_stability=False) == []
 
+    verdicts, witnesses = unstable_verdicts(problem, routes)
+    for name, witness in witnesses.items():
+        assert collect_violations(witness, check_stability=False) == []
+        assert witness.app_report(name).stable is False
+
     stab_rows, stab_count = rows_of(res_stab)
     dead_rows, dead_count = rows_of(res_dead)
     return Table1Result(
@@ -482,4 +546,6 @@ def run_table1(
         n_messages=problem.num_messages,
         stability_status=res_stab.status,
         deadline_status=res_dead.status,
+        unstable_verdicts=verdicts,
+        unstable_witnesses=witnesses,
     )

@@ -354,6 +354,22 @@ def sharing_problem(n_apps: int = 4, islands: int = 2) -> SynthesisProblem:
     return SynthesisProblem(net, apps, BOTTLENECK_DELAYS)
 
 
+def slow_funnel_problem() -> SynthesisProblem:
+    """Seconds inside every monolithic ``check()``: a deadline or a
+    cancel arrives while the engine is still searching.
+
+    Nine apps on the 7 ms funnel, whose direct link holds four messages
+    and relief path three: the instance is unsat, and refuting it is a
+    pigeonhole proof (about 9,300 conflicts, ~10 s on a 2-core x86 box)
+    that no check of the probe ladder short-cuts, so an interrupted
+    solve can only answer ``unknown``.  Contention clauses are added
+    only when a model violates them, so instances that are merely large
+    (the GM case study at ten apps) solve in well under a second; this
+    one is slow because of the search itself.
+    """
+    return bottleneck_problem(9, period=Fraction(7, 1000))
+
+
 def sharing_unsat_problem(n_apps: int = 3, islands: int = 1) -> SynthesisProblem:
     """Infeasible companion of :func:`sharing_problem` (deterministic).
 

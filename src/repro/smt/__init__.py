@@ -9,7 +9,6 @@ eager incremental difference-logic theory, and an exact rational simplex
 from .difflogic import DifferenceLogic
 from .rationals import DeltaRational, materialize_delta
 from .simplex import Simplex
-from .optimize import OptimizeResult, minimize
 from .solver import CheckResult, Model, SolverEngine, sat, unknown, unsat
 from .terms import (
     And,
@@ -53,7 +52,6 @@ __all__ = [
     "LraTheory",
     "Model",
     "Not",
-    "OptimizeResult",
     "Or",
     "Real",
     "RealVal",
@@ -63,7 +61,6 @@ __all__ = [
     "Sum",
     "TRUE_EXPR",
     "materialize_delta",
-    "minimize",
     "sat",
     "unknown",
     "unsat",

@@ -264,11 +264,3 @@ class TestUndecidedBackendPropagation:
                        session=session)
         assert result.status == "unknown"
         assert not result.ok
-
-    def test_minimize_refuses_undecided_backend(self):
-        from repro.smt.optimize import minimize
-
-        x = Real("undecided_x")
-        session = Session(backend=UndecidedBackend())
-        with pytest.raises(SolverError, match="answered unknown"):
-            minimize([x >= 3], x, session=session)

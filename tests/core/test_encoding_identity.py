@@ -19,15 +19,14 @@ freeze -- digests
   every registered atom.
 
 Only the digests are committed (``GOLDEN`` below).  The first state of
-every case -- stage 1's formula, emitted before any search -- and the
-single-stage case are still the digests recorded from commit 7e63c5f
-(PR 12, before the build-once encode path).  The later states of the two
-staged cases depend on the search as well: each stage freezes the
-previous stages' *model values* into the formula, so when the SAT core
-stopped deciding don't-care atoms (relevancy-filtered decisions, see
-``docs/perf.md``) the models, hence the freeze atoms, moved -- those
-states were re-recorded with that change (gm_case_study(3): 2,248 ->
-2,251 variables, 1,861 -> 1,864 atoms, the 3,461 clauses stayed).
+every case is stage 1's formula, emitted before any search.  Every later
+state depends on the search as well: each stage freezes the previous
+stages' *model values* into the formula, and Eq. 5's pair clauses are
+emitted only for the pairs a model overlaps (lazy contention, see
+``docs/perf.md``), so a search change moves which clauses exist.  All
+states were re-recorded when contention became lazy
+(gm_case_study(3): 3,461 -> 1,845 clauses, 2,251 -> 879 variables,
+1,864 -> 492 atoms).
 
 To re-record after a change that is *meant* to alter the formula::
 
@@ -88,23 +87,25 @@ CASES = {
 #: one 16-hex digest per distinct formula state seen by a check()).
 GOLDEN = {
     'gm_case_study(3) routes=3 stages=5': (
-        'sat', 3461, 2251, 1864, (
-            '8b7e4e7ebc6b9f0c',
-            '2ee7b1c28e00338c',
-            '39210e7d0bed5cc9',
-            'b948d74b51d5eaf3',
-            'be6949318f7ec96a',
+        'sat', 1845, 879, 492, (
+            'ed81c669c021b129',
+            '5f2f72fdf0253fd1',
+            '4096348eb6a92c0b',
+            'bdeb08e15e3f0d7a',
+            '27d2a658fcf0d87c',
         )),
     'gm_variant(seed 13) routes=3 stages=4': (
-        'sat', 2142, 1520, 1250, (
-            '9189cf543a9e065d',
-            '70ace7780ef06938',
-            '8911cc4ea99177d5',
-            'b9355e360b86ab62',
+        'sat', 1324, 648, 378, (
+            'a9a81474dd8e2640',
+            '1adaeea3317c927a',
+            '05dbc7838b2114c1',
+            '024eb18af923d27d',
+            '40c6447995be4ea2',
         )),
     'bottleneck_problem(3) routes=2': (
-        'sat', 99, 66, 48, (
-            'b62f88f7330bc8d7',
+        'sat', 93, 60, 42, (
+            '44fb0118fe61f9bb',
+            '1a72547b9a261285',
         )),
 }
 
@@ -194,7 +195,7 @@ def test_recording_is_not_vacuous():
     status, clauses, n_vars, n_atoms, digests = record(
         "gm_case_study(3) routes=3 stages=5")
     assert status == "sat"
-    assert clauses > 1000 and n_atoms > 500
+    assert clauses > 1000 and n_atoms > 400
     assert len(digests) >= 5  # at least one formula state per stage
 
 

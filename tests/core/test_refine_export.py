@@ -1,4 +1,4 @@
-"""Tests for jitter-minimizing refinement and solution export."""
+"""Tests for solution export."""
 
 import json
 from fractions import Fraction
@@ -10,7 +10,6 @@ from repro.core import (
     SynthesisOptions,
     SynthesisProblem,
     collect_violations,
-    minimize_jitter,
     render_switch_configs,
     solution_from_dict,
     solution_to_dict,
@@ -50,40 +49,6 @@ PINNED_EXPORT = (
     '["S1", "A", "B", "C1"], "release": "0", "e2e": "301/100000", '
     '"gammas": {"A": "201/200000", "B": "201/100000"}}}}'
 )
-
-
-class TestMinimizeJitter:
-    def test_produces_valid_low_jitter_solution(self):
-        problem = make_problem(2)
-        baseline = solve(problem, SynthesisOptions(routes=2))
-        refined = minimize_jitter(problem, routes=2,
-                                  tolerance=Fraction(1, 100000))
-        assert refined.ok
-        validate_solution(refined.solution)
-        base_jitter = sum(r.jitter for r in baseline.solution.reports())
-        opt_jitter = sum(r.jitter for r in refined.solution.reports())
-        assert opt_jitter <= base_jitter
-        assert refined.total_jitter is not None
-        assert opt_jitter <= refined.total_jitter
-
-    def test_zero_jitter_achievable_on_uncontended_net(self):
-        # One app alone: every instance can use the same offsets -> J = 0.
-        problem = make_problem(1)
-        refined = minimize_jitter(problem, routes=2,
-                                  tolerance=Fraction(1, 10**6))
-        assert refined.ok
-        report = refined.solution.reports()[0]
-        assert report.jitter <= Fraction(1, 10**6)
-
-    def test_unsat_when_spec_impossible(self):
-        net = simple_testbed(1)
-        apps = [ControlApplication(
-            "a", "S0", "C0", ms(5),
-            StabilitySpec.single_line("1", str(float(FAST.ld))),
-        )]
-        problem = SynthesisProblem(net, apps, FAST)
-        refined = minimize_jitter(problem, routes=1)
-        assert refined.status == "unsat"
 
 
 class TestExport:

@@ -58,5 +58,10 @@ class TestSynthesisRunners:
         assert res.stability_status == "sat"
         assert res.n_apps == 4
         assert res.stability_stable_count == 4
+        # gm2 (alpha 1.07, beta 80.71 ms, 50 ms period) is stable in
+        # every deadline-feasible schedule; gm0 is not.
+        assert res.unstable_verdicts["gm2"] == "unsat"
+        assert res.unstable_verdicts["gm0"] == "sat"
+        assert set(res.unstable_witnesses) == set(res.can_be_unstable)
         text = res.render()
         assert "Stability-Aware" in text and "Deadline" in text

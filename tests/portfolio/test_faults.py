@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from repro.core import validate_solution
 from repro.core.synthesizer import SynthesisOptions
-from repro.eval.workloads import gm_case_study, sharing_problem
+from repro.eval.workloads import (gm_case_study, sharing_problem,
+                                  slow_funnel_problem)
 from repro.portfolio import (
     FaultPlan,
     FaultSpec,
@@ -265,8 +266,13 @@ class TestAcceptanceChaos:
                                     supervision=FAST)
         chaos = synthesize_portfolio(problem, strategies, timeout=60,
                                      supervision=FAST, fault_plan=plan)
+        # Which strategy wins is a timing race: with contention clauses
+        # added only on violation, monolithic finishes as fast as
+        # routes-1 here.  The verdict must not move, and the winner's
+        # schedule must certify.
         assert chaos.status == base.status
-        assert chaos.winner == base.winner
+        if chaos.status == "sat":
+            validate_solution(chaos.solution)
         assert chaos.supervision_statistics["crash_retries"] >= 1
         assert_no_leaked_workers()
         return chaos
@@ -379,7 +385,7 @@ class TestSerialSupervision:
         # time: the watchdog must interrupt the engine mid-check instead
         # of letting the attempt run to completion.
         t0 = time.perf_counter()
-        res = synthesize_portfolio(gm_case_study(10), mono(),
+        res = synthesize_portfolio(slow_funnel_problem(), mono(),
                                    backend="serial", timeout=0.3)
         wall = time.perf_counter() - t0
         assert res.status == "timeout"

@@ -8,6 +8,8 @@ check — so a worker killed mid-search still contributes — and root-level
 export cannot see because unit learnts live on the trail, not in the DB.
 """
 
+from fractions import Fraction
+
 from repro.core.synthesizer import SynthesisOptions
 from repro.eval import workloads
 from repro.portfolio import Strategy, synthesize_portfolio
@@ -90,33 +92,34 @@ class TestUnitExport:
 
 
 class TestMidCheckRace:
-    def test_budget_killed_monolithic_seeds_the_winner(self):
+    def test_budget_killed_worker_seeds_the_winner(self):
         """The bench/CI scenario, end to end on the serial backend.
 
-        The monolithic worker hits ``max_conflicts`` inside its first
-        long check and answers unknown — but its restart-boundary
-        exports must reach the pool, and the routes-1 winner must
-        measurably import them.
+        Seven apps on the 8 ms funnel: the direct link holds five, so
+        the routes-1 worker faces a pigeonhole refutation, hits
+        ``max_conflicts`` inside it and answers unknown — but its
+        restart-boundary exports must reach the pool, and the
+        monolithic winner must measurably import them.
         """
-        problem = workloads.gm_case_study(n_apps=4)
+        problem = workloads.bottleneck_problem(7, period=Fraction(8, 1000))
         strategies = [
-            Strategy("monolithic", SynthesisOptions(
-                routes=None, dl_propagation=False, max_conflicts=50)),
             Strategy("routes-1", SynthesisOptions(
-                routes=1, dl_propagation=False)),
+                routes=1, dl_propagation=False, max_conflicts=50)),
+            Strategy("monolithic", SynthesisOptions(
+                routes=None, dl_propagation=False)),
         ]
         res = synthesize_portfolio(problem, strategies, backend="serial",
                                    share_knowledge=True)
         by_name = {sr.name: sr for sr in res.strategy_results}
-        assert by_name["monolithic"].status == "unknown"
-        assert by_name["routes-1"].status == "sat"
-        assert res.status == "sat" and res.winner == "routes-1"
+        assert by_name["routes-1"].status == "unknown"
+        assert by_name["monolithic"].status == "sat"
+        assert res.status == "sat" and res.winner == "monolithic"
         assert res.pool_statistics["midcheck_clauses_pooled"] > 0
-        assert by_name["routes-1"].statistics.get("clauses_imported", 0) > 0
+        assert by_name["monolithic"].statistics.get("clauses_imported", 0) > 0
 
     def test_unknown_is_never_a_race_verdict(self):
         """A budget-killed complete strategy must not decide the race."""
-        problem = workloads.gm_case_study(n_apps=4)
+        problem = workloads.bottleneck_problem(8, period=Fraction(7, 1000))
         strategies = [
             Strategy("monolithic", SynthesisOptions(
                 routes=None, dl_propagation=False, max_conflicts=50)),

@@ -22,8 +22,8 @@ import weakref
 import pytest
 
 from repro.api import Session
-from repro.core.refine import minimize_jitter
-from repro.core.synthesizer import SynthesisOptions, solve
+from repro.core import Encoder
+from repro.core.synthesizer import SynthesisOptions, check_refined, solve
 from repro.eval.workloads import (bottleneck_problem, bottleneck_repair_problem,
                                   gm_case_study, sharing_problem)
 from repro.portfolio import (FaultPlan, FaultSpec, Strategy,
@@ -242,8 +242,13 @@ def test_interned_variables_live_only_as_long_as_their_users():
     del session
     assert len(BoolVar._registry) <= bools
     problem = bottleneck_problem(2)
-    for _ in range(50):   # each call encodes under a fresh namespace
-        assert minimize_jitter(problem, routes=1, max_probes=2).ok
+    for _ in range(50):   # each encoder takes a fresh namespace
+        session = Session()
+        encoder = Encoder(problem, session, route_limit=1)
+        for message in problem.messages:
+            encoder.encode_message(message)
+        assert check_refined(session, encoder, ()) == "sat"
+    del session, encoder
     assert len(BoolVar._registry) <= bools
     assert len(RealVar._registry) <= reals
     # Identity while alive is unchanged.

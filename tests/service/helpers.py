@@ -11,7 +11,7 @@ import asyncio
 from fractions import Fraction
 
 from repro.core.problem import ControlApplication, SynthesisProblem
-from repro.eval.workloads import gm_case_study
+from repro.eval.workloads import slow_funnel_problem
 from repro.network.graph import Network
 from repro.network.timing import DelayModel
 from repro.stability.piecewise import StabilitySpec
@@ -56,6 +56,7 @@ def run(coro):
 
 
 def slow_problem() -> SynthesisProblem:
-    """Seconds of monolithic search (hundreds of conflicts): a solve that
-    is still running when a deadline or a cancel arrives."""
-    return gm_case_study(10)
+    """Seconds of monolithic search (thousands of conflicts, an unsat
+    that no probe short-cuts): a solve that is still running when a
+    deadline or a cancel arrives."""
+    return slow_funnel_problem()

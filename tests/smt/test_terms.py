@@ -311,7 +311,7 @@ class TestExactRepresentation:
         assert result.status == "sat"
         atoms = [o for o in engine._cnf._origins.values()
                  if isinstance(o, Atom)]
-        assert len(atoms) > 500
+        assert len(atoms) > 400
         for atom in atoms:
             wire = serialize_literal(atom, False)
             imported, negated = deserialize_literal(wire)
