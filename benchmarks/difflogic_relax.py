@@ -13,7 +13,10 @@ weights are replayed as the integer pairs the theory handed over;
 ``scaled_bound`` is replayed because it is the call that grows the
 engine's scale, so a fresh engine is in the same scale at the same step.
 The replay must reproduce every recorded verdict and every
-``implied_bounds`` count.
+``implied_bounds`` count, and at the default size and the CI smoke size
+the recording's totals must be the pinned ``EXPECTED`` ones: they belong
+to the recorded search, so they are re-recorded with a search change,
+never with an engine change.
 
 One untimed replay counts the SSSP passes (one per fresh edge drained by
 ``implied_bounds``); the timed rounds run the engine as it ships.
@@ -39,6 +42,9 @@ from simplex_pivots import cross_wired, median_iqr, record  # noqa: E402
 #: The mutating calls of the engine's public surface, as LraTheory uses it.
 RECORDED = ("new_node", "scaled_bound", "watch_pair", "assert_constraint",
             "implied_bounds", "undo_to")
+#: n_apps -> (asserts, negative cycles, SSSP passes, implied bounds) of
+#: the recording (4 is the default size, 3 the CI smoke).
+EXPECTED = {3: (878, 11, 204, 609), 4: (1221, 17, 264, 981)}
 
 
 def observe(name, result):
@@ -98,6 +104,9 @@ def main():
     print(f"{asserts} asserts ({conflicts} negative cycles), {passes} SSSP "
           f"passes, {implied} implied bounds, largest final scale "
           f"{scale_bits} bits")
+    if n_apps in EXPECTED:
+        assert (asserts, conflicts, passes, implied) == EXPECTED[n_apps], (
+            "the search moved")
     walls, assert_rates, pass_rates = [], [], []
     for r in range(rounds):
         _, wall = replay(traces)

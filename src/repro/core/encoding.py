@@ -20,8 +20,11 @@ Transposition (6)       along each candidate route: ``sel -> gamma_next >=
                         the sampling instant ``j h_i``)
 No-loop (7)             by construction (simple paths)
 Route (8)               one-hot selection over the candidate set
-Stability (9)+(10)      exact ``Lmin/Lmax`` min/max encoding plus the
-                        piecewise segments of Eq. (2) -- see
+Stability (9)+(10)      ``Lmin/Lmax`` bounded by every message's e2e --
+                        per-route rows for open messages, constants for
+                        frozen ones -- plus the piecewise segments of
+                        Eq. (2); synthesis attains ``Lmin`` only, the
+                        negated check both ends -- see
                         :func:`Encoder.add_stability_constraints`
 Implicit deadline       ``e2e <= h_i`` (both modes; makes one-hyper-period
                         contention analysis exact)
@@ -106,6 +109,9 @@ class Encoder:
         self.link_usage: Dict[Tuple[str, str], List] = {}
         # (link, i, j) of every usage pair whose Eq. 5 clause is asserted.
         self._contended: Set[Tuple[Tuple[str, str], int, int]] = set()
+        # uid -> e2e of every message pinned for good (no guard): the
+        # stability rows fold it to a constant.
+        self._frozen_e2e: Dict[str, Fraction] = {}
 
     # ------------------------------------------------------------------
     # Route candidates (Eq. 8 / route-subset heuristic)
@@ -196,7 +202,9 @@ class Encoder:
         With ``guard`` the equalities are asserted under that literal
         (``guard -> eq``) instead of permanently: assuming the guard on
         later checks enforces the freeze, and dropping it re-opens the
-        message — the lever of core-driven stage repair.
+        message — the lever of core-driven stage repair.  A permanent
+        pin also records the message's e2e, which
+        :meth:`add_stability_constraints` then uses as a constant.
         """
         selected = [r for r, sel in enumerate(plan.selectors) if model[sel]]
         if len(selected) != 1:
@@ -222,6 +230,8 @@ class Encoder:
                     self.solver.add(Implies(guard, constraint))
                 else:
                     self.solver.add(constraint)
+            if guard is None:
+                self._frozen_e2e[plan.message.uid] = e2e
         return MessageSchedule(
             uid=plan.message.uid,
             app=plan.message.flow.name,
@@ -303,29 +313,37 @@ class Encoder:
         app: ControlApplication,
         tag: Optional[str] = None,
         unstable: Optional[BoolExpr] = None,
-    ) -> Tuple[LinExpr, LinExpr]:
+    ) -> None:
         """Encode ``delta_i >= 0`` for one application.
 
-        ``Lmin/Lmax`` are tied *exactly* to the min/max end-to-end delay
-        over the app's messages: bounded on one side by every message
-        (``Lmin <= e2e``), and attained on the other via a disjunction
-        (``Lmin >= e2e`` for at least one selected route).  The piecewise
-        condition of Eq. (2) is a disjunction over segments of
+        ``Lmin`` is tied *exactly* to the min end-to-end delay over the
+        app's messages: bounded above by every message (``Lmin <= e2e``)
+        and attained via a disjunction (``Lmin >= e2e`` for at least one
+        selected route).  ``Lmax`` is bounded below by every message.
+        The piecewise condition of Eq. (2) is a disjunction over segments
+        of
 
             l_lo <= Lmin <= l_hi  and  Lmin + alpha (Lmax - Lmin) <= beta
 
-        The app's earlier-stage messages are covered by the plan loop
-        below: their selectors and gammas are pinned by
-        :meth:`freeze_message`, so their terms evaluate to the frozen
-        constants.  ``tag`` namespaces the ``Lmin``/``Lmax`` variables so
-        each incremental stage gets a fresh, tighter pair.
+        Only open messages get per-route ``sel -> ...`` rows.  A message
+        :meth:`freeze_message` pinned for good has a constant e2e, so the
+        frozen ones fold into three assertions in total: ``Lmin <= min``,
+        ``Lmax >= max`` and the attainment disjunct ``Lmin >= min``.  A
+        guarded (repair-mode) freeze keeps the per-route rows, because
+        releasing its guard re-opens the message.  ``tag`` namespaces the
+        ``Lmin``/``Lmax`` variables so each incremental stage gets a
+        fresh, tighter pair.
 
-        With ``unstable`` the segments are negated under that literal
-        instead (``unstable -> not Or(segments)``): assuming it asks for
-        a schedule in which the app violates Eq. (2), and leaving it out
-        leaves the app unconstrained.  ``Lmin``/``Lmax`` stay exact.
-
-        Returns the ``(Lmin, Lmax)`` terms for model extraction.
+        The two polarities differ in ``Lmax``.  Without ``unstable``
+        (synthesis) the segments are asserted, and ``Lmax`` needs no
+        attainment: every alpha is >= 0, so a model can always lower
+        ``Lmax`` to the exact max.  With ``unstable`` the segments are
+        negated under that literal (``unstable -> not Or(segments)``):
+        assuming it asks for a schedule in which the app violates
+        Eq. (2), and leaving it out leaves the app unconstrained.  There
+        a larger ``Lmax`` would make violating easier, so ``Lmax`` is
+        attained too (``Lmax <= e2e`` for at least one selected route)
+        and both ends stay exact.
         """
         spec = app.stability
         if spec is None:
@@ -333,25 +351,37 @@ class Encoder:
         suffix = f"@{tag}" if tag else ""
         lmin = Real(f"{self._ns}/Lmin[{app.name}]{suffix}")
         lmax = Real(f"{self._ns}/Lmax[{app.name}]{suffix}")
+        exact_max = unstable is not None
 
         attain_min: List[BoolExpr] = []
         attain_max: List[BoolExpr] = []
-        n_bounded = 0
-        for plan in self.plans.values():
+        frozen: List[Fraction] = []
+        for uid, plan in self.plans.items():
             if plan.message.flow.name != app.name:
+                continue
+            if uid in self._frozen_e2e:
+                frozen.append(self._frozen_e2e[uid])
                 continue
             for sel, e2e in zip(plan.selectors, plan.e2e_by_route):
                 self.solver.add(Implies(sel, lmin <= e2e))
                 self.solver.add(Implies(sel, lmax >= e2e))
                 attain_min.append(And(sel, lmin >= e2e))
-                attain_max.append(And(sel, lmax <= e2e))
-            n_bounded += 1
-        if n_bounded == 0:
+                if exact_max:
+                    attain_max.append(And(sel, lmax <= e2e))
+        if frozen:
+            lo, hi = min(frozen), max(frozen)
+            self.solver.add(lmin <= lo)
+            self.solver.add(lmax >= hi)
+            attain_min.append(lmin >= lo)
+            if exact_max:
+                attain_max.append(lmax <= hi)
+        if not attain_min:
             raise EncodingError(
                 f"app {app.name!r}: stability constraints need >= 1 message"
             )
         self.solver.add(Or(attain_min))
-        self.solver.add(Or(attain_max))
+        if exact_max:
+            self.solver.add(Or(attain_max))
 
         segments = []
         for seg in spec.segments:
@@ -366,4 +396,3 @@ class Encoder:
             self.solver.add(Or(segments))
         else:
             self.solver.add(Implies(unstable, Not(Or(segments))))
-        return lmin, lmax

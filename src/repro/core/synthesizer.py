@@ -332,8 +332,9 @@ def solve(
         if opts.mode == MODE_STABILITY:
             stage_apps = {m.flow.name for m in stage_messages}
             for app_name in sorted(stage_apps):
-                # The plan loop inside covers the app's earlier-stage
-                # messages too: their variables are pinned by equalities.
+                # The app's earlier-stage messages count too: permanent
+                # freezes as constants, guarded ones through their
+                # pinned variables.
                 encoder.add_stability_constraints(
                     problem.app_by_name[app_name], tag=f"s{stage_idx}"
                 )

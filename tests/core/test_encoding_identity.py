@@ -26,7 +26,9 @@ emitted only for the pairs a model overlaps (lazy contention, see
 ``docs/perf.md``), so a search change moves which clauses exist.  All
 states were re-recorded when contention became lazy
 (gm_case_study(3): 3,461 -> 1,845 clauses, 2,251 -> 879 variables,
-1,864 -> 492 atoms).
+1,864 -> 492 atoms), and again when frozen messages entered the
+stability rows as constants (1,845 -> 818 clauses, 879 -> 475
+variables, 492 -> 361 atoms).
 
 To re-record after a change that is *meant* to alter the formula::
 
@@ -87,25 +89,24 @@ CASES = {
 #: one 16-hex digest per distinct formula state seen by a check()).
 GOLDEN = {
     'gm_case_study(3) routes=3 stages=5': (
-        'sat', 1845, 879, 492, (
-            'ed81c669c021b129',
-            '5f2f72fdf0253fd1',
-            '4096348eb6a92c0b',
-            'bdeb08e15e3f0d7a',
-            '27d2a658fcf0d87c',
+        'sat', 818, 475, 361, (
+            'e63b12da2f2583f3',
+            'ad84519c10d371ad',
+            'dc0d46a9fd45549e',
+            '3d9a094ab83d0fa8',
+            '0be3dac9009de5f6',
         )),
     'gm_variant(seed 13) routes=3 stages=4': (
-        'sat', 1324, 648, 378, (
-            'a9a81474dd8e2640',
-            '1adaeea3317c927a',
-            '05dbc7838b2114c1',
-            '024eb18af923d27d',
-            '40c6447995be4ea2',
+        'sat', 627, 374, 290, (
+            'befb2f95913e2dca',
+            '09e177289f5db836',
+            '6a27778c86f63945',
+            'ad73ec05a41d89eb',
         )),
     'bottleneck_problem(3) routes=2': (
-        'sat', 93, 60, 42, (
-            '44fb0118fe61f9bb',
-            '1a72547b9a261285',
+        'sat', 72, 51, 39, (
+            '7bdddddc6e8237ff',
+            'e94058539ba8ac68',
         )),
 }
 
@@ -168,7 +169,10 @@ class _RecordingSession(Session):
 
 
 def record(case):
-    problem, options = CASES[case]()
+    return record_run(*CASES[case]())
+
+
+def record_run(problem, options):
     session = _RecordingSession()
     result = solve(problem, options, session=session)
     session.snapshot()
@@ -192,8 +196,11 @@ def test_emitted_formula_matches_golden(case):
 
 
 def test_recording_is_not_vacuous():
-    status, clauses, n_vars, n_atoms, digests = record(
-        "gm_case_study(3) routes=3 stages=5")
+    # gm_case_study(3) fell under these floors (818 clauses, 361 atoms)
+    # once frozen messages entered the stability rows as constants, so
+    # the instance grew: gm_case_study(5) gives 1,232 and 542.
+    status, clauses, n_vars, n_atoms, digests = record_run(
+        gm_case_study(5), SynthesisOptions(routes=3, stages=5))
     assert status == "sat"
     assert clauses > 1000 and n_atoms > 400
     assert len(digests) >= 5  # at least one formula state per stage
