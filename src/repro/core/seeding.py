@@ -1,14 +1,13 @@
 """Which formula a run solves, and what another run may hand it.
 
-Two notions of the paper's Sec. V travel outside the solver: *which
+One notion of the paper's Sec. V travels outside the solver: *which
 formula is solved* — :class:`StrategySignature`, the option fields that
-name it — and *one message's schedule*
-(:class:`~repro.core.solution.MessageSchedule`).  Everything a run can
-be seeded with is phrased over those two: the :class:`SeedKnowledge`
-bundle rides into :func:`~repro.core.synthesizer.solve` on
-``SynthesisOptions.seed_knowledge`` and the four functions at the bottom
-of this module apply it inside the stage loop.  Who *produces* seeds —
-the portfolio race's pool, the service's cache — lives above, in
+name it.  Everything a run can be seeded with is phrased over it: the
+:class:`SeedKnowledge` bundle rides into
+:func:`~repro.core.synthesizer.solve` on
+``SynthesisOptions.seed_knowledge`` and the three functions at the
+bottom of this module apply it inside the stage loop.  Who *produces*
+seeds — the portfolio race's pool, the service's cache — lives above, in
 :mod:`repro.runtime.knowledge` and :mod:`repro.service.cache`.
 
 Why sharing across different formulas is sound
@@ -29,7 +28,7 @@ message selects within its first K candidates", the encodings satisfy
 ``F_K  ==  F_K' /\\ Restr_K`` (for K <= K'): every constraint of ``F_K``
 is literally present in ``F_K'``, and the stronger attainment
 disjunctions of ``F_K`` follow from ``Restr_K`` plus the one-hot
-selection clauses.  Three consequences:
+selection clauses.  Two consequences:
 
 * **Learned clauses** (from single-stage strategies only): a clause ``C``
   learned under ``F_K`` satisfies ``F_K' |= C \\/ ~Restr_K``.  Import
@@ -49,14 +48,6 @@ selection clauses.  Three consequences:
   route the clause loses disjuncts — down to the empty (false) clause
   for strictly more restricted siblings, which are thereby proven unsat
   without search.
-* **Schedule hints** (cache only): the stored schedule of a related
-  request, as :meth:`MessageSchedule.as_hint
-  <repro.core.solution.MessageSchedule.as_hint>` tuples.  These are
-  replayed as *assumption probes* only (complete fallback to the
-  unrestricted solve), which is sound for any recipient; a hit settles
-  a stage with one check instead of the probe ladder.  No race worker
-  exports one: a staged run's frozen prefix is a heuristic commitment,
-  not a consequence of the formula.
 
 Clauses imported into an incremental recipient deserve one more note:
 they are entailed properties of every *complete valid schedule*, so they
@@ -70,10 +61,9 @@ heuristic verdicts are never promoted to race verdicts (see
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
-from ..smt.terms import BoolExpr, Or
+from ..smt.terms import Or
 
 _INF = float("inf")
 
@@ -151,21 +141,13 @@ class RouteVeto:
 
 @dataclass(frozen=True)
 class SeedKnowledge:
-    """Everything a pool or cache hands a newly launched attempt.
-
-    ``schedule`` entries are :meth:`MessageSchedule.as_hint
-    <repro.core.solution.MessageSchedule.as_hint>` tuples; only the
-    service cache supplies them.
-    """
+    """Everything a pool or cache hands a newly launched attempt."""
 
     clause_batches: Tuple[ClauseBatch, ...] = ()
     route_vetoes: Tuple[RouteVeto, ...] = ()
-    schedule: Tuple[Tuple[str, Tuple[str, ...],
-                          Tuple[Tuple[str, str], ...]], ...] = ()
 
     def __bool__(self) -> bool:
-        return bool(self.clause_batches or self.route_vetoes
-                    or self.schedule)
+        return bool(self.clause_batches or self.route_vetoes)
 
 
 # ---------------------------------------------------------------------------
@@ -245,33 +227,3 @@ def apply_route_vetoes(session, encoder, options, applied: Set[Tuple]) -> int:
         applied.add(veto.limits)
         count += 1
     return count
-
-
-def prefix_assumptions(options, new_plans) -> List[BoolExpr]:
-    """Assumption literals replaying the schedule hint onto this stage.
-
-    For each stage message recorded in the hint: the selector of the
-    recorded route (located by node-list equality, so differing route
-    limits cannot misindex) and the recorded release-time equalities.
-    Unknown uids or vanished routes are skipped — the probe is a hint.
-    """
-    schedule = options.seed_knowledge.schedule
-    if not schedule:
-        return []
-    recorded = {uid: (route, gammas) for uid, route, gammas in schedule}
-    assumptions: List[BoolExpr] = []
-    for plan in new_plans:
-        entry = recorded.get(plan.message.uid)
-        if entry is None:
-            continue
-        route, gammas = entry
-        try:
-            ridx = plan.routes.index(list(route))
-        except ValueError:
-            continue
-        assumptions.append(plan.selectors[ridx])
-        for node, value in gammas:
-            gamma = plan.gammas.get(node)
-            if gamma is not None:
-                assumptions.append(gamma == Fraction(value))
-    return assumptions

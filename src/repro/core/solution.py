@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import ValidationError
 from ..network.switch import TsnSwitch
@@ -35,15 +35,6 @@ class MessageSchedule:
     def arrival(self) -> Fraction:
         """Arrival time at the controller."""
         return self.release + self.e2e
-
-    def as_hint(self) -> Tuple[str, Tuple[str, ...],
-                               Tuple[Tuple[str, str], ...]]:
-        """``(uid, route nodes, ((switch, gamma), ...))`` with exact
-        rationals as strings: the picklable, JSON-safe form the service
-        cache stores a schedule in and replays as an assumption-probe
-        hint (``SeedKnowledge.schedule``)."""
-        return (self.uid, tuple(self.route),
-                tuple(sorted((node, str(g)) for node, g in self.gammas.items())))
 
     def to_dict(self) -> Dict[str, object]:
         """JSON form, exact rationals as strings (the uid is the

@@ -67,8 +67,7 @@ from ..smt.terms import Bool, BoolExpr
 from .encoding import SHARED_NAMESPACE, Encoder, MessagePlan
 from .problem import SynthesisProblem
 from .seeding import (SeedKnowledge, StrategySignature, apply_route_vetoes,
-                      import_padded_clauses, import_presolve_clauses,
-                      prefix_assumptions)
+                      import_padded_clauses, import_presolve_clauses)
 from .solution import MessageSchedule, Solution
 
 MODE_STABILITY = "stability"
@@ -111,10 +110,8 @@ class SynthesisOptions:
         seed_knowledge: a :class:`~repro.core.seeding.SeedKnowledge`
             bundle from a portfolio race's shared pool or the service's
             cache — learned clauses and route vetoes from related runs,
-            and (from the cache only) a schedule hint, are applied
-            before/alongside the run's own search (statistics:
-            ``clauses_imported``, ``route_vetoes_applied``,
-            ``prefix_probes``/``prefix_hits``).
+            applied before/alongside the run's own search (statistics:
+            ``clauses_imported``, ``route_vetoes_applied``).
         faults: a :class:`~repro.runtime.faults.WorkerFaults` bundle —
             deterministic fault injection (crash-at-conflict, hang,
             slow start) for the attempt these options travel to.
@@ -208,8 +205,7 @@ class _StageAccounting:
         self.totals: Dict[str, int] = {key: 0 for key in _STAGE_COUNTERS}
         self.totals.update(assumption_probes=0, cores_extracted=0,
                            stage_repairs=0, clauses_imported=0,
-                           route_vetoes_applied=0, prefix_probes=0,
-                           prefix_hits=0)
+                           route_vetoes_applied=0)
         self.stage: Dict[str, int] = {}
         self.per_stage: List[Dict[str, int]] = []
 
@@ -339,17 +335,15 @@ def solve(
                     problem.app_by_name[app_name], tag=f"s{stage_idx}"
                 )
 
-        prefix_assumps: List[BoolExpr] = []
         if seed is not None:
             acct.count("route_vetoes_applied", apply_route_vetoes(
                 session, encoder, opts, vetoes_applied))
             if opts.stages == 1:
                 acct.count("clauses_imported", import_padded_clauses(
                     session, encoder, opts))
-            prefix_assumps = prefix_assumptions(opts, new_plans)
 
         outcome = _check_stage(session, encoder, opts, acct, ledger,
-                               new_plans, prefix_assumps)
+                               new_plans)
 
         if outcome != "sat":
             # An undecided check (conflict budget, interrupt) must not
@@ -439,26 +433,15 @@ def _check_stage(
     acct: _StageAccounting,
     ledger: _FreezeLedger,
     new_plans: List[MessagePlan],
-    prefix_assumps: Sequence[BoolExpr] = (),
 ):
-    """One stage's probe ladder: schedule-hint probe -> greedy route
-    probe -> core-relaxed re-probe -> unrestricted solve -> (repair mode)
-    core-driven unfreezing, every check refined by
+    """One stage's probe ladder: greedy route probe -> core-relaxed
+    re-probe -> unrestricted solve -> (repair mode) core-driven
+    unfreezing, every check refined by
     :func:`check_refined`.  Returns the final :class:`CheckOutcome`."""
     freezes = ledger.assumptions()
 
     def check(assumptions: Sequence[BoolExpr]) -> CheckOutcome:
         return check_refined(session, encoder, assumptions, acct)
-
-    if prefix_assumps:
-        # Replay the cached schedule hint.  Pure assumption probe: a
-        # miss costs one check and falls through to the regular ladder,
-        # so statuses never change.
-        acct.count("prefix_probes")
-        probe = check(freezes + list(prefix_assumps))
-        if probe == "sat":
-            acct.count("prefix_hits")
-            return probe
 
     greedy = [p.selectors[0] for p in new_plans if len(p.selectors) > 1]
     if greedy:

@@ -574,10 +574,9 @@ def _bench_service(scale: dict) -> dict:
     * ``warm_conflicts_strictly_less`` — the summed conflicts of the
       warm phase must be *strictly* below the cold phase and no warm
       repeat may meet more conflicts than its cold twin.  Conflicts,
-      not conflicts+decisions: since the SAT core stopped deciding
-      don't-care atoms a cold GM solve takes a few dozen decisions,
-      fewer than the assumption literals a warm prefix probe replays
-      (each counts as a decision) — per-pair conflicts+decisions stay
+      not conflicts+decisions: a warm sat repeat still decides its way
+      to a model, and imported clauses can move that number of
+      decisions either way — per-pair conflicts+decisions stay
       recorded as ``pair_work`` for that diagnosis (ROADMAP item 5d);
     * chaos: one request is SIGKILLed mid-solve (``chaos_retried``) and
       one long solve is cancelled mid-flight (``cancelled_clean``),
@@ -604,12 +603,12 @@ def _bench_service(scale: dict) -> dict:
     workers = scale.get("workers", 2)
     deadline = scale.get("deadline", 120.0)
 
-    # Instances where the cached knowledge demonstrably pays: the GM
-    # case study is route-search dominated (the schedule hint collapses
-    # it), and the unsat bottleneck re-derives infeasibility straight
-    # from the stored veto.  Schedule-search-heavy random instances are
-    # deliberately absent — fixing routes does not shrink their offset
-    # search, so they would not gate anything.
+    # Instances whose warm repeat is checked against its cold twin: the
+    # sat GM case study and bottleneck import their stored clauses and
+    # must meet no more conflicts, and the unsat bottleneck re-derives
+    # infeasibility straight from the stored veto.  Schedule-search-
+    # heavy random instances are deliberately absent — no stored clause
+    # shrinks their offset search, so they would not gate anything.
     uniques = [
         (workloads.gm_case_study(3), SynthesisOptions(routes=2)),
         (workloads.gm_case_study(3), SynthesisOptions(routes=3)),

@@ -8,11 +8,10 @@ producing side both schedulers share: the artifact builders a worker
 runs at restart boundaries and verdicts (:func:`restart_artifacts`,
 :func:`terminal_artifacts`), the export caps, the gate every pipe frame
 and cache file passes before anything is imported
-(:func:`validate_artifact`, :func:`validate_schedule_hint`) — and the
-pool itself.  The consuming side (the
-:class:`~repro.core.seeding.SeedKnowledge` bundle and how ``core.solve``
-applies it) and the soundness argument for each artifact kind live in
-:mod:`repro.core.seeding`.
+(:func:`validate_artifact`) — and the pool itself.  The consuming side
+(the :class:`~repro.core.seeding.SeedKnowledge` bundle and how
+``core.solve`` applies it) and the soundness argument for each artifact
+kind live in :mod:`repro.core.seeding`.
 """
 
 from __future__ import annotations
@@ -197,30 +196,6 @@ def validate_artifact(artifact) -> Optional[str]:
                     or not isinstance(entry[0], str)
                     or not isinstance(entry[1], int) or entry[1] < 0):
                 return f"malformed veto limit {entry!r:.60}"
-    return None
-
-
-def validate_schedule_hint(schedule) -> Optional[str]:
-    """Why a stored schedule hint must be quarantined, or None.
-
-    The service cache's twin of :func:`validate_artifact`: a hint read
-    from disk is checked entry by entry against the
-    :meth:`MessageSchedule.as_hint
-    <repro.core.solution.MessageSchedule.as_hint>` form before any
-    seeded run replays it.
-    """
-    if not isinstance(schedule, tuple):
-        return "schedule payload is not a tuple"
-    for msg in schedule:
-        if (not isinstance(msg, tuple) or len(msg) != 3
-                or not isinstance(msg[0], str)
-                or not isinstance(msg[1], tuple)
-                or not all(isinstance(node, str) for node in msg[1])
-                or not isinstance(msg[2], tuple)
-                or not all(isinstance(g, tuple) and len(g) == 2
-                           and isinstance(g[0], str) and _rational(g[1])
-                           for g in msg[2])):
-            return f"malformed schedule message {msg!r:.60}"
     return None
 
 

@@ -2,21 +2,19 @@
 
 One entry per problem fingerprint, one JSON file per entry.  An entry
 records what the winning solve of that problem *learned* — schedule-
-vocabulary clauses (learned + root units, serialized literal tuples),
-the route veto of a proven unsat, and the winning schedule — plus the
-compatibility key and per-app descriptor digests that drive ancestor
-matching (:mod:`repro.service.fingerprint`), and bookkeeping (status,
-solver work, hit count).
+vocabulary clauses (learned + root units, serialized literal tuples)
+and the route veto of a proven unsat — plus the compatibility key and
+per-app descriptor digests that drive ancestor matching
+(:mod:`repro.service.fingerprint`), and bookkeeping (status, solver
+work).
 
 Admission path (:meth:`KnowledgeCache.lookup`): an exact fingerprint
-hit seeds everything; a miss falls back to the best compatible ancestor
-in the same bucket — clauses and vetoes only from *subset* ancestors,
-schedule hints from either direction (see the fingerprint module for
-the soundness argument).  The returned
+hit seeds everything; a miss falls back to the best compatible
+*equal* or *subset* ancestor in the same bucket (see the fingerprint
+module for the soundness argument).  The returned
 :class:`~repro.core.seeding.SeedKnowledge` plugs straight into
 ``SynthesisOptions.seed_knowledge``, so the whole import machinery
-(route-limit padding, veto escapes) is the race's, untouched, and
-``core.solve`` replays the schedule hint as an assumption probe.
+(route-limit padding, veto escapes) is the race's, untouched.
 
 Persistence is crash-safe and hostile-input-safe: files are written
 atomically (tmp + rename), and a file that fails to parse or validate
@@ -42,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.seeding import (ClauseBatch, RouteVeto, SeedKnowledge,
                             StrategySignature)
 from ..runtime.frames import ARTIFACT_CLAUSES, ARTIFACT_VETO
-from ..runtime.knowledge import validate_artifact, validate_schedule_hint
+from ..runtime.knowledge import validate_artifact
 from . import fingerprint as fp
 
 #: On-disk schema version; bump on incompatible layout changes (old
@@ -68,11 +66,8 @@ class CacheEntry:
     status: str                          # sat / unsat / unknown
     clauses: Tuple[Tuple, ...] = ()      # serialized schedule-vocab literals
     route_veto: Optional[Tuple[Tuple[str, int], ...]] = None
-    schedule: Tuple[Tuple[str, Tuple[str, ...],
-                          Tuple[Tuple[str, str], ...]], ...] = ()
     work: Dict[str, int] = field(default_factory=dict)
     created: float = 0.0
-    hits: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -84,10 +79,8 @@ class CacheEntry:
             "status": self.status,
             "clauses": self.clauses,
             "route_veto": self.route_veto,
-            "schedule": self.schedule,
             "work": self.work,
             "created": self.created,
-            "hits": self.hits,
         }
 
     @classmethod
@@ -104,10 +97,8 @@ class CacheEntry:
             clauses=_tuplify(payload.get("clauses", [])),
             route_veto=_tuplify(payload["route_veto"])
             if payload.get("route_veto") else None,
-            schedule=_tuplify(payload.get("schedule", [])),
             work=dict(payload.get("work", {})),
             created=float(payload.get("created", 0.0)),
-            hits=int(payload.get("hits", 0)),
         )
         entry.validate()
         return entry
@@ -118,8 +109,7 @@ class CacheEntry:
         The disk is a pool boundary exactly like PR 7's worker pipes: an
         entry that fails here is quarantined by the loader, never
         imported.  Clause/veto payloads reuse the pipe-boundary
-        validator from :mod:`repro.runtime.knowledge`, the schedule its
-        hint check.
+        validator from :mod:`repro.runtime.knowledge`.
         """
         if not isinstance(self.fingerprint, str) or not self.fingerprint:
             raise ValueError("entry without a fingerprint")
@@ -147,16 +137,13 @@ class CacheEntry:
                  "limits": self.route_veto})
             if problem is not None:
                 raise ValueError(f"cached veto invalid: {problem}")
-        problem = validate_schedule_hint(self.schedule)
-        if problem is not None:
-            raise ValueError(f"cached schedule invalid: {problem}")
 
 
 @dataclass(frozen=True)
 class CacheHit:
     """What :meth:`KnowledgeCache.lookup` resolved for one request."""
 
-    kind: str                       # "exact" | "subset" | "superset"
+    kind: str                       # "exact" | "equal" | "subset"
     entry: CacheEntry
     seed: SeedKnowledge
 
@@ -257,9 +244,7 @@ class KnowledgeCache:
 
     def _touch(self, fingerprint: str) -> None:
         """Refresh LRU recency (move to the hot end)."""
-        entry = self._entries.pop(fingerprint)
-        entry.hits += 1
-        self._entries[fingerprint] = entry
+        self._entries[fingerprint] = self._entries.pop(fingerprint)
 
     # ------------------------------------------------------------------
     # Lookup / store
@@ -276,7 +261,7 @@ class KnowledgeCache:
         if entry is not None:
             self._touch(key)
             self.counters["exact_hits"] += 1
-            return CacheHit("exact", entry, self._seed_from(entry, "equal"))
+            return CacheHit("exact", entry, self._seed_from(entry))
         bucket = fp.compatibility_key(problem, options)
         request_apps = fp.app_set_key(problem)
         best: Optional[Tuple[Tuple[int, int], str, CacheEntry, str]] = None
@@ -294,7 +279,7 @@ class KnowledgeCache:
             self.counters["misses"] += 1
             return None
         _, relation, entry, fprint = best
-        seed = self._seed_from(entry, relation)
+        seed = self._seed_from(entry)
         if not seed:
             self.counters["misses"] += 1
             return None
@@ -303,32 +288,22 @@ class KnowledgeCache:
         return CacheHit(relation, entry, seed)
 
     @staticmethod
-    def _seed_from(entry: CacheEntry, relation: str) -> SeedKnowledge:
-        """Assemble the seed a hit contributes (soundness-gated).
-
-        ``equal``/``subset``: clauses + veto + schedule hints.
-        ``superset``: schedule hints only — the cached formula is
-        *stronger* than the request's, so its clauses are not entailed
-        (see :mod:`repro.service.fingerprint`); the schedule is replayed
-        as an assumption probe, sound for any recipient.  Unknown uids
-        in the hints are skipped by the probe builder, so a superset
-        schedule needs no explicit restriction here.
-        """
+    def _seed_from(entry: CacheEntry) -> SeedKnowledge:
+        """The seed an exact, equal or subset hit contributes: the
+        entry's clauses and veto, both entailed by the request's formula
+        (see :mod:`repro.service.fingerprint`)."""
         batches: Tuple[ClauseBatch, ...] = ()
+        if entry.clauses:
+            batches = (ClauseBatch(source_routes=entry.options["routes"],
+                                   clauses=entry.clauses),)
         vetoes: Tuple[RouteVeto, ...] = ()
-        if relation in ("equal", "subset"):
-            if entry.clauses:
-                batches = (ClauseBatch(source_routes=entry.options["routes"],
-                                       clauses=entry.clauses),)
-            if entry.route_veto is not None:
-                vetoes = (RouteVeto(limits=entry.route_veto),)
-        return SeedKnowledge(clause_batches=batches, route_vetoes=vetoes,
-                             schedule=entry.schedule)
+        if entry.route_veto is not None:
+            vetoes = (RouteVeto(limits=entry.route_veto),)
+        return SeedKnowledge(clause_batches=batches, route_vetoes=vetoes)
 
     def store(self, problem, options, status: str,
               clauses: Tuple[Tuple, ...] = (),
               route_veto: Optional[Tuple[Tuple[str, int], ...]] = None,
-              schedule: Tuple = (),
               work: Optional[Dict[str, int]] = None) -> Optional[CacheEntry]:
         """Write one completed request's knowledge back (LRU insert).
 
@@ -346,7 +321,6 @@ class KnowledgeCache:
             status=status,
             clauses=tuple(clauses),
             route_veto=tuple(route_veto) if route_veto else None,
-            schedule=tuple(schedule),
             work=dict(work or {}),
             created=time.time(),
         )

@@ -18,8 +18,8 @@ Ancestor matching
 
 A request that misses exactly can still warm-start from a *compatible
 ancestor*: a cached entry over the **same topology, delays, mode, path
-cutoff, namespace and hyper-period** whose application set is a subset
-or superset of the request's.  The soundness rules mirror PR 4's
+cutoff, namespace and hyper-period** whose application set equals or
+is a subset of the request's.  The soundness rules mirror PR 4's
 route-limit pad-up/import-down argument, transposed to message sets:
 
 * **Subset ancestor** (cached apps ⊆ request apps): the encoded formula
@@ -32,13 +32,10 @@ route-limit pad-up/import-down argument, transposed to message sets:
   of the cached run are entailed by the request's formula and import
   soundly (clauses still subject to the route-limit pad rules of
   :mod:`repro.core.seeding`).
-* **Superset ancestor** (cached apps ⊇ request apps): the entailment
-  runs the wrong way — the cached clauses may depend on contention with
-  messages the request does not have, so **no clause or veto import**.
-  The cached *schedule*, restricted to the request's messages, is still
-  a high-quality hint: it is replayed as an assumption probe only
-  (complete fallback to the unrestricted solve), which is sound for any
-  recipient.
+* **Superset entries** (cached apps ⊃ request apps) are never paired:
+  the entailment runs the wrong way — the cached clauses may depend on
+  contention with messages the request does not have — so nothing
+  transfers and the request misses.
 
 Entries with different compatibility keys are never paired: a different
 topology, delay model, mode, path cutoff, namespace, or hyper-period
@@ -152,9 +149,9 @@ def ancestor_relation(request_apps: Dict[str, str],
     """How a cached entry's app set relates to a request's.
 
     Returns ``"equal"``, ``"subset"`` (cached ⊂ request: clauses and
-    vetoes import soundly), ``"superset"`` (cached ⊃ request: schedule
-    hints only), or None when the sets are incomparable or any shared
-    name maps to a different descriptor (incompatible — never paired).
+    vetoes import soundly), or None when the cached set is not contained
+    in the request's or any shared name maps to a different descriptor
+    (nothing transfers — never paired).
     """
     for name, digest in cached_apps.items():
         if name in request_apps and request_apps[name] != digest:
@@ -165,17 +162,15 @@ def ancestor_relation(request_apps: Dict[str, str],
         return "equal"
     if cached < request:
         return "subset"
-    if cached > request:
-        return "superset"
     return None
 
 
 def match_quality(relation: Optional[str], cached_apps: Dict[str, str],
                   request_apps: Dict[str, str]) -> Tuple[int, int]:
-    """Rank compatible ancestors: prefer subset over superset, then the
+    """Rank compatible ancestors: prefer equal over subset, then the
     largest overlap (ties broken by the caller on recency)."""
     if relation is None:
         return (-1, 0)
-    order = {"equal": 3, "subset": 2, "superset": 1}
+    order = {"equal": 2, "subset": 1}
     overlap = len(set(cached_apps) & set(request_apps))
     return (order[relation], overlap)

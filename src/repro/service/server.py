@@ -441,7 +441,6 @@ class SynthesisServer:
             request.problem, request.options, status,
             clauses=knowledge.get("clauses", ()),
             route_veto=knowledge.get("route_veto"),
-            schedule=knowledge.get("schedule", ()),
             work={key: stats.get(key, 0) for key in WORK_COUNTERS},
         )
 

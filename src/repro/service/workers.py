@@ -87,23 +87,13 @@ def export_request_knowledge(options, result, engine) -> Dict[str, object]:
       results.
     * ``route_veto`` — the doomed route-subset selection of a provable
       unsat (``result.route_veto`` is only ever set for one).
-    * ``schedule`` — the winning schedule as a schedule hint
-      (:meth:`MessageSchedule.as_hint
-      <repro.core.solution.MessageSchedule.as_hint>` tuples), replayed by
-      recipients as an assumption probe.
     """
     clauses = ()
     if options.stages == 1 and engine is not None:
         clauses = exportable_clauses(engine)
-    schedule = ()
-    if result.solution is not None:
-        schedule = tuple(
-            sched.as_hint()
-            for _, sched in sorted(result.solution.schedules.items()))
     return {
         "clauses": clauses,
         "route_veto": tuple(result.route_veto) if result.route_veto else None,
-        "schedule": schedule,
     }
 
 

@@ -7,7 +7,6 @@ and off, strictly fewer summed conflicts with it on, and the sharing
 counters visible in per-strategy statistics.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,7 +14,6 @@ import pytest
 from repro.api import NativeBackend, Session
 from repro.core import SynthesisOptions, collect_violations
 from repro.core import synthesizer as synth
-from repro.core.seeding import SeedKnowledge
 from repro.eval import workloads
 from repro.portfolio import (
     STATUS_SAT,
@@ -25,7 +23,6 @@ from repro.portfolio import (
     synthesize_portfolio,
 )
 from repro.runtime import knowledge as sharing
-from repro.service.workers import export_request_knowledge
 from repro.smt.terms import Bool, Real, deserialize_literal, serialize_literal
 
 
@@ -134,25 +131,6 @@ class TestSharingDeterminism:
                                    share_knowledge=True)
         assert res.status == STATUS_SAT
         assert collect_violations(res.solution) == []
-
-
-class TestScheduleHintSeeding:
-    def test_schedule_hint_fast_forwards_staged_rerun(self):
-        """A staged re-solve seeded with a solution's schedule hint (what
-        the service cache stores) settles its stages by probe."""
-        problem = workloads.random_problem(0, n_apps=3)
-        opts = SynthesisOptions(routes=2, stages=2)
-        first = synth.solve(problem, opts)
-        assert first.status == "sat"
-        hint = export_request_knowledge(opts, first, None)["schedule"]
-        assert len(hint) == len(first.solution.schedules)
-
-        seeded = replace(opts, seed_knowledge=SeedKnowledge(schedule=hint))
-        rerun = synth.solve(problem, seeded)
-        assert rerun.status == first.status
-        assert rerun.statistics["prefix_probes"] > 0
-        assert rerun.statistics["prefix_hits"] > 0
-        assert collect_violations(rerun.solution) == []
 
 
 class TestClauseExchange:

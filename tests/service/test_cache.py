@@ -17,8 +17,6 @@ from .helpers import family_problem
 CLAUSES = ((("b", "p!route[app0]=0", True),),
            (("b", "p!route[app0]=0", False), ("b", "p!route[app1]=0", True)))
 VETO = (("app0@0", 1), ("app1@0", 1))
-SCHEDULE = (("app0@0", ("S0", "A", "B", "C0"),
-             (("A", "1/4000"), ("B", "1/2000"))),)
 
 
 def entry_blob(**fields) -> bytes:
@@ -28,8 +26,7 @@ def entry_blob(**fields) -> bytes:
                "apps": {"a": "d"}, "status": "sat",
                "options": {"mode": "stability", "routes": 2, "stages": 1,
                            "path_cutoff": None, "repair": False},
-               "clauses": [[["a", [["p/g[m0][s0]", "1"]], "3", False, True]]],
-               "schedule": [["m0", ["S0", "s0"], [["s0", "1/4000"]]]]}
+               "clauses": [[["a", [["p/g[m0][s0]", "1"]], "3", False, True]]]}
     payload.update(fields)
     return json.dumps(payload).encode()
 
@@ -37,7 +34,6 @@ def entry_blob(**fields) -> bytes:
 def store_family(cache, indices, status="sat", **kwargs):
     problem = family_problem(indices)
     kwargs.setdefault("clauses", CLAUSES)
-    kwargs.setdefault("schedule", SCHEDULE)
     entry = cache.store(problem, SynthesisOptions(), status, **kwargs)
     assert entry is not None
     return problem, entry
@@ -51,7 +47,7 @@ class TestLookup:
         store_family(cache, [0, 1])
         hit = cache.lookup(problem)
         assert hit is not None and hit.kind == "exact"
-        assert hit.seed.clause_batches and hit.seed.schedule == SCHEDULE
+        assert hit.seed.clause_batches
         assert cache.counters["exact_hits"] == 1
         assert cache.counters["misses"] == 1
 
@@ -62,19 +58,16 @@ class TestLookup:
         assert hit is not None and hit.kind == "subset"
         assert hit.seed.clause_batches
         assert hit.seed.route_vetoes
-        assert hit.seed.schedule == SCHEDULE
         assert cache.counters["ancestor_hits"] == 1
 
-    def test_superset_ancestor_seeds_schedule_only(self, tmp_path):
+    def test_superset_ancestor_is_a_miss(self, tmp_path):
         cache = KnowledgeCache(tmp_path)
         store_family(cache, [0, 1, 2], route_veto=VETO)
-        hit = cache.lookup(family_problem([0, 1]))
-        assert hit is not None and hit.kind == "superset"
         # Soundness: the cached formula is stronger than the request's,
-        # so clauses and vetoes must NOT transfer — schedule hints only.
-        assert not hit.seed.clause_batches
-        assert not hit.seed.route_vetoes
-        assert hit.seed.schedule == SCHEDULE
+        # so neither its clauses nor its veto may transfer.
+        assert cache.lookup(family_problem([0, 1])) is None
+        assert cache.counters["misses"] == 1
+        assert cache.counters["ancestor_hits"] == 0
 
     def test_incomparable_sets_miss(self, tmp_path):
         cache = KnowledgeCache(tmp_path)
@@ -120,7 +113,6 @@ class TestPersistence:
         assert hit is not None and hit.kind == "exact"
         assert hit.entry.clauses == entry.clauses
         assert hit.entry.route_veto == entry.route_veto
-        assert hit.entry.schedule == entry.schedule
 
     def test_files_are_valid_json(self, tmp_path):
         cache = KnowledgeCache(tmp_path)
@@ -139,9 +131,6 @@ class TestPersistence:
                     "clauses": [["nonsense"]]}).encode(),
         # Well-shaped, but a rational no ``Fraction`` parses: seeding
         # would raise on every repeat of the request.
-        pytest.param(entry_blob(schedule=[["m0", ["S0", "s0"],
-                                           [["s0", "1/0"]]]]),
-                     id="bad-gamma"),
         pytest.param(entry_blob(clauses=[[["a", [["p/g[m0][s0]", "abc"]],
                                            "3", False, True]]]),
                      id="bad-coefficient"),
@@ -153,6 +142,24 @@ class TestPersistence:
         assert cache.counters["quarantined_entries"] == 1
         assert not list(Path(tmp_path).glob("*.json"))
         assert list(Path(tmp_path).glob("*.quarantined"))
+
+    def test_files_with_schedule_and_hits_keys_still_load(self, tmp_path):
+        # Earlier writers of version 1 also stored the winning schedule
+        # and a hit count; the loader ignores both keys.
+        cache = KnowledgeCache(tmp_path)
+        problem, entry = store_family(cache, [0, 1], route_veto=VETO)
+        path = Path(tmp_path) / f"{entry.fingerprint}.json"
+        payload = json.loads(path.read_text())
+        payload["schedule"] = [["app0@0", ["S0", "A", "B", "C0"],
+                                [["A", "1/4000"], ["B", "1/2000"]]]]
+        payload["hits"] = 0
+        path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+        reloaded = KnowledgeCache(tmp_path)
+        assert reloaded.counters["quarantined_entries"] == 0
+        hit = reloaded.lookup(problem)
+        assert hit is not None and hit.kind == "exact"
+        assert hit.seed.clause_batches[0].clauses == CLAUSES
+        assert hit.seed.route_vetoes[0].limits == VETO
 
     def test_filename_fingerprint_mismatch_is_quarantined(self, tmp_path):
         cache = KnowledgeCache(tmp_path)
