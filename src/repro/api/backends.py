@@ -97,16 +97,6 @@ class NativeBackend:
         """The underlying engine (escape hatch for advanced callers)."""
         return self._engine
 
-    def interrupt(self) -> None:
-        """Abort a running check at its next conflict (thread-safe).
-
-        The aborted check answers ``unknown``; the engine stays usable.
-        This is the supervision layer's handle for bounding a
-        non-preemptible in-process solve by wall clock (see
-        :class:`repro.runtime.harness.InterruptPump`).
-        """
-        self._engine.interrupt()
-
     def add(self, expr: BoolExpr) -> None:
         self._engine.add(expr)
 
@@ -126,7 +116,7 @@ class NativeBackend:
         if status == sat:
             return BackendAnswer(status, self._engine.model(), stats)
         core: Optional[List[BoolExpr]] = None
-        # unknown (budget/interrupt abort) has no core to extract.
+        # unknown (budget/stop abort) has no core to extract.
         if assumptions and status == unsat:
             before = self._engine.core_minimization_checks
             core = self._engine.unsat_core(minimize=minimize_core)

@@ -38,7 +38,6 @@ import time
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..errors import SolverError
-from ..smt.solver import Model
 from ..smt.terms import BoolConst, BoolExpr
 from .backends import SolverBackend, make_backend
 from .outcome import CheckOutcome
@@ -88,7 +87,6 @@ class Session:
         self._frames: List[List[BoolExpr]] = [[]]
         self._counters: Dict[str, int] = {k: 0 for k in _SESSION_COUNTERS}
         self._wall_time = 0.0
-        self._last_outcome: Optional[CheckOutcome] = None
 
     # -- context management ---------------------------------------------
 
@@ -116,10 +114,6 @@ class Session:
     @property
     def num_scopes(self) -> int:
         return len(self._frames) - 1
-
-    @property
-    def last_outcome(self) -> Optional[CheckOutcome]:
-        return self._last_outcome
 
     @property
     def statistics(self) -> Dict[str, int]:
@@ -191,7 +185,7 @@ class Session:
             core = tuple(answer.unsat_core)
             if core:
                 self._counters["cores_extracted"] += 1
-        outcome = CheckOutcome(
+        return CheckOutcome(
             status=answer.status,
             model=answer.model,
             statistics=dict(answer.statistics),
@@ -200,35 +194,6 @@ class Session:
             backend=self._backend.name,
             wall_time=wall,
         )
-        self._last_outcome = outcome
-        return outcome
-
-    def interrupt(self) -> None:
-        """Abort a running :meth:`check` from another thread.
-
-        The interrupted check answers ``unknown`` and the session stays
-        usable.  Only backends exposing an interruptible engine support
-        this (the native backend does); others raise
-        :class:`SolverError` — callers bounding arbitrary backends
-        should gate on the session's ``can_interrupt``.
-        """
-        interrupt = getattr(self._backend, "interrupt", None)
-        if interrupt is None:
-            raise SolverError(
-                f"backend {self.backend_name!r} is not interruptible"
-            )
-        interrupt()
-
-    @property
-    def can_interrupt(self) -> bool:
-        """Does this session's backend support :meth:`interrupt`?"""
-        return getattr(self._backend, "interrupt", None) is not None
-
-    def model(self) -> "Model":
-        """The last outcome's model (compatibility convenience)."""
-        if self._last_outcome is None:
-            raise SolverError("model is only available after a sat check()")
-        return self._last_outcome.require_model()
 
     # -- helpers -----------------------------------------------------------
 

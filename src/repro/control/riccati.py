@@ -93,27 +93,13 @@ def solve_discrete_lyapunov(F: np.ndarray, W: np.ndarray) -> np.ndarray:
     return (P + P.T) / 2
 
 
-def _newton_kleinman(
-    A: np.ndarray,
-    B: np.ndarray,
-    Q: np.ndarray,
-    R: np.ndarray,
-    P0: np.ndarray,
-    max_iter: int = 100,
-    tol: float = 1e-13,
-) -> np.ndarray:
-    """Newton's method for the DARE from a stabilizing initial guess.
-
-    Each step solves the discrete Lyapunov equation of the current gain's
-    closed loop; converges quadratically when ``A - B K0`` is Schur.
-    """
-    P = P0
-    K = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
-    return _newton_from_gain(A, B, Q, R, K, max_iter, tol)
-
-
 def _newton_from_gain(A, B, Q, R, K, max_iter: int = 100,
                       tol: float = 1e-13) -> np.ndarray:
+    """Newton-Kleinman for the DARE from a stabilizing gain ``K``.
+
+    Each step solves the discrete Lyapunov equation of the current gain's
+    closed loop; converges quadratically when ``A - B K`` is Schur.
+    """
     if np.max(np.abs(np.linalg.eigvals(A - B @ K))) >= 1.0:
         raise ControlDesignError(
             "Newton-Kleinman needs a stabilizing initial gain"

@@ -346,7 +346,7 @@ def solve(
                                new_plans)
 
         if outcome != "sat":
-            # An undecided check (conflict budget, interrupt) must not
+            # An undecided check (conflict budget, stop predicate) must not
             # be reported as proven infeasibility.
             status_name = outcome.status.name
             veto: Optional[Tuple[Tuple[str, int], ...]] = None

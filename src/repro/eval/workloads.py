@@ -361,7 +361,7 @@ def slow_funnel_problem() -> SynthesisProblem:
     Nine apps on the 7 ms funnel, whose direct link holds four messages
     and relief path three: the instance is unsat, and refuting it is a
     pigeonhole proof (about 9,300 conflicts, ~10 s on a 2-core x86 box)
-    that no check of the probe ladder short-cuts, so an interrupted
+    that no check of the probe ladder short-cuts, so a stopped
     solve can only answer ``unknown``.  Contention clauses are added
     only when a model violates them, so instances that are merely large
     (the GM case study at ten apps) solve in well under a second; this

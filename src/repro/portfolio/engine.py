@@ -59,7 +59,7 @@ strategies in order in-process (deterministic, used on platforms without
 usable subprocesses and by the ``portfolio`` bench); a failed process
 launch degrades to it automatically.  Knowledge sharing and crash
 supervision work in both backends — serially, knowledge flows from each
-finished strategy into the next, and the harness's interrupt pump bounds
+finished strategy into the next, and the harness's stop predicate bounds
 native attempts mid-check so the global deadline holds even inside one
 long strategy.
 """
@@ -175,8 +175,8 @@ def synthesize_portfolio(
     cancelled.  ``timeout`` bounds the race in seconds: the process
     backend enforces it by terminating workers at the deadline, while
     the serial backend enforces it *mid-strategy* for native attempts
-    (the interrupt pump stops the engine at its next conflict) and
-    between strategies otherwise.
+    (the engine's stop predicate ends the check before its next
+    decision) and between strategies otherwise.
 
     ``share_knowledge`` pools learned clauses and route vetoes across
     workers and seeds restarts/late launches with them
@@ -223,7 +223,7 @@ def _execute_strategy(problem, strategy: Strategy, emit=None,
     ``emit`` (optional) receives knowledge artifacts as they become
     available: the exportable knowledge at every SAT restart of a
     single-stage strategy (and at the final flush of a
-    budget/interrupt abort, so a worker killed inside one long check
+    budget/stop abort, so a worker killed inside one long check
     still contributes to the pool), learned clauses and route vetoes on
     a provable unsat.  ``heartbeat`` / ``heartbeat_interval`` and
     ``deadline`` (absolute ``perf_counter`` time) go to
@@ -473,8 +473,8 @@ class _Race:
         The serial twin of a worker process plus its parent-side
         supervision: an attempt that raises :class:`InjectedCrash` (or
         drops its result) is retried by the same rule, re-seeded from
-        the pool.  The harness's interrupt pump enforces the global
-        deadline *mid-strategy*: an interrupted solve answers
+        the pool.  The harness's stop predicate enforces the global
+        deadline *mid-strategy*: a stopped solve answers
         ``unknown`` and is reported here as ``timeout``.
         """
         name = strategy.name
@@ -511,7 +511,7 @@ class _Race:
         result = _result_from_payload(name, payload, wall, attempts=attempt)
         if (result.status == STATUS_UNKNOWN
                 and not self.deadline_open(time.perf_counter())):
-            # The pump interrupted this attempt mid-check: that unknown
+            # The deadline stopped this attempt mid-check: that unknown
             # is really the race's deadline expiring.
             result.status = STATUS_TIMEOUT
         self.settle(idx, result, payload)

@@ -15,9 +15,9 @@ processes they can trust to die rudely:
 * :mod:`~repro.runtime.process` — :class:`WorkerProcess`, the one
   process handle (spawn, send, classified ``drain()``, escalating
   ``reap()``);
-* :mod:`~repro.runtime.harness` — :func:`supervised_solve` and the one
-  :class:`InterruptPump`, the solve side shared by worker processes and
-  their in-process twins.
+* :mod:`~repro.runtime.harness` — :func:`supervised_solve`, the solve
+  side shared by worker processes and their in-process twins, bounded
+  by the engine's stop predicate.
 
 Import the submodules directly: this package imports nothing, so
 ``core.synthesizer`` can take its event kind from ``frames`` and its

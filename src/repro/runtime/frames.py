@@ -30,6 +30,9 @@ KIND_ARTIFACT = "artifact"
 KIND_RESULT = "result"
 #: Service parent -> worker: solve this request.
 KIND_REQUEST = "request"
+#: Service worker -> parent: this request's solve has begun (under
+#: ``"id"``); a cancel signal sent from now on reaches it.
+KIND_STARTED = "started"
 #: Service parent -> worker: exit the request loop cleanly.
 KIND_SHUTDOWN = "shutdown"
 
@@ -50,13 +53,15 @@ ARTIFACT_KINDS = frozenset({ARTIFACT_CLAUSES, ARTIFACT_VETO})
 #            +------------------+             +-----------+
 #            v                  |             v           |
 #   start --heartbeat/artifact--> streaming   start --request--> await
-#     |                             |
+#     |   \--------started------^  |
 #     +----------result------------+---result--> done
 #     |
 #     any non-closed state --shutdown--> closed
 #
 # * heartbeat/artifact frames may stream before the result, never after:
 #   the readers of ``WorkerProcess.drain()`` stop at the result.
+# * a started frame is only ever an exchange's first frame: a service
+#   worker opens each answer with it.
 # * exactly one result: a second result frame is never consumed.
 # * shutdown is terminal — the worker loop exits on it.
 # * a ``recv()`` starts a fresh exchange (state back to ``start``);
@@ -80,6 +85,7 @@ PIPE_PROTOCOL = {
                     PROTOCOL_STREAMING),
     KIND_RESULT: (frozenset({PROTOCOL_START, PROTOCOL_STREAMING}),
                   PROTOCOL_DONE),
+    KIND_STARTED: (frozenset({PROTOCOL_START}), PROTOCOL_STREAMING),
     KIND_REQUEST: (frozenset({PROTOCOL_START}), PROTOCOL_AWAIT),
     KIND_SHUTDOWN: (frozenset({PROTOCOL_START, PROTOCOL_STREAMING,
                                PROTOCOL_DONE, PROTOCOL_AWAIT}),

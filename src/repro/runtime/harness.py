@@ -1,4 +1,4 @@
-"""The solve side of a supervised worker: one harness, one interrupt pump.
+"""The solve side of a supervised worker: one harness.
 
 Whatever runs a solve on behalf of a scheduler — a portfolio worker
 process, a persistent service worker, or their in-process twins (the
@@ -7,71 +7,18 @@ serial race backend, ``InlineWorker``) — runs it through
 :func:`repro.core.synthesizer.open_session` builds for any run, its
 engine tagged for the per-check statistics stream and given a throttled
 heartbeat plus the caller's restart hooks; the attempt's injected faults
-(``options.faults``) fire around the solve; and an
-:class:`InterruptPump` bounds it.
+(``options.faults``) fire around the solve; and a stop predicate on the
+engine bounds it.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Callable, Optional, Sequence, Tuple
 
-from ..api import Session
 from ..core import synthesizer as synth
 from .faults import apply_presolve, install_engine_triggers
 from .supervision import heartbeat_frame
-
-
-class InterruptPump:
-    """Keep interrupting a session while its solve should be over.
-
-    One ``interrupt()`` only aborts the *current* check — the engine
-    clears the flag at every ``check()`` entry, and ``core.solve`` runs
-    several checks per request (probe ladder, stages) — so a daemon
-    thread re-fires it every ``interval`` seconds for as long as the
-    ``deadline`` (absolute ``perf_counter`` time) has passed or
-    ``cancelled()`` is true, until the ``with`` block exits.  The engine
-    honours the flag at its next conflict and answers ``unknown``.
-
-    No thread is started when there is nothing to watch (no deadline and
-    no cancel source) or nothing to interrupt (only the native backend
-    exposes an interruptible engine).
-    """
-
-    def __init__(self, session: Session, deadline: Optional[float] = None,
-                 cancelled: Optional[Callable[[], bool]] = None,
-                 interval: float = 0.025) -> None:
-        self._session = session
-        self._deadline = deadline
-        self._cancelled = cancelled
-        self._interval = interval
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def __enter__(self) -> "InterruptPump":
-        watching = self._deadline is not None or self._cancelled is not None
-        if watching and self._session.can_interrupt:
-            self._thread = threading.Thread(target=self._run, daemon=True,
-                                            name="interrupt-pump")
-            self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
-
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            wait = self._interval
-            if self._deadline is not None:
-                wait = min(wait, self._deadline - time.perf_counter())
-            if wait <= 0 or (self._cancelled is not None
-                             and self._cancelled()):
-                self._session.interrupt()
-                wait = self._interval
-            self._stop.wait(wait)
 
 
 def pipe_sink(conn) -> Callable[[dict], None]:
@@ -92,7 +39,6 @@ def supervised_solve(
     heartbeat: Optional[Callable[[dict], None]] = None,
     heartbeat_interval: float = 0.0,
     restart_hooks: Sequence[Callable] = (),
-    on_session: Optional[Callable[[Optional[Session]], None]] = None,
 ) -> Tuple["synth.SynthesisResult", object]:
     """Run ``core.solve`` under supervision; return ``(result, engine)``.
 
@@ -102,9 +48,12 @@ def supervised_solve(
     labels the heartbeat frames handed to ``heartbeat`` from the
     engine's restart boundaries, at most one per ``heartbeat_interval``
     seconds counted from now.  ``restart_hooks`` run after it at every
-    restart boundary.  ``deadline`` / ``cancelled`` arm the
-    :class:`InterruptPump`; ``on_session`` sees the session before the
-    solve and None after it, for callers that interrupt it themselves.
+    restart boundary.  ``deadline`` (absolute ``perf_counter`` time)
+    and ``cancelled`` become the engine's ``stop`` predicate for the
+    length of the solve: the SAT core polls it before every decision of
+    every check, so once the deadline passes or ``cancelled()`` turns
+    true each remaining check answers ``unknown`` at once.  Other
+    backends have no engine to stop and run unbounded.
 
     ``options.faults`` is injected here and nowhere else: the pre-solve
     faults fire just before the solve, and the conflict-threshold
@@ -131,16 +80,27 @@ def supervised_solve(
                 for hook in hooks:
                     hook(eng)
             engine.on_restart = on_restart
-    if on_session is not None:
-        on_session(session)
+        engine.stop = _stop_predicate(deadline, cancelled)
     try:
-        with InterruptPump(session, deadline, cancelled):
-            if options.faults:
-                apply_presolve(options.faults)
-                if engine is not None:
-                    install_engine_triggers(engine, options.faults)
-            result = synth.solve(problem, options, session=session)
+        if options.faults:
+            apply_presolve(options.faults)
+            if engine is not None:
+                install_engine_triggers(engine, options.faults)
+        result = synth.solve(problem, options, session=session)
     finally:
-        if on_session is not None:
-            on_session(None)
+        if engine is not None:
+            engine.stop = None
     return result, engine
+
+
+def _stop_predicate(deadline: Optional[float],
+                    cancelled: Optional[Callable[[], bool]],
+                    ) -> Optional[Callable[[], bool]]:
+    """True once ``deadline`` has passed or ``cancelled()`` is; None
+    when there is nothing to watch."""
+    if deadline is None:
+        return cancelled
+    clock = time.perf_counter
+    if cancelled is None:
+        return lambda: clock() >= deadline
+    return lambda: cancelled() or clock() >= deadline

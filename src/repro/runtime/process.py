@@ -21,13 +21,14 @@ import os
 import time
 from typing import Callable, Iterator, List, Sequence, Tuple
 
-from .frames import KIND_ARTIFACT, KIND_HEARTBEAT, KIND_RESULT
+from .frames import KIND_ARTIFACT, KIND_HEARTBEAT, KIND_RESULT, KIND_STARTED
 
 #: ``drain()`` classifications beyond the frame kinds a child may send.
 GARBAGE = "garbage"     # not a frame at all, or a kind no parent expects
 DIED = "died"           # EOF: the child is gone, whatever its exit code
 
-_CHILD_KINDS = frozenset({KIND_HEARTBEAT, KIND_ARTIFACT, KIND_RESULT})
+_CHILD_KINDS = frozenset({KIND_HEARTBEAT, KIND_ARTIFACT, KIND_RESULT,
+                          KIND_STARTED})
 
 
 class WorkerProcess:
@@ -84,10 +85,10 @@ class WorkerProcess:
         """Yield ``(kind, frame)`` for every frame queued on the pipe.
 
         Waits up to ``timeout`` seconds for the first one.  ``kind`` is
-        the frame's own for the three a child may send (heartbeat,
-        artifact, result), :data:`GARBAGE` for anything else — readers
-        quarantine it and keep going, one garbled frame must not cost
-        the attempt — and :data:`DIED` (last, with no frame) once the
+        the frame's own for the four a child may send (heartbeat,
+        artifact, result, started), :data:`GARBAGE` for anything else —
+        readers quarantine it and keep going, one garbled frame must not
+        cost the attempt — and :data:`DIED` (last, with no frame) once the
         pipe is at EOF: a death, whatever the exit code says.
         """
         try:

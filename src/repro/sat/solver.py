@@ -18,7 +18,7 @@ arena compacts (preserving handles, moving only offsets) once half the
 literal array is dead.  Because a clause is now just a slice of ints,
 the solver can flush learned clauses mid-search: the :attr:`on_restart`
 callback fires at every restart boundary (and once more on a
-``max_conflicts``/:meth:`interrupt` abort) with the trail cancelled to
+``max_conflicts``/``stop`` abort) with the trail cancelled to
 the assumption level, so level-0 facts and the learned-clause database
 are safe to export.
 
@@ -217,9 +217,8 @@ class SatSolver:
         self._model: List[int] = []
         self._theory_qhead = 0
         self._failed_assumptions: List[int] = []
-        self._interrupt_flag = False
         #: Fired with the solver after every restart backjump (and once
-        #: more on a budget/interrupt abort): the trail is at the
+        #: more on a budget/stop abort): the trail is at the
         #: assumption level, so :meth:`root_literals` and
         #: :meth:`learned_clauses` are safe to export mid-solve.
         self.on_restart: Optional[Callable[["SatSolver"], None]] = None
@@ -886,16 +885,11 @@ class SatSolver:
     # Main search loop
     # ------------------------------------------------------------------
 
-    def interrupt(self) -> None:
-        """Ask a running :meth:`solve` to abort at the next restart-safe
-        point (it returns None).  Safe to call from another thread; the
-        flag is cleared when the next solve starts."""
-        self._interrupt_flag = True
-
     def solve(
         self,
         assumptions: Sequence[int] = (),
         max_conflicts: Optional[int] = None,
+        stop: Optional[Callable[[], bool]] = None,
     ) -> Optional[bool]:
         """Solve under the given assumption literals.
 
@@ -903,13 +897,13 @@ class SatSolver:
         False (UNSAT under these assumptions; the responsible assumption
         subset is then available via :attr:`failed_assumptions`), or None
         (aborted: this call spent ``max_conflicts`` conflicts, or
-        :meth:`interrupt` was called).  Aborts happen only at
+        ``stop()`` answered true).  ``stop`` is polled before every
+        decision and held only for this call.  Aborts happen only at
         restart-safe points — after the trail is cancelled and a final
         :attr:`on_restart` flush has fired — so they are deterministic
         for a fixed ``max_conflicts`` and the solver stays reusable.
         """
         self._failed_assumptions = []
-        self._interrupt_flag = False
         if not self._ok:
             return False
         self.cancel_until(0)
@@ -975,10 +969,9 @@ class SatSolver:
                 continue
 
             # No propositional or theory conflict at this point.
-            if self._interrupt_flag or (
-                max_conflicts is not None
-                and self._conflicts - conflicts_at_entry >= max_conflicts
-            ):
+            if (max_conflicts is not None
+                    and self._conflicts - conflicts_at_entry >= max_conflicts
+                    ) or (stop is not None and stop()):
                 # Deterministic abort at a restart-safe point, with one
                 # final export flush so a killed worker still shares.
                 self.cancel_until(0)

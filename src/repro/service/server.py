@@ -186,19 +186,6 @@ class SynthesisServer:
         self._started = False
         return summary
 
-    @property
-    def leaked_workers(self) -> int:
-        """Live worker processes beyond the configured pool (0 = clean).
-
-        After :meth:`shutdown` the pool is empty, so any live child
-        counts as leaked.
-        """
-        import multiprocessing as mp
-        pool = {w.pid for w in self._workers}
-        return sum(1 for p in mp.active_children()
-                   if p.name.startswith("service-worker-")
-                   and p.pid not in pool)
-
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
@@ -249,7 +236,7 @@ class SynthesisServer:
         pending.cancel_requested = True
         if pending.started:
             if pending.worker is not None:
-                pending.worker.cancel()
+                pending.worker.cancel(request_id)
             return True
         # Still queued: answer now; the dispatcher skips the husk.
         self.counters["cancelled_in_queue"] += 1

@@ -5,10 +5,14 @@ A :class:`ServiceWorker` is a request/response loop over one persistent
 portfolio race runs one-shot, here *reused* across requests (hence the
 duplex pipe) so repeated solves pay the fork/import cost once.  The
 child answers each request through
-:func:`~repro.runtime.harness.supervised_solve`, armed with the
-request's deadline and a cancel flag: cancellation is SIGUSR1, whose
-handler interrupts the active session and latches the flag, the solve
-returns ``unknown``, and the payload is flagged ``cancelled``.
+:func:`~repro.runtime.harness.supervised_solve`, whose stop predicate
+reads the request's deadline and a cancel flag.  The child clears the
+flag when a request arrives and then sends a ``started`` frame;
+cancellation is SIGUSR1, whose handler sets the flag, and the parent
+holds the signal back until that frame is in, so a cancel reaches the
+request it names however early it comes and never the next one.  The
+stopped solve returns ``unknown`` and the payload is flagged
+``cancelled``.
 
 What this scheduler adds to the shared runtime (``docs/robustness.md``,
 "Worker runtime") is how it waits: :meth:`ServiceWorker.solve` is
@@ -22,8 +26,8 @@ are neither this request's result nor a death go to ``on_heartbeat``,
 whose validator quarantines what is not a heartbeat.
 
 :class:`InlineWorker` implements the same interface with no subprocess
-— the harness runs in the calling thread, and ``cancel()`` fires
-``Session.interrupt()`` directly.  It exists for deterministic tests,
+— the harness runs in the calling thread, and ``cancel()`` sets the
+flag its predicate reads.  It exists for deterministic tests,
 benchmarks, and sandboxes where forking is unavailable; injected
 crashes (:class:`~repro.runtime.faults.InjectedCrash`) surface as
 :class:`WorkerCrashed` so the supervision path is identical.
@@ -34,12 +38,13 @@ from __future__ import annotations
 import gc
 import os
 import signal
+import threading
 import time
 from typing import Callable, Dict, Optional
 
-from ..api import Session
 from ..runtime.faults import InjectedCrash
-from ..runtime.frames import KIND_REQUEST, KIND_RESULT, KIND_SHUTDOWN
+from ..runtime.frames import (KIND_REQUEST, KIND_RESULT, KIND_SHUTDOWN,
+                              KIND_STARTED)
 from ..runtime.harness import pipe_sink, supervised_solve
 from ..runtime.knowledge import exportable_clauses
 from ..runtime.process import DIED, WorkerProcess
@@ -50,9 +55,9 @@ from .protocol import schedules_to_wire
 _POLL = 0.05
 
 #: Extra parent-side slack past a request deadline before a silent
-#: worker is declared stalled and reaped: the child's interrupt pump
-#: fires at the deadline, but the engine only honors it at a conflict
-#: boundary, so give the solve a moment to unwind and ship its payload.
+#: worker is declared stalled and reaped: the child's stop predicate
+#: is due at the deadline, but the engine only polls it before a
+#: decision, so give the solve a moment to unwind and ship its payload.
 _DEADLINE_SLACK = 1.5
 
 
@@ -103,23 +108,21 @@ def export_request_knowledge(options, result, engine) -> Dict[str, object]:
 
 
 def _solve_request(problem, options, deadline: Optional[float],
-                   register: Callable[[Optional[Session]], None],
                    was_cancelled: Callable[[], bool],
                    on_heartbeat: Optional[Callable[[dict], None]],
                    heartbeat_interval: float) -> Dict[str, object]:
     """Run one solve and build its result payload.
 
-    ``deadline`` is relative seconds from now; ``register`` publishes
-    the active session to whatever cancellation path the caller wires
-    (signal handler or ``InlineWorker.cancel``) and sees None again
-    once the solve is over.
+    ``deadline`` is relative seconds from now; ``was_cancelled`` reads
+    the caller's cancel flag (set by the signal handler or by
+    ``InlineWorker.cancel``).
     """
     abs_deadline = (time.perf_counter() + deadline
                     if deadline is not None else None)
     result, engine = supervised_solve(
         problem, options, "service", deadline=abs_deadline,
         cancelled=was_cancelled, heartbeat=on_heartbeat,
-        heartbeat_interval=heartbeat_interval, on_session=register)
+        heartbeat_interval=heartbeat_interval)
     cancelled = was_cancelled() and result.status == "unknown"
     deadline_exceeded = (not cancelled and result.status == "unknown"
                          and abs_deadline is not None
@@ -144,33 +147,19 @@ def _solve_request(problem, options, deadline: Optional[float],
 # Child process
 # ---------------------------------------------------------------------------
 
-#: Child-side cancellation state: the SIGUSR1 handler interrupts the
-#: active session (if any) and latches the flag for the current request.
-_child_state: Dict[str, object] = {"session": None, "cancelled": False}
-
-
-def _child_sigusr1(signum, frame) -> None:
-    _child_state["cancelled"] = True
-    session = _child_state["session"]
-    if session is not None:
-        try:
-            session.interrupt()
-        except Exception:
-            pass
-
-
-def _register_child(session: Optional[Session]) -> None:
-    if session is not None:
-        _child_state["cancelled"] = False
-    _child_state["session"] = session
-
-
 def service_worker_main(conn, heartbeat_interval: float) -> None:
     """Entry point of one persistent worker process."""
     # The server's heap inherited at fork stays out of every collection
     # the requests trigger.
     gc.freeze()
-    signal.signal(signal.SIGUSR1, _child_sigusr1)
+    # The cancel flag the solve's stop predicate reads: SIGUSR1 sets it,
+    # a request's arrival clears it.
+    cancelled = [False]
+
+    def on_cancel(signum, frame) -> None:
+        cancelled[0] = True
+
+    signal.signal(signal.SIGUSR1, on_cancel)
     beat = pipe_sink(conn)
     while True:
         try:
@@ -182,11 +171,14 @@ def service_worker_main(conn, heartbeat_interval: float) -> None:
             break
         if kind != KIND_REQUEST:
             continue
+        # Whatever set the flag so far was aimed at an earlier request:
+        # the parent signals this one only once the started frame is in.
+        cancelled[0] = False
+        beat({"kind": KIND_STARTED, "id": msg.get("id")})
         try:
             payload = _solve_request(
                 msg["problem"], msg["options"], msg.get("deadline"),
-                _register_child, lambda: bool(_child_state["cancelled"]),
-                beat, heartbeat_interval,
+                lambda: cancelled[0], beat, heartbeat_interval,
             )
         except InjectedCrash:
             # A non-harsh injected crash in a process worker still means
@@ -224,6 +216,12 @@ class ServiceWorker:
         self.name = name
         self.restarts = 0
         self._worker = self._spawn()
+        # Cancel bookkeeping, shared with the server's event-loop thread:
+        # the request a cancel names, and the request whose started
+        # frame is in and whose result is not.
+        self._lock = threading.Lock()
+        self._cancel_id: Optional[str] = None
+        self._running_id: Optional[str] = None
 
     # -- lifecycle -------------------------------------------------------
 
@@ -254,9 +252,25 @@ class ServiceWorker:
 
     # -- requests --------------------------------------------------------
 
-    def cancel(self) -> bool:
-        """Interrupt the in-flight solve (SIGUSR1 -> session.interrupt)."""
-        return self._worker.signal(signal.SIGUSR1)
+    def cancel(self, request_id: str) -> bool:
+        """Stop ``request_id``'s solve: SIGUSR1 sets the child's cancel
+        flag.  Until the child's started frame for it is in, the signal
+        is held back and :meth:`solve` sends it on that frame."""
+        with self._lock:
+            self._cancel_id = request_id
+            if self._running_id != request_id:
+                return True
+            return self._worker.signal(signal.SIGUSR1)
+
+    def _started(self, request_id: str) -> None:
+        with self._lock:
+            self._running_id = request_id
+            if self._cancel_id == request_id:
+                self._worker.signal(signal.SIGUSR1)
+
+    def _finished(self) -> None:
+        with self._lock:
+            self._running_id = self._cancel_id = None
 
     def solve(self, request_id: str, problem, options,
               deadline: Optional[float] = None,
@@ -269,9 +283,17 @@ class ServiceWorker:
         sent nothing for ``policy.stall_timeout`` seconds while the
         deadline was still open, or nothing came back by the deadline
         plus grace; the caller owns retries.  Every frame that is not
-        this request's result — heartbeat, garbage, a stale result —
-        goes to ``on_heartbeat``.
+        this request's result or started frame — heartbeat, garbage, a
+        stale result — goes to ``on_heartbeat``.
         """
+        try:
+            return self._await_result(request_id, problem, options,
+                                      deadline, on_heartbeat)
+        finally:
+            self._finished()
+
+    def _await_result(self, request_id, problem, options, deadline,
+                      on_heartbeat) -> Dict[str, object]:
         if not self._worker.send({"kind": KIND_REQUEST, "id": request_id,
                                   "problem": problem, "options": options,
                                   "deadline": deadline}):
@@ -294,6 +316,9 @@ class ServiceWorker:
             for kind, frame in self._worker.drain(_POLL):
                 if kind == KIND_RESULT and frame.get("id") == request_id:
                     return frame["payload"]
+                if kind == KIND_STARTED and frame.get("id") == request_id:
+                    self._started(request_id)
+                    continue
                 if kind == DIED:
                     gone = True
                     continue
@@ -308,8 +333,8 @@ class ServiceWorker:
                 raise WorkerStalled(
                     f"worker {self.name} stalled past its deadline",
                     past_deadline=True)
-            # Past the deadline the child is unwinding from the pump's
-            # interrupt; ``hard`` bounds that, not the stall clock.
+            # Past the deadline the child is unwinding from its stop
+            # predicate; ``hard`` bounds that, not the stall clock.
             if (stall_timeout is not None and (due is None or now < due)
                     and now - last_frame >= stall_timeout):
                 self._worker.reap()
@@ -322,9 +347,11 @@ class InlineWorker:
     """In-process worker with the :class:`ServiceWorker` interface.
 
     Solves run in the calling thread (the server's executor), so
-    ``cancel()`` can fire :meth:`repro.api.Session.interrupt` directly
-    and injected crashes surface as :class:`WorkerCrashed` — the same
-    supervision story as the process worker, minus the fork.
+    ``cancel()`` sets the flag the solve's stop predicate reads — keyed
+    to the request it names, so a cancel that comes before its solve
+    starts still counts — and injected crashes surface as
+    :class:`WorkerCrashed`: the same supervision story as the process
+    worker, minus the fork.
     """
 
     mode = "inline"
@@ -334,8 +361,7 @@ class InlineWorker:
         self.policy = policy or SupervisionPolicy()
         self.name = name
         self.restarts = 0
-        self._session: Optional[Session] = None
-        self._cancelled = False
+        self._cancel_id: Optional[str] = None
 
     @property
     def alive(self) -> bool:
@@ -344,28 +370,14 @@ class InlineWorker:
     pid = None
 
     def restart(self) -> None:
-        self._session = None
-        self._cancelled = False
         self.restarts += 1
 
     def close(self) -> None:
-        self._session = None
+        pass
 
-    def cancel(self) -> bool:
-        session = self._session
-        if session is None:
-            return False
-        self._cancelled = True
-        try:
-            session.interrupt()
-        except Exception:
-            return False
+    def cancel(self, request_id: str) -> bool:
+        self._cancel_id = request_id
         return True
-
-    def _register(self, session: Optional[Session]) -> None:
-        if session is not None:
-            self._cancelled = False
-        self._session = session
 
     def solve(self, request_id: str, problem, options,
               deadline: Optional[float] = None,
@@ -373,10 +385,12 @@ class InlineWorker:
               ) -> Dict[str, object]:
         try:
             return _solve_request(
-                problem, options, deadline, self._register,
-                lambda: self._cancelled, on_heartbeat,
+                problem, options, deadline,
+                lambda: self._cancel_id == request_id, on_heartbeat,
                 self.policy.heartbeat_interval,
             )
         except InjectedCrash as exc:
             raise WorkerCrashed(f"worker {self.name}: injected crash "
                                 f"({exc})") from exc
+        finally:
+            self._cancel_id = None

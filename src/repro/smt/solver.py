@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from ..errors import SolverError
 from ..sat.literals import is_positive, neg, var_of
@@ -211,8 +211,10 @@ class SolverEngine:
     of only after a check returns.  ``max_conflicts`` bounds the
     conflicts any single ``check()`` may spend: on exhaustion the check
     answers ``unknown`` (deterministically, after one final
-    ``on_restart`` flush).  :meth:`interrupt` aborts a running check the
-    same way from another thread.
+    ``on_restart`` flush).  ``stop`` (a predicate, None by default) ends
+    a check the same way once it answers true: the SAT core polls it
+    before every decision, in every check and every core-minimization
+    probe, so a deadline or a cancel bounds the whole run.
     """
 
     #: Statistics-stream tag; backends override it per instance.
@@ -242,10 +244,12 @@ class SolverEngine:
         self._core_checks = 0
         self._clauses_imported = 0
         #: Mid-check export hook: called with this engine at every SAT
-        #: restart (and once on a budget/interrupt abort).
+        #: restart (and once on a budget/stop abort).
         self.on_restart = on_restart
         #: Conflict budget per check(); None = unbounded.
         self.max_conflicts = max_conflicts
+        #: Abort predicate polled by every SAT solve; None = never.
+        self.stop: Optional[Callable[[], bool]] = None
 
     def _fire_restart(self, _sat: SatSolver) -> None:
         callback = self.on_restart
@@ -260,14 +264,10 @@ class SolverEngine:
         # cycle collector instead of by reference counting.
         self._sat.on_restart = self._fire_restart
         try:
-            return self._sat.solve(lits, max_conflicts=max_conflicts)
+            return self._sat.solve(lits, max_conflicts=max_conflicts,
+                                   stop=self.stop)
         finally:
             self._sat.on_restart = None
-
-    def interrupt(self) -> None:
-        """Abort a running :meth:`check` at its next restart-safe point
-        (the check then answers ``unknown``).  Thread-safe."""
-        self._sat.interrupt()
 
     @property
     def statistics(self) -> dict:
@@ -335,9 +335,10 @@ class SolverEngine:
         only (they are internalized once, then passed to the SAT core as
         assumption literals — nothing to retract afterwards).  When the
         answer is unsat *because of* the assumptions, :meth:`unsat_core`
-        returns the responsible subset.  With ``max_conflicts`` set (or
-        after :meth:`interrupt`) the answer may be ``unknown``: the
-        budget ran out before a verdict, and the solver remains usable.
+        returns the responsible subset.  With ``max_conflicts`` or
+        ``stop`` set the answer may be ``unknown``: the budget ran out or
+        the predicate fired before a verdict, and the solver remains
+        usable.
         """
         self._model = None
         self._core_scope_lits = None
@@ -359,7 +360,7 @@ class SolverEngine:
         entry["backend"] = self.backend_name
         _GLOBAL_CHECK_STATS.append(entry)  # type: ignore[arg-type]
         if solved is None:
-            # Budget/interrupt abort: no verdict, no model, no core.
+            # Budget/stop abort: no verdict, no model, no core.
             return unknown
         if solved:
             bools = {
@@ -405,9 +406,11 @@ class SolverEngine:
         ``minimize=True`` (default) the core is *deletion-minimized*:
         assumption literals are dropped one at a time and kept out
         whenever the remainder is still unsat, so no single removal can
-        shrink the result further.  Minimization re-solves under the same
-        scope context as the failing check and is cached; call this
-        before further ``add()``/``push()``/``pop()`` mutations.
+        shrink the result further (unless ``stop`` cuts the pass short;
+        the core is then unsat but maybe not minimal).  Minimization
+        re-solves under the same scope context as the failing check and
+        is cached; call this before further ``add()``/``push()``/``pop()``
+        mutations.
 
         An empty core means the assertions are unsat regardless of the
         assumptions.
@@ -431,14 +434,19 @@ class SolverEngine:
 
         Each unsat probe replaces the core with the probe's own failed
         assumptions (never larger than the trial set), so one pass yields
-        a core where every literal is necessary.
+        a core where every literal is necessary.  A probe that ``stop``
+        aborts ends the pass: the core so far is unsat, just not
+        necessarily minimal.
         """
         core = list(core)
         i = 0
         while i < len(core):
             trial = core[:i] + core[i + 1:]
             self._core_checks += 1
-            if self._sat_solve(scope_lits + trial):
+            solved = self._sat_solve(scope_lits + trial)
+            if solved is None:
+                break
+            if solved:
                 i += 1  # core[i] is necessary
             else:
                 kept = set(trial)

@@ -218,15 +218,15 @@ class TestCheckBudgetAndRestartHook:
         assert seen, "no restart fired inside the check"
         assert all(e is s.backend.engine for e in seen)
 
-    def test_interrupt_aborts_from_the_hook(self):
-        def stop(engine):
-            engine.interrupt()
-
-        s = _pigeonhole_session(prefix="hook2", on_restart=stop)
+    def test_stop_aborts_once_the_hook_sets_its_flag(self):
+        restarts = []
+        s = _pigeonhole_session(prefix="hook2", on_restart=restarts.append)
+        s.backend.engine.stop = lambda: bool(restarts)
         out = s.check()
         assert out == unknown
-        # The flag clears on entry: an untouched re-check completes.
+        # Withdrawn, the predicate stops nothing: a re-check completes.
         s.backend.engine.on_restart = None
+        s.backend.engine.stop = None
         assert s.check() == unsat
 
 

@@ -119,6 +119,40 @@ class TestCoreProperties:
         assert s.check(a, b) == "sat"
 
 
+class TestStoppedMinimization:
+    def test_a_stop_mid_minimization_keeps_an_unsat_core(self):
+        """An aborted probe proves nothing: the core found so far stays.
+
+        Nine selectors each release one pigeon into five holes, so the
+        raw core names all nine and minimization starts by probing
+        eight pigeons, a proof long enough to restart.  The stop fires
+        at that restart; the probe's empty failed-assumption set must
+        not be read as "the assertions alone are unsat".
+        """
+        pigeons, holes = 9, 5
+        sel = lits("stopcore", pigeons)
+        at = [[Bool(f"stopcore_p{p}h{h}") for h in range(holes)]
+              for p in range(pigeons)]
+        engine = SolverEngine()
+        for p in range(pigeons):
+            engine.add(Or(Not(sel[p]), *at[p]))
+        for h in range(holes):
+            for p in range(pigeons):
+                for q in range(p + 1, pigeons):
+                    engine.add(Or(Not(at[p][h]), Not(at[q][h])))
+        assert engine.check(*sel) == unsat
+        assert len(engine.unsat_core(minimize=False)) == pigeons
+        restarts = []
+        engine.on_restart = restarts.append
+        engine.stop = lambda: bool(restarts)
+        core = engine.unsat_core()
+        assert restarts, "the stop never fired mid-minimization"
+        assert core and set(core) <= set(sel)
+        engine.on_restart = engine.stop = None
+        assert engine.check(*core) == unsat
+        assert engine.check() == "sat"
+
+
 class TestCorePropertiesRandomized:
     """Seeded random interval systems: core invariants must always hold."""
 

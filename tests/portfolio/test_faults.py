@@ -382,7 +382,7 @@ class TestSerialSupervision:
 
     def test_serial_global_deadline_enforced_mid_strategy(self):
         # One heavy native strategy, a deadline far below its solve
-        # time: the watchdog must interrupt the engine mid-check instead
+        # time: the stop predicate must end the engine's check instead
         # of letting the attempt run to completion.
         t0 = time.perf_counter()
         res = synthesize_portfolio(slow_funnel_problem(), mono(),

@@ -1,103 +1,92 @@
-"""The solve side: one interrupt pump, one supervised-solve harness."""
+"""The solve side: one supervised-solve harness, bounded by a stop
+predicate the engine polls."""
 
 import threading
 import time
 
 import pytest
 
-from repro.api import Session
+from repro.core import synthesizer as synth
 from repro.core.synthesizer import SynthesisOptions
-from repro.eval.workloads import random_problem, sharing_problem
+from repro.eval.workloads import (gm_case_study, random_problem,
+                                  sharing_problem, slow_funnel_problem)
 from repro.runtime.frames import KIND_HEARTBEAT
-from repro.runtime.harness import InterruptPump, supervised_solve
+from repro.runtime.harness import supervised_solve
 from repro.smt import Bool, Not, Or
+from repro.smt.solver import SolverEngine
 
 
-class FakeSession:
-    """Counts interrupts; optionally claims not to be interruptible."""
-
-    def __init__(self, can_interrupt=True):
-        self.can_interrupt = can_interrupt
-        self.interrupts = 0
-
-    def interrupt(self):
-        self.interrupts += 1
-
-
-def pump_threads():
-    return [t for t in threading.enumerate() if t.name == "interrupt-pump"]
-
-
-def wait_until(predicate, timeout=5.0):
-    deadline = time.perf_counter() + timeout
-    while not predicate() and time.perf_counter() < deadline:
-        time.sleep(0.005)
-    return predicate()
-
-
-def pigeonhole_session(tag, pigeons=9):
+def pigeonhole_engine(tag, pigeons=9):
     """A propositional instance far beyond any test's patience."""
     holes = pigeons - 1
-    session = Session()
+    engine = SolverEngine()
     at = [[Bool(f"{tag}_p{p}h{h}") for h in range(holes)]
           for p in range(pigeons)]
     for row in at:
-        session.add(Or(*row))
+        engine.add(Or(*row))
     for h in range(holes):
         for p in range(pigeons):
             for q in range(p + 1, pigeons):
-                session.add(Or(Not(at[p][h]), Not(at[q][h])))
-    return session
+                engine.add(Or(Not(at[p][h]), Not(at[q][h])))
+    return engine
 
 
-class TestInterruptPump:
+class TestStop:
     @pytest.mark.parametrize("use_deadline,use_cancel", [
         (True, False), (False, True), (True, True)])
-    def test_fires_for_deadline_cancel_flag_or_both(self, use_deadline,
+    def test_stops_for_deadline_cancel_flag_or_both(self, use_deadline,
                                                     use_cancel):
-        session = FakeSession()
-        cancel = threading.Event()
-        deadline = time.perf_counter() + 0.1 if use_deadline else None
-        with InterruptPump(session, deadline,
-                           cancel.is_set if use_cancel else None,
-                           interval=0.01):
-            time.sleep(0.03)
-            assert session.interrupts == 0      # nothing is due yet
-            cancel.set()
-            assert wait_until(lambda: session.interrupts >= 3)
-        assert pump_threads() == []             # joined on exit
-        settled = session.interrupts
-        time.sleep(0.05)
-        assert session.interrupts == settled    # and stopped firing
-
-    def test_passed_deadline_fires_immediately(self):
-        session = FakeSession()
-        with InterruptPump(session, time.perf_counter() - 1.0):
-            assert wait_until(lambda: session.interrupts >= 1, 1.0)
-
-    def test_no_thread_without_a_deadline_or_a_cancel_source(self):
-        with InterruptPump(FakeSession()):
-            assert pump_threads() == []
-
-    def test_no_thread_for_a_session_that_cannot_be_interrupted(self):
-        session = FakeSession(can_interrupt=False)
-        with InterruptPump(session, time.perf_counter() - 1.0,
-                           lambda: True):
-            time.sleep(0.05)
-            assert pump_threads() == []
-        assert session.interrupts == 0
-
-    def test_refires_across_consecutive_checks_of_one_session(self):
-        # One interrupt() only aborts the current check (the flag is
-        # cleared at every check() entry): each of these would run for
-        # minutes if the pump fired once and fell silent.
-        session = pigeonhole_session("pump")
+        # The funnel's refutation takes ~10 s; a stop due 0.2 s in must
+        # end it long before that.
+        due = time.perf_counter() + 0.2
         t0 = time.perf_counter()
-        with InterruptPump(session, time.perf_counter() + 0.05):
-            outcomes = [session.check() for _ in range(3)]
+        result, _ = supervised_solve(
+            slow_funnel_problem(), SynthesisOptions(routes=2), "bounded",
+            deadline=due if use_deadline else None,
+            cancelled=(lambda: time.perf_counter() >= due)
+            if use_cancel else None)
+        assert result.status == "unknown"
+        assert time.perf_counter() - t0 < 5.0
+
+    def test_passed_deadline_stops_each_stage_at_once(self):
+        seen = []
+        t0 = time.perf_counter()
+        result, engine = supervised_solve(
+            gm_case_study(6), SynthesisOptions(routes=2, stages=3), "late",
+            deadline=time.perf_counter() - 1.0,
+            restart_hooks=(lambda eng: seen.append(eng.statistics),))
+        assert result.status == "unknown"
+        assert time.perf_counter() - t0 < 5.0
+        # Each check ended at its first poll, before any decision, and
+        # flushed once through the restart hook on the way out.
+        assert seen and engine.statistics["decisions"] == 0
+
+    def test_no_predicate_without_a_deadline_or_a_cancel_source(self):
+        stops = []
+        result, engine = supervised_solve(
+            random_problem(0, n_apps=3), BUDGETED, "unwatched",
+            restart_hooks=(lambda eng: stops.append(eng.stop),))
+        assert result.status == "unknown"       # the budget, not a stop
+        assert stops and stops == [None] * len(stops)
+
+    def test_predicate_is_held_only_for_the_solve(self):
+        stops = []
+        _, engine = supervised_solve(
+            random_problem(0, n_apps=3), BUDGETED, "watched",
+            deadline=time.perf_counter() + 60.0, cancelled=lambda: False,
+            restart_hooks=(lambda eng: stops.append(eng.stop),))
+        assert stops and all(callable(stop) for stop in stops)
+        assert engine.stop is None
+
+    def test_stops_every_check_of_one_engine(self):
+        # There is no flag a check clears on entry: each check polls the
+        # predicate itself, so each of these ends at once.
+        engine = pigeonhole_engine("stop")
+        engine.stop = lambda: True
+        t0 = time.perf_counter()
+        outcomes = [engine.check() for _ in range(3)]
         assert all(outcome == "unknown" for outcome in outcomes)
         assert time.perf_counter() - t0 < 20.0
-        assert pump_threads() == []
 
 
 #: A conflict budget this small aborts the first check of
@@ -108,12 +97,12 @@ BUDGETED = SynthesisOptions(max_conflicts=2, routes=1)
 
 
 class TestSupervisedSolve:
-    def test_native_solve_is_tagged_hooked_and_published(self):
-        beats, restarts, sessions = [], [], []
+    def test_native_solve_is_tagged_and_hooked(self):
+        beats, restarts = [], []
         result, engine = supervised_solve(
             random_problem(0, n_apps=3), BUDGETED, "tagged",
             heartbeat=beats.append, heartbeat_interval=0.0,
-            restart_hooks=(restarts.append,), on_session=sessions.append)
+            restart_hooks=(restarts.append,))
         assert engine is not None
         assert engine.backend_name == "native[tagged]"
         assert result.status == "unknown"
@@ -121,8 +110,6 @@ class TestSupervisedSolve:
         assert beats and all(frame["kind"] == KIND_HEARTBEAT
                              and frame["strategy"] == "tagged"
                              for frame in beats)
-        assert len(sessions) == 2 and sessions[1] is None
-        assert sessions[0].backend.engine is engine
 
     def test_heartbeats_are_throttled_from_the_start_of_the_solve(self):
         beats, restarts = [], []
@@ -132,19 +119,28 @@ class TestSupervisedSolve:
         assert restarts and beats == []
 
     def test_other_backends_get_a_session_but_no_engine(self):
-        sessions = []
+        # No engine, so nothing to hang a stop predicate on: the solve
+        # runs unbounded, and no thread stands in for the predicate.
+        threads = set(threading.enumerate())
         result, engine = supervised_solve(
             sharing_problem(), SynthesisOptions(backend="serialization"),
             "ser", deadline=time.perf_counter() + 60.0,
-            cancelled=lambda: False, on_session=sessions.append)
+            cancelled=lambda: False)
         assert engine is None
         assert result.status == "sat"
-        assert sessions[0] is not None and not sessions[0].can_interrupt
-        assert sessions[1] is None
+        assert set(threading.enumerate()) == threads
 
-    def test_session_is_unpublished_when_the_solve_raises(self):
-        sessions = []
+    def test_predicate_is_withdrawn_when_the_solve_raises(self, monkeypatch):
+        opened = []
+        open_session = synth.open_session
+
+        def recording(options):
+            session, engine = open_session(options)
+            opened.append(engine)
+            return session, engine
+
+        monkeypatch.setattr(synth, "open_session", recording)
         with pytest.raises(Exception):
             supervised_solve(object(), SynthesisOptions(), "broken",
-                             on_session=sessions.append)
-        assert len(sessions) == 2 and sessions[1] is None
+                             deadline=time.perf_counter() + 60.0)
+        assert len(opened) == 1 and opened[0].stop is None

@@ -1,10 +1,11 @@
-"""Neither zombies, nor file descriptors, nor cyclic garbage — counted,
-not just claimed.
+"""Neither zombies, nor file descriptors, nor cyclic garbage, nor
+threads — counted, not just claimed.
 
 ``docs/robustness.md`` promises that reaped workers leave nothing
 behind; the fault suites only check ``active_children()``.  The first
 test counts the process's open descriptors around every way a worker
-ends.  The rest hold the in-process half of the promise
+ends.  One more checks that a bounded solve runs no thread beside it.
+The rest hold the in-process half of the promise
 (``docs/perf.md``, "Memory lifecycle and cold start"): with the cycle
 collector off, every solver engine a solve builds is freed by reference
 counting the moment its last reference goes, and interned variables do
@@ -16,6 +17,7 @@ import gc
 import multiprocessing
 import os
 import signal
+import threading
 import time
 import weakref
 
@@ -25,7 +27,8 @@ from repro.api import Session
 from repro.core import Encoder
 from repro.core.synthesizer import SynthesisOptions, check_refined, solve
 from repro.eval.workloads import (bottleneck_problem, bottleneck_repair_problem,
-                                  gm_case_study, sharing_problem)
+                                  gm_case_study, sharing_problem,
+                                  slow_funnel_problem)
 from repro.portfolio import (FaultPlan, FaultSpec, Strategy,
                              SupervisionPolicy, synthesize_portfolio)
 from repro.runtime.faults import CRASH
@@ -131,6 +134,37 @@ def test_a_worker_that_fails_to_spawn_gives_its_descriptors_back(monkeypatch):
     # ``Connection.__del__`` the moment that frame is freed.
     assert open_fds() == before, excinfo.value
     assert multiprocessing.active_children() == []
+
+
+def test_a_deadline_or_a_cancel_source_starts_no_thread(monkeypatch):
+    """Stopping a solve is a predicate the engine polls: inline service
+    requests with deadlines (met and missed) and a serial race with a
+    timeout see the same threads at every check as before them."""
+    seen = []
+    check = SolverEngine.check
+
+    def recording_check(self, *assumptions):
+        seen.append(set(threading.enumerate()))
+        return check(self, *assumptions)
+
+    monkeypatch.setattr(SolverEngine, "check", recording_check)
+    before = set(threading.enumerate())
+    worker = InlineWorker()
+    for i in range(3):
+        payload = worker.solve(f"threads-{i}", gm_case_study(2),
+                               SynthesisOptions(routes=2, stages=2),
+                               deadline=60.0)
+        assert payload["status"] == "sat"
+    payload = worker.solve("threads-late", slow_funnel_problem(),
+                           SynthesisOptions(routes=2), deadline=0.2)
+    assert payload["deadline_exceeded"]
+    strategies = [Strategy("routes-1", SynthesisOptions(routes=1)),
+                  Strategy("routes-2", SynthesisOptions(routes=2))]
+    result = synthesize_portfolio(sharing_problem(), strategies,
+                                  backend="serial", timeout=60)
+    assert result.status == "sat"
+    assert seen and all(threads == before for threads in seen)
+    assert set(threading.enumerate()) == before
 
 
 # ---------------------------------------------------------------------------

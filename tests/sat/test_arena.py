@@ -1,4 +1,4 @@
-"""Arena mechanics, learnt-DB policy fixes, and budget/interrupt aborts.
+"""Arena mechanics, learnt-DB policy fixes, and budget/stop aborts.
 
 The flat-array clause arena replaced the per-clause object store; these
 tests pin its invariants directly (handle stability across compaction,
@@ -199,16 +199,16 @@ class TestBudgetAndInterrupt:
         # Unbounded resume completes the proof; learnt state carried over.
         assert s.solve() is False
 
-    def test_interrupt_flag_aborts_next_boundary(self):
+    def test_stop_predicate_aborts_next_boundary(self):
         s = self._hard_solver()
-
-        def stop_soon(solver):
-            solver.interrupt()
-
-        s.on_restart = stop_soon
-        assert s.solve() is None  # first restart raises the flag
+        flushes = []
+        s.on_restart = lambda solver: flushes.append(solver.decision_level)
+        # The first restart makes the predicate true; the next poll ends
+        # the solve with one more flush, the trail cancelled to level 0.
+        assert s.solve(stop=lambda: bool(flushes)) is None
+        assert len(flushes) == 2 and flushes[-1] == 0
         s.on_restart = None
-        assert s.solve() is False  # flag cleared on entry; run completes
+        assert s.solve() is False  # held for one call only; run completes
 
     def test_unit_contradiction_gives_false_not_none(self):
         s = SatSolver()

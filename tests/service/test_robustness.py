@@ -4,7 +4,8 @@ These scenarios reuse the fault-injection harness of
 :mod:`repro.runtime.faults` against the *service* stack: process
 workers really get SIGKILLed mid-request and the supervision retry
 still produces a valid response; cancellation releases the worker and
-fires ``Session.interrupt``; a corrupted cache directory never crashes
+sets the flag the solve's stop predicate reads, however early it comes;
+a corrupted cache directory never crashes
 server startup; draining rejects new work while finishing in-flight
 work; and no scenario leaks a worker process.
 """
@@ -16,7 +17,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from repro.api import Session
+import pytest
+
 from repro.core.synthesizer import SynthesisOptions
 from repro.eval.workloads import gm_case_study
 from repro.portfolio import FaultPlan, FaultSpec, SupervisionPolicy
@@ -29,6 +31,7 @@ from repro.service import (
     SynthesisRequest,
     SynthesisServer,
 )
+from repro.service.workers import InlineWorker
 
 from .helpers import family_problem, run, slow_problem
 
@@ -123,15 +126,15 @@ class TestCrashSupervision:
 
 
 class TestCancellation:
-    def test_inline_cancel_fires_session_interrupt(self, monkeypatch):
-        interrupts = []
-        original = Session.interrupt
+    def test_inline_cancel_sets_the_flag_the_solve_reads(self, monkeypatch):
+        payloads = []
+        original = InlineWorker.solve
 
-        def spy(self):
-            interrupts.append(self)
-            return original(self)
+        def spy(self, *args, **kwargs):
+            payloads.append(original(self, *args, **kwargs))
+            return payloads[-1]
 
-        monkeypatch.setattr(Session, "interrupt", spy)
+        monkeypatch.setattr(InlineWorker, "solve", spy)
 
         async def body():
             policy = ServicePolicy(workers=1, worker_mode="inline")
@@ -143,10 +146,37 @@ class TestCancellation:
                 assert await client.cancel(rid)
                 reply = await asyncio.wait_for(future, 60.0)
                 assert reply["type"] == "cancelled"
-                assert interrupts, "cancel() must fire Session.interrupt()"
+                # The solve itself saw the flag and stopped: its payload
+                # says so, not just the server's bookkeeping.
+                assert payloads[0]["cancelled"] is True
                 # The worker is released: the next request solves fine.
                 ok = await client.solve(family_problem([0, 1]))
                 assert ok["type"] == "result" and ok["status"] == "sat"
+        run(body())
+
+    @pytest.mark.parametrize("mode", ["inline", "process"])
+    def test_a_cancel_sent_at_once_is_never_lost(self, mode):
+        # Each cancel goes out the moment the dispatcher has taken the
+        # request, racing the worker's start of the solve; none may be
+        # dropped (the solve would then run for ~10 s).
+        async def body():
+            policy = ServicePolicy(workers=1, worker_mode=mode,
+                                   supervision=FAST)
+            async with SynthesisServer(policy=policy) as server:
+                client = ServiceClient(server)
+                for i in range(10):
+                    rid, future = await client.submit(
+                        slow_problem(), deadline=60.0,
+                        request_id=f"early-{i}")
+                    while server.stats()["inflight"] < 1:
+                        await asyncio.sleep(0)
+                    assert await client.cancel(rid)
+                    reply = await asyncio.wait_for(future, 2.0)
+                    assert reply["type"] == "cancelled", reply
+                ok = await client.solve(family_problem([0, 1]),
+                                        deadline=60.0)
+                assert ok["type"] == "result" and ok["status"] == "sat"
+            assert_no_leaked_workers()
         run(body())
 
     def test_process_cancel_mid_solve(self):

@@ -114,10 +114,11 @@ class _System:
 def _agree(filtered, full, assumptions=()):
     """One check on both sessions; certify whatever comes back."""
     outcome = filtered.check(*assumptions)
-    assert outcome == full.check(*assumptions).status
+    other = full.check(*assumptions)
+    assert outcome == other.status
     if outcome == "sat":
-        for session in (filtered, full):
-            model = session.model()
+        for session, answer in ((filtered, outcome), (full, other)):
+            model = answer.require_model()
             for formula in session.assertions + list(assumptions):
                 assert model.eval_bool(formula), formula
     elif assumptions:
@@ -194,9 +195,10 @@ def test_atoms_left_behind_by_a_popped_scope_come_back_with_a_new_clause():
     assert session.check() == "sat"
     assert undecided_atoms(engine) == (2, 4)
     session.add(Or(x >= 3, y >= 3))
-    assert session.check() == "sat"
+    outcome = session.check()
+    assert outcome == "sat"
     assert undecided_atoms(engine)[0] < 2
-    model = session.model()
+    model = outcome.require_model()
     assert model[x] >= 3 or model[y] >= 3
 
 
@@ -205,9 +207,10 @@ def test_model_reads_an_undecided_atom_from_the_reals():
     x, flag = Real("rel_model_x"), Bool("rel_model_flag")
     bound = x <= 3
     session.add(Or(flag, bound), flag, x >= 2)
-    assert session.check() == "sat"
+    outcome = session.check()
+    assert outcome == "sat"
     assert undecided_atoms(engine) == (1, 2)
-    model = session.model()
+    model = outcome.require_model()
     assert model[flag] is True and model[x] >= 2
     assert model.eval_bool(bound) == (model[x] <= 3)
     # The SAT core has no value for it, and says so instead of "False".
@@ -215,10 +218,12 @@ def test_model_reads_an_undecided_atom_from_the_reals():
     with pytest.raises(SolverError, match="undecided"):
         engine._sat.model_value(bound_var)
     # Assumed, either way, it is asserted like any other literal.
-    assert session.check(bound) == "sat"
-    assert undecided_atoms(engine) == (0, 2) and session.model()[x] <= 3
-    assert session.check(Not(bound)) == "sat"
-    assert undecided_atoms(engine) == (0, 2) and session.model()[x] > 3
+    outcome = session.check(bound)
+    assert outcome == "sat"
+    assert undecided_atoms(engine) == (0, 2) and outcome.model[x] <= 3
+    outcome = session.check(Not(bound))
+    assert outcome == "sat"
+    assert undecided_atoms(engine) == (0, 2) and outcome.model[x] > 3
     assert session.check(Not(bound), x <= 3) == "unsat"
 
 
