@@ -78,6 +78,19 @@ class TestStop:
         assert stops and all(callable(stop) for stop in stops)
         assert engine.stop is None
 
+    def test_no_stop_for_a_backend_without_an_engine(self):
+        # No engine, so nothing to hang a stop predicate on: even a passed
+        # deadline and a raised cancel flag leave the solve unbounded, and
+        # no thread stands in for the predicate.
+        threads = set(threading.enumerate())
+        result, engine = supervised_solve(
+            sharing_problem(), SynthesisOptions(backend="serialization"),
+            "ser", deadline=time.perf_counter() - 1.0,
+            cancelled=lambda: True)
+        assert engine is None
+        assert result.status == "sat"
+        assert set(threading.enumerate()) == threads
+
     def test_stops_every_check_of_one_engine(self):
         # There is no flag a check clears on entry: each check polls the
         # predicate itself, so each of these ends at once.
@@ -119,16 +132,12 @@ class TestSupervisedSolve:
         assert restarts and beats == []
 
     def test_other_backends_get_a_session_but_no_engine(self):
-        # No engine, so nothing to hang a stop predicate on: the solve
-        # runs unbounded, and no thread stands in for the predicate.
-        threads = set(threading.enumerate())
         result, engine = supervised_solve(
             sharing_problem(), SynthesisOptions(backend="serialization"),
             "ser", deadline=time.perf_counter() + 60.0,
             cancelled=lambda: False)
         assert engine is None
         assert result.status == "sat"
-        assert set(threading.enumerate()) == threads
 
     def test_predicate_is_withdrawn_when_the_solve_raises(self, monkeypatch):
         opened = []
