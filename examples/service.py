@@ -9,8 +9,10 @@ persistent solver workers and a disk-backed knowledge cache, then:
    starved request on a harder instance comes back as a typed
    ``timeout`` (its solve is stopped mid-search, not abandoned);
 2. re-submits one of the solved problems byte-identically — the
-   fingerprint matches, the cached clauses seed the worker, and
-   the warm solve does no more search than its cold twin;
+   fingerprint matches, and the server answers from the stored
+   schedule once the validator has certified it for this request: no
+   worker, no search (``attempts`` 0), the same schedule as the cold
+   solve;
 3. prints the server's stats endpoint: request counters, latency
    percentiles, cache hit/miss counters, supervision state.
 
@@ -65,12 +67,14 @@ async def main() -> None:
                       f"work={work(reply)}")
             cold = next(r for r in replies if r["id"] == "gm3")
 
-            print("== cache-hit warm start ==")
+            print("== exact repeat answered from the cache ==")
             warm = await client.solve(gm_case_study(3), opts,
                                       deadline=60.0, request_id="gm3-again")
             print(f"  hit={warm['cache']['hit']}  "
+                  f"attempts={warm['attempts']}  "
                   f"cold work={work(cold)}  warm work={work(warm)}  "
-                  f"(no more: {work(warm) <= work(cold)})")
+                  f"same schedule: "
+                  f"{warm['schedules'] == cold['schedules']}")
 
             print("== server stats ==")
             stats = server.stats()

@@ -13,8 +13,7 @@ Two deployment artifacts:
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, List
+from typing import List
 
 from ..errors import ValidationError
 from .problem import SynthesisProblem
@@ -37,23 +36,15 @@ def solution_to_dict(solution: Solution) -> dict:
 def solution_from_dict(problem: SynthesisProblem, data: dict) -> Solution:
     """Rebuild a :class:`Solution` against its problem definition."""
     try:
-        schedules: Dict[str, MessageSchedule] = {}
-        for uid, entry in data["messages"].items():
-            schedules[uid] = MessageSchedule(
-                uid=uid,
-                app=entry["app"],
-                route=list(entry["route"]),
-                gammas={n: Fraction(g) for n, g in entry["gammas"].items()},
-                release=Fraction(entry["release"]),
-                e2e=Fraction(entry["e2e"]),
-            )
+        schedules = {uid: MessageSchedule.from_dict(uid, entry)
+                     for uid, entry in data["messages"].items()}
         return Solution(
             problem,
             schedules,
             synthesis_time=float(data.get("synthesis_time", 0.0)),
             mode=data.get("mode", "stability"),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed solution dictionary: {exc}") from exc
 
 

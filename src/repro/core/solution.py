@@ -11,6 +11,7 @@ lists) that the discrete-event simulator executes.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -18,6 +19,20 @@ from typing import Dict, List, Optional
 from ..errors import ValidationError
 from ..network.switch import TsnSwitch
 from .problem import SynthesisProblem
+
+#: A rational as ``str(Fraction)`` writes it.  ``Fraction`` also parses
+#: forms such as ``"1e999999999"``, whose value takes unbounded time to
+#: build, and a stored schedule may come from a hostile disk.
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _rational(text: object) -> Fraction:
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
+        raise ValueError(f"expected a num/den rational, got {text!r:.40}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -46,6 +61,22 @@ class MessageSchedule:
             "e2e": str(self.e2e),
             "gammas": {node: str(g) for node, g in self.gammas.items()},
         }
+
+    @classmethod
+    def from_dict(cls, uid: str, data: Dict[str, object]) -> "MessageSchedule":
+        """The inverse of :meth:`to_dict`.  Raises ``ValueError``,
+        ``KeyError`` or ``TypeError`` on anything :meth:`to_dict` does
+        not write."""
+        app, route, gammas = data["app"], data["route"], data["gammas"]
+        if not (isinstance(uid, str) and isinstance(app, str)
+                and isinstance(route, list) and isinstance(gammas, dict)
+                and all(isinstance(node, str)
+                        for node in route + list(gammas))):
+            raise ValueError(f"malformed schedule for {uid!r:.40}")
+        return cls(uid=uid, app=app, route=list(route),
+                   gammas={node: _rational(g) for node, g in gammas.items()},
+                   release=_rational(data["release"]),
+                   e2e=_rational(data["e2e"]))
 
 
 @dataclass(frozen=True)

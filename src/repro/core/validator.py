@@ -54,19 +54,31 @@ def collect_violations(solution: Solution, check_stability: bool = True) -> List
     sd, ld = problem.delays.sd, problem.delays.ld
     out: List[str] = []
 
-    # Every message of the hyper-period must be scheduled exactly once.
-    expected = {m.uid for m in problem.messages}
+    # Every message of the hyper-period must be scheduled exactly once,
+    # released at its sampling instant.
+    messages = {m.uid: m for m in problem.messages}
     got = set(solution.schedules)
-    for uid in sorted(expected - got):
+    for uid in sorted(messages.keys() - got):
         out.append(f"{uid}: message not scheduled")
-    for uid in sorted(got - expected):
+    for uid in sorted(got - messages.keys()):
         out.append(f"{uid}: schedule for unknown message")
 
     link_windows = []  # (u, v, start, uid)
-    for uid in sorted(got & expected):
+    for uid in sorted(got & messages.keys()):
         sched = solution.schedules[uid]
-        app = problem.app_by_name[sched.app]
+        message = messages[uid]
+        if sched.uid != uid or sched.app != message.flow.name:
+            out.append(f"{uid}: schedule names {sched.uid!r} of app "
+                       f"{sched.app!r}")
+            continue
+        if sched.release != message.release:
+            out.append(f"{uid}: release {sched.release} is not the "
+                       f"sampling instant {message.release}")
+        app = problem.app_of(message)
         route = sched.route
+        if len(route) < 3:
+            out.append(f"{uid}: route {route} passes no switch")
+            continue
 
         # Route constraint (Eq. 8) + topology (Eq. 4) + no-loop (Eq. 7).
         if route[0] != app.sensor:
@@ -79,7 +91,7 @@ def collect_violations(solution: Solution, check_stability: bool = True) -> List
             if not net.has_link(u, v):
                 out.append(f"{uid}: route uses missing link {u!r}-{v!r} (Eq. 4)")
         for node in route[1:-1]:
-            if net.kind(node) != NodeKind.SWITCH:
+            if node not in net or net.kind(node) != NodeKind.SWITCH:
                 out.append(f"{uid}: intermediate node {node!r} is not a switch")
 
         # Transposition (Eq. 6).

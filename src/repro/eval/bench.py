@@ -566,21 +566,23 @@ def _bench_service(scale: dict) -> dict:
     fresh disk cache serves a deterministic request stream in two
     phases: every unique problem cold, then every problem again —
     byte-identical, so each repeat must resolve to an **exact**
-    fingerprint hit and warm-start from the stored knowledge.  The
-    regression surface:
+    fingerprint hit.  A ``sat`` repeat is answered from the stored,
+    certified schedule; the ``unsat`` repeat is solved again, seeded
+    with the stored veto.  The regression surface:
 
     * per-problem ``pair<i>`` statuses (``cold/warm``) — any flip is a
       hard regression;
+    * ``warm_sat_served`` — every ``sat`` repeat came back from the
+      cache (``attempts == 0``, zero work) and the ``unsat`` one from a
+      worker;
     * ``warm_conflicts_strictly_less`` — the summed conflicts of the
       warm phase must be *strictly* below the cold phase and no warm
-      repeat may meet more conflicts than its cold twin.  Conflicts,
-      not conflicts+decisions: a warm sat repeat still decides its way
-      to a model, and imported clauses can move that number of
-      decisions either way — per-pair conflicts+decisions stay
-      recorded as ``pair_work`` for that diagnosis (ROADMAP item 5d);
-    * chaos: one request is SIGKILLed mid-solve (``chaos_retried``) and
-      one long solve is cancelled mid-flight (``cancelled_clean``),
-      after which ``no_leaked_workers`` certifies a clean reap.
+      repeat may meet more conflicts than its cold twin (per-pair
+      conflicts+decisions stay recorded as ``pair_work``);
+    * chaos: a request for a problem the cache has not seen is
+      SIGKILLed mid-solve (``chaos_retried``) and one long solve is
+      cancelled mid-flight (``cancelled_clean``), after which
+      ``no_leaked_workers`` certifies a clean reap.
 
     The ``service`` block carries the throughput/latency roll-up
     (req/sec, queue-wait and total p50/p99) plus the cache and
@@ -645,8 +647,10 @@ def _bench_service(scale: dict) -> dict:
                 for i, (p, opts) in enumerate(uniques)
             ])
             # Chaos 1: SIGKILL the worker on this request's first
-            # attempt; supervision must retry and still answer.
-            chaos = await client.solve(uniques[0][0], uniques[0][1],
+            # attempt; supervision must retry and still answer.  A
+            # problem the stream has not cached, so a worker solves it.
+            chaos = await client.solve(workloads.gm_case_study(2),
+                                       SynthesisOptions(routes=2),
                                        deadline=deadline,
                                        request_id="chaos")
             # Chaos 2: cancel a long solve mid-flight (seconds inside
@@ -671,6 +675,12 @@ def _bench_service(scale: dict) -> dict:
             return conflicts(reply) + reply.get("statistics", {}).get(
                 "decisions", 0)
 
+        def served(reply: dict) -> bool:
+            """Answered from the cache: no worker attempt, no search."""
+            return reply.get("attempts") == 0 and not any(
+                reply.get("statistics", {}).get(key, 0)
+                for key in WORK_COUNTERS)
+
         cold_conflicts = sum(conflicts(r) for r in cold)
         warm_conflicts = sum(conflicts(r) for r in warm)
         pair_work = {}
@@ -685,6 +695,10 @@ def _bench_service(scale: dict) -> dict:
         statuses["warm_all_exact_hits"] = (
             "yes" if all(w["cache"]["hit"] == "exact" for w in warm)
             else "NO"
+        )
+        statuses["warm_sat_served"] = (
+            "yes" if all(served(w) == (w.get("status") == "sat")
+                         for w in warm) else "NO"
         )
         statuses["warm_conflicts_strictly_less"] = (
             "yes" if warm_conflicts < cold_conflicts

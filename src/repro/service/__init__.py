@@ -9,8 +9,9 @@ accepts synthesis requests (single and batched) over a small JSON-line
 protocol or through the in-process :class:`ServiceClient`, dispatches
 them onto a pool of persistent solver workers, and — the headline — a
 persistent, disk-backed :class:`KnowledgeCache` keyed by **problem
-fingerprint** warm-starts repeated or near-repeated problems from
-learned clauses, route vetoes, and prior schedules instead of solving
+fingerprint** answers an exact repeat from its stored schedule, once
+the validator has certified it, and warm-starts the other repeats and
+near-repeats from learned clauses and route vetoes instead of solving
 cold.
 
 See ``docs/service.md`` for the protocol, the fingerprint/ancestor-

@@ -3,8 +3,9 @@
 One entry per problem fingerprint, one JSON file per entry.  An entry
 records what the winning solve of that problem *learned* — schedule-
 vocabulary clauses (learned + root units, serialized literal tuples)
-and the route veto of a proven unsat — plus the compatibility key and
-per-app descriptor digests that drive ancestor matching
+and the route veto of a proven unsat — plus, for a ``sat``, the
+schedule it found (the ``schedules_to_wire`` form), the compatibility
+key and per-app descriptor digests that drive ancestor matching
 (:mod:`repro.service.fingerprint`), and bookkeeping (status, solver
 work).
 
@@ -14,7 +15,10 @@ hit seeds everything; a miss falls back to the best compatible
 module for the soundness argument).  The returned
 :class:`~repro.core.seeding.SeedKnowledge` plugs straight into
 ``SynthesisOptions.seed_knowledge``, so the whole import machinery
-(route-limit padding, veto escapes) is the race's, untouched.
+(route-limit padding, veto escapes) is the race's, untouched.  The
+stored schedule is never seeded: the server answers an exact ``sat``
+hit with it after certifying it, and :meth:`KnowledgeCache.quarantine`
+drops an entry whose schedule does not certify.
 
 Persistence is crash-safe and hostile-input-safe: files are written
 atomically (tmp + rename), and a file that fails to parse or validate
@@ -42,9 +46,13 @@ from ..core.seeding import (ClauseBatch, RouteVeto, SeedKnowledge,
 from ..runtime.frames import ARTIFACT_CLAUSES, ARTIFACT_VETO
 from ..runtime.knowledge import validate_artifact
 from . import fingerprint as fp
+from .protocol import schedules_from_wire
 
 #: On-disk schema version; bump on incompatible layout changes (old
 #: entries are quarantined, not migrated — they are only ever hints).
+#: Files written before entries carried ``schedules`` are version 1
+#: too: they load, and their exact hits solve until a write-back
+#: records the schedule.
 CACHE_VERSION = 1
 
 
@@ -66,6 +74,7 @@ class CacheEntry:
     status: str                          # sat / unsat / unknown
     clauses: Tuple[Tuple, ...] = ()      # serialized schedule-vocab literals
     route_veto: Optional[Tuple[Tuple[str, int], ...]] = None
+    schedules: Optional[List[dict]] = None   # schedules_to_wire, sat only
     work: Dict[str, int] = field(default_factory=dict)
     created: float = 0.0
 
@@ -79,6 +88,7 @@ class CacheEntry:
             "status": self.status,
             "clauses": self.clauses,
             "route_veto": self.route_veto,
+            "schedules": self.schedules,
             "work": self.work,
             "created": self.created,
         }
@@ -97,6 +107,7 @@ class CacheEntry:
             clauses=_tuplify(payload.get("clauses", [])),
             route_veto=_tuplify(payload["route_veto"])
             if payload.get("route_veto") else None,
+            schedules=payload.get("schedules"),
             work=dict(payload.get("work", {})),
             created=float(payload.get("created", 0.0)),
         )
@@ -109,7 +120,10 @@ class CacheEntry:
         The disk is a pool boundary exactly like PR 7's worker pipes: an
         entry that fails here is quarantined by the loader, never
         imported.  Clause/veto payloads reuse the pipe-boundary
-        validator from :mod:`repro.runtime.knowledge`.
+        validator from :mod:`repro.runtime.knowledge`; a schedule must
+        parse with :func:`~repro.service.protocol.schedules_from_wire`
+        (whether it solves the problem is the server's check, at hit
+        time).
         """
         if not isinstance(self.fingerprint, str) or not self.fingerprint:
             raise ValueError("entry without a fingerprint")
@@ -137,6 +151,10 @@ class CacheEntry:
                  "limits": self.route_veto})
             if problem is not None:
                 raise ValueError(f"cached veto invalid: {problem}")
+        if self.schedules is not None:
+            if self.status != "sat":
+                raise ValueError(f"schedules on a {self.status} entry")
+            schedules_from_wire(self.schedules)   # ProtocolError: ValueError
 
 
 @dataclass(frozen=True)
@@ -207,6 +225,13 @@ class KnowledgeCache:
             except OSError:
                 pass
         self.counters["quarantined_entries"] += 1
+
+    def quarantine(self, fingerprint: str) -> None:
+        """Drop an entry the server refused to serve (its schedule does
+        not certify); its file is quarantined like a corrupt one."""
+        if self._entries.pop(fingerprint, None) is not None:
+            self._sizes.pop(fingerprint, None)
+            self._quarantine(self._path(fingerprint))
 
     def _write(self, entry: CacheEntry) -> int:
         """Atomic write (tmp + rename); returns the on-disk size."""
@@ -304,12 +329,15 @@ class KnowledgeCache:
     def store(self, problem, options, status: str,
               clauses: Tuple[Tuple, ...] = (),
               route_veto: Optional[Tuple[Tuple[str, int], ...]] = None,
-              work: Optional[Dict[str, int]] = None) -> Optional[CacheEntry]:
+              work: Optional[Dict[str, int]] = None,
+              schedules: Optional[List[dict]] = None
+              ) -> Optional[CacheEntry]:
         """Write one completed request's knowledge back (LRU insert).
 
         ``unknown`` results with nothing learned are not stored.  An
         existing entry for the same fingerprint is replaced (the fresh
-        solve's knowledge supersedes it).
+        solve's knowledge supersedes it).  ``schedules`` (the
+        ``schedules_to_wire`` form) is recorded for a ``sat`` only.
         """
         if status not in ("sat", "unsat") and not clauses:
             return None
@@ -321,6 +349,8 @@ class KnowledgeCache:
             status=status,
             clauses=tuple(clauses),
             route_veto=tuple(route_veto) if route_veto else None,
+            schedules=(list(schedules) if status == "sat" and schedules
+                       else None),
             work=dict(work or {}),
             created=time.time(),
         )

@@ -23,7 +23,9 @@ eventually gets exactly one)::
 Problems travel as order-insensitive JSON (:func:`problem_to_wire` /
 :func:`problem_from_wire`); rationals are exact ``"num/den"`` strings,
 never floats, so a round-tripped problem fingerprints identically to
-the original.  Schedules in ``result`` frames use the same convention.
+the original.  Schedules in ``result`` frames and in cache entries use
+the same convention (:func:`schedules_to_wire` /
+:func:`schedules_from_wire`).
 """
 
 from __future__ import annotations
@@ -72,7 +74,10 @@ def _frac_from_wire(value: object) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (str, int)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ProtocolError(f"zero denominator in {value!r}") from None
     raise ProtocolError(f"expected an exact rational, got {value!r}")
 
 
@@ -172,6 +177,26 @@ def schedules_to_wire(schedules: Dict[str, MessageSchedule]) -> List[dict]:
     """Winning schedules as JSON (uid, route, release table, e2e)."""
     return [{"uid": uid, **schedules[uid].to_dict()}
             for uid in sorted(schedules)]
+
+
+def schedules_from_wire(wire: object) -> Dict[str, MessageSchedule]:
+    """The inverse of :func:`schedules_to_wire` (uid -> schedule).
+
+    Only the shape is checked here; whether the schedules solve a
+    problem is :func:`repro.core.collect_violations`' question.
+    """
+    if not isinstance(wire, list):
+        raise ProtocolError("schedules must be a list")
+    try:
+        schedules = {entry["uid"]: MessageSchedule.from_dict(entry["uid"],
+                                                             entry)
+                     for entry in wire}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"invalid schedule payload: "
+                            f"{type(exc).__name__}: {exc}") from None
+    if len(schedules) != len(wire):
+        raise ProtocolError("a message is scheduled twice")
+    return schedules
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,12 @@ of persistent workers (process or inline — see
    queue.  Requests that waited out their whole budget answer
    ``timeout`` without touching a worker; cancelled-in-queue requests
    were already answered.  The cache is consulted (exact hit, then best
-   compatible ancestor) and any seed rides in on
+   compatible ancestor).  An exact hit on a ``sat`` entry that holds a
+   schedule is answered right here, once
+   :func:`~repro.core.validator.collect_violations` has certified that
+   schedule against the request's problem and mode (``attempts: 0``,
+   zero work); one that does not certify is quarantined and the request
+   solves as a miss.  Any other hit's seed rides in on
    ``SynthesisOptions.seed_knowledge``.
 3. **Solve** (executor thread, blocking): the worker solves under the
    request deadline.  Worker death is supervised — crashes, and stalls
@@ -24,7 +29,10 @@ of persistent workers (process or inline — see
    through deadline plus grace is reaped and answered ``timeout`` — and
    every event lands in that supervisor's counters.
 4. **Write-back**: completed ``sat``/``unsat`` solves store their
-   exported knowledge back into the cache (LRU insert, atomic file).
+   exported knowledge, and a ``sat`` its schedule, back into the cache
+   (LRU insert, atomic file).  An exact hit's entry already is this
+   problem's knowledge and is kept, unless the solve found a ``sat``
+   the entry holds no schedule for: then the fresh entry replaces it.
 5. **Response**: exactly one typed frame per admitted request.
 
 Metrics (:meth:`SynthesisServer.stats`) aggregate queue wait / solve
@@ -40,11 +48,14 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from ..core.synthesizer import WORK_COUNTERS
+from ..core.solution import Solution
+from ..core.synthesizer import MODE_STABILITY, WORK_COUNTERS
+from ..core.validator import collect_violations
 from ..runtime.supervision import SupervisionPolicy, Supervisor
-from .cache import CacheHit, KnowledgeCache
+from .cache import CacheEntry, CacheHit, KnowledgeCache
 from .protocol import (ProtocolError, SynthesisRequest, decode_frame,
-                       encode_frame, request_from_wire)
+                       encode_frame, request_from_wire,
+                       schedules_from_wire, schedules_to_wire)
 from .workers import (InlineWorker, ServiceWorker, WorkerCrashed,
                       WorkerStalled)
 
@@ -128,7 +139,8 @@ class SynthesisServer:
             "admitted": 0, "completed": 0, "overloaded": 0, "rejected": 0,
             "queue_expired": 0, "cancelled_in_queue": 0,
             "result": 0, "timeout": 0, "cancelled": 0, "error": 0,
-            "cache_seeded": 0, "warm_start_conflict_savings": 0,
+            "cache_seeded": 0, "cache_served": 0,
+            "warm_start_conflict_savings": 0,
         }
         self._queue_waits: List[float] = []
         self._solve_walls: List[float] = []
@@ -290,6 +302,15 @@ class SynthesisServer:
         opts = request.options
         if self.cache is not None:
             hit = self.cache.lookup(request.problem, opts)
+            if (hit is not None and hit.kind == "exact"
+                    and hit.entry.schedules is not None):
+                response = self._serve(request, hit.entry)
+                if response is not None:
+                    self.counters["cache_served"] += 1
+                    self._finish(pending, response, queue_wait,
+                                 time.perf_counter() - now, attempts=0)
+                    return
+                hit = None      # quarantined: solve as a miss
             if hit is not None:
                 opts = replace(opts, seed_knowledge=hit.seed)
                 self.counters["cache_seeded"] += 1
@@ -300,11 +321,38 @@ class SynthesisServer:
         payload, attempts = await loop.run_in_executor(
             None, self._solve_blocking, worker, pending, opts)
         solve_wall = time.perf_counter() - now
-
         response = self._classify(pending, payload, hit)
+        self._write_back(request, payload, response, hit)
+        self._finish(pending, response, queue_wait, solve_wall, attempts)
+
+    def _serve(self, request: SynthesisRequest,
+               entry: CacheEntry) -> Optional[dict]:
+        """The ``result`` frame an exact ``sat`` hit's stored schedule
+        answers, or None — and the entry quarantined — when that
+        schedule does not parse or does not certify for this request."""
+        mode = request.options.mode
+        try:
+            schedules = schedules_from_wire(entry.schedules)
+        except ProtocolError:
+            schedules = None
+        if schedules is None or collect_violations(
+                Solution(request.problem, schedules, mode=mode),
+                check_stability=(mode == MODE_STABILITY)):
+            self.cache.quarantine(entry.fingerprint)
+            return None
+        return {
+            "type": "result", "id": request.id, "status": "sat",
+            "schedules": schedules_to_wire(schedules),
+            "statistics": dict.fromkeys(WORK_COUNTERS, 0),
+            "stages_completed": 0, "unsat_explanation": None,
+            "cache": {"hit": "exact"},
+        }
+
+    def _finish(self, pending: _Pending, response: dict, queue_wait: float,
+                solve_wall: float, attempts: int) -> None:
+        """Stamp the envelope, record the latencies, respond."""
         response.update(queue_wait=queue_wait, solve_wall=solve_wall,
                         attempts=attempts)
-        self._write_back(request, payload, response, hit)
         self._queue_waits.append(queue_wait)
         self._solve_walls.append(solve_wall)
         self._totals.append(queue_wait + solve_wall)
@@ -418,17 +466,19 @@ class SynthesisServer:
             saved = baseline - spent
             if saved > 0:
                 self.counters["warm_start_conflict_savings"] += saved
-        if hit is not None and hit.kind == "exact":
-            return  # the entry is already this problem's knowledge
         status = payload.get("status")
         if status not in ("sat", "unsat"):
             return
+        if hit is not None and hit.kind == "exact" and not (
+                status == "sat" and hit.entry.schedules is None):
+            return  # the entry is already this problem's knowledge
         knowledge = payload.get("knowledge") or {}
         self.cache.store(
             request.problem, request.options, status,
             clauses=knowledge.get("clauses", ()),
             route_veto=knowledge.get("route_veto"),
             work={key: stats.get(key, 0) for key in WORK_COUNTERS},
+            schedules=payload.get("schedules"),
         )
 
     def _respond(self, pending: _Pending, frame: dict) -> None:

@@ -135,6 +135,38 @@ class TestFailureInjection:
         # e2e mismatch triggers.
         assert violations
 
+    def test_release_off_the_sampling_instant(self, good_solution):
+        # Shifting a whole message keeps its own Eq. 6 chain and e2e
+        # consistent; only the release itself is wrong.
+        uid, sched = next(iter(good_solution.schedules.items()))
+        shift = ms(1)
+        bad = mutate(good_solution, uid, release=sched.release + shift,
+                     gammas={n: g + shift for n, g in sched.gammas.items()})
+        assert any("sampling instant" in v for v in collect_violations(bad))
+
+    def test_schedule_of_another_app(self, good_solution):
+        uid, sched = next(iter(good_solution.schedules.items()))
+        other = next(a.name for a in good_solution.problem.apps
+                     if a.name != sched.app)
+        bad = mutate(good_solution, uid, app=other)
+        assert any("of app" in v for v in collect_violations(bad))
+        bad = mutate(good_solution, uid, app="ghost")
+        assert any("of app" in v for v in collect_violations(bad))
+
+    @pytest.mark.parametrize("route", [[], ["S0"], ["S0", "C0"]])
+    def test_route_without_a_switch_is_reported(self, good_solution, route):
+        uid = next(iter(good_solution.schedules))
+        bad = mutate(good_solution, uid, route=route)
+        assert any("passes no switch" in v for v in collect_violations(bad))
+
+    def test_unknown_node_is_reported(self, good_solution):
+        uid, sched = next(iter(good_solution.schedules.items()))
+        route = [sched.route[0], "nowhere", sched.route[-1]]
+        bad = mutate(good_solution, uid, route=route,
+                     gammas={"nowhere": sched.gammas[sched.route[-2]]})
+        violations = collect_violations(bad)
+        assert any("'nowhere' is not a switch" in v for v in violations)
+
     def test_stability_violation_detected(self, good_solution):
         uid, sched = next(iter(good_solution.schedules.items()))
         # Blow up this app's jitter by delaying one message to its period.

@@ -17,6 +17,11 @@ from .helpers import family_problem
 CLAUSES = ((("b", "p!route[app0]=0", True),),
            (("b", "p!route[app0]=0", False), ("b", "p!route[app1]=0", True)))
 VETO = (("app0@0", 1), ("app1@0", 1))
+#: One message's schedule in ``schedules_to_wire`` form (shape only: no
+#: cache check asks whether it solves a problem).
+SCHEDULES = [{"uid": "app0#0", "app": "app0", "route": ["S0", "A", "B", "C0"],
+              "release": "0", "e2e": "401/100000",
+              "gammas": {"A": "401/200000", "B": "301/100000"}}]
 
 
 def entry_blob(**fields) -> bytes:
@@ -160,6 +165,40 @@ class TestPersistence:
         assert hit is not None and hit.kind == "exact"
         assert hit.seed.clause_batches[0].clauses == CLAUSES
         assert hit.seed.route_vetoes[0].limits == VETO
+
+    def test_schedules_round_trip_and_load(self, tmp_path):
+        cache = KnowledgeCache(tmp_path)
+        problem, entry = store_family(cache, [0, 1], schedules=SCHEDULES)
+        assert entry.schedules == SCHEDULES
+        hit = KnowledgeCache(tmp_path).lookup(problem)
+        assert hit is not None and hit.entry.schedules == SCHEDULES
+
+    def test_schedules_are_recorded_for_sat_only(self, tmp_path):
+        cache = KnowledgeCache(tmp_path)
+        _, entry = store_family(cache, [0, 1], status="unsat",
+                                schedules=SCHEDULES)
+        assert entry.schedules is None
+
+    @pytest.mark.parametrize("schedules", [
+        "not a list",
+        [{"uid": "app0#0"}],
+        [dict(SCHEDULES[0], gammas={"A": "1/0"})],
+        [dict(SCHEDULES[0], release="1e999999999")],
+        [dict(SCHEDULES[0], route="S0AB")],
+        SCHEDULES + SCHEDULES,
+    ])
+    def test_malformed_schedules_are_quarantined_at_load(self, tmp_path,
+                                                         schedules):
+        (Path(tmp_path) / ("f" * 32 + ".json")).write_bytes(
+            entry_blob(schedules=schedules))
+        cache = KnowledgeCache(tmp_path)
+        assert len(cache) == 0
+        assert cache.counters["quarantined_entries"] == 1
+
+    def test_schedules_on_an_unsat_entry_are_quarantined(self, tmp_path):
+        (Path(tmp_path) / ("f" * 32 + ".json")).write_bytes(
+            entry_blob(status="unsat", schedules=SCHEDULES))
+        assert KnowledgeCache(tmp_path).counters["quarantined_entries"] == 1
 
     def test_filename_fingerprint_mismatch_is_quarantined(self, tmp_path):
         cache = KnowledgeCache(tmp_path)

@@ -1,11 +1,15 @@
 """SynthesisServer: admission, batching, deadlines, cache, TCP."""
 
 import asyncio
+import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from repro.core import solve
-from repro.core.synthesizer import SynthesisOptions
+from repro.core import (ControlApplication, Solution, SynthesisProblem,
+                        collect_violations, solve)
+from repro.core.synthesizer import WORK_COUNTERS, SynthesisOptions
 from repro.eval.workloads import (bottleneck_problem, detour_problem,
                                   gm_case_study)
 from repro.service import (
@@ -19,9 +23,12 @@ from repro.service import (
     request_over_tcp,
 )
 from repro.service.protocol import (ProtocolError, options_from_wire,
-                                    schedules_to_wire)
+                                    schedules_from_wire, schedules_to_wire)
 
-from .helpers import family_problem, run, slow_problem
+from repro.stability import StabilitySpec
+
+from .helpers import (DELAYS, PERIOD, family_network, family_problem, run,
+                      slow_problem)
 
 #: Inline workers: deterministic, no forking, fast enough for admission
 #: tests (process-mode behavior is covered by test_robustness).
@@ -33,6 +40,22 @@ MODERATE_OPTS = SynthesisOptions(routes=2)
 
 def moderate_problem():
     return gm_case_study(3)
+
+
+def seed_cache(root, problem, options=None):
+    """One cold solve through a server, leaving its entry under ``root``."""
+    async def body():
+        async with SynthesisServer(policy=INLINE,
+                                   cache=KnowledgeCache(root)) as server:
+            reply = await ServiceClient(server).solve(problem, options)
+            assert reply["status"] == "sat"
+    run(body())
+
+
+def cache_file(root):
+    """The only entry file under ``root`` and its parsed payload."""
+    (path,) = Path(root).glob("*.json")
+    return path, json.loads(path.read_text())
 
 
 class TestSolve:
@@ -144,21 +167,144 @@ class TestSolve:
 
 
 class TestCacheIntegration:
-    def test_exact_repeat_is_warm_and_cheaper(self, tmp_path):
+    def test_exact_sat_repeat_is_served_and_certifies(self, tmp_path):
         async def body():
             cache = KnowledgeCache(tmp_path)
             async with SynthesisServer(policy=INLINE, cache=cache) as server:
                 client = ServiceClient(server)
+                cold = await client.solve(moderate_problem(), MODERATE_OPTS)
+                # A fresh but equal problem object: the stored schedule
+                # is certified against the request's own problem.
                 problem = moderate_problem()
-                cold = await client.solve(problem, MODERATE_OPTS)
                 warm = await client.solve(problem, MODERATE_OPTS)
                 assert cold["cache"]["hit"] is None
                 assert warm["cache"]["hit"] == "exact"
                 assert warm["status"] == cold["status"] == "sat"
-                assert (warm["statistics"]["conflicts"]
-                        <= cold["statistics"]["conflicts"])
+                assert warm["attempts"] == 0
+                assert warm["statistics"] == dict.fromkeys(WORK_COUNTERS, 0)
+                assert warm["stages_completed"] == 0
+                assert warm["schedules"] == cold["schedules"]
+                assert collect_violations(Solution(
+                    problem, schedules_from_wire(warm["schedules"]))) == []
                 assert cache.counters["stores"] == 1
                 assert cache.counters["exact_hits"] == 1
+                assert server.counters["cache_served"] == 1
+                assert server.counters["cache_seeded"] == 0
+        run(body())
+
+    def test_schedule_violating_eq5_is_never_served(self, tmp_path):
+        problem = family_problem([0, 1, 2])
+        seed_cache(tmp_path, problem)
+        path, payload = cache_file(tmp_path)
+        # Message 1 rides message 0's switches at message 0's release
+        # times: well-formed, every per-message check holds, and the two
+        # collide on their shared switch-to-switch links.
+        first, second = payload["schedules"][:2]
+        second["route"] = ([second["route"][0]] + first["route"][1:-1]
+                           + [second["route"][-1]])
+        second["gammas"] = dict(first["gammas"])
+        second["e2e"] = first["e2e"]
+        path.write_text(json.dumps(payload))
+        tampered = collect_violations(Solution(
+            problem, schedules_from_wire(payload["schedules"])))
+        assert tampered and all("(Eq. 5)" in v for v in tampered)
+
+        async def body():
+            cache = KnowledgeCache(tmp_path)
+            assert len(cache) == 1          # well-formed: it loads
+            async with SynthesisServer(policy=INLINE, cache=cache) as server:
+                reply = await ServiceClient(server).solve(problem)
+                assert reply["status"] == "sat"
+                assert reply["attempts"] == 1
+                assert reply["cache"] == {"hit": None}
+                assert reply["schedules"] != payload["schedules"]
+                assert collect_violations(Solution(
+                    problem, schedules_from_wire(reply["schedules"]))) == []
+                assert cache.counters["quarantined_entries"] == 1
+                assert cache.counters["stores"] == 1
+                assert server.counters["cache_served"] == 0
+                # The fresh solve replaced the entry.
+                assert cache_file(tmp_path)[1]["schedules"] == \
+                    reply["schedules"]
+        run(body())
+
+    def test_unsat_and_ancestor_hits_still_solve(self, tmp_path):
+        async def body():
+            cache = KnowledgeCache(tmp_path)
+            async with SynthesisServer(policy=INLINE, cache=cache) as server:
+                client = ServiceClient(server)
+                funnel = bottleneck_problem(3, period=Fraction(35, 10000))
+                assert (await client.solve(funnel, MODERATE_OPTS))[
+                    "status"] == "unsat"
+                again = await client.solve(funnel, MODERATE_OPTS)
+                assert again["cache"]["hit"] == "exact"
+                assert again["status"] == "unsat"
+                assert again["attempts"] == 1
+                # A routes=1 sat entry holds a schedule and clauses; the
+                # grown request imports the clauses and solves.
+                opts = SynthesisOptions(routes=1)
+                await client.solve(family_problem([0, 1]), opts)
+                grown = await client.solve(family_problem([0, 1, 2]), opts)
+                assert grown["cache"]["hit"] == "subset"
+                assert grown["attempts"] == 1
+                assert grown["statistics"]["decisions"] > 0
+                assert server.counters["cache_seeded"] == 2
+                assert server.counters["cache_served"] == 0
+        run(body())
+
+    def test_entry_without_schedules_solves_and_is_upgraded(self, tmp_path):
+        problem = family_problem([0, 1])
+        seed_cache(tmp_path, problem)
+        path, payload = cache_file(tmp_path)
+        del payload["schedules"]            # as written before schedules
+        path.write_text(json.dumps(payload))
+
+        async def body():
+            cache = KnowledgeCache(tmp_path)
+            assert len(cache) == 1
+            async with SynthesisServer(policy=INLINE, cache=cache) as server:
+                client = ServiceClient(server)
+                solved = await client.solve(problem)
+                assert solved["cache"]["hit"] == "exact"
+                assert solved["attempts"] == 1
+                assert cache.counters["stores"] == 1     # the upgrade
+                assert cache_file(tmp_path)[1]["schedules"] == \
+                    solved["schedules"]
+                served = await client.solve(problem)
+                assert served["attempts"] == 0
+                assert served["schedules"] == solved["schedules"]
+        run(body())
+
+    def test_deadline_mode_is_certified_without_stability_rows(self,
+                                                               tmp_path):
+        # Stable only below 4 ms of latency, against a 9 ms deadline.
+        problem = SynthesisProblem(family_network(), [
+            ControlApplication(f"app{i}", f"S{i}", f"C{i}", PERIOD,
+                               StabilitySpec.single_line("1.5", "0.004"))
+            for i in range(2)], DELAYS)
+        opts = SynthesisOptions(mode="deadline")
+        seed_cache(tmp_path, problem, opts)
+        path, payload = cache_file(tmp_path)
+        # Hold message 0 at its last switch until 1 ms before its period
+        # ends: the deadline still holds, the stability bound not.
+        entry = payload["schedules"][0]
+        last = entry["route"][-2]
+        late = PERIOD - 2 * DELAYS.ld
+        entry["gammas"][last] = str(late)
+        entry["e2e"] = str(late + DELAYS.ld)
+        path.write_text(json.dumps(payload))
+        solution = Solution(problem, schedules_from_wire(payload["schedules"]),
+                            mode="deadline")
+        assert collect_violations(solution, check_stability=False) == []
+        assert any("stability margin" in v
+                   for v in collect_violations(solution))
+
+        async def body():
+            cache = KnowledgeCache(tmp_path)
+            async with SynthesisServer(policy=INLINE, cache=cache) as server:
+                reply = await ServiceClient(server).solve(problem, opts)
+                assert reply["attempts"] == 0
+                assert reply["schedules"] == payload["schedules"]
         run(body())
 
     def test_subset_ancestor_seeds_new_request(self, tmp_path):
@@ -280,6 +426,23 @@ class TestTcp:
                 ])
                 assert all(r["type"] == "error" for r in replies)
                 assert replies[1]["id"] == "bad" or replies[0]["id"] == "bad"
+        run(body())
+
+    def test_zero_denominator_gets_an_error_and_the_connection_lives(self):
+        async def body():
+            async with SynthesisServer(policy=INLINE) as server:
+                host, port = await server.serve_tcp()
+                bad = problem_to_wire(family_problem([0]))
+                bad["apps"][0]["period"] = "1/0"
+                replies = await request_over_tcp(host, port, [
+                    {"op": "solve", "id": "bad", "problem": bad},
+                    {"op": "solve", "id": "good",
+                     "problem": problem_to_wire(family_problem([0]))},
+                ])
+                by_id = {r["id"]: r for r in replies}
+                assert by_id["bad"]["type"] == "error"
+                assert "zero denominator" in by_id["bad"]["error"]
+                assert by_id["good"]["type"] == "result"
         run(body())
 
     def test_cancel_ack_over_the_wire(self):
