@@ -9,7 +9,7 @@ exact validator.
 from .encoding import Encoder, MessagePlan
 from .export import render_switch_configs, solution_from_dict, solution_to_dict
 from .problem import ControlApplication, SynthesisProblem
-from .seeding import SeedKnowledge, StrategySignature
+from .seeding import Knowledge, SeedKnowledge, StrategySignature
 from .solution import AppReport, MessageSchedule, Solution
 from .synthesizer import (
     MODE_DEADLINE,
@@ -28,6 +28,7 @@ __all__ = [
     "MODE_STABILITY",
     "MessagePlan",
     "MessageSchedule",
+    "Knowledge",
     "SeedKnowledge",
     "render_switch_configs",
     "solution_from_dict",

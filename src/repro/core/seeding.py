@@ -2,13 +2,17 @@
 
 One notion of the paper's Sec. V travels outside the solver: *which
 formula is solved* — :class:`StrategySignature`, the option fields that
-name it.  Everything a run can be seeded with is phrased over it: the
-:class:`SeedKnowledge` bundle rides into
+name it.  What one run hands another is phrased over it: a
+:class:`Knowledge` value (learned clauses and a route veto, tagged with
+the signature they were learned under) is the one shape a race's pipe,
+its pool and the service's cache carry.  A seed is a tuple of them
+(:data:`SeedKnowledge`); it rides into
 :func:`~repro.core.synthesizer.solve` on
 ``SynthesisOptions.seed_knowledge`` and the three functions at the
 bottom of this module apply it inside the stage loop.  Who *produces*
-seeds — the portfolio race's pool, the service's cache — lives above, in
-:mod:`repro.runtime.knowledge` and :mod:`repro.service.cache`.
+knowledge — the race's workers and pool, the service's workers and
+cache — lives above, in :mod:`repro.runtime.knowledge` and
+:mod:`repro.service.cache`.
 
 Why sharing across different formulas is sound
 ----------------------------------------------
@@ -114,40 +118,39 @@ def _limit(routes: Optional[int]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Seed bundle (travels into workers inside SynthesisOptions)
+# Handed-on knowledge (travels into workers inside SynthesisOptions)
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ClauseBatch:
-    """Learned clauses from one exporting strategy."""
+class Knowledge:
+    """What one run hands on: the one shape of shared knowledge.
 
-    source_routes: Optional[int]            # exporter's route limit
-    clauses: Tuple[Tuple, ...]              # tuples of serialized literals
-
-
-@dataclass(frozen=True)
-class RouteVeto:
-    """A proven-doomed route-subset selection.
-
-    ``limits`` maps message uid -> number of candidate routes the proving
-    strategy allowed it; the conjunction "each listed message within its
-    first ``n`` candidates" is infeasible together with the shared
-    constraints.
+    ``signature`` names the formula it was learned under; ``clauses``
+    are schedule-vocabulary clauses (tuples of serialized literals)
+    entailed by that formula; ``route_veto`` maps message uid -> number
+    of candidate routes the run allowed it, when a single-stage run
+    proved that selection infeasible together with the shared
+    constraints (empty otherwise).  ``midcheck`` marks clauses flushed
+    at a restart boundary rather than after a verdict, so the race's
+    pool can count them apart.  A race streams it over the pipe, its
+    pool and the service's cache gate it with
+    :func:`repro.runtime.knowledge.validate_knowledge`, and a seed is a
+    tuple of them.  Falsy when it carries nothing to import.
     """
 
-    limits: Tuple[Tuple[str, int], ...]
-
-
-@dataclass(frozen=True)
-class SeedKnowledge:
-    """Everything a pool or cache hands a newly launched attempt."""
-
-    clause_batches: Tuple[ClauseBatch, ...] = ()
-    route_vetoes: Tuple[RouteVeto, ...] = ()
+    signature: StrategySignature
+    clauses: Tuple[Tuple, ...] = ()
+    route_veto: Tuple[Tuple[str, int], ...] = ()
+    midcheck: bool = False
 
     def __bool__(self) -> bool:
-        return bool(self.clause_batches or self.route_vetoes)
+        return bool(self.clauses or self.route_veto)
+
+
+#: Everything a pool or cache hands a newly launched attempt, in import
+#: order: clauses are imported, and vetoes applied, in tuple order.
+SeedKnowledge = Tuple[Knowledge, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +166,7 @@ def _clause_importer(session):
 
 
 def import_presolve_clauses(session, options) -> int:
-    """Install clause batches that need no padding (before any encoding).
+    """Install seeded clauses that need no padding (before any encoding).
 
     Verbatim import is sound exactly when this strategy is at most as
     route-permissive as the exporter (``target K <= source K``); see the
@@ -173,32 +176,32 @@ def import_presolve_clauses(session, options) -> int:
     if engine is None:
         return 0
     return sum(
-        engine.import_clauses(batch.clauses)
-        for batch in options.seed_knowledge.clause_batches
-        if _limit(options.routes) <= _limit(batch.source_routes))
+        engine.import_clauses(k.clauses)
+        for k in options.seed_knowledge
+        if k.clauses and _limit(options.routes) <= _limit(k.signature.routes))
 
 
 def import_padded_clauses(session, encoder, options) -> int:
-    """Install batches from *stricter* exporters, padded for soundness.
+    """Install clauses from *stricter* exporters, padded for soundness.
 
     Requires the full message set to be encoded (single-stage recipients
     only — the caller guards), because the relaxation pad ranges over
-    every message's beyond-``source_routes`` selectors.
+    every message's selectors beyond the exporter's route limit.
     """
     engine = _clause_importer(session)
     if engine is None:
         return 0
     imported = 0
-    for batch in options.seed_knowledge.clause_batches:
-        src = _limit(batch.source_routes)
-        if _limit(options.routes) <= src:
+    for k in options.seed_knowledge:
+        src = _limit(k.signature.routes)
+        if not k.clauses or _limit(options.routes) <= src:
             continue  # already imported verbatim by import_presolve_clauses
         pad = [
             sel
             for plan in encoder.plans.values()
             for sel in plan.selectors[int(src):]
         ]
-        imported += engine.import_clauses(batch.clauses, pad=pad)
+        imported += engine.import_clauses(k.clauses, pad=pad)
     return imported
 
 
@@ -213,17 +216,18 @@ def apply_route_vetoes(session, encoder, options, applied: Set[Tuple]) -> int:
     without search.
     """
     count = 0
-    for veto in options.seed_knowledge.route_vetoes:
-        if veto.limits in applied:
+    for k in options.seed_knowledge:
+        veto = k.route_veto
+        if not veto or veto in applied:
             continue
-        if not all(uid in encoder.plans for uid, _ in veto.limits):
+        if not all(uid in encoder.plans for uid, _ in veto):
             continue
         escape = [
             sel
-            for uid, n in veto.limits
+            for uid, n in veto
             for sel in encoder.plans[uid].selectors[n:]
         ]
         session.add(Or(escape))
-        applied.add(veto.limits)
+        applied.add(veto)
         count += 1
     return count

@@ -21,18 +21,25 @@ from ..network.switch import TsnSwitch
 from .problem import SynthesisProblem
 
 #: A rational as ``str(Fraction)`` writes it.  ``Fraction`` also parses
-#: forms such as ``"1e999999999"``, whose value takes unbounded time to
-#: build, and a stored schedule may come from a hostile disk.
+#: forms such as ``"1.5"``, ``" 3/4 "``, ``"1_000"`` and
+#: ``"1e999999999"``, the last of which takes unbounded time to build.
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def _rational(text: object) -> Fraction:
+def parse_rational(text: object) -> Fraction:
+    """``text`` as a ``Fraction`` when it is in ``str(Fraction)`` form.
+
+    The one parser for rationals that arrive from outside the process —
+    service requests, worker pipes, cache files — so a hostile string
+    costs bounded time.  Anything else, a zero denominator included,
+    raises ``ValueError``.
+    """
     if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
         raise ValueError(f"expected a num/den rational, got {text!r:.40}")
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise ValueError(f"zero denominator in {text!r:.40}") from None
 
 
 @dataclass(frozen=True)
@@ -74,9 +81,9 @@ class MessageSchedule:
                         for node in route + list(gammas))):
             raise ValueError(f"malformed schedule for {uid!r:.40}")
         return cls(uid=uid, app=app, route=list(route),
-                   gammas={node: _rational(g) for node, g in gammas.items()},
-                   release=_rational(data["release"]),
-                   e2e=_rational(data["e2e"]))
+                   gammas={node: parse_rational(g) for node, g in gammas.items()},
+                   release=parse_rational(data["release"]),
+                   e2e=parse_rational(data["e2e"]))
 
 
 @dataclass(frozen=True)

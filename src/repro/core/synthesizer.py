@@ -18,8 +18,8 @@
   (evaluated in Fig. 5 / Fig. 6).
 
 The whole run — however many stages — uses exactly **one** solving
-session (:class:`repro.api.Session`, backend selectable via
-``SynthesisOptions.backend``) and one encoder.  Each stage adds its
+session (:class:`repro.api.Session`, on the native engine unless the
+caller injects another) and one encoder.  Each stage adds its
 slice's constraints on top of the previous ones, re-checks, and freezes
 the new messages by asserting their model values as equalities
 (:meth:`Encoder.freeze_message`), so clauses learned in earlier stages
@@ -94,8 +94,6 @@ class SynthesisOptions:
             (``None`` = all simple routes, the basic formulation).
         stages: number of incremental time slices (1 = monolithic).
         path_cutoff: optional hop bound when enumerating all routes.
-        backend: solving backend for the run's session (``"native"`` or
-            ``"serialization"``; see :mod:`repro.api.backends`).
         dl_propagation: transitive difference-logic propagation in the
             native engine (Cotton & Maler SSSP pass; on by default —
             A/B knob for the ``dl_propagation`` benchmark, counted by
@@ -107,11 +105,12 @@ class SynthesisOptions:
             exhausted check answers ``unknown`` deterministically (after
             a final mid-check export flush), which portfolio races use
             to bound a worker without losing its learned knowledge.
-        seed_knowledge: a :class:`~repro.core.seeding.SeedKnowledge`
-            bundle from a portfolio race's shared pool or the service's
+        seed_knowledge: a tuple of :class:`~repro.core.seeding.Knowledge`
+            values from a portfolio race's shared pool or the service's
             cache — learned clauses and route vetoes from related runs,
             applied before/alongside the run's own search (statistics:
-            ``clauses_imported``, ``route_vetoes_applied``).
+            ``clauses_imported``, ``route_vetoes_applied``).  Empty (the
+            default) seeds nothing.
         faults: a :class:`~repro.runtime.faults.WorkerFaults` bundle —
             deterministic fault injection (crash-at-conflict, hang,
             slow start) for the attempt these options travel to.
@@ -129,11 +128,10 @@ class SynthesisOptions:
     routes: Optional[int] = None
     stages: int = 1
     path_cutoff: Optional[int] = None
-    backend: str = "native"
     dl_propagation: bool = True
     repair: bool = False
     max_conflicts: Optional[int] = None
-    seed_knowledge: Optional[SeedKnowledge] = None
+    seed_knowledge: SeedKnowledge = ()
     faults: Optional[WorkerFaults] = None
 
     def __post_init__(self) -> None:
@@ -266,19 +264,15 @@ class _FreezeLedger:
         return uids
 
 
-def open_session(
-    options: SynthesisOptions,
-) -> Tuple[Session, Optional[SolverEngine]]:
-    """The solving session a run under ``options`` uses, and its native
-    engine (None on any other backend).
+def open_session(options: SynthesisOptions) -> Tuple[Session, SolverEngine]:
+    """The native-engine session a run under ``options`` uses, and its
+    engine.
 
-    The one place ``backend``, ``dl_propagation`` and ``max_conflicts``
-    become a session: :func:`solve` calls it when no session is injected,
-    the worker harness calls it to hang heartbeats and export hooks on
-    the engine first.
+    The one place ``dl_propagation`` and ``max_conflicts`` become a
+    session: :func:`solve` calls it when no session is injected, the
+    worker harness calls it to hang heartbeats and export hooks on the
+    engine first.
     """
-    if options.backend != "native":
-        return Session(backend=options.backend), None
     engine = SolverEngine(dl_propagation=options.dl_propagation,
                           max_conflicts=options.max_conflicts)
     return Session(backend=NativeBackend(engine=engine)), engine
@@ -292,9 +286,10 @@ def solve(
 ) -> SynthesisResult:
     """Jointly route and schedule all messages of one hyper-period.
 
-    ``session`` injects a caller-owned :class:`repro.api.Session`; by
-    default :func:`open_session` creates one according to ``options``
-    and it is used for the entire run.
+    ``session`` injects a caller-owned :class:`repro.api.Session` (any
+    backend; one without a native engine imports no seeded clauses); by
+    default :func:`open_session` creates a native one according to
+    ``options``.  Either is used for the entire run.
     """
     opts = options or SynthesisOptions()
     if opts.mode == MODE_STABILITY:
@@ -314,7 +309,7 @@ def solve(
 
     seed = opts.seed_knowledge
     vetoes_applied: set = set()
-    if seed is not None:
+    if seed:
         acct.count("clauses_imported",
                    import_presolve_clauses(session, opts))
 
@@ -335,7 +330,7 @@ def solve(
                     problem.app_by_name[app_name], tag=f"s{stage_idx}"
                 )
 
-        if seed is not None:
+        if seed:
             acct.count("route_vetoes_applied", apply_route_vetoes(
                 session, encoder, opts, vetoes_applied))
             if opts.stages == 1:

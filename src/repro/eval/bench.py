@@ -106,18 +106,18 @@ def _bench_backends(scale: dict) -> dict:
     backends; any status disagreement is a hard regression (the
     acceptance gate of the pluggable-backend seam).
     """
+    from ..api import Session
     from ..core.synthesizer import SynthesisOptions, solve
     from . import workloads
 
     n_apps = scale.get("n_apps", 3)
-    routes = scale.get("routes", 2)
-    stages = scale.get("stages", 3)
+    options = SynthesisOptions(routes=scale.get("routes", 2),
+                               stages=scale.get("stages", 3))
     problem = workloads.gm_case_study(n_apps=n_apps)
     statuses: Dict[str, str] = {}
     times: Dict[str, float] = {}
     for backend in ("native", "serialization"):
-        result = solve(problem, SynthesisOptions(
-            routes=routes, stages=stages, backend=backend))
+        result = solve(problem, options, session=Session(backend=backend))
         statuses[backend] = result.status
         times[backend] = round(result.synthesis_time, 4)
     statuses["agreement"] = (

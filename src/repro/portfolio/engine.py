@@ -14,14 +14,15 @@ all-heuristic-unsat race reports ``timeout`` / ``unknown`` instead, and
 verdict.  A complete strategy's unsat ends the race early (nothing can
 beat a proof).
 
-With ``share_knowledge`` (default on) workers stream compact artifacts
-back over their result pipes *while solving* — learned clauses and
-route-subset vetoes, both entailed by the formula that produced them
-(see :mod:`repro.core.seeding` for their soundness) — and the parent
+With ``share_knowledge`` (default on) workers stream
+:class:`~repro.core.seeding.Knowledge` back over their result pipes
+*while solving* — learned clauses and route-subset vetoes, both
+entailed by the formula that produced them (see
+:mod:`repro.core.seeding` for their soundness) — and the parent
 aggregates them into a
 :class:`~repro.runtime.knowledge.KnowledgePool` that seeds every restart
 attempt and late launch through ``SynthesisOptions.seed_knowledge``, so
-re-runs start warm instead of cold.  Artifacts are validated at the pool
+re-runs start warm instead of cold.  Knowledge is validated at the pool
 boundary: a frame that fails validation is quarantined (counted, never
 imported, never fatal).
 
@@ -35,7 +36,7 @@ attempt is retried or given up on by the one retry rule,
 module adds is the scheduling: the launch queue with crash-retry
 backoff, one ``wait_ready`` over every running worker's pipe, the stall
 clock and the race's one deadline, pool absorption of streamed
-artifacts, winner/prover bookkeeping, and degradation — a strategy that
+knowledge, winner/prover bookkeeping, and degradation — a strategy that
 exhausts its crash budget (or cannot be spawned mid-race) hands whatever
 remains undecided to the serial loop, recording
 ``PortfolioResult.degraded_to_serial``.  Deterministic failures can be
@@ -78,8 +79,7 @@ from ..core.synthesizer import SynthesisResult
 from ..runtime.faults import FaultPlan, InjectedCrash, wrap_emit
 from ..runtime.frames import KIND_ARTIFACT, KIND_HEARTBEAT, KIND_RESULT
 from ..runtime.harness import pipe_sink, supervised_solve
-from ..runtime.knowledge import (KnowledgePool, restart_artifacts,
-                                 terminal_artifacts)
+from ..runtime.knowledge import KnowledgePool, export_knowledge
 from ..runtime.process import DIED, WorkerProcess, wait_ready
 from ..runtime.supervision import (MAX_CRASH_RETRIES, SupervisionPolicy,
                                    Supervisor, heartbeat_frame)
@@ -220,12 +220,12 @@ def _execute_strategy(problem, strategy: Strategy, emit=None,
                       deadline: Optional[float] = None) -> dict:
     """Run one strategy to completion; return its result payload.
 
-    ``emit`` (optional) receives knowledge artifacts as they become
-    available: the exportable knowledge at every SAT restart of a
-    single-stage strategy (and at the final flush of a
+    ``emit`` (optional) receives :class:`~repro.core.seeding.Knowledge`
+    as it becomes available: the exportable clauses at every SAT
+    restart of a single-stage strategy (and at the final flush of a
     budget/stop abort, so a worker killed inside one long check
-    still contributes to the pool), learned clauses and route vetoes on
-    a provable unsat.  ``heartbeat`` / ``heartbeat_interval`` and
+    still contributes to the pool), and learned clauses with the route
+    veto on a provable unsat.  ``heartbeat`` / ``heartbeat_interval`` and
     ``deadline`` (absolute ``perf_counter`` time) go to
     :func:`~repro.runtime.harness.supervised_solve`, which tags the
     engine's statistics stream with the strategy name so benchmark
@@ -233,7 +233,7 @@ def _execute_strategy(problem, strategy: Strategy, emit=None,
     (``by_backend`` roll-up in ``BENCH_*.json``).
     """
     # One blanket guard around the whole attempt (engine construction,
-    # solve, artifact export): any failure becomes this strategy's error
+    # solve, knowledge export): any failure becomes this strategy's error
     # result instead of sinking the race — the serial backend runs this
     # in-process, so an escaped exception would lose every other entrant.
     # InjectedCrash is the one deliberate exception: it models a death
@@ -244,16 +244,19 @@ def _execute_strategy(problem, strategy: Strategy, emit=None,
         restart_hooks = ()
         if emit is not None:
             def flush_restart(eng) -> None:
-                for artifact in restart_artifacts(opts, eng):
-                    emit(artifact)
+                knowledge = export_knowledge(opts, eng, midcheck=True)
+                if knowledge:
+                    emit(knowledge)
             restart_hooks = (flush_restart,)
         result, engine = supervised_solve(
             problem, opts, strategy.name, deadline=deadline,
             heartbeat=heartbeat, heartbeat_interval=heartbeat_interval,
             restart_hooks=restart_hooks)
-        if emit is not None:
-            for artifact in terminal_artifacts(opts, result, engine):
-                emit(artifact)
+        if emit is not None and result.status == "unsat":
+            # A sat ends the race; only a proof is worth handing on.
+            knowledge = export_knowledge(opts, engine, result.route_veto)
+            if knowledge:
+                emit(knowledge)
         return _payload_of(result)
     except InjectedCrash:
         raise
@@ -264,7 +267,7 @@ def _execute_strategy(problem, strategy: Strategy, emit=None,
 
 def _strategy_worker(conn, problem, strategy: Strategy, share: bool = False,
                      policy: Optional[SupervisionPolicy] = None) -> None:
-    """Run one strategy; stream heartbeats, artifacts and the result back."""
+    """Run one strategy; stream heartbeats, knowledge and the result back."""
     # The forked worker inherits the coordinator's heap; frozen, it stays
     # out of every collection the one-shot solve triggers.
     gc.freeze()
@@ -272,8 +275,8 @@ def _strategy_worker(conn, problem, strategy: Strategy, share: bool = False,
     try:
         emit = None
         if share:
-            def emit(artifact: dict) -> None:
-                conn.send({"kind": KIND_ARTIFACT, "artifact": artifact})
+            def emit(knowledge) -> None:
+                conn.send({"kind": KIND_ARTIFACT, "artifact": knowledge})
 
         # Liveness: one frame at attempt start (before any injected
         # slow-start/hang, so the stall clock starts from real signal);
@@ -442,9 +445,9 @@ class _Race:
             return strategy
         return replace(strategy, options=options)
 
-    def absorb(self, source: str, artifact) -> None:
-        """Pool one streamed artifact; quarantine it if validation fails."""
-        if self.pool is not None and not self.pool.absorb(artifact):
+    def absorb(self, source: str, knowledge) -> None:
+        """Pool one streamed Knowledge; quarantine it if validation fails."""
+        if self.pool is not None and not self.pool.absorb(knowledge):
             self.supervisor.note_quarantined(source)
 
     def settle(self, idx: int, result: StrategyResult,
@@ -613,12 +616,6 @@ class _ProcessRace(_Race):
         self.serial_rescue: List[Tuple[int, Strategy, int]] = []
         self.degraded = False
 
-    def emits_heartbeats(self, idx: int) -> bool:
-        # Only the native backend has the on_restart hook heartbeats
-        # ride on; a worker on any other backend sends just its start
-        # frame, so silence there is not evidence of a stall.
-        return self.entries[idx].options.backend == "native"
-
     def degrade(self, idx: int, strategy: Strategy, attempt: int) -> None:
         """Give up on spawning: this strategy — and, via
         :meth:`launch_available`, everything still queued — goes to the
@@ -744,8 +741,7 @@ class _ProcessRace(_Race):
         if self.deadline is not None:
             wakes.append(self.deadline)
         for idx, att in self.running.items():
-            if (self.policy.stall_timeout is not None
-                    and self.emits_heartbeats(idx)):
+            if self.policy.stall_timeout is not None:
                 wakes.append(att.last_signal + self.policy.stall_timeout)
         wakes.extend(entry[3] for entry in self.pending)
         return max(0.0, min(wakes) - now)
@@ -778,10 +774,10 @@ class _ProcessRace(_Race):
             # Stall detection: a worker silent past the timeout is dead
             # to us even if the process is technically alive (hung in
             # native code, swapping, or fault-injected into a sleep
-            # loop).  Only heartbeat-capable workers are eligible.
+            # loop).
             if policy.stall_timeout is not None:
                 for idx in sorted(running):
-                    if idx not in running or not self.emits_heartbeats(idx):
+                    if idx not in running:
                         continue
                     if (now - running[idx].last_signal
                             >= policy.stall_timeout

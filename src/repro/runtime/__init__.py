@@ -4,12 +4,13 @@ One neutral layer (it imports neither :mod:`repro.portfolio` nor
 :mod:`repro.service`) holding what both schedulers need to run solver
 processes they can trust to die rudely:
 
-* :mod:`~repro.runtime.frames` — the frame-kind registry and the pipe
+* :mod:`~repro.runtime.frames` — the pipe-frame kinds and the pipe
   protocol state machine;
 * :mod:`~repro.runtime.faults` — deterministic fault injection
   (:class:`FaultPlan`), fired by the harness;
 * :mod:`~repro.runtime.knowledge` — what a solve exports for others
-  (artifacts), the gate that validates it, and :class:`KnowledgePool`;
+  (one :class:`~repro.core.seeding.Knowledge` value), the gate that
+  validates it, and :class:`KnowledgePool`;
 * :mod:`~repro.runtime.supervision` — :class:`SupervisionPolicy`, the
   heartbeat frame, and :class:`Supervisor` with the one retry rule;
 * :mod:`~repro.runtime.process` — :class:`WorkerProcess`, the one

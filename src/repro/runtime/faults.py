@@ -31,7 +31,7 @@ Fault kinds
     detector kills them; the serial backend cannot be stalled from
     within, so an in-process hang degenerates to a crash.
 ``corrupt``
-    Replace the ``frame``-th knowledge artifact this attempt emits with
+    Replace the ``frame``-th knowledge frame this attempt emits with
     a structurally mangled copy — well-formed on the pipe, garbage at
     the pool boundary, where validation must quarantine it.
 ``slow_start``
@@ -56,7 +56,7 @@ import os
 import random
 import signal
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 #: The injectable failure kinds.
@@ -302,43 +302,32 @@ def install_engine_triggers(engine, faults: WorkerFaults) -> None:
     engine.on_restart = trigger
 
 
-def corrupt_frame(artifact: dict, frame_index: int) -> dict:
-    """A structurally mangled copy of ``artifact`` (deterministic).
+def corrupt_frame(knowledge):
+    """A structurally mangled copy of a ``Knowledge`` value.
 
-    The copy still pickles and still claims a plausible ``kind``, but
-    its payload fails pool-boundary validation: clause literals become
-    bare strings, veto limits lose their counts, and anything else gets
-    an unknown kind — exactly the shapes
-    :meth:`KnowledgePool.absorb` must quarantine rather than import.
+    The copy still pickles, but its payload fails pool-boundary
+    validation: clause literals become bare strings and veto limits lose
+    their counts — exactly the shapes :meth:`KnowledgePool.absorb` must
+    quarantine rather than import.
     """
-    bad = dict(artifact)
-    bad["fault_injected_frame"] = frame_index
-    kind = bad.get("kind")
-    if kind == "clauses":
-        bad["clauses"] = ("corrupt-literal-stream",)
-    elif kind == "veto":
-        bad["limits"] = (("corrupt-uid",),)
-    else:
-        # Deliberately not a registered kind: this forged kind exists to
-        # prove the pool quarantines unknown frames.
-        bad["kind"] = "corrupt-frame"
-    return bad
+    return replace(knowledge, clauses=("corrupt-literal-stream",),
+                   route_veto=(("corrupt-uid",),))
 
 
-def wrap_emit(emit: Optional[Callable[[dict], None]],
+def wrap_emit(emit: Optional[Callable[[object], None]],
               faults: Optional[WorkerFaults]):
-    """Wrap an artifact-emit callback with the plan's frame corruption."""
+    """Wrap a knowledge-emit callback with the plan's frame corruption."""
     if emit is None or faults is None or not faults.corrupt_frames:
         return emit
     targets = set(faults.corrupt_frames)
     counter = [0]
 
-    def corrupted(artifact: dict) -> None:
+    def corrupted(knowledge) -> None:
         index = counter[0]
         counter[0] += 1
         if index in targets:
-            emit(corrupt_frame(artifact, index))
+            emit(corrupt_frame(knowledge))
         else:
-            emit(artifact)
+            emit(knowledge)
 
     return corrupted

@@ -1,21 +1,14 @@
-"""The frame-kind vocabulary: every ``{"kind": ...}`` string on the wire.
+"""The pipe-frame vocabulary: every ``{"kind": ...}`` string on a pipe.
 
-Workers, the portfolio parent, the service workers and the knowledge
-cache all exchange dict frames discriminated by a ``"kind"`` key.  A
-kind constructed somewhere that no consumer dispatches on (or consumed
-but never constructed) is a protocol bug waiting for a quiet pipe, so
-every producer and consumer names its kinds through these constants.
-
-Two sub-vocabularies share the ``"kind"`` key:
-
-* **Pipe frames** — parent <-> worker traffic on the multiprocessing
-  pipes: liveness, streamed knowledge, results, and the service
-  workers' request/shutdown envelope.  :data:`PIPE_PROTOCOL` says in
-  which order a sender may put them on one pipe.
-* **Artifact kinds** (:data:`ARTIFACT_KINDS`) — the knowledge payloads
-  of :mod:`repro.runtime.knowledge` (also persisted by the service
-  cache): only what the solved formula entails; validated at every pool
-  boundary.
+Workers, the portfolio parent and the service workers exchange dict
+frames discriminated by a ``"kind"`` key: liveness, streamed knowledge,
+results, and the service workers' request/shutdown envelope.  A kind
+constructed somewhere that no consumer dispatches on (or consumed but
+never constructed) is a protocol bug waiting for a quiet pipe, so every
+producer and consumer names its kinds through these constants, and
+:data:`PIPE_PROTOCOL` says in which order a sender may put them on one
+pipe.  Streamed knowledge has no kinds of its own: an artifact frame
+carries one :class:`~repro.core.seeding.Knowledge` value.
 """
 
 from __future__ import annotations
@@ -24,7 +17,7 @@ from __future__ import annotations
 
 #: Worker liveness frame (see :mod:`repro.runtime.supervision`).
 KIND_HEARTBEAT = "heartbeat"
-#: A knowledge artifact streamed mid-race (payload under ``"artifact"``).
+#: Knowledge streamed mid-race (a ``Knowledge`` under ``"artifact"``).
 KIND_ARTIFACT = "artifact"
 #: A worker's terminal answer (payload under ``"payload"``).
 KIND_RESULT = "result"
@@ -35,15 +28,6 @@ KIND_REQUEST = "request"
 KIND_STARTED = "started"
 #: Service parent -> worker: exit the request loop cleanly.
 KIND_SHUTDOWN = "shutdown"
-
-# -- knowledge artifact kinds (see repro.runtime.knowledge) ----------------
-
-#: Learned clauses over the shared schedule vocabulary.
-ARTIFACT_CLAUSES = "clauses"
-#: A proven-doomed route-subset selection.
-ARTIFACT_VETO = "veto"
-#: Every artifact kind; a knowledge pool quarantines any other.
-ARTIFACT_KINDS = frozenset({ARTIFACT_CLAUSES, ARTIFACT_VETO})
 
 # -- pipe protocol state machine -------------------------------------------
 #

@@ -3,7 +3,7 @@
 Whatever runs a solve on behalf of a scheduler — a portfolio worker
 process, a persistent service worker, or their in-process twins (the
 serial race backend, ``InlineWorker``) — runs it through
-:func:`supervised_solve`: the session is the one
+:func:`supervised_solve`: the session is the native one
 :func:`repro.core.synthesizer.open_session` builds for any run, its
 engine tagged for the per-check statistics stream and given a throttled
 heartbeat plus the caller's restart hooks; the attempt's injected faults
@@ -42,8 +42,8 @@ def supervised_solve(
 ) -> Tuple["synth.SynthesisResult", object]:
     """Run ``core.solve`` under supervision; return ``(result, engine)``.
 
-    ``engine`` is the locally built native engine (None on any other
-    backend) — callers export knowledge from it afterwards.  Its
+    ``engine`` is the run's native engine — callers export knowledge
+    from it afterwards.  Its
     statistics-stream tag becomes ``native[<tag>]``, and ``tag`` also
     labels the heartbeat frames handed to ``heartbeat`` from the
     engine's restart boundaries, at most one per ``heartbeat_interval``
@@ -52,8 +52,7 @@ def supervised_solve(
     and ``cancelled`` become the engine's ``stop`` predicate for the
     length of the solve: the SAT core polls it before every decision of
     every check, so once the deadline passes or ``cancelled()`` turns
-    true each remaining check answers ``unknown`` at once.  Other
-    backends have no engine to stop and run unbounded.
+    true each remaining check answers ``unknown`` at once.
 
     ``options.faults`` is injected here and nowhere else: the pre-solve
     faults fire just before the solve, and the conflict-threshold
@@ -62,34 +61,31 @@ def supervised_solve(
     knowledge flush.
     """
     session, engine = synth.open_session(options)
-    if engine is not None:
-        engine.backend_name = f"native[{tag}]"
-        hooks = list(restart_hooks)
-        if heartbeat is not None:
-            last_beat = time.perf_counter()
+    engine.backend_name = f"native[{tag}]"
+    hooks = list(restart_hooks)
+    if heartbeat is not None:
+        last_beat = time.perf_counter()
 
-            def beat(eng) -> None:
-                nonlocal last_beat
-                now = time.perf_counter()
-                if now - last_beat >= heartbeat_interval:
-                    last_beat = now
-                    heartbeat(heartbeat_frame(tag, eng.statistics))
-            hooks.insert(0, beat)
-        if hooks:
-            def on_restart(eng) -> None:
-                for hook in hooks:
-                    hook(eng)
-            engine.on_restart = on_restart
-        engine.stop = _stop_predicate(deadline, cancelled)
+        def beat(eng) -> None:
+            nonlocal last_beat
+            now = time.perf_counter()
+            if now - last_beat >= heartbeat_interval:
+                last_beat = now
+                heartbeat(heartbeat_frame(tag, eng.statistics))
+        hooks.insert(0, beat)
+    if hooks:
+        def on_restart(eng) -> None:
+            for hook in hooks:
+                hook(eng)
+        engine.on_restart = on_restart
+    engine.stop = _stop_predicate(deadline, cancelled)
     try:
         if options.faults:
             apply_presolve(options.faults)
-            if engine is not None:
-                install_engine_triggers(engine, options.faults)
+            install_engine_triggers(engine, options.faults)
         result = synth.solve(problem, options, session=session)
     finally:
-        if engine is not None:
-            engine.stop = None
+        engine.stop = None
     return result, engine
 
 

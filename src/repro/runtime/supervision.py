@@ -11,8 +11,8 @@ one counter vocabulary (``docs/robustness.md``, "Worker runtime"):
 * :func:`heartbeat_frame` / :func:`valid_heartbeat` — the liveness frame
   a solve emits from the engine's ``on_restart`` hook (throttled by
   :func:`~repro.runtime.harness.supervised_solve`) and its validation at
-  the parent boundary.  Only native-backend solves have that hook, so
-  schedulers exempt every other backend from stall detection.
+  the parent boundary.  Every supervised solve runs on the native
+  engine, so every worker has that hook.
 * :class:`Supervisor` — per-strategy and total counts of crashes,
   stalls, retries, heartbeats, quarantined frames and degradations,
   and the one retry rule, :meth:`Supervisor.attempt_died`: count the

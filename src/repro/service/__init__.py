@@ -36,7 +36,7 @@ from .protocol import (
     problem_to_wire,
 )
 from .server import ServicePolicy, SynthesisServer
-from .workers import ServiceWorker, export_request_knowledge
+from .workers import ServiceWorker
 
 __all__ = [
     "CacheEntry",
@@ -52,7 +52,6 @@ __all__ = [
     "compatibility_key",
     "decode_frame",
     "encode_frame",
-    "export_request_knowledge",
     "problem_fingerprint",
     "problem_from_wire",
     "problem_to_wire",

@@ -1,24 +1,25 @@
 """The fingerprint-keyed, disk-backed knowledge cache.
 
 One entry per problem fingerprint, one JSON file per entry.  An entry
-records what the winning solve of that problem *learned* — schedule-
-vocabulary clauses (learned + root units, serialized literal tuples)
-and the route veto of a proven unsat — plus, for a ``sat``, the
-schedule it found (the ``schedules_to_wire`` form), the compatibility
-key and per-app descriptor digests that drive ancestor matching
-(:mod:`repro.service.fingerprint`), and bookkeeping (status, solver
-work).
+records what the winning solve of that problem *learned* — one
+:class:`~repro.core.seeding.Knowledge` value: schedule-vocabulary
+clauses (learned + root units, serialized literal tuples) and the route
+veto of a proven unsat, under the signature they were learned with —
+plus, for a ``sat``, the schedule it found (the ``schedules_to_wire``
+form), the compatibility key and per-app descriptor digests that drive
+ancestor matching (:mod:`repro.service.fingerprint`), and bookkeeping
+(status, solver work).
 
 Admission path (:meth:`KnowledgeCache.lookup`): an exact fingerprint
 hit seeds everything; a miss falls back to the best compatible
 *equal* or *subset* ancestor in the same bucket (see the fingerprint
-module for the soundness argument).  The returned
-:class:`~repro.core.seeding.SeedKnowledge` plugs straight into
-``SynthesisOptions.seed_knowledge``, so the whole import machinery
-(route-limit padding, veto escapes) is the race's, untouched.  The
-stored schedule is never seeded: the server answers an exact ``sat``
-hit with it after certifying it, and :meth:`KnowledgeCache.quarantine`
-drops an entry whose schedule does not certify.
+module for the soundness argument).  The hit entry's knowledge plugs
+straight into ``SynthesisOptions.seed_knowledge``, so the whole import
+machinery (route-limit padding, veto escapes) is the race's, untouched.
+The stored schedule is never seeded: the server answers an exact
+``sat`` hit with it after certifying it, and
+:meth:`KnowledgeCache.quarantine` drops an entry whose schedule does
+not certify.
 
 Persistence is crash-safe and hostile-input-safe: files are written
 atomically (tmp + rename), and a file that fails to parse or validate
@@ -37,14 +38,12 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..core.seeding import (ClauseBatch, RouteVeto, SeedKnowledge,
-                            StrategySignature)
-from ..runtime.frames import ARTIFACT_CLAUSES, ARTIFACT_VETO
-from ..runtime.knowledge import validate_artifact
+from ..core.seeding import Knowledge, StrategySignature
+from ..runtime.knowledge import validate_knowledge
 from . import fingerprint as fp
 from .protocol import schedules_from_wire
 
@@ -70,24 +69,23 @@ class CacheEntry:
     fingerprint: str
     compat_key: str
     apps: Dict[str, str]                 # name -> descriptor digest
-    options: Dict[str, object]           # canonical_options of the recorder
     status: str                          # sat / unsat / unknown
-    clauses: Tuple[Tuple, ...] = ()      # serialized schedule-vocab literals
-    route_veto: Optional[Tuple[Tuple[str, int], ...]] = None
+    knowledge: Knowledge                 # learned under the recorder's options
     schedules: Optional[List[dict]] = None   # schedules_to_wire, sat only
     work: Dict[str, int] = field(default_factory=dict)
     created: float = 0.0
 
     def to_json(self) -> dict:
+        knowledge = self.knowledge
         return {
             "version": CACHE_VERSION,
             "fingerprint": self.fingerprint,
             "compat_key": self.compat_key,
             "apps": self.apps,
-            "options": self.options,
+            "options": asdict(knowledge.signature),
             "status": self.status,
-            "clauses": self.clauses,
-            "route_veto": self.route_veto,
+            "clauses": knowledge.clauses,
+            "route_veto": knowledge.route_veto or None,
             "schedules": self.schedules,
             "work": self.work,
             "created": self.created,
@@ -102,11 +100,13 @@ class CacheEntry:
             fingerprint=payload["fingerprint"],
             compat_key=payload["compat_key"],
             apps=dict(payload["apps"]),
-            options=dict(payload["options"]),
             status=payload["status"],
-            clauses=_tuplify(payload.get("clauses", [])),
-            route_veto=_tuplify(payload["route_veto"])
-            if payload.get("route_veto") else None,
+            # TypeError (not a dict, missing or extra keys) and
+            # ValueError (a mistyped field) both quarantine the file.
+            knowledge=Knowledge(
+                StrategySignature(**payload["options"]),
+                clauses=_tuplify(payload.get("clauses") or []),
+                route_veto=_tuplify(payload.get("route_veto") or [])),
             schedules=payload.get("schedules"),
             work=dict(payload.get("work", {})),
             created=float(payload.get("created", 0.0)),
@@ -117,11 +117,11 @@ class CacheEntry:
     def validate(self) -> None:
         """Shape-check everything a seeded worker would deserialize.
 
-        The disk is a pool boundary exactly like PR 7's worker pipes: an
-        entry that fails here is quarantined by the loader, never
-        imported.  Clause/veto payloads reuse the pipe-boundary
-        validator from :mod:`repro.runtime.knowledge`; a schedule must
-        parse with :func:`~repro.service.protocol.schedules_from_wire`
+        The disk is a pool boundary exactly like the race's worker
+        pipes: an entry that fails here is quarantined by the loader,
+        never imported.  Its knowledge passes the pipe-boundary gate,
+        :func:`~repro.runtime.knowledge.validate_knowledge`; a schedule
+        must parse with :func:`~repro.service.protocol.schedules_from_wire`
         (whether it solves the problem is the server's check, at hit
         time).
         """
@@ -135,22 +135,9 @@ class CacheEntry:
             raise ValueError("malformed app digest map")
         if self.status not in ("sat", "unsat", "unknown"):
             raise ValueError(f"unknown cached status {self.status!r}")
-        try:
-            sig = StrategySignature(**self.options)
-        except TypeError as exc:    # not a dict / missing or extra keys
-            raise ValueError(f"malformed cached options: {exc}") from None
-        if self.clauses:
-            problem = validate_artifact(
-                {"kind": ARTIFACT_CLAUSES, "signature": sig,
-                 "clauses": self.clauses})
-            if problem is not None:
-                raise ValueError(f"cached clauses invalid: {problem}")
-        if self.route_veto is not None:
-            problem = validate_artifact(
-                {"kind": ARTIFACT_VETO, "signature": sig,
-                 "limits": self.route_veto})
-            if problem is not None:
-                raise ValueError(f"cached veto invalid: {problem}")
+        problem = validate_knowledge(self.knowledge)
+        if problem is not None:
+            raise ValueError(f"cached knowledge invalid: {problem}")
         if self.schedules is not None:
             if self.status != "sat":
                 raise ValueError(f"schedules on a {self.status} entry")
@@ -163,7 +150,6 @@ class CacheHit:
 
     kind: str                       # "exact" | "equal" | "subset"
     entry: CacheEntry
-    seed: SeedKnowledge
 
 
 class KnowledgeCache:
@@ -278,15 +264,18 @@ class KnowledgeCache:
     def lookup(self, problem, options=None) -> Optional[CacheHit]:
         """Resolve a request against the cache (exact, then ancestor).
 
-        Returns a :class:`CacheHit` whose ``seed`` is ready for
-        ``SynthesisOptions.seed_knowledge``, or None on a miss.
+        Returns a :class:`CacheHit`, or None on a miss.  An exact hit's
+        entry knowledge seeds its request even when empty; an ancestor
+        with nothing to hand on is a miss.  Both kinds of knowledge are
+        entailed by the request's formula (see
+        :mod:`repro.service.fingerprint`).
         """
         key = fp.problem_fingerprint(problem, options)
         entry = self._entries.get(key)
         if entry is not None:
             self._touch(key)
             self.counters["exact_hits"] += 1
-            return CacheHit("exact", entry, self._seed_from(entry))
+            return CacheHit("exact", entry)
         bucket = fp.compatibility_key(problem, options)
         request_apps = fp.app_set_key(problem)
         best: Optional[Tuple[Tuple[int, int], str, CacheEntry, str]] = None
@@ -304,51 +293,37 @@ class KnowledgeCache:
             self.counters["misses"] += 1
             return None
         _, relation, entry, fprint = best
-        seed = self._seed_from(entry)
-        if not seed:
+        if not entry.knowledge:
             self.counters["misses"] += 1
             return None
         self._touch(fprint)
         self.counters["ancestor_hits"] += 1
-        return CacheHit(relation, entry, seed)
-
-    @staticmethod
-    def _seed_from(entry: CacheEntry) -> SeedKnowledge:
-        """The seed an exact, equal or subset hit contributes: the
-        entry's clauses and veto, both entailed by the request's formula
-        (see :mod:`repro.service.fingerprint`)."""
-        batches: Tuple[ClauseBatch, ...] = ()
-        if entry.clauses:
-            batches = (ClauseBatch(source_routes=entry.options["routes"],
-                                   clauses=entry.clauses),)
-        vetoes: Tuple[RouteVeto, ...] = ()
-        if entry.route_veto is not None:
-            vetoes = (RouteVeto(limits=entry.route_veto),)
-        return SeedKnowledge(clause_batches=batches, route_vetoes=vetoes)
+        return CacheHit(relation, entry)
 
     def store(self, problem, options, status: str,
-              clauses: Tuple[Tuple, ...] = (),
-              route_veto: Optional[Tuple[Tuple[str, int], ...]] = None,
+              knowledge: Optional[Knowledge] = None,
               work: Optional[Dict[str, int]] = None,
               schedules: Optional[List[dict]] = None
               ) -> Optional[CacheEntry]:
         """Write one completed request's knowledge back (LRU insert).
 
-        ``unknown`` results with nothing learned are not stored.  An
-        existing entry for the same fingerprint is replaced (the fresh
-        solve's knowledge supersedes it).  ``schedules`` (the
+        ``knowledge`` is what the solve of ``options`` exported (None:
+        nothing).  ``unknown`` results with no clauses are not stored.
+        An existing entry for the same fingerprint is replaced (the
+        fresh solve's knowledge supersedes it).  ``schedules`` (the
         ``schedules_to_wire`` form) is recorded for a ``sat`` only.
         """
-        if status not in ("sat", "unsat") and not clauses:
+        if knowledge is None:
+            knowledge = Knowledge(options.signature)
+        if (status not in ("sat", "unsat")
+                and not getattr(knowledge, "clauses", ())):
             return None
         entry = CacheEntry(
             fingerprint=fp.problem_fingerprint(problem, options),
             compat_key=fp.compatibility_key(problem, options),
             apps=fp.app_set_key(problem),
-            options=fp.canonical_options(options),
             status=status,
-            clauses=tuple(clauses),
-            route_veto=tuple(route_veto) if route_veto else None,
+            knowledge=knowledge,
             schedules=(list(schedules) if status == "sat" and schedules
                        else None),
             work=dict(work or {}),
@@ -356,6 +331,10 @@ class KnowledgeCache:
         )
         try:
             entry.validate()
+            # Seeding reads the route limit off the signature, so
+            # knowledge filed under another formula would import unsound.
+            if knowledge.signature != options.signature:
+                raise ValueError("knowledge of another formula")
         except ValueError:
             # A worker shipped junk (fault injection, version skew):
             # quarantine at the boundary, exactly like the pool does.

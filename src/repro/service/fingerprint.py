@@ -6,8 +6,8 @@ the delay model, the application set (periods, endpoints, stability
 specs, frame sizes), and the encoding-affecting synthesis options.
 Semantically identical problems — applications listed in a different
 order, wire dicts with reordered keys, options differing only in
-non-encoding knobs (``dl_propagation``, ``max_conflicts``, backend
-choice) — must produce the *same* fingerprint, while any change that
+non-encoding knobs (``dl_propagation``, ``max_conflicts``) — must
+produce the *same* fingerprint, while any change that
 alters the asserted constraints or the interned variable vocabulary
 (mode, route limit, stage count, path cutoff, repair guards, the
 encoder namespace, any period — and through it the hyper-period
@@ -77,10 +77,9 @@ def canonical_options(options) -> Dict[str, object]:
     """The encoding-affecting subset of :class:`SynthesisOptions`: the
     fields of its :attr:`~repro.core.synthesizer.SynthesisOptions.signature`.
 
-    Deliberately excluded: ``backend`` (the formula is identical either
-    way), ``dl_propagation`` / ``max_conflicts`` (search behavior, not
-    constraints), and the transient ``seed_knowledge`` / ``faults``
-    bundles.  ``repair`` is *included*:
+    Deliberately excluded: ``dl_propagation`` / ``max_conflicts``
+    (search behavior, not constraints), and the transient
+    ``seed_knowledge`` / ``faults`` bundles.  ``repair`` is *included*:
     it swaps permanent freezes for guarded ones, changing the asserted
     formula of every stage after the first.
     """

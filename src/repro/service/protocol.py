@@ -37,7 +37,7 @@ from typing import Dict, List, Optional
 
 from ..core.problem import ControlApplication, SynthesisProblem
 from ..core.seeding import StrategySignature
-from ..core.solution import MessageSchedule
+from ..core.solution import MessageSchedule, parse_rational
 from ..core.synthesizer import SynthesisOptions
 from ..errors import EncodingError
 from ..network.graph import Network
@@ -71,14 +71,14 @@ def _frac_to_wire(value: Fraction) -> str:
 
 
 def _frac_from_wire(value: object) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (str, int)):
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise ProtocolError(f"zero denominator in {value!r}") from None
-    raise ProtocolError(f"expected an exact rational, got {value!r}")
+    """A JSON integer, or a string in ``str(Fraction)`` form (see
+    :func:`~repro.core.solution.parse_rational`)."""
+    if isinstance(value, (Fraction, int)):
+        return Fraction(value)
+    try:
+        return parse_rational(value)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
 
 
 def app_to_wire(app: ControlApplication) -> dict:

@@ -18,7 +18,7 @@ of persistent workers (process or inline — see
    :func:`~repro.core.validator.collect_violations` has certified that
    schedule against the request's problem and mode (``attempts: 0``,
    zero work); one that does not certify is quarantined and the request
-   solves as a miss.  Any other hit's seed rides in on
+   solves as a miss.  Any other hit's entry knowledge rides in on
    ``SynthesisOptions.seed_knowledge``.
 3. **Solve** (executor thread, blocking): the worker solves under the
    request deadline.  Worker death is supervised — crashes, and stalls
@@ -312,7 +312,7 @@ class SynthesisServer:
                     return
                 hit = None      # quarantined: solve as a miss
             if hit is not None:
-                opts = replace(opts, seed_knowledge=hit.seed)
+                opts = replace(opts, seed_knowledge=(hit.entry.knowledge,))
                 self.counters["cache_seeded"] += 1
 
         pending.worker = worker
@@ -472,11 +472,9 @@ class SynthesisServer:
         if hit is not None and hit.kind == "exact" and not (
                 status == "sat" and hit.entry.schedules is None):
             return  # the entry is already this problem's knowledge
-        knowledge = payload.get("knowledge") or {}
         self.cache.store(
             request.problem, request.options, status,
-            clauses=knowledge.get("clauses", ()),
-            route_veto=knowledge.get("route_veto"),
+            knowledge=payload.get("knowledge"),
             work={key: stats.get(key, 0) for key in WORK_COUNTERS},
             schedules=payload.get("schedules"),
         )

@@ -46,7 +46,7 @@ from ..runtime.faults import InjectedCrash
 from ..runtime.frames import (KIND_REQUEST, KIND_RESULT, KIND_SHUTDOWN,
                               KIND_STARTED)
 from ..runtime.harness import pipe_sink, supervised_solve
-from ..runtime.knowledge import exportable_clauses
+from ..runtime.knowledge import export_knowledge
 from ..runtime.process import DIED, WorkerProcess
 from ..runtime.supervision import SupervisionPolicy
 from .protocol import schedules_to_wire
@@ -73,33 +73,6 @@ class WorkerStalled(WorkerCrashed):
     def __init__(self, message: str, past_deadline: bool) -> None:
         super().__init__(message)
         self.past_deadline = past_deadline
-
-
-# ---------------------------------------------------------------------------
-# Knowledge export (runs wherever the solve ran)
-# ---------------------------------------------------------------------------
-
-
-def export_request_knowledge(options, result, engine) -> Dict[str, object]:
-    """What a completed request contributes to the knowledge cache.
-
-    * ``clauses`` — schedule-vocabulary units + ranked learned clauses,
-      single-stage runs only (an incremental stage's database mixes in
-      freeze consequences; see :mod:`repro.core.seeding`).  Unlike
-      the race's ``terminal_artifacts`` this exports on *any* verdict:
-      learned clauses are entailed by the asserted formula regardless of
-      how the check ended, and the cache — unlike a race — outlives sat
-      results.
-    * ``route_veto`` — the doomed route-subset selection of a provable
-      unsat (``result.route_veto`` is only ever set for one).
-    """
-    clauses = ()
-    if options.stages == 1 and engine is not None:
-        clauses = exportable_clauses(engine)
-    return {
-        "clauses": clauses,
-        "route_veto": tuple(result.route_veto) if result.route_veto else None,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +112,8 @@ def _solve_request(problem, options, deadline: Optional[float],
         "statistics": dict(result.statistics),
         "schedules": schedules,
         "unsat_explanation": result.unsat_explanation,
-        "knowledge": export_request_knowledge(options, result, engine),
+        # Every verdict: the cache, unlike a race, outlives sat results.
+        "knowledge": export_knowledge(options, engine, result.route_veto),
     }
 
 
@@ -303,10 +277,6 @@ class ServiceWorker:
         hard = (due + self.policy.kill_grace + _DEADLINE_SLACK
                 if due is not None else None)
         stall_timeout = self.policy.stall_timeout
-        if stall_timeout is not None and options.backend != "native":
-            # Only the native backend has the restart hook heartbeats
-            # ride on; silence on any other is not evidence of a stall.
-            stall_timeout = None
         while True:
             # Sampled before the read: whatever a dead child sent is
             # queued by now, so one more drain sees all of it even when

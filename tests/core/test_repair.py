@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.api import Session
 from repro.core import (
     SynthesisOptions,
     collect_violations,
@@ -96,7 +97,8 @@ class TestStageRepair:
     @pytest.mark.parametrize("backend", ["native", "serialization"])
     def test_backends_agree_on_the_trap(self, backend):
         result = solve(bottleneck_repair_problem(),
-                       SynthesisOptions(routes=2, stages=2, backend=backend))
+                       SynthesisOptions(routes=2, stages=2),
+                       session=Session(backend=backend))
         assert result.status == "unsat"
 
     def test_max_repair_rounds_bounds_work(self, monkeypatch):

@@ -4,13 +4,15 @@ Every scenario here drives :mod:`repro.runtime.faults` through the
 real engine — process workers really get SIGKILLed, really hang, really
 ship corrupt frames — and checks the supervision contract of
 ``docs/robustness.md``: crashes are retried with backoff, stalls are
-detected by missed heartbeats, malformed artifacts are quarantined (not
+detected by missed heartbeats, malformed knowledge is quarantined (not
 raised), exhausted crash budgets degrade to the serial backend, and no
 scenario leaks a process or changes a verdict.
 """
 
 import multiprocessing
+import pickle
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -37,7 +39,7 @@ from repro.runtime.faults import (
     WorkerFaults,
     corrupt_frame,
 )
-from repro.runtime.knowledge import KnowledgePool, validate_artifact
+from repro.runtime.knowledge import KnowledgePool, validate_knowledge
 
 #: Fast supervision for tests: tight heartbeats, sub-second stall
 #: detection, near-instant backoff, short kill grace.
@@ -97,38 +99,38 @@ class TestFaultPlan:
 
 
 class TestQuarantine:
-    """Malformed artifacts are counted and dropped at the pool boundary."""
+    """Malformed knowledge is counted and dropped at the pool boundary."""
 
-    def _clean_artifact(self) -> dict:
-        # Produce a real artifact by racing the sharing funnel serially.
-        pool_probe = {}
-
-        def capture(artifact):
-            pool_probe.setdefault("artifact", artifact)
-
+    def _clean_knowledge(self):
+        # Produce real knowledge by running the sharing funnel serially.
+        emitted = []
         from repro.portfolio.engine import _execute_strategy
         _execute_strategy(sharing_problem(),
                           Strategy("routes-1", SynthesisOptions(routes=1)),
-                          emit=capture)
-        assert "artifact" in pool_probe
-        return pool_probe["artifact"]
+                          emit=emitted.append)
+        assert emitted
+        return emitted[0]
 
     def test_corrupt_frame_fails_validation_but_clean_passes(self):
-        artifact = self._clean_artifact()
-        assert validate_artifact(artifact) is None
-        assert validate_artifact(corrupt_frame(artifact, 0)) is not None
+        knowledge = self._clean_knowledge()
+        assert validate_knowledge(knowledge) is None
+        # What crosses the pipe is what was sent.
+        assert pickle.loads(pickle.dumps(knowledge)) == knowledge
+        assert validate_knowledge(corrupt_frame(knowledge)) is not None
 
     def test_pool_quarantines_instead_of_raising(self):
-        artifact = self._clean_artifact()
+        knowledge = self._clean_knowledge()
         pool = KnowledgePool()
-        assert pool.absorb(artifact)
-        bad_coefficient = dict(artifact, kind="clauses", clauses=(
+        assert pool.absorb(knowledge)
+        bad_coefficient = replace(knowledge, clauses=(
             (("a", (("p/g[m0][s0]", "abc"),), "3", False, True),),))
-        # A frozen stage prefix is not an artifact kind.
-        prefix = dict(artifact, kind="prefix", messages=())
-        for junk in (corrupt_frame(artifact, 0), None, 42,
-                     {"kind": "clauses"}, {"no": "kind"}, bad_coefficient,
-                     prefix):
+        # The dict a race used to stream is not knowledge.
+        old_shape = {"kind": "clauses", "signature": knowledge.signature,
+                     "clauses": knowledge.clauses}
+        for junk in (corrupt_frame(knowledge), None, 42, old_shape,
+                     replace(knowledge, signature="routes-1"),
+                     bad_coefficient,
+                     replace(knowledge, route_veto=(("m0", -1),))):
             assert not pool.absorb(junk)
         assert pool.counters["quarantined_artifacts"] == 7
 
@@ -226,25 +228,6 @@ class TestCrashSupervision:
         assert res.status == "sat"
         assert res.winner == "monolithic"
         assert res.result_for("crasher").status == "cancelled"
-        assert_no_leaked_workers()
-
-    def test_non_native_backend_is_exempt_from_stall_detection(self):
-        # Only native-backend workers heartbeat (the on_restart hook);
-        # a serialization-backend worker quiet past stall_timeout is
-        # working, not stalled, and must not be killed.
-        policy = SupervisionPolicy(heartbeat_interval=0.02,
-                                   stall_timeout=0.15, backoff_base=0.01,
-                                   backoff_cap=0.05, kill_grace=0.3)
-        plan = FaultPlan([FaultSpec(SLOW_START, strategy="ser",
-                                    attempt=0, delay=0.5)])
-        strategies = [Strategy("ser",
-                               SynthesisOptions(backend="serialization"))]
-        res = synthesize_portfolio(sharing_problem(), strategies, timeout=60,
-                                   supervision=policy, fault_plan=plan)
-        assert res.status == "sat"
-        assert res.supervision_statistics["stalls_detected"] == 0
-        assert res.result_for("ser").attempts == 1
-        assert not res.degraded_to_serial
         assert_no_leaked_workers()
 
     def test_slow_start_is_not_mistaken_for_a_stall(self):

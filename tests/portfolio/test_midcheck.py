@@ -1,4 +1,4 @@
-"""Mid-check clause export: restart artifacts and unit round-trips.
+"""Mid-check clause export: restart flushes and unit round-trips.
 
 PR 4 gave portfolio workers terminal clause export (ship the learnt DB
 with the final verdict).  These tests cover the paths added on top: the
@@ -15,7 +15,7 @@ from repro.eval import workloads
 from repro.portfolio import Strategy, synthesize_portfolio
 from repro.runtime.knowledge import (
     KnowledgePool,
-    restart_artifacts,
+    export_knowledge,
     schedule_vocabulary,
 )
 from repro.smt import Bool, Or
@@ -54,19 +54,15 @@ class TestUnitExport:
 
         options = SynthesisOptions(routes=1)
         pool = KnowledgePool()
-        for artifact in restart_artifacts(options, exporter):
-            pool.absorb(artifact)
+        assert pool.absorb(export_knowledge(options, exporter, midcheck=True))
         assert pool.statistics["midcheck_clauses_pooled"] >= 1
 
         seed = pool.seed_for(options)
-        assert seed is not None
+        assert seed
         importer = SolverEngine()
         # Without the unit, phase saving picks x=False (y carries Or).
         importer.add(Or(x, y))
-        installed = sum(
-            importer.import_clauses(batch.clauses)
-            for batch in seed.clause_batches
-        )
+        installed = sum(importer.import_clauses(k.clauses) for k in seed)
         assert installed >= 1
         assert importer.clauses_imported == installed
         assert importer.check().name == "sat"
@@ -77,18 +73,17 @@ class TestUnitExport:
         engine.add(_vocab_bool("m0][0"))
         assert engine.check().name == "sat"
         staged = SynthesisOptions(routes=1, stages=3)
-        assert restart_artifacts(staged, engine) == []
+        assert not export_knowledge(staged, engine, midcheck=True)
 
     def test_restart_artifact_is_tagged_midcheck(self):
         engine = SolverEngine()
         engine.add(_vocab_bool("m0][0"))
         assert engine.check().name == "sat"
         options = SynthesisOptions(routes=1)
-        artifacts = restart_artifacts(options, engine)
-        assert len(artifacts) == 1
-        assert artifacts[0]["origin"] == "mid-check"
-        assert artifacts[0]["kind"] == "clauses"
-        assert artifacts[0]["signature"] == options.signature
+        knowledge = export_knowledge(options, engine, midcheck=True)
+        assert knowledge.midcheck and knowledge.clauses
+        assert knowledge.route_veto == ()
+        assert knowledge.signature == options.signature
 
 
 class TestMidCheckRace:

@@ -169,12 +169,26 @@ class TestClauseExchange:
 
     def test_export_respects_vocabulary_and_caps(self):
         problem = workloads.sharing_unsat_problem()
+        opts = SynthesisOptions(routes=2)
         eng = synth.SolverEngine()
         session = Session(backend=NativeBackend(engine=eng))
-        result = synth.solve(problem, SynthesisOptions(routes=2),
-                             session=session)
+        result = synth.solve(problem, opts, session=session)
         assert result.status == "unsat"
         assert result.route_veto, "single-stage unsat must carry a veto"
+        # A race unsat ships its veto and its clauses as one value...
+        knowledge = sharing.export_knowledge(opts, eng, result.route_veto)
+        assert knowledge.signature == opts.signature
+        assert knowledge.route_veto == result.route_veto
+        assert knowledge.clauses and not knowledge.midcheck
+        # ...and the pool counts both as it did two separate frames.
+        pool = KnowledgePool()
+        assert pool.absorb(knowledge)
+        assert pool.counters["clauses_pooled"] == len(set(knowledge.clauses))
+        assert pool.counters["vetoes_pooled"] == 1
+        assert pool.counters["midcheck_clauses_pooled"] == 0
+        seed = pool.seed_for(SynthesisOptions(routes=1))
+        assert [bool(k.clauses) for k in seed] == [True, False]
+        assert seed[1].route_veto == result.route_veto
         clauses = eng.export_learned_clauses(
             vocabulary=sharing.schedule_vocabulary)
         assert clauses, "the funnel proof should learn shareable clauses"
@@ -194,7 +208,7 @@ class TestClauseExchange:
         result = synth.solve(problem, opts, session=session)
         assert result.status == "unsat"  # the staged-heuristic trap
         assert result.route_veto is None
-        assert sharing.terminal_artifacts(opts, result, eng) == []
+        assert not sharing.export_knowledge(opts, eng, result.route_veto)
 
 
 class TestVetoSemantics:

@@ -1,7 +1,6 @@
 """The solve side: one supervised-solve harness, bounded by a stop
 predicate the engine polls."""
 
-import threading
 import time
 
 import pytest
@@ -9,7 +8,7 @@ import pytest
 from repro.core import synthesizer as synth
 from repro.core.synthesizer import SynthesisOptions
 from repro.eval.workloads import (gm_case_study, random_problem,
-                                  sharing_problem, slow_funnel_problem)
+                                  slow_funnel_problem)
 from repro.runtime.frames import KIND_HEARTBEAT
 from repro.runtime.harness import supervised_solve
 from repro.smt import Bool, Not, Or
@@ -78,19 +77,6 @@ class TestStop:
         assert stops and all(callable(stop) for stop in stops)
         assert engine.stop is None
 
-    def test_no_stop_for_a_backend_without_an_engine(self):
-        # No engine, so nothing to hang a stop predicate on: even a passed
-        # deadline and a raised cancel flag leave the solve unbounded, and
-        # no thread stands in for the predicate.
-        threads = set(threading.enumerate())
-        result, engine = supervised_solve(
-            sharing_problem(), SynthesisOptions(backend="serialization"),
-            "ser", deadline=time.perf_counter() - 1.0,
-            cancelled=lambda: True)
-        assert engine is None
-        assert result.status == "sat"
-        assert set(threading.enumerate()) == threads
-
     def test_stops_every_check_of_one_engine(self):
         # There is no flag a check clears on entry: each check polls the
         # predicate itself, so each of these ends at once.
@@ -130,14 +116,6 @@ class TestSupervisedSolve:
                          heartbeat=beats.append, heartbeat_interval=3600.0,
                          restart_hooks=(restarts.append,))
         assert restarts and beats == []
-
-    def test_other_backends_get_a_session_but_no_engine(self):
-        result, engine = supervised_solve(
-            sharing_problem(), SynthesisOptions(backend="serialization"),
-            "ser", deadline=time.perf_counter() + 60.0,
-            cancelled=lambda: False)
-        assert engine is None
-        assert result.status == "sat"
 
     def test_predicate_is_withdrawn_when_the_solve_raises(self, monkeypatch):
         opened = []

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.synthesizer import SynthesisOptions
+from repro.core.seeding import Knowledge
+from repro.core.synthesizer import SynthesisOptions, solve
 from repro.service import KnowledgeCache, problem_fingerprint
 from repro.service.cache import CacheEntry
 
@@ -13,7 +14,7 @@ from .helpers import family_problem
 
 #: Handcrafted knowledge in the exact shapes the sharing module accepts
 #: (see ``repro.runtime.knowledge._valid_literal`` and
-#: ``validate_artifact``): enough to exercise the cache without solving.
+#: ``validate_knowledge``): enough to exercise the cache without solving.
 CLAUSES = ((("b", "p!route[app0]=0", True),),
            (("b", "p!route[app0]=0", False), ("b", "p!route[app1]=0", True)))
 VETO = (("app0@0", 1), ("app1@0", 1))
@@ -36,10 +37,13 @@ def entry_blob(**fields) -> bytes:
     return json.dumps(payload).encode()
 
 
-def store_family(cache, indices, status="sat", **kwargs):
+def store_family(cache, indices, status="sat", route_veto=(), **kwargs):
     problem = family_problem(indices)
-    kwargs.setdefault("clauses", CLAUSES)
-    entry = cache.store(problem, SynthesisOptions(), status, **kwargs)
+    options = SynthesisOptions()
+    knowledge = Knowledge(options.signature, clauses=CLAUSES,
+                          route_veto=route_veto)
+    entry = cache.store(problem, options, status, knowledge=knowledge,
+                        **kwargs)
     assert entry is not None
     return problem, entry
 
@@ -52,7 +56,7 @@ class TestLookup:
         store_family(cache, [0, 1])
         hit = cache.lookup(problem)
         assert hit is not None and hit.kind == "exact"
-        assert hit.seed.clause_batches
+        assert hit.entry.knowledge.clauses
         assert cache.counters["exact_hits"] == 1
         assert cache.counters["misses"] == 1
 
@@ -61,8 +65,8 @@ class TestLookup:
         store_family(cache, [0, 1], status="sat", route_veto=VETO)
         hit = cache.lookup(family_problem([0, 1, 2]))
         assert hit is not None and hit.kind == "subset"
-        assert hit.seed.clause_batches
-        assert hit.seed.route_vetoes
+        assert hit.entry.knowledge.clauses
+        assert hit.entry.knowledge.route_veto
         assert cache.counters["ancestor_hits"] == 1
 
     def test_superset_ancestor_is_a_miss(self, tmp_path):
@@ -102,11 +106,19 @@ class TestLookup:
 
     def test_junk_knowledge_is_quarantined_on_store(self, tmp_path):
         cache = KnowledgeCache(tmp_path)
-        entry = cache.store(family_problem([0]), SynthesisOptions(), "sat",
-                            clauses=(("not-a-literal",),))
-        assert entry is None
+        junk = [
+            Knowledge(SynthesisOptions().signature,
+                      clauses=(("not-a-literal",),)),
+            # Well-formed, but learned under routes=1: filed under the
+            # request's all-routes formula it would import unpadded.
+            Knowledge(SynthesisOptions(routes=1).signature, clauses=CLAUSES),
+            {"clauses": CLAUSES, "route_veto": None},
+        ]
+        for knowledge in junk:
+            assert cache.store(family_problem([0]), SynthesisOptions(),
+                               "sat", knowledge=knowledge) is None
         assert len(cache) == 0
-        assert cache.counters["quarantined_entries"] == 1
+        assert cache.counters["quarantined_entries"] == len(junk)
 
 
 class TestPersistence:
@@ -116,15 +128,52 @@ class TestPersistence:
         reloaded = KnowledgeCache(tmp_path)
         hit = reloaded.lookup(problem)
         assert hit is not None and hit.kind == "exact"
-        assert hit.entry.clauses == entry.clauses
-        assert hit.entry.route_veto == entry.route_veto
+        assert hit.entry.knowledge == entry.knowledge
 
     def test_files_are_valid_json(self, tmp_path):
         cache = KnowledgeCache(tmp_path)
-        _, entry = store_family(cache, [0, 1])
+        _, entry = store_family(cache, [0, 1], route_veto=VETO)
         path = Path(tmp_path) / f"{entry.fingerprint}.json"
         payload = json.loads(path.read_text())
-        assert CacheEntry.from_json(payload).fingerprint == entry.fingerprint
+        loaded = CacheEntry.from_json(payload)
+        assert loaded.fingerprint == entry.fingerprint
+        assert loaded.knowledge == entry.knowledge
+
+    def test_files_written_before_one_knowledge_shape_load_and_seed(
+            self, tmp_path):
+        # Byte for byte what the writer of separate ``options``,
+        # ``clauses`` and ``route_veto`` fields stored for an unsat
+        # under routes=2: the same JSON keys carry one Knowledge now.
+        blob = (
+            '{"apps": {"app0": "4e3d8ddf5f139a1ab78c1f0dcaddf7ae", '
+            '"app1": "8cef0032fa211f6fc7b668daceb46cf6"}, '
+            '"clauses": [[["b", "p!route[app0]=0", true]], '
+            '[["b", "p!route[app0]=0", false], '
+            '["b", "p!route[app1]=0", true]]], '
+            '"compat_key": "52fcb32e7eed375a886dd1726c0a0980", '
+            '"created": 1792218653.7506297, '
+            '"fingerprint": "35c9452ae3888c799a52180156cc2314", '
+            '"options": {"mode": "stability", "path_cutoff": null, '
+            '"repair": false, "routes": 2, "stages": 1}, '
+            '"route_veto": [["app0@0", 1], ["app1@0", 1]], '
+            '"schedules": null, "status": "unsat", "version": 1, '
+            '"work": {"conflicts": 3, "decisions": 5, '
+            '"propagations": 8}}\n')
+        (Path(tmp_path) / "35c9452ae3888c799a52180156cc2314.json"
+         ).write_text(blob)
+        cache = KnowledgeCache(tmp_path)
+        assert cache.counters["quarantined_entries"] == 0
+        options = SynthesisOptions(routes=2)
+        problem = family_problem([0, 1])
+        hit = cache.lookup(problem, options)
+        assert hit is not None and hit.kind == "exact"
+        assert hit.entry.knowledge == Knowledge(options.signature,
+                                                clauses=CLAUSES,
+                                                route_veto=VETO)
+        assert json.dumps(hit.entry.to_json(), sort_keys=True) + "\n" == blob
+        seeded = solve(problem, SynthesisOptions(
+            routes=2, seed_knowledge=(hit.entry.knowledge,)))
+        assert seeded.statistics["clauses_imported"] == len(CLAUSES)
 
     @pytest.mark.parametrize("blob", [
         b"{ not json",
@@ -163,8 +212,8 @@ class TestPersistence:
         assert reloaded.counters["quarantined_entries"] == 0
         hit = reloaded.lookup(problem)
         assert hit is not None and hit.kind == "exact"
-        assert hit.seed.clause_batches[0].clauses == CLAUSES
-        assert hit.seed.route_vetoes[0].limits == VETO
+        assert hit.entry.knowledge.clauses == CLAUSES
+        assert hit.entry.knowledge.route_veto == VETO
 
     def test_schedules_round_trip_and_load(self, tmp_path):
         cache = KnowledgeCache(tmp_path)

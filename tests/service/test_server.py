@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from repro.service import (
     SynthesisRequest,
     SynthesisServer,
     encode_frame,
+    problem_from_wire,
     problem_to_wire,
     request_over_tcp,
 )
@@ -434,16 +436,38 @@ class TestTcp:
                 host, port = await server.serve_tcp()
                 bad = problem_to_wire(family_problem([0]))
                 bad["apps"][0]["period"] = "1/0"
+                # Parsed on the event loop: a value that takes seconds to
+                # build would hold up every connection.
+                huge = problem_to_wire(family_problem([0]))
+                huge["apps"][0]["period"] = "1e3000000"
                 replies = await request_over_tcp(host, port, [
                     {"op": "solve", "id": "bad", "problem": bad},
+                    {"op": "solve", "id": "huge", "problem": huge},
                     {"op": "solve", "id": "good",
                      "problem": problem_to_wire(family_problem([0]))},
                 ])
                 by_id = {r["id"]: r for r in replies}
                 assert by_id["bad"]["type"] == "error"
                 assert "zero denominator" in by_id["bad"]["error"]
+                assert by_id["huge"]["type"] == "error"
                 assert by_id["good"]["type"] == "result"
         run(body())
+
+    @pytest.mark.parametrize("value", ["1e3000000", "1.5", " 3/4 ",
+                                       "1_000", "1/0", "0x10", 1.5, None])
+    def test_only_str_fraction_rationals_are_accepted(self, value):
+        wire = problem_to_wire(family_problem([0]))
+        wire["delays"]["sd"] = value
+        t0 = time.perf_counter()
+        with pytest.raises(ProtocolError):
+            problem_from_wire(wire)
+        assert time.perf_counter() - t0 < 0.5
+
+    @pytest.mark.parametrize("value", ["3/4", "-3/4", "7", 7])
+    def test_str_fraction_rationals_and_json_integers_parse(self, value):
+        wire = problem_to_wire(family_problem([0]))
+        wire["delays"]["sd"] = value
+        assert problem_from_wire(wire).delays.sd == Fraction(value)
 
     def test_cancel_ack_over_the_wire(self):
         async def body():
