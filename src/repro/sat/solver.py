@@ -15,7 +15,15 @@ lists hold handles, reasons are handles (or a lazy
 :class:`_TheoryReason`), and deletion is a dead-flag write — dead handles
 are dropped lazily as propagation traverses a watcher list, and the
 arena compacts (preserving handles, moving only offsets) once half the
-literal array is dead.  Because a clause is now just a slice of ints,
+literal array is dead.  Truth values are kept twice: ``_assigns`` per
+variable (what the theory's ``propagate(assigns)``, ``_locked`` and the
+model read) and ``_lvals`` per literal (1 true, 0 false, -1 unassigned),
+so the hot loops read a literal's value in one load.  Propagation
+compacts each watcher list in place as it walks it.  The two watched
+literals of a clause are its first two arena slots, and their order is
+part of the search (learnt-clause export and conflict analysis read
+it), so there are no blocker literals and no separate binary watch
+lists.  Because a clause is now just a slice of ints,
 the solver can flush learned clauses mid-search: the :attr:`on_restart`
 callback fires at every restart boundary (and once more on a
 ``max_conflicts``/``stop`` abort) with the trail cancelled to
@@ -75,7 +83,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..errors import SolverError
 from .arena import ClauseArena
-from .literals import FALSE, TRUE, UNASSIGNED, is_positive, neg, var_of
+from .literals import FALSE, TRUE, UNASSIGNED, neg, var_of
 
 #: A theory-implied literal with its explanation: the asserted literals
 #: that jointly entail it.  The explanation is only materialized into a
@@ -179,6 +187,9 @@ class SatSolver:
         self._nvars = 0
         # Indexed by variable (1-based; index 0 unused).
         self._assigns: List[int] = [UNASSIGNED]
+        # Indexed by literal (literals 0 and 1 unused): 1 true, 0 false,
+        # -1 unassigned; written beside _assigns.
+        self._lvals: List[int] = [UNASSIGNED, UNASSIGNED]
         self._levels: List[int] = [0]
         self._reasons: List[Optional[Reason]] = [None]
         self._activity: List[float] = [0.0]
@@ -255,6 +266,8 @@ class SatSolver:
         self._nvars += 1
         v = self._nvars
         self._assigns.append(UNASSIGNED)
+        self._lvals.append(UNASSIGNED)
+        self._lvals.append(UNASSIGNED)
         self._levels.append(0)
         self._reasons.append(None)
         self._activity.append(0.0)
@@ -337,12 +350,6 @@ class SatSolver:
     # Assignment helpers
     # ------------------------------------------------------------------
 
-    def _lit_value(self, l: int) -> int:
-        a = self._assigns[var_of(l)]
-        if a == UNASSIGNED:
-            return UNASSIGNED
-        return a if is_positive(l) else a ^ 1
-
     def value(self, var: int) -> int:
         """Current assignment of ``var``: TRUE, FALSE or UNASSIGNED."""
         return self._assigns[var]
@@ -403,14 +410,15 @@ class SatSolver:
         return len(self._trail_lim)
 
     def _enqueue(self, l: int, reason: Optional[Reason]) -> bool:
-        val = self._lit_value(l)
-        if val == FALSE:
-            return False
-        if val == TRUE:
-            return True
-        v = var_of(l)
-        self._assigns[v] = TRUE if is_positive(l) else FALSE
-        self._levels[v] = self.decision_level
+        lvals = self._lvals
+        val = lvals[l]
+        if val != UNASSIGNED:
+            return val == TRUE
+        v = l >> 1
+        self._assigns[v] = (l & 1) ^ 1
+        lvals[l] = TRUE
+        lvals[l ^ 1] = FALSE
+        self._levels[v] = len(self._trail_lim)
         self._reasons[v] = reason
         self._trail.append(l)
         return True
@@ -429,36 +437,37 @@ class SatSolver:
         """Unit propagation to fixpoint; returns a conflicting handle or None.
 
         Hot loop: clause state is read straight out of the arena's flat
-        arrays (no per-clause objects), literal truth is computed inline
-        (``assigns[l >> 1] ^ (l & 1)`` is 1/0/negative for
-        true/false/unassigned), and dead handles are dropped from the
-        watcher list as a side effect of the traversal.
+        arrays (no per-clause objects), a literal's truth is one
+        ``_lvals`` load, and the queue head, level and propagation count
+        are locals written back once per call.  Each watcher list is
+        compacted in place: kept handles slide down over dead and moved
+        ones, and on a conflict the unvisited tail slides down after
+        them, in order.
         """
+        trail = self._trail
+        qhead = self._qhead
         arena = self._arena
         lits = arena.lits
         off = arena.off
         size = arena.size
         dead = arena.dead
         assigns = self._assigns
+        lvals = self._lvals
         levels = self._levels
         reasons = self._reasons
         watches = self._watches
-        trail = self._trail
-        while self._qhead < len(trail):
-            p = trail[self._qhead]
-            self._qhead += 1
-            self._propagations += 1
+        level = len(self._trail_lim)
+        propagations = self._propagations
+        conflict = -1
+        while qhead < len(trail):
+            p = trail[qhead]
+            qhead += 1
+            propagations += 1
             not_p = p ^ 1
-            watch_list = watches[p]
-            new_list: List[int] = []
-            append_kept = new_list.append
-            i = 0
-            n = len(watch_list)
-            conflict = -1
-            level = len(self._trail_lim)
-            while i < n:
-                c = watch_list[i]
-                i += 1
+            ws = watches[p]
+            visit = iter(ws)
+            j = 0
+            for c in visit:
                 if dead[c]:
                     continue
                 o = off[c]
@@ -468,41 +477,41 @@ class SatSolver:
                     l0 = lits[o + 1]
                     lits[o] = l0
                     lits[o + 1] = not_p
-                fval = assigns[l0 >> 1] ^ (l0 & 1)
+                fval = lvals[l0]
                 if fval == 1:
-                    append_kept(c)
+                    ws[j] = c
+                    j += 1
                     continue
-                # Search a new literal to watch.
-                moved = False
+                # Search a new literal to watch: any one not false.
                 for k in range(o + 2, o + size[c]):
                     lk = lits[k]
-                    if assigns[lk >> 1] ^ (lk & 1) != 0:
+                    if lvals[lk] != 0:
                         lits[o + 1] = lk
                         lits[k] = not_p
                         watches[lk ^ 1].append(c)
-                        moved = True
                         break
-                if moved:
-                    continue
-                # Clause is unit or conflicting.
-                append_kept(c)
-                if fval == 0:
-                    conflict = c
-                    # Copy the rest of the watch list and stop.
-                    while i < n:
-                        append_kept(watch_list[i])
-                        i += 1
-                    self._qhead = len(trail)
                 else:
+                    # Clause is unit or conflicting.
+                    ws[j] = c
+                    j += 1
+                    if fval == 0:
+                        conflict = c
+                        break
                     v0 = l0 >> 1
                     assigns[v0] = (l0 & 1) ^ 1
+                    lvals[l0] = 1
+                    lvals[l0 ^ 1] = 0
                     levels[v0] = level
                     reasons[v0] = c
                     trail.append(l0)
-            watches[p] = new_list
             if conflict >= 0:
-                return conflict
-        return None
+                ws[j:] = list(visit)
+                qhead = len(trail)
+                break
+            del ws[j:]
+        self._qhead = qhead
+        self._propagations = propagations
+        return conflict if conflict >= 0 else None
 
     # ------------------------------------------------------------------
     # Conflict analysis (first UIP)
@@ -520,70 +529,103 @@ class SatSolver:
         return conflict
 
     def _analyze(self, conflict: Conflict) -> tuple[List[int], int, int]:
-        """Derive a 1-UIP learned clause and its backjump level."""
+        """Derive a 1-UIP learned clause and its backjump level.
+
+        Hot path: variable bumps, reason-literal reads and level tests
+        are inlined, and ``seen`` is a bytearray.
+        """
+        arena = self._arena
+        alits = arena.lits
+        aoff = arena.off
+        asize = arena.size
+        levels = self._levels
+        reasons = self._reasons
+        trail = self._trail
+        activity = self._activity
+        heap_pos = self._heap_pos
+        sift_up = self._heap_sift_up
+        var_inc = self._var_inc
+        level = len(self._trail_lim)
+        seen = bytearray(self._nvars + 1)
         learnt: List[int] = [0]  # placeholder for the asserting literal
-        seen = [False] * (self._nvars + 1)
         counter = 0
-        p: Optional[int] = None
+        p = -1  # the literal resolved on; none yet
         reason: Optional[Conflict] = conflict
-        index = len(self._trail) - 1
+        index = len(trail) - 1
         while True:
             assert reason is not None
             if type(reason) is int:
                 self._bump_clause(reason)
-                rlits = self._arena.literals(reason)
+                o = aoff[reason]
+                rlits = alits[o:o + asize[reason]]
             elif type(reason) is list:
                 rlits = reason
             else:
                 rlits = reason.lits
             for q in rlits:
-                if p is not None and q == p:
+                if q == p:
                     continue
-                v = var_of(q)
-                if not seen[v] and self._levels[v] > 0:
-                    seen[v] = True
-                    self._bump_var(v)
-                    if self._levels[v] >= self.decision_level:
+                v = q >> 1
+                if not seen[v] and levels[v] > 0:
+                    seen[v] = 1
+                    act = activity[v] + var_inc
+                    activity[v] = act
+                    if act > 1e100:
+                        for k in range(1, self._nvars + 1):
+                            activity[k] *= 1e-100
+                        var_inc *= 1e-100
+                        self._var_inc = var_inc
+                    if heap_pos[v] >= 0:
+                        sift_up(heap_pos[v])
+                    if levels[v] >= level:
                         counter += 1
                     else:
                         learnt.append(q)
             # Select next trail literal to expand.
-            while not seen[var_of(self._trail[index])]:
+            while not seen[trail[index] >> 1]:
                 index -= 1
-            p = self._trail[index]
-            v = var_of(p)
-            reason = self._reasons[v]
-            seen[v] = False
+            p = trail[index]
+            v = p >> 1
+            reason = reasons[v]
+            seen[v] = 0
             counter -= 1
             index -= 1
             if counter == 0:
                 break
-        learnt[0] = neg(p)
+        learnt[0] = p ^ 1
         # Clause minimization: drop literals implied by the rest.
         kept = [learnt[0]]
         for q in learnt[1:]:
-            r = self._reasons[var_of(q)]
+            r = reasons[q >> 1]
             if r is None:
                 kept.append(q)
                 continue
-            if any(
-                not seen[var_of(x)] and self._levels[var_of(x)] > 0
-                for x in self._reason_lits(r)
-                if x != neg(q)
-            ):
-                kept.append(q)
+            if type(r) is int:
+                o = aoff[r]
+                rlits = alits[o:o + asize[r]]
+            else:
+                rlits = r.lits
+            not_q = q ^ 1
+            for x in rlits:
+                if x != not_q:
+                    vx = x >> 1
+                    if not seen[vx] and levels[vx] > 0:
+                        kept.append(q)
+                        break
         learnt = kept
-        lbd = len({self._levels[var_of(q)] for q in learnt})
+        lbd = len({levels[q >> 1] for q in learnt})
         if len(learnt) == 1:
             back_level = 0
         else:
             # Find the literal with the second-highest level; move it to slot 1.
             max_i = 1
+            back_level = levels[learnt[1] >> 1]
             for k in range(2, len(learnt)):
-                if self._levels[var_of(learnt[k])] > self._levels[var_of(learnt[max_i])]:
+                lv = levels[learnt[k] >> 1]
+                if lv > back_level:
                     max_i = k
+                    back_level = lv
             learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-            back_level = self._levels[var_of(learnt[1])]
         return learnt, back_level, lbd
 
     def _analyze_final(
@@ -642,15 +684,6 @@ class SatSolver:
     # Activity bookkeeping
     # ------------------------------------------------------------------
 
-    def _bump_var(self, v: int) -> None:
-        self._activity[v] += self._var_inc
-        if self._activity[v] > 1e100:
-            for i in range(1, self._nvars + 1):
-                self._activity[i] *= 1e-100
-            self._var_inc *= 1e-100
-        if self._heap_pos[v] >= 0:
-            self._heap_sift_up(self._heap_pos[v])
-
     def _decay_var_activity(self) -> None:
         self._var_inc /= self._var_decay
 
@@ -672,9 +705,6 @@ class SatSolver:
     # Order heap (max-heap on activity with lazy re-insertion)
     # ------------------------------------------------------------------
 
-    def _heap_less(self, a: int, b: int) -> bool:
-        return self._activity[a] > self._activity[b]
-
     def _heap_insert(self, v: int) -> None:
         if self._heap_pos[v] >= 0:
             return
@@ -683,13 +713,15 @@ class SatSolver:
         self._heap_sift_up(self._heap_pos[v])
 
     def _heap_sift_up(self, i: int) -> None:
-        heap, pos = self._order_heap, self._heap_pos
+        heap, pos, activity = self._order_heap, self._heap_pos, self._activity
         v = heap[i]
+        act = activity[v]
         while i > 0:
             parent = (i - 1) >> 1
-            if self._heap_less(v, heap[parent]):
-                heap[i] = heap[parent]
-                pos[heap[i]] = i
+            u = heap[parent]
+            if act > activity[u]:
+                heap[i] = u
+                pos[u] = i
                 i = parent
             else:
                 break
@@ -697,18 +729,25 @@ class SatSolver:
         pos[v] = i
 
     def _heap_sift_down(self, i: int) -> None:
-        heap, pos = self._order_heap, self._heap_pos
+        heap, pos, activity = self._order_heap, self._heap_pos, self._activity
         v = heap[i]
+        act = activity[v]
         n = len(heap)
         while True:
-            left = 2 * i + 1
-            if left >= n:
+            child = 2 * i + 1
+            if child >= n:
                 break
-            right = left + 1
-            child = right if right < n and self._heap_less(heap[right], heap[left]) else left
-            if self._heap_less(heap[child], v):
-                heap[i] = heap[child]
-                pos[heap[i]] = i
+            child_act = activity[heap[child]]
+            right = child + 1
+            if right < n:
+                right_act = activity[heap[right]]
+                if right_act > child_act:
+                    child = right
+                    child_act = right_act
+            if child_act > act:
+                u = heap[child]
+                heap[i] = u
+                pos[u] = i
                 i = child
             else:
                 break
@@ -750,12 +789,11 @@ class SatSolver:
         lits = arena.lits
         off = arena.off
         size = arena.size
-        assigns = self._assigns
+        lvals = self._lvals
         for c in handles:
             o = off[c]
             for k in range(o, o + size[c]):
-                l = lits[k]
-                if assigns[l >> 1] ^ (l & 1) == 1:
+                if lvals[lits[k]] == 1:
                     break
             else:
                 return True
@@ -773,18 +811,31 @@ class SatSolver:
 
     def cancel_until(self, level: int) -> None:
         """Undo all assignments above the given decision level."""
-        if self.decision_level <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        keep = self._trail_lim[level]
-        for i in range(len(self._trail) - 1, keep - 1, -1):
-            l = self._trail[i]
-            v = var_of(l)
-            self._saved_phase[v] = is_positive(l)
-            self._assigns[v] = UNASSIGNED
-            self._reasons[v] = None
-            self._heap_insert(v)
-        del self._trail[keep:]
-        del self._trail_lim[level:]
+        keep = trail_lim[level]
+        trail = self._trail
+        assigns = self._assigns
+        lvals = self._lvals
+        reasons = self._reasons
+        saved_phase = self._saved_phase
+        heap = self._order_heap
+        heap_pos = self._heap_pos
+        sift_up = self._heap_sift_up
+        for l in reversed(trail[keep:]):
+            v = l >> 1
+            saved_phase[v] = not l & 1
+            assigns[v] = UNASSIGNED
+            lvals[l] = UNASSIGNED
+            lvals[l ^ 1] = UNASSIGNED
+            reasons[v] = None
+            if heap_pos[v] < 0:
+                heap_pos[v] = len(heap)
+                heap.append(v)
+                sift_up(heap_pos[v])
+        del trail[keep:]
+        del trail_lim[level:]
         self._unpark(level)
         self._qhead = len(self._trail)
         self._theory_qhead = min(self._theory_qhead, keep)
@@ -820,7 +871,7 @@ class SatSolver:
         assignment falsifies — is returned for analysis.
         """
         for implied, explain in self.theory.propagate(self._assigns):
-            val = self._lit_value(implied)
+            val = self._lvals[implied]
             if val == TRUE:
                 continue
             if val == FALSE:
@@ -993,7 +1044,7 @@ class SatSolver:
 
             next_lit = self._next_assumption(assumptions)
             if next_lit is not None:
-                val = self._lit_value(next_lit)
+                val = self._lvals[next_lit]
                 if val == FALSE:
                     # Assumptions are inconsistent: ``next_lit`` plus the
                     # assumptions its negation was derived from.

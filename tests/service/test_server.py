@@ -13,6 +13,7 @@ from repro.core import (ControlApplication, Solution, SynthesisProblem,
 from repro.core.synthesizer import WORK_COUNTERS, SynthesisOptions
 from repro.eval.workloads import (bottleneck_problem, detour_problem,
                                   gm_case_study)
+from repro.runtime.faults import SLOW_START, FaultPlan, FaultSpec
 from repro.service import (
     KnowledgeCache,
     ServiceClient,
@@ -129,12 +130,17 @@ class TestSolve:
 
     def test_deadline_expires_in_queue(self):
         async def body():
-            async with SynthesisServer(policy=INLINE) as server:
+            # "slow" sleeps 0.2 s before it solves, so the only dispatcher
+            # stays busy far past the 10 ms budget below however fast the
+            # solve itself is.
+            plan = FaultPlan([FaultSpec(SLOW_START, strategy="slow",
+                                        delay=0.2)])
+            async with SynthesisServer(policy=INLINE,
+                                       fault_plan=plan) as server:
                 first = await server.submit(SynthesisRequest(
                     id="slow", problem=moderate_problem(),
                     options=MODERATE_OPTS))
-                # One yield hands "slow" to the only dispatcher, which then
-                # solves for ~0.15 s — far past the 10 ms budget below.  (A
+                # One yield hands "slow" to the only dispatcher.  (A
                 # longer sleep here can oversleep the whole solve when the
                 # solver thread holds the GIL.)
                 await asyncio.sleep(0)
