@@ -15,13 +15,14 @@ that moment; ``scaled_bound`` is replayed because it is one of the calls
 that grow the scale, so the fresh engine is in the same scale at the same
 step.  The replay must reproduce every recorded verdict, the pivot count
 must be the same in every round, and at the default size it must be the
-159 pivots the recorded search takes (119 at the CI smoke size).  The
+152 pivots the recorded search takes (114 at the CI smoke size).  The
 count is a property of the search, not of the tableau: it was 629 / 508
 under every representation of the tableau while the SAT core still
 decided don't-care atoms, and moved only with the search: 246 / 184 with
 the relevancy filter (docs/perf.md, "Relevancy-filtered decisions"),
 236 / 191 with lazy contention, 159 / 119 once frozen messages entered
-the stability rows as constants.
+the stability rows as constants, 152 / 114 once the transitive
+difference-logic propagation pass was deleted.
 
 Reported per round and as median / IQR over the rounds: pivots, wall,
 pivots per second; and once, the bit length of the largest final scale
@@ -55,7 +56,7 @@ RECORDED = ("new_var", "add_row", "scaled_bound", "assert_lower",
 VERDICTS = ("assert_lower", "assert_upper", "check")
 #: n_apps -> pivots of one replay (4 is the default size, 3 the CI
 #: smoke); re-recorded when the search changes, never for a kernel change.
-EXPECTED_PIVOTS = {3: 119, 4: 159}
+EXPECTED_PIVOTS = {3: 114, 4: 152}
 
 
 def cross_wired(n_apps):

@@ -81,13 +81,11 @@ class NativeBackend:
     name = "native"
 
     def __init__(self, theory_propagation: bool = True,
-                 dl_propagation: bool = True,
                  on_restart: Optional[Callable[[SolverEngine], None]] = None,
                  max_conflicts: Optional[int] = None,
                  engine: Optional[SolverEngine] = None) -> None:
         self._engine = engine if engine is not None else SolverEngine(
             theory_propagation=theory_propagation,
-            dl_propagation=dl_propagation,
             on_restart=on_restart,
             max_conflicts=max_conflicts)
         self._engine.backend_name = self.name

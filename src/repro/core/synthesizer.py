@@ -94,10 +94,6 @@ class SynthesisOptions:
             (``None`` = all simple routes, the basic formulation).
         stages: number of incremental time slices (1 = monolithic).
         path_cutoff: optional hop bound when enumerating all routes.
-        dl_propagation: transitive difference-logic propagation in the
-            native engine (Cotton & Maler SSSP pass; on by default —
-            A/B knob for the ``dl_propagation`` benchmark, counted by
-            the ``dl_propagations`` statistic).
         repair: guard stage freezes with assumption literals and use
             unsat cores to unfreeze/re-solve when a stage fails (may
             solve instances the plain heuristic cannot).
@@ -128,7 +124,6 @@ class SynthesisOptions:
     routes: Optional[int] = None
     stages: int = 1
     path_cutoff: Optional[int] = None
-    dl_propagation: bool = True
     repair: bool = False
     max_conflicts: Optional[int] = None
     seed_knowledge: SeedKnowledge = ()
@@ -268,13 +263,11 @@ def open_session(options: SynthesisOptions) -> Tuple[Session, SolverEngine]:
     """The native-engine session a run under ``options`` uses, and its
     engine.
 
-    The one place ``dl_propagation`` and ``max_conflicts`` become a
-    session: :func:`solve` calls it when no session is injected, the
-    worker harness calls it to hang heartbeats and export hooks on the
-    engine first.
+    The one place ``max_conflicts`` becomes a session: :func:`solve`
+    calls it when no session is injected, the worker harness calls it to
+    hang heartbeats and export hooks on the engine first.
     """
-    engine = SolverEngine(dl_propagation=options.dl_propagation,
-                          max_conflicts=options.max_conflicts)
+    engine = SolverEngine(max_conflicts=options.max_conflicts)
     return Session(backend=NativeBackend(engine=engine)), engine
 
 

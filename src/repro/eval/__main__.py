@@ -50,7 +50,7 @@ def main(argv=None) -> int:
                         metavar="NAME",
                         help="benchmarks to run with 'bench' (default: "
                              "table1 fig3 fig4 backends unsat_core "
-                             "portfolio dl_propagation faults service)")
+                             "portfolio faults service)")
     parser.add_argument("--out", default=".",
                         help="directory for BENCH_<name>.json files")
     parser.add_argument("--baseline-dir", default=None,
@@ -71,7 +71,7 @@ def main(argv=None) -> int:
 
         names = args.bench_names or ["table1", "fig3", "fig4",
                                      "backends", "unsat_core", "portfolio",
-                                     "dl_propagation", "faults", "service"]
+                                     "faults", "service"]
         regressions = run_suite(
             names,
             out_dir=args.out,

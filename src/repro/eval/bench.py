@@ -40,7 +40,6 @@ QUICK_SCALES: Dict[str, dict] = {
     "backends": {"n_apps": 3, "routes": 2, "stages": 3},
     "unsat_core": {"routes": 2},
     "portfolio": {"n_apps": 3, "islands": 2},
-    "dl_propagation": {"n_systems": 3, "n_apps": 4, "n_switches": 5},
     "faults": {"n_apps": 4, "gm_apps": 4, "timeout": 60.0},
     "service": {"workers": 2, "deadline": 120.0},
 }
@@ -215,18 +214,14 @@ def _bench_portfolio(scale: dict) -> dict:
     islands = scale.get("islands", 2)
     sat_problem = workloads.sharing_problem(n_apps=n_apps, islands=islands)
     unsat_problem = workloads.sharing_unsat_problem()
-    # dl_propagation off: it prunes the funnel's doomed subtrees on its
-    # own (see the dl_propagation bench), which would leave the sharing
-    # channel nothing measurable to reduce here.
     sat_strategies = [
-        Strategy("routes-1", SynthesisOptions(routes=1, dl_propagation=False)),
-        Strategy("routes-2", SynthesisOptions(routes=2, dl_propagation=False)),
+        Strategy("routes-1", SynthesisOptions(routes=1)),
+        Strategy("routes-2", SynthesisOptions(routes=2)),
     ]
     unsat_strategies = [
-        Strategy("routes-2", SynthesisOptions(routes=2, dl_propagation=False)),
-        Strategy("routes-1", SynthesisOptions(routes=1, dl_propagation=False)),
-        Strategy("monolithic",
-                 SynthesisOptions(routes=None, dl_propagation=False)),
+        Strategy("routes-2", SynthesisOptions(routes=2)),
+        Strategy("routes-1", SynthesisOptions(routes=1)),
+        Strategy("monolithic", SynthesisOptions(routes=None)),
     ]
 
     statuses: Dict[str, str] = {}
@@ -290,10 +285,8 @@ def _bench_portfolio(scale: dict) -> dict:
     midcheck_problem = workloads.bottleneck_problem(
         7, period=Fraction(8, 1000))
     midcheck_strategies = [
-        Strategy("routes-1", SynthesisOptions(
-            routes=1, dl_propagation=False, max_conflicts=50)),
-        Strategy("monolithic",
-                 SynthesisOptions(routes=None, dl_propagation=False)),
+        Strategy("routes-1", SynthesisOptions(routes=1, max_conflicts=50)),
+        Strategy("monolithic", SynthesisOptions(routes=None)),
     ]
     res = synthesize_portfolio(midcheck_problem, midcheck_strategies,
                                backend="serial", share_knowledge=True)
@@ -315,88 +308,6 @@ def _bench_portfolio(scale: dict) -> dict:
         "statuses": statuses,
         "sharing": sharing,
         "solve_times": times,
-        "render_digest": _digest(repr(sorted(statuses.items()))),
-    }
-
-
-def _bench_dl_propagation(scale: dict) -> dict:
-    """Transitive difference-logic propagation on vs off (deterministic).
-
-    Two difference-chain-heavy workload families, each solved with
-    ``dl_propagation`` on and off:
-
-    * the seeded :func:`~repro.eval.workloads.difference_chain_formulas`
-      microworkloads, checked through one session per configuration
-      (models re-certified against every clause);
-    * the line-topology :func:`~repro.eval.workloads.chain_problem` at
-      its satisfiable (9.5 ms) and infeasible (9 ms) periods, run
-      through the full synthesis driver.
-
-    The regression surface: identical statuses per instance, a strict
-    reduction of summed decisions with propagation on, nonzero
-    ``dl_propagations`` counters, and every sat model certified.
-    """
-    from fractions import Fraction
-
-    from ..api import Session
-    from ..core import collect_violations
-    from ..core.synthesizer import SynthesisOptions, solve
-    from . import workloads
-
-    n_systems = scale.get("n_systems", 3)
-    n_apps = scale.get("n_apps", 3)
-    n_switches = scale.get("n_switches", 5)
-    statuses: Dict[str, str] = {}
-    decisions = {False: 0, True: 0}
-    counters: Dict[str, int] = {"dl_propagations": 0,
-                                "dl_explanation_lits": 0}
-    certified = True
-
-    for seed in range(n_systems):
-        clauses = workloads.difference_chain_formulas(seed)
-        for dl in (False, True):
-            with Session(dl_propagation=dl) as session:
-                session.add(clauses)
-                out = session.check()
-                mode = "on" if dl else "off"
-                statuses[f"chains{seed}/{mode}"] = out.status.name
-                decisions[dl] += out.statistics.get("decisions", 0)
-                if dl:
-                    for key in counters:
-                        counters[key] += out.statistics.get(key, 0)
-                if out == "sat":
-                    model = out.require_model()
-                    certified &= all(model.eval_bool(c) for c in clauses)
-
-    for label, period in (("sat", Fraction(95, 10000)),
-                          ("unsat", Fraction(9, 1000))):
-        problem = workloads.chain_problem(n_apps=n_apps,
-                                          n_switches=n_switches,
-                                          period=period)
-        for dl in (False, True):
-            result = solve(problem, SynthesisOptions(dl_propagation=dl))
-            mode = "on" if dl else "off"
-            statuses[f"line_{label}/{mode}"] = result.status
-            decisions[dl] += result.statistics.get("decisions", 0)
-            if dl:
-                for key in counters:
-                    counters[key] += result.statistics.get(key, 0)
-            if result.status == "sat":
-                certified &= collect_violations(result.solution) == []
-
-    counters["decisions_off"] = decisions[False]
-    counters["decisions_on"] = decisions[True]
-    statuses["decisions_reduced"] = (
-        "yes" if decisions[True] < decisions[False] else "NO"
-    )
-    statuses["dl_propagations_nonzero"] = (
-        "yes" if counters["dl_propagations"] > 0 else "NO"
-    )
-    statuses["certified"] = "yes" if certified else "NO"
-    return {
-        "statuses": statuses,
-        "dl_counters": counters,
-        "certified": certified,
         "render_digest": _digest(repr(sorted(statuses.items()))),
     }
 
@@ -746,7 +657,6 @@ _RUNNERS: Dict[str, Callable[[dict], dict]] = {
     "backends": _bench_backends,
     "unsat_core": _bench_unsat_core,
     "portfolio": _bench_portfolio,
-    "dl_propagation": _bench_dl_propagation,
     "faults": _bench_faults,
     "service": _bench_service,
 }

@@ -428,46 +428,8 @@ def detour_problem() -> SynthesisProblem:
 
 
 # ---------------------------------------------------------------------------
-# Difference-chain workloads (transitive DL propagation)
+# Difference-chain workloads
 # ---------------------------------------------------------------------------
-
-
-def difference_chain_formulas(seed: int = 0, n_chains: int = 3,
-                              chain_len: int = 7,
-                              spans_per_chain: int = 4) -> list:
-    """Deterministic chain-heavy QF_LRA formulas (solver-level).
-
-    Each chain asserts ``x[i+1] - x[i] >= step`` as unit facts and then
-    guards *span atoms* ``x[j] - x[i] >= step*(j-i)`` — entailed only
-    through the chain, never through a single constraint — plus one
-    provably refuted wrap-around atom per chain, inside clauses with
-    fresh Booleans.  With transitive DL propagation the entailed spans
-    are assigned at decision level 0 (and the refuted atom's negation
-    unit-propagates its companion), so a propagating solver needs
-    strictly fewer decisions and conflicts than ``dl_propagation=False``
-    on the same formulas; both must agree on sat plus a certifying
-    model.  This is the ``dl_propagation`` benchmark's microworkload.
-    """
-    from ..smt.terms import Bool, Or, Real
-
-    rng = random.Random(10_000 + seed)
-    clauses = []
-    for c in range(n_chains):
-        xs = [Real(f"dlchain{seed}c{c}_x{i}") for i in range(chain_len)]
-        step = rng.randint(1, 3)
-        for i in range(chain_len - 1):
-            # Precedence-style steps: the resulting negative-weight DL
-            # edges move the feasible potential, which is what schedules
-            # a transitive propagation pass.
-            clauses.append(xs[i + 1] - xs[i] >= step)
-        for k in range(spans_per_chain):
-            i = rng.randrange(chain_len - 2)
-            j = rng.randrange(i + 2, chain_len)
-            guard = Bool(f"dlchain{seed}c{c}_y{k}")
-            clauses.append(Or(xs[j] - xs[i] >= step * (j - i), guard))
-        forced = Bool(f"dlchain{seed}c{c}_z")
-        clauses.append(Or(xs[0] - xs[-1] >= step, forced))
-    return clauses
 
 
 def chain_network(n_apps: int, n_switches: int) -> Network:
@@ -476,8 +438,7 @@ def chain_network(n_apps: int, n_switches: int) -> Network:
     Every message traverses the whole line, so its per-hop release
     times form one long difference chain and all messages contend on
     every link — the transposition/contention constraints then relate
-    release times *across* chains, exactly the structure transitive DL
-    propagation exploits.
+    release times *across* chains.
     """
     net = Network()
     for k in range(n_switches):
@@ -503,11 +464,8 @@ def chain_problem(
     search is about serializing ``n_apps`` messages on every shared
     link of a ``n_switches``-hop path under end-to-end bounds — long
     per-message precedence chains coupled by contention constraints.
-    The default 9.5 ms period is tight but satisfiable (transitive DL
-    propagation assigns part of the serialization instead of branching
-    on it); shrinking to 9 ms makes the line infeasible, where
-    propagation shortens the unsat proof.  The ``dl_propagation``
-    benchmark solves both with propagation on and off.
+    The default 9.5 ms period is tight but satisfiable; shrinking to
+    9 ms makes the line infeasible.
     """
     net = chain_network(n_apps, n_switches)
     apps = [

@@ -45,10 +45,10 @@ The theory backend protocol (all methods optional, see
 * ``propagate(assigns)`` — called when Boolean and theory propagation are
   at fixpoint with no conflict; returns *implied literals* — unassigned
   atoms entailed by the current theory state — each paired with the
-  asserted literals that entail it.  Explanations are arbitrary-arity
-  (a simplex bound implication ships one literal, a difference-logic
-  path implication ships the whole path); conflict analysis and
-  final-conflict (unsat core) analysis resolve through either.  The
+  asserted literals that entail it.  Explanations may have any arity
+  (the LRA theory's simplex bound implications ship one literal);
+  conflict analysis and final-conflict (unsat core) analysis resolve
+  through them.  The
   solver assigns implied literals instead of branching (the
   theory-propagation step of DPLL(T)); the explanation is materialized
   into a reason clause only if conflict analysis ever resolves on the

@@ -53,7 +53,7 @@ RESPONSE_TYPES = frozenset({
 #: plus the search knobs a client may set (everything else is rejected
 #: so a typo'd knob cannot silently solve the wrong problem).
 _WIRE_OPTION_KEYS = frozenset(f.name for f in fields(StrategySignature)) | {
-    "dl_propagation", "max_conflicts",
+    "max_conflicts",
 }
 
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import AsyncIterator, Dict, List, Optional, Tuple
 
 from ..core.solution import Solution
 from ..core.synthesizer import MODE_STABILITY, WORK_COUNTERS
@@ -61,6 +61,11 @@ from .workers import (InlineWorker, ServiceWorker, WorkerCrashed,
 
 #: Bounded history used for latency percentiles.
 _LATENCY_WINDOW = 4096
+
+#: Longest request frame (bytes, newline included) the TCP endpoint
+#: reads; asyncio's default stream limit.  A longer line is skipped
+#: through its newline and answered with one error frame.
+FRAME_LIMIT = 2 ** 16
 
 #: Supervision ledger key for service workers (one shared strategy
 #: label: workers are interchangeable, unlike race strategies).
@@ -529,7 +534,8 @@ class SynthesisServer:
         """Bind the JSON-line endpoint; returns the bound (host, port)."""
         if not self._started:
             await self.start()
-        self._tcp = await asyncio.start_server(self._handle_conn, host, port)
+        self._tcp = await asyncio.start_server(self._handle_conn, host, port,
+                                               limit=FRAME_LIMIT)
         bound = self._tcp.sockets[0].getsockname()
         return bound[0], bound[1]
 
@@ -547,10 +553,12 @@ class SynthesisServer:
             await send(await future)
 
         try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
+            async for line in _lines(reader):
+                if line is None:
+                    await send({"type": "error", "id": None,
+                                "error": f"frame longer than {FRAME_LIMIT} "
+                                         "bytes"})
+                    continue
                 if not line.strip():
                     continue
                 try:
@@ -620,3 +628,33 @@ def _json_safe(value):
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return str(value)
+
+
+async def _lines(reader: asyncio.StreamReader) -> AsyncIterator[Optional[bytes]]:
+    """The lines of ``reader`` until EOF (the last may lack its newline).
+
+    A line longer than the stream's limit yields ``None`` once, after
+    its bytes have been discarded through its newline, so the caller can
+    answer it and read on.
+    """
+    oversized = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            if oversized:
+                yield None
+            elif exc.partial:
+                yield exc.partial
+            return
+        except asyncio.LimitOverrunError as exc:
+            # Nothing was consumed: drop what the reader holds (up to,
+            # not including, a newline it found) and look again.
+            await reader.readexactly(exc.consumed)
+            oversized = True
+            continue
+        if oversized:
+            oversized = False
+            yield None
+        else:
+            yield line

@@ -66,7 +66,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .rationals import DeltaRational, Scaled, ScaledEngine, materialize_gaps
 
@@ -593,15 +593,22 @@ class Simplex(ScaledEngine):
     # Model extraction
     # ------------------------------------------------------------------
 
-    def model(self) -> List[Fraction]:
-        """Concrete rational values for all variables (delta materialized)."""
+    def model(self, variables: Optional[Iterable[int]] = None) -> List[Fraction]:
+        """Concrete rational values (delta materialized) of ``variables``,
+        in their order, or of every variable when ``variables`` is None.
+
+        Delta is materialized over the bound gaps of *every* variable, so
+        a value does not depend on which others were requested.
+        """
         beta_r, beta_d = self._beta_r, self._beta_d
         eps = materialize_gaps(self._bound_gaps())
-        # beta/S at delta = num/den, one Fraction per variable.
+        # beta/S at delta = num/den, one Fraction per requested variable.
         num, den = eps.numerator, eps.denominator
         unit = self._scale * den
-        return [Fraction(r * den + d * num, unit)
-                for r, d in zip(beta_r, beta_d)]
+        if variables is None:
+            variables = range(self._n)
+        return [Fraction(beta_r[v] * den + beta_d[v] * num, unit)
+                for v in variables]
 
     def _bound_gaps(self) -> Iterator[Scaled]:
         """``(dreal, ddelta)`` of every (lower, beta) and (beta, upper)."""

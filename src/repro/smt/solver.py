@@ -62,8 +62,6 @@ CHECK_COUNTERS = (
     "decisions",
     "propagations",
     "theory_propagations",
-    "dl_propagations",
-    "dl_explanation_lits",
     "restarts",
 )
 
@@ -193,11 +191,7 @@ class SolverEngine:
     ``theory_propagation`` (default on) lets the theory assign implied
     atoms instead of branching on them — the ``theory_propagations``
     statistic counts them; turn it off to A/B the search behaviour (the
-    equivalence tests do).  ``dl_propagation`` (default on, subordinate
-    to ``theory_propagation``) additionally derives implications through
-    *chains* of difference constraints (Cotton & Maler's SSSP pass over
-    the difference-logic graph) with multi-literal path explanations —
-    counted by ``dl_propagations`` / ``dl_explanation_lits``.
+    equivalence tests do).
 
     ``backend_name`` tags this engine's entries in the global per-check
     statistics stream so benchmark trajectories can attribute work per
@@ -221,11 +215,9 @@ class SolverEngine:
     backend_name = "native"
 
     def __init__(self, theory_propagation: bool = True,
-                 dl_propagation: bool = True,
                  on_restart=None,
                  max_conflicts: Optional[int] = None) -> None:
-        self._theory = LraTheory(propagation=theory_propagation,
-                                 dl_propagation=dl_propagation)
+        self._theory = LraTheory(propagation=theory_propagation)
         self._sat = SatSolver(self._theory)
         self._cnf = CnfConverter(self._sat, self._theory)
         self._model: Optional[Model] = None
@@ -273,8 +265,6 @@ class SolverEngine:
     def statistics(self) -> dict:
         stats = self._sat.statistics
         stats["clauses_imported"] = self._clauses_imported
-        stats["dl_propagations"] = self._theory.dl_propagations
-        stats["dl_explanation_lits"] = self._theory.dl_explanation_lits
         return stats
 
     @property

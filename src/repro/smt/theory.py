@@ -18,21 +18,20 @@ Atom lifecycle:
    constraints) additionally triggers a full simplex check because such
    atoms interact with difference chains in ways the DL engine cannot see.
 3. When propagation reaches fixpoint without conflict, the SAT core calls
-   :meth:`propagate`, which merges two implication sources.  *Bound
-   propagation*: every simplex variable whose bound was tightened is
-   scanned for registered atoms that the new bound *entails* (asserting
-   ``s <= 5`` entails the unassigned atom ``s <= 7``, and refutes
-   ``s >= 6``), shipping a lazy one-literal explanation (the bound's
-   asserting literal).  *Transitive DL propagation* (Cotton & Maler
-   2006): the difference-logic engine derives path bounds through
-   freshly asserted edges, and a node-pair atom index maps each derived
-   bound to the difference atoms it entails or refutes — these ship the
-   deriving path's asserted literals as a lazy *multi-literal*
-   explanation.  Either way the SAT core assigns implied literals
-   instead of branching — the theory-propagation step of Dutertre & de
-   Moura's DPLL(T) design.  Propagations lost to backjumping are *not*
-   replayed (they re-arise through search); this keeps the hook
-   allocation-free on the no-change path.
+   :meth:`propagate`: every simplex variable whose bound was tightened
+   is scanned for registered atoms that the new bound *entails*
+   (asserting ``s <= 5`` entails the unassigned atom ``s <= 7``, and
+   refutes ``s >= 6``).  Each implication ships a one-literal
+   explanation, the literal that asserted the bound, and the SAT core
+   assigns the implied literal instead of branching — the
+   theory-propagation step of Dutertre & de Moura's DPLL(T) design.
+   This simplex-bound channel is the only source of implications: the
+   difference-logic engine reports conflicts (negative cycles) but
+   derives no transitive bounds, because on the lazy contention formula
+   such a pass cost more time than the decisions it saved.
+   Propagations lost to backjumping are *not* replayed (they re-arise
+   through search); this keeps the hook allocation-free on the
+   no-change path.
 4. At a full propositional assignment, :meth:`final_check` runs the exact
    simplex over everything, certifying the model; the concrete rational
    model is snapshotted there (before the SAT core backtracks).
@@ -45,8 +44,8 @@ Both engines keep their state as integer pairs over one scale each
 them in those units only.  :meth:`LraTheory.register_atom` converts an
 atom's right-hand side **once per engine**, which folds its denominator
 into that engine's scale, and stores the ready pairs on the two
-:class:`_PhaseAction` objects: the simplex bound and the DL edge weight,
-which double as the propagation thresholds.  ``on_assert`` hands those
+:class:`_PhaseAction` objects: the simplex bound, which doubles as the
+propagation threshold, and the DL edge weight.  ``on_assert`` hands those
 pairs over and ``propagate`` compares them (tuple order is the
 delta-rational order) — no ``Fraction`` and no ``DeltaRational`` on
 either path.  A scale can grow at two moments only: when an atom with a
@@ -122,14 +121,9 @@ class _AtomWatch:
 class LraTheory(TheoryBackend):
     """Combined difference-logic + simplex theory with trail alignment."""
 
-    def __init__(self, propagation: bool = True,
-                 dl_propagation: bool = True) -> None:
-        # Transitive difference-logic propagation rides on theory
-        # propagation (implications flow through the same hook), so it is
-        # active only when both flags are on.
+    def __init__(self, propagation: bool = True) -> None:
         self.propagation = propagation
-        self.dl_propagation = propagation and dl_propagation
-        self.dl = DifferenceLogic(propagation=self.dl_propagation)
+        self.dl = DifferenceLogic()
         self.simplex = Simplex()
         self._real_to_sx: Dict[RealVar, int] = {}
         self._real_to_dl: Dict[RealVar, int] = {}
@@ -138,13 +132,6 @@ class LraTheory(TheoryBackend):
         self._atoms: Dict[int, _AtomWatch] = {}
         # Simplex var -> atoms whose phases are bounds on that var.
         self._watches: Dict[int, List[_AtomWatch]] = {}
-        # Node-pair atom index for transitive DL propagation: a phase with
-        # DL edge (x, y, B) means "val(x) - val(y) <= B", so a derived
-        # path bound W on the pair (y, x) entails the phase iff W <= B.
-        # Key: (path source, path target) -> [(sat_var, phase_lit,
-        # phase action)], B being the action's dl_bound.
-        self._dl_watches: Dict[Tuple[int, int],
-                               List[Tuple[int, int, _PhaseAction]]] = {}
         # The engine scales every stored _PhaseAction pair is expressed
         # in (see _sync_scales).
         self._sx_scale = self.simplex.scale
@@ -152,10 +139,6 @@ class LraTheory(TheoryBackend):
         # Undo marks, parallel to the SAT trail.
         self._marks: List[Tuple[int, int]] = []
         self._model_reals: Optional[Dict[RealVar, Fraction]] = None
-        #: Literals implied through transitive DL propagation, and the
-        #: total path-explanation literals shipped with them.
-        self.dl_propagations = 0
-        self.dl_explanation_lits = 0
 
     # ------------------------------------------------------------------
     # Variable / atom registration (encoding time)
@@ -256,21 +239,6 @@ class LraTheory(TheoryBackend):
         else:
             watches.append(watch)
         simplex.watch_var(pos.sx_var)
-        if not general and self.dl_propagation:
-            # Index both phases for transitive DL propagation: the phase
-            # with DL edge (x, y, B) is entailed by any derived bound
-            # W <= B on the path pair (y, x).  Skipped entirely when the
-            # channel is off, so the A/B baseline pays nothing.
-            dl_watches = self._dl_watches
-            for lit, action in ((2 * sat_var, pos), (2 * sat_var + 1, neg)):
-                x, y = action.dl_x, action.dl_y
-                entry = (sat_var, lit, action)
-                pair = dl_watches.get((y, x))
-                if pair is None:
-                    dl_watches[(y, x)] = [entry]
-                else:
-                    pair.append(entry)
-                dl.watch_pair(y, x, action.dl_bound)
 
     def _sync_scales(self) -> None:
         """Bring every stored pair to the engines' current scales.
@@ -351,23 +319,14 @@ class LraTheory(TheoryBackend):
             del self._marks[n_kept:]
 
     def propagate(self, assigns) -> List[TheoryImplication]:
-        """Unassigned atoms entailed by the freshly changed theory state.
+        """Unassigned atoms entailed by the freshly tightened simplex
+        bounds.
 
-        Two implication sources are merged:
-
-        * **Transitive difference chains** (``dl_propagation``): the DL
-          engine's :meth:`~repro.smt.difflogic.DifferenceLogic.implied_bounds`
-          derives path bounds through freshly asserted edges; any watched
-          node pair whose derived bound ``W`` is at most a registered
-          phase's bound entails that phase.  Explanations are the
-          asserted literals of the deriving path — *multi-literal*
-          reasons, materialized lazily by the SAT core.
-        * **Simplex bound tightenings**: for a watch on variable ``s``
-          with positive phase ``s <= B`` (and negative phase ``s >= NB``),
-          an upper bound ``U <= B`` entails the positive literal, a lower
-          bound ``L >= NB`` entails the negative one (symmetrically for
-          lower-sense positive phases).  Explanations are single bound
-          literals.
+        For a watch on variable ``s`` with positive phase ``s <= B`` (and
+        negative phase ``s >= NB``), an upper bound ``U <= B`` entails the
+        positive literal and a lower bound ``L >= NB`` the negative one
+        (symmetrically for lower-sense positive phases).  Each
+        explanation is the single literal that asserted the bound.
 
         Atoms already assigned are skipped via ``assigns`` before any
         comparison or allocation — a false-assigned atom whose opposite
@@ -375,30 +334,13 @@ class LraTheory(TheoryBackend):
         phases bound the same canonical simplex variable and the bound
         pair conflicts inside ``on_assert`` first.
         """
-        out: List[TheoryImplication] = []
-        unassigned = _UNASSIGNED
-        if self.dl_propagation:
-            entries = self.dl.implied_bounds()
-            if entries:
-                dl_watches = self._dl_watches
-                for entry in entries:
-                    watches = dl_watches.get((entry.src, entry.dst))
-                    if not watches:
-                        continue
-                    derived = (entry.wr, entry.wd)
-                    for sat_var, lit, action in watches:
-                        if assigns[sat_var] != unassigned:
-                            continue
-                        if derived <= action.dl_bound:
-                            path_lits = entry.path_lits()
-                            out.append((lit, path_lits))
-                            self.dl_propagations += 1
-                            self.dl_explanation_lits += len(path_lits)
         touched = self.simplex.touched_bounds
         if not self.propagation or not touched:
             if touched:
                 touched.clear()
-            return out
+            return []
+        out: List[TheoryImplication] = []
+        unassigned = _UNASSIGNED
         sx = self.simplex
         for var in touched:
             watches = self._watches.get(var)
@@ -429,10 +371,10 @@ class LraTheory(TheoryBackend):
         conflict = self._simplex_check()
         if conflict is not None:
             return conflict
-        values = self.simplex.model()
-        self._model_reals = {
-            var: values[idx] for var, idx in self._real_to_sx.items()
-        }
+        # Values of the problem's variables only, not of the slack rows.
+        real_to_sx = self._real_to_sx
+        values = self.simplex.model(real_to_sx.values())
+        self._model_reals = dict(zip(real_to_sx, values))
         return None
 
     # ------------------------------------------------------------------

@@ -92,25 +92,3 @@ def test_totals_skip_backend_tags(tmp_path):
     assert "backend" not in record["statistics"]
     assert all(isinstance(v, (int, float))
                for v in record["statistics"].values())
-
-
-def test_run_bench_dl_propagation_gates_reduction(tmp_path):
-    record = run_bench(
-        "dl_propagation",
-        scale={"n_systems": 1, "n_apps": 3, "n_switches": 4},
-        out_dir=tmp_path,
-    )
-    statuses = record["statuses"]
-    # On/off statuses agree per instance, decisions strictly drop, and
-    # the propagation counters are live.
-    for key in list(statuses):
-        if key.endswith("/on"):
-            assert statuses[key] == statuses[key[:-3] + "/off"]
-    assert statuses["decisions_reduced"] == "yes"
-    assert statuses["dl_propagations_nonzero"] == "yes"
-    counters = record["dl_counters"]
-    assert counters["decisions_on"] < counters["decisions_off"]
-    assert counters["dl_propagations"] > 0
-    assert record["certified"] is True
-    # The per-check trajectory carries the new counters.
-    assert any(e.get("dl_propagations", 0) > 0 for e in record["per_check"])

@@ -99,17 +99,6 @@ class TestGmCaseStudy:
 
 
 class TestDifferenceChainWorkloads:
-    def test_chain_formulas_deterministic(self):
-        a = workloads.difference_chain_formulas(3)
-        b = workloads.difference_chain_formulas(3)
-        assert [repr(c) for c in a] == [repr(c) for c in b]
-        assert a  # non-empty
-
-    def test_chain_formulas_seeds_differ(self):
-        a = workloads.difference_chain_formulas(1)
-        b = workloads.difference_chain_formulas(2)
-        assert [repr(c) for c in a] != [repr(c) for c in b]
-
     def test_chain_network_shape(self):
         net = workloads.chain_network(3, 5)
         assert len(net.sensors) == 3 and len(net.controllers) == 3

@@ -99,9 +99,8 @@ class TestMidCheckRace:
         problem = workloads.bottleneck_problem(7, period=Fraction(8, 1000))
         strategies = [
             Strategy("routes-1", SynthesisOptions(
-                routes=1, dl_propagation=False, max_conflicts=50)),
-            Strategy("monolithic", SynthesisOptions(
-                routes=None, dl_propagation=False)),
+                routes=1, max_conflicts=50)),
+            Strategy("monolithic", SynthesisOptions(routes=None)),
         ]
         res = synthesize_portfolio(problem, strategies, backend="serial",
                                    share_knowledge=True)
@@ -117,7 +116,7 @@ class TestMidCheckRace:
         problem = workloads.bottleneck_problem(8, period=Fraction(7, 1000))
         strategies = [
             Strategy("monolithic", SynthesisOptions(
-                routes=None, dl_propagation=False, max_conflicts=50)),
+                routes=None, max_conflicts=50)),
         ]
         res = synthesize_portfolio(problem, strategies, backend="serial",
                                    share_knowledge=True)

@@ -26,15 +26,10 @@ from repro.runtime import knowledge as sharing
 from repro.smt.terms import Bool, Real, deserialize_literal, serialize_literal
 
 
-# The sharing workloads isolate the *sharing* channel: transitive DL
-# propagation already prunes the funnel's doomed subtrees almost to
-# nothing (2 residual conflicts), which would leave the veto/clause
-# imports with nothing measurable to prune.  A/B-ing sharing therefore
-# runs with dl_propagation off (it has its own benchmark).
 def sat_strategies():
     return [
-        Strategy("routes-1", SynthesisOptions(routes=1, dl_propagation=False)),
-        Strategy("routes-2", SynthesisOptions(routes=2, dl_propagation=False)),
+        Strategy("routes-1", SynthesisOptions(routes=1)),
+        Strategy("routes-2", SynthesisOptions(routes=2)),
     ]
 
 
@@ -42,10 +37,9 @@ def unsat_strategies():
     # Heuristics first so the race is still open when their artifacts
     # land; the complete strategy then proves unsat almost for free.
     return [
-        Strategy("routes-2", SynthesisOptions(routes=2, dl_propagation=False)),
-        Strategy("routes-1", SynthesisOptions(routes=1, dl_propagation=False)),
-        Strategy("monolithic",
-                 SynthesisOptions(routes=None, dl_propagation=False)),
+        Strategy("routes-2", SynthesisOptions(routes=2)),
+        Strategy("routes-1", SynthesisOptions(routes=1)),
+        Strategy("monolithic", SynthesisOptions(routes=None)),
     ]
 
 

@@ -59,11 +59,8 @@ class TestCanonicalization:
     def test_non_encoding_options_are_ignored(self):
         problem = family_problem([0, 1])
         base = problem_fingerprint(problem, SynthesisOptions())
-        for opts in (
-            SynthesisOptions(dl_propagation=False),
-            SynthesisOptions(max_conflicts=123),
-        ):
-            assert problem_fingerprint(problem, opts) == base
+        opts = SynthesisOptions(max_conflicts=123)
+        assert problem_fingerprint(problem, opts) == base
 
     @pytest.mark.parametrize("opts", [
         SynthesisOptions(routes=1),

@@ -26,7 +26,9 @@ from repro.service import (
     request_over_tcp,
 )
 from repro.service.protocol import (ProtocolError, options_from_wire,
-                                    schedules_from_wire, schedules_to_wire)
+                                    request_from_wire, schedules_from_wire,
+                                    schedules_to_wire)
+from repro.service.server import FRAME_LIMIT
 
 from repro.stability import StabilitySpec
 
@@ -423,6 +425,31 @@ class TestTcp:
         # switch must hear so instead of being silently ignored.
         with pytest.raises(ProtocolError, match="probe_routes"):
             options_from_wire({"probe_routes": False})
+
+    def test_retired_dl_propagation_key_is_rejected(self):
+        # The transitive difference-logic pass and its knob are gone; a
+        # client still sending it must hear so.
+        with pytest.raises(ProtocolError, match="dl_propagation"):
+            options_from_wire({"dl_propagation": False})
+        with pytest.raises(ProtocolError, match="unknown option keys"):
+            request_from_wire({"id": "r", "options": {"dl_propagation": True},
+                               "problem": problem_to_wire(
+                                   family_problem([0]))})
+
+    @pytest.mark.parametrize("size", [FRAME_LIMIT + 100, 5 * FRAME_LIMIT])
+    def test_oversized_frame_gets_an_error_and_the_connection_lives(
+            self, size):
+        async def body():
+            async with SynthesisServer(policy=INLINE) as server:
+                host, port = await server.serve_tcp()
+                replies = await request_over_tcp(host, port, [
+                    {"op": "stats", "pad": "x" * size},
+                    {"op": "stats"},
+                ], timeout=10.0)
+                assert [r["type"] for r in replies] == ["error", "stats"]
+                assert replies[0]["id"] is None
+                assert str(FRAME_LIMIT) in replies[0]["error"]
+        run(body())
 
     def test_malformed_frames_get_error_replies(self):
         async def body():

@@ -1,11 +1,11 @@
 """The engines' assert calls, for tests that hold ``DeltaRational`` bounds.
 
 ``Simplex.assert_lower`` / ``assert_upper`` and
-``DifferenceLogic.assert_constraint`` / ``watch_pair`` take bounds as
-integer pairs in the engine's scale.  The theory converts each bound
-once at registration; a test that asserts a fresh ``DeltaRational``
-converts it on the spot — which is also where the engine rescales when
-the bound's denominator is new.
+``DifferenceLogic.assert_constraint`` take bounds as integer pairs in the
+engine's scale.  The theory converts each bound once at registration; a
+test that asserts a fresh ``DeltaRational`` converts it on the spot —
+which is also where the engine rescales when the bound's denominator is
+new.
 """
 
 
@@ -23,7 +23,3 @@ def assert_upper(sx, var, bound, lit):
 
 def assert_constraint(dl, x, y, bound, lit):
     return dl.assert_constraint(x, y, scaled(dl, bound), lit)
-
-
-def watch_pair(dl, src, dst, bound):
-    dl.watch_pair(src, dst, scaled(dl, bound))

@@ -12,7 +12,13 @@ from fractions import Fraction
 
 import pytest
 
+from repro.core import SynthesisOptions, collect_violations, solve
+from repro.eval.workloads import bottleneck_problem, gm_case_study
+from repro.sat.literals import UNASSIGNED, is_positive, var_of
 from repro.smt import And, Bool, Not, Or, Real, SolverEngine, sat, unsat
+from repro.smt.theory import LraTheory
+
+from ..core.test_encoding_identity import gm_variant
 
 
 def _random_formula(seed: int):
@@ -125,3 +131,64 @@ def m_diff(solver):
     m = solver.model()
     x, y = Real("tp_cs_x"), Real("tp_cs_y")
     return m[x] - m[y]
+
+
+# ---------------------------------------------------------------------------
+# Invariant on seeded staged synthesis: one true literal entails each
+# implication
+# ---------------------------------------------------------------------------
+
+
+def _staged_cases():
+    # Small staged solves on which the bound channel fires (at
+    # gm_case_study(3) and gm_variant(13) it makes no implication).
+    return {
+        "gm_case_study(6)": (gm_case_study(6),
+                             SynthesisOptions(routes=3, stages=5), "sat"),
+        "gm_variant(2)": (gm_variant(2),
+                          SynthesisOptions(routes=3, stages=4), "sat"),
+        "bottleneck_problem(5)": (bottleneck_problem(5),
+                                  SynthesisOptions(routes=2, stages=2),
+                                  "unsat"),
+    }
+
+
+@pytest.mark.parametrize("name", ["gm_case_study(6)", "gm_variant(2)",
+                                  "bottleneck_problem(5)"])
+def test_every_implication_has_one_true_entailing_literal(monkeypatch,
+                                                          name):
+    """Every ``(literal, reason)`` that ``LraTheory.propagate`` returns
+    during a staged solve has a one-literal reason that is true on the
+    trail and is a phase bounding the same simplex variable, in the same
+    sense, at least as tightly as the implied phase."""
+    problem, options, status = _staged_cases()[name]
+    implications = []
+    propagate = LraTheory.propagate
+
+    def phase(theory, literal):
+        watch = theory._atoms[var_of(literal)]
+        return watch.pos if is_positive(literal) else watch.neg
+
+    def checked(self, assigns):
+        out = propagate(self, assigns)
+        for literal, reason in out:
+            assert len(reason) == 1
+            (because,) = reason
+            assert assigns[var_of(because)] == (because & 1) ^ 1
+            assert assigns[var_of(literal)] == UNASSIGNED
+            implied, bound = phase(self, literal), phase(self, because)
+            assert bound.sx_var == implied.sx_var
+            assert bound.sx_is_upper == implied.sx_is_upper
+            if implied.sx_is_upper:
+                assert bound.sx_bound <= implied.sx_bound
+            else:
+                assert bound.sx_bound >= implied.sx_bound
+        implications.extend(out)
+        return out
+
+    monkeypatch.setattr(LraTheory, "propagate", checked)
+    result = solve(problem, options)
+    assert result.status == status
+    if status == "sat":
+        assert collect_violations(result.solution) == []
+    assert implications  # the invariant was exercised

@@ -227,6 +227,23 @@ def test_pivot_grows_the_scale_before_it_divides_by_hand():
     assert sx.lower_bound(s) == DeltaRational(1)
     assert sx.assignment_consistent() and sx.bounds_satisfied()
     assert sx.model() == [F(0), F(20, 7), F(1)]
+    assert sx.model([lmax, lmin]) == [F(20, 7), F(0)]
+
+
+def test_model_of_some_variables_keeps_every_gap_in_delta():
+    """Delta is materialized over the slack row's strict gap too, so the
+    values of the requested variables equal their full-model values."""
+    sx = CheckedSimplex()
+    x, y = sx.new_var(), sx.new_var()
+    s = sx.add_row({x: 1, y: 1})
+    assert sx.assert_lower(x, sx.scaled_bound(0, 1), 2) is None
+    assert sx.assert_lower(y, sx.scaled_bound(0), 4) is None
+    assert sx.assert_upper(s, sx.scaled_bound(F(1, 3), -1), 6) is None
+    assert sx.check() is None
+    full = sx.model()
+    assert 0 < full[x] < F(1, 3) and full[s] < F(1, 3)
+    assert sx.model([x]) == [full[x]]
+    assert sx.model([s, y]) == [full[s], full[y]]
 
 
 # ---------------------------------------------------------------------------
