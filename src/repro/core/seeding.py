@@ -65,7 +65,7 @@ heuristic verdicts are never promoted to race verdicts (see
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from ..smt.terms import Or
 
@@ -103,13 +103,12 @@ class StrategySignature:
                 raise ValueError(
                     f"signature field {f.name}={value!r} is not {f.type}")
 
-    def compatibility(self) -> Dict[str, object]:
-        """The fields that must agree for *any* knowledge transfer: same
-        constraint semantics, same route enumeration."""
-        return {"mode": self.mode, "path_cutoff": self.path_cutoff}
-
     def compatible(self, other: "StrategySignature") -> bool:
-        return self.compatibility() == other.compatibility()
+        """Whether knowledge learned under ``other`` may transfer at all:
+        the same constraint semantics (mode) and route enumeration (path
+        cutoff)."""
+        return (self.mode == other.mode
+                and self.path_cutoff == other.path_cutoff)
 
 
 def _limit(routes: Optional[int]) -> float:

@@ -9,23 +9,20 @@ accepts synthesis requests (single and batched) over a small JSON-line
 protocol or through the in-process :class:`ServiceClient`, dispatches
 them onto a pool of persistent solver workers, and — the headline — a
 persistent, disk-backed :class:`KnowledgeCache` keyed by **problem
-fingerprint** answers an exact repeat from its stored schedule, once
-the validator has certified it, and warm-starts the other repeats and
-near-repeats from learned clauses and route vetoes instead of solving
-cold.
+fingerprint** answers a repeated ``sat`` request from its stored
+schedule, once the validator has certified it, and warm-starts the
+other repeats from learned clauses and route vetoes instead of solving
+cold.  A request whose fingerprint is not cached solves cold.
 
-See ``docs/service.md`` for the protocol, the fingerprint/ancestor-
-matching semantics and their soundness argument, the admission/deadline
-knobs, the cache format, and the metrics table.
+See ``docs/service.md`` for the protocol, what the fingerprint hashes,
+the admission/deadline knobs, the cache format, and the metrics table.
 """
 
 from .cache import CacheEntry, KnowledgeCache
 from .client import ServiceClient, request_over_tcp
 from .fingerprint import (
-    ancestor_relation,
     canonical_options,
     canonical_problem,
-    compatibility_key,
     problem_fingerprint,
 )
 from .protocol import (
@@ -46,10 +43,8 @@ __all__ = [
     "ServiceWorker",
     "SynthesisRequest",
     "SynthesisServer",
-    "ancestor_relation",
     "canonical_options",
     "canonical_problem",
-    "compatibility_key",
     "decode_frame",
     "encode_frame",
     "problem_fingerprint",

@@ -6,20 +6,16 @@ records what the winning solve of that problem *learned* — one
 clauses (learned + root units, serialized literal tuples) and the route
 veto of a proven unsat, under the signature they were learned with —
 plus, for a ``sat``, the schedule it found (the ``schedules_to_wire``
-form), the compatibility key and per-app descriptor digests that drive
-ancestor matching (:mod:`repro.service.fingerprint`), and bookkeeping
-(status, solver work).
+form), and bookkeeping (status, solver work).
 
-Admission path (:meth:`KnowledgeCache.lookup`): an exact fingerprint
-hit seeds everything; a miss falls back to the best compatible
-*equal* or *subset* ancestor in the same bucket (see the fingerprint
-module for the soundness argument).  The hit entry's knowledge plugs
-straight into ``SynthesisOptions.seed_knowledge``, so the whole import
+Admission path (:meth:`KnowledgeCache.lookup`): one dictionary lookup by
+:func:`~repro.service.fingerprint.problem_fingerprint`.  A hit is the
+entry of the very formula the request asks for, so its knowledge plugs
+straight into ``SynthesisOptions.seed_knowledge`` and the whole import
 machinery (route-limit padding, veto escapes) is the race's, untouched.
-The stored schedule is never seeded: the server answers an exact
-``sat`` hit with it after certifying it, and
-:meth:`KnowledgeCache.quarantine` drops an entry whose schedule does
-not certify.
+The stored schedule is never seeded: the server answers a ``sat`` hit
+with it after certifying it, and :meth:`KnowledgeCache.quarantine`
+drops an entry whose schedule does not certify.
 
 Persistence is crash-safe and hostile-input-safe: files are written
 atomically (tmp + rename), and a file that fails to parse or validate
@@ -50,8 +46,10 @@ from .protocol import schedules_from_wire
 #: On-disk schema version; bump on incompatible layout changes (old
 #: entries are quarantined, not migrated — they are only ever hints).
 #: Files written before entries carried ``schedules`` are version 1
-#: too: they load, and their exact hits solve until a write-back
-#: records the schedule.
+#: too: they load, and their hits solve until a write-back records the
+#: schedule.  So are files whose entries also carry a compatibility
+#: bucket and per-application digests: the loader ignores keys it does
+#: not read.
 CACHE_VERSION = 1
 
 
@@ -67,8 +65,6 @@ class CacheEntry:
     """One cached problem's transferable knowledge."""
 
     fingerprint: str
-    compat_key: str
-    apps: Dict[str, str]                 # name -> descriptor digest
     status: str                          # sat / unsat / unknown
     knowledge: Knowledge                 # learned under the recorder's options
     schedules: Optional[List[dict]] = None   # schedules_to_wire, sat only
@@ -80,8 +76,6 @@ class CacheEntry:
         return {
             "version": CACHE_VERSION,
             "fingerprint": self.fingerprint,
-            "compat_key": self.compat_key,
-            "apps": self.apps,
             "options": asdict(knowledge.signature),
             "status": self.status,
             "clauses": knowledge.clauses,
@@ -98,8 +92,6 @@ class CacheEntry:
                              f"{payload.get('version')!r}")
         entry = cls(
             fingerprint=payload["fingerprint"],
-            compat_key=payload["compat_key"],
-            apps=dict(payload["apps"]),
             status=payload["status"],
             # TypeError (not a dict, missing or extra keys) and
             # ValueError (a mistyped field) both quarantine the file.
@@ -127,12 +119,6 @@ class CacheEntry:
         """
         if not isinstance(self.fingerprint, str) or not self.fingerprint:
             raise ValueError("entry without a fingerprint")
-        if not isinstance(self.compat_key, str) or not self.compat_key:
-            raise ValueError("entry without a compatibility key")
-        if not isinstance(self.apps, dict) or not all(
-                isinstance(k, str) and isinstance(v, str)
-                for k, v in self.apps.items()):
-            raise ValueError("malformed app digest map")
         if self.status not in ("sat", "unsat", "unknown"):
             raise ValueError(f"unknown cached status {self.status!r}")
         problem = validate_knowledge(self.knowledge)
@@ -142,14 +128,6 @@ class CacheEntry:
             if self.status != "sat":
                 raise ValueError(f"schedules on a {self.status} entry")
             schedules_from_wire(self.schedules)   # ProtocolError: ValueError
-
-
-@dataclass(frozen=True)
-class CacheHit:
-    """What :meth:`KnowledgeCache.lookup` resolved for one request."""
-
-    kind: str                       # "exact" | "equal" | "subset"
-    entry: CacheEntry
 
 
 class KnowledgeCache:
@@ -168,6 +146,9 @@ class KnowledgeCache:
         # fingerprint -> entry, in LRU order (first = coldest).
         self._entries: Dict[str, CacheEntry] = {}
         self._sizes: Dict[str, int] = {}
+        # ``ancestor_hits`` is always 0: every hit is exact.  The ledger's
+        # ``harness/metrics.py`` reads the key by name; it goes with the
+        # ledger's next contract change (ROADMAP item 17).
         self.counters: Dict[str, int] = {
             "exact_hits": 0, "ancestor_hits": 0, "misses": 0,
             "stores": 0, "evictions": 0, "quarantined_entries": 0,
@@ -261,44 +242,20 @@ class KnowledgeCache:
     # Lookup / store
     # ------------------------------------------------------------------
 
-    def lookup(self, problem, options=None) -> Optional[CacheHit]:
-        """Resolve a request against the cache (exact, then ancestor).
+    def lookup(self, problem, options=None) -> Optional[CacheEntry]:
+        """The entry stored under the request's fingerprint, or None.
 
-        Returns a :class:`CacheHit`, or None on a miss.  An exact hit's
-        entry knowledge seeds its request even when empty; an ancestor
-        with nothing to hand on is a miss.  Both kinds of knowledge are
-        entailed by the request's formula (see
-        :mod:`repro.service.fingerprint`).
+        A hit refreshes the entry's recency; its knowledge seeds the
+        request even when empty, because it is this very formula's.
         """
         key = fp.problem_fingerprint(problem, options)
         entry = self._entries.get(key)
-        if entry is not None:
-            self._touch(key)
-            self.counters["exact_hits"] += 1
-            return CacheHit("exact", entry)
-        bucket = fp.compatibility_key(problem, options)
-        request_apps = fp.app_set_key(problem)
-        best: Optional[Tuple[Tuple[int, int], str, CacheEntry, str]] = None
-        # Iterate hot-to-cold so recency breaks quality ties.
-        for fprint, candidate in reversed(list(self._entries.items())):
-            if candidate.compat_key != bucket:
-                continue
-            relation = fp.ancestor_relation(request_apps, candidate.apps)
-            if relation is None:
-                continue
-            quality = fp.match_quality(relation, candidate.apps, request_apps)
-            if best is None or quality > best[0]:
-                best = (quality, relation, candidate, fprint)
-        if best is None:
+        if entry is None:
             self.counters["misses"] += 1
             return None
-        _, relation, entry, fprint = best
-        if not entry.knowledge:
-            self.counters["misses"] += 1
-            return None
-        self._touch(fprint)
-        self.counters["ancestor_hits"] += 1
-        return CacheHit(relation, entry)
+        self._touch(key)
+        self.counters["exact_hits"] += 1
+        return entry
 
     def store(self, problem, options, status: str,
               knowledge: Optional[Knowledge] = None,
@@ -320,8 +277,6 @@ class KnowledgeCache:
             return None
         entry = CacheEntry(
             fingerprint=fp.problem_fingerprint(problem, options),
-            compat_key=fp.compatibility_key(problem, options),
-            apps=fp.app_set_key(problem),
             status=status,
             knowledge=knowledge,
             schedules=(list(schedules) if status == "sat" and schedules

@@ -31,9 +31,10 @@ the same convention (:func:`schedules_to_wire` /
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..core.problem import ControlApplication, SynthesisProblem
 from ..core.seeding import StrategySignature
@@ -54,6 +55,18 @@ RESPONSE_TYPES = frozenset({
 #: so a typo'd knob cannot silently solve the wrong problem).
 _WIRE_OPTION_KEYS = frozenset(f.name for f in fields(StrategySignature)) | {
     "max_conflicts",
+}
+
+#: Each wire option key's annotation on :class:`SynthesisOptions`.
+_WIRE_OPTION_TYPES = {f.name: str(f.type) for f in fields(SynthesisOptions)
+                      if f.name in _WIRE_OPTION_KEYS}
+
+#: The JSON values each of those annotations accepts.  A JSON ``true``
+#: is an ``int`` to Python, so a ``bool`` passes only where the
+#: annotation is ``bool``: ``"routes": true`` is no route limit.
+_JSON_TYPES: Dict[str, Tuple[type, ...]] = {
+    "str": (str,), "int": (int,), "bool": (bool,),
+    "Optional[int]": (int, type(None)),
 }
 
 
@@ -153,7 +166,8 @@ def problem_from_wire(wire: dict) -> SynthesisProblem:
         return SynthesisProblem(net, apps, delays)
     except ProtocolError:
         raise
-    except (KeyError, TypeError, ValueError, EncodingError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError,
+            EncodingError) as exc:
         raise ProtocolError(f"invalid problem payload: "
                             f"{type(exc).__name__}: {exc}") from None
 
@@ -167,6 +181,11 @@ def options_from_wire(wire: Optional[dict]) -> SynthesisOptions:
     unknown = set(wire) - _WIRE_OPTION_KEYS
     if unknown:
         raise ProtocolError(f"unknown option keys: {sorted(unknown)}")
+    for key, value in wire.items():
+        kind = _WIRE_OPTION_TYPES[key]
+        if (isinstance(value, bool) != (kind == "bool")
+                or not isinstance(value, _JSON_TYPES[kind])):
+            raise ProtocolError(f"option {key}={value!r:.40} is not {kind}")
     try:
         return SynthesisOptions(**wire)
     except EncodingError as exc:
@@ -212,7 +231,9 @@ class SynthesisRequest:
     server converts it to an absolute monotonic deadline at admission
     time, so queue wait counts against it (a request that waited out its
     whole budget in the queue gets a ``timeout`` response without ever
-    occupying a worker).
+    occupying a worker).  It must be a finite positive ``int`` or
+    ``float``: a ``NaN`` would never expire, and a ``bool`` is no
+    number of seconds.
     """
 
     id: str
@@ -223,8 +244,13 @@ class SynthesisRequest:
     def __post_init__(self) -> None:
         if not self.id or not isinstance(self.id, str):
             raise ProtocolError("request id must be a non-empty string")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ProtocolError("deadline must be positive (seconds)")
+        deadline = self.deadline
+        if deadline is not None and (
+                isinstance(deadline, bool)
+                or not isinstance(deadline, (int, float))
+                or not 0 < deadline <= sys.float_info.max):
+            raise ProtocolError(f"deadline must be a finite positive "
+                                f"number of seconds, got {deadline!r:.40}")
 
 
 def request_from_wire(frame: dict) -> SynthesisRequest:
@@ -252,7 +278,7 @@ def decode_frame(line: bytes) -> dict:
     """One JSON line -> one frame dict (raises ProtocolError on junk)."""
     try:
         frame = json.loads(line.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:   # bad UTF-8, bad JSON, a >4300-digit int
         raise ProtocolError(f"undecodable frame: {exc}") from None
     if not isinstance(frame, dict):
         raise ProtocolError(f"frame must be a JSON object, got "

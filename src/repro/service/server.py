@@ -12,9 +12,9 @@ of persistent workers (process or inline — see
 2. **Dispatch**: one dispatcher coroutine per worker pulls from the
    queue.  Requests that waited out their whole budget answer
    ``timeout`` without touching a worker; cancelled-in-queue requests
-   were already answered.  The cache is consulted (exact hit, then best
-   compatible ancestor).  An exact hit on a ``sat`` entry that holds a
-   schedule is answered right here, once
+   were already answered.  The cache is consulted by the request's
+   fingerprint.  A hit on a ``sat`` entry that holds a schedule is
+   answered right here, once
    :func:`~repro.core.validator.collect_violations` has certified that
    schedule against the request's problem and mode (``attempts: 0``,
    zero work); one that does not certify is quarantined and the request
@@ -30,9 +30,9 @@ of persistent workers (process or inline — see
    every event lands in that supervisor's counters.
 4. **Write-back**: completed ``sat``/``unsat`` solves store their
    exported knowledge, and a ``sat`` its schedule, back into the cache
-   (LRU insert, atomic file).  An exact hit's entry already is this
-   problem's knowledge and is kept, unless the solve found a ``sat``
-   the entry holds no schedule for: then the fresh entry replaces it.
+   (LRU insert, atomic file).  A hit's entry already is this problem's
+   knowledge and is kept, unless the solve found a ``sat`` the entry
+   holds no schedule for: then the fresh entry replaces it.
 5. **Response**: exactly one typed frame per admitted request.
 
 Metrics (:meth:`SynthesisServer.stats`) aggregate queue wait / solve
@@ -52,7 +52,7 @@ from ..core.solution import Solution
 from ..core.synthesizer import MODE_STABILITY, WORK_COUNTERS
 from ..core.validator import collect_violations
 from ..runtime.supervision import SupervisionPolicy, Supervisor
-from .cache import CacheEntry, CacheHit, KnowledgeCache
+from .cache import CacheEntry, KnowledgeCache
 from .protocol import (ProtocolError, SynthesisRequest, decode_frame,
                        encode_frame, request_from_wire,
                        schedules_from_wire, schedules_to_wire)
@@ -303,13 +303,12 @@ class SynthesisServer:
             })
             return
 
-        hit: Optional[CacheHit] = None
+        hit: Optional[CacheEntry] = None
         opts = request.options
         if self.cache is not None:
             hit = self.cache.lookup(request.problem, opts)
-            if (hit is not None and hit.kind == "exact"
-                    and hit.entry.schedules is not None):
-                response = self._serve(request, hit.entry)
+            if hit is not None and hit.schedules is not None:
+                response = self._serve(request, hit)
                 if response is not None:
                     self.counters["cache_served"] += 1
                     self._finish(pending, response, queue_wait,
@@ -317,7 +316,7 @@ class SynthesisServer:
                     return
                 hit = None      # quarantined: solve as a miss
             if hit is not None:
-                opts = replace(opts, seed_knowledge=(hit.entry.knowledge,))
+                opts = replace(opts, seed_knowledge=(hit.knowledge,))
                 self.counters["cache_seeded"] += 1
 
         pending.worker = worker
@@ -332,7 +331,7 @@ class SynthesisServer:
 
     def _serve(self, request: SynthesisRequest,
                entry: CacheEntry) -> Optional[dict]:
-        """The ``result`` frame an exact ``sat`` hit's stored schedule
+        """The ``result`` frame a ``sat`` hit's stored schedule
         answers, or None — and the entry quarantined — when that
         schedule does not parse or does not certify for this request."""
         mode = request.options.mode
@@ -435,9 +434,9 @@ class SynthesisServer:
     # ------------------------------------------------------------------
 
     def _classify(self, pending: _Pending, payload: dict,
-                  hit: Optional[CacheHit]) -> dict:
+                  hit: Optional[CacheEntry]) -> dict:
         request_id = pending.request.id
-        cache_info = {"hit": hit.kind if hit is not None else None}
+        cache_info = {"hit": "exact" if hit is not None else None}
         status = payload.get("status")
         if payload.get("cancelled") or (pending.cancel_requested
                                         and status == "unknown"):
@@ -460,13 +459,13 @@ class SynthesisServer:
         }
 
     def _write_back(self, request: SynthesisRequest, payload: dict,
-                    response: dict, hit: Optional[CacheHit]) -> None:
+                    response: dict, hit: Optional[CacheEntry]) -> None:
         if self.cache is None or response["type"] != "result":
             return
         stats = payload.get("statistics", {}) or {}
-        if hit is not None and hit.entry.work:
-            baseline = (hit.entry.work.get("conflicts", 0)
-                        + hit.entry.work.get("decisions", 0))
+        if hit is not None and hit.work:
+            baseline = (hit.work.get("conflicts", 0)
+                        + hit.work.get("decisions", 0))
             spent = stats.get("conflicts", 0) + stats.get("decisions", 0)
             saved = baseline - spent
             if saved > 0:
@@ -474,8 +473,8 @@ class SynthesisServer:
         status = payload.get("status")
         if status not in ("sat", "unsat"):
             return
-        if hit is not None and hit.kind == "exact" and not (
-                status == "sat" and hit.entry.schedules is None):
+        if hit is not None and not (
+                status == "sat" and hit.schedules is None):
             return  # the entry is already this problem's knowledge
         self.cache.store(
             request.problem, request.options, status,
@@ -603,9 +602,11 @@ class SynthesisServer:
                 replies.append(
                     asyncio.ensure_future(self._pipe(future, send)))
         elif op == "cancel":
-            found = await self.cancel(frame.get("id", ""))
+            request_id = frame.get("id")
+            found = (isinstance(request_id, str)
+                     and await self.cancel(request_id))
             await send({"type": "ack", "op": "cancel",
-                        "id": frame.get("id"), "found": found})
+                        "id": request_id, "found": found})
         elif op == "stats":
             await send({"type": "stats", "metrics": self.stats()})
         elif op == "drain":

@@ -1,10 +1,10 @@
 """Shared fixtures for the service tests: a fixed-topology app family.
 
 All family problems share one network, one delay model, and one period
-(hence one hyper-period), so any two of them land in the same
-ancestor-matching compatibility bucket; they differ only in *which*
-applications are attached.  That is exactly the subset/superset shape
-the cache's ancestor rules are about.
+(hence one hyper-period); they differ only in *which* applications are
+attached.  Two of them fingerprint alike only when they attach the same
+applications, so a grown or shrunk family problem is the closest miss
+the fingerprint-keyed cache can meet.
 """
 
 import asyncio

@@ -7,10 +7,13 @@ import pytest
 
 from repro.core.seeding import Knowledge
 from repro.core.synthesizer import SynthesisOptions, solve
-from repro.service import KnowledgeCache, problem_fingerprint
+from repro.service import (KnowledgeCache, ServiceClient, ServicePolicy,
+                           SynthesisServer, problem_fingerprint)
 from repro.service.cache import CacheEntry
 
-from .helpers import family_problem
+from .helpers import family_problem, run
+
+INLINE = ServicePolicy(workers=1, worker_mode="inline")
 
 #: Handcrafted knowledge in the exact shapes the sharing module accepts
 #: (see ``repro.runtime.knowledge._valid_literal`` and
@@ -25,11 +28,49 @@ SCHEDULES = [{"uid": "app0#0", "app": "app0", "route": ["S0", "A", "B", "C0"],
               "gammas": {"A": "401/200000", "B": "301/100000"}}]
 
 
+#: Byte for byte what the writer of separate ``options``, ``clauses``
+#: and ``route_veto`` fields stored for an unsat of
+#: ``family_problem([0, 1])`` under routes=2: the same JSON keys carry
+#: one Knowledge now.  Like every file written while entries also kept a
+#: compatibility bucket (``compat_key``) and per-application digests
+#: (``apps``), it carries both keys; the loader ignores them.
+UNSAT_FILE = (
+    '{"apps": {"app0": "4e3d8ddf5f139a1ab78c1f0dcaddf7ae", '
+    '"app1": "8cef0032fa211f6fc7b668daceb46cf6"}, '
+    '"clauses": [[["b", "p!route[app0]=0", true]], '
+    '[["b", "p!route[app0]=0", false], '
+    '["b", "p!route[app1]=0", true]]], '
+    '"compat_key": "52fcb32e7eed375a886dd1726c0a0980", '
+    '"created": 1792218653.7506297, '
+    '"fingerprint": "35c9452ae3888c799a52180156cc2314", '
+    '"options": {"mode": "stability", "path_cutoff": null, '
+    '"repair": false, "routes": 2, "stages": 1}, '
+    '"route_veto": [["app0@0", 1], ["app1@0", 1]], '
+    '"schedules": null, "status": "unsat", "version": 1, '
+    '"work": {"conflicts": 3, "decisions": 5, '
+    '"propagations": 8}}\n')
+
+#: Byte for byte what a writer that kept ``compat_key`` and ``apps``
+#: stored for the sat of ``family_problem([0])`` under the default
+#: options, schedule included.
+SAT_FILE = (
+    '{"apps": {"app0": "4e3d8ddf5f139a1ab78c1f0dcaddf7ae"}, '
+    '"clauses": [], "compat_key": "52fcb32e7eed375a886dd1726c0a0980", '
+    '"created": 1792311649.7057643, '
+    '"fingerprint": "42ce4f52f56affc7f62100eb2de92471", '
+    '"options": {"mode": "stability", "path_cutoff": null, '
+    '"repair": false, "routes": null, "stages": 1}, '
+    '"route_veto": null, "schedules": [{"app": "app0", "e2e": "7/2000", '
+    '"gammas": {"A": "1/800", "B": "1/400"}, "release": "0", '
+    '"route": ["S0", "A", "B", "C0"], "uid": "app0#0"}], '
+    '"status": "sat", "version": 1, '
+    '"work": {"conflicts": 0, "decisions": 1, "propagations": 10}}\n')
+
+
 def entry_blob(**fields) -> bytes:
     """A cache file for fingerprint ``f * 32`` that passes every check
     except what ``fields`` breaks."""
-    payload = {"version": 1, "fingerprint": "f" * 32, "compat_key": "c",
-               "apps": {"a": "d"}, "status": "sat",
+    payload = {"version": 1, "fingerprint": "f" * 32, "status": "sat",
                "options": {"mode": "stability", "routes": 2, "stages": 1,
                            "path_cutoff": None, "repair": False},
                "clauses": [[["a", [["p/g[m0][s0]", "1"]], "3", False, True]]]}
@@ -53,27 +94,27 @@ class TestLookup:
         cache = KnowledgeCache(tmp_path)
         problem = family_problem([0, 1])
         assert cache.lookup(problem) is None
-        store_family(cache, [0, 1])
-        hit = cache.lookup(problem)
-        assert hit is not None and hit.kind == "exact"
-        assert hit.entry.knowledge.clauses
+        _, entry = store_family(cache, [0, 1])
+        assert cache.lookup(problem) is entry
+        assert entry.knowledge.clauses
         assert cache.counters["exact_hits"] == 1
         assert cache.counters["misses"] == 1
 
+    # The cache is keyed by fingerprint only: an entry over other
+    # applications or other options is a miss however it relates to
+    # the request, and nothing of it seeds the request.
+
     def test_subset_ancestor_seeds_clauses_and_veto(self, tmp_path):
+        # The cached apps are a subset of the request's: a miss.
         cache = KnowledgeCache(tmp_path)
         store_family(cache, [0, 1], status="sat", route_veto=VETO)
-        hit = cache.lookup(family_problem([0, 1, 2]))
-        assert hit is not None and hit.kind == "subset"
-        assert hit.entry.knowledge.clauses
-        assert hit.entry.knowledge.route_veto
-        assert cache.counters["ancestor_hits"] == 1
+        assert cache.lookup(family_problem([0, 1, 2])) is None
+        assert cache.counters["misses"] == 1
+        assert cache.counters["ancestor_hits"] == 0
 
     def test_superset_ancestor_is_a_miss(self, tmp_path):
         cache = KnowledgeCache(tmp_path)
         store_family(cache, [0, 1, 2], route_veto=VETO)
-        # Soundness: the cached formula is stronger than the request's,
-        # so neither its clauses nor its veto may transfer.
         assert cache.lookup(family_problem([0, 1])) is None
         assert cache.counters["misses"] == 1
         assert cache.counters["ancestor_hits"] == 0
@@ -82,21 +123,25 @@ class TestLookup:
         cache = KnowledgeCache(tmp_path)
         store_family(cache, [0, 1])
         assert cache.lookup(family_problem([2, 3])) is None
+        assert cache.counters["misses"] == 1
 
     def test_options_bucket_is_respected(self, tmp_path):
         cache = KnowledgeCache(tmp_path)
         problem, _ = store_family(cache, [0, 1])
-        # Same problem under a different mode: different bucket entirely.
+        # Same problem under another mode or route limit: a miss.
         assert cache.lookup(problem,
                             SynthesisOptions(mode="deadline")) is None
+        assert cache.lookup(problem, SynthesisOptions(routes=1)) is None
+        assert cache.counters["misses"] == 2
 
     def test_best_ancestor_wins(self, tmp_path):
+        # Two cached subsets of the request, neither of them chosen.
         cache = KnowledgeCache(tmp_path)
         store_family(cache, [0])
-        _, large = store_family(cache, [0, 1, 2])
-        hit = cache.lookup(family_problem([0, 1, 2, 3]))
-        assert hit is not None and hit.kind == "subset"
-        assert hit.entry.fingerprint == large.fingerprint
+        store_family(cache, [0, 1, 2])
+        assert cache.lookup(family_problem([0, 1, 2, 3])) is None
+        assert cache.counters["misses"] == 1
+        assert cache.counters["exact_hits"] == 0
 
     def test_unknown_without_clauses_not_stored(self, tmp_path):
         cache = KnowledgeCache(tmp_path)
@@ -127,8 +172,8 @@ class TestPersistence:
         problem, entry = store_family(cache, [0, 1], route_veto=VETO)
         reloaded = KnowledgeCache(tmp_path)
         hit = reloaded.lookup(problem)
-        assert hit is not None and hit.kind == "exact"
-        assert hit.entry.knowledge == entry.knowledge
+        assert hit is not None
+        assert hit.knowledge == entry.knowledge
 
     def test_files_are_valid_json(self, tmp_path):
         cache = KnowledgeCache(tmp_path)
@@ -141,46 +186,56 @@ class TestPersistence:
 
     def test_files_written_before_one_knowledge_shape_load_and_seed(
             self, tmp_path):
-        # Byte for byte what the writer of separate ``options``,
-        # ``clauses`` and ``route_veto`` fields stored for an unsat
-        # under routes=2: the same JSON keys carry one Knowledge now.
-        blob = (
-            '{"apps": {"app0": "4e3d8ddf5f139a1ab78c1f0dcaddf7ae", '
-            '"app1": "8cef0032fa211f6fc7b668daceb46cf6"}, '
-            '"clauses": [[["b", "p!route[app0]=0", true]], '
-            '[["b", "p!route[app0]=0", false], '
-            '["b", "p!route[app1]=0", true]]], '
-            '"compat_key": "52fcb32e7eed375a886dd1726c0a0980", '
-            '"created": 1792218653.7506297, '
-            '"fingerprint": "35c9452ae3888c799a52180156cc2314", '
-            '"options": {"mode": "stability", "path_cutoff": null, '
-            '"repair": false, "routes": 2, "stages": 1}, '
-            '"route_veto": [["app0@0", 1], ["app1@0", 1]], '
-            '"schedules": null, "status": "unsat", "version": 1, '
-            '"work": {"conflicts": 3, "decisions": 5, '
-            '"propagations": 8}}\n')
         (Path(tmp_path) / "35c9452ae3888c799a52180156cc2314.json"
-         ).write_text(blob)
+         ).write_text(UNSAT_FILE)
         cache = KnowledgeCache(tmp_path)
         assert cache.counters["quarantined_entries"] == 0
         options = SynthesisOptions(routes=2)
         problem = family_problem([0, 1])
         hit = cache.lookup(problem, options)
-        assert hit is not None and hit.kind == "exact"
-        assert hit.entry.knowledge == Knowledge(options.signature,
-                                                clauses=CLAUSES,
-                                                route_veto=VETO)
-        assert json.dumps(hit.entry.to_json(), sort_keys=True) + "\n" == blob
+        assert hit is not None
+        assert hit.knowledge == Knowledge(options.signature,
+                                          clauses=CLAUSES, route_veto=VETO)
+        # Rewritten, it keeps every key but the two no longer read.
+        payload = json.loads(UNSAT_FILE)
+        del payload["compat_key"], payload["apps"]
+        assert json.loads(json.dumps(hit.to_json())) == payload
         seeded = solve(problem, SynthesisOptions(
-            routes=2, seed_knowledge=(hit.entry.knowledge,)))
+            routes=2, seed_knowledge=(hit.knowledge,)))
         assert seeded.statistics["clauses_imported"] == len(CLAUSES)
+
+    def test_files_with_compat_key_and_apps_load_and_answer(self, tmp_path):
+        for blob in (SAT_FILE, UNSAT_FILE):
+            name = json.loads(blob)["fingerprint"]
+            (Path(tmp_path) / f"{name}.json").write_text(blob)
+
+        async def body():
+            cache = KnowledgeCache(tmp_path)
+            assert cache.counters["quarantined_entries"] == 0
+            assert len(cache) == 2
+            async with SynthesisServer(policy=INLINE, cache=cache) as server:
+                client = ServiceClient(server)
+                served = await client.solve(family_problem([0]))
+                assert served["cache"] == {"hit": "exact"}
+                assert served["attempts"] == 0
+                assert served["schedules"] == json.loads(SAT_FILE)[
+                    "schedules"]
+                seeded = await client.solve(family_problem([0, 1]),
+                                            SynthesisOptions(routes=2))
+                assert seeded["cache"] == {"hit": "exact"}
+                assert seeded["attempts"] == 1
+                assert seeded["statistics"]["clauses_imported"] == len(
+                    CLAUSES)
+                assert server.counters["cache_served"] == 1
+                assert server.counters["cache_seeded"] == 1
+                assert cache.counters["exact_hits"] == 2
+        run(body())
 
     @pytest.mark.parametrize("blob", [
         b"{ not json",
         b'{"version": 999}',
         b'{"version": 1, "fingerprint": "x"}',
         json.dumps({"version": 1, "fingerprint": "f" * 32,
-                    "compat_key": "c", "apps": {"a": "d"},
                     "options": {}, "status": "sat",
                     "clauses": [["nonsense"]]}).encode(),
         # Well-shaped, but a rational no ``Fraction`` parses: seeding
@@ -211,16 +266,16 @@ class TestPersistence:
         reloaded = KnowledgeCache(tmp_path)
         assert reloaded.counters["quarantined_entries"] == 0
         hit = reloaded.lookup(problem)
-        assert hit is not None and hit.kind == "exact"
-        assert hit.entry.knowledge.clauses == CLAUSES
-        assert hit.entry.knowledge.route_veto == VETO
+        assert hit is not None
+        assert hit.knowledge.clauses == CLAUSES
+        assert hit.knowledge.route_veto == VETO
 
     def test_schedules_round_trip_and_load(self, tmp_path):
         cache = KnowledgeCache(tmp_path)
         problem, entry = store_family(cache, [0, 1], schedules=SCHEDULES)
         assert entry.schedules == SCHEDULES
         hit = KnowledgeCache(tmp_path).lookup(problem)
-        assert hit is not None and hit.entry.schedules == SCHEDULES
+        assert hit is not None and hit.schedules == SCHEDULES
 
     def test_schedules_are_recorded_for_sat_only(self, tmp_path):
         cache = KnowledgeCache(tmp_path)
@@ -265,7 +320,7 @@ class TestEviction:
         p0, e0 = store_family(cache, [0])
         p1, _ = store_family(cache, [1])
         # Touch p0 so p1 becomes the coldest.
-        assert cache.lookup(p0).kind == "exact"
+        assert cache.lookup(p0) is not None
         store_family(cache, [2])
         assert len(cache) == 2
         assert e0.fingerprint in cache

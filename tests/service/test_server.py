@@ -251,14 +251,16 @@ class TestCacheIntegration:
                 assert again["status"] == "unsat"
                 assert again["attempts"] == 1
                 # A routes=1 sat entry holds a schedule and clauses; the
-                # grown request imports the clauses and solves.
+                # grown request has another fingerprint, so it misses
+                # and solves cold.
                 opts = SynthesisOptions(routes=1)
                 await client.solve(family_problem([0, 1]), opts)
                 grown = await client.solve(family_problem([0, 1, 2]), opts)
-                assert grown["cache"]["hit"] == "subset"
+                assert grown["cache"]["hit"] is None
                 assert grown["attempts"] == 1
                 assert grown["statistics"]["decisions"] > 0
-                assert server.counters["cache_seeded"] == 2
+                assert grown["statistics"]["clauses_imported"] == 0
+                assert server.counters["cache_seeded"] == 1
                 assert server.counters["cache_served"] == 0
         run(body())
 
@@ -323,22 +325,27 @@ class TestCacheIntegration:
             async with SynthesisServer(policy=INLINE, cache=cache) as server:
                 client = ServiceClient(server)
                 # Under one route per app the cold solve's root units
-                # are exported (with all routes it learns nothing, and
-                # an entry with nothing to import resolves to a miss).
+                # are exported, yet the grown request, another
+                # fingerprint, misses: nothing of the entry seeds it.
                 opts = SynthesisOptions(routes=1)
                 await client.solve(family_problem([0, 1]), opts)
                 grown = await client.solve(family_problem([0, 1, 2]), opts)
                 assert grown["type"] == "result"
-                assert grown["cache"]["hit"] == "subset"
-                assert grown["statistics"]["clauses_imported"] > 0
+                assert grown["status"] == "sat"
+                assert grown["cache"]["hit"] is None
+                assert grown["statistics"]["clauses_imported"] == 0
                 # The grown problem's own knowledge is stored too.
                 assert cache.counters["stores"] == 2
+                assert cache.counters["misses"] == 2
         run(body())
 
     def test_route_limited_entry_never_refutes_all_routes(self, tmp_path):
         # Regression: the routes=1 entry's veto names route indices, and
-        # index 0 of the all-routes list was the detour, so this warm
-        # solve used to answer unsat.
+        # index 0 of the all-routes list was the detour, so a solve
+        # seeded with it used to answer unsat.  The all-routes request
+        # has another fingerprint, so it now misses; the pool-level
+        # guard is tests/portfolio/test_status_matrix.py::
+        # test_shared_knowledge_names_routes_by_the_same_index.
         async def body():
             cache = KnowledgeCache(tmp_path)
             async with SynthesisServer(policy=INLINE, cache=cache) as server:
@@ -347,8 +354,9 @@ class TestCacheIntegration:
                                              SynthesisOptions(routes=1))
                 assert limited["status"] == "unsat"
                 complete = await client.solve(detour_problem())
-                assert complete["cache"]["hit"] == "equal"
+                assert complete["cache"]["hit"] is None
                 assert complete["status"] == "sat"
+                assert cache.counters["stores"] == 2
         run(body())
 
     def test_stats_shape(self, tmp_path):
@@ -463,6 +471,52 @@ class TestTcp:
                 assert replies[1]["id"] == "bad" or replies[0]["id"] == "bad"
         run(body())
 
+    @pytest.mark.parametrize("field,value", [
+        ("deadline", "5"), ("deadline", [5]), ("deadline", {"s": 5}),
+        ("deadline", float("nan")), ("deadline", float("inf")),
+        ("deadline", True), ("deadline", 10 ** 400),
+        ("options", {"routes": "2"}), ("options", {"max_conflicts": "9"}),
+        ("options", {"routes": True}), ("options", {"stages": 2.5}),
+        ("apps", "x"),
+    ], ids=["deadline-str", "deadline-list", "deadline-object",
+            "deadline-nan", "deadline-inf", "deadline-true",
+            "deadline-huge", "routes-str", "max_conflicts-str",
+            "routes-true", "stages-float", "apps-str"])
+    def test_mistyped_solve_field_gets_an_error_and_the_connection_lives(
+            self, field, value):
+        frame = {"op": "solve", "id": "bad",
+                 "problem": problem_to_wire(family_problem([0]))}
+        if field == "apps":
+            frame["problem"]["apps"] = value
+        else:
+            frame[field] = value
+
+        async def body():
+            async with SynthesisServer(policy=INLINE) as server:
+                host, port = await server.serve_tcp()
+                replies = await request_over_tcp(
+                    host, port, [frame, {"op": "stats"}], timeout=10.0)
+                assert [r["type"] for r in replies] == ["error", "stats"]
+                assert replies[0]["id"] == "bad"
+                assert replies[1]["metrics"]["requests"]["admitted"] == 0
+        run(body())
+
+    def test_integer_too_long_to_parse_gets_an_error(self):
+        async def body():
+            async with SynthesisServer(policy=INLINE) as server:
+                host, port = await server.serve_tcp()
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(b'{"op": "solve", "id": "big", "deadline": '
+                             + b"1" * 5000 + b"}\n"
+                             + encode_frame({"op": "stats"}))
+                replies = [json.loads(await asyncio.wait_for(
+                    reader.readline(), 10.0)) for _ in range(2)]
+                writer.close()
+                await writer.wait_closed()
+                assert [r["type"] for r in replies] == ["error", "stats"]
+                assert "undecodable frame" in replies[0]["error"]
+        run(body())
+
     def test_zero_denominator_gets_an_error_and_the_connection_lives(self):
         async def body():
             async with SynthesisServer(policy=INLINE) as server:
@@ -507,7 +561,10 @@ class TestTcp:
             async with SynthesisServer(policy=INLINE) as server:
                 host, port = await server.serve_tcp()
                 replies = await request_over_tcp(
-                    host, port, [{"op": "cancel", "id": "ghost"}])
+                    host, port, [{"op": "cancel", "id": "ghost"},
+                                 {"op": "cancel", "id": ["ghost"]}])
                 assert replies == [{"type": "ack", "op": "cancel",
-                                    "id": "ghost", "found": False}]
+                                    "id": "ghost", "found": False},
+                                   {"type": "ack", "op": "cancel",
+                                    "id": ["ghost"], "found": False}]
         run(body())
