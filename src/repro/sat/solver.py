@@ -30,6 +30,14 @@ callback fires at every restart boundary (and once more on a
 the assumption level, so level-0 facts and the learned-clause database
 are safe to export.
 
+A solver built without a theory (``SatSolver()``) is plain CDCL and
+makes no theory call at all; :meth:`SatSolver.attach_theory` hands it
+one at decision level 0, and the next solve feeds that theory the root
+trail from position 0, so the theory sees every trail literal in order
+however late it arrives.  The SMT layer attaches its theory when the
+first arithmetic atom registers, so a purely propositional session
+never pays for one.
+
 The theory backend protocol (all methods optional, see
 :class:`TheoryBackend`):
 
@@ -75,6 +83,25 @@ derivations.  A solver with no marked variable is plain CDCL: nothing is
 ever parked and the full-trail test ends the search before the heap is
 consulted (``tests/sat/test_differential.py`` pins its trajectories to
 the frozen reference solver).
+
+Root-satisfied clauses.  A problem clause with a literal true at level 0
+can never propagate or conflict again: root assignments are never
+undone.  At the start of a solve, after the level-0 propagation, every
+such clause leaves the core (MiniSat's ``removeSatisfied``) when the
+root trail has grown since the last pass and the propagations since
+then at least equal the live literals that pass left (MiniSat's
+``simpDB_props``: a run of cheap checks does not pay one full scan
+each).  The clause is marked dead in the arena, dropped from
+``_clauses`` and the relevancy ``_occurs`` lists, and any root reason
+naming it is cleared before a compaction can reissue its id.  This is
+what makes a popped scope cheap: ``pop()`` asserts the negated
+activation literal at the root, and a later solve deletes the scope's
+clauses instead of propagating through them for good.  The pass is
+search-neutral.  Such a clause only ever moves its own watches, the
+learnt-clause cap keeps counting every problem clause ever stored, and
+the occurrence lists lose only clauses that are never open.  Learnt
+clauses are kept: deleting them would change what ``_reduce_db`` sees,
+and so the search.
 """
 
 from __future__ import annotations
@@ -92,7 +119,7 @@ TheoryImplication = Tuple[int, Tuple[int, ...]]
 
 
 class TheoryBackend:
-    """No-op theory backend: plain SAT solving."""
+    """The theory protocol, every hook a no-op (subclass and override)."""
 
     def on_assert(self, literal: int) -> Optional[List[int]]:
         """Observe a newly asserted trail literal; return a conflict or None."""
@@ -183,7 +210,8 @@ class SatSolver:
     """
 
     def __init__(self, theory: Optional[TheoryBackend] = None):
-        self.theory = theory or TheoryBackend()
+        #: None until :meth:`attach_theory`: plain SAT, no theory calls.
+        self.theory = theory
         self._nvars = 0
         # Indexed by variable (1-based; index 0 unused).
         self._assigns: List[int] = [UNASSIGNED]
@@ -200,7 +228,14 @@ class SatSolver:
         self._trail_lim: List[int] = []
         self._qhead = 0
         self._arena = ClauseArena()
+        # Live problem clauses; the learnt-clause cap counts every
+        # problem clause ever stored, removed ones included.
         self._clauses: List[int] = []
+        self._clauses_stored = 0
+        # Root trail length at the last root-satisfied clause removal,
+        # and the propagation count the next one waits for.
+        self._root_removed_at = 0
+        self._next_removal = 0
         self._learnts: List[int] = []
         self._var_inc = 1.0
         self._var_decay = 0.95
@@ -294,6 +329,18 @@ class SatSolver:
                 f"variable {var} must be marked before it occurs in a clause")
         self._occurs[var] = []
 
+    def attach_theory(self, theory: TheoryBackend) -> None:
+        """Start driving ``theory``; the solver ran plain SAT until now.
+
+        Only at decision level 0: the next :meth:`solve` feeds it the
+        trail from position 0, so it sees every root literal in trail
+        order and its undo marks line up with trail positions.
+        """
+        if self._trail_lim:
+            raise SolverError("a theory may only be attached at decision level 0")
+        self.theory = theory
+        self._theory_qhead = 0
+
     def add_clause(self, lits: Iterable[int]) -> bool:
         """Add a clause of internal literals.
 
@@ -338,6 +385,7 @@ class SatSolver:
             return True
         handle = self._arena.new_clause(out, learnt=False)
         self._clauses.append(handle)
+        self._clauses_stored += 1
         self._attach(handle)
         occurs = self._occurs
         for l in out:
@@ -839,7 +887,8 @@ class SatSolver:
         self._unpark(level)
         self._qhead = len(self._trail)
         self._theory_qhead = min(self._theory_qhead, keep)
-        self.theory.on_backjump(keep)
+        if self.theory is not None:
+            self.theory.on_backjump(keep)
 
     # ------------------------------------------------------------------
     # Theory interaction
@@ -917,6 +966,51 @@ class SatSolver:
         if arena.wasted and arena.wasted * 2 >= len(arena.lits):
             self._compact()
 
+    def _remove_root_satisfied(self) -> None:
+        """Delete every problem clause with a literal true at level 0.
+
+        MiniSat's ``removeSatisfied``, run by :meth:`solve` at level 0.
+        Such a clause can never propagate or conflict again, so dropping
+        it leaves the search alone (module docstring, *Root-satisfied
+        clauses*).  It goes from ``_clauses`` and the ``_occurs`` lists,
+        and a root reason naming it is cleared before compaction can
+        reissue its id.
+        """
+        arena = self._arena
+        lits, off, size = arena.lits, arena.off, arena.size
+        lvals = self._lvals
+        occurs = self._occurs
+        kept: List[int] = []
+        touched = set()
+        for c in self._clauses:
+            o = off[c]
+            end = o + size[c]
+            for k in range(o, end):
+                if lvals[lits[k]] == 1:
+                    break
+            else:
+                kept.append(c)
+                continue
+            arena.delete(c)
+            for k in range(o, end):
+                v = lits[k] >> 1
+                if occurs[v] is not None:
+                    touched.add(v)
+        if len(kept) < len(self._clauses):
+            self._clauses = kept
+            dead = arena.dead
+            for v in touched:
+                occurs[v] = [h for h in occurs[v] if not dead[h]]
+            reasons = self._reasons
+            for l in self._trail:
+                r = reasons[l >> 1]
+                if type(r) is int and dead[r]:
+                    reasons[l >> 1] = None
+            if arena.wasted * 2 >= len(lits):
+                self._compact()
+        self._root_removed_at = len(self._trail)
+        self._next_removal = self._propagations + arena.live_literals
+
     def _compact(self) -> None:
         """Purge dead handles from every watcher list, then repack the arena.
 
@@ -965,19 +1059,23 @@ class SatSolver:
         if conflict is not None:
             self._ok = False
             return False
+        if (len(self._trail) > self._root_removed_at
+                and self._propagations >= self._next_removal):
+            self._remove_root_satisfied()
         restart_count = 0
         conflict_budget = 100 * luby(restart_count + 1)
         conflicts_here = 0
         conflicts_at_entry = self._conflicts
-        base = max(1000, int(len(self._clauses) * self._max_learnts_factor))
+        base = max(1000, int(self._clauses_stored * self._max_learnts_factor))
         if self._max_learnts is None or self._max_learnts < base:
             self._max_learnts = float(base)
         assumptions = list(assumptions)
+        theory = self.theory
 
         while True:
             conflict = self._propagate()
             learned_from_theory: Optional[List[int]] = None
-            if conflict is None:
+            if conflict is None and theory is not None:
                 start = self._theory_head()
                 theory_clause = self._theory_notify(start)
                 if theory_clause is not None:
@@ -1064,7 +1162,7 @@ class SatSolver:
             if v == 0:
                 # Nothing left to decide: every variable is assigned or a
                 # parked don't-care (module docstring, *Relevancy*).
-                final = self.theory.final_check()
+                final = None if theory is None else theory.final_check()
                 if final is not None:
                     clause = [neg(l) for l in final]
                     self._conflicts += 1

@@ -40,7 +40,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.seeding import Knowledge, StrategySignature
 from ..runtime.knowledge import validate_knowledge
-from . import fingerprint as fp
 from .protocol import schedules_from_wire
 
 #: On-disk schema version; bump on incompatible layout changes (old
@@ -242,30 +241,34 @@ class KnowledgeCache:
     # Lookup / store
     # ------------------------------------------------------------------
 
-    def lookup(self, problem, options=None) -> Optional[CacheEntry]:
-        """The entry stored under the request's fingerprint, or None.
+    def lookup(self, fingerprint: str) -> Optional[CacheEntry]:
+        """The entry stored under ``fingerprint``, or None.
 
-        A hit refreshes the entry's recency; its knowledge seeds the
-        request even when empty, because it is this very formula's.
+        ``fingerprint`` is the request's
+        :func:`~repro.service.fingerprint.problem_fingerprint`, which the
+        caller computes once and passes to :meth:`store` too.  A hit
+        refreshes the entry's recency; its knowledge seeds the request
+        even when empty, because it is this very formula's.
         """
-        key = fp.problem_fingerprint(problem, options)
-        entry = self._entries.get(key)
+        entry = self._entries.get(fingerprint)
         if entry is None:
             self.counters["misses"] += 1
             return None
-        self._touch(key)
+        self._touch(fingerprint)
         self.counters["exact_hits"] += 1
         return entry
 
-    def store(self, problem, options, status: str,
+    def store(self, fingerprint: str, options, status: str,
               knowledge: Optional[Knowledge] = None,
               work: Optional[Dict[str, int]] = None,
               schedules: Optional[List[dict]] = None
               ) -> Optional[CacheEntry]:
         """Write one completed request's knowledge back (LRU insert).
 
-        ``knowledge`` is what the solve of ``options`` exported (None:
-        nothing).  ``unknown`` results with no clauses are not stored.
+        ``fingerprint`` is the key :meth:`lookup` took for the request,
+        ``options`` its options.  ``knowledge`` is what the solve of
+        ``options`` exported (None: nothing).  ``unknown`` results with
+        no clauses are not stored.
         An existing entry for the same fingerprint is replaced (the
         fresh solve's knowledge supersedes it).  ``schedules`` (the
         ``schedules_to_wire`` form) is recorded for a ``sat`` only.
@@ -276,7 +279,7 @@ class KnowledgeCache:
                 and not getattr(knowledge, "clauses", ())):
             return None
         entry = CacheEntry(
-            fingerprint=fp.problem_fingerprint(problem, options),
+            fingerprint=fingerprint,
             status=status,
             knowledge=knowledge,
             schedules=(list(schedules) if status == "sat" and schedules

@@ -223,6 +223,14 @@ def schedules_from_wire(wire: object) -> Dict[str, MessageSchedule]:
 # ---------------------------------------------------------------------------
 
 
+def is_positive_seconds(value) -> bool:
+    """True for a finite positive ``int`` or ``float``, never a ``bool``:
+    the test every deadline in seconds passes, on the wire or in a
+    server policy."""
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and 0 < value <= sys.float_info.max)
+
+
 @dataclass
 class SynthesisRequest:
     """One admitted solve request (in-process or decoded from the wire).
@@ -245,10 +253,7 @@ class SynthesisRequest:
         if not self.id or not isinstance(self.id, str):
             raise ProtocolError("request id must be a non-empty string")
         deadline = self.deadline
-        if deadline is not None and (
-                isinstance(deadline, bool)
-                or not isinstance(deadline, (int, float))
-                or not 0 < deadline <= sys.float_info.max):
+        if deadline is not None and not is_positive_seconds(deadline):
             raise ProtocolError(f"deadline must be a finite positive "
                                 f"number of seconds, got {deadline!r:.40}")
 

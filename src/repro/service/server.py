@@ -52,9 +52,10 @@ from ..core.solution import Solution
 from ..core.synthesizer import MODE_STABILITY, WORK_COUNTERS
 from ..core.validator import collect_violations
 from ..runtime.supervision import SupervisionPolicy, Supervisor
+from . import fingerprint as fp
 from .cache import CacheEntry, KnowledgeCache
 from .protocol import (ProtocolError, SynthesisRequest, decode_frame,
-                       encode_frame, request_from_wire,
+                       encode_frame, is_positive_seconds, request_from_wire,
                        schedules_from_wire, schedules_to_wire)
 from .workers import (InlineWorker, ServiceWorker, WorkerCrashed,
                       WorkerStalled)
@@ -89,8 +90,10 @@ class ServicePolicy:
             raise ValueError("max_queue must be >= 1")
         if self.worker_mode not in ("process", "inline"):
             raise ValueError(f"unknown worker_mode {self.worker_mode!r}")
-        if self.default_deadline is not None and self.default_deadline <= 0:
-            raise ValueError("default_deadline must be positive")
+        if (self.default_deadline is not None
+                and not is_positive_seconds(self.default_deadline)):
+            raise ValueError("default_deadline must be a finite positive "
+                             "number of seconds")
 
 
 class _Pending:
@@ -304,9 +307,12 @@ class SynthesisServer:
             return
 
         hit: Optional[CacheEntry] = None
+        fingerprint: Optional[str] = None
         opts = request.options
         if self.cache is not None:
-            hit = self.cache.lookup(request.problem, opts)
+            # Hashed once: the write-back files the result under it too.
+            fingerprint = fp.problem_fingerprint(request.problem, opts)
+            hit = self.cache.lookup(fingerprint)
             if hit is not None and hit.schedules is not None:
                 response = self._serve(request, hit)
                 if response is not None:
@@ -326,7 +332,7 @@ class SynthesisServer:
             None, self._solve_blocking, worker, pending, opts)
         solve_wall = time.perf_counter() - now
         response = self._classify(pending, payload, hit)
-        self._write_back(request, payload, response, hit)
+        self._write_back(request, fingerprint, payload, response, hit)
         self._finish(pending, response, queue_wait, solve_wall, attempts)
 
     def _serve(self, request: SynthesisRequest,
@@ -458,9 +464,10 @@ class SynthesisServer:
             "cache": cache_info,
         }
 
-    def _write_back(self, request: SynthesisRequest, payload: dict,
+    def _write_back(self, request: SynthesisRequest,
+                    fingerprint: Optional[str], payload: dict,
                     response: dict, hit: Optional[CacheEntry]) -> None:
-        if self.cache is None or response["type"] != "result":
+        if fingerprint is None or response["type"] != "result":
             return
         stats = payload.get("statistics", {}) or {}
         if hit is not None and hit.work:
@@ -477,7 +484,7 @@ class SynthesisServer:
                 status == "sat" and hit.schedules is None):
             return  # the entry is already this problem's knowledge
         self.cache.store(
-            request.problem, request.options, status,
+            fingerprint, request.options, status,
             knowledge=payload.get("knowledge"),
             work={key: stats.get(key, 0) for key in WORK_COUNTERS},
             schedules=payload.get("schedules"),

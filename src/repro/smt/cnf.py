@@ -83,6 +83,24 @@ class CnfConverter:
         else:
             self._sat.add_clause([self.literal_for(expr)])
 
+    def assert_guarded(self, guard: BoolVar, expr: BoolExpr) -> None:
+        """Assert ``guard -> expr`` as the one clause ``[~guard] + literals``.
+
+        The clause :meth:`assert_formula` makes of ``Or(Not(guard),
+        expr)``, built without the term: a disjunction contributes its
+        children's literals, ``True`` adds nothing (and allocates no
+        guard variable), ``False`` the unit ``~guard``.
+        """
+        kind = type(expr)
+        if kind is BoolConst:
+            if not expr.value:
+                self._sat.add_clause([self.literal_for(guard) ^ 1])
+            return
+        off = self.literal_for(guard) ^ 1
+        literal_for = self.literal_for
+        args = expr.args if kind is OrExpr else (expr,)
+        self._sat.add_clause([off] + [literal_for(a) for a in args])
+
     # ------------------------------------------------------------------
 
     def literal_for(self, expr: BoolExpr) -> int:
@@ -144,6 +162,8 @@ class CnfConverter:
             self._atom_vars[key] = v
             self._atom_objects[atom] = v
             self._origins[v] = atom
+            if self._sat.theory is None:
+                self._sat.attach_theory(self._theory)
             self._theory.register_atom(atom, v)
         return v
 

@@ -19,7 +19,8 @@ Scopes are realized with activation literals (the MiniSat idiom): each
 ``push()`` allocates a fresh selector, assertions inside the scope are
 guarded by it, ``check()`` assumes every live selector, and ``pop()``
 permanently asserts its negation so the scope's clauses become vacuous
-while everything learned from them remains valid.
+(a later ``check()`` deletes them from the SAT core) while everything
+learned from them remains valid.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .terms import (
     LinExpr,
     Not,
     NotExpr,
-    Or,
     OrExpr,
     RealVar,
     deserialize_literal,
@@ -217,8 +217,10 @@ class SolverEngine:
     def __init__(self, theory_propagation: bool = True,
                  on_restart=None,
                  max_conflicts: Optional[int] = None) -> None:
+        # The SAT core runs theory-free until the first atom registers
+        # (CnfConverter attaches the theory then).
         self._theory = LraTheory(propagation=theory_propagation)
-        self._sat = SatSolver(self._theory)
+        self._sat = SatSolver()
         self._cnf = CnfConverter(self._sat, self._theory)
         self._model: Optional[Model] = None
         # Scope stack: one activation variable per open push().  (The
@@ -287,9 +289,11 @@ class SolverEngine:
     def pop(self, n: int = 1) -> None:
         """Retract the ``n`` innermost scopes and their assertions.
 
-        The scope's clauses stay in the SAT core but are disabled for good
-        by asserting the negated activation literal, so clauses *learned*
-        while the scope was live remain usable afterwards.
+        The scope is disabled for good by asserting the negated
+        activation literal at the root; a later check deletes the
+        scope's clauses from the SAT core (they are satisfied at level
+        0), while clauses *learned* while the scope was live stay and
+        remain usable afterwards.
         """
         if n < 0 or n > len(self._scopes):
             raise SolverError(
@@ -314,7 +318,7 @@ class SolverEngine:
             if not isinstance(expr, BoolExpr):
                 raise SolverError(f"cannot assert non-Boolean {expr!r}")
             if self._scopes:
-                self._cnf.assert_formula(Or(Not(self._scopes[-1]), expr))
+                self._cnf.assert_guarded(self._scopes[-1], expr)
             else:
                 self._cnf.assert_formula(expr)
 
@@ -357,7 +361,9 @@ class SolverEngine:
                 bv: self._sat.model_value(satvar)
                 for bv, satvar in self._cnf.bool_vars.items()
             }
-            self._model = Model(bools, self._theory.model_reals)
+            reals = (self._theory.model_reals
+                     if self._sat.theory is not None else {})
+            self._model = Model(bools, reals)
             return sat
         self._core_scope_lits = scope_lits
         self._core_by_lit = by_lit

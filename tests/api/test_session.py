@@ -134,6 +134,54 @@ class TestScopes:
         assert s.check(b) == "sat"
 
 
+    def test_false_in_a_scope_is_retracted_by_its_pop(self):
+        x, y, a, b = fresh("sc4")
+        s = Session()
+        s.add(a)
+        s.push()
+        s.add(False)
+        assert s.check() == "unsat"
+        s.pop()
+        assert s.check() == "sat"
+
+    def test_first_atoms_after_boolean_checks(self):
+        """The theory attaches at the first atom, after Boolean-only
+        push/add/pop/check rounds left literals on the root trail; it
+        must see them in trail order before the atoms' own."""
+        x, y, a, b = fresh("sc5")
+        s = Session()
+        s.add(Or(a, b), Not(a))
+        s.push()
+        s.add(a)
+        assert s.check() == "unsat"
+        s.pop()
+        assert s.check() == "sat"
+        engine = s.backend.engine
+        assert engine._sat.theory is None
+        assert engine._sat.root_literals()
+        s.push()
+        s.add(x - y <= -1, y - x <= -1)
+        assert engine._sat.theory is not None
+        assert s.check() == "unsat"
+        s.pop()
+        # b is true at the root, so this asserts the atom at level 0.  A
+        # theory that missed the root literals would still hold the
+        # scope's x - y <= -1 here and answer unsat.
+        s.add(Or(Not(b), y - x <= -1))
+        out = s.check()
+        assert out == "sat"
+        assert out.model[y] - out.model[x] <= -1
+
+    def test_atom_free_model_has_no_reals(self):
+        x, y, a, b = fresh("sc6")
+        s = Session()
+        s.add(Or(a, b))
+        out = s.check()
+        assert out == "sat"
+        assert out.model.reals == {}
+        assert s.backend.engine._sat.theory is None
+
+
 class TestSerializationBackend:
     def test_native_replay_matches_native(self):
         x, y, a, b = fresh("sz1")

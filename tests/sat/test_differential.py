@@ -224,3 +224,46 @@ def test_hard_random_instances_near_phase_transition(seed):
         assert oracle.add_clause(list(clause))
     _assert_in_lockstep(arena, oracle, arena.solve(), oracle.solve(),
                         f"(seed={seed})")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_scopes_disabled_by_root_units(seed):
+    """Pop emulation: each scope is disabled for good by a root unit.
+
+    Scope k is a planted random 3-SAT formula at the threshold ratio
+    (4.3 clauses per variable), and its clauses all carry the
+    disabling literal ``a_k``; it is solved under ``~a_k``, then the root
+    unit ``a_k`` retires it, and the next scope's clauses and solve
+    follow, as after a session's ``pop()``.  The arena solver deletes
+    every problem clause satisfied at the root at its next solve, while
+    the reference keeps them: the counters, ``max_learnts`` included,
+    must still agree, and the arena's live problem clauses must shrink.
+    3,120 clauses are stored, so the learnt-clause cap is above its
+    floor of 1,000 only if it counts the deleted clauses too.
+    """
+    rng = random.Random(9900 + seed)
+    num_problem_vars, n_scopes, per_scope = 60, 12, 260
+    arena, oracle = _new_pair(num_problem_vars + n_scopes)
+    act = [num_problem_vars + 1 + k for k in range(n_scopes)]
+    for k in range(n_scopes):
+        planted = [rng.random() < 0.5 for _ in range(num_problem_vars + 1)]
+        added = 0
+        while added < per_scope:
+            vs = rng.sample(range(1, num_problem_vars + 1), k=3)
+            clause = [lit(v, rng.random() < 0.5) for v in vs]
+            if not any((l & 1 == 0) == planted[l >> 1] for l in clause):
+                continue
+            clause.append(lit(act[k], True))
+            assert arena.add_clause(list(clause))
+            assert oracle.add_clause(list(clause))
+            added += 1
+        assumptions = [lit(act[k], False)]
+        _assert_in_lockstep(arena, oracle, arena.solve(list(assumptions)),
+                            oracle.solve(list(assumptions)),
+                            f"(seed={seed}, scope={k})")
+        assert arena.add_clause([lit(act[k], True)])
+        assert oracle.add_clause([lit(act[k], True)])
+    _assert_in_lockstep(arena, oracle, arena.solve(), oracle.solve(),
+                        f"(seed={seed}, all retired)")
+    assert oracle.statistics["max_learnts"] > 1000
+    assert arena.num_clauses < oracle.num_clauses

@@ -83,8 +83,8 @@ def store_family(cache, indices, status="sat", route_veto=(), **kwargs):
     options = SynthesisOptions()
     knowledge = Knowledge(options.signature, clauses=CLAUSES,
                           route_veto=route_veto)
-    entry = cache.store(problem, options, status, knowledge=knowledge,
-                        **kwargs)
+    entry = cache.store(problem_fingerprint(problem, options), options,
+                        status, knowledge=knowledge, **kwargs)
     assert entry is not None
     return problem, entry
 
@@ -93,9 +93,9 @@ class TestLookup:
     def test_miss_then_exact_hit(self, tmp_path):
         cache = KnowledgeCache(tmp_path)
         problem = family_problem([0, 1])
-        assert cache.lookup(problem) is None
+        assert cache.lookup(problem_fingerprint(problem)) is None
         _, entry = store_family(cache, [0, 1])
-        assert cache.lookup(problem) is entry
+        assert cache.lookup(problem_fingerprint(problem)) is entry
         assert entry.knowledge.clauses
         assert cache.counters["exact_hits"] == 1
         assert cache.counters["misses"] == 1
@@ -108,30 +108,30 @@ class TestLookup:
         # The cached apps are a subset of the request's: a miss.
         cache = KnowledgeCache(tmp_path)
         store_family(cache, [0, 1], status="sat", route_veto=VETO)
-        assert cache.lookup(family_problem([0, 1, 2])) is None
+        assert cache.lookup(problem_fingerprint(family_problem([0, 1, 2]))) is None
         assert cache.counters["misses"] == 1
         assert cache.counters["ancestor_hits"] == 0
 
     def test_superset_ancestor_is_a_miss(self, tmp_path):
         cache = KnowledgeCache(tmp_path)
         store_family(cache, [0, 1, 2], route_veto=VETO)
-        assert cache.lookup(family_problem([0, 1])) is None
+        assert cache.lookup(problem_fingerprint(family_problem([0, 1]))) is None
         assert cache.counters["misses"] == 1
         assert cache.counters["ancestor_hits"] == 0
 
     def test_incomparable_sets_miss(self, tmp_path):
         cache = KnowledgeCache(tmp_path)
         store_family(cache, [0, 1])
-        assert cache.lookup(family_problem([2, 3])) is None
+        assert cache.lookup(problem_fingerprint(family_problem([2, 3]))) is None
         assert cache.counters["misses"] == 1
 
     def test_options_bucket_is_respected(self, tmp_path):
         cache = KnowledgeCache(tmp_path)
         problem, _ = store_family(cache, [0, 1])
         # Same problem under another mode or route limit: a miss.
-        assert cache.lookup(problem,
-                            SynthesisOptions(mode="deadline")) is None
-        assert cache.lookup(problem, SynthesisOptions(routes=1)) is None
+        for options in (SynthesisOptions(mode="deadline"),
+                        SynthesisOptions(routes=1)):
+            assert cache.lookup(problem_fingerprint(problem, options)) is None
         assert cache.counters["misses"] == 2
 
     def test_best_ancestor_wins(self, tmp_path):
@@ -139,14 +139,15 @@ class TestLookup:
         cache = KnowledgeCache(tmp_path)
         store_family(cache, [0])
         store_family(cache, [0, 1, 2])
-        assert cache.lookup(family_problem([0, 1, 2, 3])) is None
+        assert cache.lookup(problem_fingerprint(family_problem([0, 1, 2, 3]))) is None
         assert cache.counters["misses"] == 1
         assert cache.counters["exact_hits"] == 0
 
     def test_unknown_without_clauses_not_stored(self, tmp_path):
         cache = KnowledgeCache(tmp_path)
-        assert cache.store(family_problem([0]), SynthesisOptions(),
-                           "unknown") is None
+        options = SynthesisOptions()
+        assert cache.store(problem_fingerprint(family_problem([0]), options),
+                           options, "unknown") is None
         assert len(cache) == 0
 
     def test_junk_knowledge_is_quarantined_on_store(self, tmp_path):
@@ -159,9 +160,11 @@ class TestLookup:
             Knowledge(SynthesisOptions(routes=1).signature, clauses=CLAUSES),
             {"clauses": CLAUSES, "route_veto": None},
         ]
+        options = SynthesisOptions()
+        key = problem_fingerprint(family_problem([0]), options)
         for knowledge in junk:
-            assert cache.store(family_problem([0]), SynthesisOptions(),
-                               "sat", knowledge=knowledge) is None
+            assert cache.store(key, options, "sat",
+                               knowledge=knowledge) is None
         assert len(cache) == 0
         assert cache.counters["quarantined_entries"] == len(junk)
 
@@ -171,7 +174,7 @@ class TestPersistence:
         cache = KnowledgeCache(tmp_path)
         problem, entry = store_family(cache, [0, 1], route_veto=VETO)
         reloaded = KnowledgeCache(tmp_path)
-        hit = reloaded.lookup(problem)
+        hit = reloaded.lookup(problem_fingerprint(problem))
         assert hit is not None
         assert hit.knowledge == entry.knowledge
 
@@ -192,7 +195,7 @@ class TestPersistence:
         assert cache.counters["quarantined_entries"] == 0
         options = SynthesisOptions(routes=2)
         problem = family_problem([0, 1])
-        hit = cache.lookup(problem, options)
+        hit = cache.lookup(problem_fingerprint(problem, options))
         assert hit is not None
         assert hit.knowledge == Knowledge(options.signature,
                                           clauses=CLAUSES, route_veto=VETO)
@@ -265,7 +268,7 @@ class TestPersistence:
         path.write_text(json.dumps(payload, sort_keys=True) + "\n")
         reloaded = KnowledgeCache(tmp_path)
         assert reloaded.counters["quarantined_entries"] == 0
-        hit = reloaded.lookup(problem)
+        hit = reloaded.lookup(problem_fingerprint(problem))
         assert hit is not None
         assert hit.knowledge.clauses == CLAUSES
         assert hit.knowledge.route_veto == VETO
@@ -274,7 +277,7 @@ class TestPersistence:
         cache = KnowledgeCache(tmp_path)
         problem, entry = store_family(cache, [0, 1], schedules=SCHEDULES)
         assert entry.schedules == SCHEDULES
-        hit = KnowledgeCache(tmp_path).lookup(problem)
+        hit = KnowledgeCache(tmp_path).lookup(problem_fingerprint(problem))
         assert hit is not None and hit.schedules == SCHEDULES
 
     def test_schedules_are_recorded_for_sat_only(self, tmp_path):
@@ -320,7 +323,7 @@ class TestEviction:
         p0, e0 = store_family(cache, [0])
         p1, _ = store_family(cache, [1])
         # Touch p0 so p1 becomes the coldest.
-        assert cache.lookup(p0) is not None
+        assert cache.lookup(problem_fingerprint(p0)) is not None
         store_family(cache, [2])
         assert len(cache) == 2
         assert e0.fingerprint in cache

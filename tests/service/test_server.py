@@ -21,6 +21,7 @@ from repro.service import (
     SynthesisRequest,
     SynthesisServer,
     encode_frame,
+    fingerprint,
     problem_from_wire,
     problem_to_wire,
     request_over_tcp,
@@ -176,7 +177,42 @@ class TestSolve:
         run(body())
 
 
+    @pytest.mark.parametrize("deadline", [float("nan"), float("inf"), True])
+    def test_default_deadline_must_be_finite_positive_seconds(self,
+                                                              deadline):
+        with pytest.raises(ValueError):
+            ServicePolicy(default_deadline=deadline)
+
+    @pytest.mark.parametrize("deadline", [5, 0.5])
+    def test_default_deadline_accepts_int_and_float(self, deadline):
+        assert ServicePolicy(default_deadline=deadline).default_deadline \
+            == deadline
+
+
 class TestCacheIntegration:
+    def test_one_fingerprint_per_miss_and_write_back(self, tmp_path,
+                                                     monkeypatch):
+        calls = []
+        real = fingerprint.problem_fingerprint
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fingerprint, "problem_fingerprint", counted)
+
+        async def body():
+            cache = KnowledgeCache(tmp_path)
+            async with SynthesisServer(policy=INLINE, cache=cache) as server:
+                reply = await ServiceClient(server).solve(
+                    moderate_problem(), MODERATE_OPTS)
+                assert reply["status"] == "sat"
+                assert reply["cache"]["hit"] is None
+                assert cache.counters["misses"] == 1
+                assert cache.counters["stores"] == 1
+        run(body())
+        assert len(calls) == 1
+
     def test_exact_sat_repeat_is_served_and_certifies(self, tmp_path):
         async def body():
             cache = KnowledgeCache(tmp_path)

@@ -86,6 +86,37 @@ class TestScopes:
         assert s.check() == sat
 
 
+def _clause_stream(assert_in_scope, prefix):
+    """Clauses (and the variable count) one scoped assertion emits."""
+    engine = SolverEngine()
+    clauses = []
+    add_clause = engine._sat.add_clause
+
+    def recording(lits):
+        clauses.append(list(lits))
+        return add_clause(lits)
+
+    engine._sat.add_clause = recording
+    x, y = Real(f"{prefix}_x"), Real(f"{prefix}_y")
+    a, b = Bool(f"{prefix}_a"), Bool(f"{prefix}_b")
+    engine.add(Or(a, x <= 1))
+    engine.push()
+    for expr in (Or(a, Not(b), x - y <= 2), And(a, y >= 0), x <= 3,
+                 Not(b), b, Or(a, And(b, x >= 1)), True, False):
+        assert_in_scope(engine, expr)
+    return clauses, engine._sat.num_vars
+
+
+def test_guarded_clause_is_the_clause_of_or_not_scope():
+    """``add`` inside a scope emits exactly the clauses, literal order and
+    variable numbering that asserting ``Or(Not(scope), expr)`` emits."""
+    direct = _clause_stream(lambda e, expr: e.add(expr), "gc1")
+    via_term = _clause_stream(
+        lambda e, expr: e._cnf.assert_formula(Or(Not(e._scopes[-1]), expr)),
+        "gc1")
+    assert direct == via_term
+
+
 class TestAssumptions:
     def test_assumption_literal(self):
         s = SolverEngine()
