@@ -19,7 +19,9 @@ Transposition (6)       along each candidate route: ``sel -> gamma_next >=
                         gamma_prev + sd + ld`` (sensor release anchored at
                         the sampling instant ``j h_i``)
 No-loop (7)             by construction (simple paths)
-Route (8)               one-hot selection over the candidate set
+Route (8)               one-hot selection over the encoded routes; in
+                        complete mode (``routes=None``) "or a route not
+                        encoded yet" (``beyond``), see below
 Stability (9)+(10)      ``Lmin/Lmax`` bounded by every message's e2e --
                         per-route rows for open messages, constants for
                         frozen ones -- plus the piecewise segments of
@@ -29,6 +31,35 @@ Stability (9)+(10)      ``Lmin/Lmax`` bounded by every message's e2e --
 Implicit deadline       ``e2e <= h_i`` (both modes; makes one-hyper-period
                         contention analysis exact)
 =====================  =====================================================
+
+Lazy routes (complete mode)
+---------------------------
+
+With a route limit K every message gets its first K routes of
+:func:`~repro.network.paths.yen_routes`.  Without one (the paper's basic
+formulation, every simple route a candidate) a message starts with only
+its shortest route plus one fresh *beyond* literal, "m uses a route not
+encoded yet" (:attr:`MessagePlan.beyond`).  The driver checks under the
+negation of every beyond literal (:attr:`MessagePlan.within`); when an
+``unsat`` core names one, :meth:`Encoder.extend_route` encodes that
+message's next route under a fresh beyond literal and chains the old one
+to "the new route or beyond it".  Soundness rests on three rules:
+
+1. **Every constraint that needs *some* route of m carries m's beyond
+   literal as a disjunct**: Eq. 8's at-least-one, the ``Lmin``
+   attainment disjunction, and the ``Lmax`` one under ``unstable``.
+   Everything else is per route and guarded by that route's selector.
+   With every beyond literal free the formula is therefore a relaxation
+   of the all-routes one (a message on a route not encoded sets its
+   beyond literal and selects none of its encoded routes), so an
+   ``unsat`` whose core names no beyond literal is a proof about every
+   route, and a ``sat`` under all the assumptions uses encoded routes
+   only.  An extension re-asserts each attainment disjunction over the
+   routes now encoded (``tests/core/test_lazy_routes.py`` pins the list).
+2. **Seeding pads with the beyond literal** (:mod:`repro.core.seeding`).
+3. **No clause that mentions a beyond literal is exported**: the
+   literal's name carries a ``!``, which puts it outside
+   :func:`repro.runtime.knowledge.schedule_vocabulary`.
 """
 
 from __future__ import annotations
@@ -36,12 +67,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..api import Session
 from ..errors import EncodingError
 from ..network.frames import MessageInstance
-from ..network.paths import route_candidates
+from ..network.paths import yen_routes
 from ..smt import (
     And,
     Bool,
@@ -70,13 +101,32 @@ SHARED_NAMESPACE = "p"
 
 @dataclass
 class MessagePlan:
-    """Encoding artifacts for one message being synthesized."""
+    """Encoding artifacts for one message being synthesized.
+
+    ``beyond`` is complete mode's "m uses a route not encoded yet" and
+    ``within`` its negation, the assumption every check makes; both are
+    None under a route limit and once no route is left to encode.
+    """
 
     message: MessageInstance
     routes: List[List[str]]
     selectors: List[BoolExpr]
     gammas: Dict[str, LinExpr]
     e2e_by_route: List[LinExpr]
+    beyond: Optional[BoolExpr] = None
+    within: Optional[BoolExpr] = None
+
+
+@dataclass
+class _StabilityRows:
+    """One ``add_stability_constraints`` call, kept so that a route
+    extension can add its rows and re-assert its attainment."""
+
+    lmin: LinExpr
+    lmax: LinExpr
+    exact_max: bool
+    uids: List[str]
+    frozen: Optional[Tuple[Fraction, Fraction]]
 
 
 class Encoder:
@@ -102,7 +152,11 @@ class Encoder:
         # driver passes SHARED_NAMESPACE); the default stays a fresh
         # counter for ad-hoc encoders.
         self._ns = namespace if namespace is not None else f"q{next(_NAMESPACE)}"
+        # app name -> the routes its generator has yielded so far.
         self._route_cache: Dict[str, List[List[str]]] = {}
+        self._route_streams: Dict[str, Iterator[List[str]]] = {}
+        # app name -> its stability rows (complete mode only).
+        self._stability_rows: Dict[str, List[_StabilityRows]] = {}
         self.plans: Dict[str, MessagePlan] = {}
         # Directed-link usage: (u, v) -> list of
         # (uid, route selector, start-time LinExpr or Fraction)
@@ -118,19 +172,42 @@ class Encoder:
     # ------------------------------------------------------------------
 
     def candidates_for(self, app: ControlApplication) -> List[List[str]]:
-        routes = self._route_cache.get(app.name)
-        if routes is None:
-            routes = route_candidates(
-                self.problem.network, app.sensor, app.controller,
-                self.route_limit, cutoff=self.path_cutoff,
+        """The routes a new message of ``app`` is encoded with: the first
+        K, or the shortest one in complete mode."""
+        if self._route(app, 0) is None:
+            raise EncodingError(
+                f"app {app.name!r}: no route from {app.sensor!r} to "
+                f"{app.controller!r}"
             )
-            if not routes:
-                raise EncodingError(
-                    f"app {app.name!r}: no route from {app.sensor!r} to "
-                    f"{app.controller!r}"
-                )
-            self._route_cache[app.name] = routes
-        return routes
+        want = 1 if self.route_limit is None else self.route_limit
+        self._route(app, want - 1)
+        return self._route_cache[app.name][:want]
+
+    def _route(self, app: ControlApplication, r: int) -> Optional[List[str]]:
+        """Route ``r`` of ``app``, generated on first use (None when the
+        app has no such route)."""
+        routes = self._route_cache.setdefault(app.name, [])
+        while len(routes) <= r:
+            stream = self._route_streams.get(app.name)
+            if stream is None:
+                stream = self._route_streams[app.name] = yen_routes(
+                    self.problem.network, app.sensor, app.controller,
+                    cutoff=self.path_cutoff)
+            route = next(stream, None)
+            if route is None:
+                return None
+            routes.append(route)
+        return routes[r]
+
+    def _beyond(self, uid: str, n: int) -> BoolExpr:
+        """The literal for "``uid`` uses route ``n`` or a later one"; the
+        ``!`` keeps it out of the exported vocabulary."""
+        return Bool(f"{self._ns}/R[{uid}]!beyond{n}")
+
+    def _close(self, plan: MessagePlan) -> None:
+        """No route is left beyond ``plan``'s encoded ones."""
+        self.solver.add(plan.within)
+        plan.beyond = plan.within = None
 
     # ------------------------------------------------------------------
     # Per-message constraints (Eqs. 4, 6, 7, 8 + implicit deadline)
@@ -140,53 +217,108 @@ class Encoder:
         """Create variables and routing/scheduling constraints for ``m``."""
         app = self.problem.app_of(message)
         routes = self.candidates_for(app)
-        sd, ld = self.problem.delays.sd, self.problem.delays.ld
         uid = message.uid
-        release = message.release
 
         selectors = [
             Bool(f"{self._ns}/R[{uid}][{r}]") for r in range(len(routes))
         ]
-        # Route constraint (Eq. 8): exactly one candidate.
-        self.solver.add(Or(selectors))
+        beyond = (self._beyond(uid, len(routes))
+                  if self.route_limit is None else None)
+        # Route constraint (Eq. 8): exactly one candidate (or, in
+        # complete mode, a route not encoded yet).
+        self.solver.add(Or(selectors + [beyond] if beyond else selectors))
         for a, b in itertools.combinations(selectors, 2):
             self.solver.add(Or(Not(a), Not(b)))
 
-        gammas: Dict[str, LinExpr] = {}
+        plan = MessagePlan(message, [], [], {}, [])
         for route in routes:
-            for node in route[1:-1]:
-                if node not in gammas:
-                    gammas[node] = Real(f"{self._ns}/g[{uid}][{node}]")
-
-        e2e_by_route: List[LinExpr] = []
-        for r, route in enumerate(routes):
-            sel = selectors[r]
-            switches = route[1:-1]
-            if not switches:
-                raise EncodingError(
-                    f"app {app.name!r}: direct sensor-controller links are "
-                    "not expressible in the switch model"
-                )
-            # Transposition (Eq. 6) along the chain; the sensor release is
-            # the sampling instant (constant).
-            prev_time: LinExpr | Fraction = release
-            for node in switches:
-                g = gammas[node]
-                self.solver.add(Implies(sel, g - prev_time >= sd + ld))
-                prev_time = g
-            e2e = gammas[switches[-1]] + ld - release
-            e2e_by_route.append(e2e)
-            # Implicit deadline: e2e <= h_i.
-            self.solver.add(Implies(sel, e2e <= app.period))
-            # Record link usages for the contention constraints.
-            for u, v in zip(route, route[1:]):
-                start = release if u == app.sensor else gammas[u]
-                self.link_usage.setdefault((u, v), []).append(
-                    (uid, sel, start)
-                )
-        plan = MessagePlan(message, routes, selectors, gammas, e2e_by_route)
+            self._encode_route(plan, app, route)
+        if beyond is not None:
+            plan.beyond, plan.within = beyond, Not(beyond)
         self.plans[uid] = plan
         return plan
+
+    def _encode_route(self, plan: MessagePlan, app: ControlApplication,
+                      route: List[str]) -> None:
+        """Eqs. 6, 7 and the deadline along ``route`` under its selector,
+        appended to ``plan`` as its next candidate."""
+        sd, ld = self.problem.delays.sd, self.problem.delays.ld
+        uid = plan.message.uid
+        release = plan.message.release
+        sel = Bool(f"{self._ns}/R[{uid}][{len(plan.routes)}]")
+        switches = route[1:-1]
+        if not switches:
+            raise EncodingError(
+                f"app {app.name!r}: direct sensor-controller links are "
+                "not expressible in the switch model"
+            )
+        gammas = plan.gammas
+        for node in switches:
+            if node not in gammas:
+                gammas[node] = Real(f"{self._ns}/g[{uid}][{node}]")
+        # Transposition (Eq. 6) along the chain; the sensor release is
+        # the sampling instant (constant).
+        prev_time: LinExpr | Fraction = release
+        for node in switches:
+            g = gammas[node]
+            self.solver.add(Implies(sel, g - prev_time >= sd + ld))
+            prev_time = g
+        e2e = gammas[switches[-1]] + ld - release
+        # Implicit deadline: e2e <= h_i.
+        self.solver.add(Implies(sel, e2e <= app.period))
+        # Record link usages for the contention constraints.
+        for u, v in zip(route, route[1:]):
+            start = release if u == app.sensor else gammas[u]
+            self.link_usage.setdefault((u, v), []).append((uid, sel, start))
+        plan.routes.append(route)
+        plan.selectors.append(sel)
+        plan.e2e_by_route.append(e2e)
+
+    def reach_route(self, uid: str, n: int) -> None:
+        """Encode routes of ``uid`` (complete mode) until its beyond
+        literal means "route ``n`` or a later one" exactly: at least
+        ``n`` routes encoded, and the literal asserted false when the
+        app has no route past them."""
+        plan = self.plans[uid]
+        while plan.beyond is not None and len(plan.routes) < n:
+            self.extend_route(uid)
+        app = self.problem.app_of(plan.message)
+        if (plan.beyond is not None
+                and self._route(app, len(plan.routes)) is None):
+            self._close(plan)
+
+    def extend_route(self, uid: str) -> None:
+        """Encode the next route of message ``uid`` (complete mode).
+
+        The new route gets its selector and its per-route constraints, a
+        fresh beyond literal takes over, and the old one is chained to
+        "the new route or the fresh literal", so every clause that
+        carries it (Eq. 8, attainment, seeding pads) still means "a
+        route from here on".  Each stability row set the message is in
+        gets the new route's rows and its attainment re-asserted.  When
+        ``uid`` has no further route its beyond literal is asserted false
+        for good instead.
+        """
+        plan = self.plans[uid]
+        app = self.problem.app_of(plan.message)
+        n = len(plan.routes)
+        route = self._route(app, n)
+        if route is None:
+            self._close(plan)
+            return
+        sel = Bool(f"{self._ns}/R[{uid}][{n}]")
+        beyond = self._beyond(uid, n + 1)
+        self.solver.add(Or(Not(plan.beyond), sel, beyond))
+        for other in plan.selectors:
+            self.solver.add(Or(Not(other), Not(sel)))
+        self._encode_route(plan, app, route)
+        plan.beyond, plan.within = beyond, Not(beyond)
+        e2e = plan.e2e_by_route[-1]
+        for rows in self._stability_rows.get(app.name, ()):
+            if uid in rows.uids:
+                self.solver.add(Implies(sel, rows.lmin <= e2e))
+                self.solver.add(Implies(sel, rows.lmax >= e2e))
+                self._add_attainment(rows)
 
     def freeze_message(self, plan: MessagePlan, model, pin: bool = True,
                        guard: Optional[BoolExpr] = None) -> MessageSchedule:
@@ -225,6 +357,8 @@ class Encoder:
             pinned.extend(
                 plan.gammas[node] == value for node, value in gammas.items()
             )
+            if plan.within is not None:
+                pinned.append(plan.within)
             for constraint in pinned:
                 if guard is not None:
                     self.solver.add(Implies(guard, constraint))
@@ -232,6 +366,7 @@ class Encoder:
                     self.solver.add(constraint)
             if guard is None:
                 self._frozen_e2e[plan.message.uid] = e2e
+                plan.beyond = plan.within = None
         return MessageSchedule(
             uid=plan.message.uid,
             app=plan.message.flow.name,
@@ -353,8 +488,7 @@ class Encoder:
         lmax = Real(f"{self._ns}/Lmax[{app.name}]{suffix}")
         exact_max = unstable is not None
 
-        attain_min: List[BoolExpr] = []
-        attain_max: List[BoolExpr] = []
+        open_uids: List[str] = []
         frozen: List[Fraction] = []
         for uid, plan in self.plans.items():
             if plan.message.flow.name != app.name:
@@ -362,26 +496,23 @@ class Encoder:
             if uid in self._frozen_e2e:
                 frozen.append(self._frozen_e2e[uid])
                 continue
+            open_uids.append(uid)
             for sel, e2e in zip(plan.selectors, plan.e2e_by_route):
                 self.solver.add(Implies(sel, lmin <= e2e))
                 self.solver.add(Implies(sel, lmax >= e2e))
-                attain_min.append(And(sel, lmin >= e2e))
-                if exact_max:
-                    attain_max.append(And(sel, lmax <= e2e))
-        if frozen:
-            lo, hi = min(frozen), max(frozen)
-            self.solver.add(lmin <= lo)
-            self.solver.add(lmax >= hi)
-            attain_min.append(lmin >= lo)
-            if exact_max:
-                attain_max.append(lmax <= hi)
-        if not attain_min:
+        if not open_uids and not frozen:
             raise EncodingError(
                 f"app {app.name!r}: stability constraints need >= 1 message"
             )
-        self.solver.add(Or(attain_min))
-        if exact_max:
-            self.solver.add(Or(attain_max))
+        frozen_range = None
+        if frozen:
+            frozen_range = lo, hi = min(frozen), max(frozen)
+            self.solver.add(lmin <= lo)
+            self.solver.add(lmax >= hi)
+        rows = _StabilityRows(lmin, lmax, exact_max, open_uids, frozen_range)
+        self._add_attainment(rows)
+        if self.route_limit is None:
+            self._stability_rows.setdefault(app.name, []).append(rows)
 
         segments = []
         for seg in spec.segments:
@@ -396,3 +527,29 @@ class Encoder:
             self.solver.add(Or(segments))
         else:
             self.solver.add(Implies(unstable, Not(Or(segments))))
+
+    def _add_attainment(self, rows: _StabilityRows) -> None:
+        """``Lmin >= e2e`` (and under ``unstable`` ``Lmax <= e2e``) for at
+        least one selected route of the rows' messages, or a frozen
+        constant -- or a route not encoded yet (complete mode)."""
+        lmin, lmax, exact_max = rows.lmin, rows.lmax, rows.exact_max
+        attain_min: List[BoolExpr] = []
+        attain_max: List[BoolExpr] = []
+        for uid in rows.uids:
+            plan = self.plans[uid]
+            for sel, e2e in zip(plan.selectors, plan.e2e_by_route):
+                attain_min.append(And(sel, lmin >= e2e))
+                if exact_max:
+                    attain_max.append(And(sel, lmax <= e2e))
+            if plan.beyond is not None:
+                attain_min.append(plan.beyond)
+                if exact_max:
+                    attain_max.append(plan.beyond)
+        if rows.frozen is not None:
+            lo, hi = rows.frozen
+            attain_min.append(lmin >= lo)
+            if exact_max:
+                attain_max.append(lmax <= hi)
+        self.solver.add(Or(attain_min))
+        if exact_max:
+            self.solver.add(Or(attain_max))

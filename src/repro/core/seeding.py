@@ -20,7 +20,7 @@ Why sharing across different formulas is sound
 Portfolio workers and cached runs solve *related but different*
 formulas (each strategy restricts routes and/or stages its own way), so
 naive clause exchange is unsound.  The key structural fact, owned by
-:func:`repro.network.paths.route_candidates`: every candidate list is
+:func:`repro.network.paths.yen_routes`: every candidate list is
 ordered by ``(hop count, node names)`` whatever the route limit, so a
 ``routes-K`` strategy's candidate list per message is a *prefix* of any
 ``routes-K'`` (K' >= K) or monolithic list, and a route index names the
@@ -53,6 +53,20 @@ selection clauses.  Two consequences:
   for strictly more restricted siblings, which are thereby proven unsat
   without search.
 
+**Complete mode** (``routes=None``) encodes routes lazily
+(:mod:`repro.core.encoding`): a message has its first ``c`` routes
+encoded plus a *beyond* literal, "a route from index ``c`` on".  So
+"route ``K`` or later" is ``selectors[K:]`` *or the beyond literal*,
+and both index-based uses above add it: the pad of
+:func:`import_padded_clauses` (when ``c < K`` the literal also covers
+indices ``c..K-1``, a weaker pad that stays sound) and the escape of
+:func:`apply_route_vetoes`, which first encodes routes up to ``K`` so
+that its escape is exact and a veto that leaves a message no route
+escapes nothing.  Without the literal a padded clause would claim that
+no route beyond the encoded ones exists, and import a wrong ``unsat``.
+Conversely no clause mentioning a beyond literal is ever exported: its
+name carries a ``!``, outside the schedule vocabulary.
+
 Clauses imported into an incremental recipient deserve one more note:
 they are entailed properties of every *complete valid schedule*, so they
 only prune stage prefixes that could never extend to a full solution —
@@ -65,7 +79,7 @@ heuristic verdicts are never promoted to race verdicts (see
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..smt.terms import Or
 
@@ -180,6 +194,18 @@ def import_presolve_clauses(session, options) -> int:
         if k.clauses and _limit(options.routes) <= _limit(k.signature.routes))
 
 
+def _from_route(plan, n: int) -> List:
+    """Literals whose disjunction holds whenever ``plan``'s message takes
+    route ``n`` or a later one: the encoded selectors from ``n`` on,
+    plus complete mode's beyond literal.  With fewer than ``n`` routes
+    encoded that literal also covers indices below ``n``: a weaker pad,
+    still sound."""
+    literals = list(plan.selectors[n:])
+    if plan.beyond is not None:
+        literals.append(plan.beyond)
+    return literals
+
+
 def import_padded_clauses(session, encoder, options) -> int:
     """Install clauses from *stricter* exporters, padded for soundness.
 
@@ -198,7 +224,7 @@ def import_padded_clauses(session, encoder, options) -> int:
         pad = [
             sel
             for plan in encoder.plans.values()
-            for sel in plan.selectors[int(src):]
+            for sel in _from_route(plan, int(src))
         ]
         imported += engine.import_clauses(k.clauses, pad=pad)
     return imported
@@ -221,11 +247,13 @@ def apply_route_vetoes(session, encoder, options, applied: Set[Tuple]) -> int:
             continue
         if not all(uid in encoder.plans for uid, _ in veto):
             continue
-        escape = [
-            sel
-            for uid, n in veto
-            for sel in encoder.plans[uid].selectors[n:]
-        ]
+        escape = []
+        for uid, n in veto:
+            # In complete mode, encode up to route n first, so that the
+            # escape is exactly "route n or later" and a veto that
+            # leaves a message no route escapes nothing.
+            encoder.reach_route(uid, n)
+            escape.extend(_from_route(encoder.plans[uid], n))
         session.add(Or(escape))
         applied.add(veto)
         count += 1

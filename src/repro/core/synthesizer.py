@@ -2,11 +2,13 @@
 
 * **Basic solution**: one SMT query over all messages of the hyper-period
   (``stages=1``), with ``routes=None`` meaning *all* simple routes are
-  candidates (the paper's complete formulation).
+  candidates (the paper's complete formulation).  They are not encoded
+  up front: each message starts on its shortest route, and a route is
+  added only where an unsat core asks for it (:func:`check_routed`;
+  the soundness argument is in :mod:`repro.core.encoding`).
 * **Route subset** (Sec. V-C-1): ``routes=K`` restricts each application
-  to its first K shortest routes — a prefix of the all-routes list,
-  which is ordered shortest first too
-  (:func:`~repro.network.paths.route_candidates`).
+  to its first K shortest routes — a prefix of the all-routes order
+  (:func:`~repro.network.paths.yen_routes`).
 * **Incremental synthesis** (Sec. V-C-2): ``stages=S`` divides the
   hyper-period into S time slices; each stage solves only the messages
   released in its slice, with all earlier stages' routes and release
@@ -34,13 +36,15 @@ overlaps no pair (statistics: ``contention_pairs``,
 On top of the plain per-stage solve the driver leans on the session
 API's assumption machinery:
 
-* **Route probing**: before the full stage solve, the stage's messages
-  are *assumed* onto their first (shortest) candidate routes — a plain
-  assumption check, nothing asserted.  If the probe is sat its model is
-  used directly; if not, the probe's minimized unsat core names exactly
-  the conflicting shortest-route choices, those are released, and the
-  remainder is re-probed before falling back to the unrestricted stage
-  solve (statistics: ``assumption_probes``, ``cores_extracted``).
+* **Route probing** (``routes=K``): before the full stage solve, the
+  stage's messages are *assumed* onto their first (shortest) candidate
+  routes — a plain assumption check, nothing asserted.  If the probe is
+  sat its model is used directly; if not, the probe's minimized unsat
+  core names exactly the conflicting shortest-route choices, those are
+  released, and the remainder is re-probed before falling back to the
+  unrestricted stage solve (statistics: ``assumption_probes``,
+  ``cores_extracted``).  Complete mode needs no probe: its first check
+  is on the shortest routes already.
 * **Core-driven stage repair** (``repair``, opt-in): stage freezes are
   guarded by per-message assumption literals instead of permanent
   equalities.  When a later stage is infeasible, the failing check's
@@ -91,9 +95,10 @@ class SynthesisOptions:
         mode: ``"stability"`` (Eqs. 2-3, 10) or ``"deadline"`` (the
             state-of-the-art baseline of Table I: only ``e2e <= period``).
         routes: number of candidate shortest routes per application
-            (``None`` = all simple routes, the basic formulation).
+            (``None`` = all simple routes, the basic formulation,
+            encoded lazily: statistics ``route_extensions``).
         stages: number of incremental time slices (1 = monolithic).
-        path_cutoff: optional hop bound when enumerating all routes.
+        path_cutoff: optional hop bound on every candidate route.
         repair: guard stage freezes with assumption literals and use
             unsat cores to unfreeze/re-solve when a stage fails (may
             solve instances the plain heuristic cannot).
@@ -296,6 +301,8 @@ def solve(
                       namespace=SHARED_NAMESPACE)
 
     acct = _StageAccounting()
+    if opts.routes is None:
+        acct.totals["route_extensions"] = 0
     ledger = _FreezeLedger(opts.repair)
     schedules: Dict[str, MessageSchedule] = {}
     stages_done = 0
@@ -414,6 +421,41 @@ def check_refined(
             acct.count("contention_rounds")
 
 
+def check_routed(
+    session: Session,
+    encoder: Encoder,
+    assumptions: Sequence[BoolExpr],
+    acct: Optional[_StageAccounting] = None,
+) -> CheckOutcome:
+    """:func:`check_refined` under every encoded message's ``within``
+    assumption, extending routes until the answer is about the problem.
+
+    Under a route limit no message has one, and this is one
+    :func:`check_refined`.  In complete mode a ``sat`` uses encoded
+    routes only, and an ``unsat`` whose core names no ``within`` holds
+    with every beyond literal free, so for every route
+    (:mod:`repro.core.encoding`).  Otherwise each message the core names
+    gets its next route (:meth:`Encoder.extend_route`, statistics:
+    ``route_extensions`` counts the rounds) and the check repeats.
+    """
+    while True:
+        within = {plan.within: plan.message.uid
+                  for plan in encoder.plans.values()
+                  if plan.within is not None}
+        outcome = check_refined(session, encoder,
+                                list(assumptions) + list(within), acct)
+        if outcome != "unsat":
+            return outcome
+        blamed = [within[lit] for lit in outcome.unsat_core or ()
+                  if lit in within]
+        if not blamed:
+            return outcome
+        for uid in blamed:
+            encoder.extend_route(uid)
+        if acct is not None:
+            acct.count("route_extensions")
+
+
 def _check_stage(
     session: Session,
     encoder: Encoder,
@@ -424,12 +466,16 @@ def _check_stage(
 ):
     """One stage's probe ladder: greedy route probe -> core-relaxed
     re-probe -> unrestricted solve -> (repair mode) core-driven
-    unfreezing, every check refined by
-    :func:`check_refined`.  Returns the final :class:`CheckOutcome`."""
+    unfreezing, every check refined by :func:`check_routed`.  Returns
+    the final :class:`CheckOutcome`.
+
+    In complete mode a new message has one encoded route, so there is
+    no probe: the first check already is the shortest-route probe, and
+    :func:`check_routed` extends from there."""
     freezes = ledger.assumptions()
 
     def check(assumptions: Sequence[BoolExpr]) -> CheckOutcome:
-        return check_refined(session, encoder, assumptions, acct)
+        return check_routed(session, encoder, assumptions, acct)
 
     greedy = [p.selectors[0] for p in new_plans if len(p.selectors) > 1]
     if greedy:
@@ -469,8 +515,12 @@ def _check_stage(
 
 
 def _explain_core(outcome, ledger: _FreezeLedger, encoder: Encoder):
-    """Human-readable labels for a failing check's unsat core."""
-    if outcome.unsat_core is None:
+    """Human-readable labels for a failing check's unsat core (None when
+    the check assumed nothing but complete mode's ``within`` literals,
+    which a final core never names)."""
+    within = {plan.within for plan in encoder.plans.values()}
+    if (outcome.unsat_core is None
+            or all(lit in within for lit in outcome.assumptions)):
         return None
     labels: List[str] = []
     selector_names: Dict[BoolExpr, str] = {

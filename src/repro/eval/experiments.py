@@ -23,7 +23,7 @@ from ..core.synthesizer import (
     MODE_STABILITY,
     SynthesisOptions,
     SynthesisResult,
-    check_refined,
+    check_routed,
     open_session,
     solve,
 )
@@ -455,9 +455,11 @@ def unstable_verdicts(
     every message and, per app, the exact ``Lmin``/``Lmax`` with Eq. (2)
     negated under one guard literal
     (:meth:`Encoder.add_stability_constraints` with ``unstable``).  App
-    i's question is one :func:`check_refined` assuming its guard: ``sat``
+    i's question is one :func:`check_routed` assuming its guard: ``sat``
     answers carry the witness schedule, ``unsat`` means every
-    deadline-feasible schedule keeps the app stable.
+    deadline-feasible schedule keeps the app stable.  With
+    ``routes=None`` the routes the questions need are encoded as the
+    cores ask for them, and later questions keep them.
     """
     session, _ = open_session(SynthesisOptions(mode=MODE_DEADLINE,
                                                routes=routes))
@@ -470,7 +472,7 @@ def unstable_verdicts(
     verdicts: Dict[str, str] = {}
     witnesses: Dict[str, Solution] = {}
     for app in problem.apps:
-        outcome = check_refined(session, encoder, [guards[app.name]])
+        outcome = check_routed(session, encoder, [guards[app.name]])
         verdicts[app.name] = outcome.status.name
         if outcome == "sat":
             model = outcome.require_model()

@@ -13,10 +13,10 @@ from .frames import (
 )
 from .graph import Network, NodeKind
 from .paths import (
-    all_simple_paths,
     k_shortest_paths,
     route_candidates,
     shortest_path,
+    yen_routes,
 )
 from .switch import GclEntry, TsnSwitch, EgressPort, NUM_QUEUES, TT_QUEUE
 from .timing import (
@@ -49,7 +49,6 @@ __all__ = [
     "NUM_QUEUES",
     "TT_QUEUE",
     "TsnSwitch",
-    "all_simple_paths",
     "as_seconds",
     "attach_endpoints",
     "erdos_renyi_topology",
@@ -69,4 +68,5 @@ __all__ = [
     "simple_testbed",
     "star_topology",
     "transmission_delay",
+    "yen_routes",
 ]

@@ -1,9 +1,12 @@
-"""Path algorithms: Dijkstra, Yen's K-shortest paths, all simple paths.
+"""Path algorithms: Dijkstra and Yen's loop-free shortest routes.
 
-These implement the route-candidate machinery of the paper's "route subset"
-heuristic (Sec. V-C-1): the designer provides the first K shortest routes
-per control application; ``all_simple_paths`` realizes the basic (complete)
-formulation.
+These implement the route candidates of the paper's Eq. (8).  Every
+candidate list comes from one resumable generator, :func:`yen_routes`,
+which yields a flow's simple routes in ``(hop count, node names)``
+order: the route-subset heuristic (Sec. V-C-1) takes its first K, and
+the basic (complete) formulation pulls one more route whenever the
+solver asks for it (:mod:`repro.core.encoding`), so no caller ever
+enumerates every simple route up front.
 
 Routes are node sequences ``[sensor, switch, ..., switch, controller]``;
 intermediate nodes must be switches (endpoints do not forward).
@@ -12,10 +15,14 @@ intermediate nodes must be switches (endpoints do not forward).
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import islice
+from typing import (AbstractSet, Callable, Dict, Iterator, List, Optional,
+                    Tuple)
 
 from ..errors import TopologyError
 from .graph import Network
+
+_NONE: AbstractSet = frozenset()
 
 
 def _forwarding_neighbors(net: Network, node: str, dst: str) -> List[str]:
@@ -31,14 +38,17 @@ def _forwarding_neighbors(net: Network, node: str, dst: str) -> List[str]:
     return sorted(out)
 
 
-def shortest_path(net: Network, src: str, dst: str) -> Optional[List[str]]:
-    """Hop-count shortest route from ``src`` to ``dst`` (Dijkstra/BFS).
-
-    Returns None when no route exists.  Ties are broken deterministically
-    by lexicographic node order.
-    """
+def _check_endpoints(net: Network, src: str, dst: str) -> None:
     if src not in net or dst not in net:
         raise TopologyError(f"unknown endpoint {src!r} or {dst!r}")
+
+
+def _bfs(forward: Callable[[str], List[str]], src: str, dst: str,
+         blocked_nodes: AbstractSet[str] = _NONE,
+         blocked_links: AbstractSet[Tuple[str, str]] = _NONE,
+         ) -> Optional[List[str]]:
+    """Hop-count shortest route avoiding the blocked nodes and (directed)
+    links, ties broken by lexicographic node order; None if none."""
     if src == dst:
         return [src]
     # Uniform weights: Dijkstra degenerates to BFS but we keep the heap for
@@ -52,8 +62,9 @@ def shortest_path(net: Network, src: str, dst: str) -> Optional[List[str]]:
             return path
         if dist > best.get(node, dist):
             continue
-        for nxt in _forwarding_neighbors(net, node, dst):
-            if nxt == src or nxt in path:
+        for nxt in forward(node):
+            if (nxt == src or nxt in path or nxt in blocked_nodes
+                    or (node, nxt) in blocked_links):
                 continue
             nd = dist + 1
             if nd < best.get(nxt, nd + 1):
@@ -62,102 +73,79 @@ def shortest_path(net: Network, src: str, dst: str) -> Optional[List[str]]:
     return None
 
 
-def all_simple_paths(
-    net: Network, src: str, dst: str, cutoff: Optional[int] = None
-) -> Iterator[List[str]]:
-    """Yield every simple route from ``src`` to ``dst``.
+def shortest_path(net: Network, src: str, dst: str) -> Optional[List[str]]:
+    """Hop-count shortest route from ``src`` to ``dst`` (Dijkstra/BFS).
 
-    ``cutoff`` bounds the path length in *hops* (edges).  Paths are emitted
-    in depth-first lexicographic order, so the output is deterministic.
+    Returns None when no route exists.  Ties are broken deterministically
+    by lexicographic node order.
     """
-    if src not in net or dst not in net:
-        raise TopologyError(f"unknown endpoint {src!r} or {dst!r}")
-    limit = cutoff if cutoff is not None else net.num_nodes - 1
-    path = [src]
-    on_path = {src}
-
-    def dfs(node: str) -> Iterator[List[str]]:
-        if len(path) - 1 >= limit:
-            return
-        for nxt in _forwarding_neighbors(net, node, dst):
-            if nxt in on_path:
-                continue
-            if nxt == dst:
-                yield path + [dst]
-                continue
-            path.append(nxt)
-            on_path.add(nxt)
-            yield from dfs(nxt)
-            path.pop()
-            on_path.remove(nxt)
-
-    if src == dst:
-        yield [src]
-        return
-    yield from dfs(src)
+    _check_endpoints(net, src, dst)
+    return _bfs(lambda node: _forwarding_neighbors(net, node, dst), src, dst)
 
 
-def k_shortest_paths(net: Network, src: str, dst: str, k: int) -> List[List[str]]:
-    """Yen's algorithm: the first ``k`` loop-free shortest routes.
+def yen_routes(net: Network, src: str, dst: str,
+               cutoff: Optional[int] = None) -> Iterator[List[str]]:
+    """Yen's algorithm as a resumable generator of loop-free routes.
 
-    Returns fewer than ``k`` paths when the network does not contain that
-    many simple routes.  Deterministic: candidates of equal length are
-    ordered lexicographically.
+    Yields every simple route from ``src`` to ``dst`` in ``(hop count,
+    node names)`` order, each one only when the caller asks for it: the
+    spur searches that find route n+1 run when route n+1 is requested.
+    ``cutoff`` is a hop bound — the generator ends at the first route
+    longer than ``cutoff`` hops — and the generator ends by itself once
+    the network holds no further simple route.
+
+    Spur searches run on ``net`` itself, with the root's nodes and the
+    used spur links blocked, so no network is copied.
     """
-    if k <= 0:
-        return []
-    first = shortest_path(net, src, dst)
+    _check_endpoints(net, src, dst)
+    neighbors: Dict[str, List[str]] = {}
+
+    def forward(node: str) -> List[str]:
+        out = neighbors.get(node)
+        if out is None:
+            out = neighbors[node] = _forwarding_neighbors(net, node, dst)
+        return out
+
+    first = _bfs(forward, src, dst)
     if first is None:
-        return []
-    paths: List[List[str]] = [first]
+        return
+    paths: List[List[str]] = []
     # Candidate heap of (length, path) with lexicographic tie-break.
-    candidates: List[Tuple[int, List[str]]] = []
-    seen_candidates = {tuple(first)}
-
-    while len(paths) < k:
-        prev = paths[-1]
-        for i in range(len(prev) - 1):
-            spur_node = prev[i]
-            root = prev[: i + 1]
-            # Build a pruned copy: remove links used by previous paths that
-            # share this root, and remove root nodes except the spur node.
-            removed_links = set()
-            for p in paths:
-                if len(p) > i and p[: i + 1] == root:
-                    u, v = p[i], p[i + 1]
-                    removed_links.add(frozenset((u, v)))
-            pruned = _without(net, removed_links, set(root[:-1]))
-            spur = shortest_path(pruned, spur_node, dst)
+    candidates: List[Tuple[int, List[str]]] = [(len(first), first)]
+    seen = {tuple(first)}
+    while candidates:
+        _, path = heapq.heappop(candidates)
+        if cutoff is not None and len(path) - 1 > cutoff:
+            return
+        paths.append(path)
+        yield path
+        for i in range(len(path) - 1):
+            root = path[: i + 1]
+            # Block the links that earlier routes sharing this root take
+            # out of the spur node, and the root's nodes but the spur.
+            blocked_links = {
+                (p[i], p[i + 1]) for p in paths if p[: i + 1] == root
+            }
+            spur = _bfs(forward, path[i], dst, set(root[:-1]),
+                        blocked_links)
             if spur is None:
                 continue
             candidate = root[:-1] + spur
             key = tuple(candidate)
-            if key not in seen_candidates:
-                seen_candidates.add(key)
+            if key not in seen:
+                seen.add(key)
                 heapq.heappush(candidates, (len(candidate), candidate))
-        if not candidates:
-            break
-        _, best = heapq.heappop(candidates)
-        paths.append(best)
-    return paths
 
 
-def _without(net: Network, removed_links: set, removed_nodes: set) -> Network:
-    """Copy of ``net`` without the given undirected links and nodes."""
-    dup = Network()
-    for node in net.nodes:
-        if node in removed_nodes:
-            continue
-        kind = net.kind(node)
-        dup._add_node(node, kind)  # type: ignore[attr-defined]
-    for link in net.links:
-        if link in removed_links:
-            continue
-        u, v = tuple(link)
-        if u in dup._kinds and v in dup._kinds:  # type: ignore[attr-defined]
-            dup._adj[u].add(v)  # type: ignore[attr-defined]
-            dup._adj[v].add(u)  # type: ignore[attr-defined]
-    return dup
+def k_shortest_paths(net: Network, src: str, dst: str, k: int) -> List[List[str]]:
+    """The first ``k`` loop-free shortest routes (:func:`yen_routes`).
+
+    Returns fewer than ``k`` paths when the network does not contain that
+    many simple routes.
+    """
+    if k <= 0:
+        return []
+    return list(islice(yen_routes(net, src, dst), k))
 
 
 def route_candidates(
@@ -169,14 +157,10 @@ def route_candidates(
 ) -> List[List[str]]:
     """Candidate route set for a flow (the paper's route subset, Eq. 8).
 
-    ``k=None`` enumerates *all* simple routes (the basic formulation);
-    otherwise the first ``k`` shortest routes are returned.  Either way
-    the list is ordered by ``(hop count, node names)`` — Yen's own heap
-    key — so every ``k`` list is a prefix of the ``k=None`` one: a route's
-    index names the same route under every route limit, which
+    The first ``k`` routes of :func:`yen_routes` (``k=None``: all of
+    them, within ``cutoff`` hops).  The list is ordered by ``(hop count,
+    node names)``, so every ``k`` list is a prefix of every longer one:
+    a route's index names the same route under every route limit, which
     :mod:`repro.core.seeding` relies on to share knowledge between them.
     """
-    if k is None:
-        return sorted(all_simple_paths(net, src, dst, cutoff=cutoff),
-                      key=lambda path: (len(path), path))
-    return k_shortest_paths(net, src, dst, k)
+    return list(islice(yen_routes(net, src, dst, cutoff), k))

@@ -105,13 +105,12 @@ class TestDifferenceChainWorkloads:
         assert sorted(net.switches) == [f"A{k}" for k in range(5)]
 
     def test_chain_problem_single_route(self):
-        from repro.network.paths import all_simple_paths
+        from repro.network.paths import yen_routes
 
         problem = workloads.chain_problem()
         # The line topology admits exactly one route per application.
         for app in problem.apps:
-            routes = all_simple_paths(problem.network, app.sensor,
-                                      app.controller)
+            routes = yen_routes(problem.network, app.sensor, app.controller)
             assert len(list(routes)) == 1
 
     def test_chain_problem_statuses(self):

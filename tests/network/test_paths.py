@@ -1,6 +1,12 @@
-"""Path algorithms, property-tested against networkx as an oracle."""
+"""Path algorithms, property-tested against networkx as an oracle.
+
+The route generator (:func:`yen_routes`) is also checked against a
+short enumerator written here, so its order does not rest on networkx
+alone.
+"""
 
 import random
+from itertools import islice
 
 import networkx as nx
 import pytest
@@ -9,12 +15,12 @@ from hypothesis import strategies as st
 
 from repro.network import (
     Network,
-    all_simple_paths,
     k_shortest_paths,
     ring_topology,
     route_candidates,
     shortest_path,
     simple_testbed,
+    yen_routes,
 )
 
 
@@ -64,20 +70,34 @@ class TestShortestPath:
         assert p1 == p2
 
 
-class TestAllSimplePaths:
+class TestYenRoutes:
     def test_ring_has_two_routes(self, ring_with_endpoints):
-        paths = list(all_simple_paths(ring_with_endpoints, "S0", "C0"))
+        paths = list(yen_routes(ring_with_endpoints, "S0", "C0"))
         assert len(paths) == 2
         for p in paths:
             assert p[0] == "S0" and p[-1] == "C0"
 
     def test_cutoff_limits_length(self, ring_with_endpoints):
-        paths = list(all_simple_paths(ring_with_endpoints, "S0", "C0", cutoff=3))
+        paths = list(yen_routes(ring_with_endpoints, "S0", "C0", cutoff=3))
         assert paths == []
+        paths = list(yen_routes(ring_with_endpoints, "S0", "C0", cutoff=4))
+        assert len(paths) == 2
 
     def test_paths_are_simple(self, ring_with_endpoints):
-        for p in all_simple_paths(ring_with_endpoints, "S0", "C0"):
+        for p in yen_routes(ring_with_endpoints, "S0", "C0"):
             assert len(set(p)) == len(p)
+
+    def test_exhaustion_ends_the_generator(self, ring_with_endpoints):
+        routes = yen_routes(ring_with_endpoints, "S0", "C0")
+        assert len(list(islice(routes, 5))) == 2
+        assert next(routes, None) is None
+
+    def test_no_route_yields_nothing(self):
+        net = Network()
+        net.add_switch("A")
+        net.add_switch("B")
+        attach(net, "S0", "C0", "A", "B")
+        assert list(yen_routes(net, "S0", "C0")) == []
 
 
 class TestKShortest:
@@ -155,16 +175,68 @@ def test_shortest_path_length_matches_networkx(case):
         assert len(ours) - 1 == ref_len
 
 
-@given(switch_graphs())
-@settings(max_examples=60, deadline=None)
-def test_all_simple_paths_match_networkx(case):
+def simple_routes(net, src, dst):
+    """Every simple route by depth-first search: only switches forward."""
+    routes = []
+
+    def walk(path):
+        for nxt in sorted(net.neighbors(path[-1])):
+            if nxt in path:
+                continue
+            if nxt == dst:
+                routes.append(path + [nxt])
+            elif net.is_switch(nxt):
+                walk(path + [nxt])
+
+    walk([src])
+    return routes
+
+
+def by_hops_then_names(routes):
+    return sorted((list(p) for p in routes), key=lambda p: (len(p), p))
+
+
+def attach_extra(net, n, s_extra, c_extra):
+    """Extra endpoint attachments give a flow several ways into and out
+    of the fabric."""
+    for endpoint, extra, home in (("S0", s_extra, 0), ("C0", c_extra, n - 1)):
+        for sw in sorted(extra - {home}):
+            if sw < n:
+                net.add_link(endpoint, f"SW{sw}")
+                yield endpoint, f"SW{sw}"
+
+
+extra_endpoints = st.sets(st.integers(min_value=0, max_value=6), max_size=2)
+
+
+@given(switch_graphs(), extra_endpoints, extra_endpoints)
+@settings(max_examples=100, deadline=None)
+def test_yen_routes_match_sorted_networkx(case, s_extra, c_extra):
+    # For every n the generator's first n routes are the first n of all
+    # simple routes in (hop count, node names) order -- from networkx and
+    # from the enumerator above -- and then it stops.
     n, edges = case
     net, g = build_pair(n, edges)
-    ours = {tuple(p) for p in all_simple_paths(net, "S0", "C0")}
+    g.add_edges_from(attach_extra(net, n, s_extra, c_extra))
     # In these graphs the only endpoints are S0/C0 (never interior), so the
     # networkx enumeration over the full graph matches ours.
-    ref = {tuple(p) for p in nx.all_simple_paths(g, "S0", "C0")}
-    assert ours == ref
+    reference = by_hops_then_names(nx.all_simple_paths(g, "S0", "C0"))
+    assert by_hops_then_names(simple_routes(net, "S0", "C0")) == reference
+    routes = yen_routes(net, "S0", "C0")
+    for i, want in enumerate(reference):
+        assert next(routes) == want, f"route {i}"
+    assert next(routes, None) is None
+
+
+@given(switch_graphs(), st.integers(min_value=0, max_value=7))
+@settings(max_examples=60, deadline=None)
+def test_cutoff_stops_at_the_hop_bound(case, cutoff):
+    n, edges = case
+    net, _ = build_pair(n, edges)
+    every = by_hops_then_names(simple_routes(net, "S0", "C0"))
+    within = [p for p in every if len(p) - 1 <= cutoff]
+    assert list(yen_routes(net, "S0", "C0", cutoff=cutoff)) == within
+    assert route_candidates(net, "S0", "C0", None, cutoff=cutoff) == within
 
 
 @given(switch_graphs(), st.integers(min_value=1, max_value=6))
@@ -174,7 +246,8 @@ def test_k_shortest_agrees_with_exhaustive(case, k):
     net, g = build_pair(n, edges)
     ours = k_shortest_paths(net, "S0", "C0", k)
     everything = sorted(
-        (tuple(p) for p in all_simple_paths(net, "S0", "C0")), key=lambda p: len(p)
+        (tuple(p) for p in nx.all_simple_paths(g, "S0", "C0")),
+        key=lambda p: len(p)
     )
     assert len(ours) == min(k, len(everything))
     # Yen's result lengths must match the k smallest lengths.
@@ -186,18 +259,14 @@ def test_k_shortest_agrees_with_exhaustive(case, k):
 
 
 @given(switch_graphs(), st.integers(min_value=1, max_value=8),
-       st.sets(st.integers(min_value=0, max_value=6), max_size=2),
-       st.sets(st.integers(min_value=0, max_value=6), max_size=2))
+       extra_endpoints, extra_endpoints)
 @settings(max_examples=200, deadline=None)
 def test_k_routes_are_a_prefix_of_all_routes(case, k, s_extra, c_extra):
     # Route index r must name the same route under every route limit
-    # (repro.core.seeding shares knowledge by index).  Extra endpoint
-    # attachments give flows several ways into and out of the fabric.
+    # (repro.core.seeding shares knowledge by index).
     n, edges = case
     net, _ = build_pair(n, edges)
-    for endpoint, extra, home in (("S0", s_extra, 0), ("C0", c_extra, n - 1)):
-        for sw in sorted(extra - {home}):
-            if sw < n:
-                net.add_link(endpoint, f"SW{sw}")
-    every = route_candidates(net, "S0", "C0", None)
+    list(attach_extra(net, n, s_extra, c_extra))
+    every = by_hops_then_names(simple_routes(net, "S0", "C0"))
+    assert route_candidates(net, "S0", "C0", None) == every
     assert route_candidates(net, "S0", "C0", k) == every[:k]
