@@ -40,8 +40,9 @@ from simplex_pivots import cross_wired, median_iqr, record  # noqa: E402
 #: The mutating calls of the engine's public surface, as LraTheory uses it.
 RECORDED = ("new_node", "scaled_bound", "assert_constraint", "undo_to")
 #: n_apps -> (asserts, negative cycles) of the recording (4 is the
-#: default size, 3 the CI smoke).
-EXPECTED = {3: (988, 19), 4: (1380, 26)}
+#: default size, 3 the CI smoke; 988 / 19 and 1,380 / 26 before a route
+#: limit became an assumption of the lazy route loop).
+EXPECTED = {3: (982, 19), 4: (1359, 24)}
 
 
 def observe(name, result):

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Unsat cores and assumption probing with the session API.
+"""Unsat cores and assumptions with the session API.
 
 Walks the three layers of the new ``repro.api`` surface:
 
@@ -7,9 +7,9 @@ Walks the three layers of the new ``repro.api`` surface:
    deletion-minimized unsat core,
 2. the serialization backend producing an SMT-LIB2 script for the same
    check, and
-3. the synthesis driver using probes/cores on a contention-tight network
-   — including the staged-heuristic trap that core-driven repair
-   recovers.
+3. the synthesis driver's unsat cores on a contention-tight network —
+   the route loop extends exactly the messages a core names, and
+   core-driven repair recovers the staged-heuristic trap.
 
 Run:  python examples/unsat_core.py
 """
@@ -62,16 +62,20 @@ def serialization_backend() -> None:
         print(f"  {line}")
 
 
-def synthesis_probing() -> None:
+def synthesis_cores() -> None:
     # Three apps funnelled through one link: every all-shortest-routes
-    # selection is infeasible, but the instance is satisfiable.
+    # selection is infeasible, but the instance is satisfiable.  The
+    # first check's core names funnel messages only, so they get their
+    # second route and the island keeps its shortest one.
     result = solve(bottleneck_problem(3, islands=1),
                    SynthesisOptions(routes=2))
     stats = result.statistics
+    island = next(s for s in result.solution.schedules.values()
+                  if s.app == "island0")
     print(f"\nfunnel synthesis: {result.status} "
-          f"(assumption probes {stats['assumption_probes']}, "
-          f"cores extracted {stats['cores_extracted']})")
-    assert result.ok and stats["cores_extracted"] > 0
+          f"(route extension rounds {stats['route_extensions']}, "
+          f"island route {'-'.join(island.route)})")
+    assert result.ok and stats["route_extensions"] > 0
 
     # Infeasible variant: period below the relief path's latency.
     result = solve(bottleneck_problem(3, period=Fraction(35, 10000)),
@@ -97,7 +101,7 @@ def synthesis_probing() -> None:
 def main() -> None:
     session_basics()
     serialization_backend()
-    synthesis_probing()
+    synthesis_cores()
     print("\nall demonstrations passed")
 
 

@@ -19,9 +19,8 @@ Transposition (6)       along each candidate route: ``sel -> gamma_next >=
                         gamma_prev + sd + ld`` (sensor release anchored at
                         the sampling instant ``j h_i``)
 No-loop (7)             by construction (simple paths)
-Route (8)               one-hot selection over the encoded routes; in
-                        complete mode (``routes=None``) "or a route not
-                        encoded yet" (``beyond``), see below
+Route (8)               one-hot selection over the encoded routes, "or a
+                        route not encoded yet" (``beyond``), see below
 Stability (9)+(10)      ``Lmin/Lmax`` bounded by every message's e2e --
                         per-route rows for open messages, constants for
                         frozen ones -- plus the piecewise segments of
@@ -32,18 +31,20 @@ Implicit deadline       ``e2e <= h_i`` (both modes; makes one-hyper-period
                         contention analysis exact)
 =====================  =====================================================
 
-Lazy routes (complete mode)
----------------------------
+Lazy routes
+-----------
 
-With a route limit K every message gets its first K routes of
-:func:`~repro.network.paths.yen_routes`.  Without one (the paper's basic
-formulation, every simple route a candidate) a message starts with only
-its shortest route plus one fresh *beyond* literal, "m uses a route not
-encoded yet" (:attr:`MessagePlan.beyond`).  The driver checks under the
-negation of every beyond literal (:attr:`MessagePlan.within`); when an
-``unsat`` core names one, :meth:`Encoder.extend_route` encodes that
-message's next route under a fresh beyond literal and chains the old one
-to "the new route or beyond it".  Soundness rests on three rules:
+Every message starts with only its shortest route of
+:func:`~repro.network.paths.yen_routes` plus one fresh *beyond* literal,
+"m uses a route not encoded yet" (:attr:`MessagePlan.beyond`), whatever
+the route limit.  The driver checks under the negation of every beyond
+literal (:attr:`MessagePlan.within`); when an ``unsat`` core names one,
+:meth:`Encoder.extend_route` encodes that message's next route under a
+fresh beyond literal and chains the old one to "the new route or beyond
+it".  A route limit K (the paper's route-subset heuristic) only stops
+the extension at K routes: the limit is the assumption ``within``,
+never a clause, so the formula is the complete mode's whatever K is.
+Soundness rests on three rules:
 
 1. **Every constraint that needs *some* route of m carries m's beyond
    literal as a disjunct**: Eq. 8's at-least-one, the ``Lmin``
@@ -56,7 +57,7 @@ to "the new route or beyond it".  Soundness rests on three rules:
    route, and a ``sat`` under all the assumptions uses encoded routes
    only.  An extension re-asserts each attainment disjunction over the
    routes now encoded (``tests/core/test_lazy_routes.py`` pins the list).
-2. **Seeding pads with the beyond literal** (:mod:`repro.core.seeding`).
+2. **Veto escapes include the beyond literal** (:mod:`repro.core.seeding`).
 3. **No clause that mentions a beyond literal is exported**: the
    literal's name carries a ``!``, which puts it outside
    :func:`repro.runtime.knowledge.schedule_vocabulary`.
@@ -103,9 +104,9 @@ SHARED_NAMESPACE = "p"
 class MessagePlan:
     """Encoding artifacts for one message being synthesized.
 
-    ``beyond`` is complete mode's "m uses a route not encoded yet" and
-    ``within`` its negation, the assumption every check makes; both are
-    None under a route limit and once no route is left to encode.
+    ``beyond`` is "m uses a route not encoded yet" and ``within`` its
+    negation, the assumption every check makes; both are None once no
+    route is left to encode or the message is pinned for good.
     """
 
     message: MessageInstance
@@ -155,7 +156,7 @@ class Encoder:
         # app name -> the routes its generator has yielded so far.
         self._route_cache: Dict[str, List[List[str]]] = {}
         self._route_streams: Dict[str, Iterator[List[str]]] = {}
-        # app name -> its stability rows (complete mode only).
+        # app name -> its stability rows.
         self._stability_rows: Dict[str, List[_StabilityRows]] = {}
         self.plans: Dict[str, MessagePlan] = {}
         # Directed-link usage: (u, v) -> list of
@@ -172,16 +173,15 @@ class Encoder:
     # ------------------------------------------------------------------
 
     def candidates_for(self, app: ControlApplication) -> List[List[str]]:
-        """The routes a new message of ``app`` is encoded with: the first
-        K, or the shortest one in complete mode."""
-        if self._route(app, 0) is None:
+        """The routes a new message of ``app`` is encoded with: its
+        shortest one."""
+        route = self._route(app, 0)
+        if route is None:
             raise EncodingError(
                 f"app {app.name!r}: no route from {app.sensor!r} to "
                 f"{app.controller!r}"
             )
-        want = 1 if self.route_limit is None else self.route_limit
-        self._route(app, want - 1)
-        return self._route_cache[app.name][:want]
+        return [route]
 
     def _route(self, app: ControlApplication, r: int) -> Optional[List[str]]:
         """Route ``r`` of ``app``, generated on first use (None when the
@@ -216,25 +216,17 @@ class Encoder:
     def encode_message(self, message: MessageInstance) -> MessagePlan:
         """Create variables and routing/scheduling constraints for ``m``."""
         app = self.problem.app_of(message)
-        routes = self.candidates_for(app)
+        [route] = self.candidates_for(app)
         uid = message.uid
 
-        selectors = [
-            Bool(f"{self._ns}/R[{uid}][{r}]") for r in range(len(routes))
-        ]
-        beyond = (self._beyond(uid, len(routes))
-                  if self.route_limit is None else None)
-        # Route constraint (Eq. 8): exactly one candidate (or, in
-        # complete mode, a route not encoded yet).
-        self.solver.add(Or(selectors + [beyond] if beyond else selectors))
-        for a, b in itertools.combinations(selectors, 2):
-            self.solver.add(Or(Not(a), Not(b)))
+        beyond = self._beyond(uid, 1)
+        # Route constraint (Eq. 8): the shortest route or a route not
+        # encoded yet.
+        self.solver.add(Or(Bool(f"{self._ns}/R[{uid}][0]"), beyond))
 
         plan = MessagePlan(message, [], [], {}, [])
-        for route in routes:
-            self._encode_route(plan, app, route)
-        if beyond is not None:
-            plan.beyond, plan.within = beyond, Not(beyond)
+        self._encode_route(plan, app, route)
+        plan.beyond, plan.within = beyond, Not(beyond)
         self.plans[uid] = plan
         return plan
 
@@ -275,37 +267,42 @@ class Encoder:
         plan.e2e_by_route.append(e2e)
 
     def reach_route(self, uid: str, n: int) -> None:
-        """Encode routes of ``uid`` (complete mode) until its beyond
-        literal means "route ``n`` or a later one" exactly: at least
-        ``n`` routes encoded, and the literal asserted false when the
-        app has no route past them."""
+        """Encode routes of ``uid`` until its beyond literal means "route
+        ``n`` or a later one" exactly: at least ``n`` routes encoded (or
+        as many as the route limit allows), and the literal asserted
+        false when the app has no route past them."""
         plan = self.plans[uid]
         while plan.beyond is not None and len(plan.routes) < n:
-            self.extend_route(uid)
+            if not self.extend_route(uid):
+                break
         app = self.problem.app_of(plan.message)
         if (plan.beyond is not None
                 and self._route(app, len(plan.routes)) is None):
             self._close(plan)
 
-    def extend_route(self, uid: str) -> None:
-        """Encode the next route of message ``uid`` (complete mode).
+    def extend_route(self, uid: str) -> bool:
+        """Encode the next route of message ``uid``; returns whether the
+        formula changed.
 
         The new route gets its selector and its per-route constraints, a
         fresh beyond literal takes over, and the old one is chained to
         "the new route or the fresh literal", so every clause that
-        carries it (Eq. 8, attainment, seeding pads) still means "a
+        carries it (Eq. 8, attainment, veto escapes) still means "a
         route from here on".  Each stability row set the message is in
         gets the new route's rows and its attainment re-asserted.  When
         ``uid`` has no further route its beyond literal is asserted false
-        for good instead.
+        for good instead.  At the route limit nothing is asserted: the
+        limit stays the assumption ``within``.
         """
         plan = self.plans[uid]
-        app = self.problem.app_of(plan.message)
         n = len(plan.routes)
+        if self.route_limit is not None and n >= self.route_limit:
+            return False
+        app = self.problem.app_of(plan.message)
         route = self._route(app, n)
         if route is None:
             self._close(plan)
-            return
+            return True
         sel = Bool(f"{self._ns}/R[{uid}][{n}]")
         beyond = self._beyond(uid, n + 1)
         self.solver.add(Or(Not(plan.beyond), sel, beyond))
@@ -319,6 +316,7 @@ class Encoder:
                 self.solver.add(Implies(sel, rows.lmin <= e2e))
                 self.solver.add(Implies(sel, rows.lmax >= e2e))
                 self._add_attainment(rows)
+        return True
 
     def freeze_message(self, plan: MessagePlan, model, pin: bool = True,
                        guard: Optional[BoolExpr] = None) -> MessageSchedule:
@@ -511,8 +509,7 @@ class Encoder:
             self.solver.add(lmax >= hi)
         rows = _StabilityRows(lmin, lmax, exact_max, open_uids, frozen_range)
         self._add_attainment(rows)
-        if self.route_limit is None:
-            self._stability_rows.setdefault(app.name, []).append(rows)
+        self._stability_rows.setdefault(app.name, []).append(rows)
 
         segments = []
         for seg in spec.segments:
@@ -531,7 +528,7 @@ class Encoder:
     def _add_attainment(self, rows: _StabilityRows) -> None:
         """``Lmin >= e2e`` (and under ``unstable`` ``Lmax <= e2e``) for at
         least one selected route of the rows' messages, or a frozen
-        constant -- or a route not encoded yet (complete mode)."""
+        constant -- or a route not encoded yet."""
         lmin, lmax, exact_max = rows.lmin, rows.lmax, rows.exact_max
         attain_min: List[BoolExpr] = []
         attain_max: List[BoolExpr] = []

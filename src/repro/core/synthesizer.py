@@ -8,7 +8,9 @@
   the soundness argument is in :mod:`repro.core.encoding`).
 * **Route subset** (Sec. V-C-1): ``routes=K`` restricts each application
   to its first K shortest routes — a prefix of the all-routes order
-  (:func:`~repro.network.paths.yen_routes`).
+  (:func:`~repro.network.paths.yen_routes`).  It is the same loop, which
+  stops extending a message at K routes: the limit is an assumption,
+  never a clause.
 * **Incremental synthesis** (Sec. V-C-2): ``stages=S`` divides the
   hyper-period into S time slices; each stage solves only the messages
   released in its slice, with all earlier stages' routes and release
@@ -33,27 +35,15 @@ Contention (Eq. 5) is lazy: every ``sat`` check of a stage goes through
 overlaps no pair (statistics: ``contention_pairs``,
 ``contention_rounds``).
 
-On top of the plain per-stage solve the driver leans on the session
-API's assumption machinery:
-
-* **Route probing** (``routes=K``): before the full stage solve, the
-  stage's messages are *assumed* onto their first (shortest) candidate
-  routes — a plain assumption check, nothing asserted.  If the probe is
-  sat its model is used directly; if not, the probe's minimized unsat
-  core names exactly the conflicting shortest-route choices, those are
-  released, and the remainder is re-probed before falling back to the
-  unrestricted stage solve (statistics: ``assumption_probes``,
-  ``cores_extracted``).  Complete mode needs no probe: its first check
-  is on the shortest routes already.
-* **Core-driven stage repair** (``repair``, opt-in): stage freezes are
-  guarded by per-message assumption literals instead of permanent
-  equalities.  When a later stage is infeasible, the failing check's
-  unsat core names the frozen messages responsible; the driver unfreezes
-  exactly those and re-solves the stage jointly with them
-  (``stage_repairs``), recovering instances the plain incremental
-  heuristic loses, in at most :data:`MAX_REPAIR_ROUNDS` rounds per
-  stage.  Off by default so the paper's Fig. 5/6 heuristic-failure rates
-  stay reproducible.
+**Core-driven stage repair** (``repair``, opt-in) leans on the session
+API's assumption machinery: stage freezes are guarded by per-message
+assumption literals instead of permanent equalities.  When a later
+stage is infeasible, the failing check's unsat core names the frozen
+messages responsible; the driver unfreezes exactly those and re-solves
+the stage jointly with them (``stage_repairs``, ``cores_extracted``),
+recovering instances the plain incremental heuristic loses, in at most
+:data:`MAX_REPAIR_ROUNDS` rounds per stage.  Off by default so the
+paper's Fig. 5/6 heuristic-failure rates stay reproducible.
 """
 
 from __future__ import annotations
@@ -71,7 +61,7 @@ from ..smt.terms import Bool, BoolExpr
 from .encoding import SHARED_NAMESPACE, Encoder, MessagePlan
 from .problem import SynthesisProblem
 from .seeding import (SeedKnowledge, StrategySignature, apply_route_vetoes,
-                      import_padded_clauses, import_presolve_clauses)
+                      import_presolve_clauses)
 from .solution import MessageSchedule, Solution
 
 MODE_STABILITY = "stability"
@@ -95,8 +85,9 @@ class SynthesisOptions:
         mode: ``"stability"`` (Eqs. 2-3, 10) or ``"deadline"`` (the
             state-of-the-art baseline of Table I: only ``e2e <= period``).
         routes: number of candidate shortest routes per application
-            (``None`` = all simple routes, the basic formulation,
-            encoded lazily: statistics ``route_extensions``).
+            (``None`` = all simple routes, the basic formulation);
+            either way routes are encoded lazily (statistics
+            ``route_extensions``).
         stages: number of incremental time slices (1 = monolithic).
         path_cutoff: optional hop bound on every candidate route.
         repair: guard stage freezes with assumption literals and use
@@ -163,14 +154,16 @@ class SynthesisResult:
     failed_stage: Optional[int] = None
     statistics: Dict[str, int] = field(default_factory=dict)
     #: Per-solved-stage search-effort deltas (one entry per non-empty
-    #: stage, summed over that stage's probe/repair/full checks).
+    #: stage, summed over that stage's checks).
     stage_statistics: List[Dict[str, int]] = field(default_factory=list)
     #: On unsat: human-readable labels of the failing check's unsat core
-    #: (frozen messages / probed route selections), when one exists.
+    #: (frozen messages, messages at the route limit), when one exists.
     unsat_explanation: Optional[List[str]] = None
     #: On a *provable* unsat (single-stage run, no heuristic freezes):
-    #: ``(uid, candidate route count)`` per encoded message — the doomed
-    #: route-subset selection a portfolio race shares with siblings.
+    #: ``(uid, candidate route count)`` per message the final core names
+    #: at its route limit (every message when it names none) — the
+    #: doomed route-subset selection a portfolio race shares with
+    #: siblings.
     route_veto: Optional[Tuple[Tuple[str, int], ...]] = None
 
     @property
@@ -201,9 +194,9 @@ class _StageAccounting:
 
     def __init__(self) -> None:
         self.totals: Dict[str, int] = {key: 0 for key in _STAGE_COUNTERS}
-        self.totals.update(assumption_probes=0, cores_extracted=0,
-                           stage_repairs=0, clauses_imported=0,
-                           route_vetoes_applied=0)
+        self.totals.update(cores_extracted=0, stage_repairs=0,
+                           clauses_imported=0, route_vetoes_applied=0,
+                           route_extensions=0)
         self.stage: Dict[str, int] = {}
         self.per_stage: List[Dict[str, int]] = []
 
@@ -301,8 +294,6 @@ def solve(
                       namespace=SHARED_NAMESPACE)
 
     acct = _StageAccounting()
-    if opts.routes is None:
-        acct.totals["route_extensions"] = 0
     ledger = _FreezeLedger(opts.repair)
     schedules: Dict[str, MessageSchedule] = {}
     stages_done = 0
@@ -333,12 +324,8 @@ def solve(
         if seed:
             acct.count("route_vetoes_applied", apply_route_vetoes(
                 session, encoder, opts, vetoes_applied))
-            if opts.stages == 1:
-                acct.count("clauses_imported", import_padded_clauses(
-                    session, encoder, opts))
 
-        outcome = _check_stage(session, encoder, opts, acct, ledger,
-                               new_plans)
+        outcome = _check_stage(session, encoder, opts, acct, ledger)
 
         if outcome != "sat":
             # An undecided check (conflict budget, stop predicate) must not
@@ -349,10 +336,7 @@ def solve(
                 # Single-stage unsat is a real proof that this run's
                 # route-subset selection is infeasible (no heuristic
                 # freezes were involved) — exportable to siblings.
-                veto = tuple(sorted(
-                    (uid, len(plan.selectors))
-                    for uid, plan in encoder.plans.items()
-                ))
+                veto = _route_veto(outcome, encoder)
             return SynthesisResult(
                 status=status_name,
                 solution=None,
@@ -430,30 +414,47 @@ def check_routed(
     """:func:`check_refined` under every encoded message's ``within``
     assumption, extending routes until the answer is about the problem.
 
-    Under a route limit no message has one, and this is one
-    :func:`check_refined`.  In complete mode a ``sat`` uses encoded
-    routes only, and an ``unsat`` whose core names no ``within`` holds
-    with every beyond literal free, so for every route
-    (:mod:`repro.core.encoding`).  Otherwise each message the core names
-    gets its next route (:meth:`Encoder.extend_route`, statistics:
-    ``route_extensions`` counts the rounds) and the check repeats.
+    A ``sat`` uses encoded routes only, and an ``unsat`` whose core names
+    no ``within`` holds with every beyond literal free, so for every
+    route (:mod:`repro.core.encoding`).  Otherwise each message the core
+    names gets its next route (:meth:`Encoder.extend_route`, statistics:
+    ``route_extensions`` counts the rounds) and the check repeats, until
+    no message the core names can extend: each is at the route limit,
+    and the ``unsat`` is about the routes it allows.
     """
     while True:
-        within = {plan.within: plan.message.uid
-                  for plan in encoder.plans.values()
-                  if plan.within is not None}
+        within = _within_literals(encoder)
         outcome = check_refined(session, encoder,
                                 list(assumptions) + list(within), acct)
         if outcome != "unsat":
             return outcome
-        blamed = [within[lit] for lit in outcome.unsat_core or ()
-                  if lit in within]
-        if not blamed:
+        extended = False
+        for lit in outcome.unsat_core or ():
+            if lit in within:
+                extended |= encoder.extend_route(within[lit])
+        if not extended:
             return outcome
-        for uid in blamed:
-            encoder.extend_route(uid)
         if acct is not None:
             acct.count("route_extensions")
+
+
+def _within_literals(encoder: Encoder) -> Dict[BoolExpr, str]:
+    """Every open message's ``within`` assumption, mapped to its uid."""
+    return {plan.within: uid for uid, plan in encoder.plans.items()
+            if plan.within is not None}
+
+
+def _route_veto(outcome: CheckOutcome,
+                encoder: Encoder) -> Tuple[Tuple[str, int], ...]:
+    """``(uid, encoded route count)`` of every message a single-stage
+    ``unsat``'s core names (each at the route limit), or of every
+    message when the core names none."""
+    within = _within_literals(encoder)
+    blamed = {within[lit] for lit in outcome.unsat_core or ()
+              if lit in within}
+    return tuple(sorted((uid, len(plan.selectors))
+                        for uid, plan in encoder.plans.items()
+                        if not blamed or uid in blamed))
 
 
 def _check_stage(
@@ -462,43 +463,12 @@ def _check_stage(
     opts: SynthesisOptions,
     acct: _StageAccounting,
     ledger: _FreezeLedger,
-    new_plans: List[MessagePlan],
-):
-    """One stage's probe ladder: greedy route probe -> core-relaxed
-    re-probe -> unrestricted solve -> (repair mode) core-driven
-    unfreezing, every check refined by :func:`check_routed`.  Returns
-    the final :class:`CheckOutcome`.
-
-    In complete mode a new message has one encoded route, so there is
-    no probe: the first check already is the shortest-route probe, and
-    :func:`check_routed` extends from there."""
+) -> CheckOutcome:
+    """One stage's :func:`check_routed` under the freezes, then (repair
+    mode) core-driven unfreezing.  Its first check is on every new
+    message's shortest route; the routes grow from there."""
     freezes = ledger.assumptions()
-
-    def check(assumptions: Sequence[BoolExpr]) -> CheckOutcome:
-        return check_routed(session, encoder, assumptions, acct)
-
-    greedy = [p.selectors[0] for p in new_plans if len(p.selectors) > 1]
-    if greedy:
-        acct.count("assumption_probes")
-        probe = check(freezes + greedy)
-        if probe == "sat":
-            return probe
-        core = set(probe.unsat_core or ())
-        if core:
-            acct.count("cores_extracted")
-        # Release exactly the conflicting shortest-route choices and
-        # try once more — unless the core blames frozen messages
-        # (repair territory) or dissolves the whole probe.
-        relaxed = [g for g in greedy if g not in core]
-        if (core and relaxed and len(relaxed) < len(greedy)
-                and not core.intersection(freezes)):
-            acct.count("assumption_probes")
-            probe = check(freezes + relaxed)
-            if probe == "sat":
-                return probe
-
-    outcome = check(freezes)
-
+    outcome = check_routed(session, encoder, freezes, acct)
     if outcome != "sat" and opts.repair and freezes:
         rounds = 0
         while outcome != "sat" and rounds < MAX_REPAIR_ROUNDS:
@@ -510,28 +480,30 @@ def _check_stage(
             acct.count("stage_repairs")
             ledger.release(blamed)
             rounds += 1
-            outcome = check(ledger.assumptions())
+            outcome = check_routed(session, encoder, ledger.assumptions(),
+                                   acct)
     return outcome
 
 
 def _explain_core(outcome, ledger: _FreezeLedger, encoder: Encoder):
-    """Human-readable labels for a failing check's unsat core (None when
-    the check assumed nothing but complete mode's ``within`` literals,
-    which a final core never names)."""
-    within = {plan.within for plan in encoder.plans.values()}
+    """Human-readable labels for a failing check's unsat core: a frozen
+    message as ``frozen[uid]``, a message at the route limit as
+    ``routes[uid]<=K``.  None when the check assumed nothing but
+    ``within`` literals: the core then names only messages at their
+    route limit, which a single-stage run reports as its route veto."""
+    within = _within_literals(encoder)
     if (outcome.unsat_core is None
             or all(lit in within for lit in outcome.assumptions)):
         return None
     labels: List[str] = []
-    selector_names: Dict[BoolExpr, str] = {
-        sel: f"route[{uid}][{r}]"
-        for uid, plan in encoder.plans.items()
-        for r, sel in enumerate(plan.selectors)
-    }
     for expr in outcome.unsat_core:
         uid = ledger.uid_by_guard.get(expr)
         if uid is not None:
             labels.append(f"frozen[{uid}]")
+        elif expr in within:
+            uid = within[expr]
+            labels.append(
+                f"routes[{uid}]<={len(encoder.plans[uid].selectors)}")
         else:
-            labels.append(selector_names.get(expr, repr(expr)))
+            labels.append(repr(expr))
     return labels

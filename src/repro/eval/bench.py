@@ -130,13 +130,13 @@ def _bench_backends(scale: dict) -> dict:
 
 
 def _bench_unsat_core(scale: dict) -> dict:
-    """Assumption probing and unsat-core extraction on funnel workloads.
+    """Unsat cores in the route loop and in stage repair.
 
-    Three deterministic instances: a satisfiable funnel whose shortest-
-    route probe must fail (core-guided relaxation), an infeasible funnel
-    (unsat outright), and the staged-heuristic trap that core-driven
-    repair recovers.  Statuses and the probe/core counters are the
-    regression surface.
+    Three deterministic instances: a satisfiable funnel whose shortest
+    routes must fail (the core names the messages that get a second
+    route), an infeasible funnel (unsat outright), and the
+    staged-heuristic trap that core-driven repair recovers.  Statuses
+    and the extension/core counters are the regression surface.
     """
     from fractions import Fraction
 
@@ -146,17 +146,17 @@ def _bench_unsat_core(scale: dict) -> dict:
     routes = scale.get("routes", 2)
     statuses: Dict[str, str] = {}
     counters: Dict[str, int] = {
-        "assumption_probes": 0, "cores_extracted": 0, "stage_repairs": 0,
+        "route_extensions": 0, "cores_extracted": 0, "stage_repairs": 0,
     }
 
     def absorb(result) -> None:
         for key in counters:
             counters[key] += result.statistics.get(key, 0)
 
-    probe = solve(workloads.bottleneck_problem(3, islands=1),
-                  SynthesisOptions(routes=routes))
-    statuses["probe_conflict"] = probe.status
-    absorb(probe)
+    funnel = solve(workloads.bottleneck_problem(3, islands=1),
+                   SynthesisOptions(routes=routes))
+    statuses["probe_conflict"] = funnel.status
+    absorb(funnel)
     infeasible = solve(
         workloads.bottleneck_problem(3, period=Fraction(35, 10000)),
         SynthesisOptions(routes=routes))

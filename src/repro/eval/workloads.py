@@ -195,8 +195,8 @@ def bottleneck_network(n_apps: int, islands: int = 0) -> Network:
     shortest route for everyone, with a single relief path through
     ``D``.  ``islands`` adds that many *independent* copies (prefix
     ``I<k>.``) whose apps never contend with the main funnel — their
-    shortest routes are always feasible, which makes them the
-    non-conflicting remainder a core-guided probe keeps.
+    shortest routes are always feasible, so no unsat core names them
+    and they keep their shortest routes.
     """
     net = Network()
     for sw in ("A", "D", "B"):
@@ -229,14 +229,14 @@ def bottleneck_problem(
     islands: int = 0,
     island_period: Optional[Fraction] = None,
 ) -> SynthesisProblem:
-    """A contention-tight funnel where shortest-route probing must fail.
+    """A contention-tight funnel where the shortest routes must fail.
 
     With the default 4.5 ms period and 1 ms link delay the direct link
     holds only two of the three messages (window < 2 separations), while
     the relief path holds exactly one — so the instance is *satisfiable*
-    but every all-shortest-routes selection is not: the greedy
-    assumption probe fails and its minimized unsat core names the
-    funnel's selectors.  Shrinking the period below the relief path's
+    but every all-shortest-routes selection is not: the first check
+    fails and its minimized unsat core names funnel messages, which get
+    their second route.  Shrinking the period below the relief path's
     latency (e.g. 3.5 ms) makes the instance infeasible outright.
     """
     net = bottleneck_network(n_apps, islands=islands)
@@ -310,7 +310,7 @@ def sharing_problem(n_apps: int = 4, islands: int = 2) -> SynthesisProblem:
     heuristic freezes) whose route veto says "not every message fits
     within its first candidate".  ``routes-2`` sees the relief path
     through ``D`` and is sat; seeded with the veto (plus routes-1's
-    learned clauses, padded with the second-route selectors), its solver
+    learned clauses, imported verbatim), its solver
     refutes the doomed all-shortest subtree by unit propagation instead
     of search, so the race's summed conflict count drops while statuses
     and the certified schedule stay identical.  The ``islands`` add
@@ -361,7 +361,7 @@ def slow_funnel_problem() -> SynthesisProblem:
     Nine apps on the 7 ms funnel, whose direct link holds four messages
     and relief path three: the instance is unsat, and refuting it is a
     pigeonhole proof (about 9,300 conflicts, ~10 s on a 2-core x86 box)
-    that no check of the probe ladder short-cuts, so a stopped
+    that no route extension short-cuts, so a stopped
     solve can only answer ``unknown``.  Contention clauses are added
     only when a model violates them, so instances that are merely large
     (the GM case study at ten apps) solve in well under a second; this

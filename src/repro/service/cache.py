@@ -12,7 +12,7 @@ Admission path (:meth:`KnowledgeCache.lookup`): one dictionary lookup by
 :func:`~repro.service.fingerprint.problem_fingerprint`.  A hit is the
 entry of the very formula the request asks for, so its knowledge plugs
 straight into ``SynthesisOptions.seed_knowledge`` and the whole import
-machinery (route-limit padding, veto escapes) is the race's, untouched.
+machinery (verbatim clauses, veto escapes) is the race's, untouched.
 The stored schedule is never seeded: the server answers a ``sat`` hit
 with it after certifying it, and :meth:`KnowledgeCache.quarantine`
 drops an entry whose schedule does not certify.

@@ -530,19 +530,15 @@ class SolverEngine:
                 break
         return units
 
-    def import_clauses(self, clauses, pad: Iterable[BoolExpr] = ()) -> int:
-        """Install serialized clauses (weakened by the ``pad`` literals).
+    def import_clauses(self, clauses) -> int:
+        """Install serialized clauses, verbatim.
 
         Each clause's literals are deserialized through the interning
         layer — atoms are registered with the theory on first sight — and
-        the clause ``C or pad[0] or ...`` is added at the root level.
-        ``pad`` carries the *relaxation literals* required when the
-        exporting solver ran under a stricter route restriction than this
-        one (see ``docs/perf.md``, portfolio sharing).  Returns the number
-        of clauses installed.  Must be called between checks (the solver
-        is at decision level 0 then).
+        the clause is added at the root level.  Returns the number of
+        clauses installed.  Must be called between checks (the solver is
+        at decision level 0 then).
         """
-        pad_lits = [self._cnf.literal_for(e) for e in pad]
         count = 0
         for clause in clauses:
             lits = []
@@ -550,7 +546,7 @@ class SolverEngine:
                 expr, negated = deserialize_literal(ser)
                 lit = self._cnf.literal_for(expr)
                 lits.append(neg(lit) if negated else lit)
-            self._sat.add_clause(lits + pad_lits)
+            self._sat.add_clause(lits)
             count += 1
         self._clauses_imported += count
         return count

@@ -32,6 +32,10 @@ variables, 492 -> 361 atoms).  The later states were re-recorded once
 more when the transitive difference-logic propagation pass was deleted:
 the search found other models, which froze other values (475 -> 472
 variables, 361 -> 358 atoms; the first two states are unchanged).
+Every state moved when a route limit became an assumption: each
+message is encoded on its shortest route plus a beyond literal, and a
+route is added only where an unsat core asks for it (818 -> 345
+clauses, 472 -> 301 variables, 358 -> 244 atoms).
 
 To re-record after a change that is *meant* to alter the formula::
 
@@ -92,24 +96,25 @@ CASES = {
 #: one 16-hex digest per distinct formula state seen by a check()).
 GOLDEN = {
     'gm_case_study(3) routes=3 stages=5': (
-        'sat', 818, 472, 358, (
-            'e63b12da2f2583f3',
-            'ad84519c10d371ad',
-            'c7d981c67f7d338d',
-            'e170f175b98dd4b7',
-            'dec793af006cd0d7',
+        'sat', 345, 301, 244, (
+            'b5cc926b5fe12311',
+            'f78025b84dba7a69',
+            'a0769fb833957034',
+            'a5b9958817678968',
+            'd2243e843780bc6b',
         )),
     'gm_variant(seed 13) routes=3 stages=4': (
-        'sat', 627, 372, 288, (
-            'befb2f95913e2dca',
-            '09e177289f5db836',
-            '6a27778c86f63945',
-            '26af888f27ea79aa',
+        'sat', 294, 262, 220, (
+            '69e014349b9579e0',
+            '16264dfba8e56607',
+            'bd966fc836041bcd',
+            '6d47bf3a1f2a0a08',
         )),
     'bottleneck_problem(3) routes=2': (
-        'sat', 72, 51, 39, (
-            '7bdddddc6e8237ff',
-            'e94058539ba8ac68',
+        'sat', 87, 60, 39, (
+            '3c5007d78c39c2fd',
+            '13788d7308b7d239',
+            '2b4e9486a809e0f3',
         )),
 }
 
@@ -201,9 +206,11 @@ def test_emitted_formula_matches_golden(case):
 def test_recording_is_not_vacuous():
     # gm_case_study(3) fell under these floors (818 clauses, 361 atoms)
     # once frozen messages entered the stability rows as constants, so
-    # the instance grew: gm_case_study(5) gives 1,232 and 542.
+    # the instance grew: gm_case_study(5) gave 1,232 and 542.  It fell
+    # under them too (526 and 375) once routes were encoded lazily under
+    # every limit: gm_case_study(10) gives 1,177 and 884.
     status, clauses, n_vars, n_atoms, digests = record_run(
-        gm_case_study(5), SynthesisOptions(routes=3, stages=5))
+        gm_case_study(10), SynthesisOptions(routes=3, stages=5))
     assert status == "sat"
     assert clauses > 1000 and n_atoms > 400
     assert len(digests) >= 5  # at least one formula state per stage

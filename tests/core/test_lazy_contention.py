@@ -42,13 +42,22 @@ def test_verdicts_of_the_funnel_instances_hold(case):
         assert collect_violations(result.solution) == []
 
 
+def within(encoder):
+    """Every open message's assumption "no route beyond the encoded
+    ones"."""
+    return [plan.within for plan in encoder.plans.values()
+            if plan.within is not None]
+
+
 def eager_verdict(problem, routes):
-    """The reference: every pair clause of every link asserted up front
-    (the paper's Eq. 5 as written), then one check."""
+    """The reference: every route up to the limit and every pair clause
+    of every link asserted up front (the paper's Eq. 5 as written), then
+    one check under every message's ``within``."""
     session = Session()
     encoder = Encoder(problem, session, routes)
     for message in problem.messages:
         encoder.encode_message(message)
+        encoder.reach_route(message.uid, routes)
     for app in problem.apps:
         encoder.add_stability_constraints(app)
     for link, usages in encoder.link_usage.items():
@@ -56,7 +65,7 @@ def eager_verdict(problem, routes):
             for i in range(j):
                 if usages[i][0] != usages[j][0]:
                     session.add(encoder.contention_clause(link, i, j))
-    return session.check().status.name
+    return session.check(within(encoder)).status.name
 
 
 @settings(max_examples=25, deadline=None)
@@ -80,7 +89,7 @@ def test_a_model_violating_an_asserted_pair_is_a_solver_bug():
     encoder = Encoder(bottleneck_problem(3), session, route_limit=1)
     for message in encoder.problem.messages:
         encoder.encode_message(message)
-    outcome = session.check()
+    outcome = session.check(within(encoder))
     assert outcome == "sat"
     model = outcome.require_model()
     # Every message leaves the funnel at its earliest time: overlaps.

@@ -1,13 +1,19 @@
-"""Lazy routes: complete mode (``routes=None``) encodes each message's
-shortest route and extends only where an unsat core asks.
+"""Lazy routes: every run encodes each message's shortest route and
+extends only where an unsat core asks, up to its route limit.
 
-The reference is the eager complete formula.  Every route list is a
-prefix of the all-routes order, so that formula is ``routes=K`` with K
-the largest number of simple routes any app has.  Both must give the
-same verdict on every problem, staged or not, with or without repair,
-and every ``sat`` must certify.  The knowledge tests pin the two
-boundaries where a beyond literal could leak into another run: seeded
-imports (padded with it) and exports (never holding it).
+The reference is the eager formula, built by the same encoder: each
+message gets its first K routes as it is encoded
+(:meth:`Encoder.reach_route`, see :func:`eager_solve`), so no check
+extends.  Every route list is a prefix of the all-routes order, so the
+eager complete formula is K = the largest number of simple routes any
+app has.  Single-stage verdicts must be equal; staged ones may differ
+where the loop's first check (every new message on its shortest route)
+freezes another model than the eager formula's first check, and the
+differences are pinned.  Every ``sat`` must certify.  The knowledge
+tests pin the boundaries where a route limit or a beyond literal could
+leak into another run: verbatim imports across route limits, the route
+veto, exports (never holding a beyond literal) and cache entries
+written while a route limit was a clause.
 """
 
 from dataclasses import replace
@@ -17,12 +23,14 @@ import pytest
 
 from repro.api import Session
 from repro.core import Encoder, SynthesisOptions, collect_violations, solve
+from repro.core.encoding import SHARED_NAMESPACE
 from repro.core.synthesizer import (MODE_DEADLINE, MODE_STABILITY,
                                     check_routed, open_session)
 from repro.eval import workloads as W
 from repro.eval.experiments import unstable_verdicts
 from repro.network.paths import route_candidates
 from repro.runtime.knowledge import export_knowledge
+from repro.service import problem_fingerprint
 from repro.service.cache import KnowledgeCache
 from repro.smt import Bool
 from repro.smt.terms import AndExpr, Atom, BoolVar, NotExpr, OrExpr
@@ -63,32 +71,99 @@ CASES.update({
 })
 
 
+def eager_solve(problem, options, k):
+    """``solve`` on the eager routes-``k`` formula of the same encoder:
+    every message gets its first ``k`` routes as it is encoded, so no
+    check extends a route."""
+    encode = Encoder.encode_message
+
+    def encode_eagerly(self, message):
+        plan = encode(self, message)
+        self.reach_route(message.uid, k)
+        return plan
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Encoder, "encode_message", encode_eagerly)
+        return solve(problem, options)
+
+
+#: case -> route limit -> {repair: (lazy, eager)} at stages 3 where the
+#: two differ.  On the repair trap the loop's first stage-0 check puts
+#: every message on its shortest route, and that freeze blocks stage 1
+#: (as the probe ladder's did before route limits became assumptions);
+#: the eager formula's first stage-0 model does not.
+STAGED_DIFFERENCES = {
+    "bottleneck_repair_problem": {None: {False: ("unsat", "sat")},
+                                  2: {False: ("unsat", "sat")},
+                                  3: {False: ("unsat", "sat")}},
+}
+
+
+def assert_loop_matches_eager(case, routes, k):
+    """The loop at ``routes`` against the eager routes-``k`` formula:
+    equal single-stage verdicts, every ``sat`` certified, and at stages
+    3 (repair off and on) only the pinned differences."""
+    problem = CASES[case]()
+    options = SynthesisOptions(routes=routes)
+    lazy, want = solve(problem, options), eager_solve(problem, options, k)
+    assert lazy.status == want.status, routes
+    assert certified(lazy) and certified(want)
+    differ = {}
+    for repair in (False, True):
+        options = SynthesisOptions(routes=routes, stages=3, repair=repair)
+        lazy, want = solve(problem, options), eager_solve(problem, options, k)
+        assert certified(lazy) and certified(want)
+        if lazy.status != want.status:
+            differ[repair] = (lazy.status, want.status)
+    assert differ == STAGED_DIFFERENCES.get(case, {}).get(routes, {}), routes
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_lazy_verdict_equals_the_eager_complete_formula(case):
-    problem = CASES[case]()
-    eager = all_routes(problem)
-    for stages in (1, 3):
-        for repair in (False, True):
-            lazy = solve(problem, SynthesisOptions(stages=stages,
-                                                   repair=repair))
-            want = solve(problem, SynthesisOptions(routes=eager, stages=stages,
-                                                   repair=repair))
-            assert lazy.status == want.status, (stages, repair)
-            assert certified(lazy) and certified(want)
+    assert_loop_matches_eager(case, None, all_routes(CASES[case]()))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_route_limit_verdict_equals_the_eager_routes_k_formula(case):
+    for k in (1, 2, 3):
+        assert_loop_matches_eager(case, k, k)
 
 
 def test_slow_funnel_stays_unsat():
-    # The pigeonhole funnel is unsat by construction; its eager run takes
-    # as long as this one (about 10 s), so only the lazy run is made.
-    result = solve(W.slow_funnel_problem(), SynthesisOptions())
+    # The pigeonhole funnel is unsat by construction.  Seeded with its
+    # routes-1 export (verbatim clauses and a veto), the complete run
+    # still proves it through extensions.  The eager run and a routes-2
+    # or routes-3 recipient each take as long (about 20 s), so only
+    # this run is made.
+    problem = W.slow_funnel_problem()
+    _, _, knowledge = _exported(SynthesisOptions(routes=1), problem)
+    assert knowledge.clauses and knowledge.route_veto
+    result = solve(problem, SynthesisOptions(seed_knowledge=(knowledge,)))
     assert result.status == "unsat"
     assert result.statistics["route_extensions"] > 0
+    assert result.statistics["clauses_imported"] == len(knowledge.clauses)
+    assert result.statistics["route_vetoes_applied"] == 1
 
 
 def test_unstable_verdicts_equal_the_eager_ones():
     problem = W.gm_case_study(6)
     lazy, witnesses = unstable_verdicts(problem, None)
     eager, _ = unstable_verdicts(problem, all_routes(problem))
+    assert lazy == eager
+    assert "sat" in lazy.values() and "unsat" in lazy.values()
+    for app, solution in witnesses.items():
+        assert collect_violations(solution, check_stability=False) == []
+        assert solution.app_report(app).stable is False
+
+
+def test_unstable_verdicts_at_a_route_limit_equal_the_lazy_loop():
+    # Under a limit unstable_verdicts encodes every route up front; with
+    # reach_route disabled the same function is the lazy loop.
+    problem = W.gm_case_study(6)
+    eager, _ = unstable_verdicts(problem, 3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Encoder, "reach_route", lambda self, uid, n: None)
+        lazy, witnesses = unstable_verdicts(problem, 3)
     assert lazy == eager
     assert "sat" in lazy.values() and "unsat" in lazy.values()
     for app, solution in witnesses.items():
@@ -111,7 +186,6 @@ class TestExtension:
         result = solve(W.detour_problem(), SynthesisOptions())
         assert result.ok and certified(result)
         assert result.statistics["route_extensions"] >= 1
-        assert result.statistics["assumption_probes"] == 0
 
     def test_exhausted_generator_closes_the_message(self):
         # The chain network has one route per app: refuting the short
@@ -242,7 +316,134 @@ def _literals(clauses):
     return [lit for clause in clauses for lit in clause]
 
 
+#: Byte for byte what the cache stored while a route limit K was encoded
+#: as clauses (only the first K routes, no beyond literal), so the
+#: clauses hold only together with the limit: the sat of
+#: ``sharing_problem()`` at routes 2 and the unsat of ``detour_problem()``
+#: at routes 1, whose units put every message on its shortest route.
+PARENT_FORMAT_ENTRIES = {
+    "sat": (W.sharing_problem, SynthesisOptions(routes=2), (
+        '{"clauses": [[["a", [["p/g[app0#0][A]", "-1"]], "-201/200000",'
+        ' false, false]], [["b", "p/R[app0#0][1]", true]], [["b",'
+        ' "p/R[app0#0][0]", false]], [["a", [["p/g[app0#0][A]", "1"],'
+        ' ["p/g[app0#0][B]", "-1"]], "-201/200000", false, false]], [["a",'
+        ' [["p/g[app0#0][B]", "1"]], "1/125", false, false]], [["b",'
+        ' "p/R[app1#0][1]", true]], [["b", "p/R[app1#0][0]", false]],'
+        ' [["a", [["p/g[app1#0][A]", "-1"]], "-201/200000", false, false]],'
+        ' [["a", [["p/g[app1#0][A]", "1"], ["p/g[app1#0][B]", "-1"]],'
+        ' "-201/200000", false, false]], [["a", [["p/g[app1#0][B]", "1"]],'
+        ' "1/125", false, false]], [["a", [["p/g[app0#0][A]", "-1"],'
+        ' ["p/g[app1#0][A]", "1"]], "-1/1000", false, true]], [["a",'
+        ' [["p/g[app0#0][A]", "1"], ["p/g[app1#0][A]", "-1"]], "-1/1000",'
+        ' false, false]]], "created": 1792411577.4221475,'
+        ' "fingerprint": "cb19fc5e3ac050aab9ab0b678c9970c8",'
+        ' "options": {"mode": "stability", "path_cutoff": null,'
+        ' "repair": false, "routes": 2, "stages": 1}, "route_veto": null,'
+        ' "schedules": null, "status": "sat", "version": 1, "work": {}}\n'
+    )),
+    "unsat": (W.detour_problem, SynthesisOptions(routes=1), (
+        '{"clauses": [[["b", "p/R[b0#0][0]", false]], [["a",'
+        ' [["p/g[b0#0][M]", "-1"]], "-201/200000", false, false]], [["a",'
+        ' [["p/g[b0#0][M]", "1"], ["p/g[b0#0][N]", "-1"]], "-201/200000",'
+        ' false, false]], [["a", [["p/g[b0#0][N]", "1"]], "1/125", false,'
+        ' false]], [["b", "p/R[b1#0][0]", false]], [["a", [["p/g[b1#0][M]",'
+        ' "-1"]], "-201/200000", false, false]], [["a", [["p/g[b1#0][M]",'
+        ' "1"], ["p/g[b1#0][N]", "-1"]], "-201/200000", false, false]],'
+        ' [["a", [["p/g[b1#0][N]", "1"]], "1/125", false, false]], [["b",'
+        ' "p/R[m#0][0]", false]], [["a", [["p/g[m#0][M]", "-1"]],'
+        ' "-201/200000", false, false]], [["a", [["p/g[m#0][M]", "1"],'
+        ' ["p/g[m#0][N]", "-1"]], "-201/200000", false, false]], [["a",'
+        ' [["p/g[m#0][N]", "1"]], "1/125", false, false]], [["a",'
+        ' [["p/g[b0#0][M]", "-1"], ["p/g[m#0][M]", "1"]], "-1/1000", false,'
+        ' true]], [["a", [["p/g[b0#0][M]", "1"], ["p/g[m#0][M]", "-1"]],'
+        ' "-1/1000", false, false]], [["a", [["p/g[b1#0][M]", "-1"],'
+        ' ["p/g[m#0][M]", "1"]], "-1/1000", false, true]], [["a",'
+        ' [["p/g[b1#0][M]", "1"], ["p/g[m#0][M]", "-1"]], "-1/1000", false,'
+        ' false]], [["a", [["p/g[b0#0][M]", "-1"], ["p/g[b1#0][M]", "1"]],'
+        ' "-1/1000", false, true]], [["a", [["p/g[b0#0][M]", "1"],'
+        ' ["p/g[b1#0][M]", "-1"]], "-1/1000", false, false]]],'
+        ' "created": 1792411577.4333274,'
+        ' "fingerprint": "3dfa77d12ff3ad6cf1c3e51a46451261",'
+        ' "options": {"mode": "stability", "path_cutoff": null,'
+        ' "repair": false, "routes": 1, "stages": 1},'
+        ' "route_veto": [["b0#0", 1], ["b1#0", 1], ["m#0", 1]],'
+        ' "schedules": null, "status": "unsat", "version": 1, "work": {}}\n'
+    )),
+}
+
+
 class TestKnowledgeBoundary:
+    @pytest.mark.parametrize("make", [W.sharing_problem,
+                                      W.sharing_unsat_problem])
+    def test_routes1_export_imports_verbatim_at_every_limit(self, make):
+        problem = make()
+        _, _, knowledge = _exported(SynthesisOptions(routes=1), problem)
+        assert knowledge.clauses and knowledge.route_veto
+        for routes in (2, 3, None):
+            options = SynthesisOptions(routes=routes)
+            seeded = solve(problem, replace(options,
+                                            seed_knowledge=(knowledge,)))
+            assert seeded.status == solve(problem, options).status, routes
+            assert certified(seeded)
+            assert (seeded.statistics["clauses_imported"]
+                    == len(knowledge.clauses))
+            assert seeded.statistics["route_vetoes_applied"] == 1
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_route_veto_names_exactly_the_core_messages(self, k):
+        problem = W.sharing_unsat_problem()
+        result = solve(problem, SynthesisOptions(routes=k))
+        assert result.status == "unsat"
+        veto = dict(result.route_veto)
+        assert set(veto.values()) == {k}
+        assert 0 < len(veto) < len(problem.messages)
+        # The final core of the same loop, run by hand.
+        session = Session()
+        encoder = Encoder(problem, session, k, namespace=SHARED_NAMESPACE)
+        for message in problem.messages:
+            encoder.encode_message(message)
+        for app in problem.apps:
+            encoder.add_stability_constraints(app, tag="s0")
+        outcome = check_routed(session, encoder, [])
+        assert outcome == "unsat"
+        assert veto.keys() == {uid for uid, plan in encoder.plans.items()
+                               if plan.within in outcome.unsat_core}
+        # Sound: every other message on any route, the vetoed ones on
+        # their first k, is unsat too.
+        session = Session()
+        encoder = Encoder(problem, session)
+        for message in problem.messages:
+            encoder.encode_message(message)
+        for app in problem.apps:
+            encoder.add_stability_constraints(app)
+        for uid in veto:
+            encoder.reach_route(uid, k)
+            if encoder.plans[uid].within is not None:
+                session.add(encoder.plans[uid].within)
+        assert check_routed(session, encoder, []) == "unsat"
+
+    @pytest.mark.parametrize("status", sorted(PARENT_FORMAT_ENTRIES))
+    def test_parent_format_entry_seeds_its_own_repeat(self, tmp_path,
+                                                      status):
+        make, options, blob = PARENT_FORMAT_ENTRIES[status]
+        problem = make()
+        key = problem_fingerprint(problem, options)
+        (tmp_path / f"{key}.json").write_text(blob)
+        entry = KnowledgeCache(tmp_path).lookup(key)
+        assert entry is not None and entry.status == status
+        repeat = solve(problem, replace(
+            options, seed_knowledge=(entry.knowledge,)))
+        assert repeat.status == status and certified(repeat)
+        assert (repeat.statistics["clauses_imported"]
+                == len(entry.knowledge.clauses))
+        if status == "unsat":
+            # Non-vacuous: the clauses hold only under routes=1.  In the
+            # complete formula, under another fingerprint the cache never
+            # serves them to, they refute the detour's sat.
+            assert solve(problem).ok
+            assert solve(problem, SynthesisOptions(
+                seed_knowledge=(entry.knowledge,))).status == "unsat"
+
     def test_routes1_clauses_and_veto_keep_a_sat_problem_sat(self):
         # BENCH_portfolio's serial mid-check race, reduced: a budgeted
         # routes-1 exporter's clauses, then a routes-1 refutation's

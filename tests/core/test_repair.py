@@ -1,7 +1,7 @@
-"""Assumption probing and core-driven stage repair in the driver.
+"""The route loop's unsat cores and core-driven stage repair.
 
-The funnel workloads are constructed so the probe ladder is exercised
-deterministically: shortest-route probing must fail on the contended
+The funnel workloads are constructed so both are exercised
+deterministically: the shortest routes must fail on the contended
 funnel (sat overall), the shrunk-period variant is infeasible outright,
 and the repair problem is the staged-heuristic trap — stage-0 freezes
 block stage 1 — that unsat cores recover.
@@ -24,24 +24,20 @@ from repro.eval.workloads import (
 )
 
 
-class TestRouteProbing:
-    def test_probe_failure_extracts_core_then_solves(self):
+class TestRouteLoop:
+    def test_shortest_route_failure_extends_then_solves(self):
         result = solve(bottleneck_problem(3), SynthesisOptions(routes=2))
         assert result.ok
         assert collect_violations(result.solution) == []
-        stats = result.statistics
-        assert stats["assumption_probes"] >= 1
-        assert stats["cores_extracted"] >= 1
+        assert result.statistics["route_extensions"] >= 1
 
-    def test_core_guided_relaxation_keeps_innocent_choices(self):
+    def test_core_guided_extension_keeps_innocent_choices(self):
         """With an independent island, the core names only the funnel's
-        selectors, so the relaxed re-probe (island stays greedy) wins."""
+        messages, so only they get a second route (one round)."""
         result = solve(bottleneck_problem(3, islands=1),
                        SynthesisOptions(routes=2))
         assert result.ok
-        stats = result.statistics
-        assert stats["assumption_probes"] == 2  # failed probe + relaxed probe
-        assert stats["cores_extracted"] == 1
+        assert result.statistics["route_extensions"] == 1
         # the island app kept its shortest route
         island = next(s for s in result.solution.schedules.values()
                       if s.app == "island0")

@@ -69,7 +69,7 @@ def test_run_suite_against_baseline(tmp_path):
                      baseline_dir=base_dir, threshold=5.0) == 0
 
 
-def test_run_bench_unsat_core_records_probe_counters(tmp_path):
+def test_run_bench_unsat_core_records_core_counters(tmp_path):
     record = run_bench("unsat_core", out_dir=tmp_path)
     statuses = record["statuses"]
     assert statuses["probe_conflict"] == "sat"
@@ -78,7 +78,7 @@ def test_run_bench_unsat_core_records_probe_counters(tmp_path):
     assert statuses["staged_repaired"] == "sat"
     assert statuses["cores_seen"] == "yes"
     counters = record["core_counters"]
-    assert counters["assumption_probes"] > 0
+    assert counters["route_extensions"] > 0
     assert counters["cores_extracted"] > 0
     assert counters["stage_repairs"] > 0
     # the per-check trajectory attributes every entry to a backend

@@ -81,8 +81,8 @@ class TestSharingDeterminism:
         (conflicts + decisions): the funnel's doomed all-shortest
         subtree dies by unit propagation instead of being explored.
         """
-        # Three funnel apps: with four or more, the vetoed routes-2 run
-        # re-probes its way to more work than the unshared one.
+        # Three funnel apps: the margin is widest there (summed work 77
+        # -> 53; four apps give 110 -> 109, five 143 -> 117).
         problem = workloads.sharing_problem(n_apps=3)
         res_off = synthesize_portfolio(problem, sat_strategies(),
                                        backend="serial",
@@ -150,16 +150,6 @@ class TestClauseExchange:
         out = eng.check()
         assert out == "sat"
         assert eng.model()[b] is False  # ~a or ~b forces ~b under a
-
-    def test_import_pad_weakens_the_clause(self):
-        a, b, c = Bool("sh_pad_a"), Bool("sh_pad_b"), Bool("sh_pad_c")
-        clause = (serialize_literal(a, True), serialize_literal(b, True))
-        eng = synth.SolverEngine()
-        eng.add(a, b)                      # contradicts the bare clause
-        eng.import_clauses([clause], pad=[c])
-        out = eng.check()
-        assert out == "sat"
-        assert eng.model()[c] is True      # the pad literal absorbed it
 
     def test_export_respects_vocabulary_and_caps(self):
         problem = workloads.sharing_unsat_problem()

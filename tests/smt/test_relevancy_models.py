@@ -14,8 +14,8 @@ from the SAT assignment, which is why that is invisible above
   every assumption is true under ``Model``; every unsat core is a subset
   of the assumptions and unsat on its own;
 * the filter is not vacuous on the paper's workload: at every ``sat`` of
-  a staged ``gm_case_study(5)`` solve at least a fifth of the registered
-  atoms are undecided.
+  a staged ``gm_case_study(5)`` solve with three routes per message at
+  least a fifth of the registered atoms are undecided.
 
 ``tests/sat/test_relevancy.py`` is the SAT-core half (checked solver,
 stub theory, the hand mutants).
@@ -27,7 +27,9 @@ from fractions import Fraction
 import pytest
 
 from repro.api import NativeBackend, Session
-from repro.core import SynthesisOptions, collect_violations, solve
+from repro.core import Encoder, collect_violations
+from repro.core.solution import Solution
+from repro.core.synthesizer import _slice_messages, check_routed
 from repro.errors import SolverError
 from repro.eval.workloads import gm_case_study
 from repro.sat.literals import UNASSIGNED
@@ -233,9 +235,12 @@ def test_most_atoms_of_a_staged_gm_solve_stay_undecided():
     # negated selector already satisfies; they must stay out of the
     # theory.  (Eq. 5 clauses exist only for pairs a model overlapped,
     # so few of their atoms are left to park: 31-41 % open per stage
-    # when this was re-pinned, 168 of 542 at the last one.  It runs
-    # gm_case_study(5): gm_case_study(3) registers only 361 atoms since
-    # frozen messages enter the stability rows as constants.)
+    # when this was re-pinned, 168 of 542 at the last one.)  The driver
+    # encodes a route only when a core asks for it, and every
+    # gm_case_study(5) stage solves on shortest routes (375 atoms, all
+    # decided), so this run gives every message its three routes up
+    # front with the same encoder, and checks each stage as the driver
+    # does: 149 of 566 atoms open at the last stage.
     shares = []
 
     class Counting(Session):
@@ -247,10 +252,24 @@ def test_most_atoms_of_a_staged_gm_solve_stay_undecided():
 
     engine = SolverEngine()
     session = Counting(backend=NativeBackend(engine=engine))
-    result = solve(gm_case_study(5), SynthesisOptions(routes=3, stages=5),
-                   session=session)
-    assert result.status == "sat"
-    assert collect_violations(result.solution) == []
+    problem = gm_case_study(5)
+    encoder = Encoder(problem, session, 3)
+    stages = _slice_messages(problem, 5)
+    schedules = {}
+    for stage, messages in enumerate(stages):
+        plans = [encoder.encode_message(m) for m in messages]
+        for m in messages:
+            encoder.reach_route(m.uid, 3)
+        for name in sorted({m.flow.name for m in messages}):
+            encoder.add_stability_constraints(problem.app_by_name[name],
+                                              tag=f"s{stage}")
+        outcome = check_routed(session, encoder, [])
+        assert outcome == "sat"
+        model = outcome.require_model()
+        for plan in plans:
+            schedules[plan.message.uid] = encoder.freeze_message(
+                plan, model, pin=any(stages[stage + 1:]))
+    assert collect_violations(Solution(problem, schedules)) == []
     assert len(shares) >= 5 and shares[-1][1] > 400
     for open_atoms, registered in shares:
         assert 5 * open_atoms >= registered

@@ -306,10 +306,11 @@ class TestExactRepresentation:
     def test_imported_atoms_look_like_local_ones(self):
         engine = SolverEngine()
         session = Session(backend=NativeBackend(engine=engine))
-        # gm_case_study(5): 542 atoms (gm_case_study(3) registers 361
-        # since frozen messages enter the stability rows as constants).
-        result = solve(gm_case_study(5), SynthesisOptions(routes=3, stages=5),
-                       session=session)
+        # gm_case_study(10): 884 atoms (gm_case_study(3) registers 361
+        # since frozen messages enter the stability rows as constants,
+        # and gm_case_study(5) 375 since routes are encoded lazily).
+        result = solve(gm_case_study(10),
+                       SynthesisOptions(routes=3, stages=5), session=session)
         assert result.status == "sat"
         atoms = [o for o in engine._cnf._origins.values()
                  if isinstance(o, Atom)]
