@@ -4,8 +4,8 @@
   (``stages=1``), with ``routes=None`` meaning *all* simple routes are
   candidates (the paper's complete formulation).  They are not encoded
   up front: each message starts on its shortest route, and a route is
-  added only where an unsat core asks for it (:func:`check_routed`;
-  the soundness argument is in :mod:`repro.core.encoding`).
+  added only where an unsat core asks for it (:func:`refine`; the
+  soundness argument is in :mod:`repro.core.encoding`).
 * **Route subset** (Sec. V-C-1): ``routes=K`` restricts each application
   to its first K shortest routes — a prefix of the all-routes order
   (:func:`~repro.network.paths.yen_routes`).  It is the same loop, which
@@ -29,21 +29,18 @@ the new messages by asserting their model values as equalities
 (:meth:`Encoder.freeze_message`), so clauses learned in earlier stages
 keep pruning later ones instead of being rebuilt from scratch per stage.
 
-Contention (Eq. 5) is lazy: every ``sat`` check of a stage goes through
-:func:`check_refined`, which asserts the pair clauses the model violates
-(:meth:`Encoder.add_contention_constraints`) and re-checks until a model
-overlaps no pair (statistics: ``contention_pairs``,
-``contention_rounds``).
-
-**Core-driven stage repair** (``repair``, opt-in) leans on the session
-API's assumption machinery: stage freezes are guarded by per-message
-assumption literals instead of permanent equalities.  When a later
-stage is infeasible, the failing check's unsat core names the frozen
-messages responsible; the driver unfreezes exactly those and re-solves
-the stage jointly with them (``stage_repairs``, ``cores_extracted``),
-recovering instances the plain incremental heuristic loses, in at most
-:data:`MAX_REPAIR_ROUNDS` rounds per stage.  Off by default so the
-paper's Fig. 5/6 heuristic-failure rates stay reproducible.
+Every check goes through one loop, :func:`refine`, which refines the
+formula until the answer is about the problem: a ``sat`` model asserts
+the Eq. 5 pair clauses it overlaps (contention is lazy), an ``unsat``
+core extends the routes of the messages it names, and, under
+**core-driven stage repair** (``repair``, opt-in), a core that can
+extend nothing releases the frozen messages it blames.  In repair mode
+stage freezes are guarded by per-message assumption literals instead of
+permanent equalities, so a later infeasible stage re-solves jointly with
+exactly the messages its core names, in at most
+:data:`MAX_REPAIR_ROUNDS` rounds per stage — recovering instances the
+plain incremental heuristic loses.  Off by default so the paper's
+Fig. 5/6 heuristic-failure rates stay reproducible.
 """
 
 from __future__ import annotations
@@ -152,10 +149,8 @@ class SynthesisResult:
     synthesis_time: float
     stages_completed: int
     failed_stage: Optional[int] = None
+    #: The run's counters, summed over every check of every stage.
     statistics: Dict[str, int] = field(default_factory=dict)
-    #: Per-solved-stage search-effort deltas (one entry per non-empty
-    #: stage, summed over that stage's checks).
-    stage_statistics: List[Dict[str, int]] = field(default_factory=list)
     #: On unsat: human-readable labels of the failing check's unsat core
     #: (frozen messages, messages at the route limit), when one exists.
     unsat_explanation: Optional[List[str]] = None
@@ -184,51 +179,25 @@ def _slice_messages(
     return slices
 
 
-#: Per-stage counters beyond the per-check ones: the clauses lazy
-#: contention added, and the re-checks it took to add them.
-_STAGE_COUNTERS = CHECK_COUNTERS + ("contention_pairs", "contention_rounds")
-
-
-class _StageAccounting:
-    """Accumulates per-stage and per-run solver statistics."""
-
-    def __init__(self) -> None:
-        self.totals: Dict[str, int] = {key: 0 for key in _STAGE_COUNTERS}
-        self.totals.update(cores_extracted=0, stage_repairs=0,
-                           clauses_imported=0, route_vetoes_applied=0,
-                           route_extensions=0)
-        self.stage: Dict[str, int] = {}
-        self.per_stage: List[Dict[str, int]] = []
-
-    def begin_stage(self) -> None:
-        self.stage = {key: 0 for key in _STAGE_COUNTERS}
-
-    def absorb(self, outcome) -> None:
-        for key in CHECK_COUNTERS:
-            delta = outcome.statistics.get(key, 0)
-            self.stage[key] += delta
-            self.totals[key] += delta
-
-    def count(self, key: str, n: int = 1) -> None:
-        self.totals[key] = self.totals.get(key, 0) + n
-        if key in self.stage:
-            self.stage[key] += n
-
-    def end_stage(self) -> None:
-        self.per_stage.append(self.stage)
+#: Counters of one run, in the order ``SynthesisResult.statistics``
+#: lists them: the per-check ones, then those :func:`refine` and the
+#: knowledge seeding add.
+_RUN_COUNTERS = CHECK_COUNTERS + (
+    "contention_pairs", "contention_rounds", "cores_extracted",
+    "stage_repairs", "clauses_imported", "route_vetoes_applied",
+    "route_extensions")
 
 
 class _FreezeLedger:
     """Frozen-message bookkeeping for core-driven stage repair.
 
-    In repair mode each frozen message is pinned under a fresh guard
-    literal which is *assumed* on every later check; dropping the guard
-    from the assumption set re-opens the message.  Without repair the
-    ledger is pass-through (permanent freezes, no guards).
+    Each frozen message is pinned under a fresh guard literal which is
+    *assumed* on every later check; dropping the guard from the
+    assumption set re-opens the message.  A run without repair has no
+    ledger: its freezes are permanent and carry no guard.
     """
 
-    def __init__(self, enabled: bool) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.guard_by_uid: Dict[str, BoolExpr] = {}
         self.uid_by_guard: Dict[BoolExpr, str] = {}
         self.plans: Dict[str, MessagePlan] = {}
@@ -237,13 +206,13 @@ class _FreezeLedger:
     def assumptions(self) -> List[BoolExpr]:
         return list(self.guard_by_uid.values())
 
-    def new_guard(self, uid: str) -> Optional[BoolExpr]:
-        if not self.enabled:
-            return None
+    def new_guard(self, plan: MessagePlan) -> BoolExpr:
+        uid = plan.message.uid
         self._generation += 1
         guard = Bool(f"__freeze!{self._generation}[{uid}]")
         self.guard_by_uid[uid] = guard
         self.uid_by_guard[guard] = uid
+        self.plans[uid] = plan
         return guard
 
     def release(self, guards: Sequence[BoolExpr]) -> List[str]:
@@ -293,22 +262,20 @@ def solve(
     encoder = Encoder(problem, session, opts.routes, opts.path_cutoff,
                       namespace=SHARED_NAMESPACE)
 
-    acct = _StageAccounting()
-    ledger = _FreezeLedger(opts.repair)
+    totals = dict.fromkeys(_RUN_COUNTERS, 0)
+    ledger = _FreezeLedger() if opts.repair else None
     schedules: Dict[str, MessageSchedule] = {}
     stages_done = 0
 
     seed = opts.seed_knowledge
     vetoes_applied: set = set()
     if seed:
-        acct.count("clauses_imported",
-                   import_presolve_clauses(session, opts))
+        totals["clauses_imported"] += import_presolve_clauses(session, opts)
 
     for stage_idx, stage_messages in enumerate(slices):
         if not stage_messages:
             stages_done += 1
             continue
-        acct.begin_stage()
         new_plans = [encoder.encode_message(m) for m in stage_messages]
 
         if opts.mode == MODE_STABILITY:
@@ -322,46 +289,42 @@ def solve(
                 )
 
         if seed:
-            acct.count("route_vetoes_applied", apply_route_vetoes(
-                session, encoder, opts, vetoes_applied))
+            totals["route_vetoes_applied"] += apply_route_vetoes(
+                session, encoder, opts, vetoes_applied)
 
-        outcome = _check_stage(session, encoder, opts, acct, ledger)
+        # The stage's first check is on every new message's shortest
+        # route; the routes grow from there.
+        outcome = refine(session, encoder, totals=totals, ledger=ledger)
 
         if outcome != "sat":
             # An undecided check (conflict budget, stop predicate) must not
-            # be reported as proven infeasibility.
-            status_name = outcome.status.name
-            veto: Optional[Tuple[Tuple[str, int], ...]] = None
-            if status_name == "unsat" and opts.stages == 1:
-                # Single-stage unsat is a real proof that this run's
-                # route-subset selection is infeasible (no heuristic
-                # freezes were involved) — exportable to siblings.
-                veto = _route_veto(outcome, encoder)
+            # be reported as proven infeasibility.  Single-stage unsat is a
+            # real proof that this run's route-subset selection is
+            # infeasible (no heuristic freezes were involved) — exportable
+            # to siblings.
+            veto, explanation = _blame(
+                outcome, encoder, ledger,
+                provable=outcome == "unsat" and opts.stages == 1)
             return SynthesisResult(
-                status=status_name,
+                status=outcome.status.name,
                 solution=None,
                 synthesis_time=time.perf_counter() - t0,
                 stages_completed=stages_done,
                 failed_stage=stage_idx,
-                statistics=acct.totals,
-                stage_statistics=acct.per_stage + [acct.stage],
-                unsat_explanation=_explain_core(outcome, ledger, encoder),
+                statistics=totals,
+                unsat_explanation=explanation,
                 route_veto=veto,
             )
 
         model = outcome.require_model()
         has_later_work = any(slices[stage_idx + 1:])
-        refreeze = [encoder.plans[uid] for uid in ledger.plans
-                    if uid not in ledger.guard_by_uid] if opts.repair else []
+        refreeze = [plan for uid, plan in ledger.plans.items()
+                    if uid not in ledger.guard_by_uid] if ledger else []
         for plan in refreeze + new_plans:
-            uid = plan.message.uid
-            schedules[uid] = encoder.freeze_message(
-                plan, model, pin=has_later_work,
-                guard=ledger.new_guard(uid) if has_later_work else None,
-            )
-            if opts.repair:
-                ledger.plans[uid] = plan
-        acct.end_stage()
+            guard = (ledger.new_guard(plan)
+                     if ledger and has_later_work else None)
+            schedules[plan.message.uid] = encoder.freeze_message(
+                plan, model, pin=has_later_work, guard=guard)
         stages_done += 1
 
     elapsed = time.perf_counter() - t0
@@ -372,70 +335,74 @@ def solve(
         solution=solution,
         synthesis_time=elapsed,
         stages_completed=stages_done,
-        statistics=acct.totals,
-        stage_statistics=acct.per_stage,
+        statistics=totals,
     )
 
 
-def check_refined(
+def refine(
     session: Session,
     encoder: Encoder,
-    assumptions: Sequence[BoolExpr],
-    acct: Optional[_StageAccounting] = None,
+    assumptions: Sequence[BoolExpr] = (),
+    totals: Optional[Dict[str, int]] = None,
+    ledger: Optional[_FreezeLedger] = None,
 ) -> CheckOutcome:
-    """``session.check(assumptions)``, refined until the model is
-    contention-free.
+    """``session.check``, refined until the answer is about the problem.
 
-    After each ``sat`` answer the encoder asserts the Eq. 5 clauses the
-    model violates, and the same assumptions are checked again; a model
-    that overlaps no pair ends the loop, and so does an ``unsat`` or
-    ``unknown`` answer, exactly as it ends a single check.
+    Each round checks under ``assumptions``, then the ledger's live
+    freeze guards, then every open message's ``within`` literal.
+
+    * ``sat``: the encoder asserts the Eq. 5 clauses the model overlaps
+      (``contention_pairs``; ``contention_rounds`` counts the rounds)
+      and the loop checks again.  A model that overlaps no pair is the
+      answer.
+    * ``unsat``: each message whose ``within`` the core names gets its
+      next route (:meth:`Encoder.extend_route`; ``route_extensions``
+      counts the rounds).  A core that names no ``within`` holds with
+      every beyond literal free, so for every route
+      (:mod:`repro.core.encoding`).  When no named message can extend
+      (each is at the route limit), the freeze guards the core names are
+      released (``cores_extracted``, ``stage_repairs``), at most
+      :data:`MAX_REPAIR_ROUNDS` times per call.  Otherwise the
+      ``unsat`` is the answer.
+    * ``unknown`` is the answer at once.
+
+    ``totals`` (when given) accumulates the per-check counters and the
+    loop's own, keyed as :attr:`SynthesisResult.statistics`.
     """
-    while True:
-        outcome = session.check(assumptions)
-        if acct is not None:
-            acct.absorb(outcome)
-        if outcome != "sat":
-            return outcome
-        added = encoder.add_contention_constraints(outcome.require_model())
-        if not added:
-            return outcome
-        if acct is not None:
-            acct.count("contention_pairs", added)
-            acct.count("contention_rounds")
-
-
-def check_routed(
-    session: Session,
-    encoder: Encoder,
-    assumptions: Sequence[BoolExpr],
-    acct: Optional[_StageAccounting] = None,
-) -> CheckOutcome:
-    """:func:`check_refined` under every encoded message's ``within``
-    assumption, extending routes until the answer is about the problem.
-
-    A ``sat`` uses encoded routes only, and an ``unsat`` whose core names
-    no ``within`` holds with every beyond literal free, so for every
-    route (:mod:`repro.core.encoding`).  Otherwise each message the core
-    names gets its next route (:meth:`Encoder.extend_route`, statistics:
-    ``route_extensions`` counts the rounds) and the check repeats, until
-    no message the core names can extend: each is at the route limit,
-    and the ``unsat`` is about the routes it allows.
-    """
+    counts = totals if totals is not None else dict.fromkeys(_RUN_COUNTERS, 0)
+    repairs = 0
     while True:
         within = _within_literals(encoder)
-        outcome = check_refined(session, encoder,
-                                list(assumptions) + list(within), acct)
+        guards = ledger.assumptions() if ledger else []
+        outcome = session.check([*assumptions, *guards, *within])
+        for key in CHECK_COUNTERS:
+            counts[key] += outcome.statistics.get(key, 0)
+        if outcome == "sat":
+            added = encoder.add_contention_constraints(outcome.require_model())
+            if not added:
+                return outcome
+            counts["contention_pairs"] += added
+            counts["contention_rounds"] += 1
+            continue
         if outcome != "unsat":
             return outcome
+        core = outcome.unsat_core or ()
         extended = False
-        for lit in outcome.unsat_core or ():
+        for lit in core:
             if lit in within:
                 extended |= encoder.extend_route(within[lit])
-        if not extended:
+        if extended:
+            counts["route_extensions"] += 1
+            continue
+        if not ledger or repairs >= MAX_REPAIR_ROUNDS:
             return outcome
-        if acct is not None:
-            acct.count("route_extensions")
+        blamed = [lit for lit in core if lit in ledger.uid_by_guard]
+        if not blamed:
+            return outcome
+        counts["cores_extracted"] += 1
+        counts["stage_repairs"] += 1
+        ledger.release(blamed)
+        repairs += 1
 
 
 def _within_literals(encoder: Encoder) -> Dict[BoolExpr, str]:
@@ -444,66 +411,43 @@ def _within_literals(encoder: Encoder) -> Dict[BoolExpr, str]:
             if plan.within is not None}
 
 
-def _route_veto(outcome: CheckOutcome,
-                encoder: Encoder) -> Tuple[Tuple[str, int], ...]:
-    """``(uid, encoded route count)`` of every message a single-stage
-    ``unsat``'s core names (each at the route limit), or of every
-    message when the core names none."""
-    within = _within_literals(encoder)
-    blamed = {within[lit] for lit in outcome.unsat_core or ()
-              if lit in within}
-    return tuple(sorted((uid, len(plan.selectors))
-                        for uid, plan in encoder.plans.items()
-                        if not blamed or uid in blamed))
-
-
-def _check_stage(
-    session: Session,
+def _blame(
+    outcome: CheckOutcome,
     encoder: Encoder,
-    opts: SynthesisOptions,
-    acct: _StageAccounting,
-    ledger: _FreezeLedger,
-) -> CheckOutcome:
-    """One stage's :func:`check_routed` under the freezes, then (repair
-    mode) core-driven unfreezing.  Its first check is on every new
-    message's shortest route; the routes grow from there."""
-    freezes = ledger.assumptions()
-    outcome = check_routed(session, encoder, freezes, acct)
-    if outcome != "sat" and opts.repair and freezes:
-        rounds = 0
-        while outcome != "sat" and rounds < MAX_REPAIR_ROUNDS:
-            core = outcome.unsat_core or ()
-            blamed = [g for g in core if g in ledger.uid_by_guard]
-            if not blamed:
-                break  # the freezes are not at fault; genuinely unsat
-            acct.count("cores_extracted")
-            acct.count("stage_repairs")
-            ledger.release(blamed)
-            rounds += 1
-            outcome = check_routed(session, encoder, ledger.assumptions(),
-                                   acct)
-    return outcome
+    ledger: Optional[_FreezeLedger],
+    provable: bool,
+) -> Tuple[Optional[Tuple[Tuple[str, int], ...]], Optional[List[str]]]:
+    """A failing stage's ``(route_veto, unsat_explanation)``, from one
+    reading of its core.
 
-
-def _explain_core(outcome, ledger: _FreezeLedger, encoder: Encoder):
-    """Human-readable labels for a failing check's unsat core: a frozen
-    message as ``frozen[uid]``, a message at the route limit as
-    ``routes[uid]<=K``.  None when the check assumed nothing but
-    ``within`` literals: the core then names only messages at their
-    route limit, which a single-stage run reports as its route veto."""
+    The veto exists only for a ``provable`` unsat: ``(uid, encoded route
+    count)`` of every message whose ``within`` the core names (each at
+    the route limit), or of every message when it names none.  The
+    explanation labels each core literal: a frozen message as
+    ``frozen[uid]``, a message at the route limit as ``routes[uid]<=K``.
+    It is None when the check assumed nothing but ``within`` literals:
+    the core then names only messages at their route limit, which a
+    single-stage run reports as its veto.
+    """
     within = _within_literals(encoder)
-    if (outcome.unsat_core is None
-            or all(lit in within for lit in outcome.assumptions)):
-        return None
+    core = outcome.unsat_core
+    veto = None
+    if provable:
+        named = {within[lit] for lit in core or () if lit in within}
+        veto = tuple(sorted((uid, len(plan.selectors))
+                            for uid, plan in encoder.plans.items()
+                            if not named or uid in named))
+    if core is None or all(lit in within for lit in outcome.assumptions):
+        return veto, None
+    frozen = ledger.uid_by_guard if ledger else {}
     labels: List[str] = []
-    for expr in outcome.unsat_core:
-        uid = ledger.uid_by_guard.get(expr)
-        if uid is not None:
-            labels.append(f"frozen[{uid}]")
+    for expr in core:
+        if expr in frozen:
+            labels.append(f"frozen[{frozen[expr]}]")
         elif expr in within:
             uid = within[expr]
             labels.append(
                 f"routes[{uid}]<={len(encoder.plans[uid].selectors)}")
         else:
             labels.append(repr(expr))
-    return labels
+    return veto, labels

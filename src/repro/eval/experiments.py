@@ -23,8 +23,8 @@ from ..core.synthesizer import (
     MODE_STABILITY,
     SynthesisOptions,
     SynthesisResult,
-    check_routed,
     open_session,
+    refine,
     solve,
 )
 from ..core.validator import collect_violations
@@ -455,7 +455,7 @@ def unstable_verdicts(
     every message and, per app, the exact ``Lmin``/``Lmax`` with Eq. (2)
     negated under one guard literal
     (:meth:`Encoder.add_stability_constraints` with ``unstable``).  App
-    i's question is one :func:`check_routed` assuming its guard: ``sat``
+    i's question is one :func:`refine` assuming its guard: ``sat``
     answers carry the witness schedule, ``unsat`` means every
     deadline-feasible schedule keeps the app stable.  Under a route
     limit every message gets its ``routes`` routes up front, because
@@ -477,7 +477,7 @@ def unstable_verdicts(
     verdicts: Dict[str, str] = {}
     witnesses: Dict[str, Solution] = {}
     for app in problem.apps:
-        outcome = check_routed(session, encoder, [guards[app.name]])
+        outcome = refine(session, encoder, [guards[app.name]])
         verdicts[app.name] = outcome.status.name
         if outcome == "sat":
             model = outcome.require_model()

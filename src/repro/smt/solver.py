@@ -56,7 +56,7 @@ _SCOPE_IDS = itertools.count()
 
 #: Statistics keys reported per ``check()`` (monotone counters of the SAT
 #: core whose per-call delta is meaningful); ``core.solve`` sums the same
-#: keys per stage and per run.
+#: keys over a run.
 CHECK_COUNTERS = (
     "conflicts",
     "decisions",

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import repro.core.synthesizer as synthesizer_mod
+from repro.api import Session
 from repro.core import (
     ControlApplication,
     SynthesisOptions,
@@ -19,7 +20,8 @@ from repro.core import (
     collect_violations,
     solve,
 )
-from repro.eval.workloads import gm_case_study
+from repro.core.synthesizer import WORK_COUNTERS
+from repro.eval.workloads import bottleneck_repair_problem, gm_case_study
 from repro.network import DelayModel, microseconds, simple_testbed
 from repro.smt import SolverEngine
 from repro.stability import StabilitySpec
@@ -81,22 +83,29 @@ class TestOneSolverPerRun:
 
 
 class TestStageAccounting:
-    def test_stage_statistics_per_nonempty_stage(self):
-        stages = 4
-        problem = make_problem(period_ms=5)
-        width = problem.hyperperiod / stages
-        nonempty = len({
-            min(int(m.release / width), stages - 1) for m in problem.messages
-        })
-        res = solve(problem, SynthesisOptions(routes=2, stages=stages))
+    def test_run_counters_sum_every_check(self, monkeypatch):
+        """The run's search counters are the sums over every
+        ``Session.check`` it made, across its stages and every kind of
+        re-check (contention, route extension, repair)."""
+        outcomes = []
+        check = Session.check
+
+        def counting_check(self, *assumptions):
+            outcome = check(self, *assumptions)
+            outcomes.append(outcome)
+            return outcome
+
+        monkeypatch.setattr(Session, "check", counting_check)
+        res = solve(bottleneck_repair_problem(),
+                    SynthesisOptions(routes=2, stages=2, repair=True))
         assert res.ok
-        assert len(res.stage_statistics) == nonempty
-        for delta in res.stage_statistics:
-            assert set(delta) >= {"conflicts", "decisions", "propagations"}
-        for key in ("conflicts", "decisions", "propagations"):
+        for key in ("contention_rounds", "route_extensions", "stage_repairs"):
+            assert res.statistics[key] >= 1
+        for key in WORK_COUNTERS:
             assert res.statistics[key] == sum(
-                d[key] for d in res.stage_statistics
+                o.statistics.get(key, 0) for o in outcomes
             )
+        assert res.statistics["decisions"] > 0
 
     def test_frozen_stages_respected(self):
         """Later stages schedule around stage-0 messages: the combined

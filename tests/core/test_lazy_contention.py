@@ -1,8 +1,8 @@
 """Lazy contention: Eq. 5 is asserted only for the pairs a model overlaps.
 
 ``Encoder.add_contention_constraints`` adds the pair clause of every
-overlap the model shows, and :func:`check_refined` re-checks until no
-pair overlaps.  The added clauses are a subset of the eager formula's
+overlap the model shows, and :func:`~repro.core.synthesizer.refine`
+re-checks until no pair overlaps.  The added clauses are a subset of the eager formula's
 (every pair of usages of every link, over every candidate route), so the
 verdict must be the eager one, and every ``sat`` must certify.
 """

@@ -25,7 +25,7 @@ from repro.api import Session
 from repro.core import Encoder, SynthesisOptions, collect_violations, solve
 from repro.core.encoding import SHARED_NAMESPACE
 from repro.core.synthesizer import (MODE_DEADLINE, MODE_STABILITY,
-                                    check_routed, open_session)
+                                    open_session, refine)
 from repro.eval import workloads as W
 from repro.eval.experiments import unstable_verdicts
 from repro.network.paths import route_candidates
@@ -197,7 +197,7 @@ class TestExtension:
             encoder.encode_message(message)
         for app in problem.apps:
             encoder.add_stability_constraints(app)
-        assert check_routed(session, encoder, []) == "unsat"
+        assert refine(session, encoder) == "unsat"
         assert all(len(plan.routes) == 1 and plan.beyond is None
                    for plan in encoder.plans.values())
 
@@ -279,9 +279,9 @@ def test_beyond_literal_constraint_list_is_pinned():
     for app, guard in zip(problem.apps, guards):
         encoder.add_stability_constraints(app, tag="t")
         encoder.add_stability_constraints(app, unstable=guard)
-    assert check_routed(session, encoder, []) == "sat"
+    assert refine(session, encoder) == "sat"
     assert any(len(plan.routes) > 1 for plan in encoder.plans.values())
-    model = check_routed(session, encoder, []).require_model()
+    model = refine(session, encoder).require_model()
     guard = Bool("pin")
     encoder.freeze_message(next(iter(encoder.plans.values())), model,
                            guard=guard)
@@ -404,7 +404,7 @@ class TestKnowledgeBoundary:
             encoder.encode_message(message)
         for app in problem.apps:
             encoder.add_stability_constraints(app, tag="s0")
-        outcome = check_routed(session, encoder, [])
+        outcome = refine(session, encoder)
         assert outcome == "unsat"
         assert veto.keys() == {uid for uid, plan in encoder.plans.items()
                                if plan.within in outcome.unsat_core}
@@ -420,7 +420,7 @@ class TestKnowledgeBoundary:
             encoder.reach_route(uid, k)
             if encoder.plans[uid].within is not None:
                 session.add(encoder.plans[uid].within)
-        assert check_routed(session, encoder, []) == "unsat"
+        assert refine(session, encoder) == "unsat"
 
     @pytest.mark.parametrize("status", sorted(PARENT_FORMAT_ENTRIES))
     def test_parent_format_entry_seeds_its_own_repeat(self, tmp_path,

@@ -13,6 +13,7 @@ import pytest
 
 from repro.api import Session
 from repro.core import (
+    Encoder,
     SynthesisOptions,
     collect_violations,
     solve,
@@ -104,3 +105,58 @@ class TestStageRepair:
         # zero rounds = repair disabled in effect
         assert not result.ok
         assert result.statistics["stage_repairs"] == 0
+
+
+class TestRefinePrecedence:
+    """One stage check: a core that names a message which can still
+    extend grows its route and releases nothing; only a core whose
+    messages are all at their limit releases the freezes it blames."""
+
+    def test_extension_comes_before_release(self, monkeypatch):
+        events, guards = [], set()
+
+        def record(owner, name, log):
+            original = getattr(owner, name)
+
+            def wrapper(self, *args):
+                result = original(self, *args)
+                log(args, result)
+                return result
+            monkeypatch.setattr(owner, name, wrapper)
+
+        ledger = synthesizer._FreezeLedger
+        record(ledger, "new_guard", lambda args, guard: guards.add(guard))
+        record(Session, "check", lambda args, o: events.append(
+            ("check", o.status.name, tuple(o.unsat_core or ()))))
+        record(Encoder, "extend_route", lambda args, grew: events.append(
+            ("extend", args[0], grew)))
+        record(ledger, "release", lambda args, uids: events.append(
+            ("release", tuple(uids))))
+
+        result = solve(bottleneck_repair_problem(),
+                       SynthesisOptions(routes=2, stages=2, repair=True))
+        assert result.ok
+        unsat = [i for i, e in enumerate(events) if e[:2] == ("check", "unsat")]
+        assert len(unsat) == 2
+        first, second = unsat
+
+        # The core names a freeze guard and a message that can extend.
+        core = events[first][2]
+        assert any(lit in guards for lit in core)
+        assert any(lit not in guards for lit in core)
+        between = events[first + 1:second]
+        assert [e[0] for e in between] == ["extend"] * len(between)
+        assert any(grew for _, _, grew in between)
+
+        # Now every message the core names is at its limit: the guards go.
+        assert any(lit in guards for lit in events[second][2])
+        after = [e[0] for e in events[second + 1:]]
+        n_extend = after.index("release")
+        assert after[:n_extend] == ["extend"] * n_extend
+        assert not any(e[2] for e in events[second + 1:second + 1 + n_extend])
+        assert after.count("release") == 1
+        assert set(after[n_extend + 1:]) == {"check"}
+        assert events[-1][:2] == ("check", "sat")
+        assert result.statistics["route_extensions"] == 1
+        assert result.statistics["stage_repairs"] == 1
+        assert result.statistics["cores_extracted"] == 1

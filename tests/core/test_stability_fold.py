@@ -30,7 +30,7 @@ from repro.api import Session
 from repro.core import (ControlApplication, Encoder, SynthesisOptions,
                         SynthesisProblem, collect_violations, solve)
 from repro.core.solution import Solution
-from repro.core.synthesizer import _slice_messages, check_routed
+from repro.core.synthesizer import _slice_messages, refine
 from repro.eval.workloads import (BOTTLENECK_DELAYS, bottleneck_network,
                                   bottleneck_repair_problem, random_problem)
 from repro.smt import And, Bool, Implies, Or, Real
@@ -68,7 +68,7 @@ def lockstep(problem, routes, stages):
     and release-time terms, and each stage's folded model is frozen into
     both.  Every new message gets all its ``routes`` up front (the
     reference's rows cover only the routes encoded when they are added),
-    so :func:`check_routed` never extends.  Returns the folded run's
+    so :func:`refine` never extends.  Returns the folded run's
     verdict and, when ``sat``, its solution.
     """
     folded = Encoder(problem, Session(), routes, namespace="fold")
@@ -92,8 +92,8 @@ def lockstep(problem, routes, stages):
         # driver's route loop starts), then the stage itself.
         shortest = [plan.selectors[0] for plan, _ in plans]
         for assumptions in (shortest, []):
-            outcome = check_routed(folded.solver, folded, assumptions)
-            want = check_routed(reference.solver, reference,
+            outcome = refine(folded.solver, folded, assumptions)
+            want = refine(reference.solver, reference,
                                 [always] + assumptions)
             assert outcome.status == want.status, f"stage {stage}"
             if outcome == "sat":
@@ -198,7 +198,7 @@ def staged_verdicts(alpha, beta, forced):
         (x,) = [plan for plan in plans if plan.message.flow.name == "x"]
         pin = Bool(f"fold/force{stage}")
         force(encoder, x, pin, low=forced[stage], high=forced[stage])
-        outcome = check_routed(encoder.solver, encoder, [pin])
+        outcome = refine(encoder.solver, encoder, [pin])
         verdicts.append(outcome == "sat")
         if outcome != "sat":
             break
@@ -235,7 +235,7 @@ def test_the_negated_check_is_sat_exactly_when_eq2_fails(alpha, beta):
         pin = Bool(f"fold/force{i}")
         for plan, value in zip(xs, forced):
             force(encoder, plan, pin, low=value, high=value)
-        outcome = check_routed(encoder.solver, encoder, [unstable, pin])
+        outcome = refine(encoder.solver, encoder, [unstable, pin])
         assert (outcome == "sat") == (not stable(app.stability, forced)), (
             forced)
 
@@ -268,7 +268,7 @@ def test_a_released_guard_reopens_the_message_in_the_next_stage_rows():
     early = [encoder.encode_message(m) for m in first]
     encoder.add_stability_constraints(problem.app_by_name["x"], tag="s0")
     encoder.add_stability_constraints(problem.app_by_name["y"], tag="s0")
-    model = check_routed(session, encoder, []).require_model()
+    model = refine(session, encoder).require_model()
     guard = Bool("fold/guard")
     frozen = {}
     for plan in early:
@@ -284,12 +284,12 @@ def test_a_released_guard_reopens_the_message_in_the_next_stage_rows():
     force(encoder, late, lo, high=Fraction(31, 10000))
 
     # Pinned, x's first message cannot leave its frozen e2e.
-    assert check_routed(session, encoder, [guard, hi]) == "unsat"
+    assert refine(session, encoder, [guard, hi]) == "unsat"
     # Released, it can, and stage 1's Lmin/Lmax follow it: with the
     # second message near the floor the jitter breaks Eq. (2) ...
-    assert check_routed(session, encoder, [hi, lo]) == "unsat"
+    assert refine(session, encoder, [hi, lo]) == "unsat"
     # ... and without that squeeze the reopened schedule is stable.
-    outcome = check_routed(session, encoder, [hi])
+    outcome = refine(session, encoder, [hi])
     assert outcome == "sat"
     model = outcome.require_model()
     schedules = {plan.message.uid: encoder.freeze_message(plan, model,
@@ -298,5 +298,5 @@ def test_a_released_guard_reopens_the_message_in_the_next_stage_rows():
     assert schedules[x0.message.uid].e2e >= Fraction(44, 10000)
     assert collect_violations(Solution(problem, schedules)) == []
     # The squeeze alone is satisfiable: the unsat above is Eq. (2)'s.
-    assert check_routed(session, encoder, [guard, lo]) == "sat"
-    assert check_routed(session, encoder, [lo]) == "sat"
+    assert refine(session, encoder, [guard, lo]) == "sat"
+    assert refine(session, encoder, [lo]) == "sat"

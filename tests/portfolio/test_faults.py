@@ -321,6 +321,9 @@ class TestAcceptanceChaos:
         assert chaos.supervision_statistics["crash_retries"] == 1
 
     def test_gm_case_study_survives_kill_hang_corrupt(self):
+        # Monolithic and stages-2 can answer sat before routes-1's planned
+        # crash fires, which would leave no retry to count; both start
+        # slowly, as in the sharing-problem race above.
         strategies = [
             Strategy("monolithic", SynthesisOptions(max_conflicts=150)),
             Strategy("routes-1", SynthesisOptions(routes=1)),
@@ -330,6 +333,8 @@ class TestAcceptanceChaos:
             FaultSpec(CRASH, strategy="routes-1", attempt=1),
             FaultSpec(HANG, strategy="stages-2", attempt=1),
             FaultSpec(CORRUPT, strategy="monolithic", attempt=0, frame=0),
+            *(FaultSpec(SLOW_START, strategy=name, attempt=0, delay=0.4)
+              for name in ("monolithic", "stages-2")),
         ], seed=13)
         self._chaos(gm_case_study(4), strategies, plan)
 

@@ -25,7 +25,7 @@ import pytest
 
 from repro.api import Session
 from repro.core import Encoder
-from repro.core.synthesizer import SynthesisOptions, check_refined, solve
+from repro.core.synthesizer import SynthesisOptions, refine, solve
 from repro.eval.workloads import (bottleneck_problem, bottleneck_repair_problem,
                                   gm_case_study, sharing_problem,
                                   slow_funnel_problem)
@@ -281,7 +281,7 @@ def test_interned_variables_live_only_as_long_as_their_users():
         encoder = Encoder(problem, session, route_limit=1)
         for message in problem.messages:
             encoder.encode_message(message)
-        assert check_refined(session, encoder, ()) == "sat"
+        assert refine(session, encoder) == "sat"
     del session, encoder
     assert len(BoolVar._registry) <= bools
     assert len(RealVar._registry) <= reals

@@ -29,7 +29,7 @@ import pytest
 from repro.api import NativeBackend, Session
 from repro.core import Encoder, collect_violations
 from repro.core.solution import Solution
-from repro.core.synthesizer import _slice_messages, check_routed
+from repro.core.synthesizer import _slice_messages, refine
 from repro.errors import SolverError
 from repro.eval.workloads import gm_case_study
 from repro.sat.literals import UNASSIGNED
@@ -263,7 +263,7 @@ def test_most_atoms_of_a_staged_gm_solve_stay_undecided():
         for name in sorted({m.flow.name for m in messages}):
             encoder.add_stability_constraints(problem.app_by_name[name],
                                               tag=f"s{stage}")
-        outcome = check_routed(session, encoder, [])
+        outcome = refine(session, encoder)
         assert outcome == "sat"
         model = outcome.require_model()
         for plan in plans:
