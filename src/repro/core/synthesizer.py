@@ -34,10 +34,13 @@ formula until the answer is about the problem: a ``sat`` model asserts
 the Eq. 5 pair clauses it overlaps (contention is lazy), an ``unsat``
 core extends the routes of the messages it names, and, under
 **core-driven stage repair** (``repair``, opt-in), a core that can
-extend nothing releases the frozen messages it blames.  In repair mode
-stage freezes are guarded by per-message assumption literals instead of
-permanent equalities, so a later infeasible stage re-solves jointly with
-exactly the messages its core names, in at most
+extend nothing releases the frozen messages it blames.  A session from
+:func:`open_session` hands over the SAT core's raw final-conflict cores,
+so synthesis deletion-minimises none (an injected session keeps its own
+``minimize_cores``).  In repair mode stage freezes are guarded by
+per-message assumption literals instead of permanent equalities, so a
+later infeasible stage re-solves jointly with exactly the messages its
+core names, in at most
 :data:`MAX_REPAIR_ROUNDS` rounds per stage — recovering instances the
 plain incremental heuristic loses.  Off by default so the paper's
 Fig. 5/6 heuristic-failure rates stay reproducible.
@@ -232,10 +235,15 @@ def open_session(options: SynthesisOptions) -> Tuple[Session, SolverEngine]:
 
     The one place ``max_conflicts`` becomes a session: :func:`solve`
     calls it when no session is injected, the worker harness calls it to
-    hang heartbeats and export hooks on the engine first.
+    hang heartbeats and export hooks on the engine first.  Its unsat
+    cores are the SAT core's raw final-conflict cores, not
+    deletion-minimised ones: :func:`refine` only needs *some* core, and
+    minimising costs one full SAT solve per assumed literal.
     """
     engine = SolverEngine(max_conflicts=options.max_conflicts)
-    return Session(backend=NativeBackend(engine=engine)), engine
+    session = Session(backend=NativeBackend(engine=engine),
+                      minimize_cores=False)
+    return session, engine
 
 
 def solve(
@@ -356,9 +364,12 @@ def refine(
       and the loop checks again.  A model that overlaps no pair is the
       answer.
     * ``unsat``: each message whose ``within`` the core names gets its
-      next route (:meth:`Encoder.extend_route`; ``route_extensions``
-      counts the rounds).  A core that names no ``within`` holds with
-      every beyond literal free, so for every route
+      next route, all in one round (:meth:`Encoder.extend_route`;
+      ``route_extensions`` counts the rounds).  Any core will do, so a
+      session from :func:`open_session` hands over its raw
+      final-conflict core; a raw core may name more messages than a
+      minimised one, and each of them extends.  A core that names no
+      ``within`` holds with every beyond literal free, so for every route
       (:mod:`repro.core.encoding`).  When no named message can extend
       (each is at the route limit), the freeze guards the core names are
       released (``cores_extracted``, ``stage_repairs``), at most
@@ -418,7 +429,8 @@ def _blame(
     provable: bool,
 ) -> Tuple[Optional[Tuple[Tuple[str, int], ...]], Optional[List[str]]]:
     """A failing stage's ``(route_veto, unsat_explanation)``, from one
-    reading of its core.
+    reading of its core (the same core :func:`refine` last read: raw
+    under :func:`open_session`, so it may name more than a minimal set).
 
     The veto exists only for a ``provable`` unsat: ``(uid, encoded route
     count)`` of every message whose ``within`` the core names (each at

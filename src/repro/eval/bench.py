@@ -88,6 +88,16 @@ def _bench_fig3(scale: dict) -> dict:
     }
 
 
+def _fig4_digest(result: "experiments.Fig4Result") -> str:
+    """Fingerprint of a Fig. 4 sweep without its wall times: each
+    point's status and message count, so equal searches hash equal."""
+    return _digest(repr([
+        (s, p.seed, p.status, p.n_messages)
+        for s, pts in sorted(result.points.items())
+        for p in pts
+    ]))
+
+
 def _bench_fig4(scale: dict) -> dict:
     result = experiments.run_fig4(**scale)
     statuses = {
@@ -95,7 +105,7 @@ def _bench_fig4(scale: dict) -> dict:
         for s, pts in sorted(result.points.items())
         for p in pts
     }
-    return {"statuses": statuses, "render_digest": _digest(result.render())}
+    return {"statuses": statuses, "render_digest": _fig4_digest(result)}
 
 
 def _bench_backends(scale: dict) -> dict:

@@ -458,11 +458,14 @@ def unstable_verdicts(
     i's question is one :func:`refine` assuming its guard: ``sat``
     answers carry the witness schedule, ``unsat`` means every
     deadline-feasible schedule keeps the app stable.  Under a route
-    limit every message gets its ``routes`` routes up front, because
-    each question would otherwise pay its own extension rounds
-    (``gm_case_study(20)`` at routes 3: 4.0 s instead of 5.2 s).  With
-    ``routes=None`` the routes the questions need are encoded as the
-    cores ask for them, and later questions keep them.
+    limit every message gets its ``routes`` routes up front, so no
+    question pays extension rounds; this was chosen while synthesis
+    minimised its cores (``gm_case_study(20)`` at routes 3: 4.0 s
+    instead of 5.2 s).  With the raw cores :func:`refine` reads now it
+    takes 1.2 s and the lazy loop 0.83 s on a 2-core x86_64 box
+    (ROADMAP item 12).  With ``routes=None`` the routes the questions
+    need are encoded as the cores ask for them, and later questions
+    keep them.
     """
     session, _ = open_session(SynthesisOptions(mode=MODE_DEADLINE,
                                                routes=routes))

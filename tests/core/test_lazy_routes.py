@@ -215,6 +215,121 @@ class TestExtension:
 
 
 # ---------------------------------------------------------------------------
+# Raw cores: synthesis reads the final-conflict core as it comes
+# ---------------------------------------------------------------------------
+
+
+class LoopTrace:
+    """Every ``Session.check`` of a run, with what the loop did next.
+
+    Per check: its outcome, the messages its core names that could
+    still extend (``within`` named, below the route limit), and the
+    messages :meth:`Encoder.extend_route` encoded a route for before
+    the next check.  With ``recheck`` each unsat core is checked again
+    on its own, in the same session, right after the check that
+    produced it.
+    """
+
+    def __init__(self, patch, recheck=False):
+        self.rounds = []
+        encoders = {}
+        check, init = Session.check, Encoder.__init__
+        extend = Encoder.extend_route
+
+        def traced_init(encoder, problem, solver, *args, **kwargs):
+            init(encoder, problem, solver, *args, **kwargs)
+            encoders[id(solver)] = encoder
+
+        def traced_check(session, *assumptions):
+            outcome = check(session, *assumptions)
+            named = None
+            if outcome == "unsat":
+                core = outcome.unsat_core or ()
+                assert set(core) <= set(outcome.assumptions)
+                if recheck:
+                    assert check(session, *core) == "unsat"
+                encoder = encoders[id(session)]
+                limit = encoder.route_limit
+                named = {uid for uid, plan in encoder.plans.items()
+                         if plan.within is not None and plan.within in core
+                         and (limit is None or len(plan.routes) < limit)}
+            self.rounds.append((outcome, named, set()))
+            return outcome
+
+        def traced_extend(encoder, uid):
+            extended = extend(encoder, uid)
+            if extended and self.rounds:
+                self.rounds[-1][2].add(uid)
+            return extended
+
+        patch.setattr(Encoder, "__init__", traced_init)
+        patch.setattr(Session, "check", traced_check)
+        patch.setattr(Encoder, "extend_route", traced_extend)
+
+    def unsat_rounds(self):
+        return [r for r in self.rounds if r[0] == "unsat"]
+
+
+#: The service's funnel families (a feasible and an infeasible period,
+#: with and without islands) at routes 1, 2 and None, and one repair run.
+RAW_CORE_RUNS = {
+    **{f"funnel(islands={i}, routes={k})":
+       (lambda i=i: W.bottleneck_problem(3, period=Fraction(45, 10000),
+                                         islands=i),
+        SynthesisOptions(routes=k))
+       for i in (0, 2) for k in (1, 2, None)},
+    **{f"funnel_unsat(islands={i}, routes={k})":
+       (lambda i=i: W.bottleneck_problem(4, period=Fraction(305, 100000),
+                                         islands=i),
+        SynthesisOptions(routes=k))
+       for i in (0, 2) for k in (1, 2, None)},
+    "repair": (W.bottleneck_repair_problem,
+               SynthesisOptions(routes=2, stages=2, repair=True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAW_CORE_RUNS))
+def test_solve_reads_raw_cores(case):
+    # No check minimises; each round extends exactly the extendable
+    # messages its core names, and only after an unsat.
+    make, options = RAW_CORE_RUNS[case]
+    with pytest.MonkeyPatch.context() as patch:
+        trace = LoopTrace(patch, recheck=True)
+        result = solve(make(), options)
+    assert certified(result)
+    unsat = trace.unsat_rounds()
+    assert any(outcome.unsat_core for outcome, _, _ in unsat)
+    assert any(named for _, named, _ in unsat) == (options.routes != 1)
+    for outcome, named, extended in trace.rounds:
+        assert outcome.statistics.get("core_minimization_checks", 0) == 0
+        assert extended == (named or set())
+
+
+@pytest.mark.parametrize("routes", [3, None])
+def test_unstable_verdicts_read_raw_cores(routes):
+    with pytest.MonkeyPatch.context() as patch:
+        trace = LoopTrace(patch, recheck=True)
+        verdicts, _ = unstable_verdicts(W.gm_case_study(6), routes)
+    assert "unsat" in verdicts.values()
+    assert any(outcome.unsat_core for outcome, _, _ in trace.unsat_rounds())
+    for outcome, _, _ in trace.rounds:
+        assert outcome.statistics.get("core_minimization_checks", 0) == 0
+
+
+def test_session_still_minimises_by_default():
+    problem = W.sharing_unsat_problem()
+    session = Session()
+    encoder = Encoder(problem, session, 2)
+    for message in problem.messages:
+        encoder.encode_message(message)
+    for app in problem.apps:
+        encoder.add_stability_constraints(app)
+    outcome = refine(session, encoder)
+    assert outcome == "unsat" and outcome.unsat_core
+    assert outcome.statistics["core_minimization_checks"] > 0
+
+
+# ---------------------------------------------------------------------------
 # Which constraints carry a beyond literal
 # ---------------------------------------------------------------------------
 
@@ -397,8 +512,9 @@ class TestKnowledgeBoundary:
         veto = dict(result.route_veto)
         assert set(veto.values()) == {k}
         assert 0 < len(veto) < len(problem.messages)
-        # The final core of the same loop, run by hand.
-        session = Session()
+        # The final core of the same loop, run by hand on the same kind
+        # of session (raw cores).
+        session, _ = open_session(SynthesisOptions(routes=k))
         encoder = Encoder(problem, session, k, namespace=SHARED_NAMESPACE)
         for message in problem.messages:
             encoder.encode_message(message)

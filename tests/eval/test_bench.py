@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.eval.bench import compare, run_bench, run_suite
+from repro.eval.bench import _fig4_digest, compare, run_bench, run_suite
+from repro.eval.experiments import Fig4Result, ScalingPoint
 
 
 def test_run_bench_fig3_writes_record(tmp_path):
@@ -18,6 +19,19 @@ def test_run_bench_fig3_writes_record(tmp_path):
     assert on_disk["render_digest"] == record["render_digest"]
     # fig3 never touches the SMT solver: empty trajectory.
     assert on_disk["per_check"] == []
+
+
+def test_fig4_digest_ignores_wall_time():
+    def sweep(times):
+        return Fig4Result({3: [ScalingPoint(0, 40, times[0], "sat"),
+                               ScalingPoint(1, 44, times[1], "unsat")]},
+                          routes=3)
+
+    digest = _fig4_digest(sweep((0.25, 1.5)))
+    assert _fig4_digest(sweep((0.31, 0.9))) == digest
+    moved = Fig4Result({3: [ScalingPoint(0, 41, 0.25, "sat"),
+                            ScalingPoint(1, 44, 1.5, "unsat")]}, routes=3)
+    assert _fig4_digest(moved) != digest
 
 
 def test_unknown_bench_name_rejected(tmp_path):
