@@ -9,15 +9,15 @@ exact validator.
 from .encoding import Encoder, MessagePlan
 from .export import render_switch_configs, solution_from_dict, solution_to_dict
 from .problem import ControlApplication, SynthesisProblem
-from .seeding import Knowledge, SeedKnowledge, StrategySignature
-from .solution import AppReport, MessageSchedule, Solution
-from .synthesizer import (
+from .seeding import (
     MODE_DEADLINE,
     MODE_STABILITY,
-    SynthesisOptions,
-    SynthesisResult,
-    solve,
+    Knowledge,
+    SeedKnowledge,
+    StrategySignature,
 )
+from .solution import AppReport, MessageSchedule, Solution
+from .synthesizer import SynthesisOptions, SynthesisResult, solve
 from .validator import collect_violations, validate_solution
 
 __all__ = [

@@ -44,7 +44,7 @@ def solution_from_dict(problem: SynthesisProblem, data: dict) -> Solution:
             synthesis_time=float(data.get("synthesis_time", 0.0)),
             mode=data.get("mode", "stability"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed solution dictionary: {exc}") from exc
 
 

@@ -7,12 +7,13 @@ control application its period, endpoints, and stability specification
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import List, Optional, Sequence
 
 from ..errors import EncodingError
+from ..fieldcheck import check_fields
 from ..network.frames import Flow, MessageInstance, expand_messages, hyperperiod
 from ..network.graph import Network, NodeKind
 from ..network.timing import DelayModel, as_seconds
@@ -30,14 +31,13 @@ class ControlApplication:
     name: str
     sensor: str
     controller: str
-    period: Fraction
+    period: Fraction = field(metadata={"gt": 0})
     stability: Optional[StabilitySpec] = None
-    frame_bytes: int = 1500
+    frame_bytes: int = field(default=1500, metadata={"ge": 1})
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "period", as_seconds(self.period))
-        if self.period <= 0:
-            raise EncodingError(f"app {self.name!r}: period must be positive")
+        check_fields(self, EncodingError)
 
     @property
     def flow(self) -> Flow:
@@ -60,18 +60,14 @@ class SynthesisProblem:
         if not self.apps:
             raise EncodingError("a problem needs at least one application")
         for app in self.apps:
-            if app.sensor not in self.network:
-                raise EncodingError(f"app {app.name!r}: unknown sensor {app.sensor!r}")
-            if app.controller not in self.network:
-                raise EncodingError(
-                    f"app {app.name!r}: unknown controller {app.controller!r}"
-                )
-            if self.network.kind(app.sensor) != NodeKind.SENSOR:
-                raise EncodingError(f"app {app.name!r}: {app.sensor!r} is not a sensor")
-            if self.network.kind(app.controller) != NodeKind.CONTROLLER:
-                raise EncodingError(
-                    f"app {app.name!r}: {app.controller!r} is not a controller"
-                )
+            for node, kind in ((app.sensor, NodeKind.SENSOR),
+                               (app.controller, NodeKind.CONTROLLER)):
+                if node not in self.network:
+                    raise EncodingError(
+                        f"app {app.name!r}: unknown {kind.value} {node!r}")
+                if self.network.kind(node) != kind:
+                    raise EncodingError(
+                        f"app {app.name!r}: {node!r} is not a {kind.value}")
             if app.period < self.delays.ld:
                 raise EncodingError(
                     f"app {app.name!r}: period below the link transmission "

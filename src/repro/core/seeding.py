@@ -70,14 +70,16 @@ heuristic verdicts are never promoted to race verdicts (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 from typing import Optional, Set, Tuple
 
+from ..fieldcheck import check_fields
 from ..smt.terms import Or
 
-#: What each annotation of :class:`StrategySignature` accepts.
-_FIELD_TYPES = {"str": str, "int": int, "bool": bool,
-                "Optional[int]": (int, type(None))}
+MODE_STABILITY = "stability"
+MODE_DEADLINE = "deadline"
+#: The constraint semantics a formula can have (``mode``).
+MODE_NAMES = (MODE_STABILITY, MODE_DEADLINE)
 
 
 @dataclass(frozen=True)
@@ -89,23 +91,18 @@ class StrategySignature:
     fields are listed: ``SynthesisOptions.signature``, the service's
     fingerprints and wire keys, and the knowledge pool's buckets all
     derive from it.  Signatures are also rebuilt from cache files, so the
-    constructor validates: a wrong type raises ``ValueError``.
+    constructor checks its fields: a value no ``SynthesisOptions`` can
+    hold raises ``ValueError``.
     """
 
-    mode: str
-    routes: Optional[int]
-    stages: int
-    path_cutoff: Optional[int]
+    mode: str = field(metadata={"in": MODE_NAMES})
+    routes: Optional[int] = field(metadata={"ge": 1})
+    stages: int = field(metadata={"ge": 1})
+    path_cutoff: Optional[int] = field(metadata={"ge": 1})
     repair: bool
 
     def __post_init__(self) -> None:
-        # Any truthy ``repair`` names the same formula: one canonical form.
-        object.__setattr__(self, "repair", bool(self.repair))
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(value, _FIELD_TYPES[f.type]):
-                raise ValueError(
-                    f"signature field {f.name}={value!r} is not {f.type}")
+        check_fields(self)
 
     def compatible(self, other: "StrategySignature") -> bool:
         """Whether knowledge learned under ``other`` may transfer at all:

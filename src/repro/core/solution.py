@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from ..errors import ValidationError
+from ..fieldcheck import check_fields
 from ..network.switch import TsnSwitch
 from .problem import SynthesisProblem
 
@@ -72,18 +73,15 @@ class MessageSchedule:
     @classmethod
     def from_dict(cls, uid: str, data: Dict[str, object]) -> "MessageSchedule":
         """The inverse of :meth:`to_dict`.  Raises ``ValueError``,
-        ``KeyError`` or ``TypeError`` on anything :meth:`to_dict` does
-        not write."""
-        app, route, gammas = data["app"], data["route"], data["gammas"]
-        if not (isinstance(uid, str) and isinstance(app, str)
-                and isinstance(route, list) and isinstance(gammas, dict)
-                and all(isinstance(node, str)
-                        for node in route + list(gammas))):
-            raise ValueError(f"malformed schedule for {uid!r:.40}")
-        return cls(uid=uid, app=app, route=list(route),
-                   gammas={node: parse_rational(g) for node, g in gammas.items()},
-                   release=parse_rational(data["release"]),
-                   e2e=parse_rational(data["e2e"]))
+        ``KeyError``, ``TypeError`` or ``AttributeError`` on anything
+        :meth:`to_dict` does not write."""
+        schedule = cls(uid=uid, app=data["app"], route=data["route"],
+                       gammas={node: parse_rational(g)
+                               for node, g in data["gammas"].items()},
+                       release=parse_rational(data["release"]),
+                       e2e=parse_rational(data["e2e"]))
+        check_fields(schedule)
+        return schedule
 
 
 @dataclass(frozen=True)
@@ -97,16 +95,6 @@ class AppReport:
     max_e2e: Fraction
     margin: float              # delta_i of Eq. (3); -inf outside the spec
     stable: Optional[bool]     # None when the app has no stability spec
-
-    def as_row(self) -> Dict[str, object]:
-        return {
-            "app": self.name,
-            "period_ms": float(self.period * 1000),
-            "max_e2e_ms": float(self.max_e2e * 1000),
-            "latency_ms": float(self.latency * 1000),
-            "jitter_ms": float(self.jitter * 1000),
-            "stable": self.stable,
-        }
 
 
 class Solution:

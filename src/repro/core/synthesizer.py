@@ -54,18 +54,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..api import CheckOutcome, NativeBackend, Session
 from ..errors import EncodingError
+from ..fieldcheck import check_fields
 from ..network.frames import MessageInstance
 from ..runtime.faults import WorkerFaults
 from ..smt.solver import CHECK_COUNTERS, SolverEngine
 from ..smt.terms import Bool, BoolExpr
 from .encoding import SHARED_NAMESPACE, Encoder, MessagePlan
 from .problem import SynthesisProblem
-from .seeding import (SeedKnowledge, StrategySignature, apply_route_vetoes,
+from .seeding import (MODE_NAMES, MODE_STABILITY, SeedKnowledge,
+                      StrategySignature, apply_route_vetoes,
                       import_presolve_clauses)
 from .solution import MessageSchedule, Solution
-
-MODE_STABILITY = "stability"
-MODE_DEADLINE = "deadline"
 
 #: Solver-work counters that are deterministic for a given code state and
 #: input (the solver is single-threaded and seeded), so they compare
@@ -89,7 +88,7 @@ class SynthesisOptions:
             either way routes are encoded lazily (statistics
             ``route_extensions``).
         stages: number of incremental time slices (1 = monolithic).
-        path_cutoff: optional hop bound on every candidate route.
+        path_cutoff: optional hop bound (>= 1) on every candidate route.
         repair: guard stage freezes with assumption literals and use
             unsat cores to unfreeze/re-solve when a stage fails (may
             solve instances the plain heuristic cannot).
@@ -112,28 +111,22 @@ class SynthesisOptions:
             default) injects nothing.
 
     The fields shared with :class:`~repro.core.seeding.StrategySignature`
-    name the solved formula (:attr:`signature`); the rest steer the
-    search.
+    name the solved formula (:attr:`signature`) and declare the same
+    bounds there; the rest steer the search.  A field its annotation or
+    bound refuses raises ``EncodingError``.
     """
 
-    mode: str = MODE_STABILITY
-    routes: Optional[int] = None
-    stages: int = 1
-    path_cutoff: Optional[int] = None
+    mode: str = field(default=MODE_STABILITY, metadata={"in": MODE_NAMES})
+    routes: Optional[int] = field(default=None, metadata={"ge": 1})
+    stages: int = field(default=1, metadata={"ge": 1})
+    path_cutoff: Optional[int] = field(default=None, metadata={"ge": 1})
     repair: bool = False
-    max_conflicts: Optional[int] = None
+    max_conflicts: Optional[int] = field(default=None, metadata={"ge": 1})
     seed_knowledge: SeedKnowledge = ()
     faults: Optional[WorkerFaults] = None
 
     def __post_init__(self) -> None:
-        if self.mode not in (MODE_STABILITY, MODE_DEADLINE):
-            raise EncodingError(f"unknown mode {self.mode!r}")
-        if self.routes is not None and self.routes < 1:
-            raise EncodingError("routes must be >= 1 (or None for all)")
-        if self.stages < 1:
-            raise EncodingError("stages must be >= 1")
-        if self.max_conflicts is not None and self.max_conflicts < 1:
-            raise EncodingError("max_conflicts must be >= 1 (or None)")
+        check_fields(self, EncodingError)
 
     @property
     def signature(self) -> StrategySignature:

@@ -346,8 +346,10 @@ def _bench_faults(scale: dict) -> dict:
       (``degraded_to_serial`` plus ``crash_budget_exhausted``).
 
     The record's ``supervision`` block carries the summed supervision
-    counters except ``heartbeats_seen``, which counts wall-clock ticks
-    (the ``supervision/*`` statuses gate the key ones nonzero)
+    counters except the timing counts: ``heartbeats_seen`` counts
+    wall-clock ticks, and ``crashes`` / ``crash_retries`` count the
+    injected crashes a race reaches before its verdict (4 or 5 on one
+    tree).  The ``supervision/*`` statuses gate the key ones nonzero,
     and ``no_leaked_workers`` certifies that every spawned process was
     reaped.
     """
@@ -373,8 +375,7 @@ def _bench_faults(scale: dict) -> dict:
             statuses[f"{label}/{sr.name}"] = sr.status
         times[label] = round(res.total_time, 4)
         for key, value in res.supervision_statistics.items():
-            if key != "heartbeats_seen":   # a timing count, not a gate
-                supervision[key] = supervision.get(key, 0) + value
+            supervision[key] = supervision.get(key, 0) + value
         supervision[f"{label}_degraded"] = int(res.degraded_to_serial)
 
     # -- acceptance races: SIGKILL + hang + corrupt, verdict preserved --
@@ -460,20 +461,18 @@ def _bench_faults(scale: dict) -> dict:
         "yes" if res.degraded_to_serial and res.status == "sat" else "NO"
     )
 
-    statuses["supervision/crash_retries_nonzero"] = (
-        "yes" if supervision.get("crash_retries", 0) >= 1 else "NO"
-    )
-    statuses["supervision/quarantine_nonzero"] = (
-        "yes" if supervision.get("quarantined_artifacts", 0) >= 1 else "NO"
-    )
-    statuses["supervision/budget_exhausted_nonzero"] = (
-        "yes" if supervision.get("crash_budget_exhausted", 0) >= 1 else "NO"
-    )
+    for status, key in (("crash_retries", "crash_retries"),
+                        ("quarantine", "quarantined_artifacts"),
+                        ("budget_exhausted", "crash_budget_exhausted")):
+        statuses[f"supervision/{status}_nonzero"] = (
+            "yes" if supervision.get(key, 0) >= 1 else "NO")
     for proc in mp.active_children():
         proc.join(timeout=2.0)
     statuses["no_leaked_workers"] = (
         "yes" if not mp.active_children() else "NO"
     )
+    for key in ("heartbeats_seen", "crashes", "crash_retries"):
+        supervision.pop(key, None)   # timing counts, not gates
     return {
         "statuses": statuses,
         "supervision": supervision,

@@ -17,10 +17,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..control.plants import paper_controller, plant_database
 from ..core.encoding import Encoder
 from ..core.problem import SynthesisProblem
+from ..core.seeding import MODE_DEADLINE, MODE_STABILITY
 from ..core.solution import Solution
 from ..core.synthesizer import (
-    MODE_DEADLINE,
-    MODE_STABILITY,
     SynthesisOptions,
     SynthesisResult,
     open_session,
@@ -457,23 +456,16 @@ def unstable_verdicts(
     (:meth:`Encoder.add_stability_constraints` with ``unstable``).  App
     i's question is one :func:`refine` assuming its guard: ``sat``
     answers carry the witness schedule, ``unsat`` means every
-    deadline-feasible schedule keeps the app stable.  Under a route
-    limit every message gets its ``routes`` routes up front, so no
-    question pays extension rounds; this was chosen while synthesis
-    minimised its cores (``gm_case_study(20)`` at routes 3: 4.0 s
-    instead of 5.2 s).  With the raw cores :func:`refine` reads now it
-    takes 1.2 s and the lazy loop 0.83 s on a 2-core x86_64 box
-    (ROADMAP item 12).  With ``routes=None`` the routes the questions
-    need are encoded as the cores ask for them, and later questions
-    keep them.
+    deadline-feasible schedule keeps the app stable.  Routes are lazy
+    under any limit: the routes the questions need are encoded as the
+    cores ask for them (up to ``routes``), and later questions keep
+    them.
     """
     session, _ = open_session(SynthesisOptions(mode=MODE_DEADLINE,
                                                routes=routes))
     encoder = Encoder(problem, session, routes)
     for message in problem.messages:
         encoder.encode_message(message)
-        if routes is not None:
-            encoder.reach_route(message.uid, routes)
     guards = {app.name: Bool(f"unstable[{app.name}]") for app in problem.apps}
     for app in problem.apps:
         encoder.add_stability_constraints(app, unstable=guards[app.name])

@@ -9,11 +9,12 @@ synthesizer schedules and routes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
 from ..errors import EncodingError
+from ..fieldcheck import check_fields
 from .timing import Number, as_seconds
 
 
@@ -32,15 +33,12 @@ class Flow:
     name: str
     source: str
     dest: str
-    period: Fraction
-    frame_bytes: int = 1500
+    period: Fraction = field(metadata={"gt": 0})
+    frame_bytes: int = field(default=1500, metadata={"ge": 1})
 
     def __post_init__(self) -> None:
-        if as_seconds(self.period) <= 0:
-            raise EncodingError(f"flow {self.name!r}: period must be positive")
         object.__setattr__(self, "period", as_seconds(self.period))
-        if self.frame_bytes <= 0:
-            raise EncodingError(f"flow {self.name!r}: frame size must be positive")
+        check_fields(self, EncodingError)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,8 @@ class Network:
     # ------------------------------------------------------------------
 
     def _add_node(self, name: str, kind: NodeKind) -> str:
+        if not isinstance(name, str):
+            raise TopologyError(f"node name {name!r:.40} is not a string")
         if name in self._kinds:
             raise TopologyError(f"duplicate node name: {name!r}")
         self._kinds[name] = kind

@@ -9,9 +9,12 @@ The paper's Table I parameters: 1500-byte frames on 10 Mbit/s links give
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
+
+from ..errors import EncodingError
+from ..fieldcheck import check_fields
 
 Number = Union[int, Fraction, float, str]
 
@@ -61,20 +64,16 @@ class DelayModel:
     keeping the door open for per-link overrides via subclassing.
     """
 
-    sd: Fraction
-    ld: Fraction
+    sd: Fraction = field(metadata={"ge": 0})
+    ld: Fraction = field(metadata={"gt": 0})
+
+    def __post_init__(self) -> None:
+        check_fields(self, EncodingError)
 
     @staticmethod
     def table1() -> "DelayModel":
         """The General Motors case-study parameters from Table I."""
         return DelayModel(sd=microseconds(5), ld=transmission_delay(1500, 10_000_000))
-
-    @staticmethod
-    def fast_100mbit(frame_bytes: int = 1500) -> "DelayModel":
-        """100 Mbit/s variant used by scale-down experiments."""
-        return DelayModel(
-            sd=microseconds(5), ld=transmission_delay(frame_bytes, 100_000_000)
-        )
 
     def hop_delay(self) -> Fraction:
         """Minimum added delay per switch hop: forward + transmit."""

@@ -56,8 +56,10 @@ import os
 import random
 import signal
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
+
+from ..fieldcheck import check_fields
 
 #: The injectable failure kinds.
 CRASH = "crash"
@@ -97,25 +99,15 @@ class FaultSpec:
     exhausts any retry budget and ends in ``error``).
     """
 
-    kind: str
+    kind: str = field(metadata={"in": _KINDS})
     strategy: str = ANY
-    attempt: int = 1
-    at_conflicts: int = 0       # crash/hang trigger threshold (0 = at start)
-    delay: float = 0.0          # slow_start sleep seconds
-    frame: int = 0              # corrupt: index of the artifact frame to mangle
+    attempt: int = field(default=1, metadata={"ge": 0})
+    at_conflicts: int = field(default=0, metadata={"ge": 0})  # crash/hang (0: at start)
+    delay: float = field(default=0.0, metadata={"ge": 0})  # slow_start sleep seconds
+    frame: int = field(default=0, metadata={"ge": 0})  # corrupt: artifact frame index
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown fault kind {self.kind!r} "
-                             f"(have {sorted(_KINDS)})")
-        if self.attempt < 0:
-            raise ValueError("attempt must be >= 0 (0 = every attempt)")
-        if self.at_conflicts < 0:
-            raise ValueError("at_conflicts must be >= 0")
-        if self.delay < 0:
-            raise ValueError("delay must be >= 0")
-        if self.frame < 0:
-            raise ValueError("frame must be >= 0")
+        check_fields(self)
 
     def matches(self, strategy: str, attempt: int) -> bool:
         if self.strategy not in (ANY, strategy):

@@ -20,6 +20,7 @@ from typing import Dict, Optional, Tuple
 
 from ..core.seeding import Knowledge, SeedKnowledge, StrategySignature
 from ..core.solution import parse_rational
+from ..fieldcheck import check_fields
 from ..smt.terms import Atom, BoolExpr, BoolVar
 
 #: Export caps: clause literal count, learning-time LBD, clauses per
@@ -123,32 +124,26 @@ def _valid_literal(lit) -> bool:
 def validate_knowledge(knowledge) -> Optional[str]:
     """Why ``knowledge`` must be quarantined, or None when it is sound.
 
-    This is the pool-boundary gate: knowledge arrives over a pipe from
-    workers that may be fault-injected, dying mid-``send``, or running
-    a different code revision, and from cache files on disk, so
-    *everything* a seeded worker would later deserialize is checked
-    here — shapes, and every rational string with
-    :func:`~repro.core.solution.parse_rational`.  A rejected value is
-    counted and dropped — it never reaches a seeded run.
+    This is the pool-boundary gate: knowledge arrives unpickled (no
+    constructor check ran) over a pipe from workers that may be
+    fault-injected, dying mid-``send``, or running a different code
+    revision, and from cache files on disk, so *everything* a seeded
+    worker would later deserialize is checked here: every field against
+    its annotation, literal shapes and rational strings.  A rejected
+    value is counted and dropped — it never reaches a seeded run.
     """
     if not isinstance(knowledge, Knowledge):
         return f"not Knowledge: {type(knowledge).__name__}"
-    if not isinstance(knowledge.signature, StrategySignature):
-        return "missing/invalid strategy signature"
-    if not isinstance(knowledge.clauses, tuple):
-        return "clauses payload is not a tuple"
+    try:
+        check_fields(knowledge)
+        check_fields(knowledge.signature)
+    except ValueError as exc:
+        return str(exc)
     for clause in knowledge.clauses:
-        if not isinstance(clause, tuple) or not clause:
+        if not clause or not all(map(_valid_literal, clause)):
             return f"malformed clause {clause!r:.60}"
-        if not all(_valid_literal(lit) for lit in clause):
-            return f"malformed literal in clause {clause!r:.60}"
-    if not isinstance(knowledge.route_veto, tuple):
-        return "veto payload is not a tuple"
-    for entry in knowledge.route_veto:
-        if (not isinstance(entry, tuple) or len(entry) != 2
-                or not isinstance(entry[0], str)
-                or not isinstance(entry[1], int) or entry[1] < 0):
-            return f"malformed veto limit {entry!r:.60}"
+    if any(limit < 0 for _, limit in knowledge.route_veto):
+        return f"negative veto limit in {knowledge.route_veto!r:.60}"
     return None
 
 

@@ -23,9 +23,10 @@ one counter vocabulary (``docs/robustness.md``, "Worker runtime"):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..fieldcheck import check_fields
 from .frames import KIND_HEARTBEAT
 
 #: Counter keys every supervisor report carries (zero-filled).
@@ -56,24 +57,18 @@ class SupervisionPolicy:
     and counted, but nobody is killed for silence — restart boundaries
     are conflict-driven, so a legitimately propagation-heavy solve can
     be quiet for a long time.  Chaos tests (and latency-sensitive
-    services) opt in with a timeout matched to their workload.
+    services) opt in with a timeout matched to their workload.  Every
+    field is a finite number of seconds (``ValueError``).
     """
 
-    heartbeat_interval: float = 0.2     # min seconds between heartbeats
-    stall_timeout: Optional[float] = None   # None = stall detection off
-    backoff_base: float = 0.05          # first retry delay (seconds)
-    backoff_cap: float = 2.0            # ceiling on any single delay
-    kill_grace: float = 1.0             # terminate -> join(grace) -> kill
+    heartbeat_interval: float = field(default=0.2, metadata={"ge": 0})  # min s between beats
+    stall_timeout: Optional[float] = field(default=None, metadata={"gt": 0})  # None: no stalls
+    backoff_base: float = field(default=0.05, metadata={"ge": 0})  # first retry delay
+    backoff_cap: float = field(default=2.0, metadata={"ge": 0})  # ceiling on any delay
+    kill_grace: float = field(default=1.0, metadata={"ge": 0})  # terminate -> join -> kill
 
     def __post_init__(self) -> None:
-        if self.heartbeat_interval < 0:
-            raise ValueError("heartbeat_interval must be >= 0")
-        if self.stall_timeout is not None and self.stall_timeout <= 0:
-            raise ValueError("stall_timeout must be positive (or None)")
-        if self.backoff_base < 0 or self.backoff_cap < 0:
-            raise ValueError("backoff delays must be >= 0")
-        if self.kill_grace < 0:
-            raise ValueError("kill_grace must be >= 0")
+        check_fields(self)
 
     def backoff(self, retry_no: int) -> float:
         """Delay before retry ``retry_no`` (1-based): doubling, capped."""

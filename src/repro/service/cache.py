@@ -39,8 +39,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..core.seeding import Knowledge, StrategySignature
+from ..fieldcheck import check_fields
 from ..runtime.knowledge import validate_knowledge
-from .protocol import schedules_from_wire
+from .protocol import rejecting, schedules_from_wire
 
 #: On-disk schema version; bump on incompatible layout changes (old
 #: entries are quarantined, not migrated — they are only ever hints).
@@ -64,7 +65,7 @@ class CacheEntry:
     """One cached problem's transferable knowledge."""
 
     fingerprint: str
-    status: str                          # sat / unsat / unknown
+    status: str = field(metadata={"in": ("sat", "unsat", "unknown")})
     knowledge: Knowledge                 # learned under the recorder's options
     schedules: Optional[List[dict]] = None   # schedules_to_wire, sat only
     work: Dict[str, int] = field(default_factory=dict)
@@ -86,23 +87,24 @@ class CacheEntry:
 
     @classmethod
     def from_json(cls, payload: dict) -> "CacheEntry":
-        if payload.get("version") != CACHE_VERSION:
-            raise ValueError(f"unsupported cache version "
-                             f"{payload.get('version')!r}")
-        entry = cls(
-            fingerprint=payload["fingerprint"],
-            status=payload["status"],
-            # TypeError (not a dict, missing or extra keys) and
-            # ValueError (a mistyped field) both quarantine the file.
-            knowledge=Knowledge(
-                StrategySignature(**payload["options"]),
-                clauses=_tuplify(payload.get("clauses") or []),
-                route_veto=_tuplify(payload.get("route_veto") or [])),
-            schedules=payload.get("schedules"),
-            work=dict(payload.get("work", {})),
-            created=float(payload.get("created", 0.0)),
-        )
-        entry.validate()
+        """The entry of a cache file (keys it does not read are ignored);
+        ``ProtocolError``, a ``ValueError``, on anything else."""
+        with rejecting("cache entry"):
+            if payload.get("version") != CACHE_VERSION:
+                raise ValueError(f"unsupported cache version "
+                                 f"{payload.get('version')!r}")
+            entry = cls(
+                fingerprint=payload["fingerprint"],
+                status=payload["status"],
+                knowledge=Knowledge(
+                    StrategySignature(**payload["options"]),
+                    clauses=_tuplify(payload.get("clauses") or []),
+                    route_veto=_tuplify(payload.get("route_veto") or [])),
+                schedules=payload.get("schedules"),
+                work=payload.get("work", {}),
+                created=payload.get("created", 0.0),
+            )
+            entry.validate()
         return entry
 
     def validate(self) -> None:
@@ -116,10 +118,9 @@ class CacheEntry:
         (whether it solves the problem is the server's check, at hit
         time).
         """
-        if not isinstance(self.fingerprint, str) or not self.fingerprint:
+        check_fields(self)
+        if not self.fingerprint:
             raise ValueError("entry without a fingerprint")
-        if self.status not in ("sat", "unsat", "unknown"):
-            raise ValueError(f"unknown cached status {self.status!r}")
         problem = validate_knowledge(self.knowledge)
         if problem is not None:
             raise ValueError(f"cached knowledge invalid: {problem}")
@@ -170,8 +171,7 @@ class KnowledgeCache:
                 entry = CacheEntry.from_json(payload)
                 if entry.fingerprint != path.stem:
                     raise ValueError("fingerprint does not match filename")
-            except (ValueError, KeyError, TypeError, OSError,
-                    json.JSONDecodeError):
+            except (ValueError, RecursionError, OSError):
                 self._quarantine(path)
                 continue
             loaded.append((entry.created, entry, path.stat().st_size))

@@ -21,17 +21,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict
-from fractions import Fraction
 from typing import Dict
 
 from ..core.encoding import SHARED_NAMESPACE
 from ..core.synthesizer import SynthesisOptions
 from .protocol import problem_to_wire
-
-
-def _frac(value: Fraction) -> str:
-    """Exact, canonical rendering of a rational (hash-stable)."""
-    return str(Fraction(value))
 
 
 def canonical_problem(problem) -> Dict[str, object]:
@@ -77,6 +71,6 @@ def problem_fingerprint(problem, options=None,
         "problem": canonical_problem(problem),
         "options": canonical_options(options or SynthesisOptions()),
         "namespace": namespace,
-        "horizon": _frac(problem.hyperperiod),
+        "horizon": str(problem.hyperperiod),
     })
 

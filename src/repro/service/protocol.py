@@ -31,47 +31,49 @@ the same convention (:func:`schedules_to_wire` /
 from __future__ import annotations
 
 import json
-import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional
 
 from ..core.problem import ControlApplication, SynthesisProblem
 from ..core.seeding import StrategySignature
 from ..core.solution import MessageSchedule, parse_rational
 from ..core.synthesizer import SynthesisOptions
-from ..errors import EncodingError
+from ..errors import ReproError
+from ..fieldcheck import check_fields
 from ..network.graph import Network
 from ..network.timing import DelayModel
 from ..stability.piecewise import Segment, StabilitySpec
 
-#: Response types a solve submission can resolve to.
-RESPONSE_TYPES = frozenset({
-    "result", "timeout", "cancelled", "overloaded", "rejected", "error",
-})
-
 #: Request option keys accepted from the wire: what names the formula,
 #: plus the search knobs a client may set (everything else is rejected
 #: so a typo'd knob cannot silently solve the wrong problem).
-_WIRE_OPTION_KEYS = frozenset(f.name for f in fields(StrategySignature)) | {
-    "max_conflicts",
-}
+_WIRE_OPTION_KEYS = frozenset(f.name for f in fields(StrategySignature)) | {"max_conflicts"}
 
-#: Each wire option key's annotation on :class:`SynthesisOptions`.
-_WIRE_OPTION_TYPES = {f.name: str(f.type) for f in fields(SynthesisOptions)
-                      if f.name in _WIRE_OPTION_KEYS}
-
-#: The JSON values each of those annotations accepts.  A JSON ``true``
-#: is an ``int`` to Python, so a ``bool`` passes only where the
-#: annotation is ``bool``: ``"routes": true`` is no route limit.
-_JSON_TYPES: Dict[str, Tuple[type, ...]] = {
-    "str": (str,), "int": (int,), "bool": (bool,),
-    "Optional[int]": (int, type(None)),
-}
+#: The exact keys of a wire problem, of its ``delays`` and of each app (the
+#: last two name the fields of ``DelayModel`` and ``ControlApplication``).
+_PROBLEM_KEYS = frozenset({"nodes", "links", "delays", "apps"})
+_DELAY_KEYS = frozenset({"sd", "ld"})
+_APP_KEYS = frozenset({"name", "sensor", "controller", "period",
+                       "frame_bytes", "stability"})
 
 
 class ProtocolError(ValueError):
     """A malformed frame or an invalid wire payload."""
+
+
+@contextmanager
+def rejecting(what: str) -> Iterator[None]:
+    """Turn what a malformed ``what`` raises while it is decoded — the
+    library's own errors (a duplicate node, a field its constructor
+    refuses) or those of a wrong shape — into one ProtocolError."""
+    try:
+        yield
+    except ProtocolError:
+        raise
+    except (ReproError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"invalid {what}: {type(exc).__name__}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +88,24 @@ def _frac_to_wire(value: Fraction) -> str:
 def _frac_from_wire(value: object) -> Fraction:
     """A JSON integer, or a string in ``str(Fraction)`` form (see
     :func:`~repro.core.solution.parse_rational`)."""
-    if isinstance(value, (Fraction, int)):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    try:
-        return parse_rational(value)
-    except ValueError as exc:
-        raise ProtocolError(str(exc)) from None
+    return parse_rational(value)
+
+
+def _keyed(wire: object, keys: frozenset, what: str) -> Dict[str, Any]:
+    """``wire`` when it is an object with exactly ``keys``."""
+    if not isinstance(wire, dict) or wire.keys() != keys:
+        raise ProtocolError(f"{what} must be an object with keys {sorted(keys)}")
+    return wire
+
+
+def _rows(wire: object, arity: int, what: str) -> List[List[Any]]:
+    """``wire`` when it is a list of ``arity``-element lists."""
+    if not isinstance(wire, list) or any(
+            type(row) is not list or len(row) != arity for row in wire):
+        raise ProtocolError(f"{what} must be a list of {arity}-element lists")
+    return wire
 
 
 def app_to_wire(app: ControlApplication) -> dict:
@@ -131,48 +145,35 @@ def problem_to_wire(problem: SynthesisProblem) -> dict:
     }
 
 
-def problem_from_wire(wire: dict) -> SynthesisProblem:
-    """Rebuild a :class:`SynthesisProblem` from its wire form."""
-    if not isinstance(wire, dict):
-        raise ProtocolError(f"problem payload must be a dict, got "
-                            f"{type(wire).__name__}")
-    try:
+def problem_from_wire(wire: object) -> SynthesisProblem:
+    """Rebuild a :class:`SynthesisProblem` from its wire form.  Only the
+    containers are checked here (exact key sets, list arities); each
+    value is checked by the constructor it lands in."""
+    with rejecting("problem"):
+        keyed = _keyed(wire, _PROBLEM_KEYS, "problem")
         net = Network()
         adders = {"switch": net.add_switch, "sensor": net.add_sensor,
                   "controller": net.add_controller}
-        for name, kind in wire["nodes"]:
+        for name, kind in _rows(keyed["nodes"], 2, "nodes"):
             adders[kind](name)
-        for u, v in wire["links"]:
+        for u, v in _rows(keyed["links"], 2, "links"):
             net.add_link(u, v)
-        delays = DelayModel(sd=_frac_from_wire(wire["delays"]["sd"]),
-                            ld=_frac_from_wire(wire["delays"]["ld"]))
         apps = []
-        for entry in wire["apps"]:
-            stability = None
-            if entry.get("stability") is not None:
-                stability = StabilitySpec(tuple(
-                    Segment(alpha=_frac_from_wire(a), beta=_frac_from_wire(b),
-                            l_lo=_frac_from_wire(lo), l_hi=_frac_from_wire(hi))
-                    for a, b, lo, hi in entry["stability"]
-                ))
-            apps.append(ControlApplication(
-                name=entry["name"],
-                sensor=entry["sensor"],
-                controller=entry["controller"],
-                period=_frac_from_wire(entry["period"]),
-                stability=stability,
-                frame_bytes=entry.get("frame_bytes", 1500),
-            ))
-        return SynthesisProblem(net, apps, delays)
-    except ProtocolError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError,
-            EncodingError) as exc:
-        raise ProtocolError(f"invalid problem payload: "
-                            f"{type(exc).__name__}: {exc}") from None
+        for entry in keyed["apps"]:
+            entry = _keyed(entry, _APP_KEYS, "an app")
+            rows = entry["stability"]
+            apps.append(ControlApplication(**dict(
+                entry, period=_frac_from_wire(entry["period"]),
+                stability=None if rows is None else StabilitySpec(tuple(
+                    Segment(*map(_frac_from_wire, row))
+                    for row in _rows(rows, 4, "stability"))))))
+        delays = _keyed(keyed["delays"], _DELAY_KEYS, "delays")
+        problem = SynthesisProblem(net, apps, DelayModel(
+            **{key: _frac_from_wire(value) for key, value in delays.items()}))
+    return problem
 
 
-def options_from_wire(wire: Optional[dict]) -> SynthesisOptions:
+def options_from_wire(wire: object) -> SynthesisOptions:
     """Build :class:`SynthesisOptions` from a request's options dict."""
     if wire is None:
         return SynthesisOptions()
@@ -181,15 +182,9 @@ def options_from_wire(wire: Optional[dict]) -> SynthesisOptions:
     unknown = set(wire) - _WIRE_OPTION_KEYS
     if unknown:
         raise ProtocolError(f"unknown option keys: {sorted(unknown)}")
-    for key, value in wire.items():
-        kind = _WIRE_OPTION_TYPES[key]
-        if (isinstance(value, bool) != (kind == "bool")
-                or not isinstance(value, _JSON_TYPES[kind])):
-            raise ProtocolError(f"option {key}={value!r:.40} is not {kind}")
-    try:
-        return SynthesisOptions(**wire)
-    except EncodingError as exc:
-        raise ProtocolError(f"invalid options: {exc}") from None
+    with rejecting("options"):
+        options = SynthesisOptions(**wire)
+    return options
 
 
 def schedules_to_wire(schedules: Dict[str, MessageSchedule]) -> List[dict]:
@@ -206,13 +201,10 @@ def schedules_from_wire(wire: object) -> Dict[str, MessageSchedule]:
     """
     if not isinstance(wire, list):
         raise ProtocolError("schedules must be a list")
-    try:
+    with rejecting("schedule"):
         schedules = {entry["uid"]: MessageSchedule.from_dict(entry["uid"],
                                                              entry)
                      for entry in wire}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"invalid schedule payload: "
-                            f"{type(exc).__name__}: {exc}") from None
     if len(schedules) != len(wire):
         raise ProtocolError("a message is scheduled twice")
     return schedules
@@ -223,14 +215,6 @@ def schedules_from_wire(wire: object) -> Dict[str, MessageSchedule]:
 # ---------------------------------------------------------------------------
 
 
-def is_positive_seconds(value) -> bool:
-    """True for a finite positive ``int`` or ``float``, never a ``bool``:
-    the test every deadline in seconds passes, on the wire or in a
-    server policy."""
-    return (not isinstance(value, bool) and isinstance(value, (int, float))
-            and 0 < value <= sys.float_info.max)
-
-
 @dataclass
 class SynthesisRequest:
     """One admitted solve request (in-process or decoded from the wire).
@@ -239,26 +223,22 @@ class SynthesisRequest:
     server converts it to an absolute monotonic deadline at admission
     time, so queue wait counts against it (a request that waited out its
     whole budget in the queue gets a ``timeout`` response without ever
-    occupying a worker).  It must be a finite positive ``int`` or
-    ``float``: a ``NaN`` would never expire, and a ``bool`` is no
-    number of seconds.
+    occupying a worker).  Every field is checked (``ProtocolError``): a
+    ``NaN`` deadline would never expire, and a ``bool`` is no seconds.
     """
 
     id: str
     problem: SynthesisProblem
     options: SynthesisOptions = field(default_factory=SynthesisOptions)
-    deadline: Optional[float] = None
+    deadline: Optional[float] = field(default=None, metadata={"gt": 0})
 
     def __post_init__(self) -> None:
-        if not self.id or not isinstance(self.id, str):
+        check_fields(self, ProtocolError)
+        if not self.id:
             raise ProtocolError("request id must be a non-empty string")
-        deadline = self.deadline
-        if deadline is not None and not is_positive_seconds(deadline):
-            raise ProtocolError(f"deadline must be a finite positive "
-                                f"number of seconds, got {deadline!r:.40}")
 
 
-def request_from_wire(frame: dict) -> SynthesisRequest:
+def request_from_wire(frame: Dict[str, Any]) -> SynthesisRequest:
     """Decode one ``solve`` frame into a :class:`SynthesisRequest`."""
     return SynthesisRequest(
         id=frame.get("id", ""),
@@ -283,7 +263,9 @@ def decode_frame(line: bytes) -> dict:
     """One JSON line -> one frame dict (raises ProtocolError on junk)."""
     try:
         frame = json.loads(line.decode())
-    except ValueError as exc:   # bad UTF-8, bad JSON, a >4300-digit int
+    except (ValueError, RecursionError) as exc:
+        # Bad UTF-8, bad JSON, a >4300-digit int, or arrays nested
+        # deeper than the parser recurses.
         raise ProtocolError(f"undecodable frame: {exc}") from None
     if not isinstance(frame, dict):
         raise ProtocolError(f"frame must be a JSON object, got "

@@ -51,12 +51,13 @@ from typing import AsyncIterator, Dict, List, Optional, Tuple
 from ..core.solution import Solution
 from ..core.synthesizer import MODE_STABILITY, WORK_COUNTERS
 from ..core.validator import collect_violations
+from ..fieldcheck import check_fields
 from ..runtime.supervision import SupervisionPolicy, Supervisor
 from . import fingerprint as fp
 from .cache import CacheEntry, KnowledgeCache
 from .protocol import (ProtocolError, SynthesisRequest, decode_frame,
-                       encode_frame, is_positive_seconds, request_from_wire,
-                       schedules_from_wire, schedules_to_wire)
+                       encode_frame, request_from_wire, schedules_from_wire,
+                       schedules_to_wire)
 from .workers import (InlineWorker, ServiceWorker, WorkerCrashed,
                       WorkerStalled)
 
@@ -75,25 +76,17 @@ _STRATEGY = "service"
 
 @dataclass(frozen=True)
 class ServicePolicy:
-    """Admission-control and supervision knobs of one server."""
+    """Admission-control and supervision knobs of one server
+    (``ValueError`` on a field its annotation and bound refuse)."""
 
-    workers: int = 2                 # worker pool size == max in-flight
-    max_queue: int = 16              # queued (not yet dispatched) requests
-    worker_mode: str = "process"     # "process" | "inline"
-    default_deadline: Optional[float] = None   # seconds; None = unbounded
+    workers: int = field(default=2, metadata={"ge": 1})  # == max in-flight
+    max_queue: int = field(default=16, metadata={"ge": 1})  # not yet dispatched
+    worker_mode: str = field(default="process", metadata={"in": ("process", "inline")})
+    default_deadline: Optional[float] = field(default=None, metadata={"gt": 0})  # None: unbounded
     supervision: SupervisionPolicy = field(default_factory=SupervisionPolicy)
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.max_queue < 1:
-            raise ValueError("max_queue must be >= 1")
-        if self.worker_mode not in ("process", "inline"):
-            raise ValueError(f"unknown worker_mode {self.worker_mode!r}")
-        if (self.default_deadline is not None
-                and not is_positive_seconds(self.default_deadline)):
-            raise ValueError("default_deadline must be a finite positive "
-                             "number of seconds")
+        check_fields(self)
 
 
 class _Pending:
@@ -555,9 +548,6 @@ class SynthesisServer:
                 writer.write(encode_frame(frame))
                 await writer.drain()
 
-        async def answer(future: asyncio.Future) -> None:
-            await send(await future)
-
         try:
             async for line in _lines(reader):
                 if line is None:
@@ -567,12 +557,13 @@ class SynthesisServer:
                     continue
                 if not line.strip():
                     continue
+                frame: Dict = {}
                 try:
                     frame = decode_frame(line)
                     await self._handle_frame(frame, send, replies)
                 except ProtocolError as exc:
-                    await send({"type": "error",
-                                "id": self._frame_id(line), "error": str(exc)})
+                    await send({"type": "error", "id": frame.get("id"),
+                                "error": str(exc)})
         except (ConnectionResetError, asyncio.IncompleteReadError):
             pass
         finally:
@@ -583,15 +574,6 @@ class SynthesisServer:
                 await writer.wait_closed()
             except (ConnectionResetError, OSError):
                 pass
-
-    @staticmethod
-    def _frame_id(line: bytes) -> Optional[str]:
-        try:
-            import json
-            frame = json.loads(line.decode())
-            return frame.get("id") if isinstance(frame, dict) else None
-        except Exception:
-            return None
 
     async def _handle_frame(self, frame: dict, send, replies) -> None:
         op = frame.get("op")

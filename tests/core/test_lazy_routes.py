@@ -22,10 +22,10 @@ from fractions import Fraction
 import pytest
 
 from repro.api import Session
-from repro.core import Encoder, SynthesisOptions, collect_violations, solve
+from repro.core import (MODE_DEADLINE, MODE_STABILITY, Encoder,
+                        SynthesisOptions, collect_violations, solve)
 from repro.core.encoding import SHARED_NAMESPACE
-from repro.core.synthesizer import (MODE_DEADLINE, MODE_STABILITY,
-                                    open_session, refine)
+from repro.core.synthesizer import open_session, refine
 from repro.eval import workloads as W
 from repro.eval.experiments import unstable_verdicts
 from repro.network.paths import route_candidates
@@ -145,10 +145,26 @@ def test_slow_funnel_stays_unsat():
     assert result.statistics["route_vetoes_applied"] == 1
 
 
+def eager_unstable_verdicts(problem, routes, k):
+    """:func:`unstable_verdicts` on the eager routes-``k`` formula: every
+    message gets its first ``k`` routes as it is encoded."""
+    encode = Encoder.encode_message
+
+    def encode_eagerly(self, message):
+        plan = encode(self, message)
+        self.reach_route(message.uid, k)
+        return plan
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Encoder, "encode_message", encode_eagerly)
+        return unstable_verdicts(problem, routes)
+
+
 def test_unstable_verdicts_equal_the_eager_ones():
     problem = W.gm_case_study(6)
     lazy, witnesses = unstable_verdicts(problem, None)
-    eager, _ = unstable_verdicts(problem, all_routes(problem))
+    k = all_routes(problem)
+    eager, _ = eager_unstable_verdicts(problem, k, k)
     assert lazy == eager
     assert "sat" in lazy.values() and "unsat" in lazy.values()
     for app, solution in witnesses.items():
@@ -157,13 +173,11 @@ def test_unstable_verdicts_equal_the_eager_ones():
 
 
 def test_unstable_verdicts_at_a_route_limit_equal_the_lazy_loop():
-    # Under a limit unstable_verdicts encodes every route up front; with
-    # reach_route disabled the same function is the lazy loop.
+    # unstable_verdicts is the lazy loop under a limit too; the routes
+    # encoded up front give the same answers.
     problem = W.gm_case_study(6)
-    eager, _ = unstable_verdicts(problem, 3)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Encoder, "reach_route", lambda self, uid, n: None)
-        lazy, witnesses = unstable_verdicts(problem, 3)
+    eager, _ = eager_unstable_verdicts(problem, 3, 3)
+    lazy, witnesses = unstable_verdicts(problem, 3)
     assert lazy == eager
     assert "sat" in lazy.values() and "unsat" in lazy.values()
     for app, solution in witnesses.items():

@@ -236,6 +236,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("blob", [
         b"{ not json",
+        b"[]",
         b'{"version": 999}',
         b'{"version": 1, "fingerprint": "x"}',
         json.dumps({"version": 1, "fingerprint": "f" * 32,
@@ -254,6 +255,28 @@ class TestPersistence:
         assert cache.counters["quarantined_entries"] == 1
         assert not list(Path(tmp_path).glob("*.json"))
         assert list(Path(tmp_path).glob("*.quarantined"))
+
+    @pytest.mark.parametrize("options,route_veto", [
+        ({"routes": True}, None),
+        ({"routes": 0}, None),
+        ({"stages": -4}, None),
+        ({"path_cutoff": -1}, None),
+        ({"mode": "bogus"}, None),
+        ({"repair": "no"}, None),
+        ({}, [["app0#0", True]]),
+    ], ids=["routes-true", "routes-0", "stages-negative",
+            "path_cutoff-negative", "mode-bogus", "repair-str",
+            "veto-count-true"])
+    def test_signatures_no_options_can_hold_are_quarantined(
+            self, tmp_path, options, route_veto):
+        payload = json.loads(entry_blob())
+        payload["options"].update(options)
+        payload["route_veto"] = route_veto
+        (Path(tmp_path) / ("f" * 32 + ".json")).write_text(
+            json.dumps(payload))
+        cache = KnowledgeCache(tmp_path)
+        assert len(cache) == 0
+        assert cache.counters["quarantined_entries"] == 1
 
     def test_files_with_schedule_and_hits_keys_still_load(self, tmp_path):
         # Earlier writers of version 1 also stored the winning schedule

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 from repro.core import (ControlApplication, Solution, SynthesisProblem,
                         collect_violations, solve)
+from repro.core.solution import parse_rational
 from repro.core.synthesizer import WORK_COUNTERS, SynthesisOptions
 from repro.eval.workloads import (bottleneck_problem, detour_problem,
                                   gm_case_study)
@@ -537,6 +539,71 @@ class TestTcp:
                 assert replies[1]["metrics"]["requests"]["admitted"] == 0
         run(body())
 
+    @pytest.mark.parametrize("path,value,says", [
+        (("nodes", "+"), ["A", "switch"], "duplicate node"),
+        (("links", "+"), ["A", "B"], "duplicate link"),
+        (("links", "+"), ["A", "Z"], "unknown node"),
+        (("apps", 0, "stability", 0, 0), "-1", "non-negative"),
+        (("apps", 0, "stability"), [], ">= 1 segment"),
+        (("apps", 0, "name"), 7, "ControlApplication.name"),
+        (("apps", 0, "frame_bytes"), "1500", "ControlApplication.frame_bytes"),
+        (("apps", 0, "frame_bytes"), True, "ControlApplication.frame_bytes"),
+        (("apps", 0, "frame_bytes"), 1.5, "ControlApplication.frame_bytes"),
+        (("delays", "ld"), "-1", "DelayModel.ld"),
+        (("delays", "sd"), "-3/4", "DelayModel.sd"),
+        (("apps", 0, "frame_byte"), 1500, "an app must be an object with keys"),
+        (("nodes", "+"), [7, "switch"], "not a string"),
+        (("links", "+"), "AB", "2-element lists"),
+    ], ids=["duplicate-node", "duplicate-link", "link-to-unknown-node",
+            "negative-alpha", "empty-stability", "name-int",
+            "frame_bytes-str", "frame_bytes-true", "frame_bytes-float",
+            "ld-negative", "sd-negative", "unknown-app-key",
+            "node-name-int", "link-row-str"])
+    def test_malformed_problem_gets_an_error_and_the_connection_lives(
+            self, path, value, says):
+        # Decoding refuses each of these before admission: no solve is
+        # queued, and the next frame on the connection is answered.
+        wire = problem_to_wire(family_problem([0]))
+        target = wire
+        for key in path[:-1]:
+            target = target[key]
+        if path[-1] == "+":
+            target.append(value)
+        else:
+            target[path[-1]] = value
+        with pytest.raises(ProtocolError, match=re.escape(says)):
+            problem_from_wire(wire)
+
+        async def body():
+            async with SynthesisServer(policy=INLINE) as server:
+                host, port = await server.serve_tcp()
+                replies = await request_over_tcp(host, port, [
+                    {"op": "solve", "id": "bad", "problem": wire},
+                    {"op": "stats"},
+                ], timeout=10.0)
+                assert [r["type"] for r in replies] == ["error", "stats"]
+                assert replies[0]["id"] == "bad"
+                assert says in replies[0]["error"]
+                assert replies[1]["metrics"]["requests"]["admitted"] == 0
+        run(body())
+
+    def test_deeply_nested_frame_gets_an_error(self):
+        # Within the frame limit, but nested deeper than the JSON parser
+        # recurses.
+        async def body():
+            async with SynthesisServer(policy=INLINE) as server:
+                host, port = await server.serve_tcp()
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(b"[" * (FRAME_LIMIT - 10) + b"\n"
+                             + encode_frame({"op": "stats"}))
+                replies = [json.loads(await asyncio.wait_for(
+                    reader.readline(), 10.0)) for _ in range(2)]
+                writer.close()
+                await writer.wait_closed()
+                assert [r["type"] for r in replies] == ["error", "stats"]
+                assert "undecodable frame" in replies[0]["error"]
+        run(body())
+
     def test_integer_too_long_to_parse_gets_an_error(self):
         async def body():
             async with SynthesisServer(policy=INLINE) as server:
@@ -586,11 +653,17 @@ class TestTcp:
             problem_from_wire(wire)
         assert time.perf_counter() - t0 < 0.5
 
-    @pytest.mark.parametrize("value", ["3/4", "-3/4", "7", 7])
+    @pytest.mark.parametrize("value", ["3/4", "7", 7])
     def test_str_fraction_rationals_and_json_integers_parse(self, value):
         wire = problem_to_wire(family_problem([0]))
         wire["delays"]["sd"] = value
         assert problem_from_wire(wire).delays.sd == Fraction(value)
+
+    def test_negative_rationals_parse(self):
+        # Negative forwarding delays are refused by DelayModel (see
+        # test_malformed_problem_gets_an_error_and_the_connection_lives);
+        # the parser itself reads the sign.
+        assert parse_rational("-3/4") == Fraction(-3, 4)
 
     def test_cancel_ack_over_the_wire(self):
         async def body():
